@@ -18,7 +18,8 @@ class DegenerateCellError(NumericsError):
 
 
 class FactorizationError(NumericsError):
-    """Sparse or dense factorization failed (input not SPD, singular, ...)."""
+    """An SPD factorization or iterative solve failed (input not SPD,
+    singular, no convergence, ...)."""
 
 
 class EigensolverError(NumericsError):
@@ -26,7 +27,7 @@ class EigensolverError(NumericsError):
 
 
 class ProjectionError(NumericsError):
-    """Least-squares condensation to cotree coordinates was ill-posed."""
+    """Condensation to cotree coordinates was inconsistent or ill-posed."""
 
 
 class TrackingError(NumericsError):

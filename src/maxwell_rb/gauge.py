@@ -11,13 +11,14 @@ edges, kept in global column order: every formula downstream uses H only
 in products that are invariant under a consistent column permutation, so
 nothing is gained by reordering columns.
 
-Projection onto cotree coordinates solves the overdetermined system
-H^T v_hat = B v in the least-squares sense through an in-place
-Householder QR of the densified H^T; the factorization overwrites its
-single N x |C| buffer, which keeps the mixed pipeline's dense footprint
-small.  The least-squares residual reports whether the input vector was
-gradient-free: eigenvectors of the ungauged pencil with nonzero
-eigenvalue produce consistent systems, gradient fields do not.
+Projection onto cotree coordinates solves H^T v_hat = B v.  Its cotree
+rows read A_CC v_hat = (B v)_C, where A_CC = A[C, C] is the
+tree-cotree-gauged stiffness, which is SPD (Manges & Cendes, IEEE
+Trans. Magn. 31(3), 1995); one sparse factorization of A_CC serves every
+vector at a parameter value, and no dense N x |C| array is formed.  The
+full residual ||H^T v_hat - B v|| / ||B v|| reports whether the input
+was gradient-free: eigenvectors of the ungauged pencil with nonzero
+eigenvalue make the tree rows agree as well, gradient fields do not.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
 
 from .assembly import SystemPair
-from .eigen import SPDFactor, factorize
+from .eigen import SPDFactor
 from .errors import NumericsError, ProjectionError
 from .mesh import CavityMesh
 
@@ -145,7 +145,7 @@ def build_cotree_system(sys: SystemPair, gauge: GaugeDecomposition,
     """
     H = cotree_operator(sys, gauge)
     if factor is None:
-        factor = factorize(sys.B)
+        factor = SPDFactor(sys.B)
     W = factor.solve(H.T.toarray())
     A_hat = W.T @ (sys.A @ W)
     B_hat = H @ W
@@ -159,57 +159,38 @@ def upscale(gauge: GaugeDecomposition, sys: SystemPair, v_hat: np.ndarray,
     """Transform cotree coordinates back to the full space: v = B^{-1} H^T v_hat."""
     H = cotree_operator(sys, gauge)
     if factor is None:
-        factor = factorize(sys.B)
+        factor = SPDFactor(sys.B)
     return factor.solve(np.asarray(H.T @ v_hat))
 
 
 class CotreeProjector:
-    """Least-squares condensation of full vectors to cotree coordinates.
+    """Condensation of full vectors to cotree coordinates.
 
-    Factors H^T once (in place) and then projects any number of vectors;
-    reuse this when condensing several modes at the same parameter value.
+    Factors A_CC once and then projects any number of vectors; reuse
+    this when condensing several modes at the same parameter value.
     """
 
     def __init__(self, sys: SystemPair, gauge: GaugeDecomposition):
         self._H = cotree_operator(sys, gauge)
         self._B = sys.B
-        self.n_cotree = gauge.cotree.size
-        Ht = np.asfortranarray(self._H.T.toarray())
-        geqrf, = get_lapack_funcs(("geqrf",), (Ht,))
-        qr, tau, _, info = geqrf(Ht, overwrite_a=True)
-        if info != 0:
-            raise ProjectionError("QR factorization failed with info=%d" % info)
-        self._qr = qr
-        self._tau = tau
-        self._ormqr, self._trtrs = get_lapack_funcs(("ormqr", "trtrs"), (qr,))
-        # workspace query
-        probe = np.zeros((qr.shape[0], 1), order="F")
-        _, work, _ = self._ormqr("L", "T", qr, tau, probe, -1)
-        self._lwork = int(work[0].real)
+        self._cotree = gauge.cotree
+        self._factor = SPDFactor(self._H[:, gauge.cotree])
 
     def project(self, v: np.ndarray, check: bool = True):
         """Condense v (one column or a block); returns (v_hat, rel_residual).
 
-        rel_residual is the least-squares consistency residual
+        rel_residual is the consistency residual
         ||H^T v_hat - B v|| / ||B v|| per column; values above 1e-6 mean
         the input carried gradient components and raise ProjectionError
         when ``check`` is set.
         """
         single = v.ndim == 1
-        rhs = np.asfortranarray(
-            np.atleast_2d((self._B @ v).T).T.astype(float)
-        )
-        rhs_norms = np.linalg.norm(rhs, axis=0)
-        cq, _, info = self._ormqr("L", "T", self._qr, self._tau, rhs, self._lwork)
-        if info != 0:
-            raise ProjectionError("orthogonal transform failed with info=%d" % info)
-        m = self.n_cotree
-        v_hat, info = self._trtrs(self._qr[:m, :], cq[:m], lower=0, trans=0)
-        if info != 0:
-            raise ProjectionError("triangular solve failed with info=%d" % info)
-        tail = np.linalg.norm(cq[m:], axis=0)
+        Bv = np.asarray(self._B @ v, dtype=float).reshape(self._B.shape[0], -1)
+        v_hat = self._factor.solve(Bv[self._cotree])
+        rhs_norms = np.linalg.norm(Bv, axis=0)
+        residual = np.linalg.norm(self._H.T @ v_hat - Bv, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(rhs_norms > 0, tail / rhs_norms, 0.0)
+            rel = np.where(rhs_norms > 0, residual / rhs_norms, 0.0)
         if check and np.any(rel > _CONSISTENCY_TOL):
             worst = int(np.argmax(rel))
             raise ProjectionError(
@@ -223,5 +204,5 @@ class CotreeProjector:
 
 def project_to_cotree(gauge: GaugeDecomposition, sys: SystemPair, v: np.ndarray,
                       check: bool = True):
-    """One-shot least-squares condensation; see CotreeProjector.project."""
+    """One-shot condensation; see CotreeProjector.project."""
     return CotreeProjector(sys, gauge).project(v, check=check)

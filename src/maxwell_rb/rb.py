@@ -3,11 +3,14 @@
 Two interchangeable evaluation backends drive the same greedy loop.
 
 Mixed gauge: snapshots come from the sparse ungauged eigenproblem and
-are condensed to cotree coordinates by least squares; reduced matrices
-are evaluated through the factored form Z_full = B(t)^{-1} H(t)^T Z, so
-no dense |C| x |C| matrix ever exists.  Because A(t) interpolates
-linearly between the endpoints, H(t)^T Z is the same convex combination
-of two sparse products, which keeps the parameter sweep cheap.
+are condensed to cotree coordinates through the sparse gauged stiffness
+A_CC; reduced matrices are evaluated through the lifted form
+Z_full = B(t)^{-1} H(t)^T Z, with the mass solve done by
+Jacobi-preconditioned conjugate gradients, so neither a dense
+|C| x |C| matrix nor a per-parameter factorization ever exists.
+Because A(t) interpolates linearly between the endpoints, H(t)^T Z is
+the same convex combination of two sparse products, which keeps the
+parameter sweep cheap.
 
 Classical gauge: snapshots and reduced matrices go through the dense
 cotree pencil assembled per parameter value.  Only the pencil of the
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .assembly import ParametrizedSystem
-from .eigen import EigenSolution, SolverPolicy, factorize, solve_dense_gevp, solve_sparse_gevp
+from .eigen import EigenSolution, SolverPolicy, pcg_solve, solve_dense_gevp, solve_sparse_gevp
 from .errors import ConfigError, NumericsError, ProjectionError
 from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system, cotree_operator
 
@@ -165,7 +168,7 @@ def _gaps(values: np.ndarray, K: int) -> np.ndarray:
 
 
 class _MixedEvaluator:
-    """Factored reduced-matrix evaluation: never a dense cotree pencil."""
+    """Lifted reduced-matrix evaluation: never a dense cotree pencil."""
 
     gauge_mode = "mixed"
 
@@ -179,8 +182,6 @@ class _MixedEvaluator:
         # H(t) = rows C of A(t) inherits the endpoint interpolation.
         self._H0t = cotree_operator(psys.endpoint0, gauge).T.tocsr()
         self._H1t = cotree_operator(psys.endpoint1, gauge).T.tocsr()
-        self.n = psys.n
-        self.n_cotree = gauge.cotree.size
         self._Z = None
         self._P0 = None
         self._P1 = None
@@ -203,8 +204,7 @@ class _MixedEvaluator:
             self.meter.free(self._cache["held"])
         pair = self.psys.interpolate(t)
         U = (1.0 - t) * self._P0 + t * self._P1
-        factor = factorize(pair.B)
-        Z_full = factor.solve(U)
+        Z_full = pcg_solve(pair.B, U)
         held = self.meter.alloc(U.size + Z_full.size)
         self._cache = {"pair": pair, "U": U, "Z_full": Z_full, "held": held}
         self._t = t
@@ -234,19 +234,18 @@ class _MixedEvaluator:
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> SnapshotSet:
-        """Sparse high-fidelity solve followed by least-squares condensation."""
+        """Sparse high-fidelity solve followed by A_CC condensation."""
         pair = self.psys.interpolate(t)
         sol = solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
                                 salt=_salt_from_t(t))
         with self.meter.hold(sol.vectors.size):
-            with self.meter.hold(self.n * self.n_cotree):
-                projector = CotreeProjector(pair, self.gauge)
-                try:
-                    Y, _ = projector.project(sol.vectors)
-                except ProjectionError as exc:
-                    raise ProjectionError(
-                        "snapshot condensation failed at t=%r: %s" % (t, exc)
-                    ) from exc
+            projector = CotreeProjector(pair, self.gauge)
+            try:
+                Y, _ = projector.project(sol.vectors)
+            except ProjectionError as exc:
+                raise ProjectionError(
+                    "snapshot condensation failed at t=%r: %s" % (t, exc)
+                ) from exc
         Y = Y / np.linalg.norm(Y, axis=0)[None, :]
         return SnapshotSet(
             Y=Y,
@@ -283,8 +282,7 @@ class _ClassicalEvaluator:
             self.meter.free(self._cache["held"])
             self._cache = None
         pair = self.psys.interpolate(t)
-        # The solve buffer W = B^{-1} H^T is as large as the QR buffer of
-        # the mixed path; the dense pencil on top of it is the difference.
+        # The solve buffer W = B^{-1} H^T is N x |C|.
         with self.meter.hold(self.psys.n * self.n_cotree):
             cs = build_cotree_system(pair, self.gauge)
         held = self.meter.alloc(cs.A_hat.size + cs.B_hat.size)

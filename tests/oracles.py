@@ -75,3 +75,16 @@ def free_edge_count(resolution):
 def interior_vertex_count(resolution):
     nx, ny, nz = resolution
     return (nx - 1) * (ny - 1) * (nz - 1)
+
+
+def cotree_least_squares(A, B, cotree, v):
+    """Dense least-squares solution of H^T v_hat = B v with H = A[C, :].
+
+    Returns (v_hat, relative residual per column); A is symmetric, so
+    H^T is the column block A[:, C].
+    """
+    Ht = np.asarray(A.todense())[:, cotree]
+    rhs = np.asarray(B @ v)
+    v_hat = np.linalg.lstsq(Ht, rhs, rcond=None)[0]
+    rel = np.linalg.norm(Ht @ v_hat - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+    return v_hat, rel

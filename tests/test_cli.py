@@ -144,6 +144,21 @@ class TestSolve:
         assert np.allclose(payloads[0]["eigenvalues"],
                            payloads[1]["eigenvalues"], rtol=1e-8)
 
+    def test_classical_factors_mass_once(self, cfg_file, monkeypatch):
+        from maxwell_rb.eigen import SPDFactor
+
+        built = []
+        init = SPDFactor.__init__
+
+        def counting_init(self, B):
+            built.append(B.shape)
+            init(self, B)
+
+        monkeypatch.setattr(SPDFactor, "__init__", counting_init)
+        rc = main(["solve", "--config", cfg_file, "--gauge", "classical"])
+        assert rc == 0
+        assert len(built) == 1
+
     def test_t_outside_range_exit_2(self, cfg_file, capsys):
         rc = main(["solve", "--config", cfg_file, "--t", "1.5"])
         assert rc == 2

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from maxwell_rb.eigen import (FactorCache, SolverPolicy, factorize,
-                              solve_dense_gevp, solve_sparse_gevp, solve_spd)
+from maxwell_rb.eigen import (SolverPolicy, SPDFactor, pcg_solve,
+                              solve_dense_gevp, solve_sparse_gevp)
 from maxwell_rb.errors import EigensolverError, FactorizationError
 
 from oracles import discrete_brick_eigenvalues
@@ -55,36 +55,68 @@ class TestSPDFactor:
         B = sp.random(n, n, density=0.1, random_state=3)
         B = sp.csc_matrix(B @ B.T + n * sp.eye(n))
         rhs = rng.standard_normal((n, 4))
-        x = solve_spd(factorize(B), rhs)
+        x = SPDFactor(B).solve(rhs)
         rel = np.linalg.norm(B @ x - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
         assert rel.max() < 1e-12
 
     def test_non_square_rejected(self):
         with pytest.raises(FactorizationError):
-            factorize(sp.csr_matrix(np.ones((3, 4))))
+            SPDFactor(sp.csr_matrix(np.ones((3, 4))))
 
     def test_indefinite_rejected(self):
         M = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
         with pytest.raises(FactorizationError):
-            factorize(M)
+            SPDFactor(M)
 
-    def test_cache_reuses_current_key(self):
-        builds = []
-        cache = FactorCache()
-        B = sp.csc_matrix(np.eye(3))
 
-        def build():
-            builds.append(1)
-            return factorize(B)
+class TestPCG:
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_matches_factorization(self, small_morph, t):
+        B = small_morph["psys"].interpolate(t).B
+        n = B.shape[0]
+        block = np.random.default_rng(11).standard_normal((n, 4))
+        block[:, 2] = 0.0
+        factor = SPDFactor(B)
+        for rhs in (block[:, 0], np.zeros(n), block):
+            x = pcg_solve(B, rhs)
+            want = factor.solve(rhs)
+            assert x.shape == rhs.shape
+            err = np.linalg.norm(x - want, axis=0)
+            assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
 
-        f1 = cache.get(0.5, build)
-        f2 = cache.get(0.5, build)
-        assert f1 is f2 and len(builds) == 1
-        cache.get(0.75, build)
-        assert len(builds) == 2
-        cache.clear()
-        cache.get(0.75, build)
-        assert len(builds) == 3
+    def test_badly_scaled_full_accuracy(self, monkeypatch):
+        # many distinct eigenvalues and a diagonal spread of 1e4: unlike
+        # the tensor-grid mass matrices, CG cannot terminate early here,
+        # so the stopping tolerance shows; Jacobi scaling needs 64
+        # iterations, plain CG 387
+        monkeypatch.setattr("maxwell_rb.eigen._PCG_MAXITER", 100)
+        n = 200
+        R = sp.random(n, n, density=0.05, random_state=4)
+        scale = sp.diags(np.random.default_rng(4).uniform(1.0, 100.0, n))
+        B = sp.csr_matrix(scale @ (R @ R.T + sp.eye(n)) @ scale)
+        rhs = np.random.default_rng(11).standard_normal((n, 3))
+        x = pcg_solve(B, rhs)
+        want = SPDFactor(B).solve(rhs)
+        err = np.linalg.norm(x - want, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
+
+    def test_indefinite_rejected(self):
+        M = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
+        with pytest.raises(FactorizationError):
+            pcg_solve(M, np.ones(3))
+
+    def test_negative_curvature_rejected(self):
+        # positive diagonal, indefinite: the first step has p^T M p < 0
+        M = sp.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
+        with pytest.raises(FactorizationError):
+            pcg_solve(M, np.array([1.0, -1.0]))
+
+    def test_iteration_cap(self, small_morph, monkeypatch):
+        B = small_morph["psys"].interpolate(0.5).B
+        rhs = np.random.default_rng(5).standard_normal(B.shape[0])
+        monkeypatch.setattr("maxwell_rb.eigen._PCG_MAXITER", 2)
+        with pytest.raises(FactorizationError):
+            pcg_solve(B, rhs)
 
 
 class TestSparse:

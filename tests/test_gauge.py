@@ -11,7 +11,7 @@ from maxwell_rb.gauge import (CotreeProjector, build_cotree_system, build_tree,
                               cotree_operator, project_to_cotree, upscale)
 from maxwell_rb.mesh import build_mesh, discrete_gradient
 
-from oracles import discrete_brick_eigenvalues
+from oracles import cotree_least_squares, discrete_brick_eigenvalues
 
 
 class TestTree:
@@ -116,6 +116,27 @@ class TestProjection:
             single, rel = proj.project(modes.vectors[:, j])
             assert np.allclose(block[:, j], single, atol=1e-12)
             assert rels[j] == pytest.approx(rel, abs=1e-14)
+
+    def test_matches_dense_least_squares(self, cube3_pair, cube3_gauge,
+                                         modes):
+        v_hat, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
+            modes.vectors)
+        want, _ = cotree_least_squares(cube3_pair.A, cube3_pair.B,
+                                       cube3_gauge.cotree, modes.vectors)
+        err = np.linalg.norm(v_hat - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert err.max() <= 1e-12
+        assert rels.max() <= 1e-12
+
+    def test_gradient_residual_not_below_least_squares(self, cube3_pair,
+                                                       cube3_gauge, cube3_grad):
+        rng = np.random.default_rng(1)
+        v = cube3_grad.G @ rng.standard_normal((cube3_grad.G.shape[1], 3))
+        _, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
+            v, check=False)
+        _, floor = cotree_least_squares(cube3_pair.A, cube3_pair.B,
+                                        cube3_gauge.cotree, v)
+        assert np.all(rels > 1e-6)
+        assert np.all(rels >= floor * (1.0 - 1e-12))
 
     def test_gradient_input_rejected(self, cube3_pair, cube3_gauge,
                                      cube3_grad):

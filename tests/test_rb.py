@@ -256,6 +256,7 @@ class TestBuildBasis:
         n = m["psys"].n
         n_cotree = m["gauge"].cotree.size
         assert classical.peak_dense_entries >= n_cotree ** 2
+        assert small_basis.peak_dense_entries < n * n_cotree
         assert small_basis.peak_dense_entries < 10 * n * small_basis.basis.n_red
 
 
