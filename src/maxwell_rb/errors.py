@@ -18,8 +18,8 @@ class DegenerateCellError(NumericsError):
 
 
 class FactorizationError(NumericsError):
-    """An SPD factorization or iterative solve failed (input not SPD,
-    singular, no convergence, ...)."""
+    """A sparse factorization or iterative solve failed (input not SPD,
+    singular shifted pencil, no convergence, ...)."""
 
 
 class EigensolverError(NumericsError):

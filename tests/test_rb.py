@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from maxwell_rb.bench import setup_problem
+from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import solve_dense_gevp, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, NumericsError
 from maxwell_rb.gauge import build_cotree_system
@@ -10,7 +12,7 @@ from maxwell_rb.rb import (SnapshotSet, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
                            error_estimator, greedy_enrich, make_training_sets,
                            pod_init, reduced_matrices_mixed, residuum,
-                           _salt_from_t)
+                           _POD_RANK_GUARD, _salt_from_t)
 
 
 class TestTrainingSets:
@@ -106,6 +108,17 @@ class TestPOD:
             pod_init(self._snapshot_set(Y), 0)
         with pytest.raises(ConfigError):
             pod_init(self._snapshot_set(Y), 4)
+
+    def test_roundoff_tail_below_rank_guard(self):
+        # the brick stretch has snapshot rank 6; a roundoff tail above the
+        # guard would add noise columns to every reduced solve
+        cfg = with_overrides(default_config(), resolution=(10, 10, 10), N_POD=2)
+        p = setup_problem(cfg)
+        snaps = collect_snapshots(p.psys, p.gauge, p.training.pod_set, cfg.K,
+                                  p.policy)
+        s = np.linalg.svd(snaps.Y, compute_uv=False)
+        assert s[6:].max() < _POD_RANK_GUARD * s[0]
+        assert pod_init(snaps, "auto").n_red == 6
 
 
 class TestReducedMatrices:
