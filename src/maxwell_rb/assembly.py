@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateCellError
@@ -240,26 +239,3 @@ class ParametrizedSystem:
             self.endpoint1.geometry_tag,
         )
         return SystemPair(A=A, B=B, n=n, geometry_tag=tag)
-
-
-def write_matrix(mat: sp.spmatrix, path) -> None:
-    """Write a sparse symmetric matrix in Matrix Market coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(mat), symmetry="symmetric")
-
-
-def read_matrix(path, expected_n=None) -> sp.csr_matrix:
-    """Read a Matrix Market file back as CSR; enforce shape and symmetry."""
-    mat = scipy.io.mmread(str(path))
-    mat = sp.csr_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ConfigError("matrix in %s is not square: %r" % (path, mat.shape))
-    if expected_n is not None and mat.shape[0] != expected_n:
-        raise ConfigError(
-            "matrix in %s has %d DoFs, expected %d (matrix interpolation "
-            "requires identical numbering)" % (path, mat.shape[0], expected_n)
-        )
-    skew = abs(mat - mat.T).max()
-    scale = abs(mat).max() if mat.nnz else 0.0
-    if scale and skew > 1e-12 * scale:
-        raise ConfigError("matrix in %s is not symmetric" % path)
-    return mat

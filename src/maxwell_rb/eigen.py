@@ -51,9 +51,8 @@ class EigenSolution:
     """Sorted generalized eigenpairs with per-pair residual norms."""
 
     values: np.ndarray          # ascending
-    vectors: np.ndarray         # columns, B-orthonormal when b_normalized
+    vectors: np.ndarray         # columns, B-orthonormal
     residual_norms: np.ndarray  # ||A v - lambda B v||_2
-    b_normalized: bool = True
 
     @property
     def count(self) -> int:

@@ -19,6 +19,15 @@ dense matrices are exactly what does not fit in memory at scale; this
 path exists as the comparison baseline and is expected slower and
 hungrier.
 
+Every evaluator is built by _make_evaluator and answers two shared
+questions: ``solve`` gives the reduced pencil at t and its eigenpairs
+(optionally restricted to the leading n basis columns, which is the
+size-n pencil because the lifted columns are independent), and
+``estimate`` adds the gap-aware error estimator
+eta = ||r||^2 / (lambda_tilde * gap) of the first K modes.  The greedy
+loop, reduced tracking, the bench error studies and the tests all go
+through these two routines.
+
 Dense allocations of both pipelines are tallied by a StorageMeter so the
 memory claims are assertable rather than anecdotal.
 """
@@ -31,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .assembly import ParametrizedSystem
-from .eigen import EigenSolution, SolverPolicy, pcg_solve, solve_dense_gevp, solve_sparse_gevp
+from .eigen import SolverPolicy, pcg_solve, solve_dense_gevp, solve_sparse_gevp
 from .errors import ConfigError, NumericsError, ProjectionError
 from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system, cotree_operator
 
@@ -133,18 +142,6 @@ class SnapshotSet:
     eigenvalues: np.ndarray    # per column
 
 
-@dataclass
-class EstimatorReport:
-    """Per-(t, mode) residual norms, spectral gaps and estimator values."""
-
-    t: np.ndarray
-    mode: np.ndarray
-    residual_norm: np.ndarray
-    gap: np.ndarray
-    eta: np.ndarray
-    lambda_tilde: np.ndarray
-
-
 def _gaps(values: np.ndarray, K: int) -> np.ndarray:
     """Distance to the nearest neighboring reduced eigenvalue, floored.
 
@@ -167,10 +164,13 @@ def _gaps(values: np.ndarray, K: int) -> np.ndarray:
 # evaluation backends
 
 
-class _MixedEvaluator:
-    """Lifted reduced-matrix evaluation: never a dense cotree pencil."""
+class _Evaluator:
+    """Shared state, cache release and the two shared routines.
 
-    gauge_mode = "mixed"
+    Subclasses provide set_basis, reduced_system, residual_norms and
+    snapshot; _cache holds the per-t data of the last visited parameter
+    together with the entry count it holds on the meter.
+    """
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
                  policy: SolverPolicy, K: int, meter: StorageMeter):
@@ -179,14 +179,48 @@ class _MixedEvaluator:
         self.policy = policy
         self.K = K
         self.meter = meter
+        self._Z = None
+        self._t = None
+        self._cache = None
+
+    def release(self) -> None:
+        if self._cache is not None:
+            self.meter.free(self._cache["held"])
+        self._cache = None
+        self._t = None
+
+    def solve(self, t: float, n: int | None = None):
+        """Reduced pencil at t and its eigenpairs, as (ReducedSystem,
+        EigenSolution); n restricts both to the leading n basis columns."""
+        red = self.reduced_system(t)
+        if n is not None:
+            red = ReducedSystem(A_tilde=red.A_tilde[:n, :n],
+                                B_tilde=red.B_tilde[:n, :n])
+        return red, solve_dense_gevp(red.A_tilde, red.B_tilde)
+
+    def estimate(self, t: float):
+        """Reduced eigenpairs at t and eta = ||r||^2 / (lambda_tilde * gap)
+        of the first min(K, n_red) modes."""
+        _, sol = self.solve(t)
+        norms = self.residual_norms(t, sol.values, sol.vectors)
+        k_eff = norms.size
+        gaps = _gaps(sol.values, self.K)
+        return sol, norms**2 / (sol.values[:k_eff] * gaps[:k_eff])
+
+
+class _MixedEvaluator(_Evaluator):
+    """Lifted reduced-matrix evaluation: never a dense cotree pencil."""
+
+    gauge_mode = "mixed"
+
+    def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
+                 policy: SolverPolicy, K: int, meter: StorageMeter):
+        super().__init__(psys, gauge, policy, K, meter)
         # H(t) = rows C of A(t) inherits the endpoint interpolation.
         self._H0t = cotree_operator(psys.endpoint0, gauge).T.tocsr()
         self._H1t = cotree_operator(psys.endpoint1, gauge).T.tocsr()
-        self._Z = None
         self._P0 = None
         self._P1 = None
-        self._t = None
-        self._cache = None
 
     def set_basis(self, Z: np.ndarray) -> None:
         self._Z = Z
@@ -209,12 +243,6 @@ class _MixedEvaluator:
         self._cache = {"pair": pair, "U": U, "Z_full": Z_full, "held": held}
         self._t = t
         return self._cache
-
-    def release(self) -> None:
-        if self._cache is not None:
-            self.meter.free(self._cache["held"])
-        self._cache = None
-        self._t = None
 
     def reduced_system(self, t: float) -> ReducedSystem:
         c = self._at(t)
@@ -255,22 +283,15 @@ class _MixedEvaluator:
         )
 
 
-class _ClassicalEvaluator:
+class _ClassicalEvaluator(_Evaluator):
     """Dense cotree pencil per parameter value; the memory-bound baseline."""
 
     gauge_mode = "classical"
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
                  policy: SolverPolicy, K: int, meter: StorageMeter):
-        self.psys = psys
-        self.gauge = gauge
-        self.policy = policy
-        self.K = K
-        self.meter = meter
+        super().__init__(psys, gauge, policy, K, meter)
         self.n_cotree = gauge.cotree.size
-        self._Z = None
-        self._t = None
-        self._cache = None
 
     def set_basis(self, Z: np.ndarray) -> None:
         self._Z = Z
@@ -289,12 +310,6 @@ class _ClassicalEvaluator:
         self._cache = {"cs": cs, "held": held}
         self._t = t
         return self._cache
-
-    def release(self) -> None:
-        if self._cache is not None:
-            self.meter.free(self._cache["held"])
-        self._cache = None
-        self._t = None
 
     def reduced_system(self, t: float) -> ReducedSystem:
         cs = self._pencil(t)["cs"]
@@ -331,7 +346,9 @@ class _ClassicalEvaluator:
         )
 
 
-def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter):
+def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None):
+    """The only constructor of evaluators; meter defaults to a private one."""
+    meter = meter if meter is not None else StorageMeter()
     if gauge_mode == "mixed":
         return _MixedEvaluator(psys, gauge, policy, K, meter)
     if gauge_mode == "classical":
@@ -351,14 +368,13 @@ def collect_snapshots(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     unit-normalized columns.  Duplicate parameters yield duplicate columns."""
     if K < 1:
         raise ConfigError("snapshot mode count must be >= 1")
-    meter = meter if meter is not None else StorageMeter()
     ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter)
     parts = []
     for t in np.asarray(pod_set, dtype=float):
         parts.append(ev.snapshot(float(t)))
     ev.release()
     Y = np.hstack([p.Y for p in parts])
-    meter.alloc(Y.size)
+    ev.meter.alloc(Y.size)
     return SnapshotSet(
         Y=Y,
         t_values=np.concatenate([p.t_values for p in parts]),
@@ -399,44 +415,6 @@ def pod_init(snapshots: SnapshotSet, n_init,
                         gauge_mode=gauge_mode)
 
 
-def reduced_matrices_mixed(psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                           Z: np.ndarray, t: float) -> ReducedSystem:
-    """Factored evaluation of the reduced pencil at t (never dense cotree)."""
-    ev = _MixedEvaluator(psys, gauge, SolverPolicy(sigma=1.0, lambda_cut=0.0),
-                         K=Z.shape[1], meter=StorageMeter())
-    ev.set_basis(Z)
-    out = ev.reduced_system(float(t))
-    ev.release()
-    return out
-
-
-def residuum(psys: ParametrizedSystem, gauge: GaugeDecomposition, Z: np.ndarray,
-             t: float, reduced: EigenSolution, K: int) -> EstimatorReport:
-    """Residual norms of the lifted reduced eigenpairs against the sparse
-    high-fidelity operators, plus the spectral gaps; estimator values are
-    filled in by error_estimator."""
-    ev = _MixedEvaluator(psys, gauge, SolverPolicy(sigma=1.0, lambda_cut=0.0),
-                         K=K, meter=StorageMeter())
-    ev.set_basis(Z)
-    norms = ev.residual_norms(float(t), reduced.values, reduced.vectors)
-    ev.release()
-    k_eff = norms.size
-    return EstimatorReport(
-        t=np.full(k_eff, float(t)),
-        mode=np.arange(k_eff),
-        residual_norm=norms,
-        gap=_gaps(reduced.values, K),
-        eta=np.zeros(k_eff),
-        lambda_tilde=reduced.values[:k_eff].copy(),
-    )
-
-
-def error_estimator(report: EstimatorReport) -> EstimatorReport:
-    """eta = ||r||^2 / (lambda_tilde * gap), rowwise."""
-    report.eta = report.residual_norm**2 / (report.lambda_tilde * report.gap)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # greedy loop
 
@@ -462,7 +440,6 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     """
     if tol <= 0:
         raise ConfigError("greedy tolerance must be positive")
-    meter = meter if meter is not None else StorageMeter()
     greedy_set = np.asarray(greedy_set, dtype=float)
     ev = _make_evaluator(basis.gauge_mode, psys, gauge, policy, K, meter)
 
@@ -474,12 +451,8 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         ev.set_basis(basis.Z)
         etas = np.full((greedy_set.size, K), -np.inf)
         for it, t in enumerate(greedy_set):
-            red = ev.reduced_system(float(t))
-            sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
-            norms = ev.residual_norms(float(t), sol.values, sol.vectors)
-            gaps = _gaps(sol.values, K)
-            k_eff = norms.size
-            etas[it, :k_eff] = norms**2 / (sol.values[:k_eff] * gaps[:k_eff])
+            _, eta = ev.estimate(float(t))
+            etas[it, :eta.size] = eta
         ev.release()
 
         live = np.array(

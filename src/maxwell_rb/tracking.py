@@ -40,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ParametrizedSystem
-from .eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
+from .eigen import SolverPolicy, solve_sparse_gevp
 from .errors import ConfigError, TrackingError
 from .gauge import GaugeDecomposition
-from .rb import ReducedBasis, StorageMeter, _MixedEvaluator, _salt_from_t
+from .rb import ReducedBasis, _make_evaluator, _salt_from_t
 
 
 @dataclass
@@ -128,22 +128,6 @@ def _degenerate_clusters(values: np.ndarray, rtol: float = _CLUSTER_RTOL):
     return clusters
 
 
-def _align_clusters(values_n, vectors_n, vectors_p, inner_p):
-    """Fix the arbitrary solver gauge inside degenerate eigenvalue clusters.
-
-    Any orthonormal basis of a degenerate eigenspace is a valid solver
-    output, and the returned one jumps discontinuously between nearby
-    parameter values.  Rotating each cluster block toward the reference
-    vectors (orthogonal Procrustes on the correlation block) removes
-    exactly that freedom; vectors of distinct eigenvalues are untouched
-    and no relabelling across clusters takes place.
-    """
-    clusters = _degenerate_clusters(values_n)
-    if clusters:
-        vectors_n = _rotate_clusters(clusters, vectors_n, vectors_p, inner_p)
-    return vectors_n, clusters
-
-
 def _procrustes_rotation(M, c):
     """Orthogonal c-by-c rotation aligning a cluster block to a reference.
 
@@ -157,20 +141,6 @@ def _procrustes_rotation(M, c):
         return None
     Usv, _, Wt = np.linalg.svd(T)
     return Wt.T @ Usv.T
-
-
-def _rotate_clusters(clusters, vectors, targets, inner):
-    """Rotate each cluster block toward the target frame in the given metric."""
-    vectors = vectors.copy()
-    K = targets.shape[1]
-    for idx in clusters:
-        if idx.size > K:
-            continue
-        block = vectors[:, idx]
-        R = _procrustes_rotation(targets.T @ (inner @ block), idx.size)
-        if R is not None:
-            vectors[:, idx] = block @ R
-    return vectors
 
 
 class _TrackEngine:
@@ -210,21 +180,19 @@ class _TrackEngine:
         lambdas = [values0[: self.K].copy()]
         correlations = []
         permutations = []
-        step_seconds = []
         self._bisections = 0
         self._degenerate_steps = 0
 
         coarse = np.linspace(0.0, 1.0, self.initial_steps + 1)
         for t_next in coarse[1:]:
             self._advance(float(grid[-1]), float(t_next), 0, grid, lambdas,
-                          correlations, permutations, step_seconds)
+                          correlations, permutations)
 
         grid = np.array(grid)
         stats = {
             "bisection_count": self._bisections,
             "degenerate_steps": self._degenerate_steps,
             "min_step": float(np.diff(grid).min()),
-            "step_seconds": step_seconds,
             "wall_seconds": time.perf_counter() - t_start,
         }
         return TrackingRun(
@@ -237,8 +205,7 @@ class _TrackEngine:
         )
 
     def _advance(self, t_prev, t_next, depth, grid, lambdas, correlations,
-                 permutations, step_seconds):
-        tic = time.perf_counter()
+                 permutations):
         values_p, vectors_p, inner_p = self._state
         values_n, vectors_n, inner_n = self.solve(t_next)
 
@@ -287,9 +254,9 @@ class _TrackEngine:
             mid = 0.5 * (t_prev + t_next)
             self._bisections += 1
             self._advance(t_prev, mid, depth + 1, grid, lambdas, correlations,
-                          permutations, step_seconds)
+                          permutations)
             self._advance(mid, t_next, depth + 1, grid, lambdas, correlations,
-                          permutations, step_seconds)
+                          permutations)
             return
 
         # Accept: reorder the new eigenpairs into trajectory slots.
@@ -305,7 +272,6 @@ class _TrackEngine:
         lambdas.append(values_t)
         correlations.append(corrs)
         permutations.append(perm)
-        step_seconds.append(time.perf_counter() - tic)
 
 
 def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -321,13 +287,12 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     if buffer < 0:
         raise ConfigError("candidate buffer must be >= 0")
     policy = policy if policy is not None else SolverPolicy(sigma=1.0, lambda_cut=0.0)
-    ev = _MixedEvaluator(psys, gauge, policy, K, StorageMeter())
+    ev = _make_evaluator("mixed", psys, gauge, policy, K)
     ev.set_basis(basis.Z)
     n_cand = min(K + buffer, basis.n_red)
 
     def solve(t):
-        red = ev.reduced_system(t)
-        sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
+        red, sol = ev.solve(t)
         return sol.values[:n_cand], sol.vectors[:, :n_cand], red.B_tilde
 
     run = _TrackEngine(solve, K, threshold, initial_steps, max_depth,

@@ -21,8 +21,7 @@ from maxwell_rb.eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
 from maxwell_rb.errors import ProjectionError
 from maxwell_rb.gauge import build_cotree_system, build_tree, project_to_cotree, upscale
 from maxwell_rb.mesh import build_mesh, discrete_gradient
-from maxwell_rb.rb import (StorageMeter, _ClassicalEvaluator, _MixedEvaluator,
-                           _salt_from_t, classical_pipeline)
+from maxwell_rb.rb import _make_evaluator, _salt_from_t, classical_pipeline
 from maxwell_rb.reference import first_eigenvalue
 from maxwell_rb.tracking import track_reduced
 
@@ -88,12 +87,10 @@ def test_criterion_1_spurious_mode_removal(small_morph, small_basis, capsys):
     classical = classical_pipeline(m["psys"], m["gauge"], m["training"], 5,
                                    "auto", 1e-6, 12, m["policy"])
     for mode, built in (("mixed", small_basis), ("classical", classical)):
-        cls = _MixedEvaluator if mode == "mixed" else _ClassicalEvaluator
-        ev = cls(m["psys"], m["gauge"], m["policy"], 5, StorageMeter())
+        ev = _make_evaluator(mode, m["psys"], m["gauge"], m["policy"], 5)
         ev.set_basis(built.basis.Z)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            red = ev.reduced_system(t)
-            values = solve_dense_gevp(red.A_tilde, red.B_tilde).values
+            values = ev.solve(t)[1].values
             _check(failures, values.min() > m["policy"].lambda_cut,
                    "%s reduced pencil at t=%g: eigenvalue %.3e below cutoff"
                    % (mode, t, values.min()))
@@ -129,7 +126,7 @@ def test_criterion_3_mixed_matches_projected_pencil(small_morph, capsys):
     m = small_morph
     n_cotree = m["gauge"].cotree.size
     rng = np.random.default_rng(20240817)
-    ev = _MixedEvaluator(m["psys"], m["gauge"], m["policy"], 5, StorageMeter())
+    ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 5)
     for trial in range(20):
         Z, _ = np.linalg.qr(rng.standard_normal((n_cotree, 6)))
         t = float(rng.uniform())

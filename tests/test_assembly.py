@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from maxwell_rb.assembly import (ParametrizedSystem, assemble, read_matrix,
-                                 write_matrix)
+from maxwell_rb.assembly import ParametrizedSystem, assemble
 from maxwell_rb.errors import ConfigError, DegenerateCellError
 from maxwell_rb.mesh import build_mesh
 
@@ -115,20 +114,3 @@ class TestParametrizedSystem:
         mid = psys.interpolate(0.1)
         assert np.array_equal(mid.A.data, psys.endpoint0.A.data)
         assert np.array_equal(mid.B.data, psys.endpoint0.B.data)
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path, cube3_pair):
-        path = tmp_path / "A.mtx"
-        write_matrix(cube3_pair.A, path)
-        back = read_matrix(path, expected_n=cube3_pair.n)
-        assert np.max(np.abs((back - cube3_pair.A).toarray())) < 1e-15
-
-    def test_shape_guard(self, tmp_path):
-        import scipy.io
-        import scipy.sparse as sp
-
-        path = tmp_path / "rect.mtx"
-        scipy.io.mmwrite(str(path), sp.random(4, 3, density=0.5, random_state=0))
-        with pytest.raises(ConfigError):
-            read_matrix(path)

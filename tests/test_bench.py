@@ -13,6 +13,7 @@ import pytest
 
 from maxwell_rb.bench import (
     PHASE_LABELS,
+    leading_block_eigenvalues,
     render_report_table,
     run_bench,
     trailing_average,
@@ -20,6 +21,7 @@ from maxwell_rb.bench import (
 )
 from maxwell_rb.cli import _write_sweep_csv, main
 from maxwell_rb.config import parse_config_text
+from maxwell_rb.rb import _make_evaluator
 
 _TINY = """\
 resolution = 3 3 3
@@ -85,6 +87,28 @@ class TestReport:
         assert "EVP speedup (full/RB)" in text
         assert "mixed gauge error plateau" in text
         assert "Phase failures" not in text
+
+
+class TestLeadingBlocks:
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    def test_sliced_sizes_match_per_size_rebuild(self, desk_problem,
+                                                 gauge_mode):
+        # the sweep slices one full-size pencil per t; an evaluator rebuilt
+        # on the leading columns must give the same eigenvalues
+        p = desk_problem
+        K = p.cfg.K
+        rng = np.random.default_rng(11)
+        Z = np.linalg.qr(rng.standard_normal((p.gauge.cotree.size, K + 3)))[0]
+        sizes = list(range(K, Z.shape[1] + 1))
+        t_values = p.training.eval_set[:3]
+        sliced = leading_block_eigenvalues(p, Z, gauge_mode, t_values, sizes)
+        for i, n in enumerate(sizes):
+            ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, K)
+            ev.set_basis(np.ascontiguousarray(Z[:, :n]))
+            for row, t in enumerate(t_values):
+                want = ev.solve(float(t))[1].values[:K]
+                rel = np.abs(sliced[i, row] - want) / want
+                assert rel.max() <= 1e-12, (n, t)
 
 
 class TestFailureCapture:

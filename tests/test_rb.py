@@ -5,14 +5,20 @@ import pytest
 
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import solve_dense_gevp, solve_sparse_gevp
+from maxwell_rb.eigen import solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, NumericsError
 from maxwell_rb.gauge import build_cotree_system
 from maxwell_rb.rb import (SnapshotSet, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
-                           error_estimator, greedy_enrich, make_training_sets,
-                           pod_init, reduced_matrices_mixed, residuum,
-                           _POD_RANK_GUARD, _salt_from_t)
+                           greedy_enrich, make_training_sets, pod_init,
+                           _POD_RANK_GUARD, _gaps, _make_evaluator,
+                           _salt_from_t)
+
+
+def _evaluator(m, Z, gauge_mode="mixed"):
+    ev = _make_evaluator(gauge_mode, m["psys"], m["gauge"], m["policy"], 5)
+    ev.set_basis(Z)
+    return ev
 
 
 class TestTrainingSets:
@@ -130,8 +136,9 @@ class TestReducedMatrices:
         rng = np.random.default_rng(7)
         for trial in range(5):
             Z = np.linalg.qr(rng.standard_normal((n_cotree, 6)))[0]
+            ev = _evaluator(m, Z)
             for t in (0.0, 0.4, 1.0):
-                red = reduced_matrices_mixed(m["psys"], m["gauge"], Z, t)
+                red = ev.reduced_system(t)
                 cs = build_cotree_system(m["psys"].interpolate(t), m["gauge"])
                 A_want = Z.T @ cs.A_hat @ Z
                 B_want = Z.T @ cs.B_hat @ Z
@@ -144,29 +151,32 @@ class TestReducedMatrices:
 class TestEstimator:
     def test_exact_basis_has_tiny_eta(self, small_morph, small_basis):
         m = small_morph
-        t = 0.5
-        red = reduced_matrices_mixed(m["psys"], m["gauge"],
-                                     small_basis.basis.Z, t)
-        sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
-        report = error_estimator(
-            residuum(m["psys"], m["gauge"], small_basis.basis.Z, t, sol, 5)
-        )
-        assert report.eta.shape == (5,)
-        assert np.all(report.eta >= 0)
-        assert report.eta.max() < 1e-12
-        assert np.all(report.gap > 0)
+        sol, eta = _evaluator(m, small_basis.basis.Z).estimate(0.5)
+        assert eta.shape == (5,)
+        assert np.all(eta >= 0)
+        assert eta.max() < 1e-12
+        assert np.all(_gaps(sol.values, 5) > 0)
 
     def test_poor_basis_has_large_eta(self, small_morph):
         m = small_morph
         n_cotree = m["gauge"].cotree.size
         rng = np.random.default_rng(3)
         Z = np.linalg.qr(rng.standard_normal((n_cotree, 6)))[0]
-        red = reduced_matrices_mixed(m["psys"], m["gauge"], Z, 0.5)
-        sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
-        report = error_estimator(
-            residuum(m["psys"], m["gauge"], Z, 0.5, sol, 5)
-        )
-        assert report.eta.max() > 1e-2
+        _, eta = _evaluator(m, Z).estimate(0.5)
+        assert eta.max() > 1e-2
+
+    def test_greedy_sweep_uses_the_estimator(self, small_morph):
+        m = small_morph
+        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
+                                  m["policy"])
+        start = pod_init(snaps, 2)
+        _, log = greedy_enrich(m["psys"], m["gauge"], start,
+                               m["training"].greedy_set, 5, 1e-6, 12,
+                               m["policy"])
+        ev = _evaluator(m, start.Z)
+        want = max(ev.estimate(float(t))[1].max()
+                   for t in m["training"].greedy_set)
+        assert log[0]["max_eta"] == pytest.approx(want, rel=1e-12)
 
 
 class TestGreedy:
@@ -227,10 +237,9 @@ class TestGreedy:
 class TestBuildBasis:
     def test_reproduces_full_order_eigenvalues(self, small_morph, small_basis):
         m = small_morph
+        ev = _evaluator(m, small_basis.basis.Z)
         for t in (0.1, 0.7):
-            red = reduced_matrices_mixed(m["psys"], m["gauge"],
-                                         small_basis.basis.Z, t)
-            approx = solve_dense_gevp(red.A_tilde, red.B_tilde).values[:5]
+            approx = ev.solve(t)[1].values[:5]
             pair = m["psys"].interpolate(t)
             want = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"],
                                      salt=_salt_from_t(t)).values
@@ -255,10 +264,9 @@ class TestBuildBasis:
         classical = classical_pipeline(m["psys"], m["gauge"], m["training"],
                                        5, "auto", 1e-6, 12, m["policy"])
         assert classical.basis.gauge_mode == "classical"
+        ev = _evaluator(m, classical.basis.Z)
         for t in (0.25,):
-            red = reduced_matrices_mixed(m["psys"], m["gauge"],
-                                         classical.basis.Z, t)
-            approx = solve_dense_gevp(red.A_tilde, red.B_tilde).values[:5]
+            approx = ev.solve(t)[1].values[:5]
             pair = m["psys"].interpolate(t)
             want = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"],
                                      salt=_salt_from_t(t)).values

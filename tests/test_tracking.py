@@ -6,9 +6,9 @@ import pytest
 from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.rb import _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
-from maxwell_rb.tracking import (_TrackEngine, _align_clusters,
-                                 _degenerate_clusters, _greedy_match,
-                                 _hungarian_match, track_full, track_reduced)
+from maxwell_rb.tracking import (_TrackEngine, _degenerate_clusters,
+                                 _greedy_match, _hungarian_match, track_full,
+                                 track_reduced)
 
 
 class TestMatching:
@@ -53,32 +53,6 @@ class TestDegenerateClusters:
         # group and unequal neighbours must not
         assert self._groups([9.0, 5.0, 9.0]) == [[0, 2]]
         assert self._groups([5.0, 3.0, 4.0]) == []
-
-    def test_alignment_undoes_solver_rotation(self):
-        rng = np.random.default_rng(0)
-        n = 6
-        prev = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-        theta = 0.7
-        R = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        new = prev.copy()
-        new[:, 0:2] = prev[:, 0:2] @ R     # arbitrary gauge inside the pair
-        values = np.array([4.0, 4.0, 9.0])
-        aligned, clusters = _align_clusters(values, new, prev, np.eye(n))
-        assert [c.tolist() for c in clusters] == [[0, 1]]
-        C = np.abs(prev.T @ aligned)
-        assert np.allclose(np.diag(C), 1.0, atol=1e-12)
-        # the distinct third vector is untouched
-        assert np.array_equal(aligned[:, 2], new[:, 2])
-
-    def test_distinct_values_untouched(self):
-        rng = np.random.default_rng(1)
-        prev = np.linalg.qr(rng.standard_normal((4, 2)))[0]
-        new = prev[:, ::-1].copy()
-        aligned, clusters = _align_clusters(np.array([1.0, 2.0]), new, prev,
-                                            np.eye(4))
-        assert clusters == []
-        assert np.array_equal(aligned, new)
 
 
 def _crossing_solve(t):
@@ -161,6 +135,30 @@ class TestEngine:
             with pytest.raises(ConfigError):
                 _TrackEngine(_crossing_solve, full["K"], full["threshold"],
                              full["initial_steps"], full["max_depth"])
+
+    def test_rotation_inside_degenerate_pair_is_undone(self):
+        # the pair is distinct at t = 0 and degenerate afterwards, where the
+        # solver returns an arbitrary rotation of its eigenspace; the new
+        # side's Procrustes gauge must restore full correlation
+        rng = np.random.default_rng(0)
+        n = 6
+        prev = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+        theta = 0.7
+        R = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
+        rotated = prev.copy()
+        rotated[:, 0:2] = prev[:, 0:2] @ R
+
+        def solve(t):
+            if t == 0.0:
+                return np.array([3.9, 4.0, 9.0]), prev, np.eye(n)
+            return np.array([4.0, 4.0, 9.0]), rotated, np.eye(n)
+
+        run = _TrackEngine(solve, K=3, threshold=0.9, initial_steps=4,
+                           max_depth=6).run()
+        assert run.stats["bisection_count"] == 0
+        assert np.min(run.correlations) >= 1.0 - 1e-12
+        assert run.stats["degenerate_steps"] > 0
 
     def test_to_rows_layout(self):
         run = _TrackEngine(_crossing_solve, K=2, threshold=0.9,
