@@ -7,6 +7,17 @@ to negative values, so requesting the largest algebraic transformed
 eigenvalues returns exactly the physical modes nearest the shift and the
 nullspace never enters the Krylov window.
 
+Lanczos is asked for the K wanted pairs plus a small pad (window_pad,
+default 2): every further pair costs Lanczos vectors and shift-invert
+applications and is thrown away, while with no pad at all the run can
+return one copy of a double eigenvalue at the window edge and miss the
+other.  ARPACK's tolerance applies to every pair in the window, so a
+wide window drives the wanted pairs to roundoff as a side effect and a
+tight one delivers them at the requested tolerance only.  The tolerance
+is therefore machine precision, which keeps the eigen-residuals at
+roundoff and the roundoff tail of the snapshot singular values below
+the POD rank guard.
+
 The solver factors A - sigma B itself, once per call, and hands the
 triangular solve to Lanczos as the shift-invert operator (the spectral
 transformation of Ericsson & Ruhe, 1980).  The factorization runs
@@ -44,6 +55,8 @@ from .errors import EigensolverError, FactorizationError
 
 _PCG_RTOL = 1e-14
 _PCG_MAXITER = 500
+_ARPACK_TOL = 0.0       # ARPACK's machine precision
+_ARPACK_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class EigenSolution:
 
 @dataclass(frozen=True)
 class SolverPolicy:
-    """Shift, spectral cutoff and iteration limits for the sparse eigensolver.
+    """Shift, spectral cutoff and Krylov window of the sparse eigensolver.
 
     sigma must lie strictly below the smallest physical eigenvalue of
     every system it is used on; lambda_cut separates gradient modes
@@ -70,9 +83,7 @@ class SolverPolicy:
 
     sigma: float
     lambda_cut: float
-    tol: float = 1e-10
-    maxiter: int = 500
-    window_pad: int = 10        # Krylov window is 2K + window_pad
+    window_pad: int = 2         # Ritz pairs requested are K + window_pad
     seed: int = 0
 
     @classmethod
@@ -218,8 +229,11 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
 
     Only eigenvalues strictly above policy.lambda_cut are returned;
     gradient modes are excluded by construction of the shift-invert
-    window.  ``salt`` perturbs the deterministic start vector so sweeps
-    over many parameter values stay reproducible yet independent.
+    window.  Lanczos is asked for K + policy.window_pad pairs at
+    machine-precision tolerance, because the tolerance covers the whole
+    window and a tight window needs a tight tolerance.  ``salt`` perturbs
+    the deterministic start vector so sweeps over many parameter values
+    stay reproducible yet independent.
     """
     if K < 0:
         raise EigensolverError("mode count must be >= 0, got %d" % K)
@@ -227,7 +241,7 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
     if K == 0:
         return EigenSolution(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
 
-    window = 2 * K + policy.window_pad
+    window = K + policy.window_pad
     if n < window + 5:
         # Krylov window would not fit; the dense path is cheap here.
         sol = solve_dense_gevp(
@@ -253,12 +267,12 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
     try:
         values, vectors = spla.eigsh(
             A, k=window, M=B, sigma=policy.sigma, which="LA", OPinv=op_inv,
-            v0=v0, tol=policy.tol, maxiter=policy.maxiter,
+            v0=v0, tol=_ARPACK_TOL, maxiter=_ARPACK_MAXITER,
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
             "sparse eigensolver did not converge within %d iterations: %s"
-            % (policy.maxiter, exc)
+            % (_ARPACK_MAXITER, exc)
         ) from exc
 
     order = np.argsort(values)
@@ -269,8 +283,8 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
     vectors = vectors[:, keep]
     if values.size < K:
         raise EigensolverError(
-            "found %d eigenvalues above lambda_cut=%.3e, need %d; "
-            "enlarge the Krylov window" % (values.size, policy.lambda_cut, K)
+            "found %d of %d requested eigenpairs above lambda_cut=%.3e, "
+            "need %d" % (values.size, window, policy.lambda_cut, K)
         )
     values = values[:K]
     vectors = _b_normalize(B, vectors[:, :K])

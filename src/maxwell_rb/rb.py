@@ -228,8 +228,7 @@ class _MixedEvaluator(_Evaluator):
         # them turns the per-t projection into a dense axpy.
         self._P0 = self._H0t @ Z
         self._P1 = self._H1t @ Z
-        self._t = None
-        self._cache = None
+        self.release()
 
     def _at(self, t: float) -> dict:
         if self._t == t and self._cache is not None:

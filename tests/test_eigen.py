@@ -160,6 +160,15 @@ class TestSparse:
         with pytest.raises(FactorizationError):
             solve_sparse_gevp(A, B, 2, policy)
 
+    def test_too_few_above_cut_reports_the_window(self):
+        # the window nearest the shift (3, 4, 5, 6) lies below lambda_cut
+        n = 40
+        A = sp.diags(np.arange(1.0, n + 1.0), format="csr")
+        B = sp.identity(n, format="csr")
+        policy = SolverPolicy(sigma=2.5, lambda_cut=20.0)
+        with pytest.raises(EigensolverError, match="found 0 of 4 requested"):
+            solve_sparse_gevp(A, B, 2, policy)
+
     def test_small_system_dense_fallback(self, cube2, policy):
         from maxwell_rb.assembly import assemble
 
@@ -192,6 +201,20 @@ class TestShiftInvertAccuracy:
                                   eigvals_only=True)
         oracle = dense[dense > p.policy.lambda_cut][:K]
         assert np.max(np.abs(sol.values - oracle) / oracle) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.84375, 0.875, 0.90625, 0.9375])
+    def test_double_eigenvalue_at_window_edge(self, problem8, t):
+        # Modes K-1 and K are the two copies of a double eigenvalue here;
+        # a window without margin can return one copy and miss the other.
+        p = problem8
+        K = p.cfg.K
+        pair = p.psys.interpolate(t)
+        sol = solve_sparse_gevp(pair.A, pair.B, K, p.policy)
+        dense = scipy.linalg.eigh(pair.A.toarray(), pair.B.toarray(),
+                                  eigvals_only=True)
+        oracle = dense[dense > p.policy.lambda_cut][:K]
+        assert np.max(np.abs(sol.values - oracle) / oracle) <= 1e-10
+        assert (sol.values[-1] - sol.values[-2]) / sol.values[-1] < 1e-8
 
 
 class TestPolicy:

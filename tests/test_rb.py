@@ -290,3 +290,16 @@ class TestStorageMeter:
         meter.free(60)
         assert meter.current == 40
         assert meter.peak == 150
+
+    def test_set_basis_frees_the_cached_parameter(self, small_morph):
+        m = small_morph
+        meter = StorageMeter()
+        ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 5,
+                             meter)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            ev.set_basis(np.linalg.qr(
+                rng.standard_normal((m["gauge"].cotree.size, 3)))[0])
+            ev.reduced_system(0.3)
+        ev.release()
+        assert meter.current == 0
