@@ -8,10 +8,12 @@ inverse.  A 2x2x2 Gauss rule integrates both terms exactly on affine
 cells, the smallest rule with that property.
 
 Boundary-edge rows and columns are eliminated during scatter, which
-realizes the perfectly conducting wall.  The parametrized pair (A(t),
-B(t)) is the convex combination of two endpoint assemblies on a shared
-union sparsity pattern; intermediate matrices are algebraic objects, not
-assemblies on physical geometries.
+realizes the perfectly conducting wall.  Both matrices keep the full
+topological scatter pattern, including entries that cancel to zero, so
+two meshes of the same topology assemble onto identical patterns.  The
+parametrized pair (A(t), B(t)) is the convex combination of two endpoint
+assemblies on that shared pattern; intermediate matrices are algebraic
+objects, not assemblies on physical geometries.
 """
 
 from __future__ import annotations
@@ -147,49 +149,25 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
 
     B = sp.coo_matrix((Me[keep], (rr, cc)), shape=(n, n)).tocsr()
     A = sp.coo_matrix((Ke[keep], (rr, cc)), shape=(n, n)).tocsr()
-    # Scatter is already structurally symmetric; averaging removes roundoff skew.
-    A = ((A + A.T) * 0.5).tocsr()
-    B = ((B + B.T) * 0.5).tocsr()
-    A.sort_indices()
-    B.sort_indices()
+    # The scatter pattern is structurally symmetric, so the transpose shares
+    # it entry for entry; averaging the data removes roundoff skew.  Summing
+    # duplicates leaves the indices a view into the scatter-sized buffer;
+    # the copy keeps the endpoints compact.
+    for M in (A, B):
+        M.sort_indices()
+        M.indices = M.indices.copy()
+        M.data = (M.data + M.T.tocsr().data) * 0.5
     return SystemPair(A=A, B=B, n=n, geometry_tag=geometry_tag)
-
-
-def _union_pattern(mats):
-    """Boolean union of the sparsity patterns, canonical CSR."""
-    acc = None
-    for m in mats:
-        pat = (m != 0).astype(np.int8)
-        acc = pat if acc is None else (acc + pat)
-    acc = acc.tocsr()
-    acc.sort_indices()
-    return acc.indptr.copy(), acc.indices.copy()
-
-
-def _align_to_pattern(mat: sp.csr_matrix, indptr, indices, n):
-    """Spread ``mat``'s entries onto the union pattern, returning the data array."""
-    mat = mat.tocsr()
-    mat.sort_indices()
-    data = np.zeros(indices.shape[0])
-    for r in range(n):
-        lo, hi = indptr[r], indptr[r + 1]
-        mlo, mhi = mat.indptr[r], mat.indptr[r + 1]
-        if mhi == mlo:
-            continue
-        pos = lo + np.searchsorted(indices[lo:hi], mat.indices[mlo:mhi])
-        data[pos] = mat.data[mlo:mhi]
-    return data
 
 
 @dataclass
 class ParametrizedSystem:
-    """Endpoint systems with convex interpolation on a shared union pattern."""
+    """Endpoint systems of one topology, convexly interpolated on their
+    shared sparsity pattern."""
 
     endpoint0: SystemPair
     endpoint1: SystemPair
-    _indptr: np.ndarray = field(init=False, repr=False)
-    _indices: np.ndarray = field(init=False, repr=False)
-    _data: dict = field(init=False, repr=False)
+    _constant: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.endpoint0.n != self.endpoint1.n:
@@ -197,22 +175,18 @@ class ParametrizedSystem:
                 "endpoint dimensions differ: %d vs %d"
                 % (self.endpoint0.n, self.endpoint1.n)
             )
-        n = self.endpoint0.n
-        self._indptr, self._indices = _union_pattern(
-            [self.endpoint0.A, self.endpoint1.A, self.endpoint0.B, self.endpoint1.B]
-        )
-        self._data = {
-            "A0": _align_to_pattern(self.endpoint0.A, self._indptr, self._indices, n),
-            "A1": _align_to_pattern(self.endpoint1.A, self._indptr, self._indices, n),
-            "B0": _align_to_pattern(self.endpoint0.B, self._indptr, self._indices, n),
-            "B1": _align_to_pattern(self.endpoint1.B, self._indptr, self._indices, n),
-        }
-        # Identical endpoints collapse to a bit-exact constant family; the
-        # convex combination would otherwise inject rounding noise in t.
-        self._constant = {
-            "A": bool(np.array_equal(self._data["A0"], self._data["A1"])),
-            "B": bool(np.array_equal(self._data["B0"], self._data["B1"])),
-        }
+        self._constant = {}
+        for name in ("A", "B"):
+            M0, M1 = getattr(self.endpoint0, name), getattr(self.endpoint1, name)
+            if not (np.array_equal(M0.indptr, M1.indptr)
+                    and np.array_equal(M0.indices, M1.indices)):
+                raise ConfigError(
+                    "endpoint %s matrices differ in sparsity pattern: the "
+                    "endpoint meshes must share one topology" % name
+                )
+            # Identical endpoints collapse to a bit-exact constant family; the
+            # convex combination would otherwise inject rounding noise in t.
+            self._constant[name] = bool(np.array_equal(M0.data, M1.data))
 
     @property
     def n(self) -> int:
@@ -227,12 +201,15 @@ class ParametrizedSystem:
         s = 1.0 - t
 
         def blend(name):
+            M0 = getattr(self.endpoint0, name)
             if self._constant[name]:
-                return self._data[name + "0"].copy()
-            return s * self._data[name + "0"] + t * self._data[name + "1"]
+                data = M0.data.copy()
+            else:
+                data = s * M0.data + t * getattr(self.endpoint1, name).data
+            return sp.csr_matrix((data, M0.indices, M0.indptr), shape=(n, n))
 
-        A = sp.csr_matrix((blend("A"), self._indices, self._indptr), shape=(n, n))
-        B = sp.csr_matrix((blend("B"), self._indices, self._indptr), shape=(n, n))
+        A = blend("A")
+        B = blend("B")
         tag = "interp(t=%r; %s -> %s)" % (
             t,
             self.endpoint0.geometry_tag,

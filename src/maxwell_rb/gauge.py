@@ -11,14 +11,14 @@ edges, kept in global column order: every formula downstream uses H only
 in products that are invariant under a consistent column permutation, so
 nothing is gained by reordering columns.
 
-Projection onto cotree coordinates solves H^T v_hat = B v.  Its cotree
-rows read A_CC v_hat = (B v)_C, where A_CC = A[C, C] is the
-tree-cotree-gauged stiffness, which is SPD (Manges & Cendes, IEEE
-Trans. Magn. 31(3), 1995); one sparse factorization of A_CC serves every
-vector at a parameter value, and no dense N x |C| array is formed.  The
-full residual ||H^T v_hat - B v|| / ||B v|| reports whether the input
-was gradient-free: eigenvectors of the ungauged pencil with nonzero
-eigenvalue make the tree rows agree as well, gradient fields do not.
+Projection onto cotree coordinates solves H^T v_hat = B v.  For an
+eigenpair (lambda > 0, v), A G = 0 gives it in closed form along the
+tree (Manges & Cendes, IEEE Trans. Magn. 31(3), 1995): v_hat =
+(v_C - G_C phi) / lambda with G_T phi = v_T, one sparse triangular
+solve with the tree block above, so nothing is factored.  The full
+residual ||H^T v_hat - B v|| / ||B v|| reports whether the input was
+gradient-free: eigenvectors of the ungauged pencil with nonzero
+eigenvalue satisfy every row, gradient fields do not.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assembly import SystemPair
 from .eigen import SPDFactor
 from .errors import NumericsError, ProjectionError
-from .mesh import CavityMesh
+from .mesh import CavityMesh, DiscreteGradient
 
 _CONSISTENCY_TOL = 1e-6
 
@@ -43,13 +44,18 @@ class GaugeDecomposition:
 
     ``tree`` lists tree edges in BFS discovery order; ``cotree`` is the
     ascending complement; ``parent_order`` lists interior vertex indices
-    in the same discovery order as their tree edges.
+    in the same discovery order as their tree edges.  ``G_tree`` and
+    ``G_cotree`` are the gradient's tree and cotree rows with columns in
+    ``parent_order``, so ``G_tree`` is lower triangular with unit-modulus
+    diagonal.
     """
 
     tree: np.ndarray
     cotree: np.ndarray
     parent_order: np.ndarray
     n_free_edges: int
+    G_tree: sp.csr_matrix
+    G_cotree: sp.csr_matrix
 
     def summary(self) -> dict:
         return {
@@ -69,12 +75,13 @@ class CotreeSystem:
     B_hat: np.ndarray
 
 
-def build_tree(mesh: CavityMesh, grad=None) -> GaugeDecomposition:
+def build_tree(mesh: CavityMesh, grad: DiscreteGradient) -> GaugeDecomposition:
     """Spanning tree of the free-edge graph rooted in the boundary.
 
     BFS starts from the super-node of all boundary vertices, visiting
     vertices in ascending id order and edges in ascending free-edge
-    order, so the result is deterministic.
+    order, so the result is deterministic.  ``grad`` supplies the
+    gradient blocks G_tree and G_cotree.
     """
     n = mesh.n_free_edges
     free_ids = mesh.free_edges
@@ -111,7 +118,7 @@ def build_tree(mesh: CavityMesh, grad=None) -> GaugeDecomposition:
             "interior vertices disconnected from the boundary: reached %d of %d"
             % (len(parent_vertices), nv)
         )
-    if grad is not None and grad.G.shape != (n, nv):
+    if grad.G.shape != (n, nv):
         raise NumericsError(
             "gradient operator shape %r inconsistent with mesh (%d, %d)"
             % (grad.G.shape, n, nv)
@@ -122,8 +129,10 @@ def build_tree(mesh: CavityMesh, grad=None) -> GaugeDecomposition:
     in_tree[tree] = True
     cotree = np.flatnonzero(~in_tree)
     parent_order = mesh.interior_vertex_index[np.array(parent_vertices, dtype=np.int64)]
+    G = grad.G.tocsr()[:, parent_order]
     return GaugeDecomposition(
-        tree=tree, cotree=cotree, parent_order=parent_order, n_free_edges=n
+        tree=tree, cotree=cotree, parent_order=parent_order, n_free_edges=n,
+        G_tree=G[tree], G_cotree=G[cotree],
     )
 
 
@@ -164,17 +173,18 @@ def upscale(gauge: GaugeDecomposition, sys: SystemPair, v_hat: np.ndarray,
 
 
 class CotreeProjector:
-    """Condensation of full vectors to cotree coordinates.
+    """Condensation of full vectors to cotree coordinates along the tree.
 
-    Factors A_CC once and then projects any number of vectors; reuse
-    this when condensing several modes at the same parameter value.
+    The eigenvalue of the closed form is each column's Rayleigh quotient
+    q = v^T A v / v^T B v; a column with q <= 0 (a gradient or zero
+    field) condenses to zero.
     """
 
     def __init__(self, sys: SystemPair, gauge: GaugeDecomposition):
         self._H = cotree_operator(sys, gauge)
+        self._A = sys.A
         self._B = sys.B
-        self._cotree = gauge.cotree
-        self._factor = SPDFactor(self._H[:, gauge.cotree])
+        self._gauge = gauge
 
     def project(self, v: np.ndarray, check: bool = True):
         """Condense v (one column or a block); returns (v_hat, rel_residual).
@@ -185,11 +195,15 @@ class CotreeProjector:
         when ``check`` is set.
         """
         single = v.ndim == 1
-        Bv = np.asarray(self._B @ v, dtype=float).reshape(self._B.shape[0], -1)
-        v_hat = self._factor.solve(Bv[self._cotree])
+        g = self._gauge
+        V = np.asarray(v, dtype=float).reshape(self._B.shape[0], -1)
+        Bv = np.asarray(self._B @ V)
+        phi = spla.spsolve_triangular(g.G_tree, V[g.tree], lower=True)
         rhs_norms = np.linalg.norm(Bv, axis=0)
-        residual = np.linalg.norm(self._H.T @ v_hat - Bv, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.sum(V * (self._A @ V), axis=0) / np.sum(V * Bv, axis=0)
+            v_hat = np.where(q > 0, (V[g.cotree] - g.G_cotree @ phi) / q, 0.0)
+            residual = np.linalg.norm(self._H.T @ v_hat - Bv, axis=0)
             rel = np.where(rhs_norms > 0, residual / rhs_norms, 0.0)
         if check and np.any(rel > _CONSISTENCY_TOL):
             worst = int(np.argmax(rel))

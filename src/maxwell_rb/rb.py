@@ -3,8 +3,9 @@
 Two interchangeable evaluation backends drive the same greedy loop.
 
 Mixed gauge: snapshots come from the sparse ungauged eigenproblem and
-are condensed to cotree coordinates through the sparse gauged stiffness
-A_CC; reduced matrices are evaluated through the lifted form
+are condensed to cotree coordinates in closed form along the spanning
+tree (one triangular solve per snapshot, see gauge.CotreeProjector);
+reduced matrices are evaluated through the lifted form
 Z_full = B(t)^{-1} H(t)^T Z, with the mass solve done by
 Jacobi-preconditioned conjugate gradients, so neither a dense
 |C| x |C| matrix nor a per-parameter factorization ever exists.
@@ -261,7 +262,7 @@ class _MixedEvaluator(_Evaluator):
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> SnapshotSet:
-        """Sparse high-fidelity solve followed by A_CC condensation."""
+        """Sparse high-fidelity solve followed by tree-path condensation."""
         pair = self.psys.interpolate(t)
         sol = solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
                                 salt=_salt_from_t(t))

@@ -89,6 +89,14 @@ class TestParametrizedSystem:
         with pytest.raises(ConfigError):
             ParametrizedSystem(p0, p1)
 
+    def test_topology_mismatch_rejected(self):
+        # same number of free edges, different edge graphs
+        p0 = assemble(build_mesh((1.0, 1.0, 1.0), (2, 3, 4)))
+        p1 = assemble(build_mesh((1.0, 1.0, 1.0), (4, 3, 2)))
+        assert p0.n == p1.n
+        with pytest.raises(ConfigError):
+            ParametrizedSystem(p0, p1)
+
     def test_endpoints_reproduced(self, morph):
         for t, ref in ((0.0, morph.endpoint0), (1.0, morph.endpoint1)):
             pair = morph.interpolate(t)

@@ -1,8 +1,11 @@
 """Tree-cotree gauge: spanning structure, spectral equivalence, projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from maxwell_rb.assembly import assemble
 from maxwell_rb.eigen import solve_dense_gevp, solve_sparse_gevp, SolverPolicy
@@ -11,7 +14,24 @@ from maxwell_rb.gauge import (CotreeProjector, build_cotree_system, build_tree,
                               cotree_operator, project_to_cotree, upscale)
 from maxwell_rb.mesh import build_mesh, discrete_gradient
 
-from oracles import cotree_least_squares, discrete_brick_eigenvalues
+from oracles import (continuum_brick_eigenvalues, cotree_least_squares,
+                     discrete_brick_eigenvalues)
+
+
+@pytest.fixture(scope="module", params=["cube3", "brick4"])
+def gauged(request):
+    """(name, pair, gauge, 5 modes) of the unit 3^3 cube and a stretched
+    4^3 brick; only the brick's BFS discovery order differs from the
+    interior vertex order."""
+    dims, res = {"cube3": ((1.0, 1.0, 1.0), (3, 3, 3)),
+                 "brick4": ((1.0, 1.1, 1.2), (4, 4, 4))}[request.param]
+    mesh = build_mesh(dims, res)
+    pair = assemble(mesh)
+    gauge = build_tree(mesh, discrete_gradient(mesh))
+    policy = SolverPolicy.from_reference(
+        continuum_brick_eigenvalues(dims, 1)[0], seed=5)
+    return request.param, pair, gauge, solve_sparse_gevp(pair.A, pair.B, 5,
+                                                         policy)
 
 
 class TestTree:
@@ -36,6 +56,14 @@ class TestTree:
             )
         ]
         assert np.linalg.matrix_rank(G_tree) == G_tree.shape[1]
+
+    def test_tree_block_lower_triangular(self, gauged):
+        # the projection solves G_tree phi = v_T by forward substitution
+        _, _, gauge, _ = gauged
+        assert sp.triu(gauge.G_tree, k=1).nnz == 0
+        assert np.array_equal(np.abs(gauge.G_tree.diagonal()),
+                              np.ones(gauge.tree.size))
+        assert gauge.G_cotree.shape == (gauge.cotree.size, gauge.tree.size)
 
     def test_deterministic(self, cube3, cube3_grad):
         a = build_tree(cube3, cube3_grad)
@@ -117,12 +145,16 @@ class TestProjection:
             assert np.allclose(block[:, j], single, atol=1e-12)
             assert rels[j] == pytest.approx(rel, abs=1e-14)
 
-    def test_matches_dense_least_squares(self, cube3_pair, cube3_gauge,
-                                         modes):
-        v_hat, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
-            modes.vectors)
-        want, _ = cotree_least_squares(cube3_pair.A, cube3_pair.B,
-                                       cube3_gauge.cotree, modes.vectors)
+    def test_matches_dense_least_squares(self, gauged):
+        name, pair, gauge, modes = gauged
+        if name == "brick4":
+            # G_tree and G_cotree must share one column order; the 3^3
+            # cube cannot tell, since its parent_order is the identity
+            assert not np.array_equal(gauge.parent_order,
+                                      np.arange(gauge.tree.size))
+        v_hat, rels = CotreeProjector(pair, gauge).project(modes.vectors)
+        want, _ = cotree_least_squares(pair.A, pair.B, gauge.cotree,
+                                       modes.vectors)
         err = np.linalg.norm(v_hat - want, axis=0) / np.linalg.norm(want, axis=0)
         assert err.max() <= 1e-12
         assert rels.max() <= 1e-12
@@ -137,6 +169,21 @@ class TestProjection:
                                         cube3_gauge.cotree, v)
         assert np.all(rels > 1e-6)
         assert np.all(rels >= floor * (1.0 - 1e-12))
+
+    def test_zero_and_gradient_columns_finite(self, cube3_pair, cube3_gauge,
+                                              cube3_grad, modes):
+        # zero and gradient columns have no positive Rayleigh quotient:
+        # they condense to zero without warnings or NaNs
+        v = np.column_stack([modes.vectors[:, 0], np.zeros(cube3_pair.n),
+                             cube3_grad.G @ np.ones(cube3_grad.G.shape[1])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v_hat, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
+                v, check=False)
+        assert np.all(np.isfinite(v_hat)) and np.all(np.isfinite(rels))
+        assert rels[0] <= 1e-12
+        assert not v_hat[:, 1].any() and rels[1] == 0.0
+        assert rels[2] > 1e-6
 
     def test_gradient_input_rejected(self, cube3_pair, cube3_gauge,
                                      cube3_grad):

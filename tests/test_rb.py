@@ -5,14 +5,15 @@ import pytest
 
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import solve_sparse_gevp
+from maxwell_rb.eigen import SPDFactor, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, NumericsError
-from maxwell_rb.gauge import build_cotree_system
+from maxwell_rb.gauge import build_cotree_system, project_to_cotree
 from maxwell_rb.rb import (SnapshotSet, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
                            _POD_RANK_GUARD, _gaps, _make_evaluator,
                            _salt_from_t)
+from maxwell_rb.tracking import track_reduced
 
 
 def _evaluator(m, Z, gauge_mode="mixed"):
@@ -70,6 +71,28 @@ class TestSnapshots:
         m = small_morph
         with pytest.raises(ConfigError):
             collect_snapshots(m["psys"], m["gauge"], [0.0], 0, m["policy"])
+
+    def test_mixed_pipeline_factors_nothing(self, small_morph, monkeypatch):
+        # snapshots, projection, greedy and tracking of the mixed gauge
+        # build no sparse SPD factor; only the classical path needs one
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("mixed pipeline built an SPDFactor")
+
+        monkeypatch.setattr(SPDFactor, "__init__", refuse)
+        m = small_morph
+        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
+                                  m["policy"])
+        pair = m["psys"].interpolate(0.5)
+        modes = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"])
+        _, rels = project_to_cotree(m["gauge"], pair, modes.vectors)
+        assert rels.max() <= 1e-12
+        basis, log = greedy_enrich(m["psys"], m["gauge"], pod_init(snaps, 2),
+                                   m["training"].greedy_set, 5, 1e-6, 12,
+                                   m["policy"])
+        assert any(row["t"] is not None for row in log)   # greedy solved
+        run = track_reduced(m["psys"], m["gauge"], basis, 5,
+                            policy=m["policy"])
+        assert run.lambdas.shape[0] == 5
 
 
 class TestPOD:
