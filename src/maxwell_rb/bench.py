@@ -25,7 +25,7 @@ from .config import RunConfig, config_to_dict
 from .eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
 from .errors import NumericsError
 from .gauge import GaugeDecomposition, build_tree
-from .mesh import CavityMesh, build_mesh, discrete_gradient
+from .mesh import CavityMesh, build_mesh, discrete_gradient, dissection_order
 from .rb import (BasisBuildResult, TrainingSets, _make_evaluator, _salt_from_t,
                  build_basis, classical_pipeline, make_training_sets)
 from .reference import first_eigenvalue
@@ -145,6 +145,7 @@ def setup_problem(cfg: RunConfig) -> Problem:
         shift_fraction=cfg.shift_fraction,
         cut_fraction=cfg.cut_fraction,
         seed=cfg.seed,
+        ordering=dissection_order(mesh0),
     )
     training = make_training_sets(cfg.N_POD, cfg.N_train,
                                   eval_size=cfg.eval_set_size, seed=cfg.seed)

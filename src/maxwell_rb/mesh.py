@@ -23,6 +23,9 @@ _EDGE_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=np.int64
 
 _MAX_EDGES = 2**31 - 1
 
+# Nested-dissection leaves hold at most this many free edges.
+_DISSECTION_LEAF = 64
+
 
 @dataclass(frozen=True)
 class CavityMesh:
@@ -197,6 +200,48 @@ def build_mesh(dims, resolution) -> CavityMesh:
         free_edge_index=free_edge_index,
         interior_vertex_index=interior_vertex_index,
     )
+
+
+def dissection_order(mesh: CavityMesh) -> np.ndarray:
+    """Nested-dissection permutation of the free edges (George, 1973).
+
+    Edges are placed at their midpoints in doubled grid-index coordinates,
+    so a vertex plane sits at an even coordinate and an edge crossing it
+    at an odd one.  Each box of edges is split along its longest axis (the
+    one with the most vertex planes inside the box) at the vertex plane
+    nearest the median; the separator is the edges lying in that plane.  No cell spans a vertex plane, so every cell touching
+    an edge on one side lies on that side's half of the plane, and any
+    matrix assembled cell by cell couples the two halves only through the
+    separator.  The order is left half, right half, separator, recursing
+    until a box holds at most _DISSECTION_LEAF edges.  It depends on the
+    topology alone, so it serves every geometry of one resolution.
+    """
+    nvx, nvy = mesh.resolution[0] + 1, mesh.resolution[1] + 1
+    ends = mesh.edges[mesh.free_edges]
+    index = np.stack([ends % nvx, (ends // nvx) % nvy, ends // (nvx * nvy)],
+                     axis=-1)
+    doubled = index.sum(axis=1)             # (n_free_edges, 3): 2 x midpoint
+
+    order = []
+
+    def dissect(edges):
+        coords = doubled[edges]
+        # vertex planes strictly inside the box: even coordinates in (lo, hi)
+        first = coords.min(axis=0) // 2 + 1
+        last = (coords.max(axis=0) - 1) // 2
+        axis = int(np.argmax(last - first))
+        if edges.size <= _DISSECTION_LEAF or first[axis] > last[axis]:
+            order.append(edges)
+            return
+        along = coords[:, axis]
+        plane = 2 * int(np.clip(np.rint(np.median(along) / 2),
+                                first[axis], last[axis]))
+        dissect(edges[along < plane])
+        dissect(edges[along > plane])
+        order.append(edges[along == plane])
+
+    dissect(np.arange(mesh.n_free_edges))
+    return np.concatenate(order)
 
 
 def discrete_gradient(mesh: CavityMesh) -> DiscreteGradient:

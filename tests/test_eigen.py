@@ -1,5 +1,7 @@
 """Eigen- and linear-solver contracts against dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import (SolverPolicy, SPDFactor, pcg_solve,
                               solve_dense_gevp, solve_sparse_gevp)
 from maxwell_rb.errors import EigensolverError, FactorizationError
+from maxwell_rb.mesh import build_mesh, dissection_order
 
 from oracles import discrete_brick_eigenvalues
 
@@ -26,6 +29,11 @@ def _random_spd_pencil(n, seed):
 @pytest.fixture(scope="module")
 def policy():
     return SolverPolicy.from_reference(2.0 * np.pi ** 2, seed=7)
+
+
+@pytest.fixture(scope="module")
+def problem8():
+    return setup_problem(with_overrides(default_config(), resolution=(8, 8, 8)))
 
 
 class TestDense:
@@ -184,37 +192,66 @@ class TestSparse:
 class TestShiftInvertAccuracy:
     """The shifted pencil A - sigma B is indefinite: factored without
     threshold pivoting, it leaves relative residuals of 5e-14 to 1.3e-13
-    here against 1.5e-15 to 1.7e-15 with it.  The bound sits between."""
+    here against 1.5e-15 to 1.7e-15 with it.  The bound sits between.
+    The policy of the problem factors in the mesh's nested-dissection
+    order."""
 
     @pytest.fixture(scope="class")
-    def problem8(self):
-        return setup_problem(with_overrides(default_config(), resolution=(8, 8, 8)))
+    def policy8(self, problem8):
+        assert problem8.policy.ordering is not None
+        return problem8.policy
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
-    def test_residuals_and_dense_oracle(self, problem8, t):
-        p = problem8
-        K = p.cfg.K
-        pair = p.psys.interpolate(t)
-        sol = solve_sparse_gevp(pair.A, pair.B, K, p.policy)
+    def test_residuals_and_dense_oracle(self, problem8, policy8, t):
+        K = problem8.cfg.K
+        pair = problem8.psys.interpolate(t)
+        sol = solve_sparse_gevp(pair.A, pair.B, K, policy8)
         assert sol.residual_norms.max() / sol.values.max() <= 1e-14
         dense = scipy.linalg.eigh(pair.A.toarray(), pair.B.toarray(),
                                   eigvals_only=True)
-        oracle = dense[dense > p.policy.lambda_cut][:K]
+        oracle = dense[dense > policy8.lambda_cut][:K]
         assert np.max(np.abs(sol.values - oracle) / oracle) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.84375, 0.875, 0.90625, 0.9375])
-    def test_double_eigenvalue_at_window_edge(self, problem8, t):
+    def test_double_eigenvalue_at_window_edge(self, problem8, policy8, t):
         # Modes K-1 and K are the two copies of a double eigenvalue here;
         # a window without margin can return one copy and miss the other.
-        p = problem8
-        K = p.cfg.K
-        pair = p.psys.interpolate(t)
-        sol = solve_sparse_gevp(pair.A, pair.B, K, p.policy)
+        K = problem8.cfg.K
+        pair = problem8.psys.interpolate(t)
+        sol = solve_sparse_gevp(pair.A, pair.B, K, policy8)
         dense = scipy.linalg.eigh(pair.A.toarray(), pair.B.toarray(),
                                   eigvals_only=True)
-        oracle = dense[dense > p.policy.lambda_cut][:K]
+        oracle = dense[dense > policy8.lambda_cut][:K]
         assert np.max(np.abs(sol.values - oracle) / oracle) <= 1e-10
         assert (sol.values[-1] - sol.values[-2]) / sol.values[-1] < 1e-8
+
+
+class TestShiftInvertAccuracyMinDegree(TestShiftInvertAccuracy):
+    """The same bounds on SuperLU's minimum-degree factor, which pencils
+    that come without a mesh get."""
+
+    @pytest.fixture(scope="class")
+    def policy8(self, problem8):
+        return dataclasses.replace(problem8.policy, ordering=None)
+
+
+class TestFactorOrdering:
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_orderings_agree(self, problem8, t):
+        p = problem8
+        pair = p.psys.interpolate(t)
+        nd = solve_sparse_gevp(pair.A, pair.B, p.cfg.K, p.policy)
+        mmd = solve_sparse_gevp(pair.A, pair.B, p.cfg.K,
+                                dataclasses.replace(p.policy, ordering=None))
+        assert np.max(np.abs(nd.values - mmd.values) / mmd.values) <= 1e-13
+
+    def test_ordering_of_another_mesh_rejected(self, small_morph):
+        pair = small_morph["psys"].interpolate(0.5)
+        policy = dataclasses.replace(
+            small_morph["policy"],
+            ordering=dissection_order(build_mesh((1.0, 1.0, 1.0), (8, 8, 8))))
+        with pytest.raises(EigensolverError, match="1176 unknowns.* has 36"):
+            solve_sparse_gevp(pair.A, pair.B, 5, policy)
 
 
 class TestPolicy:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxwell_rb.bench import setup_problem
+from maxwell_rb.config import default_config, with_overrides
+from maxwell_rb.eigen import _symmetric_lu
 from maxwell_rb.errors import ConfigError
-from maxwell_rb.mesh import build_mesh, discrete_gradient
+from maxwell_rb.mesh import build_mesh, discrete_gradient, dissection_order
 
 from oracles import free_edge_count, interior_vertex_count
 
@@ -109,6 +113,34 @@ class TestValidation:
     def test_bad_resolution(self, res):
         with pytest.raises(ConfigError):
             build_mesh((1.0, 1.0, 1.0), res)
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("res", [(2, 2, 2), (2, 3, 4), (5, 4, 3), (12, 12, 12)])
+    def test_permutation_of_free_edges(self, res):
+        mesh = build_mesh((1.0, 1.0, 1.0), res)
+        order = dissection_order(mesh)
+        assert np.array_equal(np.sort(order), np.arange(mesh.n_free_edges))
+
+    def test_same_for_both_morph_endpoints(self):
+        cfg = default_config()
+        assert np.array_equal(
+            dissection_order(build_mesh(cfg.dims0, cfg.resolution)),
+            dissection_order(build_mesh(cfg.dims1, cfg.resolution)))
+
+    @pytest.mark.parametrize("res", [8, 12])
+    def test_less_fill_than_minimum_degree(self, res):
+        # a separator that does not decouple its halves shows up as fill
+        p = setup_problem(with_overrides(default_config(), resolution=(res,) * 3))
+        pair = p.psys.interpolate(0.5)
+        M = sp.csr_matrix(pair.A - p.policy.sigma * pair.B)
+        order = dissection_order(p.mesh0)
+
+        def fill(lu):
+            return lu.L.nnz + lu.U.nnz
+
+        nd = _symmetric_lu(M[order][:, order], permc_spec="NATURAL")
+        assert fill(nd) < fill(_symmetric_lu(M))
 
 
 def test_deterministic_rebuild():

@@ -1,8 +1,12 @@
 """Eigenvalue tracking: matching, degeneracy gauge, bisection, full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from maxwell_rb.bench import setup_problem
+from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.rb import _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
@@ -273,3 +277,18 @@ class TestDeskMorph:
         # of the degenerate pair land on it
         end = np.sort(run.lambdas[:, -1])
         assert end[-1] == pytest.approx(end[-2], rel=1e-10)
+
+
+def test_full_tracking_same_on_both_factor_orderings():
+    # 8^3 default morph: the mesh's nested-dissection factor and the
+    # minimum-degree one trace the same grid and eigenvalues
+    p = setup_problem(with_overrides(default_config(), resolution=(8, 8, 8)))
+    kwargs = dict(threshold=p.cfg.threshold, initial_steps=p.cfg.initial_steps,
+                  max_depth=p.cfg.max_depth, matching=p.cfg.matching,
+                  buffer=p.cfg.track_buffer)
+    assert p.policy.ordering is not None
+    nd = track_full(p.psys, p.cfg.K, p.policy, **kwargs)
+    mmd = track_full(p.psys, p.cfg.K,
+                     dataclasses.replace(p.policy, ordering=None), **kwargs)
+    assert np.array_equal(nd.grid, mmd.grid)
+    assert np.max(np.abs(nd.lambdas - mmd.lambdas) / mmd.lambdas) <= 1e-13
