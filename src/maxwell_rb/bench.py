@@ -179,9 +179,10 @@ def leading_block_eigenvalues(problem: Problem, basis_Z: np.ndarray,
     ev.set_basis(basis_Z)
     out = np.empty((len(sizes), len(t_values), K))
     for row, t in enumerate(t_values):
+        red = ev.reduced_system(float(t))
         for i, n in enumerate(sizes):
-            out[i, row] = ev.solve(float(t), n)[1].values[:K]
-    ev.release()
+            out[i, row] = solve_dense_gevp(red.A_tilde[:n, :n],
+                                           red.B_tilde[:n, :n]).values[:K]
     return out
 
 
@@ -394,7 +395,6 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
                                  problem.policy, cfg.K)
             ev.set_basis(mixed_result.basis.Z)
             red, _ = ev.solve(t_probe)   # doubles as the warm-up
-            ev.release()
 
             def evp_rb():
                 solve_dense_gevp(red.A_tilde, red.B_tilde)

@@ -7,16 +7,16 @@ to negative values, so requesting the largest algebraic transformed
 eigenvalues returns exactly the physical modes nearest the shift and the
 nullspace never enters the Krylov window.
 
-Lanczos is asked for the K wanted pairs plus a small pad (window_pad,
-default 2): every further pair costs Lanczos vectors and shift-invert
-applications and is thrown away, while with no pad at all the run can
-return one copy of a double eigenvalue at the window edge and miss the
-other.  ARPACK's tolerance applies to every pair in the window, so a
-wide window drives the wanted pairs to roundoff as a side effect and a
-tight one delivers them at the requested tolerance only.  The tolerance
-is therefore machine precision, which keeps the eigen-residuals at
-roundoff and the roundoff tail of the snapshot singular values below
-the POD rank guard.
+Lanczos is asked for the K wanted pairs plus a fixed pad of two
+(SolverPolicy.window_pad, a constant): every further pair costs Lanczos
+vectors and shift-invert applications and is thrown away, while with no
+pad at all the run can return one copy of a double eigenvalue at the
+window edge and miss the other.  ARPACK's tolerance applies to every
+pair in the window, so a wide window drives the wanted pairs to
+roundoff as a side effect and a tight one delivers them at the
+requested tolerance only.  The tolerance is therefore machine
+precision, which keeps the eigen-residuals at roundoff and the roundoff
+tail of the snapshot singular values below the POD rank guard.
 
 The solver factors A - sigma B itself, once per call, and hands the
 triangular solve to Lanczos as the shift-invert operator (the spectral
@@ -54,6 +54,7 @@ non-positive curvature p^T B p raises, as does a failure to converge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -96,7 +97,7 @@ class SolverPolicy:
 
     sigma: float
     lambda_cut: float
-    window_pad: int = 2         # Ritz pairs requested are K + window_pad
+    window_pad: ClassVar[int] = 2   # constant: Ritz pairs requested are K + 2
     seed: int = 0
     ordering: np.ndarray | None = field(default=None, compare=False, repr=False)
 

@@ -57,15 +57,6 @@ class GaugeDecomposition:
     G_tree: sp.csr_matrix
     G_cotree: sp.csr_matrix
 
-    def summary(self) -> dict:
-        return {
-            "n_free_edges": int(self.n_free_edges),
-            "n_tree": int(self.tree.size),
-            "n_cotree": int(self.cotree.size),
-            "tree": [int(e) for e in self.tree],
-            "cotree": [int(e) for e in self.cotree],
-        }
-
 
 @dataclass(frozen=True)
 class CotreeSystem:
@@ -214,9 +205,3 @@ class CotreeProjector:
         if single:
             return v_hat[:, 0], float(rel[0])
         return v_hat, rel
-
-
-def project_to_cotree(gauge: GaugeDecomposition, sys: SystemPair, v: np.ndarray,
-                      check: bool = True):
-    """One-shot condensation; see CotreeProjector.project."""
-    return CotreeProjector(sys, gauge).project(v, check=check)

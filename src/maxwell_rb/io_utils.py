@@ -44,11 +44,6 @@ def write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def render_csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:

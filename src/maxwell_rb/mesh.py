@@ -55,18 +55,6 @@ class CavityMesh:
         """Global ids of non-boundary edges, ascending."""
         return np.flatnonzero(~self.boundary_edge)
 
-    def summary(self) -> dict:
-        """Entity counts and geometry, JSON-friendly."""
-        return {
-            "dims": [float(d) for d in self.dims],
-            "resolution": [int(r) for r in self.resolution],
-            "n_vertices": int(self.vertices.shape[0]),
-            "n_edges": int(self.edges.shape[0]),
-            "n_cells": int(self.cell_edges.shape[0]),
-            "n_free_edges": self.n_free_edges,
-            "n_interior_vertices": self.n_interior_vertices,
-        }
-
 
 @dataclass(frozen=True)
 class DiscreteGradient:

@@ -14,20 +14,18 @@ the same convex combination of two sparse products, which keeps the
 parameter sweep cheap.
 
 Classical gauge: snapshots and reduced matrices go through the dense
-cotree pencil assembled per parameter value.  Only the pencil of the
-parameter currently being visited is kept, mirroring the fact that the
-dense matrices are exactly what does not fit in memory at scale; this
-path exists as the comparison baseline and is expected slower and
-hungrier.
+cotree pencil assembled per parameter value.  A pencil is held only
+while it is being used, mirroring the fact that the dense matrices are
+exactly what does not fit in memory at scale; this path exists as the
+comparison baseline and is expected slower and hungrier.
 
 Every evaluator is built by _make_evaluator and answers two shared
-questions: ``solve`` gives the reduced pencil at t and its eigenpairs
-(optionally restricted to the leading n basis columns, which is the
-size-n pencil because the lifted columns are independent), and
-``estimate`` adds the gap-aware error estimator
+questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
+and ``estimate`` adds the gap-aware error estimator
 eta = ||r||^2 / (lambda_tilde * gap) of the first K modes.  The greedy
 loop, reduced tracking, the bench error studies and the tests all go
-through these two routines.
+through these two routines.  Each call evaluates its parameter afresh
+and keeps nothing of it once it returns.
 
 Dense allocations of both pipelines are tallied by a StorageMeter so the
 memory claims are assertable rather than anecdotal.
@@ -166,11 +164,14 @@ def _gaps(values: np.ndarray, K: int) -> np.ndarray:
 
 
 class _Evaluator:
-    """Shared state, cache release and the two shared routines.
+    """Shared state and the public per-parameter routines.
 
-    Subclasses provide set_basis, reduced_system, residual_norms and
-    snapshot; _cache holds the per-t data of the last visited parameter
-    together with the entry count it holds on the meter.
+    Subclasses provide set_basis, snapshot, and three hooks on the per-t
+    data: _at(t), a context manager that yields it and holds its entries
+    on the meter only while the block is open; _reduce, the reduced
+    pencil; and _residual_norms.  reduced_system, solve and estimate each
+    open one scope, so nothing of a parameter outlives the call that
+    visits it.
     """
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -181,36 +182,35 @@ class _Evaluator:
         self.K = K
         self.meter = meter
         self._Z = None
-        self._t = None
-        self._cache = None
 
-    def release(self) -> None:
-        if self._cache is not None:
-            self.meter.free(self._cache["held"])
-        self._cache = None
-        self._t = None
+    def reduced_system(self, t: float) -> ReducedSystem:
+        with self._at(t) as data:
+            return self._reduce(data)
 
-    def solve(self, t: float, n: int | None = None):
+    def solve(self, t: float):
         """Reduced pencil at t and its eigenpairs, as (ReducedSystem,
-        EigenSolution); n restricts both to the leading n basis columns."""
+        EigenSolution)."""
         red = self.reduced_system(t)
-        if n is not None:
-            red = ReducedSystem(A_tilde=red.A_tilde[:n, :n],
-                                B_tilde=red.B_tilde[:n, :n])
         return red, solve_dense_gevp(red.A_tilde, red.B_tilde)
 
     def estimate(self, t: float):
         """Reduced eigenpairs at t and eta = ||r||^2 / (lambda_tilde * gap)
         of the first min(K, n_red) modes."""
-        _, sol = self.solve(t)
-        norms = self.residual_norms(t, sol.values, sol.vectors)
+        with self._at(t) as data:
+            red = self._reduce(data)
+            sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
+            norms = self._residual_norms(data, sol.values, sol.vectors)
         k_eff = norms.size
         gaps = _gaps(sol.values, self.K)
         return sol, norms**2 / (sol.values[:k_eff] * gaps[:k_eff])
 
 
 class _MixedEvaluator(_Evaluator):
-    """Lifted reduced-matrix evaluation: never a dense cotree pencil."""
+    """Lifted reduced-matrix evaluation: never a dense cotree pencil.
+
+    The per-t data is (pair, U, Z_full) with U = H(t)^T Z and
+    Z_full = B(t)^{-1} U.
+    """
 
     gauge_mode = "mixed"
 
@@ -229,36 +229,30 @@ class _MixedEvaluator(_Evaluator):
         # them turns the per-t projection into a dense axpy.
         self._P0 = self._H0t @ Z
         self._P1 = self._H1t @ Z
-        self.release()
 
-    def _at(self, t: float) -> dict:
-        if self._t == t and self._cache is not None:
-            return self._cache
-        if self._cache is not None:
-            self.meter.free(self._cache["held"])
+    @contextmanager
+    def _at(self, t: float):
         pair = self.psys.interpolate(t)
         U = (1.0 - t) * self._P0 + t * self._P1
         Z_full = pcg_solve(pair.B, U)
-        held = self.meter.alloc(U.size + Z_full.size)
-        self._cache = {"pair": pair, "U": U, "Z_full": Z_full, "held": held}
-        self._t = t
-        return self._cache
+        with self.meter.hold(U.size + Z_full.size):
+            yield pair, U, Z_full
 
-    def reduced_system(self, t: float) -> ReducedSystem:
-        c = self._at(t)
-        A_tilde = c["Z_full"].T @ (c["pair"].A @ c["Z_full"])
-        B_tilde = c["Z_full"].T @ c["U"]
+    def _reduce(self, data) -> ReducedSystem:
+        pair, U, Z_full = data
+        A_tilde = Z_full.T @ (pair.A @ Z_full)
+        B_tilde = Z_full.T @ U
         return ReducedSystem(
             A_tilde=0.5 * (A_tilde + A_tilde.T),
             B_tilde=0.5 * (B_tilde + B_tilde.T),
         )
 
-    def residual_norms(self, t: float, values, vectors) -> np.ndarray:
-        c = self._at(t)
+    def _residual_norms(self, data, values, vectors) -> np.ndarray:
+        pair, U, Z_full = data
         k_eff = min(self.K, values.size)
         V = vectors[:, :k_eff]
-        lifted = c["Z_full"] @ V
-        R = c["pair"].A @ lifted - (c["U"] @ V) * values[None, :k_eff]
+        lifted = Z_full @ V
+        R = pair.A @ lifted - (U @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> SnapshotSet:
@@ -284,7 +278,10 @@ class _MixedEvaluator(_Evaluator):
 
 
 class _ClassicalEvaluator(_Evaluator):
-    """Dense cotree pencil per parameter value; the memory-bound baseline."""
+    """Dense cotree pencil per parameter value; the memory-bound baseline.
+
+    The per-t data is the CotreeSystem (A_hat, B_hat).
+    """
 
     gauge_mode = "classical"
 
@@ -296,23 +293,16 @@ class _ClassicalEvaluator(_Evaluator):
     def set_basis(self, Z: np.ndarray) -> None:
         self._Z = Z
 
-    def _pencil(self, t: float):
-        if self._t == t and self._cache is not None:
-            return self._cache
-        if self._cache is not None:
-            self.meter.free(self._cache["held"])
-            self._cache = None
+    @contextmanager
+    def _at(self, t: float):
         pair = self.psys.interpolate(t)
         # The solve buffer W = B^{-1} H^T is N x |C|.
         with self.meter.hold(self.psys.n * self.n_cotree):
             cs = build_cotree_system(pair, self.gauge)
-        held = self.meter.alloc(cs.A_hat.size + cs.B_hat.size)
-        self._cache = {"cs": cs, "held": held}
-        self._t = t
-        return self._cache
+        with self.meter.hold(cs.A_hat.size + cs.B_hat.size):
+            yield cs
 
-    def reduced_system(self, t: float) -> ReducedSystem:
-        cs = self._pencil(t)["cs"]
+    def _reduce(self, cs) -> ReducedSystem:
         Z = self._Z
         A_tilde = Z.T @ (cs.A_hat @ Z)
         B_tilde = Z.T @ (cs.B_hat @ Z)
@@ -321,16 +311,15 @@ class _ClassicalEvaluator(_Evaluator):
             B_tilde=0.5 * (B_tilde + B_tilde.T),
         )
 
-    def residual_norms(self, t: float, values, vectors) -> np.ndarray:
-        cs = self._pencil(t)["cs"]
+    def _residual_norms(self, cs, values, vectors) -> np.ndarray:
         k_eff = min(self.K, values.size)
         V = self._Z @ vectors[:, :k_eff]
         R = cs.A_hat @ V - (cs.B_hat @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> SnapshotSet:
-        cs = self._pencil(t)["cs"]
-        sol = solve_dense_gevp(cs.A_hat, cs.B_hat)
+        with self._at(t) as cs:
+            sol = solve_dense_gevp(cs.A_hat, cs.B_hat)
         if sol.values[0] <= self.policy.lambda_cut:
             raise NumericsError(
                 "gauged pencil produced an eigenvalue %.3e below the spectral "
@@ -372,7 +361,6 @@ def collect_snapshots(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     parts = []
     for t in np.asarray(pod_set, dtype=float):
         parts.append(ev.snapshot(float(t)))
-    ev.release()
     Y = np.hstack([p.Y for p in parts])
     ev.meter.alloc(Y.size)
     return SnapshotSet(
@@ -453,7 +441,6 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         for it, t in enumerate(greedy_set):
             _, eta = ev.estimate(float(t))
             etas[it, :eta.size] = eta
-        ev.release()
 
         live = np.array(
             [
@@ -496,7 +483,6 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                 "max_eta": max_eta, "n_red": basis.n_red,
             })
             appended = True
-        ev.release()
         if not appended:
             break
         iteration += 1

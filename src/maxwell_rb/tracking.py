@@ -295,10 +295,8 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         red, sol = ev.solve(t)
         return sol.values[:n_cand], sol.vectors[:, :n_cand], red.B_tilde
 
-    run = _TrackEngine(solve, K, threshold, initial_steps, max_depth,
-                       matching).run()
-    ev.release()
-    return run
+    return _TrackEngine(solve, K, threshold, initial_steps, max_depth,
+                        matching).run()
 
 
 def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,

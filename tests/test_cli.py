@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+import maxwell_rb
 from maxwell_rb.cli import _apply_thread_cap, _THREAD_ENV_VARS, main
 
 _CFG_TEXT = """\
@@ -31,6 +32,14 @@ def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(_CFG_TEXT)
     return str(path)
+
+
+def _subprocess_env(**extra):
+    """Environment in which a child interpreter imports the same package
+    copy as this test process."""
+    src = os.path.dirname(os.path.dirname(maxwell_rb.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def _read_json(path):
@@ -287,12 +296,12 @@ class TestSubprocess:
     def test_module_entry_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "maxwell_rb.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0
         assert "build-basis" in proc.stdout
 
     def test_quiet_logging_silences_stderr(self, cfg_file, tmp_path):
-        env = dict(os.environ, MAXWELL_RB_LOG="quiet")
+        env = _subprocess_env(MAXWELL_RB_LOG="quiet")
         proc = subprocess.run(
             [sys.executable, "-m", "maxwell_rb.cli", "export-matrices",
              "--config", cfg_file, "--output", str(tmp_path / "q")],
@@ -301,7 +310,7 @@ class TestSubprocess:
         assert proc.stderr == ""
 
     def test_info_logging_reports_progress(self, cfg_file, tmp_path):
-        env = dict(os.environ, MAXWELL_RB_LOG="info")
+        env = _subprocess_env(MAXWELL_RB_LOG="info")
         proc = subprocess.run(
             [sys.executable, "-m", "maxwell_rb.cli", "export-matrices",
              "--config", cfg_file, "--output", str(tmp_path / "v")],
@@ -322,6 +331,6 @@ class TestSubprocess:
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, cfg_file, str(tmp_path / "t")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines()[-1] == "2"

@@ -11,7 +11,7 @@ from maxwell_rb.assembly import assemble
 from maxwell_rb.eigen import solve_dense_gevp, solve_sparse_gevp, SolverPolicy
 from maxwell_rb.errors import NumericsError, ProjectionError
 from maxwell_rb.gauge import (CotreeProjector, build_cotree_system, build_tree,
-                              cotree_operator, project_to_cotree, upscale)
+                              cotree_operator, upscale)
 from maxwell_rb.mesh import build_mesh, discrete_gradient
 
 from oracles import (continuum_brick_eigenvalues, cotree_least_squares,
@@ -128,7 +128,7 @@ class TestProjection:
         B = cube3_pair.B
         for j in range(modes.count):
             v = modes.vectors[:, j]
-            v_hat, rel = project_to_cotree(cube3_gauge, cube3_pair, v)
+            v_hat, rel = CotreeProjector(cube3_pair, cube3_gauge).project(v)
             assert rel <= 1e-9
             back = upscale(cube3_gauge, cube3_pair, v_hat)
             diff = back - v
@@ -189,9 +189,10 @@ class TestProjection:
                                      cube3_grad):
         rng = np.random.default_rng(0)
         v = cube3_grad.G @ rng.standard_normal(cube3_grad.G.shape[1])
+        projector = CotreeProjector(cube3_pair, cube3_gauge)
         with pytest.raises(ProjectionError):
-            project_to_cotree(cube3_gauge, cube3_pair, v)
-        _, rel = project_to_cotree(cube3_gauge, cube3_pair, v, check=False)
+            projector.project(v)
+        _, rel = projector.project(v, check=False)
         assert rel > 1e-6
 
     def test_mixed_input_flagged(self, cube3_pair, cube3_gauge, cube3_grad,
@@ -201,4 +202,4 @@ class TestProjection:
         pollution = cube3_grad.G @ np.ones(cube3_grad.G.shape[1])
         v = modes.vectors[:, 0] + pollution
         with pytest.raises(ProjectionError):
-            project_to_cotree(cube3_gauge, cube3_pair, v)
+            CotreeProjector(cube3_pair, cube3_gauge).project(v)

@@ -1,5 +1,6 @@
 """Atomic artifact writers and deterministic text encoding."""
 
+import json
 import os
 
 import numpy as np
@@ -10,7 +11,6 @@ import scipy.sparse as sp
 from maxwell_rb.io_utils import (
     atomic_write_text,
     fmt_value,
-    load_json,
     remove_if_exists,
     render_csv,
     write_csv,
@@ -71,7 +71,7 @@ class TestAtomicWriters:
         path = tmp_path / "r.json"
         payload = {"zeta": [1, 2], "alpha": {"b": 0.25, "a": None}}
         write_json(path, payload)
-        assert load_json(path) == payload
+        assert json.loads(path.read_text()) == payload
         text = path.read_text()
         assert text.index('"alpha"') < text.index('"zeta"')
         assert text.endswith("\n")

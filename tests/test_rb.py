@@ -7,7 +7,7 @@ from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import SPDFactor, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, NumericsError
-from maxwell_rb.gauge import build_cotree_system, project_to_cotree
+from maxwell_rb.gauge import CotreeProjector, build_cotree_system
 from maxwell_rb.rb import (SnapshotSet, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
@@ -84,7 +84,7 @@ class TestSnapshots:
                                   m["policy"])
         pair = m["psys"].interpolate(0.5)
         modes = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"])
-        _, rels = project_to_cotree(m["gauge"], pair, modes.vectors)
+        _, rels = CotreeProjector(pair, m["gauge"]).project(modes.vectors)
         assert rels.max() <= 1e-12
         basis, log = greedy_enrich(m["psys"], m["gauge"], pod_init(snaps, 2),
                                    m["training"].greedy_set, 5, 1e-6, 12,
@@ -314,7 +314,7 @@ class TestStorageMeter:
         assert meter.current == 40
         assert meter.peak == 150
 
-    def test_set_basis_frees_the_cached_parameter(self, small_morph):
+    def test_repeated_set_basis_leaves_meter_empty(self, small_morph):
         m = small_morph
         meter = StorageMeter()
         ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 5,
@@ -324,5 +324,19 @@ class TestStorageMeter:
             ev.set_basis(np.linalg.qr(
                 rng.standard_normal((m["gauge"].cotree.size, 3)))[0])
             ev.reduced_system(0.3)
-        ev.release()
         assert meter.current == 0
+
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    def test_evaluations_hold_nothing_after_return(self, small_morph,
+                                                   small_basis, gauge_mode):
+        m = small_morph
+        meter = StorageMeter()
+        ev = _make_evaluator(gauge_mode, m["psys"], m["gauge"], m["policy"],
+                             5, meter)
+        ev.set_basis(small_basis.basis.Z)
+        for call in (ev.reduced_system, ev.solve, ev.estimate, ev.snapshot):
+            before = meter.current
+            call(0.3)
+            assert meter.current == before, call.__name__
+        # the per-t data was on the meter while it was in use
+        assert meter.peak > meter.current
