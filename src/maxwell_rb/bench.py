@@ -3,16 +3,19 @@
 Produces a versioned report with the seven phase rows of the runtime
 comparison table, dense-storage peaks, the per-mode average relative
 eigenvalue errors over a random evaluation set, and the error-versus-
-basis-size sweep for both gauge pipelines.  The error studies evaluate
+basis-size sweep for both gauge pipelines.  The error study evaluates
 the reduced pencil once per evaluation point at the full basis size and
-solve its leading blocks for the smaller sizes.  Timing uses the monotonic
-clock, with one warm-up execution excluded and the median over the
-timed repetitions reported; per-phase failures are recorded in the
-report and the remaining phases still run.
+solves its leading blocks for the smaller sizes; the per-mode error
+table is the mixed sweep's full-size row.  One routine, _interleaved,
+times every phase: the builds, the tracking paths and the EVP probes
+each run once untimed, then alternate over the timed repetitions on the
+monotonic clock, and the median is reported.  Per-phase failures are
+recorded in the report and the remaining phases still run.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -23,11 +26,12 @@ import jsonschema
 from .assembly import ParametrizedSystem, assemble
 from .config import RunConfig, config_to_dict
 from .eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .gauge import GaugeDecomposition, build_tree
 from .mesh import CavityMesh, build_mesh, discrete_gradient, dissection_order
-from .rb import (BasisBuildResult, TrainingSets, _make_evaluator, _salt_from_t,
-                 build_basis, classical_pipeline, make_training_sets)
+from .rb import (BasisBuildResult, ReducedBasis, TrainingSets, _make_evaluator,
+                 _salt_from_t, build_basis, classical_pipeline,
+                 make_training_sets)
 from .reference import first_eigenvalue
 from .tracking import TrackingRun, track_full, track_reduced
 
@@ -129,6 +133,25 @@ class Problem:
     policy: SolverPolicy
     training: TrainingSets
 
+    def build(self, gauge_mode: str) -> BasisBuildResult:
+        """Snapshots, POD and greedy through the gauge_mode pipeline."""
+        cfg = self.cfg
+        pipeline = build_basis if gauge_mode == "mixed" else classical_pipeline
+        return pipeline(self.psys, self.gauge, self.training, cfg.K,
+                        cfg.N_init, cfg.tol, cfg.N_max, self.policy)
+
+    def track(self, basis: ReducedBasis | None = None) -> TrackingRun:
+        """Track the K modes over [0, 1]: on basis, else at full order."""
+        cfg = self.cfg
+        settings = dict(threshold=cfg.threshold,
+                        initial_steps=cfg.initial_steps,
+                        max_depth=cfg.max_depth, matching=cfg.matching,
+                        buffer=cfg.track_buffer)
+        if basis is None:
+            return track_full(self.psys, cfg.K, self.policy, **settings)
+        return track_reduced(self.psys, self.gauge, basis, cfg.K,
+                             policy=self.policy, **settings)
+
 
 def setup_problem(cfg: RunConfig) -> Problem:
     mesh0 = build_mesh(cfg.dims0, cfg.resolution)
@@ -190,14 +213,6 @@ def _per_mode_error(approx: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(approx - reference) / reference, axis=0)
 
 
-def error_table(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
-                t_values, reference: np.ndarray) -> np.ndarray:
-    """Average relative eigenvalue error per mode over the evaluation set."""
-    approx = leading_block_eigenvalues(problem, basis_Z, gauge_mode, t_values,
-                                       [basis_Z.shape[1]])
-    return _per_mode_error(approx[0], reference)
-
-
 def trailing_average(values) -> np.ndarray:
     """Mean over a trailing window; smooths the error-versus-size curve."""
     values = np.asarray(values, dtype=float)
@@ -208,19 +223,21 @@ def trailing_average(values) -> np.ndarray:
 
 
 def error_sweep(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
-                t_values, reference: np.ndarray) -> dict:
+                t_values, reference: np.ndarray) -> tuple[dict, np.ndarray]:
     """Mean error over modes and evaluation set for nested leading bases.
 
     The basis columns are ordered by construction (POD by singular value,
     then greedy appends), so the leading n columns form the size-n basis
     of the same pipeline.  One evaluator serves the sweep: each
     evaluation point is evaluated once at the full basis size and every
-    size solves the leading block of that pencil.
+    size solves the leading block of that pencil.  Also returns the
+    full-size row: the average relative error of each mode.
     """
     sizes = list(range(problem.cfg.K, basis_Z.shape[1] + 1))
     approx = leading_block_eigenvalues(problem, basis_Z, gauge_mode, t_values,
                                        sizes)
-    errors = [float(_per_mode_error(a, reference).mean()) for a in approx]
+    per_mode = [_per_mode_error(a, reference) for a in approx]
+    errors = [float(e.mean()) for e in per_mode]
     trail = trailing_average(errors)
     return {
         "sizes": sizes,
@@ -229,13 +246,7 @@ def error_sweep(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
         # the level the curve settles at; the trailing average smooths the
         # descent but would drag pre-convergence values into short sweeps
         "plateau": float(errors[-1]),
-    }
-
-
-def _timed(fn) -> float:
-    tic = time.perf_counter()
-    fn()
-    return time.perf_counter() - tic
+    }, per_mode[-1]
 
 
 def _tracking_summary(run: TrackingRun) -> dict:
@@ -250,198 +261,138 @@ def _tracking_summary(run: TrackingRun) -> dict:
     }
 
 
+def _guarded(errors: dict, key: str, fn):
+    """fn(), or None with its NumericsError recorded under errors[key]."""
+    try:
+        return fn()
+    except NumericsError as exc:
+        errors[key] = str(exc)
+        return None
+
+
+def _interleaved(paths: dict, reps: int, errors: dict,
+                 warm_each: bool) -> dict:
+    """Median timed seconds and the timed results of each surviving path.
+
+    paths maps an error key to a callable returning anything but None.
+    Each path first runs once untimed; the reps timed rounds then
+    alternate between the paths so load transients hit all of them
+    alike.  With warm_each, every timed call follows an untimed one of
+    the same path, so the sample reflects warm-state cost, not the cache
+    pollution left by the other paths.  A path that raises is recorded
+    under its key and dropped.
+    """
+    live = {key: fn for key, fn in paths.items()
+            if _guarded(errors, key, fn) is not None}
+    samples = {key: [] for key in live}
+    for _ in range(reps):
+        for key, fn in list(live.items()):
+            if warm_each and _guarded(errors, key, fn) is None:
+                del live[key]
+                continue
+            tic = time.perf_counter()
+            out = _guarded(errors, key, fn)
+            seconds = time.perf_counter() - tic
+            if out is None:
+                del live[key]
+            else:
+                samples[key].append((seconds, out))
+    return {key: (float(np.median([s for s, _ in samples[key]])),
+                  [out for _, out in samples[key]])
+            for key in live}
+
+
 def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
     """Execute both gauge pipelines, both tracking paths, and the error study."""
+    if reps < 1:
+        raise ConfigError("reps must be >= 1, got %r" % (reps,))
     problem = setup_problem(cfg)
     phase_errors = {}
     phase_seconds = {label: None for label in PHASE_LABELS}
     classical_phase_seconds = {label: None for label in
-                               (PHASE_PROJECTION, PHASE_POD, PHASE_GREEDY)}
+                               _BUILD_PHASE_LABEL.values()}
     build_seconds = {"mixed": None, "classical": None}
     peak_dense = {"mixed": None, "classical": None}
     n_red = {"mixed": None, "classical": None}
     tracking_info = {}
-    timing_ratios = {}
     error_rows = []
     sweep = {}
 
-    results = {}
-
-    def build(gauge_mode: str) -> BasisBuildResult:
-        pipeline = build_basis if gauge_mode == "mixed" else classical_pipeline
-        return pipeline(problem.psys, problem.gauge, problem.training,
-                        cfg.K, cfg.N_init, cfg.tol, cfg.N_max, problem.policy)
-
     # -- basis construction, both gauges ---------------------------------
-    # Warm-up runs (excluded from timing) also provide the basis objects
-    # used downstream; the timed repetitions then alternate between the
-    # two pipelines so load transients hit both measurements alike.
-    for mode in ("mixed", "classical"):
-        try:
-            results[mode] = build(mode)
-        except NumericsError as exc:
-            phase_errors["build-" + mode] = str(exc)
-
-    build_samples = {mode: [] for mode in results}
-    for _ in range(reps):
-        for mode, rows in build_samples.items():
-            if "build-" + mode in phase_errors:
-                continue
-            try:
-                res = build(mode)
-            except NumericsError as exc:
-                phase_errors["build-" + mode] = str(exc)
-                continue
-            phases = dict(res.phase_seconds)
-            phases["total"] = sum(phases.values())
-            rows.append(phases)
-    for mode, rows in build_samples.items():
-        if not rows or "build-" + mode in phase_errors:
+    built = {}
+    timed = _interleaved(
+        {"build-" + mode: functools.partial(problem.build, mode)
+         for mode in ("mixed", "classical")},
+        reps, phase_errors, warm_each=False)
+    for mode, target in (("mixed", phase_seconds),
+                         ("classical", classical_phase_seconds)):
+        if "build-" + mode not in timed:
             continue
-        med = {k: float(np.median([r[k] for r in rows])) for k in rows[0]}
-        build_seconds[mode] = med["total"]
-        res = results[mode]
+        _, runs = timed["build-" + mode]
+        built[mode] = res = runs[-1]
+        for key, label in _BUILD_PHASE_LABEL.items():
+            target[label] = float(np.median([r.phase_seconds[key]
+                                             for r in runs]))
+        build_seconds[mode] = float(np.median(
+            [sum(r.phase_seconds.values()) for r in runs]))
         peak_dense[mode] = int(res.peak_dense_entries)
         n_red[mode] = int(res.basis.n_red)
-        target = (phase_seconds if mode == "mixed"
-                  else classical_phase_seconds)
-        for key, label in _BUILD_PHASE_LABEL.items():
-            target[label] = med[key]
-
-    mixed_result = results.get("mixed")
-    classical_result = results.get("classical")
+    mixed = built.get("mixed")
 
     # -- tracking, both paths --------------------------------------------
-    # Same interleaving as the builds: alternate reduced and full runs.
-    def run_reduced():
-        return track_reduced(
-            problem.psys, problem.gauge, mixed_result.basis, cfg.K,
-            threshold=cfg.threshold, initial_steps=cfg.initial_steps,
-            max_depth=cfg.max_depth, matching=cfg.matching,
-            buffer=cfg.track_buffer, policy=problem.policy)
-
-    def run_full_track():
-        return track_full(
-            problem.psys, cfg.K, problem.policy, threshold=cfg.threshold,
-            initial_steps=cfg.initial_steps, max_depth=cfg.max_depth,
-            matching=cfg.matching, buffer=cfg.track_buffer)
-
-    reduced_ok = mixed_result is not None
-    if not reduced_ok:
-        phase_errors.setdefault("tracking-reduced", "skipped: mixed build failed")
-    run_r = run_f = None
-    if reduced_ok:
-        try:
-            run_r = run_reduced()   # warm-up
-        except NumericsError as exc:
-            phase_errors["tracking-reduced"] = str(exc)
-            reduced_ok = False
-    full_ok = True
-    try:
-        run_f = run_full_track()   # warm-up
-    except NumericsError as exc:
-        phase_errors["tracking-full"] = str(exc)
-        full_ok = False
-
-    # Each timed run follows an untimed one of the same path, so the
-    # sample reflects warm-state cost, not the cache pollution left by
-    # the other path in the alternation.
-    times_r, times_f = [], []
-    for _ in range(reps):
-        if reduced_ok:
-            try:
-                run_reduced()
-                tic = time.perf_counter()
-                run_r = run_reduced()
-                times_r.append(time.perf_counter() - tic)
-            except NumericsError as exc:
-                phase_errors["tracking-reduced"] = str(exc)
-                reduced_ok = False
-        if full_ok:
-            try:
-                run_full_track()
-                tic = time.perf_counter()
-                run_f = run_full_track()
-                times_f.append(time.perf_counter() - tic)
-            except NumericsError as exc:
-                phase_errors["tracking-full"] = str(exc)
-                full_ok = False
-    if reduced_ok:
-        phase_seconds[PHASE_TRACK_RB] = float(np.median(times_r))
-        tracking_info["reduced"] = _tracking_summary(run_r)
-    if full_ok:
-        phase_seconds[PHASE_TRACK_FULL] = float(np.median(times_f))
-        tracking_info["full"] = _tracking_summary(run_f)
+    paths = {}
+    if mixed is None:
+        phase_errors["tracking-reduced"] = "skipped: mixed build failed"
+    else:
+        paths["tracking-reduced"] = lambda: problem.track(mixed.basis)
+    paths["tracking-full"] = problem.track
+    timed = _interleaved(paths, reps, phase_errors, warm_each=True)
+    for key, label, name in (
+            ("tracking-reduced", PHASE_TRACK_RB, "reduced"),
+            ("tracking-full", PHASE_TRACK_FULL, "full")):
+        if key in timed:
+            phase_seconds[label], runs = timed[key]
+            tracking_info[name] = _tracking_summary(runs[-1])
 
     # -- single-solve EVP timings ----------------------------------------
     t_probe = 0.5
-    evp_full_ok = False
-    try:
-        pair = problem.psys.interpolate(t_probe)
-
-        def evp_full():
-            solve_sparse_gevp(pair.A, pair.B, cfg.K, problem.policy,
-                              salt=_salt_from_t(t_probe))
-
-        evp_full()   # warm-up
-        evp_full_ok = True
-    except NumericsError as exc:
-        phase_errors["evp-full"] = str(exc)
-
-    evp_rb_ok = False
-    if mixed_result is not None:
-        try:
+    probes = {}
+    pair = _guarded(phase_errors, "evp-full",
+                    lambda: problem.psys.interpolate(t_probe))
+    if pair is not None:
+        probes["evp-full"] = lambda: solve_sparse_gevp(
+            pair.A, pair.B, cfg.K, problem.policy, salt=_salt_from_t(t_probe))
+    if mixed is not None:
+        def reduced_at_probe():
             ev = _make_evaluator("mixed", problem.psys, problem.gauge,
                                  problem.policy, cfg.K)
-            ev.set_basis(mixed_result.basis.Z)
-            red, _ = ev.solve(t_probe)   # doubles as the warm-up
+            ev.set_basis(mixed.basis.Z)
+            return ev.reduced_system(t_probe)
 
-            def evp_rb():
-                solve_dense_gevp(red.A_tilde, red.B_tilde)
-
-            evp_rb_ok = True
-        except NumericsError as exc:
-            phase_errors["evp-rb"] = str(exc)
-
-    # Warm call before each timed call, as in the tracking loop.
-    times_full, times_rb = [], []
-    for _ in range(reps):
-        if evp_full_ok:
-            evp_full()
-            times_full.append(_timed(evp_full))
-        if evp_rb_ok:
-            evp_rb()
-            times_rb.append(_timed(evp_rb))
-    if evp_full_ok:
-        phase_seconds[PHASE_EVP_FULL] = float(np.median(times_full))
-    if evp_rb_ok:
-        phase_seconds[PHASE_EVP_RB] = float(np.median(times_rb))
+        red = _guarded(phase_errors, "evp-rb", reduced_at_probe)
+        if red is not None:
+            probes["evp-rb"] = lambda: solve_dense_gevp(red.A_tilde,
+                                                        red.B_tilde)
+    timed = _interleaved(probes, reps, phase_errors, warm_each=True)
+    for key, label in (("evp-full", PHASE_EVP_FULL), ("evp-rb", PHASE_EVP_RB)):
+        if key in timed:
+            phase_seconds[label] = timed[key][0]
 
     # -- error study over the random evaluation set ----------------------
     eval_t = problem.training.eval_set
-    reference = None
-    try:
-        reference = reference_eigenvalues(problem, eval_t)
-    except NumericsError as exc:
-        phase_errors["reference-solves"] = str(exc)
-
-    if reference is not None and mixed_result is not None:
-        try:
-            per_mode = error_table(problem, mixed_result.basis.Z, "mixed",
-                                   eval_t, reference)
-            error_rows = [{"mode": i + 1, "error_av": float(e)}
-                          for i, e in enumerate(per_mode)]
-        except NumericsError as exc:
-            phase_errors["error-table"] = str(exc)
-
-        for mode, res in (("mixed", mixed_result), ("classical", classical_result)):
-            if res is None:
+    reference = _guarded(phase_errors, "reference-solves",
+                         lambda: reference_eigenvalues(problem, eval_t))
+    if reference is not None and mixed is not None:
+        for mode, res in built.items():
+            out = _guarded(phase_errors, "error-sweep-" + mode,
+                           lambda: error_sweep(problem, res.basis.Z, mode,
+                                               eval_t, reference))
+            if out is None:
                 continue
-            try:
-                sweep[mode] = error_sweep(problem, res.basis.Z, mode,
-                                          eval_t, reference)
-            except NumericsError as exc:
-                phase_errors["error-sweep-" + mode] = str(exc)
+            sweep[mode], full_size_errors = out
+            if mode == "mixed":
+                error_rows = [{"mode": i + 1, "error_av": float(e)}
+                              for i, e in enumerate(full_size_errors)]
 
     # -- ratios ----------------------------------------------------------
     def ratio(num, den):
@@ -449,12 +400,14 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
             return None
         return float(num / den)
 
-    timing_ratios["evp_full_over_rb"] = ratio(
-        phase_seconds[PHASE_EVP_FULL], phase_seconds[PHASE_EVP_RB])
-    timing_ratios["tracking_full_over_rb"] = ratio(
-        phase_seconds[PHASE_TRACK_FULL], phase_seconds[PHASE_TRACK_RB])
-    timing_ratios["classical_over_mixed_build"] = ratio(
-        build_seconds["classical"], build_seconds["mixed"])
+    timing_ratios = {
+        "evp_full_over_rb": ratio(phase_seconds[PHASE_EVP_FULL],
+                                  phase_seconds[PHASE_EVP_RB]),
+        "tracking_full_over_rb": ratio(phase_seconds[PHASE_TRACK_FULL],
+                                       phase_seconds[PHASE_TRACK_RB]),
+        "classical_over_mixed_build": ratio(build_seconds["classical"],
+                                            build_seconds["mixed"]),
+    }
 
     report = {
         "schema_version": SCHEMA_VERSION,

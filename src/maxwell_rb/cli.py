@@ -8,6 +8,7 @@ exported to the BLAS runtime before anything loads it.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -124,8 +125,21 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.output, name)
+def _write_artifacts(cfg: RunConfig, writers: dict) -> list:
+    """Call each writers[name](path) for its file in cfg.output.
+
+    On any failure the files of the set already written are removed, so
+    a run leaves either the whole set or none of it.  Returns the paths.
+    """
+    paths = [os.path.join(cfg.output, name) for name in writers]
+    try:
+        os.makedirs(cfg.output, exist_ok=True)
+        for path, write in zip(paths, writers.values()):
+            write(path)
+    except BaseException:
+        remove_if_exists(paths)
+        raise
+    return paths
 
 
 def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
@@ -171,44 +185,34 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
         print("%-6d %-22r %.3e" % (i + 1, float(values[i]), residuals[i]))
 
     if export:
-        paths = [_out_path(cfg, name) for name in
-                 ("A_t.mtx", "B_t.mtx", "modes.mtx", "solve.json")]
-        try:
-            os.makedirs(cfg.output, exist_ok=True)
-            write_matrix_market(paths[0], pair.A, symmetric=True)
-            write_matrix_market(paths[1], pair.B, symmetric=True)
-            write_matrix_market(paths[2], np.asarray(vectors[:, : cfg.K]))
-            write_json(paths[3], {
+        _write_artifacts(cfg, {
+            "A_t.mtx": lambda p: write_matrix_market(p, pair.A, symmetric=True),
+            "B_t.mtx": lambda p: write_matrix_market(p, pair.B, symmetric=True),
+            "modes.mtx": lambda p: write_matrix_market(
+                p, np.asarray(vectors[:, : cfg.K])),
+            "solve.json": lambda p: write_json(p, {
                 "schema_version": 1,
                 "config": config_to_dict(cfg),
                 "t": t,
                 "gauge_mode": cfg.gauge_mode,
                 "eigenvalues": [float(v) for v in values[: cfg.K]],
                 "residual_norms": [float(r) for r in residuals[: cfg.K]],
-            })
-        except BaseException:
-            remove_if_exists(paths)
-            raise
+            }),
+        })
         log.info("exported matrices and modes to %s", cfg.output)
     return 0
 
 
 def cmd_build_basis(cfg: RunConfig) -> int:
     from .bench import setup_problem
-    from .rb import build_basis, classical_pipeline
 
     problem = setup_problem(cfg)
-    pipeline = build_basis if cfg.gauge_mode == "mixed" else classical_pipeline
-    result = pipeline(problem.psys, problem.gauge, problem.training, cfg.K,
-                      cfg.N_init, cfg.tol, cfg.N_max, problem.policy)
+    result = problem.build(cfg.gauge_mode)
 
     final_max_eta = result.log[-1]["max_eta"] if result.log else None
-    paths = [_out_path(cfg, name) for name in
-             ("basis.mtx", "provenance.json", "convergence_log.csv")]
-    try:
-        os.makedirs(cfg.output, exist_ok=True)
-        write_matrix_market(paths[0], result.basis.Z)
-        write_json(paths[1], {
+    paths = _write_artifacts(cfg, {
+        "basis.mtx": lambda p: write_matrix_market(p, result.basis.Z),
+        "provenance.json": lambda p: write_json(p, {
             "schema_version": 1,
             "config": config_to_dict(cfg),
             "gauge_mode": result.basis.gauge_mode,
@@ -218,14 +222,12 @@ def cmd_build_basis(cfg: RunConfig) -> int:
             "final_max_eta": final_max_eta,
             "flags": list(result.basis.flags),
             "columns": list(result.basis.provenance),
-        })
-        write_csv(paths[2],
-                  ["iteration", "t", "mode", "max_eta", "n_red"],
-                  [[row["iteration"], row["t"], row["mode"], row["max_eta"],
-                    row["n_red"]] for row in result.log])
-    except BaseException:
-        remove_if_exists(paths)
-        raise
+        }),
+        "convergence_log.csv": lambda p: write_csv(
+            p, ["iteration", "t", "mode", "max_eta", "n_red"],
+            [[row["iteration"], row["t"], row["mode"], row["max_eta"],
+              row["n_red"]] for row in result.log]),
+    })
 
     print("gauge = %s  N_red = %d  final max eta = %r"
           % (result.basis.gauge_mode, result.basis.n_red, final_max_eta))
@@ -239,38 +241,19 @@ def cmd_build_basis(cfg: RunConfig) -> int:
 
 def cmd_track(cfg: RunConfig, reduced: bool) -> int:
     from .bench import setup_problem
-    from .rb import build_basis, classical_pipeline
-    from .tracking import track_full, track_reduced
 
     problem = setup_problem(cfg)
-    if reduced:
-        pipeline = (build_basis if cfg.gauge_mode == "mixed"
-                    else classical_pipeline)
-        built = pipeline(problem.psys, problem.gauge, problem.training, cfg.K,
-                         cfg.N_init, cfg.tol, cfg.N_max, problem.policy)
-        run = track_reduced(problem.psys, problem.gauge, built.basis, cfg.K,
-                            threshold=cfg.threshold,
-                            initial_steps=cfg.initial_steps,
-                            max_depth=cfg.max_depth, matching=cfg.matching,
-                            buffer=cfg.track_buffer, policy=problem.policy)
-        stem = "reduced"
-    else:
-        run = track_full(problem.psys, cfg.K, problem.policy,
-                         threshold=cfg.threshold,
-                         initial_steps=cfg.initial_steps,
-                         max_depth=cfg.max_depth, matching=cfg.matching,
-                         buffer=cfg.track_buffer)
-        stem = "full"
+    stem = "reduced" if reduced else "full"
+    run = problem.track(problem.build(cfg.gauge_mode).basis if reduced
+                        else None)
 
     header = (["t"]
               + ["lambda_%d" % (i + 1) for i in range(cfg.K)]
               + ["corr_%d" % (i + 1) for i in range(cfg.K)])
-    csv_path = _out_path(cfg, "trajectory_%s.csv" % stem)
-    meta_path = _out_path(cfg, "track_%s.json" % stem)
-    try:
-        os.makedirs(cfg.output, exist_ok=True)
-        write_csv(csv_path, header, run.to_rows())
-        write_json(meta_path, {
+    paths = _write_artifacts(cfg, {
+        "trajectory_%s.csv" % stem: lambda p: write_csv(p, header,
+                                                        run.to_rows()),
+        "track_%s.json" % stem: lambda p: write_json(p, {
             "schema_version": 1,
             "config": config_to_dict(cfg),
             "path": stem,
@@ -280,14 +263,12 @@ def cmd_track(cfg: RunConfig, reduced: bool) -> int:
             "min_step": float(run.stats["min_step"]),
             "permutations": [[int(j) for j in perm] for perm in run.permutations],
             "timing": {"wall_seconds": float(run.stats["wall_seconds"])},
-        })
-    except BaseException:
-        remove_if_exists([csv_path, meta_path])
-        raise
+        }),
+    })
 
     print("tracked %d modes over %d grid points (%s path); %d bisections"
           % (cfg.K, run.grid.size, stem, run.stats["bisection_count"]))
-    log.info("wrote %s and %s", csv_path, meta_path)
+    log.info("wrote %s and %s", *paths)
     return 0
 
 
@@ -295,17 +276,12 @@ def cmd_bench(cfg: RunConfig) -> int:
     from .bench import run_bench, render_report_table
 
     report = run_bench(cfg)
-    report_path = _out_path(cfg, "bench_report.json")
-    sweep_path = _out_path(cfg, "error_sweep.csv")
-    try:
-        os.makedirs(cfg.output, exist_ok=True)
-        write_json(report_path, report)
-        _write_sweep_csv(sweep_path, report["error_sweep"])
-    except BaseException:
-        remove_if_exists([report_path, sweep_path])
-        raise
+    paths = _write_artifacts(cfg, {
+        "bench_report.json": lambda p: write_json(p, report),
+        "error_sweep.csv": lambda p: _write_sweep_csv(p, report["error_sweep"]),
+    })
     print(render_report_table(report), end="")
-    log.info("wrote %s and %s", report_path, sweep_path)
+    log.info("wrote %s and %s", *paths)
     return 0 if not report["phase_errors"] else 3
 
 
@@ -335,39 +311,28 @@ def cmd_export_matrices(cfg: RunConfig, t) -> int:
     from .bench import setup_problem
 
     problem = setup_problem(cfg)
-    names = ["A0.mtx", "B0.mtx", "A1.mtx", "B1.mtx"]
-    systems = [problem.psys.endpoint0, problem.psys.endpoint1]
-    paths = [_out_path(cfg, name) for name in names]
-    meta_path = _out_path(cfg, "matrices.json")
-    extra = []
+    systems = {"0": problem.psys.endpoint0, "1": problem.psys.endpoint1}
     if t is not None:
-        extra = [_out_path(cfg, "A_t.mtx"), _out_path(cfg, "B_t.mtx")]
-    try:
-        os.makedirs(cfg.output, exist_ok=True)
-        for pair, (a_path, b_path) in zip(systems,
-                                          [paths[0:2], paths[2:4]]):
-            write_matrix_market(a_path, pair.A, symmetric=True)
-            write_matrix_market(b_path, pair.B, symmetric=True)
-        if t is not None:
-            pair_t = problem.psys.interpolate(t)
-            write_matrix_market(extra[0], pair_t.A, symmetric=True)
-            write_matrix_market(extra[1], pair_t.B, symmetric=True)
-        write_json(meta_path, {
-            "schema_version": 1,
-            "config": config_to_dict(cfg),
-            "n_free_edges": int(problem.mesh0.n_free_edges),
-            "n_cotree": int(problem.gauge.cotree.size),
-            "n_interior_vertices": int(problem.mesh0.n_interior_vertices),
-            "nnz_A0": int(problem.psys.endpoint0.A.nnz),
-            "nnz_B0": int(problem.psys.endpoint0.B.nnz),
-            "t": t,
-        })
-    except BaseException:
-        remove_if_exists(paths + extra + [meta_path])
-        raise
-    log.info("wrote endpoint systems and %s", meta_path)
-    print("exported %d matrix files to %s"
-          % (len(paths) + len(extra), cfg.output))
+        systems["_t"] = problem.psys.interpolate(t)
+    writers = {}
+    for suffix, pair in systems.items():
+        writers["A%s.mtx" % suffix] = functools.partial(
+            write_matrix_market, matrix=pair.A, symmetric=True)
+        writers["B%s.mtx" % suffix] = functools.partial(
+            write_matrix_market, matrix=pair.B, symmetric=True)
+    writers["matrices.json"] = lambda p: write_json(p, {
+        "schema_version": 1,
+        "config": config_to_dict(cfg),
+        "n_free_edges": int(problem.mesh0.n_free_edges),
+        "n_cotree": int(problem.gauge.cotree.size),
+        "n_interior_vertices": int(problem.mesh0.n_interior_vertices),
+        "nnz_A0": int(problem.psys.endpoint0.A.nnz),
+        "nnz_B0": int(problem.psys.endpoint0.B.nnz),
+        "t": t,
+    })
+    paths = _write_artifacts(cfg, writers)
+    log.info("wrote endpoint systems and %s", paths[-1])
+    print("exported %d matrix files to %s" % (len(paths) - 1, cfg.output))
     return 0
 
 

@@ -498,7 +498,6 @@ class BasisBuildResult:
     log: list
     phase_seconds: dict
     peak_dense_entries: int
-    snapshots: SnapshotSet
 
 
 def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -530,12 +529,13 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
 
     t0 = time.perf_counter()
     meter.free(snaps.Y.size)   # snapshots are not needed past the SVD
+    del snaps
     basis, log = greedy_enrich(psys, gauge, basis, training.greedy_set, K,
                                tol, n_max, policy, meter=meter)
     phases["greedy"] = time.perf_counter() - t0
 
     return BasisBuildResult(basis=basis, log=log, phase_seconds=phases,
-                            peak_dense_entries=meter.peak, snapshots=snaps)
+                            peak_dense_entries=meter.peak)
 
 
 def classical_pipeline(psys, gauge, training, K, n_init, tol, n_max,

@@ -84,10 +84,7 @@ def desk_problem(desk_cfg):
 
 @pytest.fixture(scope="session")
 def desk_basis(desk_problem):
-    p = desk_problem
-    cfg = p.cfg
-    return build_basis(p.psys, p.gauge, p.training, cfg.K, cfg.N_init,
-                       cfg.tol, cfg.N_max, p.policy)
+    return desk_problem.build("mixed")
 
 
 @pytest.fixture()

@@ -11,8 +11,13 @@ import os
 import numpy as np
 import pytest
 
+from maxwell_rb import bench
 from maxwell_rb.bench import (
+    PHASE_EVP_FULL,
+    PHASE_EVP_RB,
     PHASE_LABELS,
+    PHASE_TRACK_FULL,
+    PHASE_TRACK_RB,
     leading_block_eigenvalues,
     render_report_table,
     run_bench,
@@ -21,6 +26,7 @@ from maxwell_rb.bench import (
 )
 from maxwell_rb.cli import _write_sweep_csv, main
 from maxwell_rb.config import parse_config_text
+from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.rb import _make_evaluator
 
 _TINY = """\
@@ -123,6 +129,43 @@ class TestFailureCapture:
         assert "build-mixed" in report["phase_errors"]
         assert report["timing"]["ratios"]["evp_full_over_rb"] is None
         assert "Phase failures" in render_report_table(report)
+
+
+class TestMidRunFailure:
+    def test_path_failing_after_warm_up_is_dropped(self, monkeypatch):
+        # the second call is the first timed round's warm call; the full
+        # path must be dropped while the other timed phases still report
+        calls = []
+        track_full = bench.track_full
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrackingError("injected failure")
+            return track_full(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "track_full", flaky)
+        report = run_bench(parse_config_text(_TINY), reps=2)
+        validate_report(report)
+        assert report["phase_errors"] == {"tracking-full": "injected failure"}
+        assert len(calls) == 2
+        seconds = report["timing"]["phase_seconds"]
+        assert seconds[PHASE_TRACK_FULL] is None
+        assert report["timing"]["ratios"]["tracking_full_over_rb"] is None
+        assert "full" not in report["tracking"]
+        assert "reduced" in report["tracking"]
+        for label in (PHASE_TRACK_RB, PHASE_EVP_FULL, PHASE_EVP_RB):
+            assert seconds[label] is not None and seconds[label] >= 0.0
+
+
+class TestRepetitions:
+    def test_rejected_before_setup(self, monkeypatch):
+        def no_setup(cfg):
+            raise AssertionError("setup_problem ran")
+
+        monkeypatch.setattr(bench, "setup_problem", no_setup)
+        with pytest.raises(ConfigError, match="reps"):
+            run_bench(parse_config_text(_TINY), reps=0)
 
 
 class TestDeterminism:

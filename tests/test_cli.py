@@ -15,6 +15,7 @@ import pytest
 import scipy.io
 
 import maxwell_rb
+from maxwell_rb import cli
 from maxwell_rb.cli import _apply_thread_cap, _THREAD_ENV_VARS, main
 
 _CFG_TEXT = """\
@@ -225,6 +226,20 @@ class TestBuildBasis:
         for name in names:
             assert snapshots[0][name] == snapshots[1][name], \
                 "%s differs between identical runs" % name
+
+    def test_failed_write_leaves_no_partial_set(self, cfg_file, tmp_path,
+                                                monkeypatch):
+        # the CSV is written last; its failure must take the matrix and
+        # the provenance already written with it
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            main(["build-basis", "--config", cfg_file, "--output", str(out)])
+        assert not (out / "basis.mtx").exists()
+        assert not (out / "provenance.json").exists()
 
 
 class TestTrack:
