@@ -165,7 +165,7 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
     else:
         factor = SPDFactor(pair.B)
         cs = build_cotree_system(pair, problem.gauge, factor=factor)
-        dense = solve_dense_gevp(cs.A_hat, cs.B_hat)
+        dense = solve_dense_gevp(cs.A_hat, cs.B_hat, count=cfg.K)
         keep = dense.values > problem.policy.lambda_cut
         values = dense.values[keep][: cfg.K]
         vectors_hat = dense.vectors[:, keep][:, : cfg.K]

@@ -140,15 +140,19 @@ def build_cotree_system(sys: SystemPair, gauge: GaugeDecomposition,
                         factor: SPDFactor | None = None) -> CotreeSystem:
     """Dense gauged pencil (A_hat, B_hat) via W = B^{-1} H^T.
 
-    A_hat = W^T A W and B_hat = H W; the mass inverse is never formed,
-    only applied column-wise through the sparse factorization.
+    A_hat = W^T (A W) and B_hat = H W.  H is the cotree rows of A, so
+    B_hat is read off the rows C of the product A W that A_hat needs
+    anyway, with the same row arithmetic as H @ W.  The mass inverse is
+    never formed, only applied to the |C| columns of H^T at once through
+    a dense Cholesky factor.
     """
     H = cotree_operator(sys, gauge)
     if factor is None:
         factor = SPDFactor(sys.B)
     W = factor.solve(H.T.toarray())
-    A_hat = W.T @ (sys.A @ W)
-    B_hat = H @ W
+    AW = sys.A @ W
+    A_hat = W.T @ AW
+    B_hat = AW[gauge.cotree]
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)

@@ -14,10 +14,14 @@ the same convex combination of two sparse products, which keeps the
 parameter sweep cheap.
 
 Classical gauge: snapshots and reduced matrices go through the dense
-cotree pencil assembled per parameter value.  A pencil is held only
-while it is being used, mirroring the fact that the dense matrices are
-exactly what does not fit in memory at scale; this path exists as the
-comparison baseline and is expected slower and hungrier.
+cotree pencil assembled per parameter value, A_hat = W^T (A W) with
+W = B(t)^{-1} H(t)^T, on dense LAPACK throughout: a Cholesky factor of
+the mass matrix solves for all |C| columns of W at once, B_hat is the
+cotree rows of A W, and a snapshot asks the dense eigensolver for its K
+modes only.  A pencil and its factor are held only while they are
+being used, mirroring the fact that the dense matrices are exactly what
+does not fit in memory at scale; this path exists as the comparison
+baseline and is expected slower and hungrier.
 
 Every evaluator is built by _make_evaluator and answers two shared
 questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
@@ -296,8 +300,10 @@ class _ClassicalEvaluator(_Evaluator):
     @contextmanager
     def _at(self, t: float):
         pair = self.psys.interpolate(t)
-        # The solve buffer W = B^{-1} H^T is N x |C|.
-        with self.meter.hold(self.psys.n * self.n_cotree):
+        # The dense mass factor is N x N, the solve buffer W = B^{-1} H^T
+        # N x |C|.
+        n = self.psys.n
+        with self.meter.hold(n * (n + self.n_cotree)):
             cs = build_cotree_system(pair, self.gauge)
         with self.meter.hold(cs.A_hat.size + cs.B_hat.size):
             yield cs
@@ -319,19 +325,18 @@ class _ClassicalEvaluator(_Evaluator):
 
     def snapshot(self, t: float) -> SnapshotSet:
         with self._at(t) as cs:
-            sol = solve_dense_gevp(cs.A_hat, cs.B_hat)
+            sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
         if sol.values[0] <= self.policy.lambda_cut:
             raise NumericsError(
                 "gauged pencil produced an eigenvalue %.3e below the spectral "
                 "cutoff at t=%r" % (sol.values[0], t)
             )
-        Y = sol.vectors[:, : self.K]
-        Y = Y / np.linalg.norm(Y, axis=0)[None, :]
+        Y = sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
         return SnapshotSet(
             Y=Y,
             t_values=np.full(self.K, t),
             mode_indices=np.arange(self.K),
-            eigenvalues=sol.values[: self.K].copy(),
+            eigenvalues=sol.values,
         )
 
 

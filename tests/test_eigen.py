@@ -51,6 +51,22 @@ class TestDense:
         assert np.allclose(gram, np.eye(20), atol=1e-10)
         assert sol.residual_norms.max() < 1e-10 * np.abs(A).max()
 
+    def test_leading_count(self):
+        A, B = _random_spd_pencil(40, seed=2)
+        full = solve_dense_gevp(A, B)
+        sol = solve_dense_gevp(A, B, count=6)
+        assert sol.count == 6 and sol.vectors.shape == (40, 6)
+        assert np.all(np.abs(sol.values - full.values[:6])
+                      <= 1e-12 * np.abs(full.values[:6]))
+        gram = sol.vectors.T @ B @ sol.vectors
+        assert np.allclose(gram, np.eye(6), atol=1e-12)
+        assert sol.residual_norms.shape == (6,)
+        assert sol.residual_norms.max() < 1e-12 * np.abs(A).max()
+        # count=None and a count beyond the order give the full solve
+        assert np.array_equal(solve_dense_gevp(A, B, count=None).values,
+                              full.values)
+        assert solve_dense_gevp(A, B, count=50).count == 40
+
     def test_indefinite_mass_rejected(self):
         A = np.eye(4)
         B = np.diag([1.0, 1.0, -1.0, 1.0])
@@ -77,6 +93,12 @@ class TestSPDFactor:
         M = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
         with pytest.raises(FactorizationError):
             SPDFactor(M)
+
+    def test_non_finite_rejected(self):
+        M = np.diag([1.0, 2.0, 3.0])
+        M[0, 2] = M[2, 0] = np.nan
+        with pytest.raises(FactorizationError):
+            SPDFactor(sp.csr_matrix(M))
 
 
 class TestPCG:

@@ -8,7 +8,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from maxwell_rb.assembly import assemble
-from maxwell_rb.eigen import solve_dense_gevp, solve_sparse_gevp, SolverPolicy
+from maxwell_rb.eigen import (SPDFactor, SolverPolicy, solve_dense_gevp,
+                              solve_sparse_gevp)
 from maxwell_rb.errors import NumericsError, ProjectionError
 from maxwell_rb.gauge import (CotreeProjector, build_cotree_system, build_tree,
                               cotree_operator, upscale)
@@ -83,6 +84,15 @@ class TestCotreeSystem:
         assert H.shape == (cube3_gauge.cotree.size, cube3_pair.n)
         want = cube3_pair.A.tocsr()[cube3_gauge.cotree, :]
         assert (H != want).nnz == 0
+
+    def test_mass_block_read_off_stiffness_product(self, cube3_pair,
+                                                   cube3_gauge):
+        # B_hat is taken as the cotree rows of A W; it must be H W exactly
+        H = cotree_operator(cube3_pair, cube3_gauge)
+        W = SPDFactor(cube3_pair.B).solve(H.T.toarray())
+        want = H @ W
+        cs = build_cotree_system(cube3_pair, cube3_gauge)
+        assert np.array_equal(cs.B_hat, 0.5 * (want + want.T))
 
     def test_pencil_symmetric_spd_mass(self, cube3_pair, cube3_gauge):
         cs = build_cotree_system(cube3_pair, cube3_gauge)

@@ -300,6 +300,8 @@ class TestBuildBasis:
         n = m["psys"].n
         n_cotree = m["gauge"].cotree.size
         assert classical.peak_dense_entries >= n_cotree ** 2
+        # the dense mass factor and the solve buffer W while a pencil is built
+        assert classical.peak_dense_entries >= n * n + n * n_cotree
         assert small_basis.peak_dense_entries < n * n_cotree
         assert small_basis.peak_dense_entries < 10 * n * small_basis.basis.n_red
 
