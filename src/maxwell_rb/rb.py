@@ -135,16 +135,6 @@ class ReducedSystem:
     B_tilde: np.ndarray
 
 
-@dataclass(frozen=True)
-class SnapshotSet:
-    """Cotree-coordinate snapshot columns with their origins."""
-
-    Y: np.ndarray
-    t_values: np.ndarray       # per column
-    mode_indices: np.ndarray   # per column
-    eigenvalues: np.ndarray    # per column
-
-
 def _gaps(values: np.ndarray, K: int) -> np.ndarray:
     """Distance to the nearest neighboring reduced eigenvalue, floored.
 
@@ -259,8 +249,9 @@ class _MixedEvaluator(_Evaluator):
         R = pair.A @ lifted - (U @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
-    def snapshot(self, t: float) -> SnapshotSet:
-        """Sparse high-fidelity solve followed by tree-path condensation."""
+    def snapshot(self, t: float) -> np.ndarray:
+        """Sparse high-fidelity solve followed by tree-path condensation;
+        the K modes at t as unit columns in cotree coordinates."""
         pair = self.psys.interpolate(t)
         sol = solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
                                 salt=_salt_from_t(t))
@@ -272,13 +263,7 @@ class _MixedEvaluator(_Evaluator):
                 raise ProjectionError(
                     "snapshot condensation failed at t=%r: %s" % (t, exc)
                 ) from exc
-        Y = Y / np.linalg.norm(Y, axis=0)[None, :]
-        return SnapshotSet(
-            Y=Y,
-            t_values=np.full(self.K, t),
-            mode_indices=np.arange(self.K),
-            eigenvalues=sol.values.copy(),
-        )
+        return Y / np.linalg.norm(Y, axis=0)[None, :]
 
 
 class _ClassicalEvaluator(_Evaluator):
@@ -323,7 +308,7 @@ class _ClassicalEvaluator(_Evaluator):
         R = cs.A_hat @ V - (cs.B_hat @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
-    def snapshot(self, t: float) -> SnapshotSet:
+    def snapshot(self, t: float) -> np.ndarray:
         with self._at(t) as cs:
             sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
         if sol.values[0] <= self.policy.lambda_cut:
@@ -331,13 +316,7 @@ class _ClassicalEvaluator(_Evaluator):
                 "gauged pencil produced an eigenvalue %.3e below the spectral "
                 "cutoff at t=%r" % (sol.values[0], t)
             )
-        Y = sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
-        return SnapshotSet(
-            Y=Y,
-            t_values=np.full(self.K, t),
-            mode_indices=np.arange(self.K),
-            eigenvalues=sol.values,
-        )
+        return sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
 
 
 def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None):
@@ -357,35 +336,29 @@ def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None):
 def collect_snapshots(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                       pod_set, K: int, policy: SolverPolicy,
                       gauge_mode: str = "mixed",
-                      meter: StorageMeter | None = None) -> SnapshotSet:
+                      meter: StorageMeter | None = None) -> np.ndarray:
     """Solve K physical modes at each POD parameter and stack the condensed,
-    unit-normalized columns.  Duplicate parameters yield duplicate columns."""
+    unit-normalized columns, K per parameter in pod_set order.  Duplicate
+    parameters yield duplicate columns."""
     if K < 1:
         raise ConfigError("snapshot mode count must be >= 1")
     ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter)
-    parts = []
-    for t in np.asarray(pod_set, dtype=float):
-        parts.append(ev.snapshot(float(t)))
-    Y = np.hstack([p.Y for p in parts])
+    Y = np.hstack([ev.snapshot(float(t))
+                   for t in np.asarray(pod_set, dtype=float)])
     ev.meter.alloc(Y.size)
-    return SnapshotSet(
-        Y=Y,
-        t_values=np.concatenate([p.t_values for p in parts]),
-        mode_indices=np.concatenate([p.mode_indices for p in parts]),
-        eigenvalues=np.concatenate([p.eigenvalues for p in parts]),
-    )
+    return Y
 
 
-def pod_init(snapshots: SnapshotSet, n_init,
+def pod_init(Y: np.ndarray, n_init,
              gauge_mode: str = "mixed") -> ReducedBasis:
-    """Orthonormal basis from the dominant left singular vectors of Y.
+    """Orthonormal basis from the dominant left singular vectors of the
+    snapshot matrix Y.
 
     n_init="auto" keeps every direction above the numerical rank guard;
     highly structured morphs (for instance brick-to-brick stretches on a
     tensor grid) can have snapshot rank far below the column count, and
     auto sizes the start basis to what the data supports.
     """
-    Y = snapshots.Y
     U, s, _ = np.linalg.svd(Y, full_matrices=False)
     if n_init == "auto":
         if s.size == 0 or s[0] == 0.0:
@@ -427,9 +400,15 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                   meter: StorageMeter | None = None):
     """Grow the basis toward the largest estimated error until tol or n_max.
 
+    Each sweep fills a table of eta over the (t, mode) candidates of
+    greedy_set and walks it once in descending order, ties toward smaller
+    t, then smaller mode index.  The first candidate whose snapshot
+    column leaves span(Z) is appended; one that does not is dead for the
+    rest of the build, and a walk that runs out of live candidates flags
+    "candidates-exhausted" and ends the loop.
+
     Returns (basis, log) where log rows record iteration, selected (t*,
     mode*), the sweep maximum of the estimator, and the basis size.
-    Ties in the argmax break toward smaller t, then smaller mode index.
     """
     if tol <= 0:
         raise ConfigError("greedy tolerance must be positive")
@@ -437,64 +416,45 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     ev = _make_evaluator(basis.gauge_mode, psys, gauge, policy, K, meter)
 
     log = []
-    exhausted = set()
-    flags = ()
-    iteration = 0
+    dead = np.zeros((greedy_set.size, K), dtype=bool)
     while True:
         ev.set_basis(basis.Z)
         etas = np.full((greedy_set.size, K), -np.inf)
         for it, t in enumerate(greedy_set):
             _, eta = ev.estimate(float(t))
             etas[it, :eta.size] = eta
-
-        live = np.array(
-            [
-                [(it, i) not in exhausted for i in range(K)]
-                for it in range(greedy_set.size)
-            ]
-        )
-        masked = np.where(live, etas, -np.inf)
-        max_eta = float(masked.max())
+        live = np.where(dead, -np.inf, etas)
+        max_eta = float(live.max())
         if max_eta <= tol or basis.n_red >= n_max:
             log.append({
-                "iteration": iteration, "t": None, "mode": None,
+                "iteration": len(log), "t": None, "mode": None,
                 "max_eta": float(etas.max()), "n_red": basis.n_red,
             })
-            break
+            return basis, log
 
-        appended = False
-        while not appended:
-            flat = int(np.argmax(masked))   # row-major: smaller t, then mode
-            it_star, i_star = divmod(flat, K)
-            if not np.isfinite(masked[it_star, i_star]):
-                flags = flags + ("candidates-exhausted",)
-                break
+        # a stable sort keeps row-major order among ties
+        order = np.argsort(-live, axis=None, kind="stable")
+        for flat in order[:np.count_nonzero(live > -np.inf)]:
+            it_star, i_star = divmod(int(flat), K)
             t_star = float(greedy_set[it_star])
-            snap = ev.snapshot(t_star)
-            v = snap.Y[:, i_star]
-            w = _mgs_orthogonalize(basis.Z, v)
+            w = _mgs_orthogonalize(basis.Z, ev.snapshot(t_star)[:, i_star])
             norm = np.linalg.norm(w)
             if norm < _EXHAUSTION_NORM:
-                exhausted.add((it_star, i_star))
-                masked[it_star, i_star] = -np.inf
+                dead[it_star, i_star] = True
                 continue
-            basis = basis.extended(
-                w / norm,
-                {"origin": "greedy", "t": t_star, "mode": int(i_star),
-                 "eta": float(masked[it_star, i_star])},
-            )
-            log.append({
-                "iteration": iteration, "t": t_star, "mode": int(i_star),
-                "max_eta": max_eta, "n_red": basis.n_red,
-            })
-            appended = True
-        if not appended:
             break
-        iteration += 1
-
-    if flags:
-        basis = replace(basis, flags=basis.flags + flags)
-    return basis, log
+        else:
+            flags = basis.flags + ("candidates-exhausted",)
+            return replace(basis, flags=flags), log
+        basis = basis.extended(
+            w / norm,
+            {"origin": "greedy", "t": t_star, "mode": int(i_star),
+             "eta": float(live[it_star, i_star])},
+        )
+        log.append({
+            "iteration": len(log), "t": t_star, "mode": int(i_star),
+            "max_eta": max_eta, "n_red": basis.n_red,
+        })
 
 
 @dataclass
@@ -533,7 +493,7 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     meter.alloc(basis.Z.size)
 
     t0 = time.perf_counter()
-    meter.free(snaps.Y.size)   # snapshots are not needed past the SVD
+    meter.free(snaps.size)   # snapshots are not needed past the SVD
     del snaps
     basis, log = greedy_enrich(psys, gauge, basis, training.greedy_set, K,
                                tol, n_max, policy, meter=meter)
