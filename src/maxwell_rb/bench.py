@@ -127,7 +127,6 @@ class Problem:
 
     cfg: RunConfig
     mesh0: CavityMesh
-    mesh1: CavityMesh
     psys: ParametrizedSystem
     gauge: GaugeDecomposition
     policy: SolverPolicy
@@ -172,7 +171,7 @@ def setup_problem(cfg: RunConfig) -> Problem:
     )
     training = make_training_sets(cfg.N_POD, cfg.N_train,
                                   eval_size=cfg.eval_set_size, seed=cfg.seed)
-    return Problem(cfg=cfg, mesh0=mesh0, mesh1=mesh1, psys=psys, gauge=gauge,
+    return Problem(cfg=cfg, mesh0=mesh0, psys=psys, gauge=gauge,
                    policy=policy, training=training)
 
 

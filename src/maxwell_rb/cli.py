@@ -146,7 +146,7 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
     import numpy as np
 
     from .bench import setup_problem
-    from .eigen import SPDFactor, solve_dense_gevp, solve_sparse_gevp
+    from .eigen import solve_dense_gevp, solve_sparse_gevp
     from .gauge import build_cotree_system, upscale
     from .rb import _salt_from_t
 
@@ -163,13 +163,12 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
         vectors = sol.vectors
         residuals = sol.residual_norms
     else:
-        factor = SPDFactor(pair.B)
-        cs = build_cotree_system(pair, problem.gauge, factor=factor)
+        cs = build_cotree_system(pair, problem.gauge)
         dense = solve_dense_gevp(cs.A_hat, cs.B_hat, count=cfg.K)
         keep = dense.values > problem.policy.lambda_cut
         values = dense.values[keep][: cfg.K]
         vectors_hat = dense.vectors[:, keep][:, : cfg.K]
-        vectors = upscale(problem.gauge, pair, vectors_hat, factor=factor)
+        vectors = upscale(problem.gauge, pair, vectors_hat)
         R = pair.A @ vectors - (pair.B @ vectors) * values[None, :]
         residuals = np.linalg.norm(R, axis=0)
 

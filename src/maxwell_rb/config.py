@@ -129,6 +129,11 @@ class RunConfig:
         for name in ("N_POD", "N_train", "N_max"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)
+        if self.N_max < self.K:
+            raise ConfigError(
+                "N_max=%d is below K=%d: the basis must hold every mode"
+                % (self.N_max, self.K)
+            )
         if self.N_init != _AUTO:
             if self.N_init < 1:
                 raise ConfigError("N_init must be >= 1 or auto")

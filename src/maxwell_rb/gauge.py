@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SystemPair
-from .eigen import SPDFactor
+from .eigen import SPDFactor, pcg_solve
 from .errors import NumericsError, ProjectionError
 from .mesh import CavityMesh, DiscreteGradient
 
@@ -136,8 +136,8 @@ def cotree_operator(sys: SystemPair, gauge: GaugeDecomposition) -> sp.csr_matrix
     return sys.A.tocsr()[gauge.cotree, :]
 
 
-def build_cotree_system(sys: SystemPair, gauge: GaugeDecomposition,
-                        factor: SPDFactor | None = None) -> CotreeSystem:
+def build_cotree_system(sys: SystemPair,
+                        gauge: GaugeDecomposition) -> CotreeSystem:
     """Dense gauged pencil (A_hat, B_hat) via W = B^{-1} H^T.
 
     A_hat = W^T (A W) and B_hat = H W.  H is the cotree rows of A, so
@@ -147,9 +147,7 @@ def build_cotree_system(sys: SystemPair, gauge: GaugeDecomposition,
     a dense Cholesky factor.
     """
     H = cotree_operator(sys, gauge)
-    if factor is None:
-        factor = SPDFactor(sys.B)
-    W = factor.solve(H.T.toarray())
+    W = SPDFactor(sys.B).solve(H.T.toarray())
     AW = sys.A @ W
     A_hat = W.T @ AW
     B_hat = AW[gauge.cotree]
@@ -158,13 +156,14 @@ def build_cotree_system(sys: SystemPair, gauge: GaugeDecomposition,
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
 
 
-def upscale(gauge: GaugeDecomposition, sys: SystemPair, v_hat: np.ndarray,
-            factor: SPDFactor | None = None) -> np.ndarray:
-    """Transform cotree coordinates back to the full space: v = B^{-1} H^T v_hat."""
+def upscale(gauge: GaugeDecomposition, sys: SystemPair,
+            v_hat: np.ndarray) -> np.ndarray:
+    """Transform cotree coordinates back to the full space: v = B^{-1} H^T v_hat.
+
+    v_hat holds a few columns, so the mass solve is Jacobi-PCG.
+    """
     H = cotree_operator(sys, gauge)
-    if factor is None:
-        factor = SPDFactor(sys.B)
-    return factor.solve(np.asarray(H.T @ v_hat))
+    return pcg_solve(sys.B, np.asarray(H.T @ v_hat))
 
 
 class CotreeProjector:

@@ -8,6 +8,7 @@ identical payloads serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -40,8 +41,22 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _finite_or_null(value):
+    """JSON has no infinity or NaN: a non-finite float becomes None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float is written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def render_csv(header, rows) -> str:

@@ -26,13 +26,19 @@ baseline and is expected slower and hungrier.
 Every evaluator is built by _make_evaluator and answers two shared
 questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
 and ``estimate`` adds the gap-aware error estimator
-eta = ||r||^2 / (lambda_tilde * gap) of the first K modes.  The greedy
-loop, reduced tracking, the bench error studies and the tests all go
-through these two routines.  Each call evaluates its parameter afresh
-and keeps nothing of it once it returns.
+eta = ||r||^2 / (lambda_tilde * gap) of the first K modes (inf for a
+mode that a basis of fewer than K columns lacks).  The greedy loop,
+reduced tracking, the bench error studies and the tests all go through
+these two routines.  Each call evaluates its parameter afresh and keeps
+nothing of it once it returns.  ``snapshot(t)`` returns the K modes at
+t as a |C| x K array of unit columns.
 
-Dense allocations of both pipelines are tallied by a StorageMeter so the
-memory claims are assertable rather than anecdotal.
+greedy_enrich is a weak greedy over one table of (t, mode) candidates
+(Hesthaven, Rozza & Stamm, Certified Reduced Basis Methods, 2016).
+
+Dense allocations of both pipelines, greedy's appended columns
+included, are tallied by a StorageMeter so the memory claims are
+assertable rather than anecdotal.
 """
 
 from __future__ import annotations
@@ -95,7 +101,6 @@ class TrainingSets:
     pod_set: np.ndarray
     greedy_set: np.ndarray
     eval_set: np.ndarray
-    seed: int
 
 
 def make_training_sets(n_pod: int, n_train: int, eval_size: int = 0,
@@ -108,7 +113,7 @@ def make_training_sets(n_pod: int, n_train: int, eval_size: int = 0,
     rng = np.random.default_rng(seed)
     eval_set = np.sort(rng.uniform(0.0, 1.0, size=eval_size))
     return TrainingSets(pod_set=pod_set, greedy_set=greedy_set,
-                        eval_set=eval_set, seed=seed)
+                        eval_set=eval_set)
 
 
 @dataclass(frozen=True)
@@ -189,14 +194,16 @@ class _Evaluator:
 
     def estimate(self, t: float):
         """Reduced eigenpairs at t and eta = ||r||^2 / (lambda_tilde * gap)
-        of the first min(K, n_red) modes."""
+        of the first K modes; a mode the reduced pencil lacks (n_red < K)
+        is not approximated at all and gets eta = inf."""
         with self._at(t) as data:
             red = self._reduce(data)
             sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
             norms = self._residual_norms(data, sol.values, sol.vectors)
         k_eff = norms.size
-        gaps = _gaps(sol.values, self.K)
-        return sol, norms**2 / (sol.values[:k_eff] * gaps[:k_eff])
+        eta = np.full(self.K, np.inf)
+        eta[:k_eff] = norms**2 / (sol.values[:k_eff] * _gaps(sol.values, self.K))
+        return sol, eta
 
 
 class _MixedEvaluator(_Evaluator):
@@ -311,6 +318,11 @@ class _ClassicalEvaluator(_Evaluator):
     def snapshot(self, t: float) -> np.ndarray:
         with self._at(t) as cs:
             sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
+        if sol.values.size < self.K:
+            raise NumericsError(
+                "gauged pencil at t=%r has only %d modes, need %d"
+                % (t, sol.values.size, self.K)
+            )
         if sol.values[0] <= self.policy.lambda_cut:
             raise NumericsError(
                 "gauged pencil produced an eigenvalue %.3e below the spectral "
@@ -419,10 +431,9 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     dead = np.zeros((greedy_set.size, K), dtype=bool)
     while True:
         ev.set_basis(basis.Z)
-        etas = np.full((greedy_set.size, K), -np.inf)
+        etas = np.empty((greedy_set.size, K))
         for it, t in enumerate(greedy_set):
-            _, eta = ev.estimate(float(t))
-            etas[it, :eta.size] = eta
+            etas[it] = ev.estimate(float(t))[1]
         live = np.where(dead, -np.inf, etas)
         max_eta = float(live.max())
         if max_eta <= tol or basis.n_red >= n_max:
@@ -451,6 +462,7 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
             {"origin": "greedy", "t": t_star, "mode": int(i_star),
              "eta": float(live[it_star, i_star])},
         )
+        ev.meter.alloc(w.size)
         log.append({
             "iteration": len(log), "t": t_star, "mode": int(i_star),
             "max_eta": max_eta, "n_red": basis.n_red,

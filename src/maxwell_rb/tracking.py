@@ -228,7 +228,6 @@ class _TrackEngine:
             block = vectors_n[:, idx] @ R
             vectors_n[:, idx] = block
             Wb = W[:, idx] @ R
-            W[:, idx] = Wb
             norms[idx] = np.sqrt(np.abs(np.einsum("ij,ij->j", block, Wb)))
             P[:, idx] = P[:, idx] @ R
         # Committed clusters that have stayed degenerate since the start

@@ -127,6 +127,9 @@ class TestFailureCapture:
         report = run_bench(cfg, reps=1)
         validate_report(report)
         assert "build-mixed" in report["phase_errors"]
+        # the 2^3 cotree pencil has five modes, so the classical build
+        # must fail too rather than return a five-column basis
+        assert "build-classical" in report["phase_errors"]
         assert report["timing"]["ratios"]["evp_full_over_rb"] is None
         assert "Phase failures" in render_report_table(report)
 

@@ -202,6 +202,25 @@ class TestBuildBasis:
         stdout = capsys.readouterr().out
         assert "gauge = mixed" in stdout and "N_red" in stdout
 
+    def test_start_basis_below_k_grows_and_tracks(self, tmp_path):
+        # POD keeps two columns; greedy must add the modes the reduced
+        # pencil lacks (their eta is inf, written as null) before it
+        # may call the basis converged
+        path = tmp_path / "n2.cfg"
+        path.write_text(_CFG_TEXT + "N_init = 2\n")
+        out = str(tmp_path / "out")
+        assert main(["build-basis", "--config", str(path), "--output",
+                     out]) == 0
+
+        def reject(token):
+            raise AssertionError("non-standard JSON constant %s" % token)
+
+        with open(os.path.join(out, "provenance.json")) as handle:
+            prov = json.loads(handle.read(), parse_constant=reject)
+        assert prov["n_red"] >= 5
+        assert prov["columns"][2]["eta"] is None
+        assert main(["track", "--config", str(path), "--output", out]) == 0
+
     def test_classical_gauge(self, cfg_file, tmp_path):
         out = str(tmp_path / "out")
         rc = main(["build-basis", "--config", cfg_file, "--output", out,

@@ -128,6 +128,7 @@ class TestValidation:
             "eval_set_size = 0",
             "seed = -1",
             "N_train = 0",
+            "N_max = 4",   # below the default K = 5
         ],
     )
     def test_out_of_range_rejected(self, text):

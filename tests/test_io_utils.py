@@ -82,6 +82,16 @@ class TestAtomicWriters:
         write_json(tmp_path / "y.json", payload)
         assert (tmp_path / "x.json").read_bytes() == (tmp_path / "y.json").read_bytes()
 
+    def test_json_non_finite_written_as_null(self, tmp_path):
+        path = tmp_path / "n.json"
+        write_json(path, {"eta": float("inf"), "rows": [(1.0, float("nan"))]})
+
+        def reject(token):
+            raise AssertionError("non-standard JSON constant %s" % token)
+
+        loaded = json.loads(path.read_text(), parse_constant=reject)
+        assert loaded == {"eta": None, "rows": [[1.0, None]]}
+
     def test_write_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [[1, 2.5]])

@@ -5,9 +5,9 @@ A renamed or moved function silently blanks the per-layer metrics that
 hang off its hook, and so does a count function that no longer finds
 the attribute it reads: the tracer records such a span's name in
 ``count_errors`` and carries on.  The tracer is therefore installed
-here, once bare and once over a mixed and a classical 3^3 build, and
-its lists of absent hooks and failed counts checked.  The allowed
-entries are known and documented:
+here, once bare, once over a mixed and a classical 3^3 build and once
+over both tracking paths, and its lists of absent hooks and failed
+counts checked.  The allowed entries are known and documented:
 
 - ``maxwell_rb.tracking.solve_dense_gevp`` predates the solver rework
   and has no target any more;
@@ -19,7 +19,7 @@ entries are known and documented:
 import importlib.util
 import os
 
-from maxwell_rb import bench, rb
+from maxwell_rb import bench, rb, tracking
 from maxwell_rb.config import default_config, with_overrides
 
 _TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -46,11 +46,18 @@ def test_every_hook_has_a_target():
         tracer.uninstall()
 
 
+_CFG = with_overrides(default_config(), resolution=(3, 3, 3), N_POD=3,
+                     N_train=4, N_max=12, initial_steps=4)
+
+
+def _spans(module, tracer):
+    return {span.name for root in tracer.roots for span in module.walk(root)}
+
+
 def test_every_count_reads_its_target():
     module = _load_tracer()
     tracer = module.Tracer()
-    cfg = with_overrides(default_config(), resolution=(3, 3, 3), N_POD=3,
-                         N_train=4, N_max=12)
+    cfg = _CFG
     try:
         tracer.install()
         problem = bench.setup_problem(cfg)
@@ -61,7 +68,31 @@ def test_every_count_reads_its_target():
     finally:
         tracer.uninstall()
     assert tracer.count_errors <= _KNOWN_COUNT_ERRORS
-    seen = {span.name for root in tracer.roots for span in module.walk(root)}
+    seen = _spans(module, tracer)
     assert {"rb.build_basis", "rb.classical_pipeline", "eigen.sparse_solve",
             "gauge.project", "gauge.cotree_system", "eigen.mass_factor",
             "eigen.mass_solve", "eigen.dense_solve", "rb.greedy"} <= seen
+
+
+def test_tracking_paths_are_traced():
+    # online-10 and full-12 time these two entry points
+    module = _load_tracer()
+    tracer = module.Tracer()
+    problem = bench.setup_problem(_CFG)
+    basis = problem.build("mixed").basis
+    settings = dict(threshold=_CFG.threshold,
+                    initial_steps=_CFG.initial_steps,
+                    max_depth=_CFG.max_depth, matching=_CFG.matching,
+                    buffer=_CFG.track_buffer)
+    try:
+        tracer.install()
+        tracking.track_reduced(problem.psys, problem.gauge, basis, _CFG.K,
+                               policy=problem.policy, **settings)
+        tracking.track_full(problem.psys, _CFG.K, problem.policy, **settings)
+    finally:
+        tracer.uninstall()
+    assert tracer.count_errors <= _KNOWN_COUNT_ERRORS
+    assert {"tracking.track", "eigen.sparse_solve",
+            "eigen.dense_solve"} <= _spans(module, tracer)
+    tracks = [root for root in tracer.roots if root.name == "tracking.track"]
+    assert len(tracks) == 2

@@ -173,6 +173,12 @@ class TestEstimator:
         assert eta.max() < 1e-12
         assert np.all(_gaps(sol.values, 5) > 0)
 
+    def test_missing_modes_get_infinite_eta(self, small_morph, small_basis):
+        m = small_morph
+        _, eta = _evaluator(m, small_basis.basis.Z[:, :3]).estimate(0.5)
+        assert eta.shape == (5,)
+        assert np.all(np.isfinite(eta[:3])) and np.all(eta[3:] == np.inf)
+
     def test_poor_basis_has_large_eta(self, small_morph):
         m = small_morph
         n_cotree = m["gauge"].cotree.size
@@ -320,6 +326,18 @@ class TestStorageMeter:
                 rng.standard_normal((m["gauge"].cotree.size, 3)))[0])
             ev.reduced_system(0.3)
         assert meter.current == 0
+
+    def test_greedy_books_each_appended_column(self, small_morph):
+        m = small_morph
+        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
+                                  m["policy"])
+        meter = StorageMeter()
+        basis, _ = greedy_enrich(m["psys"], m["gauge"], pod_init(snaps, 2),
+                                 m["training"].greedy_set, 5, 1e-6, 12,
+                                 m["policy"], meter=meter)
+        appended = basis.n_red - 2
+        assert appended > 0
+        assert meter.current == appended * m["gauge"].cotree.size
 
     @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
     def test_evaluations_hold_nothing_after_return(self, small_morph,
