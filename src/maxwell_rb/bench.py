@@ -191,9 +191,12 @@ def leading_block_eigenvalues(problem: Problem, basis_Z: np.ndarray,
                               gauge_mode: str, t_values, sizes) -> np.ndarray:
     """Lowest K reduced eigenvalues for each leading basis size and t.
 
-    Shape (len(sizes), len(t_values), K).  The lifted columns are
-    independent, so the size-n pencil is the leading n x n block of the
-    full-size one: each t is evaluated once and every size slices it.
+    Shape (len(sizes), len(t_values), K).  Each t is evaluated once at
+    the full size and every size solves the leading n x n block of that
+    pencil.  The classical pencil's leading block is exactly the size-n
+    pencil.  The mixed one lifts each column separately within the span
+    of the full basis's lifts, so its leading block agrees with a size-n
+    rebuild to the lifting tolerance (_LIFT_RTOL).
     """
     K = problem.cfg.K
     ev = _make_evaluator(gauge_mode, problem.psys, problem.gauge,
@@ -251,13 +254,16 @@ def error_sweep(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
 def _tracking_summary(run: TrackingRun) -> dict:
     corr_min = (float(run.correlations.min())
                 if run.correlations.size else 1.0)
-    return {
+    summary = {
         "grid_points": int(run.grid.size),
         "bisection_count": int(run.stats["bisection_count"]),
         "degenerate_steps": int(run.stats["degenerate_steps"]),
         "min_step": float(run.stats["min_step"]),
         "min_correlation": corr_min,
     }
+    if "lift_solves" in run.stats:   # reduced path only
+        summary["lift_solves"] = int(run.stats["lift_solves"])
+    return summary
 
 
 def _guarded(errors: dict, key: str, fn):

@@ -249,20 +249,23 @@ def cmd_track(cfg: RunConfig, reduced: bool) -> int:
     header = (["t"]
               + ["lambda_%d" % (i + 1) for i in range(cfg.K)]
               + ["corr_%d" % (i + 1) for i in range(cfg.K)])
+    record = {
+        "schema_version": 1,
+        "config": config_to_dict(cfg),
+        "path": stem,
+        "grid_points": int(run.grid.size),
+        "bisection_count": int(run.stats["bisection_count"]),
+        "degenerate_steps": int(run.stats["degenerate_steps"]),
+        "min_step": float(run.stats["min_step"]),
+        "permutations": [[int(j) for j in perm] for perm in run.permutations],
+        "timing": {"wall_seconds": float(run.stats["wall_seconds"])},
+    }
+    if reduced:
+        record["lift_solves"] = int(run.stats["lift_solves"])
     paths = _write_artifacts(cfg, {
         "trajectory_%s.csv" % stem: lambda p: write_csv(p, header,
                                                         run.to_rows()),
-        "track_%s.json" % stem: lambda p: write_json(p, {
-            "schema_version": 1,
-            "config": config_to_dict(cfg),
-            "path": stem,
-            "grid_points": int(run.grid.size),
-            "bisection_count": int(run.stats["bisection_count"]),
-            "degenerate_steps": int(run.stats["degenerate_steps"]),
-            "min_step": float(run.stats["min_step"]),
-            "permutations": [[int(j) for j in perm] for perm in run.permutations],
-            "timing": {"wall_seconds": float(run.stats["wall_seconds"])},
-        }),
+        "track_%s.json" % stem: lambda p: write_json(p, record),
     })
 
     print("tracked %d modes over %d grid points (%s path); %d bisections"

@@ -45,14 +45,18 @@ LAPACK's blocked triangular solves run a whole |C|-column block at
 matrix-multiply speed, where SuperLU solves column by column (at 10^3,
 N = 2430 and |C| = 1701, the block solve takes 0.48 s against 1.02 s
 for the sparse factor, on one BLAS thread).  The factorization doubles
-as the SPD check: it fails on an indefinite or non-finite matrix.  The mixed path
-meets a new mass matrix at every parameter value with only a handful
-of columns and uses Jacobi-preconditioned conjugate gradients instead:
+as the SPD check: it fails on an indefinite or non-finite matrix.  The
+mixed path solves with the mass matrix only at its lift points (the
+two endpoints, plus any parameter value whose Galerkin lift fails its
+residual check, see rb._MixedEvaluator), each time with only a handful
+of columns, and uses Jacobi-preconditioned conjugate gradients instead:
 the condition number of the diagonally scaled edge-element mass matrix
 does not grow with mesh refinement, so a few dozen iterations reach
 full accuracy at any resolution.  The iteration carries its own SPD
 check: a non-positive diagonal entry or non-positive curvature
-p^T B p raises, as does a failure to converge.
+p^T B p raises, as does a failure to converge.  Its tolerance
+_PCG_RTOL sits well below the lifting tolerance _LIFT_RTOL, so an
+exact lift always passes the check it certifies.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ import scipy.sparse.linalg as spla
 from .errors import EigensolverError, FactorizationError
 
 _PCG_RTOL = 1e-14
+# Relative lifting residual that certifies a Galerkin lift in
+# rb._MixedEvaluator; well above _PCG_RTOL, so an exact lift passes it.
+_LIFT_RTOL = 1e-12
 _PCG_MAXITER = 500
 _ARPACK_TOL = 0.0       # ARPACK's machine precision
 _ARPACK_MAXITER = 500

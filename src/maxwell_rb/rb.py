@@ -6,12 +6,20 @@ Mixed gauge: snapshots come from the sparse ungauged eigenproblem and
 are condensed to cotree coordinates in closed form along the spanning
 tree (one triangular solve per snapshot, see gauge.CotreeProjector);
 reduced matrices are evaluated through the lifted form
-Z_full = B(t)^{-1} H(t)^T Z, with the mass solve done by
-Jacobi-preconditioned conjugate gradients, so neither a dense
-|C| x |C| matrix nor a per-parameter factorization ever exists.
-Because A(t) interpolates linearly between the endpoints, H(t)^T Z is
-the same convex combination of two sparse products, which keeps the
-parameter sweep cheap.
+Z_full = B(t)^{-1} H(t)^T Z, so neither a dense |C| x |C| matrix nor a
+factorization of an N x N matrix ever exists.  A(t), B(t) and H(t)^T Z interpolate
+linearly between the endpoints, which splits the evaluation into an
+offline and an online part (the affine reduced-basis recipe of
+Prud'homme et al., J. Fluids Eng. 124, 2002).  Offline, the basis is
+lifted exactly at a few lift points, each a Jacobi-preconditioned
+conjugate-gradient solve with B(t), and every product with the span Q
+of those lifts is kept as two endpoint blocks.  Online, Z_full(t) is
+the B(t)-Galerkin lift in span(Q): an m x m solve, m the dimension of
+the span, certified by its explicit lifting residual.  A parameter
+whose residual fails the certificate becomes a lift point itself, so
+the span grows only where the morph needs it: the default brick
+stretch saturates at the two endpoint lifts, and a reduced tracking
+pass makes no mass solve beyond them.
 
 Classical gauge: snapshots and reduced matrices go through the dense
 cotree pencil assembled per parameter value, A_hat = W^T (A W) with
@@ -30,7 +38,8 @@ eta = ||r||^2 / (lambda_tilde * gap) of the first K modes (inf for a
 mode that a basis of fewer than K columns lacks).  The greedy loop,
 reduced tracking, the bench error studies and the tests all go through
 these two routines.  Each call evaluates its parameter afresh and keeps
-nothing of it once it returns.  ``snapshot(t)`` returns the K modes at
+nothing of it once it returns, apart from a lift point the mixed
+evaluator may add.  ``snapshot(t)`` returns the K modes at
 t as a |C| x K array of unit columns.
 
 greedy_enrich is a weak greedy over one table of (t, mode) candidates
@@ -38,7 +47,8 @@ greedy_enrich is a weak greedy over one table of (t, mode) candidates
 
 Dense allocations of both pipelines, greedy's appended columns
 included, are tallied by a StorageMeter so the memory claims are
-assertable rather than anecdotal.
+assertable rather than anecdotal; the mixed evaluator's per-basis
+blocks are the one exception (see StorageMeter).
 """
 
 from __future__ import annotations
@@ -48,14 +58,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
+
 from .assembly import ParametrizedSystem
-from .eigen import SolverPolicy, pcg_solve, solve_dense_gevp, solve_sparse_gevp
-from .errors import ConfigError, NumericsError, ProjectionError
+from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, pcg_solve,
+                    solve_dense_gevp, solve_sparse_gevp)
+from .errors import ConfigError, FactorizationError, NumericsError, ProjectionError
 from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system, cotree_operator
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
 _GAP_FLOOR_FRACTION = 1e-8
+
+
+def _blend(pair, t: float):
+    """(1 - t) pair[0] + t pair[1], the affine interpolation of endpoint data."""
+    return (1.0 - t) * pair[0] + t * pair[1]
 
 
 def _salt_from_t(t: float) -> int:
@@ -69,7 +87,10 @@ class StorageMeter:
     Pipelines register the dense arrays they allocate; small vectors of
     O(N) size and solver-internal workspaces are deliberately included
     where we allocate them ourselves, so the peak reflects what the
-    pipeline actually holds.
+    pipeline actually holds.  One holding is outside the tally: the
+    mixed evaluator's per-basis blocks, N (5m + 2n) entries for a basis
+    of n columns whose lifted span has dimension m, which live as long
+    as the basis.  The measured peak resident set is the gate for those.
     """
 
     def __init__(self):
@@ -169,8 +190,8 @@ class _Evaluator:
     data: _at(t), a context manager that yields it and holds its entries
     on the meter only while the block is open; _reduce, the reduced
     pencil; and _residual_norms.  reduced_system, solve and estimate each
-    open one scope, so nothing of a parameter outlives the call that
-    visits it.
+    open one scope, so no per-t data outlives the call that visits it; a
+    lift point the mixed evaluator adds belongs to the basis, not to t.
     """
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -209,8 +230,25 @@ class _Evaluator:
 class _MixedEvaluator(_Evaluator):
     """Lifted reduced-matrix evaluation: never a dense cotree pencil.
 
-    The per-t data is (pair, U, Z_full) with U = H(t)^T Z and
-    Z_full = B(t)^{-1} U.
+    The exact lift Z_full(t) = B(t)^{-1} U(t), U(t) = H(t)^T Z, is
+    replaced by its B(t)-Galerkin approximation Q c(t), with Q an
+    orthonormal N x m basis of the span of the exact lifts made so far.
+
+    Offline, set_basis lifts Z exactly at the lift points t = 0 and
+    t = 1.  Every Q-projected quantity is affine in t, so the evaluator
+    keeps two endpoint copies of each: B_e Q and A_e Q (N x m), their
+    m x m Grams Q^T B_e Q and Q^T A_e Q, and Q^T H_e^T Z.
+
+    Online, an evaluation at t solves (Q^T B(t) Q) c = Q^T U(t) with an
+    m x m Cholesky factor and certifies c by the explicit lifting
+    residual, ||B(t) Q c - U|| <= _LIFT_RTOL ||U|| per column.  If the
+    check fails, t becomes a lift point: one exact lift there extends Q
+    (only the new block columns and Gram rows are computed) and the
+    solve is repeated.  A certified evaluation interpolates no matrix
+    and makes no mass solve; ``lift_solves`` counts the exact lifts.
+
+    The per-t data is (t, U, c).  The per-basis blocks, N (5m + 2n)
+    entries, live as long as the basis and are not on the meter.
     """
 
     gauge_mode = "mixed"
@@ -219,41 +257,98 @@ class _MixedEvaluator(_Evaluator):
                  policy: SolverPolicy, K: int, meter: StorageMeter):
         super().__init__(psys, gauge, policy, K, meter)
         # H(t) = rows C of A(t) inherits the endpoint interpolation.
-        self._H0t = cotree_operator(psys.endpoint0, gauge).T.tocsr()
-        self._H1t = cotree_operator(psys.endpoint1, gauge).T.tocsr()
-        self._P0 = None
-        self._P1 = None
+        self._Ht = (cotree_operator(psys.endpoint0, gauge).T.tocsr(),
+                    cotree_operator(psys.endpoint1, gauge).T.tocsr())
+        self._A = (psys.endpoint0.A, psys.endpoint1.A)
+        self._B = (psys.endpoint0.B, psys.endpoint1.B)
+        self.lift_solves = 0
 
     def set_basis(self, Z: np.ndarray) -> None:
         self._Z = Z
-        # The lifted blocks H0^T Z and H1^T Z are t-independent; caching
-        # them turns the per-t projection into a dense axpy.
-        self._P0 = self._H0t @ Z
-        self._P1 = self._H1t @ Z
+        n, n_red = self.psys.n, Z.shape[1]
+        self._P = tuple(Ht @ Z for Ht in self._Ht)
+        self._Q = np.empty((n, 0))
+        self._BQ = [np.empty((n, 0))] * 2
+        self._AQ = [np.empty((n, 0))] * 2
+        self._GB = [np.empty((0, 0))] * 2
+        self._GA = [np.empty((0, 0))] * 2
+        self._QtP = [np.empty((0, n_red))] * 2
+        for t in (0.0, 1.0):
+            self._lift(t)
+
+    def _lift(self, t: float) -> None:
+        """Lift exactly at t and extend Q by the lift's new directions.
+
+        The lift is orthogonalized twice against Q; its remainder keeps
+        the singular directions above _PCG_RTOL times the lift's largest
+        column norm, since anything smaller is below the accuracy the
+        lift was solved to.
+        """
+        X = pcg_solve(self.psys.interpolate(t).B, _blend(self._P, t))
+        self.lift_solves += 1
+        scale = np.linalg.norm(X, axis=0).max()
+        for _ in range(2):
+            X -= self._Q @ (self._Q.T @ X)
+        W, s, _ = np.linalg.svd(X, full_matrices=False)
+        W = W[:, s > _PCG_RTOL * scale]
+        for blocks, grams, mats in ((self._BQ, self._GB, self._B),
+                                    (self._AQ, self._GA, self._A)):
+            for e in (0, 1):
+                MW = mats[e] @ W
+                cross = blocks[e].T @ W
+                WMW = W.T @ MW
+                grams[e] = np.block([[grams[e], cross],
+                                     [cross.T, 0.5 * (WMW + WMW.T)]])
+                blocks[e] = np.hstack([blocks[e], MW])
+        for e in (0, 1):
+            self._QtP[e] = np.vstack([self._QtP[e], W.T @ self._P[e]])
+        self._Q = np.hstack([self._Q, W])
+
+    def _galerkin(self, t: float, U: np.ndarray):
+        """Coefficients c of the Galerkin lift at t, or None if its
+        lifting residual fails the check."""
+        try:
+            factor = sla.cho_factor(_blend(self._GB, t), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                "lifted mass matrix at t=%r is not positive definite" % t
+            ) from exc
+        c = sla.cho_solve(factor, _blend(self._QtP, t))
+        R = _blend(self._BQ, t) @ c - U
+        ok = (np.linalg.norm(R, axis=0)
+              <= _LIFT_RTOL * np.linalg.norm(U, axis=0))
+        return c if ok.all() else None
 
     @contextmanager
     def _at(self, t: float):
-        pair = self.psys.interpolate(t)
-        U = (1.0 - t) * self._P0 + t * self._P1
-        Z_full = pcg_solve(pair.B, U)
-        with self.meter.hold(U.size + Z_full.size):
-            yield pair, U, Z_full
+        U = _blend(self._P, t)
+        # U and the lifting residual B(t) Q c - U
+        with self.meter.hold(2 * U.size):
+            c = self._galerkin(t, U)
+            if c is None:
+                self._lift(t)
+                c = self._galerkin(t, U)
+            if c is None:
+                raise NumericsError(
+                    "lifting residual at t=%r fails its check after an "
+                    "exact lift there" % t
+                )
+            yield t, U, c
 
     def _reduce(self, data) -> ReducedSystem:
-        pair, U, Z_full = data
-        A_tilde = Z_full.T @ (pair.A @ Z_full)
-        B_tilde = Z_full.T @ U
+        t, U, c = data
+        A_tilde = c.T @ (_blend(self._GA, t) @ c)
+        B_tilde = c.T @ _blend(self._QtP, t)
         return ReducedSystem(
             A_tilde=0.5 * (A_tilde + A_tilde.T),
             B_tilde=0.5 * (B_tilde + B_tilde.T),
         )
 
     def _residual_norms(self, data, values, vectors) -> np.ndarray:
-        pair, U, Z_full = data
+        t, U, c = data
         k_eff = min(self.K, values.size)
         V = vectors[:, :k_eff]
-        lifted = Z_full @ V
-        R = pair.A @ lifted - (U @ V) * values[None, :k_eff]
+        R = _blend(self._AQ, t) @ (c @ V) - (U @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:

@@ -278,7 +278,12 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                   initial_steps: int = 16, max_depth: int = 10,
                   matching: str = "greedy", buffer: int = 2,
                   policy: SolverPolicy | None = None) -> TrackingRun:
-    """Track the K lowest reduced eigenvalues over [0, 1]."""
+    """Track the K lowest reduced eigenvalues over [0, 1].
+
+    stats also carries lift_solves, the exact mass solves the evaluator
+    made (two at set-up, plus one per parameter its lifted space did
+    not certify).
+    """
     if basis.n_red < K:
         raise ConfigError(
             "basis size %d smaller than tracked mode count %d" % (basis.n_red, K)
@@ -294,8 +299,10 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         red, sol = ev.solve(t)
         return sol.values[:n_cand], sol.vectors[:, :n_cand], red.B_tilde
 
-    return _TrackEngine(solve, K, threshold, initial_steps, max_depth,
-                        matching).run()
+    run = _TrackEngine(solve, K, threshold, initial_steps, max_depth,
+                       matching).run()
+    run.stats["lift_solves"] = ev.lift_solves
+    return run
 
 
 def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,

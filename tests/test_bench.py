@@ -85,6 +85,8 @@ class TestReport:
             info = report["tracking"][path]
             assert info["grid_points"] >= 5
             assert info["min_correlation"] >= 0.9
+        assert report["tracking"]["reduced"]["lift_solves"] >= 2
+        assert "lift_solves" not in report["tracking"]["full"]
 
     def test_rendered_table(self, report):
         text = render_report_table(report)

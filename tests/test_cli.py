@@ -268,6 +268,7 @@ class TestTrack:
         assert rc == 0
         meta = _read_json(os.path.join(out, "track_reduced.json"))
         assert meta["path"] == "reduced"
+        assert 2 <= meta["lift_solves"] < meta["grid_points"]
         assert len(meta["permutations"]) == meta["grid_points"] - 1
         assert meta["timing"]["wall_seconds"] > 0.0
         with open(os.path.join(out, "trajectory_reduced.csv")) as handle:
@@ -287,6 +288,7 @@ class TestTrack:
         assert os.path.exists(os.path.join(out, "trajectory_full.csv"))
         meta = _read_json(os.path.join(out, "track_full.json"))
         assert meta["path"] == "full"
+        assert "lift_solves" not in meta
 
     def test_deterministic_outside_timing(self, cfg_file, tmp_path):
         out = str(tmp_path / "out")

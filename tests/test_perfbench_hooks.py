@@ -86,8 +86,9 @@ def test_tracking_paths_are_traced():
                     buffer=_CFG.track_buffer)
     try:
         tracer.install()
-        tracking.track_reduced(problem.psys, problem.gauge, basis, _CFG.K,
-                               policy=problem.policy, **settings)
+        reduced = tracking.track_reduced(problem.psys, problem.gauge, basis,
+                                         _CFG.K, policy=problem.policy,
+                                         **settings)
         tracking.track_full(problem.psys, _CFG.K, problem.policy, **settings)
     finally:
         tracer.uninstall()
@@ -96,3 +97,9 @@ def test_tracking_paths_are_traced():
             "eigen.dense_solve"} <= _spans(module, tracer)
     tracks = [root for root in tracer.roots if root.name == "tracking.track"]
     assert len(tracks) == 2
+    # the reduced pass interpolates only where it lifts exactly, not at
+    # every grid point
+    lifts = reduced.stats["lift_solves"]
+    interpolations = [span for span in module.walk(tracks[0])
+                      if span.name == "assembly.interpolate"]
+    assert len(interpolations) == lifts < reduced.grid.size

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import SPDFactor, solve_sparse_gevp
+from maxwell_rb.eigen import _LIFT_RTOL, SPDFactor, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, NumericsError
 from maxwell_rb.gauge import CotreeProjector, build_cotree_system
 from maxwell_rb.rb import (StorageMeter, build_basis,
@@ -162,6 +164,78 @@ class TestReducedMatrices:
                 scale_b = np.linalg.norm(B_want)
                 assert np.linalg.norm(red.A_tilde - A_want) < 1e-10 * scale_a
                 assert np.linalg.norm(red.B_tilde - B_want) < 1e-10 * scale_b
+
+
+class TestLiftedSpace:
+    """The mixed evaluator's Galerkin lift against an exact sparse lift.
+
+    A random basis on the small morph does not saturate the lifted space
+    at the two endpoint lifts, so the sweep below extends it."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, small_morph):
+        m = small_morph
+        rng = np.random.default_rng(29)
+        Z = np.linalg.qr(rng.standard_normal((m["gauge"].cotree.size, 6)))[0]
+        ev = _evaluator(m, Z)
+        lifted_at = []
+        for t in rng.uniform(0.0, 1.0, 20):
+            before = ev.lift_solves
+            ev.reduced_system(float(t))
+            if ev.lift_solves > before:
+                lifted_at.append(float(t))
+        return ev, Z, lifted_at, ev.lift_solves
+
+    @staticmethod
+    def _exact(m, Z, t):
+        pair = m["psys"].interpolate(t)
+        A = pair.A.tocsc()
+        U = A[:, m["gauge"].cotree] @ Z
+        X = spla.splu(pair.B.tocsc()).solve(U)
+        return A, U, X
+
+    def test_sweep_extends_the_space(self, sweep):
+        _, _, lifted_at, lifts = sweep
+        assert lifted_at
+        assert lifts == 2 + len(lifted_at)
+
+    def test_matches_exact_lift(self, small_morph, sweep):
+        m = small_morph
+        ev, Z, lifted_at, _ = sweep
+        for t in [0.0, 1.0] + lifted_at + [0.05, 0.35, 0.65, 0.95]:
+            A, U, X = self._exact(m, Z, t)
+            A_want, B_want = X.T @ (A @ X), X.T @ U
+            red = ev.reduced_system(t)
+            for got, want in ((red.A_tilde, A_want), (red.B_tilde, B_want)):
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert rel <= 1e-11, t
+            values = scipy.linalg.eigh(0.5 * (A_want + A_want.T),
+                                       0.5 * (B_want + B_want.T),
+                                       eigvals_only=True)
+            sol, eta = ev.estimate(t)
+            assert np.allclose(sol.values, values, rtol=1e-11, atol=0.0)
+            V = sol.vectors[:, :5]
+            R = A @ (X @ V) - (U @ V) * sol.values[None, :5]
+            want = (np.linalg.norm(R, axis=0) ** 2
+                    / (sol.values[:5] * _gaps(sol.values, 5)))
+            assert np.max(np.abs(eta - want) / want) <= 1e-11, t
+
+    def test_revisit_does_not_lift(self, sweep):
+        ev, _, lifted_at, _ = sweep
+        before = ev.lift_solves
+        for t in lifted_at:
+            ev.estimate(t)
+        assert ev.lift_solves == before
+
+    def test_residual_within_tolerance(self, small_morph, sweep):
+        m = small_morph
+        ev, _, lifted_at, _ = sweep
+        for t in lifted_at + [0.2, 0.8]:
+            ev.solve(t)
+            with ev._at(t) as (_, U, c):
+                R = m["psys"].interpolate(t).B @ (ev._Q @ c) - U
+            assert np.all(np.linalg.norm(R, axis=0)
+                          <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
 
 
 class TestEstimator:

@@ -251,6 +251,14 @@ class TestDeskMorph:
         assert run.stats["bisection_count"] == 0
         assert np.min(run.correlations) >= 0.9
 
+    def test_endpoint_lifts_serve_the_whole_pass(self, desk_problem,
+                                                 desk_basis):
+        # the brick's lifted space saturates at the two endpoint lifts
+        p = desk_problem
+        run = track_reduced(p.psys, p.gauge, desk_basis.basis, p.cfg.K,
+                            policy=p.policy)
+        assert run.stats["lift_solves"] == 2
+
     def test_buffer_needed_at_window_boundary(self, desk_problem, desk_basis):
         """A trajectory crosses the K-th eigenvalue late in the morph; with
         no candidate buffer the correlation pins at zero no matter how
