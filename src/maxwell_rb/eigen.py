@@ -54,9 +54,7 @@ the condition number of the diagonally scaled edge-element mass matrix
 does not grow with mesh refinement, so a few dozen iterations reach
 full accuracy at any resolution.  The iteration carries its own SPD
 check: a non-positive diagonal entry or non-positive curvature
-p^T B p raises, as does a failure to converge.  Its tolerance
-_PCG_RTOL sits well below the lifting tolerance _LIFT_RTOL, so an
-exact lift always passes the check it certifies.
+p^T B p raises, as does a failure to converge.
 """
 
 from __future__ import annotations

@@ -7,19 +7,19 @@ are condensed to cotree coordinates in closed form along the spanning
 tree (one triangular solve per snapshot, see gauge.CotreeProjector);
 reduced matrices are evaluated through the lifted form
 Z_full = B(t)^{-1} H(t)^T Z, so neither a dense |C| x |C| matrix nor a
-factorization of an N x N matrix ever exists.  A(t), B(t) and H(t)^T Z interpolate
-linearly between the endpoints, which splits the evaluation into an
-offline and an online part (the affine reduced-basis recipe of
-Prud'homme et al., J. Fluids Eng. 124, 2002).  Offline, the basis is
-lifted exactly at a few lift points, each a Jacobi-preconditioned
-conjugate-gradient solve with B(t), and every product with the span Q
-of those lifts is kept as two endpoint blocks.  Online, Z_full(t) is
-the B(t)-Galerkin lift in span(Q): an m x m solve, m the dimension of
-the span, certified by its explicit lifting residual.  A parameter
-whose residual fails the certificate becomes a lift point itself, so
-the span grows only where the morph needs it: the default brick
-stretch saturates at the two endpoint lifts, and a reduced tracking
-pass makes no mass solve beyond them.
+factorization of an N x N matrix ever exists.  A(t), B(t) and
+H(t)^T Z interpolate linearly between the endpoints, which splits the
+evaluation into an offline and an online part (the affine
+reduced-basis recipe of Prud'homme et al., J. Fluids Eng. 124, 2002).
+Offline, the basis is lifted exactly at a few lift points, each a
+Jacobi-preconditioned conjugate-gradient solve with B(t), and every
+product with the span Q of those lifts is kept as two endpoint blocks.
+Online, Z_full(t) is the B(t)-Galerkin lift in span(Q): an m x m
+solve, m the dimension of the span, certified by its explicit lifting
+residual.  A parameter whose residual fails the certificate becomes a
+lift point itself, so the span grows only where the morph needs it:
+the default brick stretch saturates at the two endpoint lifts, and a
+reduced tracking pass makes no mass solve beyond them.
 
 Classical gauge: snapshots and reduced matrices go through the dense
 cotree pencil assembled per parameter value, A_hat = W^T (A W) with
@@ -39,8 +39,8 @@ mode that a basis of fewer than K columns lacks).  The greedy loop,
 reduced tracking, the bench error studies and the tests all go through
 these two routines.  Each call evaluates its parameter afresh and keeps
 nothing of it once it returns, apart from a lift point the mixed
-evaluator may add.  ``snapshot(t)`` returns the K modes at
-t as a |C| x K array of unit columns.
+evaluator may add.  ``snapshot(t)`` returns the K modes at t as a
+|C| x K array of unit columns.
 
 greedy_enrich is a weak greedy over one table of (t, mode) candidates
 (Hesthaven, Rozza & Stamm, Certified Reduced Basis Methods, 2016).
@@ -63,7 +63,8 @@ import scipy.linalg as sla
 from .assembly import ParametrizedSystem
 from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, pcg_solve,
                     solve_dense_gevp, solve_sparse_gevp)
-from .errors import ConfigError, FactorizationError, NumericsError, ProjectionError
+from .errors import (ConfigError, FactorizationError, NumericsError,
+                     ProjectionError)
 from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system, cotree_operator
 
 _EXHAUSTION_NORM = 1e-10
@@ -72,7 +73,7 @@ _GAP_FLOOR_FRACTION = 1e-8
 
 
 def _blend(pair, t: float):
-    """(1 - t) pair[0] + t pair[1], the affine interpolation of endpoint data."""
+    """(1 - t) pair[0] + t pair[1]: endpoint data interpolated to t."""
     return (1.0 - t) * pair[0] + t * pair[1]
 
 
@@ -264,7 +265,6 @@ class _MixedEvaluator(_Evaluator):
         self.lift_solves = 0
 
     def set_basis(self, Z: np.ndarray) -> None:
-        self._Z = Z
         n, n_red = self.psys.n, Z.shape[1]
         self._P = tuple(Ht @ Z for Ht in self._Ht)
         self._Q = np.empty((n, 0))
