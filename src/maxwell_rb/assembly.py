@@ -2,18 +2,37 @@
 
 Each cell is mapped trilinearly from the reference cube [0,1]^3.  Edge
 shape functions transform covariantly (values by the inverse transposed
-Jacobian, curls by the Jacobian over its determinant), so the element
-matrices reduce to quadrature sums over the metric tensors J^T J and its
-inverse.  A 2x2x2 Gauss rule integrates both terms exactly on affine
-cells, the smallest rule with that property.
+Jacobian, curls by the Jacobian over its determinant), so at a
+quadrature point the mass integrand sees the cell only through
+adj(J^T J) / det J and the stiffness integrand only through
+J^T J / det J.  Both factors are symmetric, six components each.  The
+Jacobians at all quadrature points come from one product of the cell
+vertices with the reference gradients, one Jacobian per point, so
+non-affine cells stay exact.  J^T J is the Gram matrix of the columns of
+J and adj(J^T J) that of their pairwise cross products (the rows of
+adj J); both and det J are written out component by component.  A
+2x2x2 Gauss rule integrates both terms exactly on affine cells, the
+smallest rule with that property.
+
+The element matrices are then two GEMMs: the per-cell geometric factors
+(six components at eight points) times fixed reference tensors that
+hold the products of reference shape values or curls with the
+quadrature weights folded in (Kirby, Knepley, Logg & Scott, SIAM J.
+Sci. Comput. 27, 2005).  Only the 78 entries a <= b of each symmetric
+element matrix are formed.
 
 Boundary-edge rows and columns are eliminated during scatter, which
-realizes the perfectly conducting wall.  Both matrices keep the full
-topological scatter pattern, including entries that cancel to zero, so
-two meshes of the same topology assemble onto identical patterns.  The
-parametrized pair (A(t), B(t)) is the convex combination of two endpoint
-assemblies on that shared pattern; intermediate matrices are algebraic
-objects, not assemblies on physical geometries.
+realizes the perfectly conducting wall.  A scatter map, built once per
+call from the topology alone and shared by both matrices, takes every
+element entry to its slot in the CSR pattern, so each matrix's data is
+two weighted bincounts, of the entries (a, b) and of their mirrors
+(b, a), summed in the same cell order: the result is exactly
+symmetric.  Both matrices keep the full topological pattern, including
+entries that cancel to zero, so two meshes of the same topology
+assemble onto identical patterns.  The parametrized pair (A(t), B(t))
+is the convex combination of two endpoint assemblies on that shared
+pattern; intermediate matrices are algebraic objects, not assemblies on
+physical geometries.
 """
 
 from __future__ import annotations
@@ -28,17 +47,12 @@ from .mesh import CavityMesh
 
 _CORNER_OFFSETS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
-# Local tail/head corner (l = i + 2j + 4k) per edge slot; used to sign
-# each local edge against the stored global orientation.
+# Local tail corner (l = i + 2j + 4k) per edge slot; used to sign each
+# local edge against the stored global orientation.
 _LOCAL_TAIL = np.array(
     [2 * j + 4 * k for j, k in _CORNER_OFFSETS]
     + [i + 4 * k for i, k in _CORNER_OFFSETS]
     + [i + 2 * j for i, j in _CORNER_OFFSETS]
-)
-_LOCAL_HEAD = np.array(
-    [1 + 2 * j + 4 * k for j, k in _CORNER_OFFSETS]
-    + [i + 2 + 4 * k for i, k in _CORNER_OFFSETS]
-    + [i + 2 * j + 4 for i, j in _CORNER_OFFSETS]
 )
 
 
@@ -85,6 +99,38 @@ def _reference_data():
 
 
 _W_HAT, _C_HAT, _DN, _QWEIGHTS = _reference_data()
+_NQ = _QWEIGHTS.size
+
+# Reference gradients as one matrix: column d * _NQ + q holds d/du_d of
+# the eight trilinear corner functions at quadrature point q.
+_DN_MAT = _DN.transpose(0, 2, 1).reshape(8, 3 * _NQ)
+
+# Independent components (d, e) of a symmetric 3x3 matrix, in the order
+# the geometric factors store them.
+_SYM = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+# Element entries (a, b) with a <= b, and the position of the pair
+# {a, b} among them.
+_UPPER_A, _UPPER_B = np.triu_indices(12)
+_PAIR = np.zeros((12, 12), dtype=np.int64)
+_PAIR[_UPPER_A, _UPPER_B] = _PAIR[_UPPER_B, _UPPER_A] = np.arange(_UPPER_A.size)
+
+
+def _reference_tensor(shape):
+    """T with E[a, b] = sum_k G[k] T[k, (a, b)] for a symmetric geometric
+    factor G, stored as component s at quadrature point q in k = s * _NQ + q;
+    only the entries a <= b are kept."""
+    T = np.empty((len(_SYM), _NQ, _UPPER_A.size))
+    for s, (d, e) in enumerate(_SYM):
+        prod = shape[_UPPER_A, :, d] * shape[_UPPER_B, :, e]
+        if d != e:
+            prod += shape[_UPPER_A, :, e] * shape[_UPPER_B, :, d]
+        T[s] = (prod * _QWEIGHTS).T
+    return T.reshape(len(_SYM) * _NQ, _UPPER_A.size)
+
+
+_T_W = _reference_tensor(_W_HAT)
+_T_C = _reference_tensor(_C_HAT)
 
 
 @dataclass(frozen=True)
@@ -97,11 +143,89 @@ class SystemPair:
     geometry_tag: str = ""
 
 
+def _cross(u, v):
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _scatter_map(mesh: CavityMesh):
+    """CSR pattern of the free-edge couplings and the scatter of the
+    element entries onto it.
+
+    Returns (indptr, indices, slot, source): int32 pattern arrays, and
+    for every scattered value its slot plus one and the position of its
+    element entry in an (n_cells + 1, 78) array of upper-triangle entries
+    (a <= b) whose last row is zero.  A matrix's data is then
+    ``bincount(slot, E[source])[1:]``.
+
+    Each free edge gets one table row of the cells it lies in; the row
+    holds the entry (own edge, b) for every edge b of those cells, b on
+    the boundary included.  Each row is sorted by column, then by the
+    position of the entry, so the contributions to every slot follow the
+    cell order, and a slot (i, j) and its mirror (j, i) sum the same
+    values in the same order: the matrices come out exactly symmetric.
+    Entries on boundary columns, and the padding of edges that lie in
+    fewer cells than others, get column -1 and the zero row: they sort
+    first in each row and add nothing.
+    """
+    n = mesh.n_free_edges
+    fidx = mesh.free_edge_index[mesh.cell_edges]     # (nc, 12), -1 on boundary
+    nc = fidx.shape[0]
+    n_pairs = _UPPER_A.size
+    bits = ((nc + 1) * n_pairs).bit_length()
+    if n.bit_length() + bits > 62:
+        raise ConfigError("mesh of %d cells is too large to assemble" % nc)
+
+    # Incidences (cell * 12 + local edge) of each free edge, padded with
+    # local edge 0 of the zero cell nc.
+    f = fidx.ravel()
+    order = np.argsort(f)
+    counts = np.bincount(f + 1, minlength=n + 1)
+    order = order[counts[0]:]
+    counts = counts[1:]
+    rows = f[order]
+    inc = np.full((n, int(counts.max())), 12 * nc)
+    inc[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = order
+
+    # key = column << bits | source; it splits into a part per (cell,
+    # column edge) and a part per (row edge, column edge) of a cell.
+    col = np.vstack([fidx, np.full((1, 12), -1)])
+    cell_key = np.where(col >= 0, col << bits, -1 << bits)
+    cell_key += np.where(col >= 0, np.arange(nc + 1)[:, None], nc) * n_pairs
+    key = np.take(cell_key, inc // 12, axis=0)
+    key += np.take(_PAIR, inc % 12, axis=0)
+    key = key.reshape(n, -1)
+    key.sort(axis=1)
+
+    source = key & ((1 << bits) - 1)
+    key >>= bits                                     # now the columns
+    first = np.empty(key.shape, dtype=bool)
+    first[:, 0] = key[:, 0] >= 0
+    np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
+    nnz = int(np.count_nonzero(first))
+    idx_dtype = np.int32 if max(n, nnz) < 2**31 else np.int64
+    indices = key[first].astype(idx_dtype)
+    slot = np.cumsum(first, axis=None, out=key.ravel())
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    indptr[1:] = key[:, -1]
+    return indptr, indices, slot, source.ravel()
+
+
 def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
     """Assemble stiffness and mass on the free edges of ``mesh``.
 
-    Raises DegenerateCellError if any cell's Jacobian determinant is not
-    strictly positive at a quadrature point.
+    Element matrices are the per-cell geometric factors J^T J / det J
+    and adj(J^T J) / det J at the quadrature points times the reference
+    tensors _T_C and _T_W; _scatter_map places them in the CSR pattern.
+
+    Raises DegenerateCellError, naming a cell and quadrature point, if a
+    Jacobian determinant is not finite and strictly positive or an
+    assembled entry is not finite.
     """
     n = mesh.n_free_edges
     if n < 1:
@@ -109,55 +233,58 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
             "mesh has no interior edge DoFs at resolution %r" % (mesh.resolution,)
         )
 
-    X = mesh.vertices[mesh.cell_vertices]          # (nc, 8, 3)
-    J = np.einsum("lqd,clm->cqmd", _DN, X)         # J[m,d] = dx_m/du_d
-    detJ = np.linalg.det(J)
-    if detJ.size and detJ.min() <= 0.0:
-        c, q = np.unravel_index(int(np.argmin(detJ)), detJ.shape)
+    nc = mesh.cell_vertices.shape[0]
+    X = mesh.vertices.T[:, mesh.cell_vertices.T]         # (3, 8, nc)
+    J = (_DN_MAT.T @ X).reshape(3, 3, _NQ, nc)           # dx_m/du_d at (q, c)
+    col = J.transpose(1, 0, 2, 3)                        # col[d] = dx/du_d
+    adj = (_cross(col[1], col[2]), _cross(col[2], col[0]),
+           _cross(col[0], col[1]))                       # rows of adj J
+    detJ = _dot(col[0], adj[0])                          # (nq, nc)
+    valid = np.isfinite(detJ) & (detJ > 0.0)
+    if not valid.all():
+        q, c = np.unravel_index(int(np.argmin(valid)), detJ.shape)
         raise DegenerateCellError(
-            "non-positive Jacobian determinant %.3e in cell %d (quadrature point %d)"
-            % (detJ[c, q], c, q)
+            "non-positive or non-finite Jacobian determinant %.3e in cell %d "
+            "(quadrature point %d)" % (detJ[q, c], c, q)
         )
 
-    Jinv = np.linalg.inv(J)
-    metric_inv = np.einsum("cqdm,cqem->cqde", Jinv, Jinv)   # (J^T J)^{-1}
-    metric = np.einsum("cqmd,cqme->cqde", J, J)             # J^T J
-
-    Me = np.einsum(
-        "aqd,cqde,bqe,cq,q->cab", _W_HAT, metric_inv, _W_HAT, detJ, _QWEIGHTS,
-        optimize=True,
-    )
-    Ke = np.einsum(
-        "aqd,cqde,bqe,cq,q->cab", _C_HAT, metric, _C_HAT, 1.0 / detJ, _QWEIGHTS,
-        optimize=True,
-    )
+    Gk = np.empty((len(_SYM), _NQ, nc))
+    Gm = np.empty((len(_SYM), _NQ, nc))
+    for s, (d, e) in enumerate(_SYM):
+        np.divide(_dot(col[d], col[e]), detJ, out=Gk[s])
+        np.divide(_dot(adj[d], adj[e]), detJ, out=Gm[s])
+    # element entries a <= b per cell, and a zero row for _scatter_map
+    Ke = np.zeros((nc + 1, _UPPER_A.size))
+    Me = np.zeros((nc + 1, _UPPER_A.size))
+    np.matmul(Gk.reshape(-1, nc).T, _T_C, out=Ke[:nc])
+    np.matmul(Gm.reshape(-1, nc).T, _T_W, out=Me[:nc])
 
     # Sign local edges against the global tail < head orientation.
     tails = mesh.cell_vertices[:, _LOCAL_TAIL]
-    global_tails = mesh.edges[mesh.cell_edges, 0]
-    signs = np.where(global_tails == tails, 1.0, -1.0)
-    ss = signs[:, :, None] * signs[:, None, :]
-    Me *= ss
-    Ke *= ss
+    sign = np.where(mesh.edges[mesh.cell_edges, 0] == tails, 1.0, -1.0)
+    sign = sign[:, _UPPER_A] * sign[:, _UPPER_B]
+    Ke[:nc] *= sign
+    Me[:nc] *= sign
 
-    fidx = mesh.free_edge_index[mesh.cell_edges]   # (nc, 12), -1 on boundary
-    rows = np.broadcast_to(fidx[:, :, None], Me.shape)
-    cols = np.broadcast_to(fidx[:, None, :], Me.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    rr = rows[keep]
-    cc = cols[keep]
-
-    B = sp.coo_matrix((Me[keep], (rr, cc)), shape=(n, n)).tocsr()
-    A = sp.coo_matrix((Ke[keep], (rr, cc)), shape=(n, n)).tocsr()
-    # The scatter pattern is structurally symmetric, so the transpose shares
-    # it entry for entry; averaging the data removes roundoff skew.  Summing
-    # duplicates leaves the indices a view into the scatter-sized buffer;
-    # the copy keeps the endpoints compact.
-    for M in (A, B):
-        M.sort_indices()
-        M.indices = M.indices.copy()
-        M.data = (M.data + M.T.tocsr().data) * 0.5
-    return SystemPair(A=A, B=B, n=n, geometry_tag=geometry_tag)
+    indptr, indices, slot, source = _scatter_map(mesh)
+    out = {}
+    for name, E, G in (("A", Ke, Gk), ("B", Me, Gm)):
+        data = np.bincount(slot, np.take(E, source), indices.size + 1)[1:]
+        if not (np.isfinite(E).all() and np.isfinite(data).all()):
+            bad = ~np.isfinite(E[:nc]).all(axis=1)
+            mag = np.abs(G).max(axis=0)                  # (nq, nc)
+            mag[np.isnan(mag)] = np.inf
+            if bad.any():
+                c = int(np.argmax(bad))
+                q = int(np.argmax(mag[:, c]))
+            else:
+                q, c = np.unravel_index(int(np.argmax(mag)), mag.shape)
+            raise DegenerateCellError(
+                "non-finite %s entries: geometric factor %.3e in cell %d "
+                "(quadrature point %d)" % (name, mag[q, c], c, q)
+            )
+        out[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return SystemPair(A=out["A"], B=out["B"], n=n, geometry_tag=geometry_tag)
 
 
 @dataclass

@@ -120,8 +120,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for name in ("dims0", "dims1"):
-            if any(d <= 0.0 for d in getattr(self, name)):
-                raise ConfigError("%s must be positive lengths" % name)
+            if not all(0.0 < d < math.inf for d in getattr(self, name)):
+                raise ConfigError("%s must be positive finite lengths" % name)
         if any(r < 2 for r in self.resolution):
             raise ConfigError("resolution must be at least 2 cells per axis")
         if self.K < 1:

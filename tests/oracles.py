@@ -1,11 +1,19 @@
-"""Independent closed-form references used across the test suite.
+"""Independent references used across the test suite.
 
-Everything here is computed from first principles (tensor-product
+The closed forms are computed from first principles (tensor-product
 structure of the brick cavity) without touching the package's assembly
 or reference code, so agreement is evidence rather than tautology.
+``reference_assemble`` is the general-purpose einsum assembly that the
+reference-tensor kernel replaced; it shares only the reference shape
+tables with the package.
 """
 
 import numpy as np
+import scipy.sparse as sp
+
+from maxwell_rb.assembly import (_C_HAT, _DN, _LOCAL_TAIL, _QWEIGHTS, _W_HAT,
+                                 SystemPair)
+from maxwell_rb.errors import ConfigError, DegenerateCellError
 
 
 def continuum_brick_eigenvalues(dims, count):
@@ -88,3 +96,68 @@ def cotree_least_squares(A, B, cotree, v):
     v_hat = np.linalg.lstsq(Ht, rhs, rcond=None)[0]
     rel = np.linalg.norm(Ht @ v_hat - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
     return v_hat, rel
+
+
+def reference_assemble(mesh, geometry_tag=""):
+    """Stiffness and mass on the free edges of ``mesh``, by batched
+    ``np.linalg.inv``/``det``, ``einsum`` contractions and COO-to-CSR
+    scatter (the package's assembly before the reference-tensor kernel).
+
+    Raises DegenerateCellError if any cell's Jacobian determinant is not
+    strictly positive at a quadrature point.
+    """
+    n = mesh.n_free_edges
+    if n < 1:
+        raise ConfigError(
+            "mesh has no interior edge DoFs at resolution %r" % (mesh.resolution,)
+        )
+
+    X = mesh.vertices[mesh.cell_vertices]          # (nc, 8, 3)
+    J = np.einsum("lqd,clm->cqmd", _DN, X)         # J[m,d] = dx_m/du_d
+    detJ = np.linalg.det(J)
+    if detJ.size and detJ.min() <= 0.0:
+        c, q = np.unravel_index(int(np.argmin(detJ)), detJ.shape)
+        raise DegenerateCellError(
+            "non-positive Jacobian determinant %.3e in cell %d (quadrature point %d)"
+            % (detJ[c, q], c, q)
+        )
+
+    Jinv = np.linalg.inv(J)
+    metric_inv = np.einsum("cqdm,cqem->cqde", Jinv, Jinv)   # (J^T J)^{-1}
+    metric = np.einsum("cqmd,cqme->cqde", J, J)             # J^T J
+
+    Me = np.einsum(
+        "aqd,cqde,bqe,cq,q->cab", _W_HAT, metric_inv, _W_HAT, detJ, _QWEIGHTS,
+        optimize=True,
+    )
+    Ke = np.einsum(
+        "aqd,cqde,bqe,cq,q->cab", _C_HAT, metric, _C_HAT, 1.0 / detJ, _QWEIGHTS,
+        optimize=True,
+    )
+
+    # Sign local edges against the global tail < head orientation.
+    tails = mesh.cell_vertices[:, _LOCAL_TAIL]
+    global_tails = mesh.edges[mesh.cell_edges, 0]
+    signs = np.where(global_tails == tails, 1.0, -1.0)
+    ss = signs[:, :, None] * signs[:, None, :]
+    Me *= ss
+    Ke *= ss
+
+    fidx = mesh.free_edge_index[mesh.cell_edges]   # (nc, 12), -1 on boundary
+    rows = np.broadcast_to(fidx[:, :, None], Me.shape)
+    cols = np.broadcast_to(fidx[:, None, :], Me.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    rr = rows[keep]
+    cc = cols[keep]
+
+    B = sp.coo_matrix((Me[keep], (rr, cc)), shape=(n, n)).tocsr()
+    A = sp.coo_matrix((Ke[keep], (rr, cc)), shape=(n, n)).tocsr()
+    # The scatter pattern is structurally symmetric, so the transpose shares
+    # it entry for entry; averaging the data removes roundoff skew.  Summing
+    # duplicates leaves the indices a view into the scatter-sized buffer;
+    # the copy keeps the endpoints compact.
+    for M in (A, B):
+        M.sort_indices()
+        M.indices = M.indices.copy()
+        M.data = (M.data + M.T.tocsr().data) * 0.5
+    return SystemPair(A=A, B=B, n=n, geometry_tag=geometry_tag)

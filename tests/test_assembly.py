@@ -10,7 +10,8 @@ from maxwell_rb.assembly import ParametrizedSystem, assemble
 from maxwell_rb.errors import ConfigError, DegenerateCellError
 from maxwell_rb.mesh import build_mesh
 
-from oracles import discrete_brick_eigenvalues, interior_vertex_count
+from oracles import (discrete_brick_eigenvalues, interior_vertex_count,
+                     reference_assemble)
 
 _ZERO_SPLIT = 1e-6   # gap between gradient nullspace and physical modes
 
@@ -48,6 +49,46 @@ class TestOperators:
         )
         with pytest.raises(DegenerateCellError):
             assemble(mirrored)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dims,where", [
+        ((1e200, 1e200, 1e200), "Jacobian determinant"),   # det J overflows
+        ((3e-310, 1.0, 1.0), "non-finite A entries"),      # J^T J / det J does
+    ])
+    def test_non_finite_geometry_rejected(self, dims, where):
+        with pytest.raises(DegenerateCellError,
+                           match=where + ".* in cell 0 \\(quadrature point"):
+            assemble(build_mesh(dims, (3, 3, 3)))
+
+    def test_thin_cells_stay_finite(self):
+        # the inverse metric overflows here, but adj(J^T J) / det J does not
+        pair = assemble(build_mesh((1e-300, 1.0, 1.0), (3, 3, 3)))
+        assert np.isfinite(pair.A.data).all()
+        assert np.isfinite(pair.B.data).all()
+
+
+def _tapered(mesh):
+    """z -> z (1 - 0.5 x / a): every cell is a non-affine hexahedron."""
+    x, y, z = mesh.vertices.T
+    taper = np.column_stack([x, y, z * (1.0 - 0.5 * x / mesh.dims[0])])
+    return dataclasses.replace(mesh, vertices=taper)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("mesh", [
+        build_mesh((1.0, 1.0, 1.0), (3, 3, 3)),
+        build_mesh((1.0, 1.1, 0.6), (4, 3, 5)),
+        _tapered(build_mesh((1.0, 1.1, 1.2), (6, 6, 6))),
+    ], ids=["cube3", "brick435", "taper6"])
+    def test_matches_einsum_assembly(self, mesh):
+        got, want = assemble(mesh), reference_assemble(mesh)
+        for name in ("A", "B"):
+            M, R = getattr(got, name), getattr(want, name)
+            assert M.indices.dtype == M.indptr.dtype == np.int32
+            assert np.array_equal(M.indptr, R.indptr)
+            assert np.array_equal(M.indices, R.indices)
+            assert np.max(np.abs(M.data - R.data)) <= 1e-14 * np.max(np.abs(R.data))
+            assert (M != M.T).nnz == 0
 
 
 class TestSpectrum:

@@ -354,6 +354,18 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert "INFO" in proc.stderr
 
+    def test_infinite_length_is_a_config_error(self, tmp_path):
+        # an infinite brick once sent the reference eigenvalue walk into
+        # an endless loop; the timeout turns a relapse into a failure
+        path = tmp_path / "inf.cfg"
+        path.write_text(_CFG_TEXT + "dims1 = 1.0 1.1 inf\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxwell_rb.cli", "export-matrices",
+             "--config", str(path), "--output", str(tmp_path / "o")],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=30)
+        assert proc.returncode == 2
+        assert "dims1" in proc.stderr
+
     def test_thread_cap_exported_before_numpy(self, cfg_file, tmp_path):
         # the cap must land in the environment of the same process that
         # then imports numpy; probe it after main() returns

@@ -125,6 +125,7 @@ class TestValidation:
             "track_buffer = -1",
             "resolution = 1 4 4",
             "dims0 = 1.0 -1.0 1.0",
+            "dims1 = 1.0 1.1 inf",
             "eval_set_size = 0",
             "seed = -1",
             "N_train = 0",

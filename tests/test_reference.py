@@ -1,8 +1,13 @@
 """Analytic cavity eigenvalues against an independent enumeration."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import maxwell_rb
 from maxwell_rb.errors import ConfigError
 from maxwell_rb.reference import brick_eigenvalues, first_eigenvalue
 
@@ -39,3 +44,34 @@ def test_bad_inputs():
         brick_eigenvalues((0.0, 1.0, 1.0), 3)
     with pytest.raises(ConfigError):
         brick_eigenvalues((1.0, 1.0, 1.0), 0)
+
+
+# Each call runs in a child interpreter with a timeout, so that a walk
+# that does not end fails the suite instead of hanging it.
+_CHILD = """
+from maxwell_rb.errors import ConfigError
+from maxwell_rb.reference import brick_eigenvalues
+inf = float("inf")
+try:
+    values = brick_eigenvalues(%r, 5)
+except ConfigError:
+    print("ConfigError")
+else:
+    print("finite" if all(0.0 < v < float("inf") for v in values) else values)
+"""
+
+
+@pytest.mark.parametrize("dims,outcome", [
+    ((1e200, 1e200, 1e200), "ConfigError"),   # every eigenvalue underflows
+    ((1e-200, 1.0, 1.0), "finite"),           # modes along a stay infinite
+    ((1.0, 1.0, 1e12), "finite"),
+    ((1.0, 1.1, float("inf")), "ConfigError"),
+])
+def test_extreme_dims_return_or_raise(dims, outcome):
+    src = os.path.dirname(os.path.dirname(maxwell_rb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CHILD % (dims,)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == outcome
