@@ -24,15 +24,15 @@ element matrix are formed.
 Boundary-edge rows and columns are eliminated during scatter, which
 realizes the perfectly conducting wall.  A scatter map, built once per
 call from the topology alone and shared by both matrices, takes every
-element entry to its slot in the CSR pattern, so each matrix's data is
-two weighted bincounts, of the entries (a, b) and of their mirrors
-(b, a), summed in the same cell order: the result is exactly
-symmetric.  Both matrices keep the full topological pattern, including
-entries that cancel to zero, so two meshes of the same topology
-assemble onto identical patterns.  The parametrized pair (A(t), B(t))
-is the convex combination of two endpoint assemblies on that shared
-pattern; intermediate matrices are algebraic objects, not assemblies on
-physical geometries.
+element entry and its mirror to their slots in the CSR pattern, so each
+matrix's data is one weighted bincount.  The map lists the
+contributions to a slot and to its mirror in the same cell order, so
+the result is exactly symmetric.  Both matrices keep the full
+topological pattern, including entries that cancel to zero, so two
+meshes of the same topology assemble onto identical patterns.  The
+parametrized pair (A(t), B(t)) is the convex combination of two
+endpoint assemblies on that shared pattern; intermediate matrices are
+algebraic objects, not assemblies on physical geometries.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ def _scatter_map(mesh: CavityMesh):
     # key = column << bits | source; it splits into a part per (cell,
     # column edge) and a part per (row edge, column edge) of a cell.
     col = np.vstack([fidx, np.full((1, 12), -1)])
-    cell_key = np.where(col >= 0, col << bits, -1 << bits)
-    cell_key += np.where(col >= 0, np.arange(nc + 1)[:, None], nc) * n_pairs
+    cell = np.where(col >= 0, np.arange(nc + 1)[:, None], nc)
+    cell_key = (col << bits) + cell * n_pairs
     key = np.take(cell_key, inc // 12, axis=0)
     key += np.take(_PAIR, inc % 12, axis=0)
     key = key.reshape(n, -1)
@@ -216,6 +216,8 @@ def _scatter_map(mesh: CavityMesh):
     return indptr, indices, slot, source.ravel()
 
 
+# Overflow on extreme geometry is reported by DegenerateCellError below.
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
     """Assemble stiffness and mass on the free edges of ``mesh``.
 
@@ -271,14 +273,10 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
     for name, E, G in (("A", Ke, Gk), ("B", Me, Gm)):
         data = np.bincount(slot, np.take(E, source), indices.size + 1)[1:]
         if not (np.isfinite(E).all() and np.isfinite(data).all()):
-            bad = ~np.isfinite(E[:nc]).all(axis=1)
+            # name the largest geometric factor, the one that overflowed
             mag = np.abs(G).max(axis=0)                  # (nq, nc)
             mag[np.isnan(mag)] = np.inf
-            if bad.any():
-                c = int(np.argmax(bad))
-                q = int(np.argmax(mag[:, c]))
-            else:
-                q, c = np.unravel_index(int(np.argmax(mag)), mag.shape)
+            q, c = np.unravel_index(int(np.argmax(mag)), mag.shape)
             raise DegenerateCellError(
                 "non-finite %s entries: geometric factor %.3e in cell %d "
                 "(quadrature point %d)" % (name, mag[q, c], c, q)

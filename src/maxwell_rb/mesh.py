@@ -76,8 +76,9 @@ def _validate_inputs(dims, resolution):
     if len(dims) != 3 or len(resolution) != 3:
         raise ConfigError("dims and resolution must be triples")
     a, b, c = (float(d) for d in dims)
-    if not (a > 0 and b > 0 and c > 0):
-        raise ConfigError("all edge lengths must be positive, got %r" % (dims,))
+    if not all(0.0 < d < np.inf for d in (a, b, c)):
+        raise ConfigError("all edge lengths must be positive and finite, got %r"
+                          % (dims,))
     nx, ny, nz = (int(r) for r in resolution)
     if not (nx >= 1 and ny >= 1 and nz >= 1):
         raise ConfigError("all cell counts must be >= 1, got %r" % (resolution,))

@@ -50,7 +50,6 @@ class TestOperators:
         with pytest.raises(DegenerateCellError):
             assemble(mirrored)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dims,where", [
         ((1e200, 1e200, 1e200), "Jacobian determinant"),   # det J overflows
         ((3e-310, 1.0, 1.0), "non-finite A entries"),      # J^T J / det J does

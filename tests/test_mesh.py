@@ -102,7 +102,8 @@ class TestGradient:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("dims", [(0.0, 1, 1), (-1.0, 1, 1), (1, 1)])
+    @pytest.mark.parametrize("dims", [(0.0, 1, 1), (-1.0, 1, 1), (1, 1),
+                                      (np.inf, 1, 1), (1, np.nan, 1)])
     def test_bad_dims(self, dims):
         with pytest.raises(ConfigError):
             build_mesh(dims, (2, 2, 2))
