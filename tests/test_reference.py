@@ -57,7 +57,7 @@ try:
 except ConfigError:
     print("ConfigError")
 else:
-    print("finite" if all(0.0 < v < float("inf") for v in values) else values)
+    print("finite" if all(0.0 < v < inf for v in values) else values)
 """
 
 
