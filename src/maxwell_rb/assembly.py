@@ -1,6 +1,8 @@
 """Curl-curl system assembly with lowest-order hexahedral edge elements.
 
-Each cell is mapped trilinearly from the reference cube [0,1]^3.  Edge
+Each cell is mapped trilinearly from the reference cube [0,1]^3, with
+the local corner and edge order that mesh.py defines (CELL_CORNERS,
+EDGE_TAILS); the reference shape tables below follow it.  Edge
 shape functions transform covariantly (values by the inverse transposed
 Jacobian, curls by the Jacobian over its determinant), so at a
 quadrature point the mass integrand sees the cell only through
@@ -43,56 +45,48 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateCellError
-from .mesh import CavityMesh
+from .mesh import CELL_CORNERS, EDGE_TAILS, CavityMesh
 
-_CORNER_OFFSETS = [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-# Local tail corner (l = i + 2j + 4k) per edge slot; used to sign each
+# Local tail corner l = i + 2j + 4k of each edge slot; used to sign each
 # local edge against the stored global orientation.
-_LOCAL_TAIL = np.array(
-    [2 * j + 4 * k for j, k in _CORNER_OFFSETS]
-    + [i + 4 * k for i, k in _CORNER_OFFSETS]
-    + [i + 2 * j for i, j in _CORNER_OFFSETS]
-)
+_LOCAL_TAIL = EDGE_TAILS @ (1, 2, 4)
 
 
 def _reference_data():
-    """Shape values, curls and trilinear gradients at the 2x2x2 Gauss points."""
+    """Shape values, curls and trilinear gradients at the 2x2x2 Gauss points.
+
+    Every function is a product of one 1-D factor per axis: 1 - u or u
+    at corner offset 0 or 1, or the derivative -1 or 1.  Corner l's
+    trilinear function takes the factors of all three axes.  Local edge
+    4d + s points along d and takes the factors of the two other axes at
+    its tail corner; its curl, grad f x e_d, holds df/du_{d+2} in
+    component d + 1 and -df/du_{d+1} in component d + 2 (axes mod 3).
+    """
     g = 0.5 / np.sqrt(3.0)
-    pts_1d = np.array([0.5 - g, 0.5 + g])
-    qp = np.array([(x, y, z) for z in pts_1d for y in pts_1d for x in pts_1d])
+    qp = np.array([0.5 - g, 0.5 + g])[CELL_CORNERS]    # x fastest
+    lam = np.stack([1.0 - qp.T, qp.T])                 # lam[offset, axis]
+    dlam = (-1.0, 1.0)
     nq = qp.shape[0]
 
-    def lam(i, s):
-        return s if i else 1.0 - s
-
-    def dlam(i):
-        return 1.0 if i else -1.0
+    def product(corner, skip=None, deriv=None):
+        out = 1.0
+        for e in range(3):
+            if e != skip:
+                out = out * (dlam[corner[e]] if e == deriv else lam[corner[e], e])
+        return out
 
     W = np.zeros((12, nq, 3))
     C = np.zeros((12, nq, 3))
-    x, y, z = qp[:, 0], qp[:, 1], qp[:, 2]
-    for slot, (j, k) in enumerate(_CORNER_OFFSETS):
-        W[slot, :, 0] = lam(j, y) * lam(k, z)
-        C[slot, :, 1] = lam(j, y) * dlam(k)
-        C[slot, :, 2] = -dlam(j) * lam(k, z)
-    for slot, (i, k) in enumerate(_CORNER_OFFSETS):
-        W[4 + slot, :, 1] = lam(i, x) * lam(k, z)
-        C[4 + slot, :, 0] = -lam(i, x) * dlam(k)
-        C[4 + slot, :, 2] = dlam(i) * lam(k, z)
-    for slot, (i, j) in enumerate(_CORNER_OFFSETS):
-        W[8 + slot, :, 2] = lam(i, x) * lam(j, y)
-        C[8 + slot, :, 0] = lam(i, x) * dlam(j)
-        C[8 + slot, :, 1] = -dlam(i) * lam(j, y)
+    for slot, tail in enumerate(EDGE_TAILS):
+        d = slot // 4
+        W[slot, :, d] = product(tail, skip=d)
+        C[slot, :, (d + 1) % 3] = product(tail, skip=d, deriv=(d + 2) % 3)
+        C[slot, :, (d + 2) % 3] = -product(tail, skip=d, deriv=(d + 1) % 3)
 
     dN = np.zeros((8, nq, 3))
-    for k in (0, 1):
-        for j in (0, 1):
-            for i in (0, 1):
-                l = i + 2 * j + 4 * k
-                dN[l, :, 0] = dlam(i) * lam(j, y) * lam(k, z)
-                dN[l, :, 1] = lam(i, x) * dlam(j) * lam(k, z)
-                dN[l, :, 2] = lam(i, x) * lam(j, y) * dlam(k)
+    for l, corner in enumerate(CELL_CORNERS):
+        for d in range(3):
+            dN[l, :, d] = product(corner, deriv=d)
 
     weights = np.full(nq, 1.0 / nq)
     return W, C, dN, weights

@@ -155,11 +155,11 @@ class Problem:
 def setup_problem(cfg: RunConfig) -> Problem:
     mesh0 = build_mesh(cfg.dims0, cfg.resolution)
     mesh1 = build_mesh(cfg.dims1, cfg.resolution)
-    grad = discrete_gradient(mesh0)
+    G = discrete_gradient(mesh0)
     tags = ["brick(%g x %g x %g)" % dims for dims in (cfg.dims0, cfg.dims1)]
     psys = ParametrizedSystem(assemble(mesh0, geometry_tag=tags[0]),
                               assemble(mesh1, geometry_tag=tags[1]))
-    gauge = build_tree(mesh0, grad)
+    gauge = build_tree(mesh0, G)
     # The shift must stay below the first physical eigenvalue at every t,
     # so anchor it to the smaller of the two endpoint references.
     policy = SolverPolicy.from_reference(

@@ -2,8 +2,7 @@
 
 Every knob has a default tuned for the desk-scale brick morph, so an
 empty file is a valid configuration.  Unknown keys, duplicate keys, and
-malformed values fail fast with the offending line number.  Round trips
-are lossless: parse(render(cfg)) == cfg, with floats printed via repr.
+malformed values fail fast with the offending line number.
 """
 
 from __future__ import annotations
@@ -59,64 +58,54 @@ def _parse_choice(options):
     return run
 
 
-def _render_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _render_triple(render_one):
-    return lambda triple: " ".join(render_one(v) for v in triple)
-
-
-# key -> (parser, renderer, default)
+# key -> (parser, default)
 _SCHEMA = {
-    "dims0": (_parse_triple(_parse_float), _render_triple(_render_float),
-              (1.0, 1.1, 1.2)),
-    "dims1": (_parse_triple(_parse_float), _render_triple(_render_float),
-              (1.0, 1.1, 0.6)),
-    "resolution": (_parse_triple(_parse_int), _render_triple(str), (6, 6, 6)),
-    "K": (_parse_int, str, 5),
-    "N_POD": (_parse_int, str, 20),
-    "N_train": (_parse_int, str, 50),
-    "N_init": (_parse_count_or_auto, str, _AUTO),
-    "N_max": (_parse_int, str, 60),
-    "tol": (_parse_float, _render_float, 1e-6),
-    "shift_fraction": (_parse_float, _render_float, 0.9),
-    "cut_fraction": (_parse_float, _render_float, 0.1),
-    "gauge_mode": (_parse_choice(("classical", "mixed")), str, "mixed"),
-    "threshold": (_parse_float, _render_float, 0.9),
-    "initial_steps": (_parse_int, str, 16),
-    "max_depth": (_parse_int, str, 10),
-    "track_buffer": (_parse_int, str, 2),
-    "matching": (_parse_choice(("greedy", "hungarian")), str, "greedy"),
-    "eval_set_size": (_parse_int, str, 50),
-    "seed": (_parse_int, str, 1234),
-    "output": (str, str, "out"),
+    "dims0": (_parse_triple(_parse_float), (1.0, 1.1, 1.2)),
+    "dims1": (_parse_triple(_parse_float), (1.0, 1.1, 0.6)),
+    "resolution": (_parse_triple(_parse_int), (6, 6, 6)),
+    "K": (_parse_int, 5),
+    "N_POD": (_parse_int, 20),
+    "N_train": (_parse_int, 50),
+    "N_init": (_parse_count_or_auto, _AUTO),
+    "N_max": (_parse_int, 60),
+    "tol": (_parse_float, 1e-6),
+    "shift_fraction": (_parse_float, 0.9),
+    "cut_fraction": (_parse_float, 0.1),
+    "gauge_mode": (_parse_choice(("classical", "mixed")), "mixed"),
+    "threshold": (_parse_float, 0.9),
+    "initial_steps": (_parse_int, 16),
+    "max_depth": (_parse_int, 10),
+    "track_buffer": (_parse_int, 2),
+    "matching": (_parse_choice(("greedy", "hungarian")), "greedy"),
+    "eval_set_size": (_parse_int, 50),
+    "seed": (_parse_int, 1234),
+    "output": (str, "out"),
 }
 
 @dataclass(frozen=True)
 class RunConfig:
     """All experiment knobs; see _SCHEMA for the file keys and defaults."""
 
-    dims0: tuple = _SCHEMA["dims0"][2]
-    dims1: tuple = _SCHEMA["dims1"][2]
-    resolution: tuple = _SCHEMA["resolution"][2]
-    K: int = _SCHEMA["K"][2]
-    N_POD: int = _SCHEMA["N_POD"][2]
-    N_train: int = _SCHEMA["N_train"][2]
-    N_init: object = _SCHEMA["N_init"][2]
-    N_max: int = _SCHEMA["N_max"][2]
-    tol: float = _SCHEMA["tol"][2]
-    shift_fraction: float = _SCHEMA["shift_fraction"][2]
-    cut_fraction: float = _SCHEMA["cut_fraction"][2]
-    gauge_mode: str = _SCHEMA["gauge_mode"][2]
-    threshold: float = _SCHEMA["threshold"][2]
-    initial_steps: int = _SCHEMA["initial_steps"][2]
-    max_depth: int = _SCHEMA["max_depth"][2]
-    track_buffer: int = _SCHEMA["track_buffer"][2]
-    matching: str = _SCHEMA["matching"][2]
-    eval_set_size: int = _SCHEMA["eval_set_size"][2]
-    seed: int = _SCHEMA["seed"][2]
-    output: str = _SCHEMA["output"][2]
+    dims0: tuple = _SCHEMA["dims0"][1]
+    dims1: tuple = _SCHEMA["dims1"][1]
+    resolution: tuple = _SCHEMA["resolution"][1]
+    K: int = _SCHEMA["K"][1]
+    N_POD: int = _SCHEMA["N_POD"][1]
+    N_train: int = _SCHEMA["N_train"][1]
+    N_init: object = _SCHEMA["N_init"][1]
+    N_max: int = _SCHEMA["N_max"][1]
+    tol: float = _SCHEMA["tol"][1]
+    shift_fraction: float = _SCHEMA["shift_fraction"][1]
+    cut_fraction: float = _SCHEMA["cut_fraction"][1]
+    gauge_mode: str = _SCHEMA["gauge_mode"][1]
+    threshold: float = _SCHEMA["threshold"][1]
+    initial_steps: int = _SCHEMA["initial_steps"][1]
+    max_depth: int = _SCHEMA["max_depth"][1]
+    track_buffer: int = _SCHEMA["track_buffer"][1]
+    matching: str = _SCHEMA["matching"][1]
+    eval_set_size: int = _SCHEMA["eval_set_size"][1]
+    seed: int = _SCHEMA["seed"][1]
+    output: str = _SCHEMA["output"][1]
 
     def validate(self) -> "RunConfig":
         for name in ("dims0", "dims1"):
@@ -212,14 +201,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config file not found: %s" % path)
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config_text(handle.read(), source=str(path))
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Canonical text for cfg; parse_config_text inverts this losslessly."""
-    lines = []
-    for key, (_, render, _) in _SCHEMA.items():
-        lines.append("%s = %s" % (key, render(getattr(cfg, key))))
-    return "\n".join(lines) + "\n"
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .assembly import SystemPair
 from .eigen import SPDFactor, pcg_solve
 from .errors import NumericsError, ProjectionError
-from .mesh import CavityMesh, DiscreteGradient
+from .mesh import CavityMesh
 
 _CONSISTENCY_TOL = 1e-6
 
@@ -43,16 +43,14 @@ class GaugeDecomposition:
     """Tree/cotree split of the free edges.
 
     ``tree`` lists tree edges in BFS discovery order; ``cotree`` is the
-    ascending complement; ``parent_order`` lists interior vertex indices
-    in the same discovery order as their tree edges.  ``G_tree`` and
-    ``G_cotree`` are the gradient's tree and cotree rows with columns in
-    ``parent_order``, so ``G_tree`` is lower triangular with unit-modulus
-    diagonal.
+    ascending complement.  ``G_tree`` and ``G_cotree`` are the
+    gradient's tree and cotree rows with columns permuted into the
+    discovery order of the interior vertices, so ``G_tree`` is lower
+    triangular with unit-modulus diagonal.
     """
 
     tree: np.ndarray
     cotree: np.ndarray
-    parent_order: np.ndarray
     n_free_edges: int
     G_tree: sp.csr_matrix
     G_cotree: sp.csr_matrix
@@ -66,13 +64,14 @@ class CotreeSystem:
     B_hat: np.ndarray
 
 
-def build_tree(mesh: CavityMesh, grad: DiscreteGradient) -> GaugeDecomposition:
+def build_tree(mesh: CavityMesh, G: sp.csr_matrix) -> GaugeDecomposition:
     """Spanning tree of the free-edge graph rooted in the boundary.
 
     BFS starts from the super-node of all boundary vertices, visiting
     vertices in ascending id order and edges in ascending free-edge
-    order, so the result is deterministic.  ``grad`` supplies the
-    gradient blocks G_tree and G_cotree.
+    order, so the result is deterministic.  The discrete gradient ``G``
+    (free edges by interior vertices) supplies the blocks G_tree and
+    G_cotree.
     """
     n = mesh.n_free_edges
     free_ids = mesh.free_edges
@@ -109,10 +108,10 @@ def build_tree(mesh: CavityMesh, grad: DiscreteGradient) -> GaugeDecomposition:
             "interior vertices disconnected from the boundary: reached %d of %d"
             % (len(parent_vertices), nv)
         )
-    if grad.G.shape != (n, nv):
+    if G.shape != (n, nv):
         raise NumericsError(
             "gradient operator shape %r inconsistent with mesh (%d, %d)"
-            % (grad.G.shape, n, nv)
+            % (G.shape, n, nv)
         )
 
     tree = np.array(tree_edges, dtype=np.int64)
@@ -120,9 +119,9 @@ def build_tree(mesh: CavityMesh, grad: DiscreteGradient) -> GaugeDecomposition:
     in_tree[tree] = True
     cotree = np.flatnonzero(~in_tree)
     parent_order = mesh.interior_vertex_index[np.array(parent_vertices, dtype=np.int64)]
-    G = grad.G.tocsr()[:, parent_order]
+    G = G.tocsr()[:, parent_order]
     return GaugeDecomposition(
-        tree=tree, cotree=cotree, parent_order=parent_order, n_free_edges=n,
+        tree=tree, cotree=cotree, n_free_edges=n,
         G_tree=G[tree], G_cotree=G[cotree],
     )
 

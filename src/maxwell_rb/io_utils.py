@@ -24,21 +24,27 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a sibling temp file and atomic rename."""
+def _atomic_write(path, write, **open_args) -> None:
+    """Call write(handle) on a sibling temp file, then rename it to path."""
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, **open_args) as handle:
+            write(handle)
         os.chmod(tmp, 0o644)   # mkstemp defaults to 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via a sibling temp file and atomic rename."""
+    _atomic_write(path, lambda handle: handle.write(text),
+                  mode="w", encoding="utf-8", newline="\n")
 
 
 def _finite_or_null(value):
@@ -79,22 +85,10 @@ def write_matrix_market(path, matrix, symmetric: bool = False) -> None:
     import scipy.io
     import scipy.sparse as sp
 
-    path = str(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
     if symmetric:
         matrix = sp.coo_matrix(matrix)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            scipy.io.mmwrite(handle, matrix,
-                             symmetry="symmetric" if symmetric else None)
-        os.chmod(tmp, 0o644)   # mkstemp defaults to 0600
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, lambda handle: scipy.io.mmwrite(
+        handle, matrix, symmetry="symmetric" if symmetric else None), mode="wb")
 
 
 def remove_if_exists(paths) -> None:

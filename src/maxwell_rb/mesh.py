@@ -1,25 +1,46 @@
 """Structured hexahedral meshes of a brick cavity.
 
-Entities are enumerated lexicographically by (z, y, x), x running fastest.
-Edges are stored in three direction blocks (x, then y, then z) and always
-point from the lower vertex index to the higher one.  Boundary edges are
-those lying entirely inside one of the six boundary planes; eliminating
-them realizes the perfectly conducting wall condition.
+Every entity is a box of grid points numbered lexicographically by
+(z, y, x), x running fastest, and one rule, applied per axis d, derives
+them all.  Vertices form the box of (n_x + 1, n_y + 1, n_z + 1) points.
+The edges along d form the vertex box with one point fewer along d,
+stored as block d (x, then y, then z); each points from its tail vertex
+to the next vertex along d, so tail < head.  Cells form the box of
+(n_x, n_y, n_z) points, named by their lowest corner.
+
+This module also defines the local order inside one cell, which
+assembly relies on: corner l = i + 2j + 4k sits at offset (i, j, k), and
+local edge 4d + s runs along d from the corner at offset
+_EDGE_CORNER_OFFSETS[s] in the two other axes (ascending), 0 along d.
+
+Boundary edges are those lying entirely inside one of the six boundary
+planes; eliminating them realizes the perfectly conducting wall
+condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
 
-# Local edge order inside one cell: four x-directed edges at the (y,z)
-# corner offsets below, then four y-directed at (x,z), then four
-# z-directed at (x,y).  Assembly relies on this order.
 _EDGE_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=np.int64)
+
+
+def _strides(shape):
+    """Flat-index step per axis of a box numbered x fastest."""
+    return np.array([1, shape[0], shape[0] * shape[1]])
+
+
+# Cell corner l as its offset (i, j, k), and the tail corner of each local
+# edge: 0 along the edge's axis, _EDGE_CORNER_OFFSETS along the others.
+CELL_CORNERS = np.array([(i, j, k) for k in (0, 1) for j in (0, 1) for i in (0, 1)])
+EDGE_TAILS = np.array([np.insert(offset, d, 0) for d in range(3)
+                       for offset in _EDGE_CORNER_OFFSETS])
 
 _MAX_EDGES = 2**31 - 1
 
@@ -56,43 +77,34 @@ class CavityMesh:
         return np.flatnonzero(~self.boundary_edge)
 
 
-@dataclass(frozen=True)
-class DiscreteGradient:
-    """Edge-vertex incidence restricted to free edges and interior vertices.
-
-    Column j holds +1 on free edges whose head is interior vertex j and -1
-    on those whose tail is; the columns span the discrete gradient fields
-    that form the nullspace of the curl-curl operator.
-    """
-
-    G: sp.csr_matrix
-
-    @property
-    def shape(self):
-        return self.G.shape
-
-
 def _validate_inputs(dims, resolution):
     if len(dims) != 3 or len(resolution) != 3:
         raise ConfigError("dims and resolution must be triples")
-    a, b, c = (float(d) for d in dims)
-    if not all(0.0 < d < np.inf for d in (a, b, c)):
+    lengths = tuple(float(d) for d in dims)
+    if not all(0.0 < d < np.inf for d in lengths):
         raise ConfigError("all edge lengths must be positive and finite, got %r"
                           % (dims,))
-    nx, ny, nz = (int(r) for r in resolution)
-    if not (nx >= 1 and ny >= 1 and nz >= 1):
+    if any(isinstance(r, bool) or not isinstance(r, (int, np.integer))
+           for r in resolution):
+        raise ConfigError("cell counts must be integers, got %r" % (resolution,))
+    counts = tuple(int(r) for r in resolution)
+    if min(counts) < 1:
         raise ConfigError("all cell counts must be >= 1, got %r" % (resolution,))
-    n_edges = (
-        nx * (ny + 1) * (nz + 1)
-        + ny * (nx + 1) * (nz + 1)
-        + nz * (nx + 1) * (ny + 1)
-    )
+    n_vertices = math.prod(m + 1 for m in counts)
+    n_edges = sum(n_vertices // (m + 1) * m for m in counts)
     if n_edges > _MAX_EDGES:
         raise ConfigError(
             "resolution %r needs %d edges, beyond the 32-bit index range"
             % (resolution, n_edges)
         )
-    return (a, b, c), (nx, ny, nz)
+    return lengths, counts
+
+
+def _numbering(keep):
+    """Consecutive numbers of the kept entries, -1 at the others."""
+    index = np.full(keep.size, -1, dtype=np.int64)
+    index[keep] = np.arange(int(keep.sum()))
+    return index
 
 
 def build_mesh(dims, resolution) -> CavityMesh:
@@ -101,93 +113,46 @@ def build_mesh(dims, resolution) -> CavityMesh:
     Enumeration is deterministic: vertices, edges and cells are ordered
     lexicographically by (z, y, x).
     """
-    (a, b, c), (nx, ny, nz) = _validate_inputs(dims, resolution)
-    nvx, nvy, nvz = nx + 1, ny + 1, nz + 1
+    lengths, counts = _validate_inputs(dims, resolution)
+    top = np.array(counts)
+    vstride = _strides(top + 1)
+    # grids indexed [z, y, x]: vertex ids, and each vertex's index per axis
+    vid = np.arange(math.prod(top + 1)).reshape(tuple(top[::-1] + 1))
+    index = np.indices(vid.shape)[::-1]
+    on_plane = index == top.reshape(3, 1, 1, 1)
+    on_plane |= index == 0
+    cell_box = tuple(slice(0, m) for m in counts[::-1])
 
-    def vid(ix, iy, iz):
-        return ix + nvx * (iy + nvy * iz)
-
-    zs = np.linspace(0.0, c, nvz)
-    ys = np.linspace(0.0, b, nvy)
-    xs = np.linspace(0.0, a, nvx)
-    zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
-    vertices = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-
-    iz, iy, ix = np.meshgrid(
-        np.arange(nvz), np.arange(nvy), np.arange(nvx), indexing="ij"
-    )
-    boundary_vertex = (
-        (ix == 0) | (ix == nx) | (iy == 0) | (iy == ny) | (iz == 0) | (iz == nz)
-    ).ravel()
-
-    # Edge blocks, each flattened with x fastest.
-    ez, ey, ex = np.meshgrid(np.arange(nvz), np.arange(nvy), np.arange(nx), indexing="ij")
-    tails_x = vid(ex, ey, ez).ravel()
-    heads_x = vid(ex + 1, ey, ez).ravel()
-    bnd_x = ((ey == 0) | (ey == ny) | (ez == 0) | (ez == nz)).ravel()
-
-    ez, ey, ex = np.meshgrid(np.arange(nvz), np.arange(ny), np.arange(nvx), indexing="ij")
-    tails_y = vid(ex, ey, ez).ravel()
-    heads_y = vid(ex, ey + 1, ez).ravel()
-    bnd_y = ((ex == 0) | (ex == nx) | (ez == 0) | (ez == nz)).ravel()
-
-    ez, ey, ex = np.meshgrid(np.arange(nz), np.arange(nvy), np.arange(nvx), indexing="ij")
-    tails_z = vid(ex, ey, ez).ravel()
-    heads_z = vid(ex, ey, ez + 1).ravel()
-    bnd_z = ((ex == 0) | (ex == nx) | (ey == 0) | (ey == ny)).ravel()
-
-    edges = np.column_stack(
-        [
-            np.concatenate([tails_x, tails_y, tails_z]),
-            np.concatenate([heads_x, heads_y, heads_z]),
-        ]
-    ).astype(np.int64)
-    boundary_edge = np.concatenate([bnd_x, bnd_y, bnd_z])
-
-    n_x_edges = nx * nvy * nvz
-    n_y_edges = ny * nvx * nvz
-
-    cz, cy, cx = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    cz = cz.ravel()
-    n_cells = cx.size
-
-    cell_edges = np.empty((n_cells, 12), dtype=np.int64)
-    for slot, (j, k) in enumerate(_EDGE_CORNER_OFFSETS):
-        cell_edges[:, slot] = cx + nx * ((cy + j) + nvy * (cz + k))
-    for slot, (i, k) in enumerate(_EDGE_CORNER_OFFSETS):
-        cell_edges[:, 4 + slot] = n_x_edges + (cx + i) + nvx * (cy + ny * (cz + k))
-    for slot, (i, j) in enumerate(_EDGE_CORNER_OFFSETS):
-        cell_edges[:, 8 + slot] = (
-            n_x_edges + n_y_edges + (cx + i) + nvx * ((cy + j) + nvy * cz)
-        )
-
-    cell_vertices = np.empty((n_cells, 8), dtype=np.int64)
-    for k in (0, 1):
-        for j in (0, 1):
-            for i in (0, 1):
-                cell_vertices[:, i + 2 * j + 4 * k] = vid(cx + i, cy + j, cz + k)
-
-    free_edge_index = np.full(edges.shape[0], -1, dtype=np.int64)
-    free = ~boundary_edge
-    free_edge_index[free] = np.arange(int(free.sum()))
-
-    interior_vertex_index = np.full(vertices.shape[0], -1, dtype=np.int64)
-    interior = ~boundary_vertex
-    interior_vertex_index[interior] = np.arange(int(interior.sum()))
+    tails, heads, boundary_edge, cell_edges = [], [], [], []
+    first = 0
+    for d in range(3):
+        other = np.arange(3) != d
+        shape = top + other
+        box = tuple(slice(0, m) for m in shape[::-1])
+        tail = vid[box].ravel()
+        tails.append(tail)
+        heads.append(tail + vstride[d])
+        # inside a boundary plane: at the first or last point of another axis
+        boundary_edge.append(on_plane[(other, *box)].any(axis=0).ravel())
+        ids = first + np.arange(tail.size).reshape(shape[::-1])
+        cell_edges.append(ids[cell_box].reshape(-1, 1)
+                          + EDGE_TAILS[4 * d:4 * d + 4] @ _strides(shape))
+        first += tail.size
+    boundary_edge = np.concatenate(boundary_edge)
+    boundary_vertex = on_plane.any(axis=0).ravel()
 
     return CavityMesh(
-        dims=(a, b, c),
-        resolution=(nx, ny, nz),
-        vertices=vertices,
-        edges=edges,
-        cell_vertices=cell_vertices,
-        cell_edges=cell_edges,
+        dims=lengths,
+        resolution=counts,
+        vertices=np.column_stack([np.linspace(0.0, length, m + 1)[i.ravel()]
+                                  for length, m, i in zip(lengths, counts, index)]),
+        edges=np.column_stack([np.concatenate(tails), np.concatenate(heads)]),
+        cell_vertices=vid[cell_box].reshape(-1, 1) + CELL_CORNERS @ vstride,
+        cell_edges=np.concatenate(cell_edges, axis=1),
         boundary_vertex=boundary_vertex,
         boundary_edge=boundary_edge,
-        free_edge_index=free_edge_index,
-        interior_vertex_index=interior_vertex_index,
+        free_edge_index=_numbering(~boundary_edge),
+        interior_vertex_index=_numbering(~boundary_vertex),
     )
 
 
@@ -233,33 +198,20 @@ def dissection_order(mesh: CavityMesh) -> np.ndarray:
     return np.concatenate(order)
 
 
-def discrete_gradient(mesh: CavityMesh) -> DiscreteGradient:
-    """Incidence operator G, free edges by interior vertices, entries +-1."""
-    n = mesh.n_free_edges
-    nv = mesh.n_interior_vertices
-    free_ids = mesh.free_edges
-    tails = mesh.edges[free_ids, 0]
-    heads = mesh.edges[free_ids, 1]
+def discrete_gradient(mesh: CavityMesh) -> sp.csr_matrix:
+    """Incidence operator G, free edges by interior vertices, entries +-1.
 
-    rows = []
-    cols = []
-    vals = []
-    head_int = mesh.interior_vertex_index[heads]
-    tail_int = mesh.interior_vertex_index[tails]
-    row_ids = np.arange(n)
-
-    mask = head_int >= 0
-    rows.append(row_ids[mask])
-    cols.append(head_int[mask])
-    vals.append(np.ones(int(mask.sum())))
-
-    mask = tail_int >= 0
-    rows.append(row_ids[mask])
-    cols.append(tail_int[mask])
-    vals.append(-np.ones(int(mask.sum())))
-
-    G = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, nv),
-    ).tocsr()
-    return DiscreteGradient(G=G)
+    Column j holds +1 on free edges whose head is interior vertex j and -1
+    on those whose tail is; the columns span the discrete gradient fields
+    that form the nullspace of the curl-curl operator.
+    """
+    # per row, tail then head: interior numbering keeps vertex order, so
+    # the columns come out sorted
+    ends = mesh.interior_vertex_index[mesh.edges[mesh.free_edges]]
+    inside = ends >= 0
+    indptr = np.zeros(ends.shape[0] + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix(
+        (np.broadcast_to([-1.0, 1.0], ends.shape)[inside], ends[inside], indptr),
+        shape=(mesh.n_free_edges, mesh.n_interior_vertices),
+    )

@@ -4,16 +4,32 @@ The closed forms are computed from first principles (tensor-product
 structure of the brick cavity) without touching the package's assembly
 or reference code, so agreement is evidence rather than tautology.
 ``reference_assemble`` is the general-purpose einsum assembly that the
-reference-tensor kernel replaced; it shares only the reference shape
-tables with the package.
+reference-tensor kernel replaced.  ``reference_build_mesh``,
+``reference_discrete_gradient`` and ``reference_shape_tables`` are frozen
+copies of the axis-by-axis mesh and reference-cell code that the
+per-axis rule in ``maxwell_rb.mesh`` replaced; ``reference_assemble``
+reads only these frozen tables, so no oracle shares code with the
+package beyond its result containers.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from maxwell_rb.assembly import (_C_HAT, _DN, _LOCAL_TAIL, _QWEIGHTS, _W_HAT,
-                                 SystemPair)
+from maxwell_rb.assembly import SystemPair
 from maxwell_rb.errors import ConfigError, DegenerateCellError
+from maxwell_rb.mesh import CavityMesh
+
+# Local edge order of the frozen mesh: four x-directed edges at the (y,z)
+# corner offsets below, then four y-directed at (x,z), then four
+# z-directed at (x,y).
+_CORNER_OFFSETS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+# Local tail corner (l = i + 2j + 4k) per edge slot.
+_LOCAL_TAIL = np.array(
+    [2 * j + 4 * k for j, k in _CORNER_OFFSETS]
+    + [i + 4 * k for i, k in _CORNER_OFFSETS]
+    + [i + 2 * j for i, j in _CORNER_OFFSETS]
+)
 
 
 def continuum_brick_eigenvalues(dims, count):
@@ -161,3 +177,173 @@ def reference_assemble(mesh, geometry_tag=""):
         M.indices = M.indices.copy()
         M.data = (M.data + M.T.tocsr().data) * 0.5
     return SystemPair(A=A, B=B, n=n, geometry_tag=geometry_tag)
+
+
+def reference_build_mesh(dims, resolution):
+    """The structured brick mesh, built one axis at a time."""
+    a, b, c = (float(d) for d in dims)
+    nx, ny, nz = (int(r) for r in resolution)
+    nvx, nvy, nvz = nx + 1, ny + 1, nz + 1
+
+    def vid(ix, iy, iz):
+        return ix + nvx * (iy + nvy * iz)
+
+    zs = np.linspace(0.0, c, nvz)
+    ys = np.linspace(0.0, b, nvy)
+    xs = np.linspace(0.0, a, nvx)
+    zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
+    vertices = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
+
+    iz, iy, ix = np.meshgrid(
+        np.arange(nvz), np.arange(nvy), np.arange(nvx), indexing="ij"
+    )
+    boundary_vertex = (
+        (ix == 0) | (ix == nx) | (iy == 0) | (iy == ny) | (iz == 0) | (iz == nz)
+    ).ravel()
+
+    # Edge blocks, each flattened with x fastest.
+    ez, ey, ex = np.meshgrid(np.arange(nvz), np.arange(nvy), np.arange(nx), indexing="ij")
+    tails_x = vid(ex, ey, ez).ravel()
+    heads_x = vid(ex + 1, ey, ez).ravel()
+    bnd_x = ((ey == 0) | (ey == ny) | (ez == 0) | (ez == nz)).ravel()
+
+    ez, ey, ex = np.meshgrid(np.arange(nvz), np.arange(ny), np.arange(nvx), indexing="ij")
+    tails_y = vid(ex, ey, ez).ravel()
+    heads_y = vid(ex, ey + 1, ez).ravel()
+    bnd_y = ((ex == 0) | (ex == nx) | (ez == 0) | (ez == nz)).ravel()
+
+    ez, ey, ex = np.meshgrid(np.arange(nz), np.arange(nvy), np.arange(nvx), indexing="ij")
+    tails_z = vid(ex, ey, ez).ravel()
+    heads_z = vid(ex, ey, ez + 1).ravel()
+    bnd_z = ((ex == 0) | (ex == nx) | (ey == 0) | (ey == ny)).ravel()
+
+    edges = np.column_stack(
+        [
+            np.concatenate([tails_x, tails_y, tails_z]),
+            np.concatenate([heads_x, heads_y, heads_z]),
+        ]
+    ).astype(np.int64)
+    boundary_edge = np.concatenate([bnd_x, bnd_y, bnd_z])
+
+    n_x_edges = nx * nvy * nvz
+    n_y_edges = ny * nvx * nvz
+
+    cz, cy, cx = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    cx = cx.ravel()
+    cy = cy.ravel()
+    cz = cz.ravel()
+    n_cells = cx.size
+
+    cell_edges = np.empty((n_cells, 12), dtype=np.int64)
+    for slot, (j, k) in enumerate(_CORNER_OFFSETS):
+        cell_edges[:, slot] = cx + nx * ((cy + j) + nvy * (cz + k))
+    for slot, (i, k) in enumerate(_CORNER_OFFSETS):
+        cell_edges[:, 4 + slot] = n_x_edges + (cx + i) + nvx * (cy + ny * (cz + k))
+    for slot, (i, j) in enumerate(_CORNER_OFFSETS):
+        cell_edges[:, 8 + slot] = (
+            n_x_edges + n_y_edges + (cx + i) + nvx * ((cy + j) + nvy * cz)
+        )
+
+    cell_vertices = np.empty((n_cells, 8), dtype=np.int64)
+    for k in (0, 1):
+        for j in (0, 1):
+            for i in (0, 1):
+                cell_vertices[:, i + 2 * j + 4 * k] = vid(cx + i, cy + j, cz + k)
+
+    free_edge_index = np.full(edges.shape[0], -1, dtype=np.int64)
+    free = ~boundary_edge
+    free_edge_index[free] = np.arange(int(free.sum()))
+
+    interior_vertex_index = np.full(vertices.shape[0], -1, dtype=np.int64)
+    interior = ~boundary_vertex
+    interior_vertex_index[interior] = np.arange(int(interior.sum()))
+
+    return CavityMesh(
+        dims=(a, b, c),
+        resolution=(nx, ny, nz),
+        vertices=vertices,
+        edges=edges,
+        cell_vertices=cell_vertices,
+        cell_edges=cell_edges,
+        boundary_vertex=boundary_vertex,
+        boundary_edge=boundary_edge,
+        free_edge_index=free_edge_index,
+        interior_vertex_index=interior_vertex_index,
+    )
+
+
+def reference_discrete_gradient(mesh):
+    """Incidence operator G, free edges by interior vertices, entries +-1."""
+    n = mesh.n_free_edges
+    nv = mesh.n_interior_vertices
+    free_ids = mesh.free_edges
+    tails = mesh.edges[free_ids, 0]
+    heads = mesh.edges[free_ids, 1]
+
+    rows = []
+    cols = []
+    vals = []
+    head_int = mesh.interior_vertex_index[heads]
+    tail_int = mesh.interior_vertex_index[tails]
+    row_ids = np.arange(n)
+
+    mask = head_int >= 0
+    rows.append(row_ids[mask])
+    cols.append(head_int[mask])
+    vals.append(np.ones(int(mask.sum())))
+
+    mask = tail_int >= 0
+    rows.append(row_ids[mask])
+    cols.append(tail_int[mask])
+    vals.append(-np.ones(int(mask.sum())))
+
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, nv),
+    ).tocsr()
+
+
+def reference_shape_tables():
+    """Shape values, curls and trilinear gradients at the 2x2x2 Gauss
+    points, written out one edge direction at a time."""
+    g = 0.5 / np.sqrt(3.0)
+    pts_1d = np.array([0.5 - g, 0.5 + g])
+    qp = np.array([(x, y, z) for z in pts_1d for y in pts_1d for x in pts_1d])
+    nq = qp.shape[0]
+
+    def lam(i, s):
+        return s if i else 1.0 - s
+
+    def dlam(i):
+        return 1.0 if i else -1.0
+
+    W = np.zeros((12, nq, 3))
+    C = np.zeros((12, nq, 3))
+    x, y, z = qp[:, 0], qp[:, 1], qp[:, 2]
+    for slot, (j, k) in enumerate(_CORNER_OFFSETS):
+        W[slot, :, 0] = lam(j, y) * lam(k, z)
+        C[slot, :, 1] = lam(j, y) * dlam(k)
+        C[slot, :, 2] = -dlam(j) * lam(k, z)
+    for slot, (i, k) in enumerate(_CORNER_OFFSETS):
+        W[4 + slot, :, 1] = lam(i, x) * lam(k, z)
+        C[4 + slot, :, 0] = -lam(i, x) * dlam(k)
+        C[4 + slot, :, 2] = dlam(i) * lam(k, z)
+    for slot, (i, j) in enumerate(_CORNER_OFFSETS):
+        W[8 + slot, :, 2] = lam(i, x) * lam(j, y)
+        C[8 + slot, :, 0] = lam(i, x) * dlam(j)
+        C[8 + slot, :, 1] = -dlam(i) * lam(j, y)
+
+    dN = np.zeros((8, nq, 3))
+    for k in (0, 1):
+        for j in (0, 1):
+            for i in (0, 1):
+                l = i + 2 * j + 4 * k
+                dN[l, :, 0] = dlam(i) * lam(j, y) * lam(k, z)
+                dN[l, :, 1] = lam(i, x) * dlam(j) * lam(k, z)
+                dN[l, :, 2] = lam(i, x) * lam(j, y) * dlam(k)
+
+    weights = np.full(nq, 1.0 / nq)
+    return W, C, dN, weights
+
+
+_W_HAT, _C_HAT, _DN, _QWEIGHTS = reference_shape_tables()

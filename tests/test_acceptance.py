@@ -165,7 +165,7 @@ def test_criterion_4_projection_round_trip(cube3, cube3_pair, cube3_grad,
     _check(failures, worst <= 1e-8,
            "round-trip relative B-norm error %.3e exceeds 1e-8" % worst)
 
-    gradient = cube3_grad.G @ np.eye(cube3.n_interior_vertices)[:, 0]
+    gradient = cube3_grad @ np.eye(cube3.n_interior_vertices)[:, 0]
     try:
         projector.project(gradient)
         failures.append("pure gradient input was not rejected")

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from maxwell_rb import assembly
 from maxwell_rb.assembly import ParametrizedSystem, assemble
 from maxwell_rb.errors import ConfigError, DegenerateCellError
 from maxwell_rb.mesh import build_mesh
 
+import oracles
 from oracles import (discrete_brick_eigenvalues, interior_vertex_count,
-                     reference_assemble)
+                     reference_assemble, reference_shape_tables)
 
 _ZERO_SPLIT = 1e-6   # gap between gradient nullspace and physical modes
 
@@ -35,7 +37,7 @@ class TestOperators:
         assert w.min() > -1e-10 * w.max()
 
     def test_gradients_in_nullspace(self, cube3_pair, cube3_grad):
-        AG = cube3_pair.A @ cube3_grad.G
+        AG = cube3_pair.A @ cube3_grad
         scale = abs(cube3_pair.A).max()
         assert np.max(np.abs(AG.toarray())) < 1e-12 * scale
 
@@ -88,6 +90,17 @@ class TestKernel:
             assert np.array_equal(M.indices, R.indices)
             assert np.max(np.abs(M.data - R.data)) <= 1e-14 * np.max(np.abs(R.data))
             assert (M != M.T).nnz == 0
+
+    def test_reference_tables_match_axis_by_axis_construction(self):
+        # the per-axis rule must reproduce the written-out tables byte for
+        # byte, signed zeros included
+        got = (assembly._W_HAT, assembly._C_HAT, assembly._DN,
+               assembly._QWEIGHTS)
+        for name, table, ref in zip(("W", "C", "dN", "weights"), got,
+                                    reference_shape_tables()):
+            assert table.dtype == ref.dtype and table.shape == ref.shape, name
+            assert table.tobytes() == ref.tobytes(), name
+        assert np.array_equal(assembly._LOCAL_TAIL, oracles._LOCAL_TAIL)
 
 
 class TestSpectrum:

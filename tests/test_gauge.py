@@ -44,16 +44,18 @@ class TestTree:
         assert np.array_equal(merged, np.arange(cube3.n_free_edges))
 
     def test_tree_spans_interior(self, cube3, cube3_gauge):
-        covered = np.sort(cube3_gauge.parent_order)
+        ends = cube3.interior_vertex_index[
+            cube3.edges[cube3.free_edges[cube3_gauge.tree]]]
+        covered = np.unique(ends[ends >= 0])
         assert np.array_equal(covered, np.arange(cube3.n_interior_vertices))
 
     def test_tree_edges_invertible_against_gradient(self, cube3_gauge,
                                                     cube3_grad):
         # restricting the gradient to tree rows must stay full rank, the
         # property that lets tree DoFs absorb the gauge freedom
-        G_tree = cube3_grad.G.toarray()[
+        G_tree = cube3_grad.toarray()[
             np.flatnonzero(
-                np.isin(np.arange(cube3_grad.G.shape[0]), cube3_gauge.tree)
+                np.isin(np.arange(cube3_grad.shape[0]), cube3_gauge.tree)
             )
         ]
         assert np.linalg.matrix_rank(G_tree) == G_tree.shape[1]
@@ -159,9 +161,10 @@ class TestProjection:
         name, pair, gauge, modes = gauged
         if name == "brick4":
             # G_tree and G_cotree must share one column order; the 3^3
-            # cube cannot tell, since its parent_order is the identity
-            assert not np.array_equal(gauge.parent_order,
-                                      np.arange(gauge.tree.size))
+            # cube cannot tell, since its tree rows of G are already
+            # lower triangular in interior vertex order
+            mesh = build_mesh((1.0, 1.1, 1.2), (4, 4, 4))
+            assert sp.triu(discrete_gradient(mesh)[gauge.tree], k=1).nnz > 0
         v_hat, rels = CotreeProjector(pair, gauge).project(modes.vectors)
         want, _ = cotree_least_squares(pair.A, pair.B, gauge.cotree,
                                        modes.vectors)
@@ -172,7 +175,7 @@ class TestProjection:
     def test_gradient_residual_not_below_least_squares(self, cube3_pair,
                                                        cube3_gauge, cube3_grad):
         rng = np.random.default_rng(1)
-        v = cube3_grad.G @ rng.standard_normal((cube3_grad.G.shape[1], 3))
+        v = cube3_grad @ rng.standard_normal((cube3_grad.shape[1], 3))
         _, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
             v, check=False)
         _, floor = cotree_least_squares(cube3_pair.A, cube3_pair.B,
@@ -185,7 +188,7 @@ class TestProjection:
         # zero and gradient columns have no positive Rayleigh quotient:
         # they condense to zero without warnings or NaNs
         v = np.column_stack([modes.vectors[:, 0], np.zeros(cube3_pair.n),
-                             cube3_grad.G @ np.ones(cube3_grad.G.shape[1])])
+                             cube3_grad @ np.ones(cube3_grad.shape[1])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v_hat, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
@@ -198,7 +201,7 @@ class TestProjection:
     def test_gradient_input_rejected(self, cube3_pair, cube3_gauge,
                                      cube3_grad):
         rng = np.random.default_rng(0)
-        v = cube3_grad.G @ rng.standard_normal(cube3_grad.G.shape[1])
+        v = cube3_grad @ rng.standard_normal(cube3_grad.shape[1])
         projector = CotreeProjector(cube3_pair, cube3_gauge)
         with pytest.raises(ProjectionError):
             projector.project(v)
@@ -209,7 +212,7 @@ class TestProjection:
                                  modes):
         # a physical mode polluted by a large gradient component must not
         # slip through the consistency check
-        pollution = cube3_grad.G @ np.ones(cube3_grad.G.shape[1])
+        pollution = cube3_grad @ np.ones(cube3_grad.shape[1])
         v = modes.vectors[:, 0] + pollution
         with pytest.raises(ProjectionError):
             CotreeProjector(cube3_pair, cube3_gauge).project(v)

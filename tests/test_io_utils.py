@@ -128,6 +128,30 @@ class TestMatrixMarket:
         assert np.array_equal(back.toarray(), M)
 
 
+class TestFailedWrite:
+    """A writer that raises mid-write leaves neither the target nor a
+    temp file behind."""
+
+    def test_text(self, tmp_path):
+        path = tmp_path / "a.txt"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "partial\n" * 1000 + "\ud800")
+        assert not path.exists()
+        assert _no_temp_leftovers(tmp_path)
+
+    def test_matrix_market(self, tmp_path, monkeypatch):
+        def fail_midway(handle, matrix, **kwargs):
+            handle.write(b"%%MatrixMarket matrix coordinate real general\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(scipy.io, "mmwrite", fail_midway)
+        path = tmp_path / "m.mtx"
+        with pytest.raises(OSError, match="disk full"):
+            write_matrix_market(path, np.eye(3))
+        assert not path.exists()
+        assert _no_temp_leftovers(tmp_path)
+
+
 class TestCleanup:
     def test_remove_if_exists(self, tmp_path):
         present = tmp_path / "x"

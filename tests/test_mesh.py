@@ -1,5 +1,7 @@
 """Mesh construction: entity counts, incidence structure, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,8 @@ from maxwell_rb.eigen import _symmetric_lu
 from maxwell_rb.errors import ConfigError
 from maxwell_rb.mesh import build_mesh, discrete_gradient, dissection_order
 
-from oracles import free_edge_count, interior_vertex_count
+from oracles import (free_edge_count, interior_vertex_count,
+                     reference_build_mesh, reference_discrete_gradient)
 
 resolutions = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
 lengths = st.tuples(*[st.floats(0.2, 3.0, allow_nan=False)] * 3)
@@ -81,13 +84,13 @@ class TestIncidence:
 
 class TestGradient:
     def test_shape_and_entries(self, cube3, cube3_grad):
-        G = cube3_grad.G
+        G = cube3_grad
         assert G.shape == (cube3.n_free_edges, cube3.n_interior_vertices)
         data = G.tocoo().data
         assert np.all(np.isin(data, (-1.0, 1.0)))
 
     def test_columns_match_incidence(self, cube3, cube3_grad):
-        G = cube3_grad.G.toarray()
+        G = cube3_grad.toarray()
         for edge in cube3.free_edges:
             row = cube3.free_edge_index[edge]
             tail, head = cube3.edges[edge]
@@ -97,7 +100,7 @@ class TestGradient:
                     assert G[row, col] == sign
 
     def test_columns_independent(self, cube3_grad):
-        G = cube3_grad.G.toarray()
+        G = cube3_grad.toarray()
         assert np.linalg.matrix_rank(G) == G.shape[1]
 
 
@@ -112,6 +115,41 @@ class TestValidation:
     def test_bad_resolution(self, res):
         with pytest.raises(ConfigError):
             build_mesh((1.0, 1.0, 1.0), res)
+
+    @pytest.mark.parametrize("res", [(2.7, 3, 3), (True, 3, 3), (3, 3.0, 3)])
+    def test_non_integral_counts_rejected(self, res):
+        # int() would silently build 2 or 1 cells along x
+        with pytest.raises(ConfigError, match="integers"):
+            build_mesh((1.0, 1.0, 1.0), res)
+
+    def test_numpy_integer_counts_accepted(self):
+        mesh = build_mesh((1.0, 1.0, 1.0), tuple(np.arange(2, 5)))
+        assert mesh.resolution == (2, 3, 4)
+        assert all(type(m) is int for m in mesh.resolution)
+
+
+ORACLE_RESOLUTIONS = [(1, 2, 3), (2, 2, 2), (3, 3, 3), (4, 3, 5), (5, 7, 2),
+                      (6, 6, 6), (12, 12, 12), (20, 20, 20)]
+
+
+@pytest.mark.parametrize("res", ORACLE_RESOLUTIONS,
+                         ids=lambda res: "x".join(map(str, res)))
+def test_matches_axis_by_axis_construction(res):
+    # the per-axis rule must reproduce the written-out construction bit for bit
+    dims = (1.0, 1.1, 1.2)
+    mesh, want = build_mesh(dims, res), reference_build_mesh(dims, res)
+    for field in dataclasses.fields(mesh):
+        got, ref = getattr(mesh, field.name), getattr(want, field.name)
+        if isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype, field.name
+            assert np.array_equal(got, ref), field.name
+        else:
+            assert got == ref and type(got) is type(ref), field.name
+    G, G_ref = discrete_gradient(mesh), reference_discrete_gradient(want)
+    assert isinstance(G, sp.csr_matrix) and G.shape == G_ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(G, name), getattr(G_ref, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 class TestDissectionOrder:
@@ -148,5 +186,5 @@ def test_deterministic_rebuild():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.cell_edges, b.cell_edges)
-    ga, gb = discrete_gradient(a).G, discrete_gradient(b).G
+    ga, gb = discrete_gradient(a), discrete_gradient(b)
     assert (ga != gb).nnz == 0

@@ -72,14 +72,17 @@ def test_every_count_reads_its_target():
     assert {"rb.build_basis", "rb.classical_pipeline", "eigen.sparse_solve",
             "gauge.project", "gauge.cotree_system", "eigen.mass_factor",
             "eigen.mass_solve", "eigen.dense_solve", "rb.greedy"} <= seen
-    # assembly.assemble_s hangs off bench.assemble; a set-up that assembled
-    # around it would read zero instead of failing
+    # mesh.build_s, assembly.assemble_s and gauge.tree_s hang off
+    # bench.build_mesh and bench.discrete_gradient, bench.assemble and
+    # bench.build_tree; a set-up that went around them would read zero
+    # instead of failing
     setups = [root for root in tracer.roots
               if root.name == "bench.setup_problem"]
     assert len(setups) == 1
-    assembles = [span for span in module.walk(setups[0])
-                 if span.name == "assembly.assemble"]
-    assert len(assembles) == 2
+    names = [span.name for span in module.walk(setups[0])]
+    assert names.count("mesh.build") == 3
+    assert names.count("assembly.assemble") == 2
+    assert names.count("gauge.tree") == 1
 
 
 def test_tracking_paths_are_traced():
