@@ -24,17 +24,17 @@ Sci. Comput. 27, 2005).  Only the 78 entries a <= b of each symmetric
 element matrix are formed.
 
 Boundary-edge rows and columns are eliminated during scatter, which
-realizes the perfectly conducting wall.  A scatter map, built once per
-call from the topology alone and shared by both matrices, takes every
-element entry and its mirror to their slots in the CSR pattern, so each
-matrix's data is one weighted bincount.  The map lists the
-contributions to a slot and to its mirror in the same cell order, so
-the result is exactly symmetric.  Both matrices keep the full
-topological pattern, including entries that cancel to zero, so two
-meshes of the same topology assemble onto identical patterns.  The
-parametrized pair (A(t), B(t)) is the convex combination of two
-endpoint assemblies on that shared pattern; intermediate matrices are
-algebraic objects, not assemblies on physical geometries.
+realizes the perfectly conducting wall.  A scatter map, built from the
+topology alone, takes every element entry and its mirror to their slots
+in the CSR pattern, so each matrix's data is one weighted bincount.  The
+map lists the contributions to a slot and to its mirror in the same cell
+order, so the result is exactly symmetric.  Both matrices keep the full
+topological pattern, including entries that cancel to zero, so meshes of
+one topology assemble onto identical patterns; assembled on one map they
+share one set of pattern arrays.  The parametrized pair (A(t), B(t)) is
+the convex combination of two endpoint assemblies on that shared
+pattern; intermediate matrices are algebraic objects, not assemblies on
+physical geometries.
 """
 
 from __future__ import annotations
@@ -147,15 +147,40 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _scatter_map(mesh: CavityMesh):
-    """CSR pattern of the free-edge couplings and the scatter of the
-    element entries onto it.
+@dataclass(frozen=True, eq=False)
+class ScatterMap:
+    """Everything of an assembly that depends on the topology alone.
 
-    Returns (indptr, indices, slot, source): int32 pattern arrays, and
-    for every scattered value its slot plus one and the position of its
-    element entry in an (n_cells + 1, 78) array of upper-triangle entries
-    (a <= b) whose last row is zero.  A matrix's data is then
-    ``bincount(slot, E[source])[1:]``.
+    ``indptr`` and ``indices`` are the CSR pattern of the free-edge
+    couplings.  For every scattered value, ``slot`` holds its slot plus
+    one and ``source`` the position of its element entry in an
+    (n_cells + 1, 78) array of upper-triangle entries (a <= b) whose last
+    row is zero, so a matrix's data is ``bincount(slot, E[source])[1:]``.
+    ``sign`` (n_cells, 78) signs each entry by its two local edges'
+    orientation against the global tail < head one.  Every matrix
+    assembled on one map shares its ``indptr`` and ``indices``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    source: np.ndarray
+    sign: np.ndarray
+    topology: tuple = field(repr=False)
+
+    def fits(self, mesh: CavityMesh) -> bool:
+        """Whether ``mesh`` has the topology the map was built for."""
+        return all(a is b or np.array_equal(a, b)
+                   for a, b in zip(self.topology, _topology(mesh)))
+
+
+def _topology(mesh: CavityMesh):
+    return (mesh.cell_vertices, mesh.cell_edges, mesh.edges,
+            mesh.free_edge_index)
+
+
+def scatter_map(mesh: CavityMesh) -> ScatterMap:
+    """The scatter map of ``mesh``'s topology, shared by its geometries.
 
     Each free edge gets one table row of the cells it lies in; the row
     holds the entry (own edge, b) for every edge b of those cells, b on
@@ -168,6 +193,10 @@ def _scatter_map(mesh: CavityMesh):
     first in each row and add nothing.
     """
     n = mesh.n_free_edges
+    if n < 1:
+        raise ConfigError(
+            "mesh has no interior edge DoFs at resolution %r" % (mesh.resolution,)
+        )
     fidx = mesh.free_edge_index[mesh.cell_edges]     # (nc, 12), -1 on boundary
     nc = fidx.shape[0]
     n_pairs = _UPPER_A.size
@@ -207,28 +236,39 @@ def _scatter_map(mesh: CavityMesh):
     slot = np.cumsum(first, axis=None, out=key.ravel())
     indptr = np.zeros(n + 1, dtype=idx_dtype)
     indptr[1:] = key[:, -1]
-    return indptr, indices, slot, source.ravel()
+
+    # Sign local edges against the global tail < head orientation.
+    tails = mesh.cell_vertices[:, _LOCAL_TAIL]
+    sign = np.where(mesh.edges[mesh.cell_edges, 0] == tails, 1.0, -1.0)
+    return ScatterMap(indptr=indptr, indices=indices, slot=slot,
+                      source=source.ravel(),
+                      sign=sign[:, _UPPER_A] * sign[:, _UPPER_B],
+                      topology=_topology(mesh))
 
 
 # Overflow on extreme geometry is reported by DegenerateCellError below.
 @np.errstate(over="ignore", invalid="ignore")
-def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
+def assemble(mesh: CavityMesh, geometry_tag: str = "",
+             pattern: ScatterMap | None = None) -> SystemPair:
     """Assemble stiffness and mass on the free edges of ``mesh``.
 
     Element matrices are the per-cell geometric factors J^T J / det J
     and adj(J^T J) / det J at the quadrature points times the reference
-    tensors _T_C and _T_W; _scatter_map places them in the CSR pattern.
+    tensors _T_C and _T_W; the scatter map places them in the CSR
+    pattern.  ``pattern`` is that map for the mesh's topology, built
+    here when not given; meshes of one topology that share a map also
+    share one pattern.
 
-    Raises DegenerateCellError, naming a cell and quadrature point, if a
-    Jacobian determinant is not finite and strictly positive or an
-    assembled entry is not finite.
+    Raises ConfigError if the mesh has no free edge or ``pattern`` was
+    built for another topology, and DegenerateCellError, naming a cell
+    and quadrature point, if a Jacobian determinant is not finite and
+    strictly positive or an assembled entry is not finite.
     """
+    if pattern is None:
+        pattern = scatter_map(mesh)
+    elif not pattern.fits(mesh):
+        raise ConfigError("scatter map was built for another mesh topology")
     n = mesh.n_free_edges
-    if n < 1:
-        raise ConfigError(
-            "mesh has no interior edge DoFs at resolution %r" % (mesh.resolution,)
-        )
-
     nc = mesh.cell_vertices.shape[0]
     X = mesh.vertices.T[:, mesh.cell_vertices.T]         # (3, 8, nc)
     J = (_DN_MAT.T @ X).reshape(3, 3, _NQ, nc)           # dx_m/du_d at (q, c)
@@ -249,23 +289,18 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
     for s, (d, e) in enumerate(_SYM):
         np.divide(_dot(col[d], col[e]), detJ, out=Gk[s])
         np.divide(_dot(adj[d], adj[e]), detJ, out=Gm[s])
-    # element entries a <= b per cell, and a zero row for _scatter_map
+    # element entries a <= b per cell, and the scatter map's zero row
     Ke = np.zeros((nc + 1, _UPPER_A.size))
     Me = np.zeros((nc + 1, _UPPER_A.size))
     np.matmul(Gk.reshape(-1, nc).T, _T_C, out=Ke[:nc])
     np.matmul(Gm.reshape(-1, nc).T, _T_W, out=Me[:nc])
+    Ke[:nc] *= pattern.sign
+    Me[:nc] *= pattern.sign
 
-    # Sign local edges against the global tail < head orientation.
-    tails = mesh.cell_vertices[:, _LOCAL_TAIL]
-    sign = np.where(mesh.edges[mesh.cell_edges, 0] == tails, 1.0, -1.0)
-    sign = sign[:, _UPPER_A] * sign[:, _UPPER_B]
-    Ke[:nc] *= sign
-    Me[:nc] *= sign
-
-    indptr, indices, slot, source = _scatter_map(mesh)
     out = {}
     for name, E, G in (("A", Ke, Gk), ("B", Me, Gm)):
-        data = np.bincount(slot, np.take(E, source), indices.size + 1)[1:]
+        data = np.bincount(pattern.slot, np.take(E, pattern.source),
+                           pattern.indices.size + 1)[1:]
         if not (np.isfinite(E).all() and np.isfinite(data).all()):
             # name the largest geometric factor, the one that overflowed
             mag = np.abs(G).max(axis=0)                  # (nq, nc)
@@ -275,8 +310,16 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "") -> SystemPair:
                 "non-finite %s entries: geometric factor %.3e in cell %d "
                 "(quadrature point %d)" % (name, mag[q, c], c, q)
             )
-        out[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        out[name] = sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                                  shape=(n, n))
     return SystemPair(A=out["A"], B=out["B"], n=n, geometry_tag=geometry_tag)
+
+
+def _same(a, b):
+    """Equal arrays; views of one buffer alike (a shared scatter map's
+    pattern) are equal without a read."""
+    return (a.__array_interface__ == b.__array_interface__
+            or np.array_equal(a, b))
 
 
 @dataclass
@@ -297,8 +340,7 @@ class ParametrizedSystem:
         self._constant = {}
         for name in ("A", "B"):
             M0, M1 = getattr(self.endpoint0, name), getattr(self.endpoint1, name)
-            if not (np.array_equal(M0.indptr, M1.indptr)
-                    and np.array_equal(M0.indices, M1.indices)):
+            if not (_same(M0.indptr, M1.indptr) and _same(M0.indices, M1.indices)):
                 raise ConfigError(
                     "endpoint %s matrices differ in sparsity pattern: the "
                     "endpoint meshes must share one topology" % name

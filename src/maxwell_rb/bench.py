@@ -23,7 +23,7 @@ import numpy as np
 
 import jsonschema
 
-from .assembly import ParametrizedSystem, assemble
+from .assembly import ParametrizedSystem, assemble, scatter_map
 from .config import RunConfig, config_to_dict
 from .eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
 from .errors import ConfigError, NumericsError
@@ -157,8 +157,10 @@ def setup_problem(cfg: RunConfig) -> Problem:
     mesh1 = build_mesh(cfg.dims1, cfg.resolution)
     G = discrete_gradient(mesh0)
     tags = ["brick(%g x %g x %g)" % dims for dims in (cfg.dims0, cfg.dims1)]
-    psys = ParametrizedSystem(assemble(mesh0, geometry_tag=tags[0]),
-                              assemble(mesh1, geometry_tag=tags[1]))
+    # both endpoints share one topology, so one scatter map and pattern
+    pattern = scatter_map(mesh0)
+    psys = ParametrizedSystem(assemble(mesh0, tags[0], pattern),
+                              assemble(mesh1, tags[1], pattern))
     gauge = build_tree(mesh0, G)
     # The shift must stay below the first physical eigenvalue at every t,
     # so anchor it to the smaller of the two endpoint references.

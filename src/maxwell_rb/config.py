@@ -3,17 +3,33 @@
 Every knob has a default tuned for the desk-scale brick morph, so an
 empty file is a valid configuration.  Unknown keys, duplicate keys, and
 malformed values fail fast with the offending line number.
+
+A '#' starts a comment at the start of a line or after whitespace, so
+``K = 5  # modes`` sets K = 5 while ``output = runs#1`` names the
+directory ``runs#1``.  A value cannot hold a '#' that follows a blank,
+and the blanks around a value are dropped.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import re
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
 _AUTO = "auto"
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+# Fields that hold counts; each must be an integer (numpy's included).
+_COUNTS = ("K", "N_POD", "N_train", "N_max", "initial_steps", "max_depth",
+           "track_buffer", "eval_set_size", "seed")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _parse_float(text: str) -> float:
@@ -108,6 +124,16 @@ class RunConfig:
     output: str = _SCHEMA["output"][1]
 
     def validate(self) -> "RunConfig":
+        for name in _COUNTS:
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError("%s must be an integer, got %r"
+                                  % (name, getattr(self, name)))
+        if self.N_init != _AUTO and not _is_integer(self.N_init):
+            raise ConfigError("N_init must be an integer or auto, got %r"
+                              % (self.N_init,))
+        if not all(_is_integer(r) for r in self.resolution):
+            raise ConfigError("resolution must hold integer cell counts, got %r"
+                              % (self.resolution,))
         for name in ("dims0", "dims1"):
             if not all(0.0 < d < math.inf for d in getattr(self, name)):
                 raise ConfigError("%s must be positive finite lengths" % name)
@@ -163,11 +189,12 @@ def default_config() -> RunConfig:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse flat key = value lines; '#' starts a comment."""
+    """Parse flat key = value lines; '#' at a line's start or after
+    whitespace starts a comment."""
     values = {}
     seen_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -205,10 +232,15 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """JSON-ready echo of the configuration (schema order, plain types)."""
+
+    def plain(value):
+        return int(value) if _is_integer(value) else value
+
     out = {}
     for key in _SCHEMA:
         value = getattr(cfg, key)
-        out[key] = list(value) if isinstance(value, tuple) else value
+        out[key] = ([plain(v) for v in value] if isinstance(value, tuple)
+                    else plain(value))
     return out
 
 

@@ -4,7 +4,11 @@ The free-edge graph is searched breadth-first from a virtual super-node
 that merges all boundary vertices.  Each interior vertex is discovered
 exactly once and its discovery edge joins the tree T, so |T| equals the
 interior vertex count and the gradient incidence restricted to tree rows
-is triangular with unit-modulus diagonal in discovery order.
+is triangular with unit-modulus diagonal in discovery order.  The search
+runs one level at a time on arrays: the candidate edges of a level are
+listed in the order a FIFO queue would meet them (frontier rank, then
+free-edge id), and the first candidate to reach a vertex discovers it,
+so the tree is the queue-driven search's, edge for edge.
 
 The gauge operator H is the row restriction of the stiffness to cotree
 edges, kept in global column order: every formula downstream uses H only
@@ -23,7 +27,6 @@ eigenvalue satisfy every row, gradient fields do not.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,44 +72,49 @@ def build_tree(mesh: CavityMesh, G: sp.csr_matrix) -> GaugeDecomposition:
 
     BFS starts from the super-node of all boundary vertices, visiting
     vertices in ascending id order and edges in ascending free-edge
-    order, so the result is deterministic.  The discrete gradient ``G``
-    (free edges by interior vertices) supplies the blocks G_tree and
-    G_cotree.
+    order, so the result is deterministic.  Each level is one pass over
+    the incident edges of the whole frontier.  The discrete gradient
+    ``G`` (free edges by interior vertices) supplies the blocks G_tree
+    and G_cotree.
     """
     n = mesh.n_free_edges
-    free_ids = mesh.free_edges
-    tails = mesh.edges[free_ids, 0]
-    heads = mesh.edges[free_ids, 1]
-
-    adjacency = [[] for _ in range(mesh.vertices.shape[0])]
-    for fe in range(n):
-        adjacency[tails[fe]].append(fe)
-        adjacency[heads[fe]].append(fe)
+    ends = mesh.edges[mesh.free_edges]
+    # incident free edges of every vertex, ascending
+    incident = np.argsort(ends.ravel(), kind="stable") // 2
+    start = np.zeros(mesh.vertices.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends.ravel(), minlength=start.size - 1), out=start[1:])
 
     visited = mesh.boundary_vertex.copy()
-    tree_edges = []
-    parent_vertices = []
-    queue = deque()
-
-    def sweep(vertex):
-        for fe in adjacency[vertex]:
-            other = heads[fe] if tails[fe] == vertex else tails[fe]
-            if not visited[other]:
-                visited[other] = True
-                tree_edges.append(fe)
-                parent_vertices.append(other)
-                queue.append(other)
-
-    for v in np.flatnonzero(mesh.boundary_vertex):
-        sweep(v)
-    while queue:
-        sweep(queue.popleft())
+    frontier = np.flatnonzero(visited)
+    # per vertex, the rank of the first candidate to reach it (2n: none)
+    first = np.full(visited.size, 2 * n)
+    # one entry per level, after an empty one for a mesh without boundary
+    tree, parent_vertices = [np.empty(0, dtype=np.int64)], [frontier[:0]]
+    while frontier.size:
+        # candidates in (frontier rank, free-edge id) order
+        counts = start[frontier + 1] - start[frontier]
+        offsets = np.cumsum(counts) - counts
+        fe = incident[np.repeat(start[frontier] - offsets, counts)
+                      + np.arange(counts.sum())]
+        other = ends[fe].sum(axis=1) - np.repeat(frontier, counts)
+        fresh = ~visited[other]
+        fe, other = fe[fresh], other[fresh]
+        # the first candidate to reach a vertex discovers it
+        rank = np.arange(other.size)
+        np.minimum.at(first, other, rank)
+        wins = first[other] == rank
+        frontier = other[wins]
+        visited[frontier] = True
+        tree.append(fe[wins])
+        parent_vertices.append(frontier)
+    tree = np.concatenate(tree)
+    parent_vertices = np.concatenate(parent_vertices)
 
     nv = mesh.n_interior_vertices
-    if len(parent_vertices) != nv:
+    if parent_vertices.size != nv:
         raise NumericsError(
             "interior vertices disconnected from the boundary: reached %d of %d"
-            % (len(parent_vertices), nv)
+            % (parent_vertices.size, nv)
         )
     if G.shape != (n, nv):
         raise NumericsError(
@@ -114,11 +122,10 @@ def build_tree(mesh: CavityMesh, G: sp.csr_matrix) -> GaugeDecomposition:
             % (G.shape, n, nv)
         )
 
-    tree = np.array(tree_edges, dtype=np.int64)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[tree] = True
     cotree = np.flatnonzero(~in_tree)
-    parent_order = mesh.interior_vertex_index[np.array(parent_vertices, dtype=np.int64)]
+    parent_order = mesh.interior_vertex_index[parent_vertices]
     G = G.tocsr()[:, parent_order]
     return GaugeDecomposition(
         tree=tree, cotree=cotree, n_free_edges=n,

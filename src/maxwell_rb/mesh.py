@@ -163,39 +163,68 @@ def dissection_order(mesh: CavityMesh) -> np.ndarray:
     so a vertex plane sits at an even coordinate and an edge crossing it
     at an odd one.  Each box of edges is split along its longest axis (the
     one with the most vertex planes inside the box) at the vertex plane
-    nearest the median; the separator is the edges lying in that plane.  No cell spans a vertex plane, so every cell touching
-    an edge on one side lies on that side's half of the plane, and any
-    matrix assembled cell by cell couples the two halves only through the
-    separator.  The order is left half, right half, separator, recursing
-    until a box holds at most _DISSECTION_LEAF edges.  It depends on the
-    topology alone, so it serves every geometry of one resolution.
+    nearest the median; the separator is the edges lying in that plane.
+    No cell spans a vertex plane, so every cell touching an edge on one
+    side lies on that side's half of the plane, and any matrix assembled
+    cell by cell couples the two halves only through the separator.  The
+    order is left half, right half, separator, recursively, until a box
+    holds at most _DISSECTION_LEAF edges; within a leaf or a separator
+    edges stay in ascending order.  It depends on the topology alone, so
+    it serves every geometry of one resolution.
+
+    The recursion runs one level at a time over all boxes of the level:
+    their bounds are segment minima and maxima, their medians come from
+    per-box histograms of the integer coordinates, and every box owns the
+    slice of the result it ends up in, so each level only moves edges
+    within their box's slice: left part, right part, then the separator,
+    which stays.  A box that is not split stays as it is.
     """
-    nvx, nvy = mesh.resolution[0] + 1, mesh.resolution[1] + 1
-    ends = mesh.edges[mesh.free_edges]
-    index = np.stack([ends % nvx, (ends // nvx) % nvy, ends // (nvx * nvy)],
-                     axis=-1)
-    doubled = index.sum(axis=1)             # (n_free_edges, 3): 2 x midpoint
+    # grid index (x, y, z) of every vertex, and twice each edge's midpoint
+    shape = tuple(m + 1 for m in mesh.resolution)
+    index = np.indices(shape[::-1]).reshape(3, -1)[::-1].T.copy()
+    tails, heads = mesh.edges[mesh.free_edges].T
+    doubled = np.take(index, tails, axis=0) + np.take(index, heads, axis=0)
 
-    order = []
-
-    def dissect(edges):
-        coords = doubled[edges]
+    order = np.arange(mesh.n_free_edges)
+    start, size = np.zeros(1, dtype=np.int64), np.array([order.size])
+    while True:
+        keep = size > _DISSECTION_LEAF
+        start, size = start[keep], size[keep]
+        if not start.size:
+            return order
+        boxes = np.arange(start.size)
+        box = np.repeat(boxes, size)
+        head = np.cumsum(size) - size
+        at = np.arange(box.size) + (start - head)[box]
+        coords = np.take(doubled, order[at], axis=0)
+        lo = np.minimum.reduceat(coords, head)
         # vertex planes strictly inside the box: even coordinates in (lo, hi)
-        first = coords.min(axis=0) // 2 + 1
-        last = (coords.max(axis=0) - 1) // 2
-        axis = int(np.argmax(last - first))
-        if edges.size <= _DISSECTION_LEAF or first[axis] > last[axis]:
-            order.append(edges)
-            return
-        along = coords[:, axis]
-        plane = 2 * int(np.clip(np.rint(np.median(along) / 2),
-                                first[axis], last[axis]))
-        dissect(edges[along < plane])
-        dissect(edges[along > plane])
-        order.append(edges[along == plane])
-
-    dissect(np.arange(mesh.n_free_edges))
-    return np.concatenate(order)
+        first = lo // 2 + 1
+        last = (np.maximum.reduceat(coords, head) - 1) // 2
+        axis = np.argmax(last - first, axis=1)
+        lo, first, last = lo[boxes, axis], first[boxes, axis], last[boxes, axis]
+        along = coords.ravel()[3 * np.arange(box.size) + axis[box]] - lo[box]
+        # twice the median along the axis from each box's cumulative
+        # histogram: value k (from 0) is the first bin whose count exceeds k
+        width = int(along.max()) + 1
+        cum = np.cumsum(np.bincount(box * width + along,
+                                    minlength=boxes.size * width)
+                        .reshape(boxes.size, width), axis=1)
+        median2 = ((cum > ((size - 1) // 2)[:, None]).argmax(axis=1)
+                   + (cum > (size // 2)[:, None]).argmax(axis=1) + 2 * lo)
+        plane = 2 * np.clip(np.rint(median2 / 4.0).astype(np.int64), first, last)
+        along -= (plane - lo)[box]
+        # part 0 left of the plane, 1 right of it, 2 in it or not split
+        part = np.where(along < 0, 0, np.where(along > 0, 1, 2))
+        part[(first > last)[box]] = 2
+        key = box * 3 + part
+        count = np.bincount(key, minlength=3 * boxes.size)
+        # a stable sort by (box, part); small keys sort by radix
+        key = key.astype(np.min_scalar_type(3 * boxes.size))
+        order[at] = order[at][np.argsort(key, kind="stable")]
+        left, right = count[0::3], count[1::3]
+        start = np.column_stack([start, start + left]).ravel()
+        size = np.column_stack([left, right]).ravel()
 
 
 def discrete_gradient(mesh: CavityMesh) -> sp.csr_matrix:

@@ -9,14 +9,19 @@ reference-tensor kernel replaced.  ``reference_build_mesh``,
 copies of the axis-by-axis mesh and reference-cell code that the
 per-axis rule in ``maxwell_rb.mesh`` replaced; ``reference_assemble``
 reads only these frozen tables, so no oracle shares code with the
-package beyond its result containers.
+package beyond its result containers.  ``reference_build_tree`` and
+``reference_dissection_order`` are frozen copies of the queue-driven
+breadth-first search and the recursive nested dissection that the
+level-synchronous array kernels replaced.
 """
+
+from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 
 from maxwell_rb.assembly import SystemPair
-from maxwell_rb.errors import ConfigError, DegenerateCellError
+from maxwell_rb.errors import ConfigError, DegenerateCellError, NumericsError
 from maxwell_rb.mesh import CavityMesh
 
 # Local edge order of the frozen mesh: four x-directed edges at the (y,z)
@@ -301,6 +306,81 @@ def reference_discrete_gradient(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, nv),
     ).tocsr()
+
+
+def reference_build_tree(mesh, G):
+    """(tree, cotree, G_tree, G_cotree) by a FIFO breadth-first search
+    from the boundary super-node: vertices in ascending id order, edges
+    in ascending free-edge order."""
+    n = mesh.n_free_edges
+    free_ids = mesh.free_edges
+    tails = mesh.edges[free_ids, 0]
+    heads = mesh.edges[free_ids, 1]
+
+    adjacency = [[] for _ in range(mesh.vertices.shape[0])]
+    for fe in range(n):
+        adjacency[tails[fe]].append(fe)
+        adjacency[heads[fe]].append(fe)
+
+    visited = mesh.boundary_vertex.copy()
+    tree_edges = []
+    parent_vertices = []
+    queue = deque()
+
+    def sweep(vertex):
+        for fe in adjacency[vertex]:
+            other = heads[fe] if tails[fe] == vertex else tails[fe]
+            if not visited[other]:
+                visited[other] = True
+                tree_edges.append(fe)
+                parent_vertices.append(other)
+                queue.append(other)
+
+    for v in np.flatnonzero(mesh.boundary_vertex):
+        sweep(v)
+    while queue:
+        sweep(queue.popleft())
+
+    if len(parent_vertices) != mesh.n_interior_vertices:
+        raise NumericsError("interior vertices disconnected from the boundary")
+    tree = np.array(tree_edges, dtype=np.int64)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[tree] = True
+    cotree = np.flatnonzero(~in_tree)
+    parent_order = mesh.interior_vertex_index[np.array(parent_vertices, dtype=np.int64)]
+    G = G.tocsr()[:, parent_order]
+    return tree, cotree, G[tree], G[cotree]
+
+
+def reference_dissection_order(mesh, leaf=64):
+    """Nested-dissection permutation of the free edges by recursion:
+    left half, right half, separator; leaves of at most ``leaf`` edges."""
+    nvx, nvy = mesh.resolution[0] + 1, mesh.resolution[1] + 1
+    ends = mesh.edges[mesh.free_edges]
+    index = np.stack([ends % nvx, (ends // nvx) % nvy, ends // (nvx * nvy)],
+                     axis=-1)
+    doubled = index.sum(axis=1)             # (n_free_edges, 3): 2 x midpoint
+
+    order = []
+
+    def dissect(edges):
+        coords = doubled[edges]
+        # vertex planes strictly inside the box: even coordinates in (lo, hi)
+        first = coords.min(axis=0) // 2 + 1
+        last = (coords.max(axis=0) - 1) // 2
+        axis = int(np.argmax(last - first))
+        if edges.size <= leaf or first[axis] > last[axis]:
+            order.append(edges)
+            return
+        along = coords[:, axis]
+        plane = 2 * int(np.clip(np.rint(np.median(along) / 2),
+                                first[axis], last[axis]))
+        dissect(edges[along < plane])
+        dissect(edges[along > plane])
+        order.append(edges[along == plane])
+
+    dissect(np.arange(mesh.n_free_edges))
+    return np.concatenate(order)
 
 
 def reference_shape_tables():

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from maxwell_rb import assembly
-from maxwell_rb.assembly import ParametrizedSystem, assemble
+from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.errors import ConfigError, DegenerateCellError
 from maxwell_rb.mesh import build_mesh
 
@@ -101,6 +101,53 @@ class TestKernel:
             assert table.dtype == ref.dtype and table.shape == ref.shape, name
             assert table.tobytes() == ref.tobytes(), name
         assert np.array_equal(assembly._LOCAL_TAIL, oracles._LOCAL_TAIL)
+
+
+class TestSharedScatterMap:
+    @pytest.fixture(scope="class")
+    def endpoints(self):
+        m0 = build_mesh((1.0, 1.1, 1.2), (4, 3, 5))
+        m1 = _tapered(build_mesh((1.0, 1.1, 0.6), (4, 3, 5)))
+        pattern = scatter_map(m0)
+        return (m0, m1), [assemble(m, pattern=pattern) for m in (m0, m1)]
+
+    def test_byte_equal_to_separate_assembly(self, endpoints):
+        meshes, shared = endpoints
+        for mesh, pair in zip(meshes, shared):
+            alone = assemble(mesh)
+            for name in ("A", "B"):
+                M, R = getattr(pair, name), getattr(alone, name)
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(M, part), getattr(R, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_matches_einsum_assembly(self, endpoints):
+        meshes, shared = endpoints
+        for mesh, pair in zip(meshes, shared):
+            want = reference_assemble(mesh)
+            for name in ("A", "B"):
+                M, R = getattr(pair, name), getattr(want, name)
+                assert np.array_equal(M.indptr, R.indptr)
+                assert np.array_equal(M.indices, R.indices)
+                assert (np.max(np.abs(M.data - R.data))
+                        <= 1e-14 * np.max(np.abs(R.data)))
+
+    def test_one_pattern_for_all_four_matrices(self, endpoints):
+        _, shared = endpoints
+        mats = [getattr(pair, name) for pair in shared for name in ("A", "B")]
+        for M in mats[1:]:
+            assert np.shares_memory(M.indptr, mats[0].indptr)
+            assert np.shares_memory(M.indices, mats[0].indices)
+        psys = ParametrizedSystem(*shared)
+        mid = psys.interpolate(0.5)
+        assert np.shares_memory(mid.A.indices, mats[0].indices)
+
+    @pytest.mark.parametrize("res", [(4, 5, 3), (4, 3, 4)])
+    def test_foreign_topology_rejected(self, res):
+        # same cell and free-edge counts, or a different box
+        pattern = scatter_map(build_mesh((1.0, 1.0, 1.0), (4, 3, 5)))
+        with pytest.raises(ConfigError, match="another mesh topology"):
+            assemble(build_mesh((1.0, 1.0, 1.0), res), pattern=pattern)
 
 
 class TestSpectrum:

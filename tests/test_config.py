@@ -1,7 +1,9 @@
 """Configuration parsing, validation and overrides."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from maxwell_rb.config import (
@@ -33,6 +35,12 @@ class TestDefaults:
         text = "\n# a comment\nK = 3   # trailing note\n\nseed = 9\n"
         cfg = parse_config_text(text)
         assert cfg.K == 3 and cfg.seed == 9
+
+    def test_hash_inside_a_value_is_kept(self):
+        # '#' opens a comment only at a line's start or after whitespace
+        cfg = parse_config_text("output = runs#1\n  # indented comment\n")
+        assert cfg.output == "runs#1"
+        assert parse_config_text("output = runs#1 # note\n").output == "runs#1"
 
 
 class TestValues:
@@ -133,6 +141,29 @@ class TestValidation:
     def test_n_init_explicit_value_accepted(self):
         cfg = parse_config_text("N_init = 4\n")
         assert cfg.N_init == 4
+
+    @pytest.mark.parametrize("field", ["K", "N_POD", "N_train", "N_max",
+                                       "N_init", "initial_steps", "max_depth",
+                                       "track_buffer", "eval_set_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="%s must be an integer" % field):
+            with_overrides(default_config(), **{field: value})
+
+    @pytest.mark.parametrize("resolution", [(3, 3.5, 3), (3.0, 3, 3),
+                                            (3, True, 3)])
+    def test_non_integer_resolution_rejected(self, resolution):
+        with pytest.raises(ConfigError, match="integer cell counts"):
+            with_overrides(default_config(), resolution=resolution)
+
+    def test_numpy_integers_accepted(self):
+        cfg = with_overrides(default_config(), K=np.int64(4), seed=np.uint32(7),
+                             N_init=np.int32(3),
+                             resolution=tuple(np.arange(3, 6)))
+        assert cfg.K == 4 and cfg.resolution == (3, 4, 5)
+        echo = config_to_dict(cfg)
+        assert type(echo["K"]) is int and type(echo["resolution"][0]) is int
+        json.dumps(echo)
 
     def test_tol_infinite_allowed(self):
         # inf disables greedy enrichment but is a legal setting

@@ -16,7 +16,10 @@ from maxwell_rb.gauge import (CotreeProjector, build_cotree_system, build_tree,
 from maxwell_rb.mesh import build_mesh, discrete_gradient
 
 from oracles import (continuum_brick_eigenvalues, cotree_least_squares,
-                     discrete_brick_eigenvalues)
+                     discrete_brick_eigenvalues, reference_build_tree)
+
+FROZEN_RESOLUTIONS = [(2, 2, 2), (3, 3, 3), (2, 5, 3), (7, 11, 4), (6, 6, 6),
+                      (12, 12, 12)]
 
 
 @pytest.fixture(scope="module", params=["cube3", "brick4"])
@@ -73,6 +76,24 @@ class TestTree:
         b = build_tree(cube3, cube3_grad)
         assert np.array_equal(a.tree, b.tree)
         assert np.array_equal(a.cotree, b.cotree)
+
+    @pytest.mark.parametrize("res", FROZEN_RESOLUTIONS,
+                             ids=lambda res: "x".join(map(str, res)))
+    def test_matches_queue_search(self, res):
+        # the level-synchronous search must reproduce the FIFO tree exactly
+        mesh = build_mesh((1.0, 1.1, 1.2), res)
+        G = discrete_gradient(mesh)
+        got = build_tree(mesh, G)
+        tree, cotree, G_tree, G_cotree = reference_build_tree(mesh, G)
+        for name, ref in (("tree", tree), ("cotree", cotree)):
+            arr = getattr(got, name)
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref), name
+        for name, ref in (("G_tree", G_tree), ("G_cotree", G_cotree)):
+            M = getattr(got, name)
+            assert M.shape == ref.shape, name
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(M, part), getattr(ref, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
 
     def test_size_mismatch_rejected(self, cube2, cube3_pair):
         wrong = build_tree(cube2, discrete_gradient(cube2))

@@ -12,10 +12,12 @@ from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import _symmetric_lu
 from maxwell_rb.errors import ConfigError
+from maxwell_rb import mesh as mesh_module
 from maxwell_rb.mesh import build_mesh, discrete_gradient, dissection_order
 
 from oracles import (free_edge_count, interior_vertex_count,
-                     reference_build_mesh, reference_discrete_gradient)
+                     reference_build_mesh, reference_discrete_gradient,
+                     reference_dissection_order)
 
 resolutions = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
 lengths = st.tuples(*[st.floats(0.2, 3.0, allow_nan=False)] * 3)
@@ -158,6 +160,23 @@ class TestDissectionOrder:
         mesh = build_mesh((1.0, 1.0, 1.0), res)
         order = dissection_order(mesh)
         assert np.array_equal(np.sort(order), np.arange(mesh.n_free_edges))
+
+    @pytest.mark.parametrize("res", [(2, 2, 2), (3, 3, 3), (2, 5, 3),
+                                     (7, 11, 4), (6, 6, 6), (12, 12, 12)],
+                             ids=lambda res: "x".join(map(str, res)))
+    def test_matches_recursive_dissection(self, res):
+        mesh = build_mesh((1.0, 1.1, 1.2), res)
+        order, want = dissection_order(mesh), reference_dissection_order(mesh)
+        assert order.dtype == want.dtype and np.array_equal(order, want)
+
+    @pytest.mark.parametrize("leaf", [0, 1, 5])
+    def test_matches_recursion_down_to_small_leaves(self, monkeypatch, leaf):
+        # deep levels, and boxes left unsplit for want of an inner plane
+        monkeypatch.setattr(mesh_module, "_DISSECTION_LEAF", leaf)
+        for res in [(2, 5, 3), (7, 11, 4), (6, 6, 6)]:
+            mesh = build_mesh((1.0, 1.1, 1.2), res)
+            assert np.array_equal(dissection_order(mesh),
+                                  reference_dissection_order(mesh, leaf))
 
     def test_same_for_both_morph_endpoints(self):
         cfg = default_config()
