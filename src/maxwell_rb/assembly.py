@@ -25,16 +25,17 @@ element matrix are formed.
 
 Boundary-edge rows and columns are eliminated during scatter, which
 realizes the perfectly conducting wall.  A scatter map, built from the
-topology alone, takes every element entry and its mirror to their slots
-in the CSR pattern, so each matrix's data is one weighted bincount.  The
-map lists the contributions to a slot and to its mirror in the same cell
-order, so the result is exactly symmetric.  Both matrices keep the full
-topological pattern, including entries that cancel to zero, so meshes of
-one topology assemble onto identical patterns; assembled on one map they
-share one set of pattern arrays.  The parametrized pair (A(t), B(t)) is
-the convex combination of two endpoint assemblies on that shared
-pattern; intermediate matrices are algebraic objects, not assemblies on
-physical geometries.
+topology alone, holds a sparse matrix that takes every element entry
+and its mirror to their slots in the CSR pattern, signed by their local
+edges, so each matrix's data is one sparse product.  Each slot
+sums its contributions from zero in cell order, and a slot and its
+mirror sum the same values in the same order, so the result is exactly
+symmetric.  Both matrices keep the full topological pattern, including
+entries that cancel to zero, so meshes of one topology assemble onto
+identical patterns; assembled on one map they share one set of pattern
+arrays.  The parametrized pair (A(t), B(t)) is the convex combination of
+two endpoint assemblies on that shared pattern; intermediate matrices
+are algebraic objects, not assemblies on physical geometries.
 """
 
 from __future__ import annotations
@@ -152,20 +153,18 @@ class ScatterMap:
     """Everything of an assembly that depends on the topology alone.
 
     ``indptr`` and ``indices`` are the CSR pattern of the free-edge
-    couplings.  For every scattered value, ``slot`` holds its slot plus
-    one and ``source`` the position of its element entry in an
-    (n_cells + 1, 78) array of upper-triangle entries (a <= b) whose last
-    row is zero, so a matrix's data is ``bincount(slot, E[source])[1:]``.
-    ``sign`` (n_cells, 78) signs each entry by its two local edges'
-    orientation against the global tail < head one.  Every matrix
-    assembled on one map shares its ``indptr`` and ``indices``.
+    couplings.  ``scatter`` has one row per slot of that pattern and one
+    column per element entry a <= b of every cell (cell * 78 + pair);
+    its entries sign each contribution by its two local edges against
+    the global tail < head orientation.  A matrix's data is
+    ``scatter @ E.ravel()`` for the (n_cells, 78) element entries E, and
+    every matrix assembled on one map shares its ``indptr`` and
+    ``indices``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    slot: np.ndarray
-    source: np.ndarray
-    sign: np.ndarray
+    scatter: sp.csr_matrix
     topology: tuple = field(repr=False)
 
     def fits(self, mesh: CavityMesh) -> bool:
@@ -189,8 +188,8 @@ def scatter_map(mesh: CavityMesh) -> ScatterMap:
     cell order, and a slot (i, j) and its mirror (j, i) sum the same
     values in the same order: the matrices come out exactly symmetric.
     Entries on boundary columns, and the padding of edges that lie in
-    fewer cells than others, get column -1 and the zero row: they sort
-    first in each row and add nothing.
+    fewer cells than others, get column -1: they sort first in each row
+    and are dropped.
     """
     n = mesh.n_free_edges
     if n < 1:
@@ -205,7 +204,7 @@ def scatter_map(mesh: CavityMesh) -> ScatterMap:
         raise ConfigError("mesh of %d cells is too large to assemble" % nc)
 
     # Incidences (cell * 12 + local edge) of each free edge, padded with
-    # local edge 0 of the zero cell nc.
+    # local edge 0 of the cell nc past the last, whose edges are all -1.
     f = fidx.ravel()
     order = np.argsort(f)
     counts = np.bincount(f + 1, minlength=n + 1)
@@ -218,8 +217,7 @@ def scatter_map(mesh: CavityMesh) -> ScatterMap:
     # key = column << bits | source; it splits into a part per (cell,
     # column edge) and a part per (row edge, column edge) of a cell.
     col = np.vstack([fidx, np.full((1, 12), -1)])
-    cell = np.where(col >= 0, np.arange(nc + 1)[:, None], nc)
-    cell_key = (col << bits) + cell * n_pairs
+    cell_key = (col << bits) + np.arange(nc + 1)[:, None] * n_pairs
     key = np.take(cell_key, inc // 12, axis=0)
     key += np.take(_PAIR, inc % 12, axis=0)
     key = key.reshape(n, -1)
@@ -231,18 +229,24 @@ def scatter_map(mesh: CavityMesh) -> ScatterMap:
     first[:, 0] = key[:, 0] >= 0
     np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
     nnz = int(np.count_nonzero(first))
-    idx_dtype = np.int32 if max(n, nnz) < 2**31 else np.int64
+    idx_dtype = np.int32 if max(n, nnz, nc * n_pairs) < 2**31 else np.int64
     indices = key[first].astype(idx_dtype)
-    slot = np.cumsum(first, axis=None, out=key.ravel())
     indptr = np.zeros(n + 1, dtype=idx_dtype)
-    indptr[1:] = key[:, -1]
+    np.cumsum(np.count_nonzero(first, axis=1), out=indptr[1:])
 
-    # Sign local edges against the global tail < head orientation.
+    # One row of the scatter per slot: its contributions in cell order,
+    # signed against the global tail < head orientation.
+    kept = key >= 0
+    source = source[kept].astype(idx_dtype)
+    starts = np.empty(nnz + 1, dtype=idx_dtype)
+    starts[:-1] = np.flatnonzero(first[kept])
+    starts[-1] = source.size
     tails = mesh.cell_vertices[:, _LOCAL_TAIL]
     sign = np.where(mesh.edges[mesh.cell_edges, 0] == tails, 1.0, -1.0)
-    return ScatterMap(indptr=indptr, indices=indices, slot=slot,
-                      source=source.ravel(),
-                      sign=sign[:, _UPPER_A] * sign[:, _UPPER_B],
+    sign = (sign[:, _UPPER_A] * sign[:, _UPPER_B]).ravel()
+    return ScatterMap(indptr=indptr, indices=indices,
+                      scatter=sp.csr_matrix((sign[source], source, starts),
+                                            shape=(nnz, nc * n_pairs)),
                       topology=_topology(mesh))
 
 
@@ -289,18 +293,10 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "",
     for s, (d, e) in enumerate(_SYM):
         np.divide(_dot(col[d], col[e]), detJ, out=Gk[s])
         np.divide(_dot(adj[d], adj[e]), detJ, out=Gm[s])
-    # element entries a <= b per cell, and the scatter map's zero row
-    Ke = np.zeros((nc + 1, _UPPER_A.size))
-    Me = np.zeros((nc + 1, _UPPER_A.size))
-    np.matmul(Gk.reshape(-1, nc).T, _T_C, out=Ke[:nc])
-    np.matmul(Gm.reshape(-1, nc).T, _T_W, out=Me[:nc])
-    Ke[:nc] *= pattern.sign
-    Me[:nc] *= pattern.sign
-
     out = {}
-    for name, E, G in (("A", Ke, Gk), ("B", Me, Gm)):
-        data = np.bincount(pattern.slot, np.take(E, pattern.source),
-                           pattern.indices.size + 1)[1:]
+    for name, G, T in (("A", Gk, _T_C), ("B", Gm, _T_W)):
+        E = G.reshape(-1, nc).T @ T                      # element entries a <= b
+        data = pattern.scatter @ E.ravel()
         if not (np.isfinite(E).all() and np.isfinite(data).all()):
             # name the largest geometric factor, the one that overflowed
             mag = np.abs(G).max(axis=0)                  # (nq, nc)

@@ -12,7 +12,8 @@ reads only these frozen tables, so no oracle shares code with the
 package beyond its result containers.  ``reference_build_tree`` and
 ``reference_dissection_order`` are frozen copies of the queue-driven
 breadth-first search and the recursive nested dissection that the
-level-synchronous array kernels replaced.
+level-synchronous array kernels replaced, and ``reference_scatter`` of
+the bincount scatter that the signed sparse scatter matrix replaced.
 """
 
 from collections import deque
@@ -381,6 +382,53 @@ def reference_dissection_order(mesh, leaf=64):
 
     dissect(np.arange(mesh.n_free_edges))
     return np.concatenate(order)
+
+
+def reference_scatter(mesh, E):
+    """CSR (indptr, indices, data) of the element entries E (n_cells, 78),
+    a <= b in row-major order, by one weighted bincount per matrix."""
+    upper_a, upper_b = np.triu_indices(12)
+    pair = np.zeros((12, 12), dtype=np.int64)
+    pair[upper_a, upper_b] = pair[upper_b, upper_a] = np.arange(upper_a.size)
+    n = mesh.n_free_edges
+    fidx = mesh.free_edge_index[mesh.cell_edges]
+    nc = fidx.shape[0]
+    n_pairs = upper_a.size
+    bits = ((nc + 1) * n_pairs).bit_length()
+
+    f = fidx.ravel()
+    order = np.argsort(f)
+    counts = np.bincount(f + 1, minlength=n + 1)
+    order = order[counts[0]:]
+    counts = counts[1:]
+    rows = f[order]
+    inc = np.full((n, int(counts.max())), 12 * nc)
+    inc[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = order
+
+    col = np.vstack([fidx, np.full((1, 12), -1)])
+    cell = np.where(col >= 0, np.arange(nc + 1)[:, None], nc)
+    cell_key = (col << bits) + cell * n_pairs
+    key = np.take(cell_key, inc // 12, axis=0)
+    key += np.take(pair, inc % 12, axis=0)
+    key = key.reshape(n, -1)
+    key.sort(axis=1)
+
+    source = key & ((1 << bits) - 1)
+    key >>= bits
+    first = np.empty(key.shape, dtype=bool)
+    first[:, 0] = key[:, 0] >= 0
+    np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
+    indices = key[first].astype(np.int32)
+    slot = np.cumsum(first, axis=None, out=key.ravel())
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = key[:, -1]
+
+    tails = mesh.cell_vertices[:, _LOCAL_TAIL]
+    sign = np.where(mesh.edges[mesh.cell_edges, 0] == tails, 1.0, -1.0)
+    signed = np.zeros((nc + 1, n_pairs))
+    signed[:nc] = E * (sign[:, upper_a] * sign[:, upper_b])
+    data = np.bincount(slot, np.take(signed, source.ravel()), indices.size + 1)[1:]
+    return indptr, indices, data
 
 
 def reference_shape_tables():

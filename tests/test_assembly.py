@@ -13,7 +13,8 @@ from maxwell_rb.mesh import build_mesh
 
 import oracles
 from oracles import (discrete_brick_eigenvalues, interior_vertex_count,
-                     reference_assemble, reference_shape_tables)
+                     reference_assemble, reference_scatter,
+                     reference_shape_tables)
 
 _ZERO_SPLIT = 1e-6   # gap between gradient nullspace and physical modes
 
@@ -131,6 +132,17 @@ class TestSharedScatterMap:
                 assert np.array_equal(M.indices, R.indices)
                 assert (np.max(np.abs(M.data - R.data))
                         <= 1e-14 * np.max(np.abs(R.data)))
+
+    def test_sums_like_the_bincount_scatter(self, endpoints):
+        # same slots, same contributions, same order: equal to the bit
+        meshes, shared = endpoints
+        pattern = scatter_map(meshes[0])
+        E = np.random.default_rng(5).standard_normal(
+            (meshes[0].cell_vertices.shape[0], 78))
+        indptr, indices, data = reference_scatter(meshes[0], E)
+        assert np.array_equal(pattern.indptr, indptr)
+        assert np.array_equal(pattern.indices, indices)
+        assert (pattern.scatter @ E.ravel()).tobytes() == data.tobytes()
 
     def test_one_pattern_for_all_four_matrices(self, endpoints):
         _, shared = endpoints
