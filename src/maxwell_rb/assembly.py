@@ -223,30 +223,32 @@ def scatter_map(mesh: CavityMesh) -> ScatterMap:
     key = key.reshape(n, -1)
     key.sort(axis=1)
 
+    # The contributions, row after row: key >= 0 exactly on free columns.
+    # A slot opens at each new column and at the start of each row.
+    kept = key >= 0
+    row_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=row_start[1:])
+    key = key[kept]
     source = key & ((1 << bits) - 1)
     key >>= bits                                     # now the columns
-    first = np.empty(key.shape, dtype=bool)
-    first[:, 0] = key[:, 0] >= 0
-    np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
-    nnz = int(np.count_nonzero(first))
-    idx_dtype = np.int32 if max(n, nnz, nc * n_pairs) < 2**31 else np.int64
-    indices = key[first].astype(idx_dtype)
-    indptr = np.zeros(n + 1, dtype=idx_dtype)
-    np.cumsum(np.count_nonzero(first, axis=1), out=indptr[1:])
+    first = np.empty(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first[row_start[:-1]] = True
+    starts = np.flatnonzero(first)
+    idx_dtype = (np.int32 if max(key.size, nc * n_pairs) < 2**31
+                 else np.int64)
+    indices = key[starts].astype(idx_dtype)
+    indptr = np.searchsorted(starts, row_start).astype(idx_dtype)
 
-    # One row of the scatter per slot: its contributions in cell order,
-    # signed against the global tail < head orientation.
-    kept = key >= 0
-    source = source[kept].astype(idx_dtype)
-    starts = np.empty(nnz + 1, dtype=idx_dtype)
-    starts[:-1] = np.flatnonzero(first[kept])
-    starts[-1] = source.size
-    tails = mesh.cell_vertices[:, _LOCAL_TAIL]
-    sign = np.where(mesh.edges[mesh.cell_edges, 0] == tails, 1.0, -1.0)
-    sign = (sign[:, _UPPER_A] * sign[:, _UPPER_B]).ravel()
-    return ScatterMap(indptr=indptr, indices=indices,
-                      scatter=sp.csr_matrix((sign[source], source, starts),
-                                            shape=(nnz, nc * n_pairs)),
+    # Sign each contribution by its local edges' orientations against the
+    # global tail < head one.
+    flip = mesh.edges[mesh.cell_edges, 0] != mesh.cell_vertices[:, _LOCAL_TAIL]
+    flip = (flip[:, _UPPER_A] ^ flip[:, _UPPER_B]).ravel()
+    scatter = sp.csr_matrix(
+        (np.where(flip[source], -1.0, 1.0), source.astype(idx_dtype),
+         np.append(starts, key.size).astype(idx_dtype)),
+        shape=(starts.size, nc * n_pairs))
+    return ScatterMap(indptr=indptr, indices=indices, scatter=scatter,
                       topology=_topology(mesh))
 
 
