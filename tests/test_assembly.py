@@ -135,7 +135,7 @@ class TestSharedScatterMap:
 
     def test_sums_like_the_bincount_scatter(self, endpoints):
         # same slots, same contributions, same order: equal to the bit
-        meshes, shared = endpoints
+        meshes, _ = endpoints
         pattern = scatter_map(meshes[0])
         E = np.random.default_rng(5).standard_normal(
             (meshes[0].cell_vertices.shape[0], 78))
@@ -156,7 +156,8 @@ class TestSharedScatterMap:
 
     @pytest.mark.parametrize("res", [(4, 5, 3), (4, 3, 4)])
     def test_foreign_topology_rejected(self, res):
-        # same cell and free-edge counts, or a different box
+        # a permuted box with the same cell and free-edge counts, and a
+        # smaller one
         pattern = scatter_map(build_mesh((1.0, 1.0, 1.0), (4, 3, 5)))
         with pytest.raises(ConfigError, match="another mesh topology"):
             assemble(build_mesh((1.0, 1.0, 1.0), res), pattern=pattern)
