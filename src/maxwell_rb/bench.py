@@ -254,18 +254,8 @@ def error_sweep(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
 
 
 def _tracking_summary(run: TrackingRun) -> dict:
-    corr_min = (float(run.correlations.min())
-                if run.correlations.size else 1.0)
-    summary = {
-        "grid_points": int(run.grid.size),
-        "bisection_count": int(run.stats["bisection_count"]),
-        "degenerate_steps": int(run.stats["degenerate_steps"]),
-        "min_step": float(run.stats["min_step"]),
-        "min_correlation": corr_min,
-    }
-    if "lift_solves" in run.stats:   # reduced path only
-        summary["lift_solves"] = int(run.stats["lift_solves"])
-    return summary
+    return {**run.summary(),
+            "min_correlation": float(run.correlations.min())}
 
 
 def _guarded(errors: dict, key: str, fn):

@@ -30,6 +30,14 @@ _THREAD_ENV_VARS = (
 )
 
 
+def _thread_count(text: str) -> int:
+    """The --threads value: a positive integer in ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return int(text)
+
+
 def _apply_thread_cap(argv) -> None:
     """Export --threads to the BLAS environment before numpy is imported."""
     threads = None
@@ -40,8 +48,10 @@ def _apply_thread_cap(argv) -> None:
             threads = arg.split("=", 1)[1]
     if threads is None:
         return
-    if not threads.isdigit() or int(threads) < 1:
-        return   # argparse will reject it with a usage error later
+    try:
+        _thread_count(threads)
+    except argparse.ArgumentTypeError:
+        return   # the parser rejects it with a usage error later
     for name in _THREAD_ENV_VARS:
         os.environ[name] = threads
 
@@ -71,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH",
                        help="configuration file (flat key = value lines)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, metavar="N",
+        p.add_argument("--threads", type=_thread_count, metavar="N",
                        help="cap BLAS/OpenMP worker threads")
         p.add_argument("--output", metavar="DIR",
                        help="override the output directory")
@@ -253,15 +263,10 @@ def cmd_track(cfg: RunConfig, reduced: bool) -> int:
         "schema_version": 1,
         "config": config_to_dict(cfg),
         "path": stem,
-        "grid_points": int(run.grid.size),
-        "bisection_count": int(run.stats["bisection_count"]),
-        "degenerate_steps": int(run.stats["degenerate_steps"]),
-        "min_step": float(run.stats["min_step"]),
+        **run.summary(),
         "permutations": [[int(j) for j in perm] for perm in run.permutations],
         "timing": {"wall_seconds": float(run.stats["wall_seconds"])},
     }
-    if reduced:
-        record["lift_solves"] = int(run.stats["lift_solves"])
     paths = _write_artifacts(cfg, {
         "trajectory_%s.csv" % stem: lambda p: write_csv(p, header,
                                                         run.to_rows()),

@@ -23,10 +23,6 @@ from .errors import ConfigError
 _AUTO = "auto"
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-# Fields that hold counts; each must be an integer (numpy's included).
-_COUNTS = ("K", "N_POD", "N_train", "N_max", "initial_steps", "max_depth",
-           "track_buffer", "eval_set_size", "seed")
-
 
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -97,6 +93,10 @@ _SCHEMA = {
     "seed": (_parse_int, 1234),
     "output": (str, "out"),
 }
+
+# Fields that hold counts; each must be an integer (numpy's included).
+_COUNTS = tuple(key for key, (parse, _) in _SCHEMA.items() if parse is _parse_int)
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -65,7 +65,7 @@ from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, pcg_solve,
                     solve_dense_gevp, solve_sparse_gevp)
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
-from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system, cotree_operator
+from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
@@ -257,16 +257,17 @@ class _MixedEvaluator(_Evaluator):
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
                  policy: SolverPolicy, K: int, meter: StorageMeter):
         super().__init__(psys, gauge, policy, K, meter)
-        # H(t) = rows C of A(t) inherits the endpoint interpolation.
-        self._Ht = (cotree_operator(psys.endpoint0, gauge).T.tocsr(),
-                    cotree_operator(psys.endpoint1, gauge).T.tocsr())
         self._A = (psys.endpoint0.A, psys.endpoint1.A)
         self._B = (psys.endpoint0.B, psys.endpoint1.B)
         self.lift_solves = 0
 
     def set_basis(self, Z: np.ndarray) -> None:
         n, n_red = self.psys.n, Z.shape[1]
-        self._P = tuple(Ht @ Z for Ht in self._Ht)
+        # H_e = rows C of the symmetric A_e, so H_e^T Z = A_e Z_C with Z_C
+        # holding Z on the cotree rows and zeros on the tree rows.
+        Z_C = np.zeros((n, n_red))
+        Z_C[self.gauge.cotree] = Z
+        self._P = tuple(A @ Z_C for A in self._A)
         self._Q = np.empty((n, 0))
         self._BQ = [np.empty((n, 0))] * 2
         self._AQ = [np.empty((n, 0))] * 2

@@ -3,9 +3,9 @@
 Modes at consecutive parameter values are matched through the modulus of
 their inner product in the metric of the left step's mass matrix, which
 is invariant under eigenvector sign and scale.  If any matched
-correlation falls below the threshold the interval is bisected and both
-halves are tracked recursively, so crossings are traversed with steps
-small enough to keep the pairing unambiguous.  A threshold of zero
+correlation falls below the threshold the step is bisected and both
+halves are tracked in turn, so crossings are traversed with steps small
+enough to keep the pairing unambiguous.  A threshold of zero
 disables bisection and accepts every single-pass matching.
 
 Each solve returns a few candidate modes beyond the K tracked ones so
@@ -27,7 +27,7 @@ exactly what carries each trajectory's identity through the crossing.
 Either rotation fixes solver gauge only, never re-labels across
 distinct eigenvalues, and flags the step as degenerate.
 
-The same engine drives the reduced system (small dense pencils) and the
+The same loop drives the reduced system (small dense pencils) and the
 full sparse system (the runtime baseline); only the solve and the inner
 product differ.
 """
@@ -66,6 +66,18 @@ class TrackingRun:
     @property
     def n_modes(self) -> int:
         return self.lambdas.shape[0]
+
+    def summary(self) -> dict:
+        """JSON-ready counts of the pass; lift_solves on the reduced path."""
+        out = {
+            "grid_points": int(self.grid.size),
+            "bisection_count": int(self.stats["bisection_count"]),
+            "degenerate_steps": int(self.stats["degenerate_steps"]),
+            "min_step": float(self.stats["min_step"]),
+        }
+        if "lift_solves" in self.stats:
+            out["lift_solves"] = int(self.stats["lift_solves"])
+        return out
 
     def to_rows(self):
         """CSV-ready rows: t, lambda_1..K, corr_1..K (first row corr = 1)."""
@@ -117,15 +129,10 @@ def _degenerate_clusters(values: np.ndarray, rtol: float = _CLUSTER_RTOL):
     """
     order = np.argsort(values, kind="stable")
     ranked = values[order]
-    clusters = []
-    start = 0
-    for j in range(1, ranked.size + 1):
-        if (j == ranked.size
-                or ranked[j] - ranked[j - 1] > rtol * max(abs(ranked[j]), 1.0)):
-            if j - start >= 2:
-                clusters.append(np.sort(order[start:j]))
-            start = j
-    return clusters
+    gaps = np.diff(ranked) > rtol * np.maximum(np.abs(ranked[1:]), 1.0)
+    return [np.sort(group)
+            for group in np.split(order, np.flatnonzero(gaps) + 1)
+            if group.size >= 2]
 
 
 def _procrustes_rotation(M, c):
@@ -143,84 +150,62 @@ def _procrustes_rotation(M, c):
     return Wt.T @ Usv.T
 
 
-class _TrackEngine:
-    """Recursive bisection tracking over [0, 1].
+def _check_settings(K, threshold, initial_steps, buffer) -> None:
+    """Reject tracking settings before any solve or lift."""
+    if not (0.0 <= threshold < 1.0):
+        raise ConfigError("correlation threshold must lie in [0, 1)")
+    if initial_steps < 2:
+        raise ConfigError("initial_steps must be >= 2")
+    if K < 1:
+        raise ConfigError("tracking needs K >= 1")
+    if buffer < 0:
+        raise ConfigError("candidate buffer must be >= 0")
+
+
+def _track(solve, K, threshold, initial_steps, max_depth,
+           matching="greedy") -> TrackingRun:
+    """Bisection tracking over [0, 1].
 
     solve(t) must return (values, vectors, inner) with at least K
     eigenpairs ascending (ideally K plus a small buffer of candidates),
     vectors inner-orthonormal, and inner the mass operator at t (applied
     as inner @ block).
+
+    Steps run from the last accepted point to the end on top of a stack
+    of pending ends.  A failed step pushes its end, then its midpoint,
+    both one level deeper, so the left half is tracked first and the
+    right half then starts at the midpoint.
     """
-
-    def __init__(self, solve, K, threshold, initial_steps, max_depth,
-                 matching="greedy"):
-        if not (0.0 <= threshold < 1.0):
-            raise ConfigError("correlation threshold must lie in [0, 1)")
-        if initial_steps < 2:
-            raise ConfigError("initial_steps must be >= 2")
-        if K < 1:
-            raise ConfigError("tracking needs K >= 1")
-        self.solve = solve
-        self.K = K
-        self.threshold = threshold
-        self.initial_steps = initial_steps
-        self.max_depth = max_depth
-        self.match = _hungarian_match if matching == "hungarian" else _greedy_match
-
-    def run(self) -> TrackingRun:
-        t_start = time.perf_counter()
-        grid = [0.0]
-        values0, vectors0, inner0 = self.solve(0.0)
-        # Trajectories start as the K lowest modes; buffer columns are
-        # candidates for later steps only.
-        self._state = (values0[: self.K].copy(), vectors0[:, : self.K], inner0)
-        # Clusters degenerate since t = 0 carry no branch identity in
-        # their basis; only these may be re-gauged on the committed side.
-        self._free = _degenerate_clusters(values0[: self.K])
-        lambdas = [values0[: self.K].copy()]
-        correlations = []
-        permutations = []
-        self._bisections = 0
-        self._degenerate_steps = 0
-
-        coarse = np.linspace(0.0, 1.0, self.initial_steps + 1)
-        for t_next in coarse[1:]:
-            self._advance(float(grid[-1]), float(t_next), 0, grid, lambdas,
-                          correlations, permutations)
-
-        grid = np.array(grid)
-        stats = {
-            "bisection_count": self._bisections,
-            "degenerate_steps": self._degenerate_steps,
-            "min_step": float(np.diff(grid).min()),
-            "wall_seconds": time.perf_counter() - t_start,
-        }
-        return TrackingRun(
-            grid=grid,
-            lambdas=np.column_stack(lambdas),
-            correlations=(np.column_stack(correlations)
-                          if correlations else np.zeros((self.K, 0))),
-            permutations=permutations,
-            stats=stats,
-        )
-
-    def _advance(self, t_prev, t_next, depth, grid, lambdas, correlations,
-                 permutations):
-        values_p, vectors_p, inner_p = self._state
-        values_n, vectors_n, inner_n = self.solve(t_next)
-
-        W = inner_p @ vectors_n
+    match = _hungarian_match if matching == "hungarian" else _greedy_match
+    t_start = time.perf_counter()
+    values, vectors, inner = solve(0.0)
+    # Trajectories start as the K lowest modes; buffer columns are
+    # candidates for later steps only.
+    vectors = vectors[:, :K]
+    # Clusters degenerate since t = 0 carry no branch identity in their
+    # basis; only these may be re-gauged on the committed side.
+    free = _degenerate_clusters(values[:K])
+    grid = [0.0]
+    lambdas = [values[:K].copy()]
+    correlations, permutations = [], []
+    bisections = degenerate_steps = 0
+    pending = [(float(t), 0)
+               for t in np.linspace(0.0, 1.0, initial_steps + 1)[:0:-1]]
+    while pending:
+        t_next, depth = pending.pop()
+        values_n, vectors_n, inner_n = solve(t_next)
+        W = inner @ vectors_n
         norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
         # Signed correlation block, trajectories by candidates.  Every
         # Procrustes target below is a sub-block of P, so the gauge fixes
         # reduce to in-place row and column updates.
-        P = vectors_p.T @ W
+        P = vectors.T @ W
 
         clusters_n = _degenerate_clusters(values_n)
         if clusters_n:
             vectors_n = vectors_n.copy()
         for idx in clusters_n:
-            if idx.size > self.K:
+            if idx.size > K:
                 continue
             R = _procrustes_rotation(P[:, idx], idx.size)
             if R is None:
@@ -234,43 +219,55 @@ class _TrackEngine:
         # (a symmetric geometry about to split) have an equally arbitrary
         # basis; their rows of P are rotated toward the new frame.  A
         # cluster formed later at a crossing keeps its basis: it encodes
-        # which branch is which.  The state itself is never touched.
-        for idx in self._free:
+        # which branch is which.  The committed vectors are never touched.
+        for idx in free:
             R = _procrustes_rotation(P[idx, :].T, idx.size)
             if R is not None:
                 P[idx, :] = R.T @ P[idx, :]
 
         C = np.abs(P) / norms[None, :]
-        perm, corrs = self.match(C)
+        perm, corrs = match(C)
 
-        if self.threshold > 0.0 and np.any(corrs < self.threshold):
-            if depth >= self.max_depth:
+        if threshold > 0.0 and np.any(corrs < threshold):
+            if depth >= max_depth:
                 raise TrackingError(
                     "correlation %.4f below threshold %.2f on [%.6g, %.6g] "
                     "after %d bisection levels"
-                    % (corrs.min(), self.threshold, t_prev, t_next, depth)
+                    % (corrs.min(), threshold, grid[-1], t_next, depth)
                 )
-            mid = 0.5 * (t_prev + t_next)
-            self._bisections += 1
-            self._advance(t_prev, mid, depth + 1, grid, lambdas, correlations,
-                          permutations)
-            self._advance(mid, t_next, depth + 1, grid, lambdas, correlations,
-                          permutations)
-            return
+            bisections += 1
+            pending.append((t_next, depth + 1))
+            pending.append((0.5 * (grid[-1] + t_next), depth + 1))
+            continue
 
         # Accept: reorder the new eigenpairs into trajectory slots.
         values_t = values_n[perm]
-        if clusters_n or self._free:
-            self._degenerate_steps += 1
+        if clusters_n or free:
+            degenerate_steps += 1
         # A free cluster survives only while its members remain mutually
         # degenerate at the accepted point.
-        self._free = [idx[sub] for idx in self._free
-                      for sub in _degenerate_clusters(values_t[idx])]
-        self._state = (values_t, vectors_n[:, perm], inner_n)
+        free = [idx[sub] for idx in free
+                for sub in _degenerate_clusters(values_t[idx])]
+        vectors, inner = vectors_n[:, perm], inner_n
         grid.append(t_next)
         lambdas.append(values_t)
         correlations.append(corrs)
         permutations.append(perm)
+
+    grid = np.array(grid)
+    stats = {
+        "bisection_count": bisections,
+        "degenerate_steps": degenerate_steps,
+        "min_step": float(np.diff(grid).min()),
+        "wall_seconds": time.perf_counter() - t_start,
+    }
+    return TrackingRun(
+        grid=grid,
+        lambdas=np.column_stack(lambdas),
+        correlations=np.column_stack(correlations),
+        permutations=permutations,
+        stats=stats,
+    )
 
 
 def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -280,17 +277,16 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                   policy: SolverPolicy | None = None) -> TrackingRun:
     """Track the K lowest reduced eigenvalues over [0, 1].
 
-    stats also carries lift_solves, the exact mass solves the evaluator
-    made (two at set-up, plus one per parameter its lifted space did
-    not certify).
+    Reduced tracking takes no snapshot, so policy goes to the evaluator
+    as given.  stats also carries lift_solves, the exact mass solves the
+    evaluator made (two at set-up, plus one per parameter its lifted
+    space did not certify).
     """
+    _check_settings(K, threshold, initial_steps, buffer)
     if basis.n_red < K:
         raise ConfigError(
             "basis size %d smaller than tracked mode count %d" % (basis.n_red, K)
         )
-    if buffer < 0:
-        raise ConfigError("candidate buffer must be >= 0")
-    policy = policy if policy is not None else SolverPolicy(sigma=1.0, lambda_cut=0.0)
     ev = _make_evaluator("mixed", psys, gauge, policy, K)
     ev.set_basis(basis.Z)
     n_cand = min(K + buffer, basis.n_red)
@@ -299,8 +295,7 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         red, sol = ev.solve(t)
         return sol.values[:n_cand], sol.vectors[:, :n_cand], red.B_tilde
 
-    run = _TrackEngine(solve, K, threshold, initial_steps, max_depth,
-                       matching).run()
+    run = _track(solve, K, threshold, initial_steps, max_depth, matching)
     run.stats["lift_solves"] = ev.lift_solves
     return run
 
@@ -310,8 +305,7 @@ def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
                max_depth: int = 10, matching: str = "greedy",
                buffer: int = 2) -> TrackingRun:
     """Track on the full sparse system; the runtime baseline."""
-    if buffer < 0:
-        raise ConfigError("candidate buffer must be >= 0")
+    _check_settings(K, threshold, initial_steps, buffer)
 
     def solve(t):
         pair = psys.interpolate(t)
@@ -319,5 +313,4 @@ def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
                                 salt=_salt_from_t(t))
         return sol.values, sol.vectors, pair.B
 
-    return _TrackEngine(solve, K, threshold, initial_steps, max_depth,
-                        matching).run()
+    return _track(solve, K, threshold, initial_steps, max_depth, matching)

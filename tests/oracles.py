@@ -14,6 +14,8 @@ package beyond its result containers.  ``reference_build_tree`` and
 breadth-first search and the recursive nested dissection that the
 level-synchronous array kernels replaced, and ``reference_scatter`` of
 the bincount scatter that the signed sparse scatter matrix replaced.
+``reference_degenerate_clusters`` is the frozen loop that grouped
+tracking's equal eigenvalues before the grouping became one split.
 """
 
 from collections import deque
@@ -475,3 +477,18 @@ def reference_shape_tables():
 
 
 _W_HAT, _C_HAT, _DN, _QWEIGHTS = reference_shape_tables()
+
+
+def reference_degenerate_clusters(values, rtol=1e-8):
+    """Index groups of numerically equal values, walked one by one."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    clusters = []
+    start = 0
+    for j in range(1, ranked.size + 1):
+        if (j == ranked.size
+                or ranked[j] - ranked[j - 1] > rtol * max(abs(ranked[j]), 1.0)):
+            if j - start >= 2:
+                clusters.append(np.sort(order[start:j]))
+            start = j
+    return clusters

@@ -67,6 +67,15 @@ class TestParsing:
             main(["solve", "--config", cfg_file, "--gauge", "coulomb"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--threads=0", "--threads=-2"])
+    def test_threads_below_one_is_usage_error(self, cfg_file, tmp_path, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["export-matrices", "--config", cfg_file, flag,
+                  "--output", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_export_matrices_has_no_gauge_flag(self, cfg_file):
         with pytest.raises(SystemExit) as err:
             main(["export-matrices", "--config", cfg_file, "--gauge", "mixed"])

@@ -5,14 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from maxwell_rb import tracking
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.rb import _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
-from maxwell_rb.tracking import (_TrackEngine, _degenerate_clusters,
-                                 _greedy_match, _hungarian_match, track_full,
-                                 track_reduced)
+from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
+                                 _greedy_match, _hungarian_match, _track,
+                                 track_full, track_reduced)
+
+from oracles import reference_degenerate_clusters
 
 
 class TestMatching:
@@ -58,6 +61,19 @@ class TestDegenerateClusters:
         assert self._groups([9.0, 5.0, 9.0]) == [[0, 2]]
         assert self._groups([5.0, 3.0, 4.0]) == []
 
+    def test_same_groups_as_the_loop(self):
+        # values drawn from a few levels with offsets on both sides of
+        # the relative tolerance, around and below magnitude one
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 2, 7, 40):
+            for scale in (1e-3, 1.0, 50.0):
+                levels = rng.choice([0.2, 0.7, 1.0, 3.0], size) * scale
+                jitter = rng.choice([0.0, 1e-12, 2e-8, 1e-3], size)
+                values = levels * (1.0 + jitter)
+                got = _degenerate_clusters(values)
+                want = reference_degenerate_clusters(values)
+                assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
 
 def _crossing_solve(t):
     """Two uncoupled analytic modes crossing at t = 0.5."""
@@ -71,8 +87,8 @@ def _crossing_solve(t):
 
 class TestEngine:
     def test_follows_modes_through_crossing(self):
-        run = _TrackEngine(_crossing_solve, K=2, threshold=0.9,
-                           initial_steps=8, max_depth=4).run()
+        run = _track(_crossing_solve, K=2, threshold=0.9, initial_steps=8,
+                     max_depth=4)
         # trajectory identity: slot 0 stays on the rising 1 + t branch even
         # after it stops being the smallest eigenvalue
         assert np.allclose(run.lambdas[0], 1.0 + run.grid, atol=1e-12)
@@ -82,19 +98,27 @@ class TestEngine:
             assert sorted(perm.tolist()) == [0, 1]
 
     def test_bisection_on_fast_rotation(self):
+        solved = []
+
         def solve(t):
             # eigenvector frame spins fast around t = 0.5; coarse steps see
             # low correlations there and must refine
+            solved.append(t)
             theta = 1.4 * np.arctan(40.0 * (t - 0.5))
             R = np.array([[np.cos(theta), -np.sin(theta)],
                           [np.sin(theta), np.cos(theta)]])
             return np.array([1.0, 2.0]), R, np.eye(2)
 
-        run = _TrackEngine(solve, K=2, threshold=0.97, initial_steps=4,
-                           max_depth=12).run()
-        assert run.stats["bisection_count"] > 0
+        run = _track(solve, K=2, threshold=0.97, initial_steps=4,
+                     max_depth=12)
+        assert run.stats["bisection_count"] == 6
         assert run.stats["min_step"] < 0.25
         assert np.min(run.correlations) >= 0.97
+        # nested bisection solves the left half of a failed step before
+        # its right half, each step starting at the last accepted point
+        assert solved == [0.0, 0.25, 0.5, 0.375, 0.5, 0.4375, 0.40625,
+                          0.4375, 0.5, 0.75, 0.625, 0.5625, 0.625, 0.59375,
+                          0.625, 0.75, 1.0]
 
     def test_label_swap_is_not_a_failure(self):
         # a pure relabelling of identical vectors is resolved by the
@@ -103,8 +127,8 @@ class TestEngine:
             vecs = np.eye(2) if t < 0.5 else np.eye(2)[:, ::-1].copy()
             return np.array([1.0, 2.0]), vecs, np.eye(2)
 
-        run = _TrackEngine(solve, K=2, threshold=0.9, initial_steps=2,
-                           max_depth=6).run()
+        run = _track(solve, K=2, threshold=0.9, initial_steps=2,
+                     max_depth=6)
         assert run.stats["bisection_count"] == 0
         assert np.min(run.correlations) == pytest.approx(1.0)
 
@@ -118,27 +142,25 @@ class TestEngine:
             return np.array([1.0, 2.0]), cols.copy(), np.eye(4)
 
         with pytest.raises(TrackingError, match=r"0\.49\d*, 0\.5\]"):
-            _TrackEngine(solve, K=2, threshold=0.9, initial_steps=2,
-                         max_depth=6).run()
+            _track(solve, K=2, threshold=0.9, initial_steps=2, max_depth=6)
 
     def test_threshold_zero_never_bisects(self):
         def solve(t):
             vecs = np.eye(2) if t < 0.5 else np.eye(2)[:, ::-1].copy()
             return np.array([1.0, 2.0]), vecs, np.eye(2)
 
-        run = _TrackEngine(solve, K=2, threshold=0.0, initial_steps=4,
-                           max_depth=6).run()
+        run = _track(solve, K=2, threshold=0.0, initial_steps=4,
+                     max_depth=6)
         assert run.stats["bisection_count"] == 0
         assert run.grid.size == 5
 
     def test_parameter_validation(self):
         for kwargs in ({"threshold": 1.0}, {"threshold": -0.1},
-                       {"initial_steps": 1}, {"K": 0}):
+                       {"initial_steps": 1}, {"K": 0}, {"buffer": -1}):
             full = {"K": 2, "threshold": 0.9, "initial_steps": 4,
-                    "max_depth": 3, **kwargs}
+                    "buffer": 2, **kwargs}
             with pytest.raises(ConfigError):
-                _TrackEngine(_crossing_solve, full["K"], full["threshold"],
-                             full["initial_steps"], full["max_depth"])
+                _check_settings(**full)
 
     def test_rotation_inside_degenerate_pair_is_undone(self):
         # the pair is distinct at t = 0 and degenerate afterwards, where the
@@ -158,15 +180,15 @@ class TestEngine:
                 return np.array([3.9, 4.0, 9.0]), prev, np.eye(n)
             return np.array([4.0, 4.0, 9.0]), rotated, np.eye(n)
 
-        run = _TrackEngine(solve, K=3, threshold=0.9, initial_steps=4,
-                           max_depth=6).run()
+        run = _track(solve, K=3, threshold=0.9, initial_steps=4,
+                     max_depth=6)
         assert run.stats["bisection_count"] == 0
         assert np.min(run.correlations) >= 1.0 - 1e-12
         assert run.stats["degenerate_steps"] > 0
 
     def test_to_rows_layout(self):
-        run = _TrackEngine(_crossing_solve, K=2, threshold=0.9,
-                           initial_steps=4, max_depth=3).run()
+        run = _track(_crossing_solve, K=2, threshold=0.9, initial_steps=4,
+                     max_depth=3)
         rows = run.to_rows()
         assert len(rows) == run.grid.size
         assert all(len(r) == 1 + 2 * run.n_modes for r in rows)
@@ -231,6 +253,20 @@ class TestReducedTracking:
                           buffer=-1, policy=m["policy"])
         with pytest.raises(ConfigError):
             track_full(m["psys"], 5, m["policy"], buffer=-1)
+
+    def test_settings_checked_before_any_solve_or_lift(self, small_morph,
+                                                      small_basis,
+                                                      monkeypatch):
+        def no_evaluator(*args):
+            raise AssertionError("evaluator built before the settings check")
+
+        monkeypatch.setattr(tracking, "_make_evaluator", no_evaluator)
+        m = small_morph
+        with pytest.raises(ConfigError):
+            track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
+                          threshold=1.0)
+        with pytest.raises(ConfigError):
+            track_full(None, 5, m["policy"], initial_steps=1)
 
     def test_hungarian_matching_available(self, small_morph, small_basis):
         m = small_morph
