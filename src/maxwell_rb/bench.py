@@ -363,7 +363,7 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
         def reduced_at_probe():
             ev = _make_evaluator("mixed", problem.psys, problem.gauge,
                                  problem.policy, cfg.K)
-            ev.set_basis(mixed.basis.Z)
+            ev.set_basis(mixed.basis.Z, mixed.basis.lifted)
             return ev.reduced_system(t_probe)
 
         red = _guarded(phase_errors, "evp-rb", reduced_at_probe)

@@ -70,14 +70,18 @@ def _configure_logging() -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviated long options: _apply_thread_cap reads --threads from
+    # argv before parsing, so an abbreviation would parse but cap nothing.
     parser = argparse.ArgumentParser(
         prog="maxwell-rb",
         description="Tree-cotree gauged reduced-basis solver for the "
                     "parametrized Maxwell cavity eigenvalue problem.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gauge=True):
+    def command(name, help, gauge=True):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH",
                        help="configuration file (flat key = value lines)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -88,33 +92,27 @@ def _build_parser() -> argparse.ArgumentParser:
         if gauge:
             p.add_argument("--gauge", choices=("classical", "mixed"),
                            help="override the gauge pipeline")
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve the K physical modes at one t")
-    common(p_solve)
+    p_solve = command("solve", "solve the K physical modes at one t")
     p_solve.add_argument("--t", type=float, default=0.0,
                          help="deformation parameter in [0, 1] (default 0)")
     p_solve.add_argument("--export", action="store_true",
                          help="write matrices, modes, and results to --output")
 
-    p_build = sub.add_parser("build-basis",
-                             help="snapshots, POD, and greedy enrichment")
-    common(p_build)
+    command("build-basis", "snapshots, POD, and greedy enrichment")
 
-    p_track = sub.add_parser("track", help="track eigenvalues over t in [0, 1]")
-    common(p_track)
+    p_track = command("track", "track eigenvalues over t in [0, 1]")
     path = p_track.add_mutually_exclusive_group()
     path.add_argument("--reduced", dest="reduced", action="store_true",
                       default=True, help="track on the reduced system (default)")
     path.add_argument("--full", dest="reduced", action="store_false",
                       help="track on the full sparse system")
 
-    p_bench = sub.add_parser("bench",
-                             help="phase-timed comparison of both pipelines")
-    common(p_bench)
+    command("bench", "phase-timed comparison of both pipelines")
 
-    p_export = sub.add_parser("export-matrices",
-                              help="write assembled endpoint systems")
-    common(p_export, gauge=False)
+    p_export = command("export-matrices", "write assembled endpoint systems",
+                       gauge=False)
     p_export.add_argument("--t", type=float, default=None,
                           help="also export the interpolated pair at this t")
 

@@ -18,8 +18,12 @@ Online, Z_full(t) is the B(t)-Galerkin lift in span(Q): an m x m
 solve, m the dimension of the span, certified by its explicit lifting
 residual.  A parameter whose residual fails the certificate becomes a
 lift point itself, so the span grows only where the morph needs it:
-the default brick stretch saturates at the two endpoint lifts, and a
-reduced tracking pass makes no mass solve beyond them.
+the default brick stretch saturates at the two endpoint lifts.  The
+offline state is one immutable _LiftedSpace per basis.  greedy_enrich
+attaches the endpoint space of its final basis to the basis it returns
+(ReducedBasis.lifted), and an evaluator adopts it when it is given the
+same psys, gauge and Z objects, so reduced tracking right after a build
+makes no mass solve unless a parameter fails the certificate.
 
 Classical gauge: snapshots and reduced matrices go through the dense
 cotree pencil assembled per parameter value, A_hat = W^T (A W) with
@@ -39,7 +43,8 @@ mode that a basis of fewer than K columns lacks).  The greedy loop,
 reduced tracking, the bench error studies and the tests all go through
 these two routines.  Each call evaluates its parameter afresh and keeps
 nothing of it once it returns, apart from a lift point the mixed
-evaluator may add.  ``snapshot(t)`` returns the K modes at t as a
+evaluator may add to its own copy of the lifted space, never to the
+space a basis carries.  ``snapshot(t)`` returns the K modes at t as a
 |C| x K array of unit columns.
 
 greedy_enrich is a weak greedy over one table of (t, mode) candidates
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -146,6 +151,10 @@ class ReducedBasis:
     provenance: tuple
     gauge_mode: str
     flags: tuple = ()
+    # The endpoint lifts of Z from the mixed greedy sweep that returned
+    # this basis; None for any other basis.
+    lifted: "_LiftedSpace | None" = field(default=None, compare=False,
+                                          repr=False)
 
     @property
     def n_red(self) -> int:
@@ -153,7 +162,8 @@ class ReducedBasis:
 
     def extended(self, column: np.ndarray, record: dict) -> "ReducedBasis":
         Z = np.column_stack([self.Z, column])
-        return replace(self, Z=Z, provenance=self.provenance + (record,))
+        return replace(self, Z=Z, provenance=self.provenance + (record,),
+                       lifted=None)
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,9 @@ class _Evaluator:
     on the meter only while the block is open; _reduce, the reduced
     pencil; and _residual_norms.  reduced_system, solve and estimate each
     open one scope, so no per-t data outlives the call that visits it; a
-    lift point the mixed evaluator adds belongs to the basis, not to t.
+    lift point the mixed evaluator adds belongs to its lifted space, not
+    to t.  set_basis returns the offline state it set up (None if
+    classical).
     """
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -202,7 +214,6 @@ class _Evaluator:
         self.policy = policy
         self.K = K
         self.meter = meter
-        self._Z = None
 
     def reduced_system(self, t: float) -> ReducedSystem:
         with self._at(t) as data:
@@ -228,28 +239,114 @@ class _Evaluator:
         return sol, eta
 
 
+@dataclass(frozen=True, eq=False)
+class _LiftedSpace:
+    """The mixed evaluator's offline state for one basis Z.
+
+    Q is an orthonormal N x m basis of the span of the exact lifts of Z
+    made so far, ``lifts`` of them.  Every Q-projected quantity is affine
+    in t, so the space keeps two endpoint copies of each: P = H_e^T Z
+    (N x n), B_e Q and A_e Q (N x m), their m x m Grams Q^T B_e Q and
+    Q^T A_e Q, and Q^T P_e.  That is N (5m + 2n) entries.
+
+    The space is bound to the psys, gauge and Z objects it was lifted
+    for (see fits) and never changes: lift(t) returns an extended copy,
+    so a space attached to a basis is shared by every query and altered
+    by none.
+    """
+
+    psys: ParametrizedSystem
+    gauge: GaugeDecomposition
+    Z: np.ndarray
+    P: tuple
+    Q: np.ndarray
+    BQ: tuple
+    AQ: tuple
+    GB: tuple
+    GA: tuple
+    QtP: tuple
+    lifts: int = 0
+
+    @classmethod
+    def at_endpoints(cls, psys: ParametrizedSystem, gauge: GaugeDecomposition,
+                     Z: np.ndarray) -> "_LiftedSpace":
+        """Z lifted exactly at the lift points t = 0 and t = 1."""
+        n, n_red = psys.n, Z.shape[1]
+        # H_e = rows C of the symmetric A_e, so H_e^T Z = A_e Z_C with Z_C
+        # holding Z on the cotree rows and zeros on the tree rows.
+        Z_C = np.zeros((n, n_red))
+        Z_C[gauge.cotree] = Z
+        P = tuple(e.A @ Z_C for e in (psys.endpoint0, psys.endpoint1))
+        blocks = (np.empty((n, 0)),) * 2
+        grams = (np.empty((0, 0)),) * 2
+        space = cls(psys, gauge, Z, P, np.empty((n, 0)), blocks, blocks,
+                    grams, grams, (np.empty((0, n_red)),) * 2)
+        return space.lift(0.0).lift(1.0)
+
+    def fits(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
+             Z: np.ndarray) -> bool:
+        """Whether the space was lifted for exactly these objects."""
+        return self.psys is psys and self.gauge is gauge and self.Z is Z
+
+    def lift(self, t: float) -> "_LiftedSpace":
+        """This space extended by an exact lift at t.
+
+        The lift is orthogonalized twice against Q; its remainder keeps
+        the singular directions above _PCG_RTOL times the lift's largest
+        column norm, since anything smaller is below the accuracy the
+        lift was solved to.  Only the new block columns and Gram rows are
+        computed.
+        """
+        X = pcg_solve(self.psys.interpolate(t).B, _blend(self.P, t))
+        scale = np.linalg.norm(X, axis=0).max()
+        for _ in range(2):
+            X -= self.Q @ (self.Q.T @ X)
+        W, s, _ = np.linalg.svd(X, full_matrices=False)
+        W = W[:, s > _PCG_RTOL * scale]
+        ends = (self.psys.endpoint0, self.psys.endpoint1)
+
+        def extend(blocks, grams, mats):
+            new_blocks, new_grams = [], []
+            for e in (0, 1):
+                MW = mats[e] @ W
+                cross = blocks[e].T @ W
+                WMW = W.T @ MW
+                new_grams.append(np.block([[grams[e], cross],
+                                           [cross.T, 0.5 * (WMW + WMW.T)]]))
+                new_blocks.append(np.hstack([blocks[e], MW]))
+            return tuple(new_blocks), tuple(new_grams)
+
+        BQ, GB = extend(self.BQ, self.GB, [end.B for end in ends])
+        AQ, GA = extend(self.AQ, self.GA, [end.A for end in ends])
+        QtP = tuple(np.vstack([self.QtP[e], W.T @ self.P[e]]) for e in (0, 1))
+        return replace(self, Q=np.hstack([self.Q, W]), BQ=BQ, AQ=AQ, GB=GB,
+                       GA=GA, QtP=QtP, lifts=self.lifts + 1)
+
+
 class _MixedEvaluator(_Evaluator):
     """Lifted reduced-matrix evaluation: never a dense cotree pencil.
 
     The exact lift Z_full(t) = B(t)^{-1} U(t), U(t) = H(t)^T Z, is
-    replaced by its B(t)-Galerkin approximation Q c(t), with Q an
-    orthonormal N x m basis of the span of the exact lifts made so far.
+    replaced by its B(t)-Galerkin approximation Q c(t), with Q the span
+    of the exact lifts held by the evaluator's _LiftedSpace.
 
-    Offline, set_basis lifts Z exactly at the lift points t = 0 and
-    t = 1.  Every Q-projected quantity is affine in t, so the evaluator
-    keeps two endpoint copies of each: B_e Q and A_e Q (N x m), their
-    m x m Grams Q^T B_e Q and Q^T A_e Q, and Q^T H_e^T Z.
+    Offline, set_basis adopts the space a built basis carries when it
+    was lifted for this psys, gauge and Z, and otherwise lifts Z exactly
+    at t = 0 and t = 1.  Either way it returns that endpoint space.
 
     Online, an evaluation at t solves (Q^T B(t) Q) c = Q^T U(t) with an
     m x m Cholesky factor and certifies c by the explicit lifting
     residual, ||B(t) Q c - U|| <= _LIFT_RTOL ||U|| per column.  If the
-    check fails, t becomes a lift point: one exact lift there extends Q
-    (only the new block columns and Gram rows are computed) and the
-    solve is repeated.  A certified evaluation interpolates no matrix
-    and makes no mass solve; ``lift_solves`` counts the exact lifts.
+    check fails, t becomes a lift point: the evaluator's space is
+    replaced by its extension by one exact lift at t and the solve is
+    repeated.  The space a basis carries is never extended, so every
+    query on it starts from the same offline state.  A certified
+    evaluation interpolates no matrix and makes no mass solve;
+    ``lift_solves`` counts the exact lifts behind the evaluator's space,
+    adopted endpoint lifts included.
 
-    The per-t data is (t, U, c).  The per-basis blocks, N (5m + 2n)
-    entries, live as long as the basis and are not on the meter.
+    The per-t data is (t, U, c).  The per-basis blocks live as long as
+    the space and are not on the meter.
     """
 
     gauge_mode = "mixed"
@@ -257,77 +354,43 @@ class _MixedEvaluator(_Evaluator):
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
                  policy: SolverPolicy, K: int, meter: StorageMeter):
         super().__init__(psys, gauge, policy, K, meter)
-        self._A = (psys.endpoint0.A, psys.endpoint1.A)
-        self._B = (psys.endpoint0.B, psys.endpoint1.B)
-        self.lift_solves = 0
+        self._space = None
 
-    def set_basis(self, Z: np.ndarray) -> None:
-        n, n_red = self.psys.n, Z.shape[1]
-        # H_e = rows C of the symmetric A_e, so H_e^T Z = A_e Z_C with Z_C
-        # holding Z on the cotree rows and zeros on the tree rows.
-        Z_C = np.zeros((n, n_red))
-        Z_C[self.gauge.cotree] = Z
-        self._P = tuple(A @ Z_C for A in self._A)
-        self._Q = np.empty((n, 0))
-        self._BQ = [np.empty((n, 0))] * 2
-        self._AQ = [np.empty((n, 0))] * 2
-        self._GB = [np.empty((0, 0))] * 2
-        self._GA = [np.empty((0, 0))] * 2
-        self._QtP = [np.empty((0, n_red))] * 2
-        for t in (0.0, 1.0):
-            self._lift(t)
+    @property
+    def lift_solves(self) -> int:
+        return self._space.lifts
 
-    def _lift(self, t: float) -> None:
-        """Lift exactly at t and extend Q by the lift's new directions.
-
-        The lift is orthogonalized twice against Q; its remainder keeps
-        the singular directions above _PCG_RTOL times the lift's largest
-        column norm, since anything smaller is below the accuracy the
-        lift was solved to.
-        """
-        X = pcg_solve(self.psys.interpolate(t).B, _blend(self._P, t))
-        self.lift_solves += 1
-        scale = np.linalg.norm(X, axis=0).max()
-        for _ in range(2):
-            X -= self._Q @ (self._Q.T @ X)
-        W, s, _ = np.linalg.svd(X, full_matrices=False)
-        W = W[:, s > _PCG_RTOL * scale]
-        for blocks, grams, mats in ((self._BQ, self._GB, self._B),
-                                    (self._AQ, self._GA, self._A)):
-            for e in (0, 1):
-                MW = mats[e] @ W
-                cross = blocks[e].T @ W
-                WMW = W.T @ MW
-                grams[e] = np.block([[grams[e], cross],
-                                     [cross.T, 0.5 * (WMW + WMW.T)]])
-                blocks[e] = np.hstack([blocks[e], MW])
-        for e in (0, 1):
-            self._QtP[e] = np.vstack([self._QtP[e], W.T @ self._P[e]])
-        self._Q = np.hstack([self._Q, W])
+    def set_basis(self, Z: np.ndarray,
+                  lifted: _LiftedSpace | None = None) -> _LiftedSpace:
+        if lifted is None or not lifted.fits(self.psys, self.gauge, Z):
+            lifted = _LiftedSpace.at_endpoints(self.psys, self.gauge, Z)
+        self._space = lifted
+        return lifted
 
     def _galerkin(self, t: float, U: np.ndarray):
         """Coefficients c of the Galerkin lift at t, or None if its
         lifting residual fails the check."""
+        space = self._space
         try:
-            factor = sla.cho_factor(_blend(self._GB, t), lower=True)
+            factor = sla.cho_factor(_blend(space.GB, t), lower=True)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(
                 "lifted mass matrix at t=%r is not positive definite" % t
             ) from exc
-        c = sla.cho_solve(factor, _blend(self._QtP, t))
-        R = _blend(self._BQ, t) @ c - U
+        c = sla.cho_solve(factor, _blend(space.QtP, t))
+        R = _blend(space.BQ, t) @ c - U
         ok = (np.linalg.norm(R, axis=0)
               <= _LIFT_RTOL * np.linalg.norm(U, axis=0))
         return c if ok.all() else None
 
     @contextmanager
     def _at(self, t: float):
-        U = _blend(self._P, t)
+        U = _blend(self._space.P, t)
         # U and the lifting residual B(t) Q c - U
         with self.meter.hold(2 * U.size):
             c = self._galerkin(t, U)
             if c is None:
-                self._lift(t)
+                self._space = self._space.lift(t)
                 c = self._galerkin(t, U)
             if c is None:
                 raise NumericsError(
@@ -338,8 +401,8 @@ class _MixedEvaluator(_Evaluator):
 
     def _reduce(self, data) -> ReducedSystem:
         t, U, c = data
-        A_tilde = c.T @ (_blend(self._GA, t) @ c)
-        B_tilde = c.T @ _blend(self._QtP, t)
+        A_tilde = c.T @ (_blend(self._space.GA, t) @ c)
+        B_tilde = c.T @ _blend(self._space.QtP, t)
         return ReducedSystem(
             A_tilde=0.5 * (A_tilde + A_tilde.T),
             B_tilde=0.5 * (B_tilde + B_tilde.T),
@@ -349,7 +412,8 @@ class _MixedEvaluator(_Evaluator):
         t, U, c = data
         k_eff = min(self.K, values.size)
         V = vectors[:, :k_eff]
-        R = _blend(self._AQ, t) @ (c @ V) - (U @ V) * values[None, :k_eff]
+        AQ = _blend(self._space.AQ, t)
+        R = AQ @ (c @ V) - (U @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:
@@ -381,6 +445,7 @@ class _ClassicalEvaluator(_Evaluator):
                  policy: SolverPolicy, K: int, meter: StorageMeter):
         super().__init__(psys, gauge, policy, K, meter)
         self.n_cotree = gauge.cotree.size
+        self._Z = None
 
     def set_basis(self, Z: np.ndarray) -> None:
         self._Z = Z
@@ -526,7 +591,7 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     log = []
     dead = np.zeros((greedy_set.size, K), dtype=bool)
     while True:
-        ev.set_basis(basis.Z)
+        lifted = ev.set_basis(basis.Z)
         etas = np.empty((greedy_set.size, K))
         for it, t in enumerate(greedy_set):
             etas[it] = ev.estimate(float(t))[1]
@@ -537,7 +602,7 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                 "iteration": len(log), "t": None, "mode": None,
                 "max_eta": float(etas.max()), "n_red": basis.n_red,
             })
-            return basis, log
+            return replace(basis, lifted=lifted), log
 
         # a stable sort keeps row-major order among ties
         order = np.argsort(-live, axis=None, kind="stable")
@@ -552,7 +617,7 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
             break
         else:
             flags = basis.flags + ("candidates-exhausted",)
-            return replace(basis, flags=flags), log
+            return replace(basis, flags=flags, lifted=lifted), log
         basis = basis.extended(
             w / norm,
             {"origin": "greedy", "t": t_star, "mode": int(i_star),

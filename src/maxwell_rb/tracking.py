@@ -68,7 +68,13 @@ class TrackingRun:
         return self.lambdas.shape[0]
 
     def summary(self) -> dict:
-        """JSON-ready counts of the pass; lift_solves on the reduced path."""
+        """JSON-ready counts of the pass.
+
+        On the reduced path lift_solves is the number of exact lifts
+        behind the reduced values: the two endpoint lifts, whether made
+        by this pass or carried by the basis from its build, plus one
+        per online lift point.
+        """
         out = {
             "grid_points": int(self.grid.size),
             "bisection_count": int(self.stats["bisection_count"]),
@@ -278,9 +284,13 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     """Track the K lowest reduced eigenvalues over [0, 1].
 
     Reduced tracking takes no snapshot, so policy goes to the evaluator
-    as given.  stats also carries lift_solves, the exact mass solves the
-    evaluator made (two at set-up, plus one per parameter its lifted
-    space did not certify).
+    as given.  The evaluator adopts the endpoint lifts the basis carries
+    (ReducedBasis.lifted) when they were made for these psys, gauge and
+    Z objects, and lifts Z at both endpoints otherwise; a parameter its
+    lifted space does not certify becomes a lift point of this run only.
+    stats also carries lift_solves, the exact lifts behind the run's
+    reduced values: the two endpoint lifts, adopted or made here, plus
+    one per online lift point.
     """
     _check_settings(K, threshold, initial_steps, buffer)
     if basis.n_red < K:
@@ -288,7 +298,7 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
             "basis size %d smaller than tracked mode count %d" % (basis.n_red, K)
         )
     ev = _make_evaluator("mixed", psys, gauge, policy, K)
-    ev.set_basis(basis.Z)
+    ev.set_basis(basis.Z, basis.lifted)
     n_cand = min(K + buffer, basis.n_red)
 
     def solve(t):

@@ -76,6 +76,22 @@ class TestParsing:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--thread", "2"], ["--thr=2"],
+                                       ["--conf", "x.cfg"]])
+    def test_abbreviated_option_is_usage_error(self, cfg_file, tmp_path,
+                                               monkeypatch, flags):
+        # --threads is exported to BLAS from argv before parsing, so an
+        # abbreviation that parsed would set threads and cap nothing
+        for name in _THREAD_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["export-matrices", "--config", cfg_file, *flags,
+                  "--output", str(out)])
+        assert err.value.code == 2
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert not out.exists()
+
     def test_export_matrices_has_no_gauge_flag(self, cfg_file):
         with pytest.raises(SystemExit) as err:
             main(["export-matrices", "--config", cfg_file, "--gauge", "mixed"])

@@ -18,6 +18,7 @@ counts checked.  The allowed entries are known and documented:
 
 import importlib.util
 import os
+from dataclasses import replace
 
 from maxwell_rb import bench, rb, tracking
 from maxwell_rb.config import default_config, with_overrides
@@ -97,9 +98,10 @@ def test_tracking_paths_are_traced():
                     buffer=_CFG.track_buffer)
     try:
         tracer.install()
-        reduced = tracking.track_reduced(problem.psys, problem.gauge, basis,
-                                         _CFG.K, policy=problem.policy,
-                                         **settings)
+        reduced = [tracking.track_reduced(problem.psys, problem.gauge, b,
+                                          _CFG.K, policy=problem.policy,
+                                          **settings)
+                   for b in (replace(basis, lifted=None), basis)]
         tracking.track_full(problem.psys, _CFG.K, problem.policy, **settings)
     finally:
         tracer.uninstall()
@@ -107,10 +109,13 @@ def test_tracking_paths_are_traced():
     assert {"tracking.track", "eigen.sparse_solve",
             "eigen.dense_solve"} <= _spans(module, tracer)
     tracks = [root for root in tracer.roots if root.name == "tracking.track"]
-    assert len(tracks) == 2
+    assert len(tracks) == 3
     # the reduced pass interpolates only where it lifts exactly, not at
-    # every grid point
-    lifts = reduced.stats["lift_solves"]
-    interpolations = [span for span in module.walk(tracks[0])
-                      if span.name == "assembly.interpolate"]
-    assert len(interpolations) == lifts < reduced.grid.size
+    # every grid point; a pass on the built basis adopts the build's two
+    # endpoint lifts and interpolates only at its online lift points
+    for run, track, adopted in zip(reduced, tracks, (0, 2)):
+        lifts = run.stats["lift_solves"]
+        interpolations = [span for span in module.walk(track)
+                          if span.name == "assembly.interpolate"]
+        assert len(interpolations) == lifts - adopted
+        assert lifts < run.grid.size

@@ -1,16 +1,21 @@
 """Reduced-basis pipeline: snapshots, POD, estimator, greedy, storage."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from maxwell_rb import rb
+from maxwell_rb.assembly import ParametrizedSystem
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import _LIFT_RTOL, SPDFactor, solve_sparse_gevp
+from maxwell_rb.eigen import (_LIFT_RTOL, SPDFactor, pcg_solve,
+                              solve_sparse_gevp)
 from maxwell_rb.errors import ConfigError, NumericsError
 from maxwell_rb.gauge import CotreeProjector, build_cotree_system
-from maxwell_rb.rb import (StorageMeter, build_basis,
+from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
                            _POD_RANK_GUARD, _gaps, _make_evaluator,
@@ -233,7 +238,7 @@ class TestLiftedSpace:
         for t in lifted_at + [0.2, 0.8]:
             ev.solve(t)
             with ev._at(t) as (_, U, c):
-                R = m["psys"].interpolate(t).B @ (ev._Q @ c) - U
+                R = m["psys"].interpolate(t).B @ (ev._space.Q @ c) - U
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
 
@@ -322,6 +327,9 @@ class TestGreedy:
                                    small_morph["policy"])
         assert "candidates-exhausted" in basis.flags
         assert basis.n_red == start.n_red
+        # the exhausted return path carries its endpoint lifts too
+        assert basis.lifted.fits(psys, cube3_gauge, basis.Z)
+        assert basis.lifted.lifts == 2
 
     def test_bad_tolerance(self, small_morph, small_basis):
         m = small_morph
@@ -360,6 +368,7 @@ class TestBuildBasis:
         classical = classical_pipeline(m["psys"], m["gauge"], m["training"],
                                        5, "auto", 1e-6, 12, m["policy"])
         assert classical.basis.gauge_mode == "classical"
+        assert classical.basis.lifted is None
         ev = _evaluator(m, classical.basis.Z)
         for t in (0.25,):
             approx = ev.solve(t)[1].values[:5]
@@ -377,6 +386,74 @@ class TestBuildBasis:
         assert classical.peak_dense_entries >= n * n + n * n_cotree
         assert small_basis.peak_dense_entries < n * n_cotree
         assert small_basis.peak_dense_entries < 10 * n * small_basis.basis.n_red
+
+
+class TestCarriedLifts:
+    """A built basis carries the endpoint lifts of its last greedy sweep,
+    and reduced tracking adopts them only for the objects they were
+    lifted for."""
+
+    def test_build_attaches_endpoint_lifts(self, small_morph, small_basis):
+        m = small_morph
+        lifted = small_basis.basis.lifted
+        assert lifted.fits(m["psys"], m["gauge"], small_basis.basis.Z)
+        assert lifted.lifts == 2
+
+    def test_extended_basis_drops_the_lifts(self, small_basis):
+        basis = small_basis.basis
+        grown = basis.extended(np.zeros(basis.Z.shape[0]), {"origin": "test"})
+        assert basis.lifted is not None and grown.lifted is None
+
+    def test_no_leak_between_queries(self, small_morph):
+        # a random basis forces lift points inside (0, 1); they must stay
+        # in each run's own copy of the space
+        m = small_morph
+        rng = np.random.default_rng(29)
+        Z = np.linalg.qr(rng.standard_normal((m["gauge"].cotree.size, 6)))[0]
+        lifted = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"],
+                                 5).set_basis(Z)
+        basis = ReducedBasis(Z=Z, provenance=(), gauge_mode="mixed",
+                             lifted=lifted)
+        runs = [track_reduced(m["psys"], m["gauge"], b, 5, policy=m["policy"])
+                for b in (basis, basis, replace(basis, lifted=None))]
+        assert runs[0].stats["lift_solves"] > 2
+        for run in runs[1:]:
+            assert np.array_equal(run.grid, runs[0].grid)
+            assert np.array_equal(run.lambdas, runs[0].lambdas)
+            assert np.array_equal(run.correlations, runs[0].correlations)
+            assert len(run.permutations) == len(runs[0].permutations)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(run.permutations, runs[0].permutations))
+            assert run.stats["lift_solves"] == runs[0].stats["lift_solves"]
+        assert basis.lifted is lifted
+        assert lifted.lifts == 2 and lifted.Q.shape[1] <= 2 * Z.shape[1]
+
+    def test_adoption_needs_the_same_objects(self, desk_problem, desk_basis,
+                                             monkeypatch):
+        p = desk_problem
+        basis = desk_basis.basis
+        calls = []
+
+        def counted(B, rhs):
+            calls.append(rhs.shape)
+            return pcg_solve(B, rhs)
+
+        monkeypatch.setattr(rb, "pcg_solve", counted)
+
+        def track(psys=p.psys, gauge=p.gauge, b=basis):
+            del calls[:]
+            run = track_reduced(psys, gauge, b, p.cfg.K, policy=p.policy)
+            return run, len(calls)
+
+        adopted, solves = track()
+        assert solves == 0 and adopted.stats["lift_solves"] == 2
+        # an equal system built anew is another object: it lifts anew
+        twin = ParametrizedSystem(p.psys.endpoint0, p.psys.endpoint1)
+        for kwargs in ({"psys": twin}, {"b": replace(basis, Z=basis.Z.copy())},
+                       {"b": replace(basis, lifted=None)}):
+            run, solves = track(**kwargs)
+            assert solves == 2 and run.stats["lift_solves"] == 2, kwargs
+            assert np.array_equal(run.lambdas, adopted.lambdas), kwargs
 
 
 class TestStorageMeter:
