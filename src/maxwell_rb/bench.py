@@ -189,8 +189,8 @@ def reference_eigenvalues(problem: Problem, t_values) -> np.ndarray:
     return out
 
 
-def leading_block_eigenvalues(problem: Problem, basis_Z: np.ndarray,
-                              gauge_mode: str, t_values, sizes) -> np.ndarray:
+def leading_block_eigenvalues(problem: Problem, basis: ReducedBasis,
+                              t_values, sizes) -> np.ndarray:
     """Lowest K reduced eigenvalues for each leading basis size and t.
 
     Shape (len(sizes), len(t_values), K).  Each t is evaluated once at
@@ -198,12 +198,14 @@ def leading_block_eigenvalues(problem: Problem, basis_Z: np.ndarray,
     pencil.  The classical pencil's leading block is exactly the size-n
     pencil.  The mixed one lifts each column separately within the span
     of the full basis's lifts, so its leading block agrees with a size-n
-    rebuild to the lifting tolerance (_LIFT_RTOL).
+    rebuild to the lifting tolerance (_LIFT_RTOL).  A built mixed basis
+    brings its endpoint lifts (ReducedBasis.lifted), so the sweep lifts
+    nothing unless a parameter fails the lifting certificate.
     """
     K = problem.cfg.K
-    ev = _make_evaluator(gauge_mode, problem.psys, problem.gauge,
+    ev = _make_evaluator(basis.gauge_mode, problem.psys, problem.gauge,
                          problem.policy, K)
-    ev.set_basis(basis_Z)
+    ev.set_basis(basis.Z, basis.lifted)
     out = np.empty((len(sizes), len(t_values), K))
     for row, t in enumerate(t_values):
         red = ev.reduced_system(float(t))
@@ -226,8 +228,8 @@ def trailing_average(values) -> np.ndarray:
     return out
 
 
-def error_sweep(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
-                t_values, reference: np.ndarray) -> tuple[dict, np.ndarray]:
+def error_sweep(problem: Problem, basis: ReducedBasis, t_values,
+                reference: np.ndarray) -> tuple[dict, np.ndarray]:
     """Mean error over modes and evaluation set for nested leading bases.
 
     The basis columns are ordered by construction (POD by singular value,
@@ -237,9 +239,8 @@ def error_sweep(problem: Problem, basis_Z: np.ndarray, gauge_mode: str,
     size solves the leading block of that pencil.  Also returns the
     full-size row: the average relative error of each mode.
     """
-    sizes = list(range(problem.cfg.K, basis_Z.shape[1] + 1))
-    approx = leading_block_eigenvalues(problem, basis_Z, gauge_mode, t_values,
-                                       sizes)
+    sizes = list(range(problem.cfg.K, basis.n_red + 1))
+    approx = leading_block_eigenvalues(problem, basis, t_values, sizes)
     per_mode = [_per_mode_error(a, reference) for a in approx]
     errors = [float(e.mean()) for e in per_mode]
     trail = trailing_average(errors)
@@ -382,8 +383,8 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
     if reference is not None and mixed is not None:
         for mode, res in built.items():
             out = _guarded(phase_errors, "error-sweep-" + mode,
-                           lambda: error_sweep(problem, res.basis.Z, mode,
-                                               eval_t, reference))
+                           lambda: error_sweep(problem, res.basis, eval_t,
+                                               reference))
             if out is None:
                 continue
             sweep[mode], full_size_errors = out

@@ -228,6 +228,7 @@ def cmd_build_basis(cfg: RunConfig) -> int:
             "n_free_edges": int(problem.mesh0.n_free_edges),
             "final_max_eta": final_max_eta,
             "flags": list(result.basis.flags),
+            "pod_snapshot_t": list(result.snapshot_t),
             "columns": list(result.basis.provenance),
         }),
         "convergence_log.csv": lambda p: write_csv(
@@ -241,6 +242,7 @@ def cmd_build_basis(cfg: RunConfig) -> int:
     print("phase seconds: projection %.3f  pod %.3f  greedy %.3f"
           % (result.phase_seconds["projection"], result.phase_seconds["pod"],
              result.phase_seconds["greedy"]))
+    print("POD snapshots: %d of %d" % (len(result.snapshot_t), cfg.N_POD))
     print("peak dense entries: %d" % result.peak_dense_entries)
     log.info("wrote %s, %s, %s", *paths)
     return 0

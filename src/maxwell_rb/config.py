@@ -76,6 +76,7 @@ _SCHEMA = {
     "dims1": (_parse_triple(_parse_float), (1.0, 1.1, 0.6)),
     "resolution": (_parse_triple(_parse_int), (6, 6, 6)),
     "K": (_parse_int, 5),
+    # a cap: snapshot collection stops once a level adds no rank
     "N_POD": (_parse_int, 20),
     "N_train": (_parse_int, 50),
     "N_init": (_parse_count_or_auto, _AUTO),

@@ -47,6 +47,17 @@ evaluator may add to its own copy of the lifted space, never to the
 space a basis carries.  ``snapshot(t)`` returns the K modes at t as a
 |C| x K array of unit columns.
 
+collect_snapshots visits the POD set in nested levels, coarse to fine:
+the two endpoints, then the index-midpoint of every remaining gap.
+After each complete level past the first it checks whether the level
+added rank, and stops once a whole level lies in the span of the
+earlier ones to _SATURATION_TOL (POD-greedy snapshot selection,
+Haasdonk & Ohlberger, ESAIM: M2AN 42, 2008), so N_POD is a cap, not a
+count.  The risk is a morph whose coarse levels coincide while finer
+parameters differ: the check then stops before it sees them.  Greedy
+enrichment over the training set is the backstop for anything the
+early stop misses.
+
 greedy_enrich is a weak greedy over one table of (t, mode) candidates
 (Hesthaven, Rozza & Stamm, Certified Reduced Basis Methods, 2016).
 
@@ -74,6 +85,11 @@ from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
+# A POD level adds no rank when every new unit column leaves a remainder
+# at most this large against the earlier columns.  It sits above the
+# classical gauge's dense-pencil roundoff (about 3e-13 at 6^3), which the
+# rank guard keeps as columns.
+_SATURATION_TOL = 1e-12
 _GAP_FLOOR_FRACTION = 1e-8
 
 
@@ -447,7 +463,9 @@ class _ClassicalEvaluator(_Evaluator):
         self.n_cotree = gauge.cotree.size
         self._Z = None
 
-    def set_basis(self, Z: np.ndarray) -> None:
+    def set_basis(self, Z: np.ndarray, lifted=None) -> None:
+        """Z is the whole offline state; lifted is taken for a uniform
+        call and ignored, since a classical basis carries none."""
         self._Z = Z
 
     @contextmanager
@@ -506,20 +524,87 @@ def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None):
 # pipeline stages
 
 
+def _nested_levels(n: int) -> list:
+    """The indices 0..n-1 of a POD set, grouped in nested levels.
+
+    Level 0 is the two endpoints.  Each later level holds the floor
+    index-midpoint of every gap the earlier levels leave, left to right,
+    so each index appears in exactly one level.
+    """
+    levels = [sorted({0, n - 1})]
+    gaps = [(0, n - 1)]
+    while True:
+        gaps = [(a, b) for a, b in gaps if b - a > 1]
+        if not gaps:
+            return levels
+        mids = [(a + b) // 2 for a, b in gaps]
+        levels.append(mids)
+        gaps = [gap for (a, b), m in zip(gaps, mids) for gap in ((a, m), (m, b))]
+
+
+def _adds_no_rank(earlier: np.ndarray, new: np.ndarray,
+                  meter: StorageMeter) -> bool:
+    """Whether every unit column of new lies in the span of earlier.
+
+    The span is the singular directions of earlier at or above the POD
+    rank guard; each new column is projected out of it twice and its
+    remainder must not exceed _SATURATION_TOL.
+    """
+    U, s, _ = np.linalg.svd(earlier, full_matrices=False)
+    U = U[:, s >= _POD_RANK_GUARD * s[0]]
+    R = new.copy()
+    with meter.hold(U.size + R.size):
+        for _ in range(2):
+            R -= U @ (U.T @ R)
+        return bool(np.linalg.norm(R, axis=0).max() <= _SATURATION_TOL)
+
+
+def _collect(psys, gauge, pod_set, K, policy, gauge_mode, meter, n_init):
+    """collect_snapshots' columns and the parameters it solved."""
+    if K < 1:
+        raise ConfigError("snapshot mode count must be >= 1")
+    pod_set = np.asarray(pod_set, dtype=float)
+    if pod_set.size == 0:
+        raise ConfigError("POD parameter set is empty")
+    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter)
+    blocks = {}
+    for level, indices in enumerate(_nested_levels(pod_set.size)):
+        earlier = np.hstack(list(blocks.values())) if level else None
+        new = [ev.snapshot(float(pod_set[i])) for i in indices]
+        blocks.update(zip(indices, new))
+        enough = n_init == "auto" or K * len(blocks) >= n_init
+        if level and enough and _adds_no_rank(earlier, np.hstack(new),
+                                              ev.meter):
+            break
+    solved = sorted(blocks)
+    Y = np.hstack([blocks[i] for i in solved])
+    ev.meter.alloc(Y.size)
+    return Y, pod_set[solved]
+
+
 def collect_snapshots(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                       pod_set, K: int, policy: SolverPolicy,
                       gauge_mode: str = "mixed",
-                      meter: StorageMeter | None = None) -> np.ndarray:
-    """Solve K physical modes at each POD parameter and stack the condensed,
-    unit-normalized columns, K per parameter in pod_set order.  Duplicate
-    parameters yield duplicate columns."""
-    if K < 1:
-        raise ConfigError("snapshot mode count must be >= 1")
-    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter)
-    Y = np.hstack([ev.snapshot(float(t))
-                   for t in np.asarray(pod_set, dtype=float)])
-    ev.meter.alloc(Y.size)
-    return Y
+                      meter: StorageMeter | None = None,
+                      n_init="auto") -> np.ndarray:
+    """Solve K physical modes at POD parameters until they stop adding
+    rank; the condensed, unit-normalized columns, K per solved parameter
+    in pod_set order.
+
+    The parameters are visited in nested levels (_nested_levels): both
+    endpoints, then the midpoints of the gaps, coarse to fine.  After
+    each complete level past the first, collection stops if every new
+    column lies in the span of the earlier levels' columns to
+    _SATURATION_TOL; with an integer n_init it goes on until at least
+    n_init columns exist.  pod_set is therefore a cap: when no level
+    saturates every parameter is solved and the columns are those of a
+    one-by-one stack.  The risk is a morph whose coarse levels coincide
+    while finer ones differ; greedy enrichment is the backstop.  A
+    repeated parameter is solved again when its level is reached, and a
+    level of repeats adds no rank.
+    """
+    return _collect(psys, gauge, pod_set, K, policy, gauge_mode, meter,
+                    n_init)[0]
 
 
 def pod_init(Y: np.ndarray, n_init,
@@ -636,6 +721,8 @@ class BasisBuildResult:
     log: list
     phase_seconds: dict
     peak_dense_entries: int
+    # the POD parameters whose snapshots were solved, in pod_set order
+    snapshot_t: tuple
 
 
 def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -652,8 +739,8 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     phases = {}
 
     t0 = time.perf_counter()
-    snaps = collect_snapshots(psys, gauge, training.pod_set, K, policy,
-                              gauge_mode=gauge_mode, meter=meter)
+    snaps, snapshot_t = _collect(psys, gauge, training.pod_set, K, policy,
+                                 gauge_mode, meter, n_init)
     phases["projection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -673,7 +760,8 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     phases["greedy"] = time.perf_counter() - t0
 
     return BasisBuildResult(basis=basis, log=log, phase_seconds=phases,
-                            peak_dense_entries=meter.peak)
+                            peak_dense_entries=meter.peak,
+                            snapshot_t=tuple(float(t) for t in snapshot_t))
 
 
 def classical_pipeline(psys, gauge, training, K, n_init, tol, n_max,

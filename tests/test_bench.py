@@ -7,6 +7,7 @@ acceptance tests at the default problem size.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from maxwell_rb.bench import (
 from maxwell_rb.cli import _write_sweep_csv, main
 from maxwell_rb.config import parse_config_text
 from maxwell_rb.errors import ConfigError, TrackingError
-from maxwell_rb.rb import _make_evaluator
+from maxwell_rb import rb
+from maxwell_rb.eigen import pcg_solve
+from maxwell_rb.rb import ReducedBasis, _make_evaluator
 
 _TINY = """\
 resolution = 3 3 3
@@ -109,7 +112,8 @@ class TestLeadingBlocks:
         Z = np.linalg.qr(rng.standard_normal((p.gauge.cotree.size, K + 3)))[0]
         sizes = list(range(K, Z.shape[1] + 1))
         t_values = p.training.eval_set[:3]
-        sliced = leading_block_eigenvalues(p, Z, gauge_mode, t_values, sizes)
+        basis = ReducedBasis(Z=Z, provenance=(), gauge_mode=gauge_mode)
+        sliced = leading_block_eigenvalues(p, basis, t_values, sizes)
         for i, n in enumerate(sizes):
             ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, K)
             ev.set_basis(np.ascontiguousarray(Z[:, :n]))
@@ -117,6 +121,29 @@ class TestLeadingBlocks:
                 want = ev.solve(float(t))[1].values[:K]
                 rel = np.abs(sliced[i, row] - want) / want
                 assert rel.max() <= 1e-12, (n, t)
+
+    def test_built_basis_sweep_makes_no_mass_solve(self, desk_problem,
+                                                   desk_basis, monkeypatch):
+        # the sweep adopts the endpoint lifts the build carried; lifting
+        # the same basis again would cost two PCG solves
+        p = desk_problem
+        calls = []
+
+        def counted(B, rhs):
+            calls.append(rhs.shape)
+            return pcg_solve(B, rhs)
+
+        monkeypatch.setattr(rb, "pcg_solve", counted)
+        t_values = p.training.eval_set
+        reference = bench.reference_eigenvalues(p, t_values)
+        sweep, _ = bench.error_sweep(p, desk_basis.basis, t_values, reference)
+        assert calls == []
+        assert sweep["sizes"] == list(range(p.cfg.K,
+                                            desk_basis.basis.n_red + 1))
+        # without the carried lifts the same sweep lifts at both endpoints
+        again, _ = bench.error_sweep(
+            p, replace(desk_basis.basis, lifted=None), t_values, reference)
+        assert len(calls) == 2 and again == sweep
 
 
 class TestFailureCapture:

@@ -226,6 +226,11 @@ class TestBuildBasis:
         assert header == "iteration,t,mode,max_eta,n_red"
         stdout = capsys.readouterr().out
         assert "gauge = mixed" in stdout and "N_red" in stdout
+        # the solved POD parameters: a subset of the N_POD = 6 grid
+        solved = prov["pod_snapshot_t"]
+        assert solved == sorted(solved) and {0.0, 1.0} <= set(solved)
+        assert set(solved) <= {k / 5 for k in range(6)}
+        assert "POD snapshots: %d of 6" % len(solved) in stdout
 
     def test_start_basis_below_k_grows_and_tracks(self, tmp_path):
         # POD keeps two columns; greedy must add the modes the reduced

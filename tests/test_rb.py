@@ -101,6 +101,86 @@ class TestSnapshots:
         assert run.lambdas.shape[0] == 5
 
 
+class TestNestedCollection:
+    """Snapshot collection visits the POD set coarse to fine and stops
+    once a whole level adds no rank."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    def test_levels_cover_each_index_once(self, n):
+        levels = rb._nested_levels(n)
+        flat = [i for level in levels for i in level]
+        assert sorted(flat) == list(range(n))
+        assert levels[0] == sorted({0, n - 1})
+
+    def test_levels_of_twenty(self):
+        levels = rb._nested_levels(20)
+        assert [len(level) for level in levels] == [2, 1, 2, 4, 8, 3]
+        assert levels[:3] == [[0, 19], [9], [4, 14]]
+
+    @staticmethod
+    def _counted(monkeypatch, gauge_mode):
+        cls = {"mixed": rb._MixedEvaluator,
+               "classical": rb._ClassicalEvaluator}[gauge_mode]
+        solved = []
+        snapshot = cls.snapshot
+
+        def counted(self, t):
+            solved.append(t)
+            return snapshot(self, t)
+
+        monkeypatch.setattr(cls, "snapshot", counted)
+        return solved
+
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    def test_brick_stops_after_three_of_twenty(self, desk_problem,
+                                               monkeypatch, gauge_mode):
+        p = desk_problem
+        solved = self._counted(monkeypatch, gauge_mode)
+        Y = collect_snapshots(p.psys, p.gauge, p.training.pod_set, p.cfg.K,
+                              p.policy, gauge_mode=gauge_mode)
+        assert sorted(solved) == [0.0, p.training.pod_set[9], 1.0]
+        assert Y.shape == (p.gauge.cotree.size, 3 * p.cfg.K)
+
+    def test_build_records_the_solved_parameters(self, desk_problem,
+                                                 desk_basis):
+        pod_set = desk_problem.training.pod_set
+        assert desk_basis.snapshot_t == (0.0, float(pod_set[9]), 1.0)
+
+    @pytest.mark.parametrize("n_init, solves", [(15, 3), (16, 5)])
+    def test_integer_n_init_keeps_sampling(self, desk_problem, monkeypatch,
+                                           n_init, solves):
+        # three snapshots give 15 saturated columns; one more wanted
+        # column takes the next level as well
+        p = desk_problem
+        solved = self._counted(monkeypatch, "mixed")
+        Y = collect_snapshots(p.psys, p.gauge, p.training.pod_set, p.cfg.K,
+                              p.policy, n_init=n_init)
+        assert len(solved) == solves
+        assert Y.shape[1] == solves * p.cfg.K
+
+    def test_unsaturated_set_is_the_one_by_one_stack(self, small_morph,
+                                                     monkeypatch):
+        # random columns never lie in the span of earlier ones, so every
+        # parameter is solved and the stack is in pod_set order
+        def random_modes(self, t):
+            rng = np.random.default_rng(_salt_from_t(t))
+            Y = rng.standard_normal((200, self.K))
+            return Y / np.linalg.norm(Y, axis=0)
+
+        monkeypatch.setattr(rb._MixedEvaluator, "snapshot", random_modes)
+        m = small_morph
+        pod_set = np.linspace(0.0, 1.0, 9)
+        Y = collect_snapshots(m["psys"], m["gauge"], pod_set, 2, m["policy"])
+        ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 2)
+        want = np.hstack([ev.snapshot(float(t)) for t in pod_set])
+        assert np.array_equal(Y, want)
+
+    def test_empty_pod_set_rejected(self, small_morph):
+        m = small_morph
+        with pytest.raises(ConfigError):
+            collect_snapshots(m["psys"], m["gauge"], [], 5, m["policy"])
+
+
 class TestPOD:
     def test_orthonormal_columns(self, small_morph):
         m = small_morph
