@@ -15,9 +15,17 @@ Offline, the basis is lifted exactly at a few lift points, each a
 Jacobi-preconditioned conjugate-gradient solve with B(t), and every
 product with the span Q of those lifts is kept as two endpoint blocks.
 Online, Z_full(t) is the B(t)-Galerkin lift in span(Q): an m x m
-solve, m the dimension of the span, certified by its explicit lifting
-residual.  A parameter whose residual fails the certificate becomes a
-lift point itself, so the span grows only where the morph needs it:
+solve, m the dimension of the span, certified by its lifting residual
+B(t) Q c - H(t)^T Z.  That residual is affine in its blocks B_e Q and
+H_e^T Z, so offline the space also keeps an orthonormal basis of their
+span (with A_e Q, for the estimator) and each block's coordinates in
+it; online both residual norms are read off those coordinates, in the
+stable form of Buhr, Engwer, Ohlberger & Rave (2014) and Casenave, Ern
+& Lelievre (ESAIM: M2AN 48, 2014), and a certified evaluation does no
+work of size N.  The Gram form of the same norms cannot resolve the
+certificate: its cancellation floor is about sqrt(eps) relative.  A
+parameter whose residual fails the certificate becomes a lift point
+itself, so the span grows only where the morph needs it:
 the default brick stretch saturates at the two endpoint lifts.  The
 offline state is one immutable _LiftedSpace per basis.  greedy_enrich
 attaches the endpoint space of its final basis to the basis it returns
@@ -91,11 +99,21 @@ _POD_RANK_GUARD = 1e-13
 # rank guard keeps as columns.
 _SATURATION_TOL = 1e-12
 _GAP_FLOOR_FRACTION = 1e-8
+# A lifted space's residual frame keeps each direction in which some unit
+# block column reaches beyond the earlier directions by more than this:
+# a few roundoffs, so the frame misses no part of a residual that the
+# lifting check (_LIFT_RTOL = 1e-12) could see.
+_FRAME_RTOL = 1e-15
 
 
 def _blend(pair, t: float):
     """(1 - t) pair[0] + t pair[1]: endpoint data interpolated to t."""
     return (1.0 - t) * pair[0] + t * pair[1]
+
+
+def _blend_times(pair, t: float, X: np.ndarray) -> np.ndarray:
+    """_blend(pair, t) @ X, without forming the blend."""
+    return pair[0] @ ((1.0 - t) * X) + pair[1] @ (t * X)
 
 
 def _salt_from_t(t: float) -> int:
@@ -110,9 +128,12 @@ class StorageMeter:
     O(N) size and solver-internal workspaces are deliberately included
     where we allocate them ourselves, so the peak reflects what the
     pipeline actually holds.  One holding is outside the tally: the
-    mixed evaluator's per-basis blocks, N (5m + 2n) entries for a basis
-    of n columns whose lifted span has dimension m, which live as long
-    as the basis.  The measured peak resident set is the gate for those.
+    mixed evaluator's per-basis state, which lives as long as the basis.
+    For a basis of n columns whose lifted span has dimension m, that is
+    N (m + k) entries for Q and the residual frame of dimension
+    k <= min(N, 2n + 4m), plus k (2n + 4m) frame coordinates and
+    4m^2 + 2mn Q-projected entries (see _LiftedSpace).  The measured
+    peak resident set is the gate for those.
     """
 
     def __init__(self):
@@ -255,15 +276,78 @@ class _Evaluator:
         return sol, eta
 
 
+def _new_directions(V: np.ndarray, X: np.ndarray, floor: float):
+    """Orthonormal directions W outside span(V) that span what X has
+    outside it, down to singular values above floor, and the
+    coefficients H = V^T X.
+
+    X is projected out of the orthonormal columns of V twice and is left
+    holding its remainder.  The SVD of the remainder computes its small
+    directions only to an accuracy relative to its largest singular
+    value, so they lean back into span(V); the kept directions are
+    therefore projected out of V once more and orthonormalized again.
+    """
+    H = np.zeros((V.shape[1], X.shape[1]))
+    for _ in range(2):
+        C = V.T @ X
+        X -= V @ C
+        H += C
+    W, s, _ = np.linalg.svd(X, full_matrices=False)
+    # with V, the new directions cannot outnumber the rows
+    room = V.shape[0] - V.shape[1]
+    W = W[:, :room][:, s[:room] > floor]
+    W -= V @ (V.T @ W)
+    return np.linalg.qr(W)[0], H
+
+
+def _extend_frame(frame: np.ndarray, blocks):
+    """The orthonormal frame extended to span the N-row blocks, and the
+    blocks' coordinates in the extended frame.
+
+    New directions count when some unit block column reaches beyond the
+    frame by more than _FRAME_RTOL.
+    """
+    X = np.hstack(blocks)
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0.0] = 1.0
+    X /= norms
+    W, H = _new_directions(frame, X, _FRAME_RTOL)
+    # X now holds the unit columns' remainders outside the old frame
+    T = np.vstack([H, W.T @ X]) * norms
+    ends = np.cumsum([M.shape[1] for M in blocks])[:-1]
+    return np.hstack([frame, W]), tuple(np.split(T, ends, axis=1))
+
+
+def _cotree_products(psys: ParametrizedSystem, gauge: GaugeDecomposition,
+                     Z: np.ndarray) -> tuple:
+    """The endpoint blocks P_e = H_e^T Z, e = 0, 1."""
+    # H_e = rows C of the symmetric A_e, so H_e^T Z = A_e Z_C with Z_C
+    # holding Z on the cotree rows and zeros on the tree rows.
+    Z_C = np.zeros((psys.n, Z.shape[1]))
+    Z_C[gauge.cotree] = Z
+    return tuple(e.A @ Z_C for e in (psys.endpoint0, psys.endpoint1))
+
+
 @dataclass(frozen=True, eq=False)
 class _LiftedSpace:
     """The mixed evaluator's offline state for one basis Z.
 
     Q is an orthonormal N x m basis of the span of the exact lifts of Z
     made so far, ``lifts`` of them.  Every Q-projected quantity is affine
-    in t, so the space keeps two endpoint copies of each: P = H_e^T Z
-    (N x n), B_e Q and A_e Q (N x m), their m x m Grams Q^T B_e Q and
-    Q^T A_e Q, and Q^T P_e.  That is N (5m + 2n) entries.
+    in t, so the space keeps two endpoint copies of each: the m x m Grams
+    Q^T B_e Q and Q^T A_e Q, and Q^T P_e with P_e = H_e^T Z (m x n).
+
+    The lifting residual B(t) Q c - U(t) and the estimator's residual
+    A(t) Q c V - U(t) V Lambda combine the affine blocks P_e, B_e Q and
+    A_e Q.  ``frame`` is an orthonormal N x k basis of their span, and
+    TP, TB and TA hold each block's coordinates in it, so both residual
+    norms are norms of k-row arrays.  Each lift extends the frame by the
+    directions its new blocks add, orthogonalized against the frame
+    alone; a direction counts when some unit block column reaches beyond
+    the frame by more than _FRAME_RTOL, so the frame holds every block
+    to a few roundoffs of its norm.  The N-row blocks are not kept (lift
+    forms the sparse products it needs again): the space holds N (m + k)
+    entries, k <= min(N, 2n + 4m), where the blocks took N (5m + 2n).
 
     The space is bound to the psys, gauge and Z objects it was lifted
     for (see fits) and never changes: lift(t) returns an extended copy,
@@ -274,13 +358,14 @@ class _LiftedSpace:
     psys: ParametrizedSystem
     gauge: GaugeDecomposition
     Z: np.ndarray
-    P: tuple
     Q: np.ndarray
-    BQ: tuple
-    AQ: tuple
     GB: tuple
     GA: tuple
     QtP: tuple
+    frame: np.ndarray
+    TP: tuple
+    TB: tuple
+    TA: tuple
     lifts: int = 0
 
     @classmethod
@@ -288,15 +373,12 @@ class _LiftedSpace:
                      Z: np.ndarray) -> "_LiftedSpace":
         """Z lifted exactly at the lift points t = 0 and t = 1."""
         n, n_red = psys.n, Z.shape[1]
-        # H_e = rows C of the symmetric A_e, so H_e^T Z = A_e Z_C with Z_C
-        # holding Z on the cotree rows and zeros on the tree rows.
-        Z_C = np.zeros((n, n_red))
-        Z_C[gauge.cotree] = Z
-        P = tuple(e.A @ Z_C for e in (psys.endpoint0, psys.endpoint1))
-        blocks = (np.empty((n, 0)),) * 2
+        frame, TP = _extend_frame(np.empty((n, 0)),
+                                  _cotree_products(psys, gauge, Z))
         grams = (np.empty((0, 0)),) * 2
-        space = cls(psys, gauge, Z, P, np.empty((n, 0)), blocks, blocks,
-                    grams, grams, (np.empty((0, n_red)),) * 2)
+        none = (np.empty((frame.shape[1], 0)),) * 2
+        space = cls(psys, gauge, Z, np.empty((n, 0)), grams, grams,
+                    (np.empty((0, n_red)),) * 2, frame, TP, none, none)
         return space.lift(0.0).lift(1.0)
 
     def fits(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -304,16 +386,25 @@ class _LiftedSpace:
         """Whether the space was lifted for exactly these objects."""
         return self.psys is psys and self.gauge is gauge and self.Z is Z
 
+    def lifting_residual(self, t: float, c: np.ndarray):
+        """Column norms of the lifting residual B(t) Q c - U(t) and of
+        U(t) = H(t)^T Z, read off the frame coordinates."""
+        TU = _blend(self.TP, t)
+        R = _blend_times(self.TB, t, c) - TU
+        return np.linalg.norm(R, axis=0), np.linalg.norm(TU, axis=0)
+
     def lift(self, t: float) -> "_LiftedSpace":
         """This space extended by an exact lift at t.
 
         The lift is orthogonalized twice against Q; its remainder keeps
         the singular directions above _PCG_RTOL times the lift's largest
         column norm, since anything smaller is below the accuracy the
-        lift was solved to.  Only the new block columns and Gram rows are
-        computed.
+        lift was solved to.  Only the new block columns, Gram rows and
+        frame directions are computed; the sparse products with the old
+        columns are formed again rather than kept.
         """
-        X = pcg_solve(self.psys.interpolate(t).B, _blend(self.P, t))
+        P = _cotree_products(self.psys, self.gauge, self.Z)
+        X = pcg_solve(self.psys.interpolate(t).B, _blend(P, t))
         scale = np.linalg.norm(X, axis=0).max()
         for _ in range(2):
             X -= self.Q @ (self.Q.T @ X)
@@ -321,22 +412,34 @@ class _LiftedSpace:
         W = W[:, s > _PCG_RTOL * scale]
         ends = (self.psys.endpoint0, self.psys.endpoint1)
 
-        def extend(blocks, grams, mats):
-            new_blocks, new_grams = [], []
+        def extend(grams, mats):
+            new_grams, new_blocks = [], []
             for e in (0, 1):
                 MW = mats[e] @ W
-                cross = blocks[e].T @ W
+                cross = (mats[e] @ self.Q).T @ W
                 WMW = W.T @ MW
                 new_grams.append(np.block([[grams[e], cross],
                                            [cross.T, 0.5 * (WMW + WMW.T)]]))
-                new_blocks.append(np.hstack([blocks[e], MW]))
-            return tuple(new_blocks), tuple(new_grams)
+                new_blocks.append(MW)
+            return tuple(new_grams), new_blocks
 
-        BQ, GB = extend(self.BQ, self.GB, [end.B for end in ends])
-        AQ, GA = extend(self.AQ, self.GA, [end.A for end in ends])
-        QtP = tuple(np.vstack([self.QtP[e], W.T @ self.P[e]]) for e in (0, 1))
-        return replace(self, Q=np.hstack([self.Q, W]), BQ=BQ, AQ=AQ, GB=GB,
-                       GA=GA, QtP=QtP, lifts=self.lifts + 1)
+        GB, BW = extend(self.GB, [end.B for end in ends])
+        GA, AW = extend(self.GA, [end.A for end in ends])
+        QtP = tuple(np.vstack([self.QtP[e], W.T @ P[e]]) for e in (0, 1))
+        frame, (B0W, B1W, A0W, A1W) = _extend_frame(self.frame, BW + AW)
+        rows = frame.shape[1] - self.frame.shape[1]
+
+        def grown(old, new):
+            return np.hstack([np.vstack([old, np.zeros((rows, old.shape[1]))]),
+                              new])
+
+        zero = np.zeros((rows, self.Z.shape[1]))
+        return replace(self, Q=np.hstack([self.Q, W]), GB=GB, GA=GA, QtP=QtP,
+                       frame=frame,
+                       TP=tuple(np.vstack([T, zero]) for T in self.TP),
+                       TB=(grown(self.TB[0], B0W), grown(self.TB[1], B1W)),
+                       TA=(grown(self.TA[0], A0W), grown(self.TA[1], A1W)),
+                       lifts=self.lifts + 1)
 
 
 class _MixedEvaluator(_Evaluator):
@@ -351,8 +454,11 @@ class _MixedEvaluator(_Evaluator):
     at t = 0 and t = 1.  Either way it returns that endpoint space.
 
     Online, an evaluation at t solves (Q^T B(t) Q) c = Q^T U(t) with an
-    m x m Cholesky factor and certifies c by the explicit lifting
-    residual, ||B(t) Q c - U|| <= _LIFT_RTOL ||U|| per column.  If the
+    m x m Cholesky factor and certifies c by its lifting residual,
+    ||B(t) Q c - U(t)|| <= _LIFT_RTOL ||U(t)|| per column.  Both norms
+    are read off the space's frame coordinates, ||T_B(t) c - T_P(t)||
+    and ||T_P(t)||, and the estimator's residual norms likewise as
+    ||T_A(t) c V - T_P(t) V Lambda||, so U(t) is never formed.  If the
     check fails, t becomes a lift point: the evaluator's space is
     replaced by its extension by one exact lift at t and the solve is
     repeated.  The space a basis carries is never extended, so every
@@ -361,8 +467,8 @@ class _MixedEvaluator(_Evaluator):
     ``lift_solves`` counts the exact lifts behind the evaluator's space,
     adopted endpoint lifts included.
 
-    The per-t data is (t, U, c).  The per-basis blocks live as long as
-    the space and are not on the meter.
+    The per-t data is (t, c).  The per-basis state lives as long as the
+    space and is not on the meter.
     """
 
     gauge_mode = "mixed"
@@ -383,7 +489,7 @@ class _MixedEvaluator(_Evaluator):
         self._space = lifted
         return lifted
 
-    def _galerkin(self, t: float, U: np.ndarray):
+    def _galerkin(self, t: float):
         """Coefficients c of the Galerkin lift at t, or None if its
         lifting residual fails the check."""
         space = self._space
@@ -394,29 +500,27 @@ class _MixedEvaluator(_Evaluator):
                 "lifted mass matrix at t=%r is not positive definite" % t
             ) from exc
         c = sla.cho_solve(factor, _blend(space.QtP, t))
-        R = _blend(space.BQ, t) @ c - U
-        ok = (np.linalg.norm(R, axis=0)
-              <= _LIFT_RTOL * np.linalg.norm(U, axis=0))
-        return c if ok.all() else None
+        # the blended coordinates of U and the residual, k x n each
+        with self.meter.hold(2 * space.frame.shape[1] * c.shape[1]):
+            residual, scale = space.lifting_residual(t, c)
+        return c if np.all(residual <= _LIFT_RTOL * scale) else None
 
     @contextmanager
     def _at(self, t: float):
-        U = _blend(self._space.P, t)
-        # U and the lifting residual B(t) Q c - U
-        with self.meter.hold(2 * U.size):
-            c = self._galerkin(t, U)
-            if c is None:
-                self._space = self._space.lift(t)
-                c = self._galerkin(t, U)
-            if c is None:
-                raise NumericsError(
-                    "lifting residual at t=%r fails its check after an "
-                    "exact lift there" % t
-                )
-            yield t, U, c
+        c = self._galerkin(t)
+        if c is None:
+            self._space = self._space.lift(t)
+            c = self._galerkin(t)
+        if c is None:
+            raise NumericsError(
+                "lifting residual at t=%r fails its check after an "
+                "exact lift there" % t
+            )
+        with self.meter.hold(c.size):
+            yield t, c
 
     def _reduce(self, data) -> ReducedSystem:
-        t, U, c = data
+        t, c = data
         A_tilde = c.T @ (_blend(self._space.GA, t) @ c)
         B_tilde = c.T @ _blend(self._space.QtP, t)
         return ReducedSystem(
@@ -425,11 +529,12 @@ class _MixedEvaluator(_Evaluator):
         )
 
     def _residual_norms(self, data, values, vectors) -> np.ndarray:
-        t, U, c = data
+        t, c = data
         k_eff = min(self.K, values.size)
         V = vectors[:, :k_eff]
-        AQ = _blend(self._space.AQ, t)
-        R = AQ @ (c @ V) - (U @ V) * values[None, :k_eff]
+        space = self._space
+        R = (_blend_times(space.TA, t, c @ V)
+             - _blend_times(space.TP, t, V) * values[None, :k_eff])
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Reduced-basis pipeline: snapshots, POD, estimator, greedy, storage."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,27 @@ def _evaluator(m, Z, gauge_mode="mixed"):
     ev = _make_evaluator(gauge_mode, m["psys"], m["gauge"], m["policy"], 5)
     ev.set_basis(Z)
     return ev
+
+
+def _explicit_residual(psys, gauge, space, t, c):
+    """The oracle: the lifting residual B(t) Q c - U(t) and U(t) as
+    N-row arrays."""
+    pair = psys.interpolate(t)
+    U = pair.A.tocsc()[:, gauge.cotree] @ space.Z
+    return pair.B @ (space.Q @ c) - U, U
+
+
+def _assert_coordinate_residual_matches(psys, gauge, ev, t_values):
+    """At each t, the norms read off the frame coordinates are the
+    explicit ones, far inside the lifting check."""
+    for t in t_values:
+        with ev._at(t) as (_, c):
+            R, U = _explicit_residual(psys, gauge, ev._space, t, c)
+            residual, scale = ev._space.lifting_residual(t, c)
+        U_norms = np.linalg.norm(U, axis=0)
+        assert np.allclose(scale, U_norms, rtol=1e-14, atol=0.0), t
+        assert np.all(np.abs(residual - np.linalg.norm(R, axis=0))
+                      <= 1e-2 * _LIFT_RTOL * U_norms), t
 
 
 class TestTrainingSets:
@@ -279,6 +301,7 @@ class TestLiftedSpace:
         X = spla.splu(pair.B.tocsc()).solve(U)
         return A, U, X
 
+
     def test_sweep_extends_the_space(self, sweep):
         _, _, lifted_at, lifts = sweep
         assert lifted_at
@@ -305,6 +328,64 @@ class TestLiftedSpace:
                     / (sol.values[:5] * _gaps(sol.values, 5)))
             assert np.max(np.abs(eta - want) / want) <= 1e-11, t
 
+    def test_frame_is_orthonormal(self, sweep):
+        frame = sweep[0]._space.frame
+        assert np.abs(frame.T @ frame - np.eye(frame.shape[1])).max() <= 1e-12
+
+    def test_coordinate_residual_matches_oracle(self, small_morph, sweep):
+        # at the lift points and between them
+        m = small_morph
+        ev, _, lifted_at, _ = sweep
+        _assert_coordinate_residual_matches(
+            m["psys"], m["gauge"], ev,
+            [0.0, 1.0] + lifted_at + [0.05, 0.35, 0.65, 0.95])
+
+    @staticmethod
+    def _on_the_brick(p, desk_basis, basis):
+        """An evaluator of the built desk basis or of a random one."""
+        Z = desk_basis.basis.Z
+        if basis == "random":
+            rng = np.random.default_rng(3)
+            Z = np.linalg.qr(rng.standard_normal((p.gauge.cotree.size, 6)))[0]
+        ev = _make_evaluator("mixed", p.psys, p.gauge, p.policy, p.cfg.K)
+        ev.set_basis(Z)
+        # unlike the small morph's, this frame falls well short of N
+        # directions, so a direction it missed would show
+        assert ev._space.frame.shape[1] < p.psys.n // 4
+        return ev
+
+    @pytest.mark.parametrize("basis", ["built", "random"])
+    def test_coordinate_residual_matches_oracle_on_the_brick(
+            self, desk_problem, desk_basis, basis):
+        p = desk_problem
+        ev = self._on_the_brick(p, desk_basis, basis)
+        _assert_coordinate_residual_matches(p.psys, p.gauge, ev,
+                                            np.linspace(0.0, 1.0, 9))
+
+    @pytest.mark.parametrize("basis", ["built", "random"])
+    @pytest.mark.parametrize("factor", [0.95, 1.05])
+    def test_perturbed_lift_judged_alike(self, desk_problem, desk_basis,
+                                         basis, factor):
+        # a lift pushed to factor times the bound, column by column,
+        # passes or fails the check the same way in both evaluations
+        p = desk_problem
+        ev = self._on_the_brick(p, desk_basis, basis)
+        space = ev._space
+        rng = np.random.default_rng(11)
+        for t in (0.0, 0.35, 0.8):
+            with ev._at(t) as (_, c):
+                _, U = _explicit_residual(p.psys, p.gauge, space, t, c)
+            D = rng.standard_normal(c.shape)
+            BD = p.psys.interpolate(t).B @ (space.Q @ D)
+            D *= (factor * _LIFT_RTOL * np.linalg.norm(U, axis=0)
+                  / np.linalg.norm(BD, axis=0))
+            R, U = _explicit_residual(p.psys, p.gauge, space, t, c + D)
+            explicit = (np.linalg.norm(R, axis=0)
+                        <= _LIFT_RTOL * np.linalg.norm(U, axis=0))
+            residual, scale = space.lifting_residual(t, c + D)
+            assert np.all(explicit == (factor < 1.0)), t
+            assert np.array_equal(residual <= _LIFT_RTOL * scale, explicit), t
+
     def test_revisit_does_not_lift(self, sweep):
         ev, _, lifted_at, _ = sweep
         before = ev.lift_solves
@@ -317,10 +398,34 @@ class TestLiftedSpace:
         ev, _, lifted_at, _ = sweep
         for t in lifted_at + [0.2, 0.8]:
             ev.solve(t)
-            with ev._at(t) as (_, U, c):
-                R = m["psys"].interpolate(t).B @ (ev._space.Q @ c) - U
+            with ev._at(t) as (_, c):
+                R, U = _explicit_residual(m["psys"], m["gauge"], ev._space,
+                                          t, c)
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
+
+
+class TestOnlineWork:
+    def test_certified_evaluation_allocates_no_n_row_array(self):
+        # a basis whose lifts certify every t: an evaluation then works on
+        # arrays of the basis and lift sizes only, all far below N entries
+        cfg = with_overrides(default_config(), resolution=(12, 12, 12),
+                             N_POD=2)
+        p = setup_problem(cfg)
+        basis = p.build("mixed").basis
+        ev = _make_evaluator("mixed", p.psys, p.gauge, p.policy, cfg.K)
+        ev.set_basis(basis.Z, basis.lifted)
+        for call in (ev.solve, ev.estimate):
+            call(0.45)
+            tracemalloc.start()
+            try:
+                call(0.55)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # below one column of N doubles
+            assert peak < 8 * p.psys.n, call.__name__
+        assert ev.lift_solves == 2
 
 
 class TestEstimator:
