@@ -396,20 +396,17 @@ class _LiftedSpace:
     def lift(self, t: float) -> "_LiftedSpace":
         """This space extended by an exact lift at t.
 
-        The lift is orthogonalized twice against Q; its remainder keeps
-        the singular directions above _PCG_RTOL times the lift's largest
-        column norm, since anything smaller is below the accuracy the
-        lift was solved to.  Only the new block columns, Gram rows and
+        The lift's new directions outside Q are its remainder's singular
+        directions above _PCG_RTOL times its largest column norm, since
+        anything smaller is below the accuracy the lift was solved to
+        (_new_directions, which keeps Q orthonormal).  Only the new block columns, Gram rows and
         frame directions are computed; the sparse products with the old
         columns are formed again rather than kept.
         """
         P = _cotree_products(self.psys, self.gauge, self.Z)
         X = pcg_solve(self.psys.interpolate(t).B, _blend(P, t))
         scale = np.linalg.norm(X, axis=0).max()
-        for _ in range(2):
-            X -= self.Q @ (self.Q.T @ X)
-        W, s, _ = np.linalg.svd(X, full_matrices=False)
-        W = W[:, s > _PCG_RTOL * scale]
+        W, _ = _new_directions(self.Q, X, _PCG_RTOL * scale)
         ends = (self.psys.endpoint0, self.psys.endpoint1)
 
         def extend(grams, mats):

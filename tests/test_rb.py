@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from maxwell_rb import rb
-from maxwell_rb.assembly import ParametrizedSystem
+from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import (_LIFT_RTOL, SPDFactor, pcg_solve,
@@ -307,6 +307,10 @@ class TestLiftedSpace:
         assert lifted_at
         assert lifts == 2 + len(lifted_at)
 
+    def test_lifts_stay_orthonormal(self, sweep):
+        Q = sweep[0]._space.Q
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+
     def test_matches_exact_lift(self, small_morph, sweep):
         m = small_morph
         ev, Z, lifted_at, _ = sweep
@@ -403,6 +407,39 @@ class TestLiftedSpace:
                                           t, c)
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
+
+
+@pytest.fixture(scope="module")
+def taper(desk_problem):
+    """The desk problem with its t = 1 brick replaced by a taper of the
+    t = 0 brick, z scaled by 1 - x / (2 L_x): no POD level saturates, so
+    all 20 snapshots are solved and the basis keeps 56 columns."""
+    p = desk_problem
+    vertices = p.mesh0.vertices.copy()
+    vertices[:, 2] *= 1.0 - 0.5 * vertices[:, 0] / p.cfg.dims0[0]
+    mesh1 = replace(p.mesh0, vertices=vertices)
+    end1 = assemble(mesh1, "taper", scatter_map(p.mesh0))
+    return replace(p, psys=ParametrizedSystem(p.psys.endpoint0, end1))
+
+
+class TestTaper:
+    def test_build_completes_with_orthonormal_lifts(self, taper):
+        # the lifted spaces of this basis need interior lift points; an
+        # unorthonormal Q once made them fail their own check there
+        basis = taper.build("mixed").basis
+        assert basis.n_red == 56
+        ev = _make_evaluator("mixed", taper.psys, taper.gauge, taper.policy,
+                             taper.cfg.K)
+        ev.set_basis(basis.Z, basis.lifted)
+        for t in (0.05, 0.5):
+            approx = ev.solve(t)[1].values[:taper.cfg.K]
+            pair = taper.psys.interpolate(t)
+            want = solve_sparse_gevp(pair.A, pair.B, taper.cfg.K,
+                                     taper.policy, salt=_salt_from_t(t)).values
+            assert np.max(np.abs(approx - want) / want) < 1e-8, t
+        assert ev.lift_solves > 2
+        for M in (ev._space.Q, ev._space.frame):
+            assert np.abs(M.T @ M - np.eye(M.shape[1])).max() <= 1e-12
 
 
 class TestOnlineWork:
