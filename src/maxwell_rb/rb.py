@@ -293,9 +293,7 @@ def _new_directions(V: np.ndarray, X: np.ndarray, floor: float):
         X -= V @ C
         H += C
     W, s, _ = np.linalg.svd(X, full_matrices=False)
-    # with V, the new directions cannot outnumber the rows
-    room = V.shape[0] - V.shape[1]
-    W = W[:, :room][:, s[:room] > floor]
+    W = W[:, s > floor]
     W -= V @ (V.T @ W)
     return np.linalg.qr(W)[0], H
 
@@ -399,9 +397,10 @@ class _LiftedSpace:
         The lift's new directions outside Q are its remainder's singular
         directions above _PCG_RTOL times its largest column norm, since
         anything smaller is below the accuracy the lift was solved to
-        (_new_directions, which keeps Q orthonormal).  Only the new block columns, Gram rows and
-        frame directions are computed; the sparse products with the old
-        columns are formed again rather than kept.
+        (_new_directions, which keeps Q orthonormal).  Only the products
+        of A_e and B_e with the new directions W are formed; the new Gram
+        rows are Q^T (M W) and W^T (M W), M symmetric, and the same
+        products extend the frame.
         """
         P = _cotree_products(self.psys, self.gauge, self.Z)
         X = pcg_solve(self.psys.interpolate(t).B, _blend(P, t))
@@ -413,7 +412,7 @@ class _LiftedSpace:
             new_grams, new_blocks = [], []
             for e in (0, 1):
                 MW = mats[e] @ W
-                cross = (mats[e] @ self.Q).T @ W
+                cross = self.Q.T @ MW
                 WMW = W.T @ MW
                 new_grams.append(np.block([[grams[e], cross],
                                            [cross.T, 0.5 * (WMW + WMW.T)]]))
