@@ -343,9 +343,10 @@ class _LiftedSpace:
     directions its new blocks add, orthogonalized against the frame
     alone; a direction counts when some unit block column reaches beyond
     the frame by more than _FRAME_RTOL, so the frame holds every block
-    to a few roundoffs of its norm.  The N-row blocks are not kept (lift
-    forms the sparse products it needs again): the space holds N (m + k)
-    entries, k <= min(N, 2n + 4m), where the blocks took N (5m + 2n).
+    to a few roundoffs of its norm.  The N-row blocks are not kept (a
+    lift forms P_e again and the products with its new directions only):
+    the space holds N (m + k) entries, k <= min(N, 2n + 4m), where the
+    blocks took N (5m + 2n).
 
     The space is bound to the psys, gauge and Z objects it was lifted
     for (see fits) and never changes: lift(t) returns an extended copy,
@@ -425,17 +426,18 @@ class _LiftedSpace:
         frame, (B0W, B1W, A0W, A1W) = _extend_frame(self.frame, BW + AW)
         rows = frame.shape[1] - self.frame.shape[1]
 
-        def grown(old, new):
-            return np.hstack([np.vstack([old, np.zeros((rows, old.shape[1]))]),
-                              new])
+        def padded(T):
+            """Old coordinates, zero on the new frame directions."""
+            return np.vstack([T, np.zeros((rows, T.shape[1]))])
 
-        zero = np.zeros((rows, self.Z.shape[1]))
-        return replace(self, Q=np.hstack([self.Q, W]), GB=GB, GA=GA, QtP=QtP,
-                       frame=frame,
-                       TP=tuple(np.vstack([T, zero]) for T in self.TP),
-                       TB=(grown(self.TB[0], B0W), grown(self.TB[1], B1W)),
-                       TA=(grown(self.TA[0], A0W), grown(self.TA[1], A1W)),
-                       lifts=self.lifts + 1)
+        return replace(
+            self, Q=np.hstack([self.Q, W]), GB=GB, GA=GA, QtP=QtP,
+            frame=frame, TP=tuple(padded(T) for T in self.TP),
+            TB=tuple(np.hstack([padded(T), new])
+                     for T, new in zip(self.TB, (B0W, B1W))),
+            TA=tuple(np.hstack([padded(T), new])
+                     for T, new in zip(self.TA, (A0W, A1W))),
+            lifts=self.lifts + 1)
 
 
 class _MixedEvaluator(_Evaluator):
