@@ -298,22 +298,21 @@ def _new_directions(V: np.ndarray, X: np.ndarray, floor: float):
     return np.linalg.qr(W)[0], H
 
 
-def _extend_frame(frame: np.ndarray, blocks):
-    """The orthonormal frame extended to span the N-row blocks, and the
-    blocks' coordinates in the extended frame.
+def _extend_frame(frame: np.ndarray, X: np.ndarray, parts: int):
+    """The orthonormal frame extended to span the columns of X, and the
+    coordinates of X in the extended frame, split into parts equal
+    column blocks.  X is overwritten.
 
-    New directions count when some unit block column reaches beyond the
+    New directions count when some unit column of X reaches beyond the
     frame by more than _FRAME_RTOL.
     """
-    X = np.hstack(blocks)
     norms = np.linalg.norm(X, axis=0)
     norms[norms == 0.0] = 1.0
     X /= norms
     W, H = _new_directions(frame, X, _FRAME_RTOL)
     # X now holds the unit columns' remainders outside the old frame
     T = np.vstack([H, W.T @ X]) * norms
-    ends = np.cumsum([M.shape[1] for M in blocks])[:-1]
-    return np.hstack([frame, W]), tuple(np.split(T, ends, axis=1))
+    return np.hstack([frame, W]), tuple(np.split(T, parts, axis=1))
 
 
 def _cotree_products(psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -373,7 +372,8 @@ class _LiftedSpace:
         """Z lifted exactly at the lift points t = 0 and t = 1."""
         n, n_red = psys.n, Z.shape[1]
         frame, TP = _extend_frame(np.empty((n, 0)),
-                                  _cotree_products(psys, gauge, Z))
+                                  np.hstack(_cotree_products(psys, gauge, Z)),
+                                  2)
         grams = (np.empty((0, 0)),) * 2
         none = (np.empty((frame.shape[1], 0)),) * 2
         space = cls(psys, gauge, Z, np.empty((n, 0)), grams, grams,
@@ -407,23 +407,24 @@ class _LiftedSpace:
         X = pcg_solve(self.psys.interpolate(t).B, _blend(P, t))
         scale = np.linalg.norm(X, axis=0).max()
         W, _ = _new_directions(self.Q, X, _PCG_RTOL * scale)
+        m, p = self.Q.shape[1], W.shape[1]
+        Q = np.hstack([self.Q, W])
+        # M W for M = B_0, B_1, A_0, A_1, side by side
         ends = (self.psys.endpoint0, self.psys.endpoint1)
+        X = np.empty((self.psys.n, 4 * p))
+        for j, M in enumerate([end.B for end in ends]
+                              + [end.A for end in ends]):
+            X[:, j * p:(j + 1) * p] = M @ W
+        QX = Q.T @ X
 
-        def extend(grams, mats):
-            new_grams, new_blocks = [], []
-            for e in (0, 1):
-                MW = mats[e] @ W
-                cross = self.Q.T @ MW
-                WMW = W.T @ MW
-                new_grams.append(np.block([[grams[e], cross],
-                                           [cross.T, 0.5 * (WMW + WMW.T)]]))
-                new_blocks.append(MW)
-            return tuple(new_grams), new_blocks
+        def gram(old, j):
+            cross, WMW = QX[:m, j * p:(j + 1) * p], QX[m:, j * p:(j + 1) * p]
+            return np.block([[old, cross], [cross.T, 0.5 * (WMW + WMW.T)]])
 
-        GB, BW = extend(self.GB, [end.B for end in ends])
-        GA, AW = extend(self.GA, [end.A for end in ends])
+        GB = (gram(self.GB[0], 0), gram(self.GB[1], 1))
+        GA = (gram(self.GA[0], 2), gram(self.GA[1], 3))
         QtP = tuple(np.vstack([self.QtP[e], W.T @ P[e]]) for e in (0, 1))
-        frame, (B0W, B1W, A0W, A1W) = _extend_frame(self.frame, BW + AW)
+        frame, (B0W, B1W, A0W, A1W) = _extend_frame(self.frame, X, 4)
         rows = frame.shape[1] - self.frame.shape[1]
 
         def padded(T):
@@ -431,7 +432,7 @@ class _LiftedSpace:
             return np.vstack([T, np.zeros((rows, T.shape[1]))])
 
         return replace(
-            self, Q=np.hstack([self.Q, W]), GB=GB, GA=GA, QtP=QtP,
+            self, Q=Q, GB=GB, GA=GA, QtP=QtP,
             frame=frame, TP=tuple(padded(T) for T in self.TP),
             TB=tuple(np.hstack([padded(T), new])
                      for T, new in zip(self.TB, (B0W, B1W))),
