@@ -21,12 +21,13 @@ H_e^T Z, so offline the space also keeps an orthonormal basis of their
 span (with A_e Q, for the estimator) and each block's coordinates in
 it; online both residual norms are read off those coordinates, in the
 stable form of Buhr, Engwer, Ohlberger & Rave (2014) and Casenave, Ern
-& Lelievre (ESAIM: M2AN 48, 2014), and a certified evaluation does no
-work of size N.  The Gram form of the same norms cannot resolve the
-certificate: its cancellation floor is about sqrt(eps) relative.  A
-parameter whose residual fails the certificate becomes a lift point
-itself, so the span grows only where the morph needs it:
-the default brick stretch saturates at the two endpoint lifts.  The
+& Lelievre (ESAIM: M2AN 48, 2014), so a certified evaluation works on
+arrays of at most 2n + 4m rows (n basis columns) instead of N.  The
+Gram form of the same norms cannot resolve the certificate: its
+cancellation floor is about sqrt(eps) relative.  A parameter whose
+residual fails the certificate becomes a lift point itself, so the span
+grows only where the morph needs it: the default brick stretch
+saturates at the two endpoint lifts.  The
 offline state is one immutable _LiftedSpace per basis.  greedy_enrich
 attaches the endpoint space of its final basis to the basis it returns
 (ReducedBasis.lifted), and an evaluator adopts it when it is given the
