@@ -55,6 +55,21 @@ does not grow with mesh refinement, so a few dozen iterations reach
 full accuracy at any resolution.  The iteration carries its own SPD
 check: a non-positive diagonal entry or non-positive curvature
 p^T B p raises, as does a failure to converge.
+
+The small dense solves run in every online evaluation (an m x m
+Cholesky solve of the lifted mass matrix and an n x n eigensolve of the
+reduced pencil, both with m, n of order ten), where scipy.linalg's
+per-call wrappers (array validation, batching, finiteness scans) cost
+more than the LAPACK work itself.  They call LAPACK's drivers through
+scipy.linalg.lapack instead: potrf/potrs for Cholesky (lower factor),
+sygvd for a full generalized spectrum and sygvx, with its queried
+workspace, for the leading count pairs, all with lower storage.  These
+are the drivers, storage and workspace sizes scipy.linalg.cho_factor,
+cho_solve and eigh pick, so results are bitwise theirs.  One np.isfinite
+scan of the inputs replaces the wrappers' finiteness checks, and a
+non-finite input or a non-zero LAPACK info raises FactorizationError,
+never an untyped ValueError or LinAlgError.  The dense Cholesky factor
+behind SPDFactor is the same routine.
 """
 
 from __future__ import annotations
@@ -63,9 +78,9 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs, dsygvd, dsygvx, dsygvx_lwork
 
 from .errors import EigensolverError, FactorizationError
 
@@ -137,6 +152,34 @@ def _symmetric_lu(M, permc_spec="MMD_AT_PLUS_A"):
         raise FactorizationError("sparse factorization failed: %s" % exc) from exc
 
 
+def _cholesky(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of the dense SPD matrix M (LAPACK potrf).
+
+    Only the lower triangle of M is read, and only that of the factor is
+    meaningful.  A non-finite M, or one potrf cannot factor, raises
+    FactorizationError.
+    """
+    if not np.isfinite(M).all():
+        raise FactorizationError("matrix is not finite")
+    L, info = dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
+    if info != 0:
+        raise FactorizationError(
+            "matrix is not positive definite (potrf info %d)" % info)
+    return L
+
+
+def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs with a factor from _cholesky (LAPACK potrs);
+    rhs may carry multiple columns and must be finite."""
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.isfinite(rhs).all():
+        raise FactorizationError("right-hand side is not finite")
+    x, info = dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise FactorizationError("triangular solve failed (potrs info %d)" % info)
+    return x
+
+
 class SPDFactor:
     """Dense Cholesky factor of an SPD matrix with a solve contract of
     1e-12 relative residual per right-hand-side column."""
@@ -145,16 +188,11 @@ class SPDFactor:
         B = sp.csr_matrix(B, dtype=float).toarray(order="F")
         if B.shape[0] != B.shape[1]:
             raise FactorizationError("matrix is not square: %r" % (B.shape,))
-        try:
-            self._cho = sla.cho_factor(B, lower=True, overwrite_a=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise FactorizationError(
-                "matrix is not finite and positive definite: %s" % exc
-            ) from exc
+        self._factor = _cholesky(B, overwrite=True)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve B x = rhs; rhs may carry multiple columns."""
-        return sla.cho_solve(self._cho, np.asarray(rhs, dtype=float))
+        return _cholesky_solve(self._factor, rhs)
 
 
 def pcg_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -255,6 +293,8 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
     smallest pairs, which LAPACK computes without the rest, and residual
     norms for those alone.  Vectors come back B_d-orthonormal; used for
     reduced and cotree systems and as the brute-force oracle in tests.
+    A non-finite pencil, an indefinite B_d or a failed solve raises
+    FactorizationError.
     """
     A_d = np.asarray(A_d, dtype=float)
     B_d = np.asarray(B_d, dtype=float)
@@ -262,11 +302,21 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
     m = n if count is None else min(count, n)
     if m <= 0:
         return EigenSolution(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
-    try:
-        values, vectors = sla.eigh(
-            A_d, B_d, subset_by_index=None if m == n else [0, m - 1])
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-        raise FactorizationError("dense mass matrix is not SPD: %s" % exc) from exc
+    if not (np.isfinite(A_d).all() and np.isfinite(B_d).all()):
+        raise FactorizationError("dense pencil is not finite")
+    if m == n:
+        values, vectors, info = dsygvd(A_d, B_d, jobz="V", uplo="L")
+    else:
+        lwork, _ = dsygvx_lwork(n, uplo="L")
+        values, vectors, m, _, info = dsygvx(
+            A_d, B_d, jobz="V", range="I", uplo="L", il=1, iu=m,
+            lwork=int(lwork))
+        values, vectors = values[:m], vectors[:, :m]
+    if info > n:
+        raise FactorizationError("dense mass matrix is not SPD: the leading "
+                                 "minor of order %d is not positive" % (info - n))
+    if info != 0:
+        raise FactorizationError("dense eigensolve failed (info %d)" % info)
     res = np.linalg.norm(A_d @ vectors - (B_d @ vectors) * values[None, :], axis=0)
     return EigenSolution(values=values, vectors=vectors, residual_norms=res)
 

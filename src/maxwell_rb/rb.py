@@ -83,11 +83,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .assembly import ParametrizedSystem
-from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, pcg_solve,
-                    solve_dense_gevp, solve_sparse_gevp)
+from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, _cholesky,
+                    _cholesky_solve, pcg_solve, solve_dense_gevp,
+                    solve_sparse_gevp)
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
 from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system
@@ -213,19 +213,18 @@ class ReducedSystem:
 def _gaps(values: np.ndarray, K: int) -> np.ndarray:
     """Distance to the nearest neighboring reduced eigenvalue, floored.
 
+    values is ascending, so a value's nearest neighbor is adjacent.
     Neighbors are taken among the first min(K+1, available) values; the
     floor prevents blow-up at (near-)degeneracies.
     """
     m = min(K + 1, values.size)
-    vals = values[:m]
     k_eff = min(K, values.size)
     floor = _GAP_FLOOR_FRACTION * abs(values[k_eff - 1])
-    out = np.empty(k_eff)
-    for i in range(k_eff):
-        diffs = np.abs(np.delete(vals, i) - vals[i])
-        gap = diffs.min() if diffs.size else floor
-        out[i] = max(gap, floor)
-    return out
+    d = np.diff(values[:m])
+    if d.size == 0:
+        return np.array([floor])
+    nearest = np.minimum(np.append(d[:1], d), np.append(d, d[-1:]))
+    return np.maximum(nearest[:k_eff], floor)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +466,8 @@ class _MixedEvaluator(_Evaluator):
     ``lift_solves`` counts the exact lifts behind the evaluator's space,
     adopted endpoint lifts included.
 
-    The per-t data is (t, c).  The per-basis state lives as long as the
-    space and is not on the meter.
+    The per-t data is (t, c, Q^T U(t)).  The per-basis state lives as
+    long as the space and is not on the meter.
     """
 
     gauge_mode = "mixed"
@@ -490,46 +489,49 @@ class _MixedEvaluator(_Evaluator):
         return lifted
 
     def _galerkin(self, t: float):
-        """Coefficients c of the Galerkin lift at t, or None if its
-        lifting residual fails the check."""
+        """Coefficients c of the Galerkin lift at t and the blended
+        Q^T U(t) they solve for, or None if the lift's residual fails
+        the check."""
         space = self._space
         try:
-            factor = sla.cho_factor(_blend(space.GB, t), lower=True)
-        except np.linalg.LinAlgError as exc:
+            factor = _cholesky(_blend(space.GB, t))
+        except FactorizationError as exc:
             raise FactorizationError(
-                "lifted mass matrix at t=%r is not positive definite" % t
+                "lifted mass matrix at t=%r: %s" % (t, exc)
             ) from exc
-        c = sla.cho_solve(factor, _blend(space.QtP, t))
+        QtU = _blend(space.QtP, t)
+        c = _cholesky_solve(factor, QtU)
         # the blended coordinates of U and the residual, k x n each
         with self.meter.hold(2 * space.frame.shape[1] * c.shape[1]):
             residual, scale = space.lifting_residual(t, c)
-        return c if np.all(residual <= _LIFT_RTOL * scale) else None
+        return (c, QtU) if np.all(residual <= _LIFT_RTOL * scale) else None
 
     @contextmanager
     def _at(self, t: float):
-        c = self._galerkin(t)
-        if c is None:
+        lift = self._galerkin(t)
+        if lift is None:
             self._space = self._space.lift(t)
-            c = self._galerkin(t)
-        if c is None:
+            lift = self._galerkin(t)
+        if lift is None:
             raise NumericsError(
                 "lifting residual at t=%r fails its check after an "
                 "exact lift there" % t
             )
-        with self.meter.hold(c.size):
-            yield t, c
+        c, QtU = lift
+        with self.meter.hold(c.size + QtU.size):
+            yield t, c, QtU
 
     def _reduce(self, data) -> ReducedSystem:
-        t, c = data
+        t, c, QtU = data
         A_tilde = c.T @ (_blend(self._space.GA, t) @ c)
-        B_tilde = c.T @ _blend(self._space.QtP, t)
+        B_tilde = c.T @ QtU
         return ReducedSystem(
             A_tilde=0.5 * (A_tilde + A_tilde.T),
             B_tilde=0.5 * (B_tilde + B_tilde.T),
         )
 
     def _residual_norms(self, data, values, vectors) -> np.ndarray:
-        t, c = data
+        t, c, _ = data
         k_eff = min(self.K, values.size)
         V = vectors[:, :k_eff]
         space = self._space

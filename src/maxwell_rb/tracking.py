@@ -100,19 +100,24 @@ def _greedy_match(C: np.ndarray):
     """Pair rows to columns by descending correlation without reuse.
 
     C may be rectangular (K trajectories, >= K candidates); every row is
-    assigned a distinct column.
+    assigned a distinct column.  One stable descending sort of C, walked
+    past used rows and columns, pairs the largest free entry first and,
+    among equal entries, the first in row-major order.
     """
-    K = C.shape[0]
-    perm = np.full(K, -1, dtype=np.int64)
-    corrs = np.zeros(K)
-    work = C.copy()
-    for _ in range(K):
-        i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-        perm[i] = j
-        corrs[i] = C[i, j]
-        work[i, :] = -1.0
-        work[:, j] = -1.0
-    return perm, corrs
+    K, n = C.shape
+    perm = [-1] * K
+    used = [False] * n
+    left = K
+    for flat in np.argsort(-C, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if perm[i] < 0 and not used[j]:
+            perm[i] = j
+            used[j] = True
+            left -= 1
+            if not left:
+                break
+    perm = np.array(perm, dtype=np.int64)
+    return perm, C[np.arange(K), perm]
 
 
 def _hungarian_match(C: np.ndarray):
@@ -136,9 +141,11 @@ def _degenerate_clusters(values: np.ndarray, rtol: float = _CLUSTER_RTOL):
     order = np.argsort(values, kind="stable")
     ranked = values[order]
     gaps = np.diff(ranked) > rtol * np.maximum(np.abs(ranked[1:]), 1.0)
-    return [np.sort(group)
-            for group in np.split(order, np.flatnonzero(gaps) + 1)
-            if group.size >= 2]
+    if gaps.all():
+        return []
+    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), values.size]
+    return [np.sort(order[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo >= 2]
 
 
 def _procrustes_rotation(M, c):

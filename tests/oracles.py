@@ -15,12 +15,19 @@ breadth-first search and the recursive nested dissection that the
 level-synchronous array kernels replaced, and ``reference_scatter`` of
 the bincount scatter that the signed sparse scatter matrix replaced.
 ``reference_degenerate_clusters`` is the frozen loop that grouped
-tracking's equal eigenvalues before the grouping became one split.
+tracking's equal eigenvalues before the grouping became one split, and
+``reference_split_clusters`` that split, before it became slicing.
+``reference_greedy_match`` is the K-pass argmax matching that one sorted
+walk replaced, and ``reference_gaps`` the per-value np.delete loop of the
+estimator's gaps.  ``reference_eigh`` and ``reference_cholesky_solve``
+are the scipy.linalg wrappers (``eigh``, ``cho_factor``/``cho_solve``)
+that the small dense solves called before they called LAPACK directly.
 """
 
 from collections import deque
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from maxwell_rb.assembly import SystemPair
@@ -492,3 +499,56 @@ def reference_degenerate_clusters(values, rtol=1e-8):
                 clusters.append(np.sort(order[start:j]))
             start = j
     return clusters
+
+
+def reference_split_clusters(values, rtol=1e-8):
+    """Index groups of numerically equal values, by one np.split."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    gaps = np.diff(ranked) > rtol * np.maximum(np.abs(ranked[1:]), 1.0)
+    return [np.sort(group)
+            for group in np.split(order, np.flatnonzero(gaps) + 1)
+            if group.size >= 2]
+
+
+def reference_greedy_match(C):
+    """Rows to columns by K passes of argmax, each blanking its row and
+    column."""
+    K = C.shape[0]
+    perm = np.full(K, -1, dtype=np.int64)
+    corrs = np.zeros(K)
+    work = C.copy()
+    for _ in range(K):
+        i, j = np.unravel_index(int(np.argmax(work)), work.shape)
+        perm[i] = j
+        corrs[i] = C[i, j]
+        work[i, :] = -1.0
+        work[:, j] = -1.0
+    return perm, corrs
+
+
+def reference_gaps(values, K, floor_fraction=1e-8):
+    """Floored distance of each of the first K values to its nearest
+    neighbor among the first K + 1, one np.delete per value."""
+    m = min(K + 1, values.size)
+    vals = values[:m]
+    k_eff = min(K, values.size)
+    floor = floor_fraction * abs(values[k_eff - 1])
+    out = np.empty(k_eff)
+    for i in range(k_eff):
+        diffs = np.abs(np.delete(vals, i) - vals[i])
+        gap = diffs.min() if diffs.size else floor
+        out[i] = max(gap, floor)
+    return out
+
+
+def reference_eigh(A, B, count=None):
+    """The count (default all) smallest eigenpairs of the dense pencil."""
+    n = A.shape[0]
+    m = n if count is None else min(count, n)
+    return sla.eigh(A, B, subset_by_index=None if m == n else [0, m - 1])
+
+
+def reference_cholesky_solve(G, U):
+    """Solve G x = U through scipy's lower Cholesky factor of G."""
+    return sla.cho_solve(sla.cho_factor(G, lower=True), U)

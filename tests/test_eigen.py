@@ -9,12 +9,15 @@ import scipy.sparse as sp
 
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import (SolverPolicy, SPDFactor, pcg_solve,
-                              solve_dense_gevp, solve_sparse_gevp)
+from maxwell_rb.eigen import (SolverPolicy, SPDFactor, _cholesky,
+                              _cholesky_solve, pcg_solve, solve_dense_gevp,
+                              solve_sparse_gevp)
 from maxwell_rb.errors import EigensolverError, FactorizationError
+from maxwell_rb.gauge import build_cotree_system
 from maxwell_rb.mesh import build_mesh, dissection_order
 
-from oracles import discrete_brick_eigenvalues
+from oracles import (discrete_brick_eigenvalues, reference_cholesky_solve,
+                     reference_eigh)
 
 
 def _random_spd_pencil(n, seed):
@@ -72,6 +75,82 @@ class TestDense:
         B = np.diag([1.0, 1.0, -1.0, 1.0])
         with pytest.raises(FactorizationError):
             solve_dense_gevp(A, B)
+
+
+class TestDenseLapackCalls:
+    """The direct LAPACK calls give scipy.linalg's results bit for bit,
+    and reject what its wrappers rejected with typed errors."""
+
+    @staticmethod
+    def _assert_same(sol, want):
+        values, vectors = want
+        assert np.array_equal(sol.values, values)
+        assert np.array_equal(sol.vectors, vectors)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_spectrum_bitwise(self, seed):
+        A, B = _random_spd_pencil(10, seed=seed)
+        self._assert_same(solve_dense_gevp(A, B), reference_eigh(A, B))
+
+    def test_cotree_pencil_count_bitwise(self, desk_problem):
+        # the 6^3 classical cotree pencil, leading K by the subset driver
+        cs = build_cotree_system(desk_problem.psys.interpolate(0.5),
+                                 desk_problem.gauge)
+        K = desk_problem.cfg.K
+        sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=K)
+        assert sol.count == K
+        self._assert_same(sol, reference_eigh(cs.A_hat, cs.B_hat, count=K))
+
+    def test_repeated_eigenvalues_bitwise(self):
+        # ties in the spectrum: a double and a triple eigenvalue
+        A, B = _random_spd_pencil(10, seed=5)
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((10, 10)))[0]
+        A = Q @ np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0]) @ Q.T
+        A = 0.5 * (A + A.T)
+        for count in (None, 2, 4):
+            self._assert_same(solve_dense_gevp(A, B, count=count),
+                              reference_eigh(A, B, count=count))
+
+    def test_cholesky_solve_bitwise(self):
+        rng = np.random.default_rng(6)
+        for m, n in ((12, 6), (1, 1), (7, 3)):
+            R = rng.standard_normal((m, m))
+            G = R @ R.T + m * np.eye(m)
+            U = rng.standard_normal((m, n))
+            got = _cholesky_solve(_cholesky(G), U)
+            assert np.array_equal(got, reference_cholesky_solve(G, U))
+
+    @pytest.mark.parametrize("count", [None, 2])
+    @pytest.mark.parametrize("which, bad", [("A", np.nan), ("A", np.inf),
+                                            ("B", np.nan), ("B", -np.inf)])
+    def test_non_finite_pencil_rejected(self, count, which, bad):
+        A, B = _random_spd_pencil(6, seed=7)
+        M = A if which == "A" else B
+        M[1, 3] = M[3, 1] = bad
+        with pytest.raises(FactorizationError, match="not finite"):
+            solve_dense_gevp(A, B, count=count)
+
+    @pytest.mark.parametrize("count", [None, 2])
+    def test_indefinite_mass_typed(self, count):
+        A, B = _random_spd_pencil(6, seed=8)
+        B[4, 4] = -1.0
+        with pytest.raises(FactorizationError, match="not SPD"):
+            solve_dense_gevp(A, B, count=count)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cholesky_rejects_non_finite(self, bad):
+        G = np.eye(4)
+        G[2, 0] = G[0, 2] = bad
+        with pytest.raises(FactorizationError, match="not finite"):
+            _cholesky(G)
+        rhs = np.ones((4, 2))
+        rhs[3, 1] = bad
+        with pytest.raises(FactorizationError, match="not finite"):
+            _cholesky_solve(_cholesky(np.eye(4)), rhs)
+
+    def test_cholesky_rejects_indefinite(self):
+        with pytest.raises(FactorizationError, match="positive definite"):
+            _cholesky(np.diag([1.0, 2.0, -3.0]))
 
 
 class TestSPDFactor:

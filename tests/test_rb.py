@@ -14,7 +14,7 @@ from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import (_LIFT_RTOL, SPDFactor, pcg_solve,
                               solve_sparse_gevp)
-from maxwell_rb.errors import ConfigError, NumericsError
+from maxwell_rb.errors import ConfigError, FactorizationError, NumericsError
 from maxwell_rb.gauge import CotreeProjector, build_cotree_system
 from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
@@ -22,6 +22,8 @@ from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
                            _POD_RANK_GUARD, _gaps, _make_evaluator,
                            _salt_from_t)
 from maxwell_rb.tracking import track_reduced
+
+from oracles import reference_gaps
 
 
 def _evaluator(m, Z, gauge_mode="mixed"):
@@ -42,7 +44,7 @@ def _assert_coordinate_residual_matches(psys, gauge, ev, t_values):
     """At each t, the norms read off the frame coordinates are the
     explicit ones, far inside the lifting check."""
     for t in t_values:
-        with ev._at(t) as (_, c):
+        with ev._at(t) as (_, c, _):
             R, U = _explicit_residual(psys, gauge, ev._space, t, c)
             residual, scale = ev._space.lifting_residual(t, c)
         U_norms = np.linalg.norm(U, axis=0)
@@ -377,7 +379,7 @@ class TestLiftedSpace:
         space = ev._space
         rng = np.random.default_rng(11)
         for t in (0.0, 0.35, 0.8):
-            with ev._at(t) as (_, c):
+            with ev._at(t) as (_, c, _):
                 _, U = _explicit_residual(p.psys, p.gauge, space, t, c)
             D = rng.standard_normal(c.shape)
             BD = p.psys.interpolate(t).B @ (space.Q @ D)
@@ -402,11 +404,32 @@ class TestLiftedSpace:
         ev, _, lifted_at, _ = sweep
         for t in lifted_at + [0.2, 0.8]:
             ev.solve(t)
-            with ev._at(t) as (_, c):
+            with ev._at(t) as (_, c, _):
                 R, U = _explicit_residual(m["psys"], m["gauge"], ev._space,
                                           t, c)
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
+
+    @pytest.mark.parametrize("field", ["GB", "QtP"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lifted_data_typed(self, small_morph, small_basis,
+                                          field, bad):
+        ev = _evaluator(small_morph, small_basis.basis.Z)
+        first = getattr(ev._space, field)[0].copy()
+        first[0, 0] = bad
+        ev._space = replace(ev._space,
+                            **{field: (first, getattr(ev._space, field)[1])})
+        with pytest.raises(FactorizationError, match="not finite"):
+            ev.solve(0.5)
+
+    def test_indefinite_lifted_mass_typed(self, small_morph, small_basis):
+        ev = _evaluator(small_morph, small_basis.basis.Z)
+        GB = tuple(G.copy() for G in ev._space.GB)
+        for G in GB:
+            G[1, 1] = -1.0
+        ev._space = replace(ev._space, GB=GB)
+        with pytest.raises(FactorizationError, match="positive definite"):
+            ev.solve(0.5)
 
 
 @pytest.fixture(scope="module")
@@ -473,6 +496,18 @@ class TestEstimator:
         assert np.all(eta >= 0)
         assert eta.max() < 1e-12
         assert np.all(_gaps(sol.values, 5) > 0)
+
+    def test_gaps_same_as_delete_loop(self):
+        # ascending values with exact ties, gaps at and near the floor, and
+        # fewer values than K + 1
+        rng = np.random.default_rng(9)
+        for size in (1, 2, 3, 6, 7, 12):
+            for _ in range(20):
+                steps = rng.choice([0.0, 1e-9, 1e-8, 1e-7, 0.3, 2.0], size)
+                values = np.cumsum(steps) + rng.choice([0.5, 26.13])
+                for K in (1, 5, 6):
+                    assert np.array_equal(_gaps(values, K),
+                                          reference_gaps(values, K))
 
     def test_missing_modes_get_infinite_eta(self, small_morph, small_basis):
         m = small_morph

@@ -15,7 +15,8 @@ from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
                                  _greedy_match, _hungarian_match, _track,
                                  track_full, track_reduced)
 
-from oracles import reference_degenerate_clusters
+from oracles import (reference_degenerate_clusters, reference_greedy_match,
+                     reference_split_clusters)
 
 
 class TestMatching:
@@ -43,6 +44,20 @@ class TestMatching:
         assert perm_h.tolist() == [1, 0]
         assert corrs_h.sum() > corrs_g.sum()
         assert sorted(perm_h.tolist()) == [0, 1]
+
+    def test_greedy_same_pairs_as_argmax_passes(self):
+        # entries from a few levels, so ties within and across rows and
+        # columns are common; ties go to the first entry in row-major order
+        rng = np.random.default_rng(4)
+        for K, extra in ((1, 0), (2, 0), (5, 2), (6, 3), (12, 2)):
+            for levels in ([0.0, 1.0], [0.3, 0.5, 0.9, 1.0], None):
+                shape = (K, K + extra)
+                C = (rng.uniform(0.0, 1.0, shape) if levels is None
+                     else rng.choice(levels, shape))
+                perm, corrs = _greedy_match(C)
+                want_perm, want_corrs = reference_greedy_match(C)
+                assert np.array_equal(perm, want_perm)
+                assert np.array_equal(corrs, want_corrs)
 
 
 class TestDegenerateClusters:
@@ -73,6 +88,21 @@ class TestDegenerateClusters:
                 got = _degenerate_clusters(values)
                 want = reference_degenerate_clusters(values)
                 assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    def test_same_groups_as_the_split_at_the_tolerance(self):
+        # neighbours a few ulps either side of the relative tolerance, in
+        # shuffled slot order, with exact ties
+        rng = np.random.default_rng(5)
+        rtol = tracking._CLUSTER_RTOL
+        for _ in range(50):
+            base = rng.choice([0.5, 1.0, 26.13, 1e3])
+            steps = rng.choice([0.0, rtol, 1.0], 8)
+            values = base * np.cumprod(1.0 + steps)
+            values *= 1.0 + rng.choice([-4, -1, 0, 1, 4], 8) * 2.0 ** -52
+            values = rng.permutation(values)
+            got = _degenerate_clusters(values)
+            want = reference_split_clusters(values)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
 def _crossing_solve(t):
