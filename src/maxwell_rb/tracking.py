@@ -24,8 +24,14 @@ start: their basis fixes no branch identity, and re-gauging it is what
 lets a symmetric geometry split cleanly under the morph.  A cluster
 formed later by a transversal crossing keeps its basis, which is
 exactly what carries each trajectory's identity through the crossing.
-Either rotation fixes solver gauge only, never re-labels across
-distinct eigenvalues, and flags the step as degenerate.
+When the best-overlap trajectories of a new cluster are such a free
+cluster, neither side's basis means anything, and the two one-sided
+rotations would leave the overlap block symmetric but not diagonal, so
+its diagonal, the correlations, would depend on the solvers' bases.
+That block is instead aligned on both sides by its SVD, and the
+correlations are its singular values.  Every rotation fixes solver
+gauge only, never re-labels across distinct eigenvalues, and flags the
+step as degenerate.
 
 The same loop drives the reduced system (small dense pencils) and the
 full sparse system (the runtime baseline); only the solve and the inner
@@ -148,19 +154,32 @@ def _degenerate_clusters(values: np.ndarray, rtol: float = _CLUSTER_RTOL):
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo >= 2]
 
 
-def _procrustes_rotation(M, c):
-    """Orthogonal c-by-c rotation aligning a cluster block to a reference.
+def _overlap_svd(M, c):
+    """SVD of a cluster's overlap block with a reference.
 
     M holds the signed overlaps, reference vectors by cluster columns;
-    the c most-overlapping reference rows define the Procrustes problem.
-    Returns None when the cluster subspace is invisible on the other side.
+    the c most-overlapping reference rows form the block T = U S V^T.
+    Returns (rows, U, V), or None when the cluster subspace is invisible
+    on the other side.  V U^T is the orthogonal c-by-c rotation that
+    aligns the cluster to the reference (orthogonal Procrustes).
     """
     rows = np.sort(np.argsort(-np.linalg.norm(M, axis=1), kind="stable")[:c])
     T = M[rows]
     if np.linalg.norm(T) < 1e-12:
         return None
-    Usv, _, Wt = np.linalg.svd(T)
-    return Wt.T @ Usv.T
+    U, _, Vt = np.linalg.svd(T)
+    return rows, U, Vt.T
+
+
+def _rotate_candidates(vectors_n, W, norms, P, cols, R):
+    """Replace candidate columns cols by their combinations R, in the
+    candidates, their inner products W, their norms and the overlaps P."""
+    block = vectors_n[:, cols] @ R
+    vectors_n[:, cols] = block
+    Wb = W[:, cols] @ R
+    W[:, cols] = Wb
+    norms[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", block, Wb)))
+    P[:, cols] = P[:, cols] @ R
 
 
 def _check_settings(K, threshold, initial_steps, buffer) -> None:
@@ -217,25 +236,36 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         clusters_n = _degenerate_clusters(values_n)
         if clusters_n:
             vectors_n = vectors_n.copy()
+        # A new cluster whose best-overlap trajectories are a free cluster
+        # (below) meets a basis as arbitrary as its own: the block is
+        # aligned on both sides by its SVD, so the correlations are its
+        # singular values whatever bases the solves returned.
+        aligned = []
         for idx in clusters_n:
             if idx.size > K:
                 continue
-            R = _procrustes_rotation(P[:, idx], idx.size)
-            if R is None:
+            svd = _overlap_svd(P[:, idx], idx.size)
+            if svd is None:
                 continue
-            block = vectors_n[:, idx] @ R
-            vectors_n[:, idx] = block
-            Wb = W[:, idx] @ R
-            norms[idx] = np.sqrt(np.abs(np.einsum("ij,ij->j", block, Wb)))
-            P[:, idx] = P[:, idx] @ R
+            rows, U, V = svd
+            if any(np.array_equal(rows, f) for f in free):
+                P[rows, :] = U.T @ P[rows, :]
+                _rotate_candidates(vectors_n, W, norms, P, idx, V)
+                aligned.append(rows)
+            else:
+                _rotate_candidates(vectors_n, W, norms, P, idx, V @ U.T)
         # Committed clusters that have stayed degenerate since the start
         # (a symmetric geometry about to split) have an equally arbitrary
         # basis; their rows of P are rotated toward the new frame.  A
         # cluster formed later at a crossing keeps its basis: it encodes
         # which branch is which.  The committed vectors are never touched.
         for idx in free:
-            R = _procrustes_rotation(P[idx, :].T, idx.size)
-            if R is not None:
+            if any(np.array_equal(idx, a) for a in aligned):
+                continue
+            svd = _overlap_svd(P[idx, :].T, idx.size)
+            if svd is not None:
+                _, U, V = svd
+                R = V @ U.T
                 P[idx, :] = R.T @ P[idx, :]
 
         C = np.abs(P) / norms[None, :]

@@ -9,7 +9,7 @@ from maxwell_rb import tracking
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.errors import ConfigError, TrackingError
-from maxwell_rb.rb import _salt_from_t
+from maxwell_rb.rb import ReducedBasis, _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
 from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
                                  _greedy_match, _hungarian_match, _track,
@@ -216,6 +216,34 @@ class TestEngine:
         assert np.min(run.correlations) >= 1.0 - 1e-12
         assert run.stats["degenerate_steps"] > 0
 
+    def test_persistent_pair_correlations_are_singular_values(self):
+        # a pair degenerate at every t tilts out of its plane by different
+        # angles along its two directions, and each solve returns its own
+        # rotation of the pair, starting off the tilt axes: the matched
+        # correlations are the overlap's singular values, the cosines of
+        # the two tilt increments, whatever the rotations
+        n = 5
+        rates = np.array([0.2, 0.5])
+
+        def solve(t):
+            a, b = rates * t
+            pair = np.zeros((n, 2))
+            pair[[0, 2], 0] = np.cos(a), np.sin(a)
+            pair[[1, 3], 1] = np.cos(b), np.sin(b)
+            theta = 0.7 + 10.0 * t
+            R = np.array([[np.cos(theta), -np.sin(theta)],
+                          [np.sin(theta), np.cos(theta)]])
+            vectors = np.column_stack([pair @ R, np.eye(n)[:, 4]])
+            return np.array([2.0, 2.0, 3.0]), vectors, np.eye(n)
+
+        run = _track(solve, K=3, threshold=0.9, initial_steps=4,
+                     max_depth=6)
+        assert run.stats["bisection_count"] == 0
+        for k, step in enumerate(np.diff(run.grid)):
+            want = np.sort(np.cos(rates * step))
+            got = np.sort(run.correlations[:2, k])
+            assert np.abs(got - want).max() <= 1e-12, k
+
     def test_to_rows_layout(self):
         run = _track(_crossing_solve, K=2, threshold=0.9, initial_steps=4,
                      max_depth=3)
@@ -316,6 +344,22 @@ class TestDeskMorph:
         assert run.stats["degenerate_steps"] > 0
         assert run.stats["bisection_count"] == 0
         assert np.min(run.correlations) >= 0.9
+
+    def test_degenerate_pair_correlations_ignore_basis_rotation(
+            self, desk_problem, desk_basis):
+        # Z Q spans the space of Z, so the reduced pencils agree to
+        # roundoff and so must every correlation, including those of the
+        # double eigenvalue, whose in-pair basis the rotation changes
+        p = desk_problem
+        basis = desk_basis.basis
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal(
+            (basis.n_red, basis.n_red)))[0]
+        rotated = ReducedBasis(Z=basis.Z @ Q, provenance=basis.provenance,
+                               gauge_mode=basis.gauge_mode)
+        run, run_q = p.track(basis), p.track(rotated)
+        assert _degenerate_clusters(run.lambdas[:, 0])
+        assert np.array_equal(run.grid, run_q.grid)
+        assert np.abs(run.correlations - run_q.correlations).max() <= 1e-12
 
     def test_endpoint_lifts_serve_the_whole_pass(self, desk_problem,
                                                  desk_basis):
