@@ -60,11 +60,11 @@ The small dense solves run in every online evaluation (an m x m
 Cholesky solve of the lifted mass matrix and an n x n eigensolve of the
 reduced pencil, both with m, n of order ten), where scipy.linalg's
 per-call wrappers (array validation, batching, finiteness scans) cost
-more than the LAPACK work itself.  They call LAPACK's drivers through
+more than the LAPACK work itself.  They call LAPACK's routines through
 scipy.linalg.lapack instead: potrf/potrs for Cholesky (lower factor),
 sygvd for a full generalized spectrum and sygvx, with its queried
 workspace, for the leading count pairs, all with lower storage.  These
-are the drivers, storage and workspace sizes scipy.linalg.cho_factor,
+are the routines, storage and workspace sizes scipy.linalg.cho_factor,
 cho_solve and eigh pick, so results are bitwise theirs.  One np.isfinite
 scan of the inputs replaces the wrappers' finiteness checks, and a
 non-finite input or a non-zero LAPACK info raises FactorizationError,

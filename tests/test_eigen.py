@@ -93,7 +93,7 @@ class TestDenseLapackCalls:
         self._assert_same(solve_dense_gevp(A, B), reference_eigh(A, B))
 
     def test_cotree_pencil_count_bitwise(self, desk_problem):
-        # the 6^3 classical cotree pencil, leading K by the subset driver
+        # the 6^3 classical cotree pencil, its leading K pairs by sygvx
         cs = build_cotree_system(desk_problem.psys.interpolate(0.5),
                                  desk_problem.gauge)
         K = desk_problem.cfg.K
@@ -130,7 +130,7 @@ class TestDenseLapackCalls:
         with pytest.raises(FactorizationError, match="not finite"):
             solve_dense_gevp(A, B, count=count)
 
-    def test_indefinite_mass_rejected_by_the_subset_driver(self):
+    def test_indefinite_mass_rejected_by_sygvx(self):
         A, B = _random_spd_pencil(6, seed=8)
         B[4, 4] = -1.0
         with pytest.raises(FactorizationError, match="not SPD"):
