@@ -155,7 +155,7 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
 
     from .bench import setup_problem
     from .eigen import solve_dense_gevp, solve_sparse_gevp
-    from .gauge import build_cotree_system, upscale
+    from .gauge import CotreeFamily, build_cotree_system, upscale
     from .rb import _salt_from_t
 
     problem = setup_problem(cfg)
@@ -171,7 +171,7 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
         vectors = sol.vectors
         residuals = sol.residual_norms
     else:
-        cs = build_cotree_system(pair, problem.gauge)
+        cs = build_cotree_system(CotreeFamily(problem.psys, problem.gauge), t)
         dense = solve_dense_gevp(cs.A_hat, cs.B_hat, count=cfg.K)
         keep = dense.values > problem.policy.lambda_cut
         values = dense.values[keep][: cfg.K]

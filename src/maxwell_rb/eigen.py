@@ -38,23 +38,23 @@ orders of magnitude, and the roundoff tail of the snapshot singular
 values rises above the POD rank guard, which adds noise columns to the
 reduced basis.
 
-Linear solves with an SPD matrix come in two forms.  The classical
-gauge's cotree pencil solves with each mass matrix once, for |C|
-right-hand sides at a time; a dense Cholesky factor serves it, because
-LAPACK's blocked triangular solves run a whole |C|-column block at
-matrix-multiply speed, where SuperLU solves column by column (at 10^3,
-N = 2430 and |C| = 1701, the block solve takes 0.48 s against 1.02 s
-for the sparse factor, on one BLAS thread).  The factorization doubles
-as the SPD check: it fails on an indefinite or non-finite matrix.  The
-mixed path solves with the mass matrix only at its lift points (the
-two endpoints, plus any parameter value whose Galerkin lift fails its
-residual check, see rb._MixedEvaluator), each time with only a handful
-of columns, and uses Jacobi-preconditioned conjugate gradients instead:
-the condition number of the diagonally scaled edge-element mass matrix
-does not grow with mesh refinement, so a few dozen iterations reach
-full accuracy at any resolution.  The iteration carries its own SPD
-check: a non-positive diagonal entry or non-positive curvature
-p^T B p raises, as does a failure to converge.
+Linear solves with an SPD mass matrix come in two forms.  The classical
+gauge's cotree pencil needs B(t)^{-1} applied to |C| columns at every
+parameter value; because B(t) is affine in t, one dense generalized
+eigendecomposition of the endpoint masses (solve_dense_gevp on
+(B_1, B_0), LAPACK sygvd) diagonalizes the whole family, and each
+parameter's solve is a matrix product (gauge.CotreeFamily).  Nothing
+is factored per parameter value, and the eigensolve's Cholesky step
+doubles as the SPD check of B_0: it fails on an indefinite or
+non-finite matrix.  The mixed path solves with the mass matrix only at
+its lift points (the two endpoints, plus any parameter value whose
+Galerkin lift fails its residual check, see rb._MixedEvaluator), each
+time with only a handful of columns, and uses Jacobi-preconditioned
+conjugate gradients instead: the condition number of the diagonally
+scaled edge-element mass matrix does not grow with mesh refinement, so
+a few dozen iterations reach full accuracy at any resolution.  The
+iteration carries its own SPD check: a non-positive diagonal entry or
+non-positive curvature p^T B p raises, as does a failure to converge.
 
 The small dense solves run in every online evaluation (an m x m
 Cholesky solve of the lifted mass matrix and an n x n eigensolve of the
@@ -68,8 +68,9 @@ are the routines, storage and workspace sizes scipy.linalg.cho_factor,
 cho_solve and eigh pick, so results are bitwise theirs.  One np.isfinite
 scan of the inputs replaces the wrappers' finiteness checks, and a
 non-finite input or a non-zero LAPACK info raises FactorizationError,
-never an untyped ValueError or LinAlgError.  The dense Cholesky factor
-behind SPDFactor is the same routine.
+never an untyped ValueError or LinAlgError.  The dense solve forms no
+residual norms: its callers do not read them, and the sparse solver
+forms its own.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ _ARPACK_MAXITER = 500
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Sorted generalized eigenpairs with per-pair residual norms."""
+    """Sorted generalized eigenpairs; the sparse solver adds per-pair
+    residual norms, the dense one leaves them None."""
 
     values: np.ndarray          # ascending
     vectors: np.ndarray         # columns, B-orthonormal
-    residual_norms: np.ndarray  # ||A v - lambda B v||_2
+    residual_norms: np.ndarray | None = None  # ||A v - lambda B v||_2
 
     @property
     def count(self) -> int:
@@ -152,7 +154,7 @@ def _symmetric_lu(M, permc_spec="MMD_AT_PLUS_A"):
         raise FactorizationError("sparse factorization failed: %s" % exc) from exc
 
 
-def _cholesky(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _cholesky(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the dense SPD matrix M (LAPACK potrf).
 
     Only the lower triangle of M is read, and only that of the factor is
@@ -161,7 +163,7 @@ def _cholesky(M: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """
     if not np.isfinite(M).all():
         raise FactorizationError("matrix is not finite")
-    L, info = dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
+    L, info = dpotrf(M, lower=1, clean=0)
     if info != 0:
         raise FactorizationError(
             "matrix is not positive definite (potrf info %d)" % info)
@@ -178,21 +180,6 @@ def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise FactorizationError("triangular solve failed (potrs info %d)" % info)
     return x
-
-
-class SPDFactor:
-    """Dense Cholesky factor of an SPD matrix with a solve contract of
-    1e-12 relative residual per right-hand-side column."""
-
-    def __init__(self, B: sp.spmatrix):
-        B = sp.csr_matrix(B, dtype=float).toarray(order="F")
-        if B.shape[0] != B.shape[1]:
-            raise FactorizationError("matrix is not square: %r" % (B.shape,))
-        self._factor = _cholesky(B, overwrite=True)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve B x = rhs; rhs may carry multiple columns."""
-        return _cholesky_solve(self._factor, rhs)
 
 
 def pcg_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -286,39 +273,48 @@ def _shift_invert(M, ordering):
 
 
 def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
-                     count: int | None = None) -> EigenSolution:
+                     count: int | None = None,
+                     overwrite: bool = False) -> EigenSolution:
     """Leading eigenpairs of the dense symmetric pencil (A_d, B_d), B_d SPD.
 
     count=None returns the full spectrum; otherwise the min(count, n)
-    smallest pairs, which LAPACK computes without the rest, and residual
-    norms for those alone.  Vectors come back B_d-orthonormal; used for
-    reduced and cotree systems and as the brute-force oracle in tests.
-    A non-finite pencil, an indefinite B_d or a failed solve raises
-    FactorizationError.
+    smallest pairs, which LAPACK computes without the rest.  Vectors
+    come back B_d-orthonormal; no residual norms are formed.  Used for
+    reduced and cotree systems, for the classical gauge's endpoint mass
+    pencil and as the brute-force oracle in tests.  overwrite lets
+    LAPACK work in the storage of A_d and B_d, which then hold no
+    meaningful data; for F-ordered float arrays it saves their copies,
+    and the full-spectrum vectors come back in A_d's storage.  A
+    non-square or non-finite pencil, an indefinite B_d or a failed solve
+    raises FactorizationError.
     """
     A_d = np.asarray(A_d, dtype=float)
     B_d = np.asarray(B_d, dtype=float)
     n = A_d.shape[0]
+    if A_d.shape != (n, n) or B_d.shape != (n, n):
+        raise FactorizationError("dense pencil is not square: %r and %r"
+                                 % (A_d.shape, B_d.shape))
     m = n if count is None else min(count, n)
     if m <= 0:
-        return EigenSolution(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
+        return EigenSolution(np.zeros(0), np.zeros((n, 0)))
     if not (np.isfinite(A_d).all() and np.isfinite(B_d).all()):
         raise FactorizationError("dense pencil is not finite")
     if m == n:
-        values, vectors, info = dsygvd(A_d, B_d, jobz="V", uplo="L")
+        values, vectors, info = dsygvd(A_d, B_d, jobz="V", uplo="L",
+                                       overwrite_a=overwrite,
+                                       overwrite_b=overwrite)
     else:
         lwork, _ = dsygvx_lwork(n, uplo="L")
         values, vectors, m, _, info = dsygvx(
             A_d, B_d, jobz="V", range="I", uplo="L", il=1, iu=m,
-            lwork=int(lwork))
+            lwork=int(lwork), overwrite_a=overwrite, overwrite_b=overwrite)
         values, vectors = values[:m], vectors[:, :m]
     if info > n:
         raise FactorizationError("dense mass matrix is not SPD: the leading "
                                  "minor of order %d is not positive" % (info - n))
     if info != 0:
         raise FactorizationError("dense eigensolve failed (info %d)" % info)
-    res = np.linalg.norm(A_d @ vectors - (B_d @ vectors) * values[None, :], axis=0)
-    return EigenSolution(values=values, vectors=vectors, residual_norms=res)
+    return EigenSolution(values=values, vectors=vectors)
 
 
 def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,

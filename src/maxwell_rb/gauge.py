@@ -23,6 +23,13 @@ solve with the tree block above, so nothing is factored.  The full
 residual ||H^T v_hat - B v|| / ||B v|| reports whether the input was
 gradient-free: eigenvectors of the ungauged pencil with nonzero
 eigenvalue satisfy every row, gradient fields do not.
+
+The classical comparison path gauges by the dense pencil
+A_hat = W^T A W, B_hat = H W with W = B(t)^{-1} H(t)^T
+(build_cotree_system).  Its mass solves come from CotreeFamily: one
+eigendecomposition of the endpoint mass pencil diagonalizes the affine
+B(t) for every t, so each W is a matrix product and no parameter value
+is factored.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SystemPair
-from .eigen import SPDFactor, pcg_solve
-from .errors import NumericsError, ProjectionError
+from .assembly import ParametrizedSystem, SystemPair
+from .eigen import pcg_solve, solve_dense_gevp
+from .errors import FactorizationError, NumericsError, ProjectionError
 from .mesh import CavityMesh
 
 _CONSISTENCY_TOL = 1e-6
@@ -142,21 +149,72 @@ def cotree_operator(sys: SystemPair, gauge: GaugeDecomposition) -> sp.csr_matrix
     return sys.A.tocsr()[gauge.cotree, :]
 
 
-def build_cotree_system(sys: SystemPair,
-                        gauge: GaugeDecomposition) -> CotreeSystem:
-    """Dense gauged pencil (A_hat, B_hat) via W = B^{-1} H^T.
+class CotreeFamily:
+    """The classical pencil's mass solves for every t in [0, 1] at once.
+
+    B(t) = (1 - t) B_0 + t B_1 is affine in t (ParametrizedSystem
+    interpolates exactly so), and one dense eigendecomposition of the
+    endpoint pencil, B_1 V = B_0 V diag(mu) with V^T B_0 V = I,
+    diagonalizes the whole family: V^T B(t) V = diag(1 - t + t mu), so
+    B(t)^{-1} = V diag(1 / (1 - t + t mu)) V^T.  With X_e = V^T H_e^T
+    kept for both endpoints (formed as (H_e V)^T), W(t) = B(t)^{-1}
+    H(t)^T is one product V (d_t * ((1 - t) X_0 + t X_1)), and no
+    parameter value is factored.  The family holds N^2 + 2 N |C|
+    entries; its eigensolve overwrites the dense mass copies it is
+    given.
+
+    Every mu must be positive, which holds exactly when both endpoint
+    masses are SPD.  A non-finite endpoint mass, a B_0 that is not SPD
+    (the eigensolve's Cholesky step fails) or a mu <= 0 raises
+    FactorizationError.
+    """
+
+    def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition):
+        ends = (psys.endpoint0, psys.endpoint1)
+        H = [cotree_operator(end, gauge) for end in ends]
+        sol = solve_dense_gevp(ends[1].B.toarray(order="F"),
+                               ends[0].B.toarray(order="F"), overwrite=True)
+        if not sol.values[0] > 0.0:
+            raise FactorizationError(
+                "endpoint mass matrix is not positive definite (smallest "
+                "endpoint pencil eigenvalue %.3e)" % sol.values[0])
+        self.psys = psys
+        self.gauge = gauge
+        self.mu = sol.values
+        self.V = sol.vectors
+        self.X = tuple((h @ self.V).T for h in H)
+
+    @property
+    def entries(self) -> int:
+        """Dense entries the family holds: N^2 + 2 N |C|."""
+        return self.V.size + sum(x.size for x in self.X)
+
+    def solve(self, t: float) -> np.ndarray:
+        """W(t) = B(t)^{-1} H(t)^T (N x |C|) for t in [0, 1]."""
+        s = 1.0 - t
+        Y = s * self.X[0]
+        Y += t * self.X[1]
+        Y *= (1.0 / (s + t * self.mu))[:, None]
+        return self.V @ Y
+
+
+def build_cotree_system(family: CotreeFamily, t: float) -> CotreeSystem:
+    """Dense gauged pencil (A_hat, B_hat) at t via W = B(t)^{-1} H(t)^T.
 
     A_hat = W^T (A W) and B_hat = H W.  H is the cotree rows of A, so
     B_hat is read off the rows C of the product A W that A_hat needs
-    anyway, with the same row arithmetic as H @ W.  The mass inverse is
-    never formed, only applied to the |C| columns of H^T at once through
-    a dense Cholesky factor.
+    anyway, with the same row arithmetic as H @ W.  W comes from the
+    family's eigenbasis (CotreeFamily.solve); the mass matrix at t is
+    neither formed densely nor factored.  A t outside [0, 1] raises
+    ConfigError.
     """
-    H = cotree_operator(sys, gauge)
-    W = SPDFactor(sys.B).solve(H.T.toarray())
-    AW = sys.A @ W
+    A = family.psys.interpolate(t).A
+    W = family.solve(t)
+    AW = A @ W
     A_hat = W.T @ AW
-    B_hat = AW[gauge.cotree]
+    del W
+    B_hat = AW[family.gauge.cotree]
+    del AW
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)

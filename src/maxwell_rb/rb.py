@@ -36,13 +36,16 @@ makes no mass solve unless a parameter fails the certificate.
 
 Classical gauge: snapshots and reduced matrices go through the dense
 cotree pencil assembled per parameter value, A_hat = W^T (A W) with
-W = B(t)^{-1} H(t)^T, on dense LAPACK throughout: a Cholesky factor of
-the mass matrix solves for all |C| columns of W at once, B_hat is the
-cotree rows of A W, and a snapshot asks the dense eigensolver for its K
-modes only.  A pencil and its factor are held only while they are
-being used, mirroring the fact that the dense matrices are exactly what
-does not fit in memory at scale; this path exists as the comparison
-baseline and is expected slower and hungrier.
+W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.  One dense
+eigendecomposition of the endpoint mass pencil per build
+(gauge.CotreeFamily, shared by snapshot collection and greedy)
+diagonalizes B(t) at every t, so each W is one matrix product and no
+parameter value is factored; B_hat is the cotree rows of A W, and a
+snapshot asks the dense eigensolver for its K modes only.  A pencil is
+held only while it is being used, mirroring the fact that the dense
+matrices are exactly what does not fit in memory at scale; this path
+exists as the comparison baseline and is expected slower and hungrier.
+The family is built afresh by every build, never cached across builds.
 
 Every evaluator is built by _make_evaluator and answers two shared
 questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
@@ -90,7 +93,8 @@ from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, _cholesky,
                     solve_sparse_gevp)
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
-from .gauge import CotreeProjector, GaugeDecomposition, build_cotree_system
+from .gauge import (CotreeFamily, CotreeProjector, GaugeDecomposition,
+                    build_cotree_system)
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
@@ -128,7 +132,11 @@ class StorageMeter:
     Pipelines register the dense arrays they allocate; small vectors of
     O(N) size and solver-internal workspaces are deliberately included
     where we allocate them ourselves, so the peak reflects what the
-    pipeline actually holds.  One holding is outside the tally: the
+    pipeline actually holds.  The classical pipeline books its
+    CotreeFamily, N^2 + 2 N |C| entries, for as long as the meter
+    lives, and per parameter value the N x |C| arrays W and A W while
+    the pencil is built, then its two |C| x |C| blocks.  One holding is
+    outside the tally: the
     mixed evaluator's per-basis state, which lives as long as the basis.
     For a basis of n columns whose lifted span has dimension m, that is
     N (m + k) entries for Q and the residual frame of dimension
@@ -559,15 +567,18 @@ class _MixedEvaluator(_Evaluator):
 class _ClassicalEvaluator(_Evaluator):
     """Dense cotree pencil per parameter value; the memory-bound baseline.
 
-    The per-t data is the CotreeSystem (A_hat, B_hat).
+    The per-t data is the CotreeSystem (A_hat, B_hat), built from the
+    evaluator's CotreeFamily, whose entries are booked by whoever built
+    it (_classical_family).
     """
 
     gauge_mode = "classical"
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                 policy: SolverPolicy, K: int, meter: StorageMeter):
+                 policy: SolverPolicy, K: int, meter: StorageMeter,
+                 family: CotreeFamily):
         super().__init__(psys, gauge, policy, K, meter)
-        self.n_cotree = gauge.cotree.size
+        self.family = family
         self._Z = None
 
     def set_basis(self, Z: np.ndarray, lifted=None) -> None:
@@ -577,12 +588,9 @@ class _ClassicalEvaluator(_Evaluator):
 
     @contextmanager
     def _at(self, t: float):
-        pair = self.psys.interpolate(t)
-        # The dense mass factor is N x N, the solve buffer W = B^{-1} H^T
-        # N x |C|.
-        n = self.psys.n
-        with self.meter.hold(n * (n + self.n_cotree)):
-            cs = build_cotree_system(pair, self.gauge)
+        # W = B(t)^{-1} H(t)^T and A(t) W, N x |C| each
+        with self.meter.hold(2 * self.family.X[0].size):
+            cs = build_cotree_system(self.family, t)
         with self.meter.hold(cs.A_hat.size + cs.B_hat.size):
             yield cs
 
@@ -617,13 +625,28 @@ class _ClassicalEvaluator(_Evaluator):
         return sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
 
 
-def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None):
-    """The only constructor of evaluators; meter defaults to a private one."""
+def _classical_family(psys, gauge, meter: StorageMeter) -> CotreeFamily:
+    """The classical pencil family of (psys, gauge), booked on the meter
+    for the rest of the meter's life."""
+    family = CotreeFamily(psys, gauge)
+    meter.alloc(family.entries)
+    return family
+
+
+def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None,
+                    family=None):
+    """The only constructor of evaluators; meter defaults to a private one.
+
+    A classical evaluator uses the given CotreeFamily of (psys, gauge),
+    or builds its own when family is None; a mixed one ignores family.
+    """
     meter = meter if meter is not None else StorageMeter()
     if gauge_mode == "mixed":
         return _MixedEvaluator(psys, gauge, policy, K, meter)
     if gauge_mode == "classical":
-        return _ClassicalEvaluator(psys, gauge, policy, K, meter)
+        if family is None:
+            family = _classical_family(psys, gauge, meter)
+        return _ClassicalEvaluator(psys, gauge, policy, K, meter, family)
     raise ConfigError("unknown gauge_mode %r" % gauge_mode)
 
 
@@ -666,14 +689,16 @@ def _adds_no_rank(earlier: np.ndarray, new: np.ndarray,
         return bool(np.linalg.norm(R, axis=0).max() <= _SATURATION_TOL)
 
 
-def _collect(psys, gauge, pod_set, K, policy, gauge_mode, meter, n_init):
-    """collect_snapshots' columns and the parameters it solved."""
+def _collect(psys, gauge, pod_set, K, policy, gauge_mode, meter, n_init,
+             family=None):
+    """collect_snapshots' columns and the parameters it solved; family
+    as in _make_evaluator."""
     if K < 1:
         raise ConfigError("snapshot mode count must be >= 1")
     pod_set = np.asarray(pod_set, dtype=float)
     if pod_set.size == 0:
         raise ConfigError("POD parameter set is empty")
-    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter)
+    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter, family)
     blocks = {}
     for level, indices in enumerate(_nested_levels(pod_set.size)):
         earlier = np.hstack(list(blocks.values())) if level else None
@@ -762,7 +787,8 @@ def _mgs_orthogonalize(Z: np.ndarray, v: np.ndarray) -> np.ndarray:
 def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                   basis: ReducedBasis, greedy_set, K: int, tol: float,
                   n_max: int, policy: SolverPolicy,
-                  meter: StorageMeter | None = None):
+                  meter: StorageMeter | None = None,
+                  family: CotreeFamily | None = None):
     """Grow the basis toward the largest estimated error until tol or n_max.
 
     Each sweep fills a table of eta over the (t, mode) candidates of
@@ -772,13 +798,17 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     rest of the build, and a walk that runs out of live candidates flags
     "candidates-exhausted" and ends the loop.
 
+    A classical basis evaluates through family, the CotreeFamily of
+    (psys, gauge), or through one of its own when family is None.
+
     Returns (basis, log) where log rows record iteration, selected (t*,
     mode*), the sweep maximum of the estimator, and the basis size.
     """
     if tol <= 0:
         raise ConfigError("greedy tolerance must be positive")
     greedy_set = np.asarray(greedy_set, dtype=float)
-    ev = _make_evaluator(basis.gauge_mode, psys, gauge, policy, K, meter)
+    ev = _make_evaluator(basis.gauge_mode, psys, gauge, policy, K, meter,
+                         family)
 
     log = []
     dead = np.zeros((greedy_set.size, K), dtype=bool)
@@ -846,8 +876,11 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     phases = {}
 
     t0 = time.perf_counter()
+    # one classical family serves snapshots and greedy alike
+    family = (_classical_family(psys, gauge, meter)
+              if gauge_mode == "classical" else None)
     snaps, snapshot_t = _collect(psys, gauge, training.pod_set, K, policy,
-                                 gauge_mode, meter, n_init)
+                                 gauge_mode, meter, n_init, family)
     phases["projection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -863,7 +896,7 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     meter.free(snaps.size)   # snapshots are not needed past the SVD
     del snaps
     basis, log = greedy_enrich(psys, gauge, basis, training.greedy_set, K,
-                               tol, n_max, policy, meter=meter)
+                               tol, n_max, policy, meter=meter, family=family)
     phases["greedy"] = time.perf_counter() - t0
 
     return BasisBuildResult(basis=basis, log=log, phase_seconds=phases,

@@ -22,6 +22,10 @@ walk replaced, and ``reference_gaps`` the per-value np.delete loop of the
 estimator's gaps.  ``reference_eigh`` and ``reference_cholesky_solve``
 are the scipy.linalg wrappers (``eigh``, ``cho_factor``/``cho_solve``)
 that the small dense solves called before they called LAPACK directly.
+``reference_cotree_system`` is the frozen classical pencil of a single
+system pair, W = B^{-1} H^T through a dense Cholesky factor of B and one
+|C|-column potrs, from before one endpoint mass eigenbasis served every
+parameter value.
 """
 
 from collections import deque
@@ -29,9 +33,12 @@ from collections import deque
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from maxwell_rb.assembly import SystemPair
-from maxwell_rb.errors import ConfigError, DegenerateCellError, NumericsError
+from maxwell_rb.errors import (ConfigError, DegenerateCellError,
+                               FactorizationError, NumericsError)
+from maxwell_rb.gauge import CotreeSystem
 from maxwell_rb.mesh import CavityMesh
 
 # Local edge order of the frozen mesh: four x-directed edges at the (y,z)
@@ -552,3 +559,27 @@ def reference_eigh(A, B, count=None):
 def reference_cholesky_solve(G, U):
     """Solve G x = U through scipy's lower Cholesky factor of G."""
     return sla.cho_solve(sla.cho_factor(G, lower=True), U)
+
+
+def reference_cotree_system(pair, gauge):
+    """Dense gauged pencil (A_hat, B_hat) of one system pair via
+    W = B^{-1} H^T, B factored by dense Cholesky (potrf) and solved for
+    all |C| columns of H^T at once (potrs); A_hat = W^T (A W) and B_hat
+    the cotree rows of A W, both symmetrized."""
+    H = pair.A.tocsr()[gauge.cotree, :]
+    B = sp.csr_matrix(pair.B, dtype=float).toarray(order="F")
+    if not np.isfinite(B).all():
+        raise FactorizationError("matrix is not finite")
+    L, info = dpotrf(B, lower=1, clean=0, overwrite_a=True)
+    if info != 0:
+        raise FactorizationError(
+            "matrix is not positive definite (potrf info %d)" % info)
+    W, info = dpotrs(L, H.T.toarray(), lower=1)
+    if info != 0:
+        raise FactorizationError("triangular solve failed (potrs info %d)" % info)
+    AW = pair.A @ W
+    A_hat = W.T @ AW
+    B_hat = AW[gauge.cotree]
+    A_hat = 0.5 * (A_hat + A_hat.T)
+    B_hat = 0.5 * (B_hat + B_hat.T)
+    return CotreeSystem(A_hat=A_hat, B_hat=B_hat)

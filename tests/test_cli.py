@@ -179,20 +179,51 @@ class TestSolve:
         assert np.allclose(payloads[0]["eigenvalues"],
                            payloads[1]["eigenvalues"], rtol=1e-8)
 
-    def test_classical_factors_mass_once(self, cfg_file, monkeypatch):
-        from maxwell_rb.eigen import SPDFactor
+    def test_classical_one_eigenbasis_per_solve(self, cfg_file, monkeypatch):
+        from maxwell_rb.gauge import CotreeFamily
 
         built = []
-        init = SPDFactor.__init__
+        init = CotreeFamily.__init__
 
-        def counting_init(self, B):
-            built.append(B.shape)
-            init(self, B)
+        def counting_init(self, psys, gauge):
+            built.append(psys.n)
+            init(self, psys, gauge)
 
-        monkeypatch.setattr(SPDFactor, "__init__", counting_init)
+        monkeypatch.setattr(CotreeFamily, "__init__", counting_init)
         rc = main(["solve", "--config", cfg_file, "--gauge", "classical"])
         assert rc == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "indefinite"])
+    def test_classical_bad_endpoint_mass_exit_3(self, cfg_file, monkeypatch,
+                                                capsys, bad):
+        # the endpoint mass eigenbasis rejects a non-finite or indefinite
+        # mass with FactorizationError
+        import dataclasses
+
+        from maxwell_rb import bench
+        from maxwell_rb.assembly import ParametrizedSystem
+
+        setup = bench.setup_problem
+
+        def broken_setup(cfg):
+            problem = setup(cfg)
+            end = problem.psys.endpoint1
+            B = end.B.copy()
+            if bad == "nan":
+                B.data[:] = np.nan
+            else:
+                B.data *= -1.0
+            psys = ParametrizedSystem(problem.psys.endpoint0,
+                                      dataclasses.replace(end, B=B))
+            return dataclasses.replace(problem, psys=psys)
+
+        monkeypatch.setattr(bench, "setup_problem", broken_setup)
+        rc = main(["solve", "--config", cfg_file, "--gauge", "classical"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure:" in err
+        assert ("not finite" if bad == "nan" else "not positive definite") in err
 
     def test_t_outside_range_exit_2(self, cfg_file, capsys):
         rc = main(["solve", "--config", cfg_file, "--t", "1.5"])

@@ -7,16 +7,18 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from maxwell_rb.assembly import assemble
-from maxwell_rb.eigen import (SPDFactor, SolverPolicy, solve_dense_gevp,
-                              solve_sparse_gevp)
-from maxwell_rb.errors import NumericsError, ProjectionError
-from maxwell_rb.gauge import (CotreeProjector, build_cotree_system, build_tree,
+from maxwell_rb.assembly import ParametrizedSystem, SystemPair, assemble
+from maxwell_rb.eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
+from maxwell_rb.errors import (ConfigError, FactorizationError, NumericsError,
+                               ProjectionError)
+from maxwell_rb.gauge import (CotreeFamily, CotreeProjector,
+                              build_cotree_system, build_tree,
                               cotree_operator, upscale)
 from maxwell_rb.mesh import build_mesh, discrete_gradient
 
 from oracles import (continuum_brick_eigenvalues, cotree_least_squares,
-                     discrete_brick_eigenvalues, reference_build_tree)
+                     discrete_brick_eigenvalues, reference_build_tree,
+                     reference_cotree_system)
 
 FROZEN_RESOLUTIONS = [(2, 2, 2), (3, 3, 3), (2, 5, 3), (7, 11, 4), (6, 6, 6),
                       (12, 12, 12)]
@@ -101,6 +103,13 @@ class TestTree:
             cotree_operator(cube3_pair, wrong)
 
 
+def _pencil(pair, gauge):
+    """The classical pencil of a single system pair: its constant family
+    at t = 0."""
+    return build_cotree_system(
+        CotreeFamily(ParametrizedSystem(pair, pair), gauge), 0.0)
+
+
 class TestCotreeSystem:
     def test_operator_rows(self, cube3_pair, cube3_gauge):
         H = cotree_operator(cube3_pair, cube3_gauge)
@@ -108,17 +117,18 @@ class TestCotreeSystem:
         want = cube3_pair.A.tocsr()[cube3_gauge.cotree, :]
         assert (H != want).nnz == 0
 
-    def test_mass_block_read_off_stiffness_product(self, cube3_pair,
-                                                   cube3_gauge):
+    def test_mass_block_read_off_stiffness_product(self, small_morph):
         # B_hat is taken as the cotree rows of A W; it must be H W exactly
-        H = cotree_operator(cube3_pair, cube3_gauge)
-        W = SPDFactor(cube3_pair.B).solve(H.T.toarray())
-        want = H @ W
-        cs = build_cotree_system(cube3_pair, cube3_gauge)
+        m = small_morph
+        family = CotreeFamily(m["psys"], m["gauge"])
+        t = 0.37
+        H = cotree_operator(m["psys"].interpolate(t), m["gauge"])
+        want = H @ family.solve(t)
+        cs = build_cotree_system(family, t)
         assert np.array_equal(cs.B_hat, 0.5 * (want + want.T))
 
     def test_pencil_symmetric_spd_mass(self, cube3_pair, cube3_gauge):
-        cs = build_cotree_system(cube3_pair, cube3_gauge)
+        cs = _pencil(cube3_pair, cube3_gauge)
         assert np.array_equal(cs.A_hat, cs.A_hat.T)
         assert np.array_equal(cs.B_hat, cs.B_hat.T)
         assert np.linalg.eigvalsh(cs.B_hat).min() > 0
@@ -133,7 +143,7 @@ class TestCotreeSystem:
         mesh = build_mesh(dims, res)
         pair = assemble(mesh)
         gauge = build_tree(mesh, discrete_gradient(mesh))
-        cs = build_cotree_system(pair, gauge)
+        cs = _pencil(pair, gauge)
         gauged = np.sort(scipy.linalg.eigh(cs.A_hat, cs.B_hat,
                                            eigvals_only=True))
         full = np.sort(scipy.linalg.eigh(pair.A.toarray(), pair.B.toarray(),
@@ -144,10 +154,88 @@ class TestCotreeSystem:
         assert gauged.min() > 1e-6 * gauged.max()   # no spurious zero modes
 
     def test_matches_closed_form(self, cube3_pair, cube3_gauge):
-        cs = build_cotree_system(cube3_pair, cube3_gauge)
+        cs = _pencil(cube3_pair, cube3_gauge)
         sol = solve_dense_gevp(cs.A_hat, cs.B_hat)
         oracle = discrete_brick_eigenvalues((1.0, 1.0, 1.0), (3, 3, 3))
         assert np.max(np.abs(sol.values - oracle) / oracle) < 1e-10
+
+
+def _with_mass(pair, B):
+    return SystemPair(A=pair.A, B=B, n=pair.n, geometry_tag=pair.geometry_tag)
+
+
+class TestCotreeFamily:
+    """One endpoint mass eigenbasis against the frozen per-parameter
+    Cholesky pencil."""
+
+    @pytest.fixture(scope="class", params=["3^3", "6^3"])
+    def morph(self, request, small_morph, desk_problem):
+        if request.param == "3^3":
+            return small_morph["psys"], small_morph["gauge"]
+        return desk_problem.psys, desk_problem.gauge
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_matches_reference(self, morph, t):
+        psys, gauge = morph
+        cs = build_cotree_system(CotreeFamily(psys, gauge), t)
+        ref = reference_cotree_system(psys.interpolate(t), gauge)
+        for got, want in ((cs.A_hat, ref.A_hat), (cs.B_hat, ref.B_hat)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        K = 5
+        values = solve_dense_gevp(cs.A_hat, cs.B_hat, count=K).values
+        want = solve_dense_gevp(ref.A_hat, ref.B_hat, count=K).values
+        assert np.all(np.abs(values - want) <= 1e-10 * want)
+
+    def test_solve_contract(self, small_morph):
+        # W = B(t)^{-1} H(t)^T to 1e-12 relative residual per column
+        psys, gauge = small_morph["psys"], small_morph["gauge"]
+        family = CotreeFamily(psys, gauge)
+        for t in (0.0, 0.37, 1.0):
+            pair = psys.interpolate(t)
+            HT = cotree_operator(pair, gauge).T.toarray()
+            W = family.solve(t)
+            rel = (np.linalg.norm(pair.B @ W - HT, axis=0)
+                   / np.linalg.norm(HT, axis=0))
+            assert rel.max() < 1e-12
+        n, c = psys.n, gauge.cotree.size
+        assert family.entries == n * n + 2 * n * c
+
+    def test_identical_endpoints_constant_pencil(self, cube3_pair,
+                                                 cube3_gauge):
+        family = CotreeFamily(ParametrizedSystem(cube3_pair, cube3_pair),
+                              cube3_gauge)
+        at0 = build_cotree_system(family, 0.0)
+        at5 = build_cotree_system(family, 0.5)
+        for got, want in ((at5.A_hat, at0.A_hat), (at5.B_hat, at0.B_hat)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_t_outside_range(self, small_morph):
+        family = CotreeFamily(small_morph["psys"], small_morph["gauge"])
+        for t in (-0.1, 1.5):
+            with pytest.raises(ConfigError):
+                build_cotree_system(family, t)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_non_finite_mass_rejected(self, small_morph, end):
+        psys = small_morph["psys"]
+        ends = [psys.endpoint0, psys.endpoint1]
+        B = ends[end].B.copy()
+        B.data[7] = np.nan
+        ends[end] = _with_mass(ends[end], B)
+        with pytest.raises(FactorizationError, match="not finite"):
+            CotreeFamily(ParametrizedSystem(*ends), small_morph["gauge"])
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_indefinite_mass_rejected(self, small_morph, end):
+        # one negative diagonal entry: e_0^T B e_0 < 0.  B_0 fails the
+        # eigensolve's Cholesky step, B_1 gives an eigenvalue mu <= 0.
+        psys = small_morph["psys"]
+        ends = [psys.endpoint0, psys.endpoint1]
+        B = ends[end].B.copy()
+        B[0, 0] = -1.0
+        ends[end] = _with_mass(ends[end], B)
+        with pytest.raises(FactorizationError):
+            CotreeFamily(ParametrizedSystem(*ends), small_morph["gauge"])
 
 
 @pytest.fixture(scope="module")

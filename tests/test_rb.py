@@ -12,10 +12,9 @@ from maxwell_rb import rb
 from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import (_LIFT_RTOL, SPDFactor, pcg_solve,
-                              solve_sparse_gevp)
+from maxwell_rb.eigen import _LIFT_RTOL, pcg_solve, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, FactorizationError, NumericsError
-from maxwell_rb.gauge import CotreeProjector, build_cotree_system
+from maxwell_rb.gauge import CotreeFamily, CotreeProjector
 from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
@@ -23,7 +22,7 @@ from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
                            _salt_from_t)
 from maxwell_rb.tracking import track_reduced
 
-from oracles import reference_gaps
+from oracles import reference_cotree_system, reference_gaps
 
 
 def _evaluator(m, Z, gauge_mode="mixed"):
@@ -104,11 +103,12 @@ class TestSnapshots:
 
     def test_mixed_pipeline_factors_nothing(self, small_morph, monkeypatch):
         # snapshots, projection, greedy and tracking of the mixed gauge
-        # build no sparse SPD factor; only the classical path needs one
+        # build no dense endpoint mass eigenbasis; only the classical
+        # path needs one
         def refuse(self, *args, **kwargs):
-            raise AssertionError("mixed pipeline built an SPDFactor")
+            raise AssertionError("mixed pipeline built a CotreeFamily")
 
-        monkeypatch.setattr(SPDFactor, "__init__", refuse)
+        monkeypatch.setattr(CotreeFamily, "__init__", refuse)
         m = small_morph
         snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
                                   m["policy"])
@@ -266,7 +266,8 @@ class TestReducedMatrices:
             ev = _evaluator(m, Z)
             for t in (0.0, 0.4, 1.0):
                 red = ev.reduced_system(t)
-                cs = build_cotree_system(m["psys"].interpolate(t), m["gauge"])
+                cs = reference_cotree_system(m["psys"].interpolate(t),
+                                             m["gauge"])
                 A_want = Z.T @ cs.A_hat @ Z
                 B_want = Z.T @ cs.B_hat @ Z
                 scale_a = np.linalg.norm(A_want)
@@ -639,10 +640,31 @@ class TestBuildBasis:
         n = m["psys"].n
         n_cotree = m["gauge"].cotree.size
         assert classical.peak_dense_entries >= n_cotree ** 2
-        # the dense mass factor and the solve buffer W while a pencil is built
+        # the family's eigenbasis and the solve buffer W while a pencil is
+        # built
         assert classical.peak_dense_entries >= n * n + n * n_cotree
         assert small_basis.peak_dense_entries < n * n_cotree
         assert small_basis.peak_dense_entries < 10 * n * small_basis.basis.n_red
+
+
+    def test_classical_build_makes_one_family(self, small_morph,
+                                              monkeypatch):
+        # snapshots and greedy share one endpoint mass eigenbasis, which
+        # stays booked while W and A W are held
+        built = []
+        init = CotreeFamily.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CotreeFamily, "__init__", counting_init)
+        m = small_morph
+        res = classical_pipeline(m["psys"], m["gauge"], m["training"], 5,
+                                 "auto", 1e-6, 12, m["policy"])
+        assert len(built) == 1
+        n, c = m["psys"].n, m["gauge"].cotree.size
+        assert res.peak_dense_entries >= n * n + 4 * n * c
 
 
 class TestCarriedLifts:
