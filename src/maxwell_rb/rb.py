@@ -37,19 +37,19 @@ makes no mass solve unless a parameter fails the certificate.
 Classical gauge: snapshots and reduced matrices go through the dense
 cotree pencil assembled per parameter value, A_hat = W^T (A W) with
 W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.  One dense
-eigendecomposition of the endpoint mass pencil per build
-(gauge.CotreeFamily, shared by snapshot collection and greedy)
-diagonalizes B(t) at every t, so each W is one matrix product and no
-parameter value is factored; B_hat is the cotree rows of A W, and a
-snapshot asks the dense eigensolver for its K modes only.  A pencil is
-held only while it is being used, mirroring the fact that the dense
-matrices are exactly what does not fit in memory at scale; this path
-exists as the comparison baseline and is expected slower and hungrier.
-The family is built afresh by every build, never cached across builds.
+eigendecomposition of the endpoint mass pencil per evaluator
+(gauge.CotreeFamily, built with the evaluator) diagonalizes B(t) at
+every t, so each W is one matrix product and no parameter value is
+factored; B_hat is the cotree rows of A W, and a snapshot asks the
+dense eigensolver for its K modes only.  A pencil is held only while
+it is being used, mirroring the fact that the dense matrices are
+exactly what does not fit in memory at scale; this path exists as the
+comparison baseline and is expected slower and hungrier.  The family
+is built afresh by every evaluator, never cached across evaluators.
 
-Every evaluator is built by _make_evaluator and answers two shared
-questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
-and ``estimate`` adds the gap-aware error estimator
+Every evaluator is built by _make_evaluator, owns a StorageMeter and
+answers two shared questions: ``solve`` gives the reduced pencil at t
+and its eigenpairs, and ``estimate`` adds the gap-aware error estimator
 eta = ||r||^2 / (lambda_tilde * gap) of the first K modes (inf for a
 mode that a basis of fewer than K columns lacks).  The greedy loop,
 reduced tracking, the bench error studies and the tests all go through
@@ -57,7 +57,9 @@ these two routines.  Each call evaluates its parameter afresh and keeps
 nothing of it once it returns, apart from a lift point the mixed
 evaluator may add to its own copy of the lifted space, never to the
 space a basis carries.  ``snapshot(t)`` returns the K modes at t as a
-|C| x K array of unit columns.
+|C| x K array of unit columns.  build_basis makes one evaluator and
+hands it to collect_snapshots and then to greedy_enrich, so one meter
+and, for the classical gauge, one family serve the whole build.
 
 collect_snapshots visits the POD set in nested levels, coarse to fine:
 the two endpoints, then the index-midpoint of every remaining gap.
@@ -74,9 +76,9 @@ greedy_enrich is a weak greedy over one table of (t, mode) candidates
 (Hesthaven, Rozza & Stamm, Certified Reduced Basis Methods, 2016).
 
 Dense allocations of both pipelines, greedy's appended columns
-included, are tallied by a StorageMeter so the memory claims are
-assertable rather than anecdotal; the mixed evaluator's per-basis
-blocks are the one exception (see StorageMeter).
+included, are tallied by the evaluator's StorageMeter so the memory
+claims are assertable rather than anecdotal; the mixed evaluator's
+per-basis blocks are the one exception (see StorageMeter).
 """
 
 from __future__ import annotations
@@ -129,15 +131,17 @@ def _salt_from_t(t: float) -> int:
 class StorageMeter:
     """Running count of densely stored entries with peak tracking.
 
-    Pipelines register the dense arrays they allocate; small vectors of
-    O(N) size and solver-internal workspaces are deliberately included
-    where we allocate them ourselves, so the peak reflects what the
-    pipeline actually holds.  The classical pipeline books its
-    CotreeFamily, N^2 + 2 N |C| entries, for as long as the meter
-    lives, and per parameter value the N x |C| arrays W and A W while
-    the pencil is built, then its two |C| x |C| blocks.  One holding is
-    outside the tally: the
-    mixed evaluator's per-basis state, which lives as long as the basis.
+    Each evaluator owns one meter, and everything that uses the evaluator
+    books on it, a build's snapshots, POD basis and greedy columns
+    included.  Pipelines register the dense arrays they allocate; small
+    vectors of O(N) size and solver-internal workspaces are deliberately
+    included where we allocate them ourselves, so the peak reflects what
+    the pipeline actually holds.  The classical evaluator books its
+    CotreeFamily, N^2 + 2 N |C| entries, for as long as the meter lives,
+    and per parameter value the N x |C| arrays W and A W while the
+    pencil is built, then its two |C| x |C| blocks.  One holding is
+    outside the tally: the mixed evaluator's per-basis state, which lives
+    as long as the basis.
     For a basis of n columns whose lifted span has dimension m, that is
     N (m + k) entries for Q and the residual frame of dimension
     k <= min(N, 2n + 4m), plus k (2n + 4m) frame coordinates and
@@ -249,16 +253,19 @@ class _Evaluator:
     open one scope, so no per-t data outlives the call that visits it; a
     lift point the mixed evaluator adds belongs to its lifted space, not
     to t.  set_basis returns the offline state it set up (None if
-    classical).
+    classical).  The evaluator owns the meter its holdings are booked on
+    (see StorageMeter).
     """
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                 policy: SolverPolicy, K: int, meter: StorageMeter):
+                 policy: SolverPolicy, K: int):
+        if K < 1:
+            raise ConfigError("snapshot mode count must be >= 1")
         self.psys = psys
         self.gauge = gauge
         self.policy = policy
         self.K = K
-        self.meter = meter
+        self.meter = StorageMeter()
 
     def reduced_system(self, t: float) -> ReducedSystem:
         with self._at(t) as data:
@@ -284,22 +291,30 @@ class _Evaluator:
         return sol, eta
 
 
-def _new_directions(V: np.ndarray, X: np.ndarray, floor: float):
-    """Orthonormal directions W outside span(V) that span what X has
-    outside it, down to singular values above floor, and the
-    coefficients H = V^T X.
-
-    X is projected out of the orthonormal columns of V twice and is left
-    holding its remainder.  The SVD of the remainder computes its small
-    directions only to an accuracy relative to its largest singular
-    value, so they lean back into span(V); the kept directions are
-    therefore projected out of V once more and orthonormalized again.
-    """
+def _project_out(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Project X in place out of the orthonormal columns of V, twice (a
+    block classical Gram-Schmidt with one reorthogonalization); the
+    summed coefficients V^T X of the original X."""
     H = np.zeros((V.shape[1], X.shape[1]))
     for _ in range(2):
         C = V.T @ X
         X -= V @ C
         H += C
+    return H
+
+
+def _new_directions(V: np.ndarray, X: np.ndarray, floor: float):
+    """Orthonormal directions W outside span(V) that span what X has
+    outside it, down to singular values above floor, and the
+    coefficients H = V^T X.
+
+    X is projected out of V (_project_out) and is left holding its
+    remainder.  The SVD of the remainder computes its small directions
+    only to an accuracy relative to its largest singular value, so they
+    lean back into span(V); the kept directions are therefore projected
+    out of V once more and orthonormalized again.
+    """
+    H = _project_out(V, X)
     W, s, _ = np.linalg.svd(X, full_matrices=False)
     W = W[:, s > floor]
     W -= V @ (V.T @ W)
@@ -481,8 +496,8 @@ class _MixedEvaluator(_Evaluator):
     gauge_mode = "mixed"
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                 policy: SolverPolicy, K: int, meter: StorageMeter):
-        super().__init__(psys, gauge, policy, K, meter)
+                 policy: SolverPolicy, K: int):
+        super().__init__(psys, gauge, policy, K)
         self._space = None
 
     @property
@@ -568,17 +583,17 @@ class _ClassicalEvaluator(_Evaluator):
     """Dense cotree pencil per parameter value; the memory-bound baseline.
 
     The per-t data is the CotreeSystem (A_hat, B_hat), built from the
-    evaluator's CotreeFamily, whose entries are booked by whoever built
-    it (_classical_family).
+    evaluator's CotreeFamily of (psys, gauge).  The family is built with
+    the evaluator and booked on its meter for the meter's life.
     """
 
     gauge_mode = "classical"
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                 policy: SolverPolicy, K: int, meter: StorageMeter,
-                 family: CotreeFamily):
-        super().__init__(psys, gauge, policy, K, meter)
-        self.family = family
+                 policy: SolverPolicy, K: int):
+        super().__init__(psys, gauge, policy, K)
+        self.family = CotreeFamily(psys, gauge)
+        self.meter.alloc(self.family.entries)
         self._Z = None
 
     def set_basis(self, Z: np.ndarray, lifted=None) -> None:
@@ -625,28 +640,18 @@ class _ClassicalEvaluator(_Evaluator):
         return sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
 
 
-def _classical_family(psys, gauge, meter: StorageMeter) -> CotreeFamily:
-    """The classical pencil family of (psys, gauge), booked on the meter
-    for the rest of the meter's life."""
-    family = CotreeFamily(psys, gauge)
-    meter.alloc(family.entries)
-    return family
+def _make_evaluator(gauge_mode, psys, gauge, policy, K):
+    """The only constructor of evaluators.
 
-
-def _make_evaluator(gauge_mode, psys, gauge, policy, K, meter=None,
-                    family=None):
-    """The only constructor of evaluators; meter defaults to a private one.
-
-    A classical evaluator uses the given CotreeFamily of (psys, gauge),
-    or builds its own when family is None; a mixed one ignores family.
+    Each evaluator owns a fresh StorageMeter, and a classical one builds
+    its CotreeFamily of (psys, gauge).  One evaluator serves a whole
+    basis build, snapshots and greedy alike, so a build holds one meter
+    and one family.
     """
-    meter = meter if meter is not None else StorageMeter()
     if gauge_mode == "mixed":
-        return _MixedEvaluator(psys, gauge, policy, K, meter)
+        return _MixedEvaluator(psys, gauge, policy, K)
     if gauge_mode == "classical":
-        if family is None:
-            family = _classical_family(psys, gauge, meter)
-        return _ClassicalEvaluator(psys, gauge, policy, K, meter, family)
+        return _ClassicalEvaluator(psys, gauge, policy, K)
     raise ConfigError("unknown gauge_mode %r" % gauge_mode)
 
 
@@ -684,44 +689,14 @@ def _adds_no_rank(earlier: np.ndarray, new: np.ndarray,
     U = U[:, s >= _POD_RANK_GUARD * s[0]]
     R = new.copy()
     with meter.hold(U.size + R.size):
-        for _ in range(2):
-            R -= U @ (U.T @ R)
+        _project_out(U, R)
         return bool(np.linalg.norm(R, axis=0).max() <= _SATURATION_TOL)
 
 
-def _collect(psys, gauge, pod_set, K, policy, gauge_mode, meter, n_init,
-             family=None):
-    """collect_snapshots' columns and the parameters it solved; family
-    as in _make_evaluator."""
-    if K < 1:
-        raise ConfigError("snapshot mode count must be >= 1")
-    pod_set = np.asarray(pod_set, dtype=float)
-    if pod_set.size == 0:
-        raise ConfigError("POD parameter set is empty")
-    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K, meter, family)
-    blocks = {}
-    for level, indices in enumerate(_nested_levels(pod_set.size)):
-        earlier = np.hstack(list(blocks.values())) if level else None
-        new = [ev.snapshot(float(pod_set[i])) for i in indices]
-        blocks.update(zip(indices, new))
-        enough = n_init == "auto" or K * len(blocks) >= n_init
-        if level and enough and _adds_no_rank(earlier, np.hstack(new),
-                                              ev.meter):
-            break
-    solved = sorted(blocks)
-    Y = np.hstack([blocks[i] for i in solved])
-    ev.meter.alloc(Y.size)
-    return Y, pod_set[solved]
-
-
-def collect_snapshots(psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                      pod_set, K: int, policy: SolverPolicy,
-                      gauge_mode: str = "mixed",
-                      meter: StorageMeter | None = None,
-                      n_init="auto") -> np.ndarray:
-    """Solve K physical modes at POD parameters until they stop adding
+def collect_snapshots(ev: _Evaluator, pod_set, n_init="auto"):
+    """Solve ev.K physical modes at POD parameters until they stop adding
     rank; the condensed, unit-normalized columns, K per solved parameter
-    in pod_set order.
+    in pod_set order, and the parameters solved.
 
     The parameters are visited in nested levels (_nested_levels): both
     endpoints, then the midpoints of the gaps, coarse to fine.  After
@@ -733,10 +708,25 @@ def collect_snapshots(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     one-by-one stack.  The risk is a morph whose coarse levels coincide
     while finer ones differ; greedy enrichment is the backstop.  A
     repeated parameter is solved again when its level is reached, and a
-    level of repeats adds no rank.
+    level of repeats adds no rank.  The returned columns stay booked on
+    ev.meter, which in a build is the meter greedy books on as well.
     """
-    return _collect(psys, gauge, pod_set, K, policy, gauge_mode, meter,
-                    n_init)[0]
+    pod_set = np.asarray(pod_set, dtype=float)
+    if pod_set.size == 0:
+        raise ConfigError("POD parameter set is empty")
+    blocks = {}
+    for level, indices in enumerate(_nested_levels(pod_set.size)):
+        earlier = np.hstack(list(blocks.values())) if level else None
+        new = [ev.snapshot(float(pod_set[i])) for i in indices]
+        blocks.update(zip(indices, new))
+        enough = n_init == "auto" or ev.K * len(blocks) >= n_init
+        if level and enough and _adds_no_rank(earlier, np.hstack(new),
+                                              ev.meter):
+            break
+    solved = sorted(blocks)
+    Y = np.hstack([blocks[i] for i in solved])
+    ev.meter.alloc(Y.size)
+    return Y, pod_set[solved]
 
 
 def pod_init(Y: np.ndarray, n_init,
@@ -775,20 +765,8 @@ def pod_init(Y: np.ndarray, n_init,
 # greedy loop
 
 
-def _mgs_orthogonalize(Z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt against the columns of Z, one extra pass."""
-    v = v.copy()
-    for _ in range(2):
-        for j in range(Z.shape[1]):
-            v -= (Z[:, j] @ v) * Z[:, j]
-    return v
-
-
-def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                  basis: ReducedBasis, greedy_set, K: int, tol: float,
-                  n_max: int, policy: SolverPolicy,
-                  meter: StorageMeter | None = None,
-                  family: CotreeFamily | None = None):
+def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
+                  tol: float, n_max: int):
     """Grow the basis toward the largest estimated error until tol or n_max.
 
     Each sweep fills a table of eta over the (t, mode) candidates of
@@ -798,8 +776,10 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     rest of the build, and a walk that runs out of live candidates flags
     "candidates-exhausted" and ends the loop.
 
-    A classical basis evaluates through family, the CotreeFamily of
-    (psys, gauge), or through one of its own when family is None.
+    Every sweep and snapshot goes through ev, an evaluator of the basis's
+    gauge; in a build it is the one that collected the snapshots, so its
+    meter and classical family serve both phases.  Each appended column
+    is booked on ev.meter.
 
     Returns (basis, log) where log rows record iteration, selected (t*,
     mode*), the sweep maximum of the estimator, and the basis size.
@@ -807,8 +787,7 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     if tol <= 0:
         raise ConfigError("greedy tolerance must be positive")
     greedy_set = np.asarray(greedy_set, dtype=float)
-    ev = _make_evaluator(basis.gauge_mode, psys, gauge, policy, K, meter,
-                         family)
+    K = ev.K
 
     log = []
     dead = np.zeros((greedy_set.size, K), dtype=bool)
@@ -831,7 +810,8 @@ def greedy_enrich(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         for flat in order[:np.count_nonzero(live > -np.inf)]:
             it_star, i_star = divmod(int(flat), K)
             t_star = float(greedy_set[it_star])
-            w = _mgs_orthogonalize(basis.Z, ev.snapshot(t_star)[:, i_star])
+            w = ev.snapshot(t_star)[:, [i_star]]
+            _project_out(basis.Z, w)
             norm = np.linalg.norm(w)
             if norm < _EXHAUSTION_NORM:
                 dead[it_star, i_star] = True
@@ -868,19 +848,17 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                 gauge_mode: str = "mixed") -> BasisBuildResult:
     """Full pipeline: snapshots, POD, greedy; phase times and peak storage.
 
-    n_init is a column count or "auto" (rank-adaptive start basis).
+    n_init is a column count or "auto" (rank-adaptive start basis).  One
+    evaluator, built in the projection phase, collects the snapshots and
+    drives greedy, so its meter's peak is the build's peak storage.
     """
     if n_init != "auto" and n_init > n_max:
         raise ConfigError("N_init=%d exceeds N_max=%d" % (n_init, n_max))
-    meter = StorageMeter()
     phases = {}
 
     t0 = time.perf_counter()
-    # one classical family serves snapshots and greedy alike
-    family = (_classical_family(psys, gauge, meter)
-              if gauge_mode == "classical" else None)
-    snaps, snapshot_t = _collect(psys, gauge, training.pod_set, K, policy,
-                                 gauge_mode, meter, n_init, family)
+    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K)
+    snaps, snapshot_t = collect_snapshots(ev, training.pod_set, n_init)
     phases["projection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -890,17 +868,16 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
             "POD produced %d columns but N_max=%d" % (basis.n_red, n_max)
         )
     phases["pod"] = time.perf_counter() - t0
-    meter.alloc(basis.Z.size)
+    ev.meter.alloc(basis.Z.size)
 
     t0 = time.perf_counter()
-    meter.free(snaps.size)   # snapshots are not needed past the SVD
+    ev.meter.free(snaps.size)   # snapshots are not needed past the SVD
     del snaps
-    basis, log = greedy_enrich(psys, gauge, basis, training.greedy_set, K,
-                               tol, n_max, policy, meter=meter, family=family)
+    basis, log = greedy_enrich(ev, basis, training.greedy_set, tol, n_max)
     phases["greedy"] = time.perf_counter() - t0
 
     return BasisBuildResult(basis=basis, log=log, phase_seconds=phases,
-                            peak_dense_entries=meter.peak,
+                            peak_dense_entries=ev.meter.peak,
                             snapshot_t=tuple(float(t) for t in snapshot_t))
 
 

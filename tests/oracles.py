@@ -25,7 +25,10 @@ that the small dense solves called before they called LAPACK directly.
 ``reference_cotree_system`` is the frozen classical pencil of a single
 system pair, W = B^{-1} H^T through a dense Cholesky factor of B and one
 |C|-column potrs, from before one endpoint mass eigenbasis served every
-parameter value.
+parameter value.  ``reference_mgs_orthogonalize`` is the column-by-column
+modified Gram-Schmidt loop, with one extra pass, that orthogonalized
+greedy's appended columns before one block projection served greedy,
+POD saturation and the lifted spaces.
 """
 
 from collections import deque
@@ -583,3 +586,13 @@ def reference_cotree_system(pair, gauge):
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
+
+
+def reference_mgs_orthogonalize(Z, v):
+    """Modified Gram-Schmidt of the vector v against the columns of Z,
+    one extra pass."""
+    v = v.copy()
+    for _ in range(2):
+        for j in range(Z.shape[1]):
+            v -= (Z[:, j] @ v) * Z[:, j]
+    return v

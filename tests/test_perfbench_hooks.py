@@ -76,7 +76,7 @@ def test_every_count_reads_its_target():
     seen = _spans(module, tracer)
     assert {"rb.build_basis", "rb.classical_pipeline", "eigen.sparse_solve",
             "gauge.project", "gauge.cotree_system", "eigen.dense_solve",
-            "rb.greedy"} <= seen
+            "rb.snapshots", "rb.greedy"} <= seen
     # mesh.build_s, assembly.assemble_s and gauge.tree_s hang off
     # bench.build_mesh and bench.discrete_gradient, bench.assemble and
     # bench.build_tree; a set-up that went around them would read zero

@@ -22,13 +22,24 @@ from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
                            _salt_from_t)
 from maxwell_rb.tracking import track_reduced
 
-from oracles import reference_cotree_system, reference_gaps
+from oracles import (reference_cotree_system, reference_gaps,
+                     reference_mgs_orthogonalize)
 
 
-def _evaluator(m, Z, gauge_mode="mixed"):
+def _evaluator(m, Z=None, gauge_mode="mixed"):
+    """A K = 5 evaluator of the morph m, set to the basis Z if one is
+    given."""
     ev = _make_evaluator(gauge_mode, m["psys"], m["gauge"], m["policy"], 5)
-    ev.set_basis(Z)
+    if Z is not None:
+        ev.set_basis(Z)
     return ev
+
+
+def _snapshots(psys, gauge, policy, pod_set, K=5, gauge_mode="mixed",
+               n_init="auto"):
+    """The columns collect_snapshots returns through a fresh evaluator."""
+    ev = _make_evaluator(gauge_mode, psys, gauge, policy, K)
+    return collect_snapshots(ev, pod_set, n_init)[0]
 
 
 def _explicit_residual(psys, gauge, space, t, c):
@@ -79,17 +90,17 @@ class TestTrainingSets:
 class TestSnapshots:
     def test_layout_and_normalization(self, small_morph):
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 0.5, 1.0], 5,
-                                  m["policy"])
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"],
+                           [0.0, 0.5, 1.0])
         n_cotree = m["gauge"].cotree.size
         assert snaps.shape == (n_cotree, 15)
         assert np.allclose(np.linalg.norm(snaps, axis=0), 1.0, atol=1e-12)
 
     def test_classical_path_same_values(self, small_morph):
         m = small_morph
-        mixed = collect_snapshots(m["psys"], m["gauge"], [0.3], 5, m["policy"])
-        classical = collect_snapshots(m["psys"], m["gauge"], [0.3], 5,
-                                      m["policy"], gauge_mode="classical")
+        mixed = _snapshots(m["psys"], m["gauge"], m["policy"], [0.3])
+        classical = _snapshots(m["psys"], m["gauge"], m["policy"], [0.3],
+                               gauge_mode="classical")
         assert classical.shape == mixed.shape
         # both blocks hold the same K modes: every principal cosine is 1
         cosines = np.linalg.svd(np.linalg.qr(mixed)[0].T
@@ -99,7 +110,16 @@ class TestSnapshots:
     def test_mode_count_guard(self, small_morph):
         m = small_morph
         with pytest.raises(ConfigError):
-            collect_snapshots(m["psys"], m["gauge"], [0.0], 0, m["policy"])
+            _snapshots(m["psys"], m["gauge"], m["policy"], [0.0], K=0)
+
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_evaluator_rejects_mode_count_below_one(self, small_morph,
+                                                    gauge_mode, K):
+        # greedy and tracking get their mode count from the evaluator
+        m = small_morph
+        with pytest.raises(ConfigError, match="mode count"):
+            _make_evaluator(gauge_mode, m["psys"], m["gauge"], m["policy"], K)
 
     def test_mixed_pipeline_factors_nothing(self, small_morph, monkeypatch):
         # snapshots, projection, greedy and tracking of the mixed gauge
@@ -110,15 +130,13 @@ class TestSnapshots:
 
         monkeypatch.setattr(CotreeFamily, "__init__", refuse)
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
-                                  m["policy"])
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
         pair = m["psys"].interpolate(0.5)
         modes = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"])
         _, rels = CotreeProjector(pair, m["gauge"]).project(modes.vectors)
         assert rels.max() <= 1e-12
-        basis, log = greedy_enrich(m["psys"], m["gauge"], pod_init(snaps, 2),
-                                   m["training"].greedy_set, 5, 1e-6, 12,
-                                   m["policy"])
+        basis, log = greedy_enrich(_evaluator(m), pod_init(snaps, 2),
+                                   m["training"].greedy_set, 1e-6, 12)
         assert any(row["t"] is not None for row in log)   # greedy solved
         run = track_reduced(m["psys"], m["gauge"], basis, 5,
                             policy=m["policy"])
@@ -160,8 +178,9 @@ class TestNestedCollection:
                                                monkeypatch, gauge_mode):
         p = desk_problem
         solved = self._counted(monkeypatch, gauge_mode)
-        Y = collect_snapshots(p.psys, p.gauge, p.training.pod_set, p.cfg.K,
-                              p.policy, gauge_mode=gauge_mode)
+        ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, p.cfg.K)
+        Y, solved_t = collect_snapshots(ev, p.training.pod_set)
+        assert sorted(solved) == list(solved_t)
         assert sorted(solved) == [0.0, p.training.pod_set[9], 1.0]
         assert Y.shape == (p.gauge.cotree.size, 3 * p.cfg.K)
 
@@ -177,8 +196,8 @@ class TestNestedCollection:
         # column takes the next level as well
         p = desk_problem
         solved = self._counted(monkeypatch, "mixed")
-        Y = collect_snapshots(p.psys, p.gauge, p.training.pod_set, p.cfg.K,
-                              p.policy, n_init=n_init)
+        Y = _snapshots(p.psys, p.gauge, p.policy, p.training.pod_set,
+                       K=p.cfg.K, n_init=n_init)
         assert len(solved) == solves
         assert Y.shape[1] == solves * p.cfg.K
 
@@ -194,7 +213,7 @@ class TestNestedCollection:
         monkeypatch.setattr(rb._MixedEvaluator, "snapshot", random_modes)
         m = small_morph
         pod_set = np.linspace(0.0, 1.0, 9)
-        Y = collect_snapshots(m["psys"], m["gauge"], pod_set, 2, m["policy"])
+        Y = _snapshots(m["psys"], m["gauge"], m["policy"], pod_set, K=2)
         ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 2)
         want = np.hstack([ev.snapshot(float(t)) for t in pod_set])
         assert np.array_equal(Y, want)
@@ -202,14 +221,13 @@ class TestNestedCollection:
     def test_empty_pod_set_rejected(self, small_morph):
         m = small_morph
         with pytest.raises(ConfigError):
-            collect_snapshots(m["psys"], m["gauge"], [], 5, m["policy"])
+            _snapshots(m["psys"], m["gauge"], m["policy"], [])
 
 
 class TestPOD:
     def test_orthonormal_columns(self, small_morph):
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
-                                  m["policy"])
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
         basis = pod_init(snaps, 4)
         assert basis.Z.shape == (m["gauge"].cotree.size, 4)
         assert np.allclose(basis.Z.T @ basis.Z, np.eye(4), atol=1e-12)
@@ -247,8 +265,8 @@ class TestPOD:
         # guard would add noise columns to every reduced solve
         cfg = with_overrides(default_config(), resolution=(10, 10, 10), N_POD=2)
         p = setup_problem(cfg)
-        snaps = collect_snapshots(p.psys, p.gauge, p.training.pod_set, cfg.K,
-                                  p.policy)
+        snaps = _snapshots(p.psys, p.gauge, p.policy, p.training.pod_set,
+                           K=cfg.K)
         s = np.linalg.svd(snaps, compute_uv=False)
         assert s[6:].max() < _POD_RANK_GUARD * s[0]
         assert pod_init(snaps, "auto").n_red == 6
@@ -526,39 +544,54 @@ class TestEstimator:
 
     def test_greedy_sweep_uses_the_estimator(self, small_morph):
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
-                                  m["policy"])
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
         start = pod_init(snaps, 2)
-        _, log = greedy_enrich(m["psys"], m["gauge"], start,
-                               m["training"].greedy_set, 5, 1e-6, 12,
-                               m["policy"])
+        _, log = greedy_enrich(_evaluator(m), start, m["training"].greedy_set,
+                               1e-6, 12)
         ev = _evaluator(m, start.Z)
         want = max(ev.estimate(float(t))[1].max()
                    for t in m["training"].greedy_set)
         assert log[0]["max_eta"] == pytest.approx(want, rel=1e-12)
 
 
+class TestProjectOut:
+    def test_matches_modified_gram_schmidt(self):
+        # the block projection that replaced greedy's column loop, on
+        # random orthonormal bases and a few columns at a time
+        rng = np.random.default_rng(17)
+        for n, k, cols in ((50, 1, 1), (200, 12, 3), (400, 40, 5)):
+            Z = np.linalg.qr(rng.standard_normal((n, k)))[0]
+            X = rng.standard_normal((n, cols))
+            R = X.copy()
+            H = rb._project_out(Z, R)
+            for x, r in zip(X.T, R.T):
+                want = reference_mgs_orthogonalize(Z, x)
+                assert (np.linalg.norm(r - want)
+                        <= 1e-14 * np.linalg.norm(want)), (n, k)
+                assert (np.linalg.norm(Z.T @ r)
+                        <= 1e-15 * np.linalg.norm(r)), (n, k)
+            # the summed coefficients restore what was projected out
+            assert (np.linalg.norm(X - Z @ H - R)
+                    <= 1e-14 * np.linalg.norm(X)), (n, k)
+
+
 class TestGreedy:
     def test_pod_only_when_tol_infinite(self, small_morph):
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
-                                  m["policy"])
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
         start = pod_init(snaps, 4)
-        basis, log = greedy_enrich(m["psys"], m["gauge"], start,
-                                   m["training"].greedy_set, 5, np.inf, 12,
-                                   m["policy"])
+        basis, log = greedy_enrich(_evaluator(m), start,
+                                   m["training"].greedy_set, np.inf, 12)
         assert basis.n_red == 4
         assert len(log) == 1
         assert log[0]["t"] is None and log[0]["mode"] is None
 
     def test_enrichment_reaches_tolerance(self, small_morph):
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
-                                  m["policy"])
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
         start = pod_init(snaps, 2)   # deliberately too small
-        basis, log = greedy_enrich(m["psys"], m["gauge"], start,
-                                   m["training"].greedy_set, 5, 1e-6, 12,
-                                   m["policy"])
+        basis, log = greedy_enrich(_evaluator(m), start,
+                                   m["training"].greedy_set, 1e-6, 12)
         assert basis.n_red > 2
         assert log[-1]["t"] is None
         assert log[-1]["max_eta"] <= 1e-6 or basis.n_red == 12
@@ -575,14 +608,14 @@ class TestGreedy:
         from maxwell_rb.assembly import ParametrizedSystem
 
         psys = ParametrizedSystem(cube3_pair, cube3_pair)
-        snaps = collect_snapshots(psys, cube3_gauge, [0.0, 0.5, 1.0], 5,
-                                  small_morph["policy"])
+        m = {"psys": psys, "gauge": cube3_gauge,
+             "policy": small_morph["policy"]}
+        snaps = _snapshots(psys, cube3_gauge, m["policy"], [0.0, 0.5, 1.0])
         start = pod_init(snaps, "auto")
         # every candidate already lies in the span, so an unreachable
         # tolerance must exhaust the training set instead of looping
-        basis, log = greedy_enrich(psys, cube3_gauge, start,
-                                   np.linspace(0.1, 0.9, 5), 5, 1e-30, 10,
-                                   small_morph["policy"])
+        basis, log = greedy_enrich(_evaluator(m), start,
+                                   np.linspace(0.1, 0.9, 5), 1e-30, 10)
         assert "candidates-exhausted" in basis.flags
         assert basis.n_red == start.n_red
         # the exhausted return path carries its endpoint lifts too
@@ -592,8 +625,7 @@ class TestGreedy:
     def test_bad_tolerance(self, small_morph, small_basis):
         m = small_morph
         with pytest.raises(ConfigError):
-            greedy_enrich(m["psys"], m["gauge"], small_basis.basis,
-                          [0.5], 5, 0.0, 12, m["policy"])
+            greedy_enrich(_evaluator(m), small_basis.basis, [0.5], 0.0, 12)
 
 
 class TestBuildBasis:
@@ -747,36 +779,30 @@ class TestStorageMeter:
 
     def test_repeated_set_basis_leaves_meter_empty(self, small_morph):
         m = small_morph
-        meter = StorageMeter()
-        ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 5,
-                             meter)
+        ev = _evaluator(m)
         rng = np.random.default_rng(5)
         for _ in range(3):
             ev.set_basis(np.linalg.qr(
                 rng.standard_normal((m["gauge"].cotree.size, 3)))[0])
             ev.reduced_system(0.3)
-        assert meter.current == 0
+        assert ev.meter.current == 0
 
     def test_greedy_books_each_appended_column(self, small_morph):
         m = small_morph
-        snaps = collect_snapshots(m["psys"], m["gauge"], [0.0, 1.0], 5,
-                                  m["policy"])
-        meter = StorageMeter()
-        basis, _ = greedy_enrich(m["psys"], m["gauge"], pod_init(snaps, 2),
-                                 m["training"].greedy_set, 5, 1e-6, 12,
-                                 m["policy"], meter=meter)
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
+        ev = _evaluator(m)
+        basis, _ = greedy_enrich(ev, pod_init(snaps, 2),
+                                 m["training"].greedy_set, 1e-6, 12)
         appended = basis.n_red - 2
         assert appended > 0
-        assert meter.current == appended * m["gauge"].cotree.size
+        assert ev.meter.current == appended * m["gauge"].cotree.size
 
     @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
     def test_evaluations_hold_nothing_after_return(self, small_morph,
                                                    small_basis, gauge_mode):
         m = small_morph
-        meter = StorageMeter()
-        ev = _make_evaluator(gauge_mode, m["psys"], m["gauge"], m["policy"],
-                             5, meter)
-        ev.set_basis(small_basis.basis.Z)
+        ev = _evaluator(m, small_basis.basis.Z, gauge_mode)
+        meter = ev.meter
         for call in (ev.reduced_system, ev.solve, ev.estimate, ev.snapshot):
             before = meter.current
             call(0.3)
