@@ -1,22 +1,26 @@
 """Benchmark harness: phase-timed pipeline comparison and error studies.
 
 Produces a versioned report with the seven phase rows of the runtime
-comparison table, dense-storage peaks, the per-mode average relative
-eigenvalue errors over a random evaluation set, and the error-versus-
-basis-size sweep for both gauge pipelines.  The error study evaluates
+comparison table, the per-mode average relative eigenvalue errors over
+a random evaluation set, and the error-versus-basis-size sweep for both
+gauge pipelines.  The error study evaluates
 the reduced pencil once per evaluation point at the full basis size and
 solves its leading blocks for the smaller sizes; the per-mode error
 table is the mixed sweep's full-size row.  One routine, _interleaved,
 times every phase: the builds, the tracking paths and the EVP probes
 each run once untimed, then alternate over the timed repetitions on the
-monotonic clock, and the median is reported.  Per-phase failures are
-recorded in the report and the remaining phases still run.
+monotonic clock, and the median is reported.  The memory peak of each
+gauge's build comes from one more build under tracemalloc, outside
+every timed repetition; it moves by a few hundred bytes between runs,
+so it sits under ``timing``.  Per-phase failures are recorded in the report and
+the remaining phases still run.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +34,11 @@ from .errors import ConfigError, NumericsError
 from .gauge import GaugeDecomposition, build_tree
 from .mesh import CavityMesh, build_mesh, discrete_gradient, dissection_order
 from .rb import (BasisBuildResult, ReducedBasis, TrainingSets, _make_evaluator,
-                 _salt_from_t, build_basis, classical_pipeline,
-                 make_training_sets)
+                 _salt_from_t, build_basis, make_training_sets)
 from .reference import first_eigenvalue
 from .tracking import TrackingRun, track_full, track_reduced
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_REPETITIONS = 5
 _TRAILING_WINDOW = 3
 
@@ -68,8 +71,8 @@ REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": [
-        "schema_version", "config", "dof_counts", "peak_dense_entries",
-        "error_table", "error_sweep", "tracking", "timing", "phase_errors",
+        "schema_version", "config", "dof_counts", "error_table",
+        "error_sweep", "tracking", "timing", "phase_errors",
     ],
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
@@ -83,10 +86,6 @@ REPORT_SCHEMA = {
                 "n_red_mixed": {"type": ["integer", "null"], "minimum": 0},
                 "n_red_classical": {"type": ["integer", "null"], "minimum": 0},
             },
-        },
-        "peak_dense_entries": {
-            "type": "object",
-            "additionalProperties": {"type": ["integer", "null"], "minimum": 0},
         },
         "error_table": {
             "type": "array",
@@ -103,12 +102,16 @@ REPORT_SCHEMA = {
         "tracking": {"type": "object"},
         "timing": {
             "type": "object",
-            "required": ["repetitions", "phase_seconds"],
+            "required": ["repetitions", "phase_seconds", "peak_traced_bytes"],
             "properties": {
                 "repetitions": {"type": "integer", "minimum": 1},
                 "phase_seconds": {
                     "type": "object",
                     "additionalProperties": {"type": ["number", "null"], "minimum": 0},
+                },
+                "peak_traced_bytes": {
+                    "type": "object",
+                    "additionalProperties": {"type": ["integer", "null"], "minimum": 0},
                 },
             },
         },
@@ -135,9 +138,9 @@ class Problem:
     def build(self, gauge_mode: str) -> BasisBuildResult:
         """Snapshots, POD and greedy through the gauge_mode pipeline."""
         cfg = self.cfg
-        pipeline = build_basis if gauge_mode == "mixed" else classical_pipeline
-        return pipeline(self.psys, self.gauge, self.training, cfg.K,
-                        cfg.N_init, cfg.tol, cfg.N_max, self.policy)
+        return build_basis(self.psys, self.gauge, self.training, cfg.K,
+                           cfg.N_init, cfg.tol, cfg.N_max, self.policy,
+                           gauge_mode=gauge_mode)
 
     def track(self, basis: ReducedBasis | None = None) -> TrackingRun:
         """Track the K modes over [0, 1]: on basis, else at full order."""
@@ -300,6 +303,22 @@ def _interleaved(paths: dict, reps: int, errors: dict,
             for key in live}
 
 
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs, above
+    what was allocated when it started; tracing is left as it was."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
     """Execute both gauge pipelines, both tracking paths, and the error study."""
     if reps < 1:
@@ -310,7 +329,7 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
     classical_phase_seconds = {label: None for label in
                                _BUILD_PHASE_LABEL.values()}
     build_seconds = {"mixed": None, "classical": None}
-    peak_dense = {"mixed": None, "classical": None}
+    peak_traced = {"mixed": None, "classical": None}
     n_red = {"mixed": None, "classical": None}
     tracking_info = {}
     error_rows = []
@@ -333,8 +352,10 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
                                              for r in runs]))
         build_seconds[mode] = float(np.median(
             [sum(r.phase_seconds.values()) for r in runs]))
-        peak_dense[mode] = int(res.peak_dense_entries)
         n_red[mode] = int(res.basis.n_red)
+    for mode in built:
+        peak_traced[mode] = peak_traced_bytes(
+            functools.partial(problem.build, mode))
     mixed = built.get("mixed")
 
     # -- tracking, both paths --------------------------------------------
@@ -416,7 +437,6 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
             "n_red_mixed": n_red["mixed"],
             "n_red_classical": n_red["classical"],
         },
-        "peak_dense_entries": peak_dense,
         "error_table": error_rows,
         "error_sweep": sweep,
         "tracking": tracking_info,
@@ -425,6 +445,7 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
             "phase_seconds": phase_seconds,
             "classical_phase_seconds": classical_phase_seconds,
             "build_seconds": build_seconds,
+            "peak_traced_bytes": peak_traced,
             "ratios": timing_ratios,
         },
         "phase_errors": phase_errors,

@@ -243,7 +243,6 @@ def cmd_build_basis(cfg: RunConfig) -> int:
           % (result.phase_seconds["projection"], result.phase_seconds["pod"],
              result.phase_seconds["greedy"]))
     print("POD snapshots: %d of %d" % (len(result.snapshot_t), cfg.N_POD))
-    print("peak dense entries: %d" % result.peak_dense_entries)
     log.info("wrote %s, %s, %s", *paths)
     return 0
 

@@ -184,11 +184,6 @@ class CotreeFamily:
         self.V = sol.vectors
         self.X = tuple((h @ self.V).T for h in H)
 
-    @property
-    def entries(self) -> int:
-        """Dense entries the family holds: N^2 + 2 N |C|."""
-        return self.V.size + sum(x.size for x in self.X)
-
     def solve(self, t: float) -> np.ndarray:
         """W(t) = B(t)^{-1} H(t)^T (N x |C|) for t in [0, 1]."""
         s = 1.0 - t

@@ -47,19 +47,19 @@ exactly what does not fit in memory at scale; this path exists as the
 comparison baseline and is expected slower and hungrier.  The family
 is built afresh by every evaluator, never cached across evaluators.
 
-Every evaluator is built by _make_evaluator, owns a StorageMeter and
-answers two shared questions: ``solve`` gives the reduced pencil at t
-and its eigenpairs, and ``estimate`` adds the gap-aware error estimator
-eta = ||r||^2 / (lambda_tilde * gap) of the first K modes (inf for a
-mode that a basis of fewer than K columns lacks).  The greedy loop,
+Every evaluator is built by _make_evaluator and answers two shared
+questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
+and ``estimate`` adds the gap-aware error estimator eta = ||r||^2 /
+(lambda_tilde * gap) of the first K modes (inf for a mode that a basis
+of fewer than K columns lacks).  The greedy loop,
 reduced tracking, the bench error studies and the tests all go through
 these two routines.  Each call evaluates its parameter afresh and keeps
 nothing of it once it returns, apart from a lift point the mixed
 evaluator may add to its own copy of the lifted space, never to the
 space a basis carries.  ``snapshot(t)`` returns the K modes at t as a
 |C| x K array of unit columns.  build_basis makes one evaluator and
-hands it to collect_snapshots and then to greedy_enrich, so one meter
-and, for the classical gauge, one family serve the whole build.
+hands it to collect_snapshots and then to greedy_enrich, so for the
+classical gauge one family serves the whole build.
 
 collect_snapshots visits the POD set in nested levels, coarse to fine:
 the two endpoints, then the index-midpoint of every remaining gap.
@@ -74,17 +74,11 @@ early stop misses.
 
 greedy_enrich is a weak greedy over one table of (t, mode) candidates
 (Hesthaven, Rozza & Stamm, Certified Reduced Basis Methods, 2016).
-
-Dense allocations of both pipelines, greedy's appended columns
-included, are tallied by the evaluator's StorageMeter so the memory
-claims are assertable rather than anecdotal; the mixed evaluator's
-per-basis blocks are the one exception (see StorageMeter).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,49 +120,6 @@ def _blend_times(pair, t: float, X: np.ndarray) -> np.ndarray:
 def _salt_from_t(t: float) -> int:
     """Injective, deterministic salt for per-parameter start vectors."""
     return int(np.abs(np.float64(t).view(np.int64)))
-
-
-class StorageMeter:
-    """Running count of densely stored entries with peak tracking.
-
-    Each evaluator owns one meter, and everything that uses the evaluator
-    books on it, a build's snapshots, POD basis and greedy columns
-    included.  Pipelines register the dense arrays they allocate; small
-    vectors of O(N) size and solver-internal workspaces are deliberately
-    included where we allocate them ourselves, so the peak reflects what
-    the pipeline actually holds.  The classical evaluator books its
-    CotreeFamily, N^2 + 2 N |C| entries, for as long as the meter lives,
-    and per parameter value the N x |C| arrays W and A W while the
-    pencil is built, then its two |C| x |C| blocks.  One holding is
-    outside the tally: the mixed evaluator's per-basis state, which lives
-    as long as the basis.
-    For a basis of n columns whose lifted span has dimension m, that is
-    N (m + k) entries for Q and the residual frame of dimension
-    k <= min(N, 2n + 4m), plus k (2n + 4m) frame coordinates and
-    4m^2 + 2mn Q-projected entries (see _LiftedSpace).  The measured
-    peak resident set is the gate for those.
-    """
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def alloc(self, entries: int) -> int:
-        self.current += int(entries)
-        if self.current > self.peak:
-            self.peak = self.current
-        return int(entries)
-
-    def free(self, entries: int) -> None:
-        self.current -= int(entries)
-
-    @contextmanager
-    def hold(self, entries: int):
-        self.alloc(entries)
-        try:
-            yield
-        finally:
-            self.free(entries)
 
 
 @dataclass(frozen=True)
@@ -247,14 +198,12 @@ class _Evaluator:
     """Shared state and the public per-parameter routines.
 
     Subclasses provide set_basis, snapshot, and three hooks on the per-t
-    data: _at(t), a context manager that yields it and holds its entries
-    on the meter only while the block is open; _reduce, the reduced
-    pencil; and _residual_norms.  reduced_system, solve and estimate each
-    open one scope, so no per-t data outlives the call that visits it; a
-    lift point the mixed evaluator adds belongs to its lifted space, not
-    to t.  set_basis returns the offline state it set up (None if
-    classical).  The evaluator owns the meter its holdings are booked on
-    (see StorageMeter).
+    data: _at(t), which returns it; _reduce, the reduced pencil; and
+    _residual_norms.  reduced_system, solve and estimate each evaluate
+    _at once and keep nothing of it, so no per-t data outlives the call
+    that visits it; a lift point the mixed evaluator adds belongs to its
+    lifted space, not to t.  set_basis returns the offline state it set
+    up (None if classical).
     """
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
@@ -265,11 +214,9 @@ class _Evaluator:
         self.gauge = gauge
         self.policy = policy
         self.K = K
-        self.meter = StorageMeter()
 
     def reduced_system(self, t: float) -> ReducedSystem:
-        with self._at(t) as data:
-            return self._reduce(data)
+        return self._reduce(self._at(t))
 
     def solve(self, t: float):
         """Reduced pencil at t and its eigenpairs, as (ReducedSystem,
@@ -281,10 +228,10 @@ class _Evaluator:
         """Reduced eigenpairs at t and eta = ||r||^2 / (lambda_tilde * gap)
         of the first K modes; a mode the reduced pencil lacks (n_red < K)
         is not approximated at all and gets eta = inf."""
-        with self._at(t) as data:
-            red = self._reduce(data)
-            sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
-            norms = self._residual_norms(data, sol.values, sol.vectors)
+        data = self._at(t)
+        red = self._reduce(data)
+        sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
+        norms = self._residual_norms(data, sol.values, sol.vectors)
         k_eff = norms.size
         eta = np.full(self.K, np.inf)
         eta[:k_eff] = norms**2 / (sol.values[:k_eff] * _gaps(sol.values, self.K))
@@ -489,8 +436,7 @@ class _MixedEvaluator(_Evaluator):
     ``lift_solves`` counts the exact lifts behind the evaluator's space,
     adopted endpoint lifts included.
 
-    The per-t data is (t, c, Q^T U(t)).  The per-basis state lives as
-    long as the space and is not on the meter.
+    The per-t data is (t, c, Q^T U(t)).
     """
 
     gauge_mode = "mixed"
@@ -524,12 +470,9 @@ class _MixedEvaluator(_Evaluator):
             ) from exc
         QtU = _blend(space.QtP, t)
         c = _cholesky_solve(factor, QtU)
-        # the blended coordinates of U and the residual, k x n each
-        with self.meter.hold(2 * space.frame.shape[1] * c.shape[1]):
-            residual, scale = space.lifting_residual(t, c)
+        residual, scale = space.lifting_residual(t, c)
         return (c, QtU) if np.all(residual <= _LIFT_RTOL * scale) else None
 
-    @contextmanager
     def _at(self, t: float):
         lift = self._galerkin(t)
         if lift is None:
@@ -540,9 +483,7 @@ class _MixedEvaluator(_Evaluator):
                 "lifting residual at t=%r fails its check after an "
                 "exact lift there" % t
             )
-        c, QtU = lift
-        with self.meter.hold(c.size + QtU.size):
-            yield t, c, QtU
+        return (t, *lift)
 
     def _reduce(self, data) -> ReducedSystem:
         t, c, QtU = data
@@ -568,14 +509,13 @@ class _MixedEvaluator(_Evaluator):
         pair = self.psys.interpolate(t)
         sol = solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
                                 salt=_salt_from_t(t))
-        with self.meter.hold(sol.vectors.size):
-            projector = CotreeProjector(pair, self.gauge)
-            try:
-                Y, _ = projector.project(sol.vectors)
-            except ProjectionError as exc:
-                raise ProjectionError(
-                    "snapshot condensation failed at t=%r: %s" % (t, exc)
-                ) from exc
+        projector = CotreeProjector(pair, self.gauge)
+        try:
+            Y, _ = projector.project(sol.vectors)
+        except ProjectionError as exc:
+            raise ProjectionError(
+                "snapshot condensation failed at t=%r: %s" % (t, exc)
+            ) from exc
         return Y / np.linalg.norm(Y, axis=0)[None, :]
 
 
@@ -583,8 +523,8 @@ class _ClassicalEvaluator(_Evaluator):
     """Dense cotree pencil per parameter value; the memory-bound baseline.
 
     The per-t data is the CotreeSystem (A_hat, B_hat), built from the
-    evaluator's CotreeFamily of (psys, gauge).  The family is built with
-    the evaluator and booked on its meter for the meter's life.
+    evaluator's CotreeFamily of (psys, gauge), which is built with the
+    evaluator and lives as long as it does.
     """
 
     gauge_mode = "classical"
@@ -593,7 +533,6 @@ class _ClassicalEvaluator(_Evaluator):
                  policy: SolverPolicy, K: int):
         super().__init__(psys, gauge, policy, K)
         self.family = CotreeFamily(psys, gauge)
-        self.meter.alloc(self.family.entries)
         self._Z = None
 
     def set_basis(self, Z: np.ndarray, lifted=None) -> None:
@@ -601,13 +540,8 @@ class _ClassicalEvaluator(_Evaluator):
         call and ignored, since a classical basis carries none."""
         self._Z = Z
 
-    @contextmanager
     def _at(self, t: float):
-        # W = B(t)^{-1} H(t)^T and A(t) W, N x |C| each
-        with self.meter.hold(2 * self.family.X[0].size):
-            cs = build_cotree_system(self.family, t)
-        with self.meter.hold(cs.A_hat.size + cs.B_hat.size):
-            yield cs
+        return build_cotree_system(self.family, t)
 
     def _reduce(self, cs) -> ReducedSystem:
         Z = self._Z
@@ -625,8 +559,8 @@ class _ClassicalEvaluator(_Evaluator):
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:
-        with self._at(t) as cs:
-            sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
+        cs = self._at(t)
+        sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
         if sol.values.size < self.K:
             raise NumericsError(
                 "gauged pencil at t=%r has only %d modes, need %d"
@@ -643,10 +577,9 @@ class _ClassicalEvaluator(_Evaluator):
 def _make_evaluator(gauge_mode, psys, gauge, policy, K):
     """The only constructor of evaluators.
 
-    Each evaluator owns a fresh StorageMeter, and a classical one builds
-    its CotreeFamily of (psys, gauge).  One evaluator serves a whole
-    basis build, snapshots and greedy alike, so a build holds one meter
-    and one family.
+    A classical evaluator builds its CotreeFamily of (psys, gauge).  One
+    evaluator serves a whole basis build, snapshots and greedy alike, so
+    a classical build holds one family.
     """
     if gauge_mode == "mixed":
         return _MixedEvaluator(psys, gauge, policy, K)
@@ -677,8 +610,7 @@ def _nested_levels(n: int) -> list:
         gaps = [gap for (a, b), m in zip(gaps, mids) for gap in ((a, m), (m, b))]
 
 
-def _adds_no_rank(earlier: np.ndarray, new: np.ndarray,
-                  meter: StorageMeter) -> bool:
+def _adds_no_rank(earlier: np.ndarray, new: np.ndarray) -> bool:
     """Whether every unit column of new lies in the span of earlier.
 
     The span is the singular directions of earlier at or above the POD
@@ -688,9 +620,8 @@ def _adds_no_rank(earlier: np.ndarray, new: np.ndarray,
     U, s, _ = np.linalg.svd(earlier, full_matrices=False)
     U = U[:, s >= _POD_RANK_GUARD * s[0]]
     R = new.copy()
-    with meter.hold(U.size + R.size):
-        _project_out(U, R)
-        return bool(np.linalg.norm(R, axis=0).max() <= _SATURATION_TOL)
+    _project_out(U, R)
+    return bool(np.linalg.norm(R, axis=0).max() <= _SATURATION_TOL)
 
 
 def collect_snapshots(ev: _Evaluator, pod_set, n_init="auto"):
@@ -708,8 +639,7 @@ def collect_snapshots(ev: _Evaluator, pod_set, n_init="auto"):
     one-by-one stack.  The risk is a morph whose coarse levels coincide
     while finer ones differ; greedy enrichment is the backstop.  A
     repeated parameter is solved again when its level is reached, and a
-    level of repeats adds no rank.  The returned columns stay booked on
-    ev.meter, which in a build is the meter greedy books on as well.
+    level of repeats adds no rank.
     """
     pod_set = np.asarray(pod_set, dtype=float)
     if pod_set.size == 0:
@@ -720,13 +650,10 @@ def collect_snapshots(ev: _Evaluator, pod_set, n_init="auto"):
         new = [ev.snapshot(float(pod_set[i])) for i in indices]
         blocks.update(zip(indices, new))
         enough = n_init == "auto" or ev.K * len(blocks) >= n_init
-        if level and enough and _adds_no_rank(earlier, np.hstack(new),
-                                              ev.meter):
+        if level and enough and _adds_no_rank(earlier, np.hstack(new)):
             break
     solved = sorted(blocks)
-    Y = np.hstack([blocks[i] for i in solved])
-    ev.meter.alloc(Y.size)
-    return Y, pod_set[solved]
+    return np.hstack([blocks[i] for i in solved]), pod_set[solved]
 
 
 def pod_init(Y: np.ndarray, n_init,
@@ -776,16 +703,18 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
     rest of the build, and a walk that runs out of live candidates flags
     "candidates-exhausted" and ends the loop.
 
-    Every sweep and snapshot goes through ev, an evaluator of the basis's
-    gauge; in a build it is the one that collected the snapshots, so its
-    meter and classical family serve both phases.  Each appended column
-    is booked on ev.meter.
+    Every sweep and snapshot goes through ev, which must evaluate the
+    basis's gauge (ConfigError otherwise); in a build it is the one that
+    collected the snapshots, so its classical family serves both phases.
 
     Returns (basis, log) where log rows record iteration, selected (t*,
     mode*), the sweep maximum of the estimator, and the basis size.
     """
     if tol <= 0:
         raise ConfigError("greedy tolerance must be positive")
+    if basis.gauge_mode != ev.gauge_mode:
+        raise ConfigError("a %s basis cannot be grown by a %s evaluator"
+                          % (basis.gauge_mode, ev.gauge_mode))
     greedy_set = np.asarray(greedy_set, dtype=float)
     K = ev.K
 
@@ -825,7 +754,6 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
             {"origin": "greedy", "t": t_star, "mode": int(i_star),
              "eta": float(live[it_star, i_star])},
         )
-        ev.meter.alloc(w.size)
         log.append({
             "iteration": len(log), "t": t_star, "mode": int(i_star),
             "max_eta": max_eta, "n_red": basis.n_red,
@@ -837,7 +765,6 @@ class BasisBuildResult:
     basis: ReducedBasis
     log: list
     phase_seconds: dict
-    peak_dense_entries: int
     # the POD parameters whose snapshots were solved, in pod_set order
     snapshot_t: tuple
 
@@ -846,11 +773,11 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                 training: TrainingSets, K: int, n_init, tol: float,
                 n_max: int, policy: SolverPolicy,
                 gauge_mode: str = "mixed") -> BasisBuildResult:
-    """Full pipeline: snapshots, POD, greedy; phase times and peak storage.
+    """Full pipeline: snapshots, POD, greedy; phase times.
 
     n_init is a column count or "auto" (rank-adaptive start basis).  One
     evaluator, built in the projection phase, collects the snapshots and
-    drives greedy, so its meter's peak is the build's peak storage.
+    drives greedy.
     """
     if n_init != "auto" and n_init > n_max:
         raise ConfigError("N_init=%d exceeds N_max=%d" % (n_init, n_max))
@@ -868,21 +795,20 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
             "POD produced %d columns but N_max=%d" % (basis.n_red, n_max)
         )
     phases["pod"] = time.perf_counter() - t0
-    ev.meter.alloc(basis.Z.size)
 
     t0 = time.perf_counter()
-    ev.meter.free(snaps.size)   # snapshots are not needed past the SVD
-    del snaps
+    del snaps   # snapshots are not needed past the SVD
     basis, log = greedy_enrich(ev, basis, training.greedy_set, tol, n_max)
     phases["greedy"] = time.perf_counter() - t0
 
     return BasisBuildResult(basis=basis, log=log, phase_seconds=phases,
-                            peak_dense_entries=ev.meter.peak,
                             snapshot_t=tuple(float(t) for t in snapshot_t))
 
 
 def classical_pipeline(psys, gauge, training, K, n_init, tol, n_max,
                        policy) -> BasisBuildResult:
-    """Comparison baseline: the same pipeline through the dense cotree pencil."""
+    """Comparison baseline: build_basis(..., gauge_mode="classical").
+
+    Kept only because perfbench/workloads.py calls it."""
     return build_basis(psys, gauge, training, K, n_init, tol, n_max, policy,
                        gauge_mode="classical")

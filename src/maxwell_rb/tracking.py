@@ -321,10 +321,15 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     """Track the K lowest reduced eigenvalues over [0, 1].
 
     Reduced tracking takes no snapshot, so policy goes to the evaluator
-    as given.  The evaluator adopts the endpoint lifts the basis carries
-    (ReducedBasis.lifted) when they were made for these psys, gauge and
-    Z objects, and lifts Z at both endpoints otherwise; a parameter its
-    lifted space does not certify becomes a lift point of this run only.
+    as given.  A basis of either gauge is tracked through the lifted
+    (mixed) evaluation: a classical basis carries no lifts, so tracking
+    it (track --reduced --gauge classical) lifts it at both endpoints
+    and forms no dense pencil, while bench's error sweep evaluates each
+    basis in its own gauge.  The evaluator adopts the endpoint lifts the
+    basis carries (ReducedBasis.lifted) when they were made for these
+    psys, gauge and Z objects, and lifts Z at both endpoints otherwise;
+    a parameter its lifted space does not certify becomes a lift point
+    of this run only.
     stats also carries lift_solves, the exact lifts behind the run's
     reduced values: the two endpoint lifts, adopted or made here, plus
     one per online lift point.

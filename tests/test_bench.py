@@ -7,6 +7,7 @@ acceptance tests at the default problem size.
 
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from maxwell_rb.bench import (
     PHASE_TRACK_FULL,
     PHASE_TRACK_RB,
     leading_block_eigenvalues,
+    peak_traced_bytes,
     render_report_table,
     run_bench,
     trailing_average,
@@ -57,6 +59,11 @@ class TestReport:
         assert set(seconds) == set(PHASE_LABELS)
         assert all(v is not None and v >= 0.0 for v in seconds.values())
         assert report["timing"]["repetitions"] == 2
+
+    def test_traced_peaks(self, report):
+        assert report["schema_version"] == 2
+        peaks = report["timing"]["peak_traced_bytes"]
+        assert 0 < peaks["mixed"] < peaks["classical"]
 
     def test_dof_counts(self, report):
         counts = report["dof_counts"]
@@ -206,6 +213,25 @@ class TestDeterminism:
         a, b = dict(report), dict(again)
         a.pop("timing"), b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestPeakTracedBytes:
+    def test_inside_and_outside_a_trace(self):
+        def make():
+            np.ones(100_000)    # 800 kB, freed on return
+
+        alone = peak_traced_bytes(make)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            held = np.ones(200_000)
+            nested = peak_traced_bytes(make)
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        del held
+        for peak in (alone, nested):
+            assert 800_000 <= peak < 850_000
 
 
 class TestTrailingAverage:

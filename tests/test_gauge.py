@@ -198,7 +198,8 @@ class TestCotreeFamily:
                    / np.linalg.norm(HT, axis=0))
             assert rel.max() < 1e-12
         n, c = psys.n, gauge.cotree.size
-        assert family.entries == n * n + 2 * n * c
+        assert family.V.shape == (n, n)
+        assert [x.shape for x in family.X] == [(n, c), (n, c)]
 
     def test_identical_endpoints_constant_pencil(self, cube3_pair,
                                                  cube3_gauge):

@@ -10,12 +10,12 @@ import scipy.sparse.linalg as spla
 
 from maxwell_rb import rb
 from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
-from maxwell_rb.bench import setup_problem
+from maxwell_rb.bench import peak_traced_bytes, setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.eigen import _LIFT_RTOL, pcg_solve, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, FactorizationError, NumericsError
 from maxwell_rb.gauge import CotreeFamily, CotreeProjector
-from maxwell_rb.rb import (ReducedBasis, StorageMeter, build_basis,
+from maxwell_rb.rb import (ReducedBasis, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
                            _POD_RANK_GUARD, _gaps, _make_evaluator,
@@ -54,9 +54,9 @@ def _assert_coordinate_residual_matches(psys, gauge, ev, t_values):
     """At each t, the norms read off the frame coordinates are the
     explicit ones, far inside the lifting check."""
     for t in t_values:
-        with ev._at(t) as (_, c, _):
-            R, U = _explicit_residual(psys, gauge, ev._space, t, c)
-            residual, scale = ev._space.lifting_residual(t, c)
+        _, c, _ = ev._at(t)
+        R, U = _explicit_residual(psys, gauge, ev._space, t, c)
+        residual, scale = ev._space.lifting_residual(t, c)
         U_norms = np.linalg.norm(U, axis=0)
         assert np.allclose(scale, U_norms, rtol=1e-14, atol=0.0), t
         assert np.all(np.abs(residual - np.linalg.norm(R, axis=0))
@@ -398,8 +398,8 @@ class TestLiftedSpace:
         space = ev._space
         rng = np.random.default_rng(11)
         for t in (0.0, 0.35, 0.8):
-            with ev._at(t) as (_, c, _):
-                _, U = _explicit_residual(p.psys, p.gauge, space, t, c)
+            _, c, _ = ev._at(t)
+            _, U = _explicit_residual(p.psys, p.gauge, space, t, c)
             D = rng.standard_normal(c.shape)
             BD = p.psys.interpolate(t).B @ (space.Q @ D)
             D *= (factor * _LIFT_RTOL * np.linalg.norm(U, axis=0)
@@ -423,9 +423,8 @@ class TestLiftedSpace:
         ev, _, lifted_at, _ = sweep
         for t in lifted_at + [0.2, 0.8]:
             ev.solve(t)
-            with ev._at(t) as (_, c, _):
-                R, U = _explicit_residual(m["psys"], m["gauge"], ev._space,
-                                          t, c)
+            _, c, _ = ev._at(t)
+            R, U = _explicit_residual(m["psys"], m["gauge"], ev._space, t, c)
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
 
@@ -627,6 +626,16 @@ class TestGreedy:
         with pytest.raises(ConfigError):
             greedy_enrich(_evaluator(m), small_basis.basis, [0.5], 0.0, 12)
 
+    def test_evaluator_must_match_the_basis_gauge(self, small_morph):
+        # a mixed evaluator would grow a basis labelled classical by mixed
+        # estimates and attach mixed lifts to it
+        m = small_morph
+        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
+        start = pod_init(snaps, 2, gauge_mode="classical")
+        with pytest.raises(ConfigError, match="classical basis"):
+            greedy_enrich(_evaluator(m), start, m["training"].greedy_set,
+                          1e-6, 12)
+
 
 class TestBuildBasis:
     def test_reproduces_full_order_eigenvalues(self, small_morph, small_basis):
@@ -644,7 +653,6 @@ class TestBuildBasis:
         assert res.basis.gauge_mode == "mixed"
         assert len(res.basis.provenance) == res.basis.n_red
         assert set(res.phase_seconds) == {"projection", "pod", "greedy"}
-        assert res.peak_dense_entries > 0
         assert res.log[-1]["n_red"] == res.basis.n_red
 
     def test_n_init_exceeding_n_max_rejected(self, small_morph):
@@ -653,7 +661,7 @@ class TestBuildBasis:
             build_basis(m["psys"], m["gauge"], m["training"], 5, 20, 1e-6,
                         12, m["policy"])
 
-    def test_classical_pipeline_agrees(self, small_morph, small_basis):
+    def test_classical_pipeline_agrees(self, small_morph):
         m = small_morph
         classical = classical_pipeline(m["psys"], m["gauge"], m["training"],
                                        5, "auto", 1e-6, 12, m["policy"])
@@ -666,23 +674,10 @@ class TestBuildBasis:
             want = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"],
                                      salt=_salt_from_t(t)).values
             assert np.max(np.abs(approx - want) / want) < 1e-8
-        # the classical path materializes the dense cotree pencil, the
-        # factored path never does
-        assert small_basis.peak_dense_entries < classical.peak_dense_entries
-        n = m["psys"].n
-        n_cotree = m["gauge"].cotree.size
-        assert classical.peak_dense_entries >= n_cotree ** 2
-        # the family's eigenbasis and the solve buffer W while a pencil is
-        # built
-        assert classical.peak_dense_entries >= n * n + n * n_cotree
-        assert small_basis.peak_dense_entries < n * n_cotree
-        assert small_basis.peak_dense_entries < 10 * n * small_basis.basis.n_red
-
 
     def test_classical_build_makes_one_family(self, small_morph,
                                               monkeypatch):
-        # snapshots and greedy share one endpoint mass eigenbasis, which
-        # stays booked while W and A W are held
+        # snapshots and greedy share one endpoint mass eigenbasis
         built = []
         init = CotreeFamily.__init__
 
@@ -692,11 +687,9 @@ class TestBuildBasis:
 
         monkeypatch.setattr(CotreeFamily, "__init__", counting_init)
         m = small_morph
-        res = classical_pipeline(m["psys"], m["gauge"], m["training"], 5,
-                                 "auto", 1e-6, 12, m["policy"])
+        classical_pipeline(m["psys"], m["gauge"], m["training"], 5, "auto",
+                           1e-6, 12, m["policy"])
         assert len(built) == 1
-        n, c = m["psys"].n, m["gauge"].cotree.size
-        assert res.peak_dense_entries >= n * n + 4 * n * c
 
 
 class TestCarriedLifts:
@@ -767,45 +760,38 @@ class TestCarriedLifts:
             assert np.array_equal(run.lambdas, adopted.lambdas), kwargs
 
 
-class TestStorageMeter:
-    def test_peak_tracking(self):
-        meter = StorageMeter()
-        meter.alloc(100)
-        with meter.hold(50):
-            assert meter.current == 150
-        meter.free(60)
-        assert meter.current == 40
-        assert meter.peak == 150
+class TestTracedMemory:
+    """The memory claims on what tracemalloc measures."""
 
-    def test_repeated_set_basis_leaves_meter_empty(self, small_morph):
-        m = small_morph
-        ev = _evaluator(m)
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            ev.set_basis(np.linalg.qr(
-                rng.standard_normal((m["gauge"].cotree.size, 3)))[0])
-            ev.reduced_system(0.3)
-        assert ev.meter.current == 0
-
-    def test_greedy_books_each_appended_column(self, small_morph):
-        m = small_morph
-        snaps = _snapshots(m["psys"], m["gauge"], m["policy"], [0.0, 1.0])
-        ev = _evaluator(m)
-        basis, _ = greedy_enrich(ev, pod_init(snaps, 2),
-                                 m["training"].greedy_set, 1e-6, 12)
-        appended = basis.n_red - 2
-        assert appended > 0
-        assert ev.meter.current == appended * m["gauge"].cotree.size
+    def test_mixed_build_never_holds_the_dense_pencil(self, desk_problem):
+        p = desk_problem
+        n, c = p.psys.n, p.gauge.cotree.size
+        peak = {mode: peak_traced_bytes(lambda: p.build(mode))
+                for mode in ("mixed", "classical")}
+        # the family's eigenbasis and cotree blocks, then W and A W
+        assert peak["classical"] >= 8 * (n * n + 4 * n * c)
+        # not even one N x |C| array of doubles
+        assert peak["mixed"] < 8 * n * c
+        assert peak["mixed"] < peak["classical"] / 5
 
     @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
-    def test_evaluations_hold_nothing_after_return(self, small_morph,
-                                                   small_basis, gauge_mode):
-        m = small_morph
-        ev = _evaluator(m, small_basis.basis.Z, gauge_mode)
-        meter = ev.meter
+    def test_evaluations_keep_nothing(self, desk_problem, desk_basis,
+                                      gauge_mode):
+        p = desk_problem
+        K = p.cfg.K
+        ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, K)
+        ev.set_basis(desk_basis.basis.Z, desk_basis.basis.lifted)
+        # numpy's own domain: array buffers only, not the bookkeeping
+        # objects that scipy's sparse solvers keep across calls
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
         for call in (ev.reduced_system, ev.solve, ev.estimate, ev.snapshot):
-            before = meter.current
             call(0.3)
-            assert meter.current == before, call.__name__
-        # the per-t data was on the meter while it was in use
-        assert meter.peak > meter.current
+            tracemalloc.start()
+            try:
+                call(0.3)
+                kept = tracemalloc.take_snapshot().filter_traces(arrays)
+            finally:
+                tracemalloc.stop()
+            # less than K columns of N doubles outlive the call
+            assert (sum(s.size for s in kept.statistics("filename"))
+                    < 8 * p.psys.n * K), call.__name__
