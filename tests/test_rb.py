@@ -763,7 +763,7 @@ class TestCarriedLifts:
 class TestTracedMemory:
     """The memory claims on what tracemalloc measures."""
 
-    def test_mixed_build_never_holds_the_dense_pencil(self, desk_problem):
+    def test_build_peaks(self, desk_problem):
         p = desk_problem
         n, c = p.psys.n, p.gauge.cotree.size
         peak = {mode: peak_traced_bytes(lambda: p.build(mode))
@@ -793,5 +793,5 @@ class TestTracedMemory:
             finally:
                 tracemalloc.stop()
             # less than K columns of N doubles outlive the call
-            assert (sum(s.size for s in kept.statistics("filename"))
+            assert (sum(trace.size for trace in kept.traces)
                     < 8 * p.psys.n * K), call.__name__
