@@ -25,11 +25,15 @@ gradient-free: eigenvectors of the ungauged pencil with nonzero
 eigenvalue satisfy every row, gradient fields do not.
 
 The classical comparison path gauges by the dense pencil
-A_hat = W^T A W, B_hat = H W with W = B(t)^{-1} H(t)^T
-(build_cotree_system).  Its mass solves come from CotreeFamily: one
-eigendecomposition of the endpoint mass pencil diagonalizes the affine
-B(t) for every t, so each W is a matrix product and no parameter value
-is factored.
+A_hat = W^T A W, B_hat = H W with W = B(t)^{-1} H(t)^T.  Its mass
+solves come from CotreeFamily: one eigendecomposition of the endpoint
+mass pencil diagonalizes the affine B(t) for every t, so each W is a
+matrix product and no parameter value is factored.  Only a snapshot,
+whose dense eigensolve needs the whole pencil, forms it
+(build_cotree_system); an evaluation on a basis Z of n columns forms
+W Z alone and returns the pencil's action on Z, (A_hat Z, B_hat Z)
+(reduce_cotree_system), at O(N^2 n) per parameter where the pencil
+costs O(N^2 |C| + N |C|^2).
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import ParametrizedSystem, SystemPair
-from .eigen import pcg_solve, solve_dense_gevp
+from . import eigen
+from .eigen import pcg_solve
 from .errors import FactorizationError, NumericsError, ProjectionError
 from .mesh import CavityMesh
 
@@ -172,8 +177,9 @@ class CotreeFamily:
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition):
         ends = (psys.endpoint0, psys.endpoint1)
         H = [cotree_operator(end, gauge) for end in ends]
-        sol = solve_dense_gevp(ends[1].B.toarray(order="F"),
-                               ends[0].B.toarray(order="F"), overwrite=True)
+        sol = eigen.solve_dense_gevp(ends[1].B.toarray(order="F"),
+                                     ends[0].B.toarray(order="F"),
+                                     overwrite=True)
         if not sol.values[0] > 0.0:
             raise FactorizationError(
                 "endpoint mass matrix is not positive definite (smallest "
@@ -184,12 +190,20 @@ class CotreeFamily:
         self.V = sol.vectors
         self.X = tuple((h @ self.V).T for h in H)
 
-    def solve(self, t: float) -> np.ndarray:
-        """W(t) = B(t)^{-1} H(t)^T (N x |C|) for t in [0, 1]."""
+    def inverse_scale(self, t: float) -> np.ndarray:
+        """d_t = 1 / (1 - t + t mu), so that B(t)^{-1} = V diag(d_t) V^T."""
+        return 1.0 / ((1.0 - t) + t * self.mu)
+
+    def solve(self, t: float, X: tuple | None = None) -> np.ndarray:
+        """B(t)^{-1} R(t) for t in [0, 1], where R(t) blends endpoint
+        right-hand sides R_e whose coordinates V^T R_e X holds.  The
+        default X is the family's own, R_e = H_e^T, which gives
+        W(t) = B(t)^{-1} H(t)^T (N x |C|); X = (X_0 Z, X_1 Z) gives W Z."""
+        X = self.X if X is None else X
         s = 1.0 - t
-        Y = s * self.X[0]
-        Y += t * self.X[1]
-        Y *= (1.0 / (s + t * self.mu))[:, None]
+        Y = s * X[0]
+        Y += t * X[1]
+        Y *= self.inverse_scale(t)[:, None]
         return self.V @ Y
 
 
@@ -213,6 +227,27 @@ def build_cotree_system(family: CotreeFamily, t: float) -> CotreeSystem:
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
+
+
+def reduce_cotree_system(family: CotreeFamily, t: float,
+                         XZ: tuple) -> tuple:
+    """(A_hat Z, B_hat Z) at t, both |C| x n, without forming the pencil.
+
+    XZ = (X_0 Z, X_1 Z) holds the basis Z in the family's eigenbasis, so
+    W Z = family.solve(t, XZ) costs O(N^2 n).  B_hat Z = H W Z is the
+    cotree rows of A (W Z), and since W = V diag(d_t) ((1 - t) X_0 +
+    t X_1), A_hat Z = W^T A (W Z) is (1 - t) X_0^T g + t X_1^T g with
+    g = d_t * (V^T A W Z).  Neither result is symmetrized: the reduced
+    pencils Z^T (A_hat Z) and Z^T (B_hat Z) are, by their caller.  A t
+    outside [0, 1] raises ConfigError.
+    """
+    A = family.psys.interpolate(t).A
+    AWZ = A @ family.solve(t, XZ)
+    g = family.V.T @ AWZ
+    g *= family.inverse_scale(t)[:, None]
+    A_hat_Z = (1.0 - t) * (family.X[0].T @ g)
+    A_hat_Z += t * (family.X[1].T @ g)
+    return A_hat_Z, AWZ[family.gauge.cotree]
 
 
 def upscale(gauge: GaugeDecomposition, sys: SystemPair,

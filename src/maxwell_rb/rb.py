@@ -34,18 +34,21 @@ attaches the endpoint space of its final basis to the basis it returns
 same psys, gauge and Z objects, so reduced tracking right after a build
 makes no mass solve unless a parameter fails the certificate.
 
-Classical gauge: snapshots and reduced matrices go through the dense
-cotree pencil assembled per parameter value, A_hat = W^T (A W) with
-W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.  One dense
-eigendecomposition of the endpoint mass pencil per evaluator
-(gauge.CotreeFamily, built with the evaluator) diagonalizes B(t) at
-every t, so each W is one matrix product and no parameter value is
-factored; B_hat is the cotree rows of A W, and a snapshot asks the
-dense eigensolver for its K modes only.  A pencil is held only while
-it is being used, mirroring the fact that the dense matrices are
-exactly what does not fit in memory at scale; this path exists as the
-comparison baseline and is expected slower and hungrier.  The family
-is built afresh by every evaluator, never cached across evaluators.
+Classical gauge: everything goes through the dense cotree pencil
+A_hat = W^T (A W), B_hat = H W with W = B(t)^{-1} H(t)^T, on dense
+LAPACK throughout.  One dense eigendecomposition of the endpoint mass
+pencil per evaluator (gauge.CotreeFamily, built with the evaluator)
+diagonalizes B(t) at every t, so no parameter value is factored.  Only
+a snapshot forms the whole |C| x |C| pencil, because its dense
+eigensolve needs it, and asks that eigensolver for its K modes only.
+Every other evaluation reduces on the basis: it forms W Z from the
+basis held in the family's eigenbasis and keeps only the pencil's
+action on Z, (A_hat Z, B_hat Z), so it holds N x n and |C| x n arrays
+(gauge.reduce_cotree_system).  The family's N x N eigenbasis and a
+snapshot's pencil are exactly what does not fit in memory at scale;
+this path exists as the comparison baseline and is expected slower and
+hungrier.  The family is built afresh by every evaluator, never cached
+across evaluators.
 
 Every evaluator is built by _make_evaluator and answers two shared
 questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
@@ -90,7 +93,7 @@ from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, _cholesky,
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
 from .gauge import (CotreeFamily, CotreeProjector, GaugeDecomposition,
-                    build_cotree_system)
+                    build_cotree_system, reduce_cotree_system)
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
@@ -520,11 +523,15 @@ class _MixedEvaluator(_Evaluator):
 
 
 class _ClassicalEvaluator(_Evaluator):
-    """Dense cotree pencil per parameter value; the memory-bound baseline.
+    """Dense cotree pencil per snapshot; the memory-bound baseline.
 
-    The per-t data is the CotreeSystem (A_hat, B_hat), built from the
-    evaluator's CotreeFamily of (psys, gauge), which is built with the
-    evaluator and lives as long as it does.
+    Built with the evaluator and living as long as it does, the
+    evaluator's CotreeFamily of (psys, gauge) serves both kinds of
+    evaluation.  A snapshot forms the whole pencil (A_hat, B_hat).
+    Every other evaluation works on the basis: set_basis keeps Z and
+    its coordinates (X_0 Z, X_1 Z) in the family's eigenbasis, and the
+    per-t data is the pencil's action on Z, (A_hat Z, B_hat Z), two
+    |C| x n arrays (gauge.reduce_cotree_system).
     """
 
     gauge_mode = "classical"
@@ -534,32 +541,36 @@ class _ClassicalEvaluator(_Evaluator):
         super().__init__(psys, gauge, policy, K)
         self.family = CotreeFamily(psys, gauge)
         self._Z = None
+        self._XZ = None
 
     def set_basis(self, Z: np.ndarray, lifted=None) -> None:
-        """Z is the whole offline state; lifted is taken for a uniform
-        call and ignored, since a classical basis carries none."""
+        """Z and its eigenbasis coordinates are the whole offline state;
+        lifted is taken for a uniform call and ignored, since a
+        classical basis carries none."""
         self._Z = Z
+        self._XZ = tuple(X @ Z for X in self.family.X)
 
     def _at(self, t: float):
-        return build_cotree_system(self.family, t)
+        return reduce_cotree_system(self.family, t, self._XZ)
 
-    def _reduce(self, cs) -> ReducedSystem:
-        Z = self._Z
-        A_tilde = Z.T @ (cs.A_hat @ Z)
-        B_tilde = Z.T @ (cs.B_hat @ Z)
+    def _reduce(self, data) -> ReducedSystem:
+        A_hat_Z, B_hat_Z = data
+        A_tilde = self._Z.T @ A_hat_Z
+        B_tilde = self._Z.T @ B_hat_Z
         return ReducedSystem(
             A_tilde=0.5 * (A_tilde + A_tilde.T),
             B_tilde=0.5 * (B_tilde + B_tilde.T),
         )
 
-    def _residual_norms(self, cs, values, vectors) -> np.ndarray:
+    def _residual_norms(self, data, values, vectors) -> np.ndarray:
+        A_hat_Z, B_hat_Z = data
         k_eff = min(self.K, values.size)
-        V = self._Z @ vectors[:, :k_eff]
-        R = cs.A_hat @ V - (cs.B_hat @ V) * values[None, :k_eff]
+        V = vectors[:, :k_eff]
+        R = A_hat_Z @ V - (B_hat_Z @ V) * values[None, :k_eff]
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:
-        cs = self._at(t)
+        cs = build_cotree_system(self.family, t)
         sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
         if sol.values.size < self.K:
             raise NumericsError(

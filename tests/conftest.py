@@ -87,6 +87,11 @@ def desk_basis(desk_problem):
     return desk_problem.build("mixed")
 
 
+@pytest.fixture(scope="session")
+def desk_classical_basis(desk_problem):
+    return desk_problem.build("classical")
+
+
 @pytest.fixture()
 def tiny_cfg():
     """Fast CLI-scale configuration at resolution (3,3,3)."""

@@ -25,7 +25,9 @@ that the small dense solves called before they called LAPACK directly.
 ``reference_cotree_system`` is the frozen classical pencil of a single
 system pair, W = B^{-1} H^T through a dense Cholesky factor of B and one
 |C|-column potrs, from before one endpoint mass eigenbasis served every
-parameter value.  ``reference_mgs_orthogonalize`` is the column-by-column
+parameter value; ``reference_cotree_reduction`` lifts only the columns
+of a basis the same way and reduces the pencil on it.
+``reference_mgs_orthogonalize`` is the column-by-column
 modified Gram-Schmidt loop, with one extra pass, that orthogonalized
 greedy's appended columns before one block projection served greedy,
 POD saturation and the lifted spaces.
@@ -564,12 +566,9 @@ def reference_cholesky_solve(G, U):
     return sla.cho_solve(sla.cho_factor(G, lower=True), U)
 
 
-def reference_cotree_system(pair, gauge):
-    """Dense gauged pencil (A_hat, B_hat) of one system pair via
-    W = B^{-1} H^T, B factored by dense Cholesky (potrf) and solved for
-    all |C| columns of H^T at once (potrs); A_hat = W^T (A W) and B_hat
-    the cotree rows of A W, both symmetrized."""
-    H = pair.A.tocsr()[gauge.cotree, :]
+def _reference_mass_solve(pair, rhs):
+    """B^{-1} rhs, B factored by dense Cholesky (potrf) and solved for
+    all columns of rhs at once (potrs)."""
     B = sp.csr_matrix(pair.B, dtype=float).toarray(order="F")
     if not np.isfinite(B).all():
         raise FactorizationError("matrix is not finite")
@@ -577,15 +576,36 @@ def reference_cotree_system(pair, gauge):
     if info != 0:
         raise FactorizationError(
             "matrix is not positive definite (potrf info %d)" % info)
-    W, info = dpotrs(L, H.T.toarray(), lower=1)
+    W, info = dpotrs(L, rhs, lower=1)
     if info != 0:
         raise FactorizationError("triangular solve failed (potrs info %d)" % info)
+    return W
+
+
+def reference_cotree_system(pair, gauge):
+    """Dense gauged pencil (A_hat, B_hat) of one system pair via
+    W = B^{-1} H^T, solved for all |C| columns of H^T by dense Cholesky;
+    A_hat = W^T (A W) and B_hat the cotree rows of A W, both
+    symmetrized."""
+    H = pair.A.tocsr()[gauge.cotree, :]
+    W = _reference_mass_solve(pair, H.T.toarray())
     AW = pair.A @ W
     A_hat = W.T @ AW
     B_hat = AW[gauge.cotree]
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
+
+
+def reference_cotree_reduction(pair, gauge, Z):
+    """The gauged pencil of one system pair reduced on the basis Z, with
+    only the basis columns lifted: W Z = B^{-1} H^T Z by dense Cholesky,
+    then ((W Z)^T A (W Z), (H^T Z)^T (W Z)), both symmetrized."""
+    HtZ = pair.A.tocsc()[:, gauge.cotree] @ Z
+    WZ = _reference_mass_solve(pair, HtZ)
+    A_r = WZ.T @ (pair.A @ WZ)
+    B_r = HtZ.T @ WZ
+    return 0.5 * (A_r + A_r.T), 0.5 * (B_r + B_r.T)
 
 
 def reference_mgs_orthogonalize(Z, v):

@@ -77,6 +77,12 @@ def test_every_count_reads_its_target():
     assert {"rb.build_basis", "rb.classical_pipeline", "eigen.sparse_solve",
             "gauge.project", "gauge.cotree_system", "eigen.dense_solve",
             "rb.snapshots", "rb.greedy"} <= seen
+    # the classical family's endpoint mass eigensolve, all N values
+    classical = [root for root in tracer.roots
+                 if root.name == "rb.classical_pipeline"]
+    assert problem.psys.n in [span.counts.get("dim")
+                              for span in module.walk(classical[0])
+                              if span.name == "eigen.dense_solve"]
     # mesh.build_s, assembly.assemble_s and gauge.tree_s hang off
     # bench.build_mesh and bench.discrete_gradient, bench.assemble and
     # bench.build_tree; a set-up that went around them would read zero

@@ -22,7 +22,8 @@ from maxwell_rb.rb import (ReducedBasis, build_basis,
                            _salt_from_t)
 from maxwell_rb.tracking import track_reduced
 
-from oracles import (reference_cotree_system, reference_gaps,
+from oracles import (reference_cotree_reduction, reference_cotree_system,
+                     reference_eigh, reference_gaps,
                      reference_mgs_orthogonalize)
 
 
@@ -292,6 +293,23 @@ class TestReducedMatrices:
                 scale_b = np.linalg.norm(B_want)
                 assert np.linalg.norm(red.A_tilde - A_want) < 1e-10 * scale_a
                 assert np.linalg.norm(red.B_tilde - B_want) < 1e-10 * scale_b
+
+    def test_classical_eigenvalues_match_lifted_columns(
+            self, desk_problem, desk_classical_basis):
+        # the classical evaluator reduces on the basis, so its reduced
+        # eigenvalues carry the roundoff of n lifted columns, not of the
+        # whole |C| x |C| pencil (about 5e-12 relative at 6^3)
+        p = desk_problem
+        Z = desk_classical_basis.basis.Z
+        ev = _make_evaluator("classical", p.psys, p.gauge, p.policy, p.cfg.K)
+        ev.set_basis(Z)
+        worst = 0.0
+        for t in np.linspace(0.0, 1.0, 21):
+            got = ev.solve(float(t))[1].values
+            want = reference_eigh(*reference_cotree_reduction(
+                p.psys.interpolate(t), p.gauge, Z))[0]
+            worst = max(worst, np.max(np.abs(got - want) / want))
+        assert worst < 1e-13
 
 
 class TestLiftedSpace:
@@ -691,6 +709,22 @@ class TestBuildBasis:
                            1e-6, 12, m["policy"])
         assert len(built) == 1
 
+    def test_classical_build_forms_one_pencil_per_snapshot(
+            self, desk_problem, monkeypatch):
+        # greedy's estimates reduce on the basis; only snapshots form the
+        # whole pencil
+        formed = []
+        form = rb.build_cotree_system
+
+        def counting_form(family, t):
+            formed.append(t)
+            return form(family, t)
+
+        monkeypatch.setattr(rb, "build_cotree_system", counting_form)
+        result = desk_problem.build("classical")
+        assert sorted(formed) == sorted(result.snapshot_t)
+        assert len(formed) == 3
+
 
 class TestCarriedLifts:
     """A built basis carries the endpoint lifts of its last greedy sweep,
@@ -773,6 +807,16 @@ class TestTracedMemory:
         # not even one N x |C| array of doubles
         assert peak["mixed"] < 8 * n * c
         assert peak["mixed"] < peak["classical"] / 5
+
+    def test_classical_estimate_peak(self, desk_problem, desk_classical_basis):
+        # an estimate holds N x n and |C| x n arrays: not one N x |C|
+        # array of doubles, let alone the pencil
+        p = desk_problem
+        ev = _make_evaluator("classical", p.psys, p.gauge, p.policy, p.cfg.K)
+        ev.set_basis(desk_classical_basis.basis.Z)
+        ev.estimate(0.3)
+        peak = peak_traced_bytes(lambda: ev.estimate(0.3))
+        assert peak < 8 * p.psys.n * p.gauge.cotree.size
 
     @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
     def test_evaluations_keep_nothing(self, desk_problem, desk_basis,
