@@ -46,7 +46,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import ParametrizedSystem, SystemPair
 from . import eigen
-from .eigen import pcg_solve
 from .errors import FactorizationError, NumericsError, ProjectionError
 from .mesh import CavityMesh
 
@@ -195,8 +194,8 @@ class CotreeFamily:
         return 1.0 / ((1.0 - t) + t * self.mu)
 
     def solve(self, t: float, X: tuple | None = None) -> np.ndarray:
-        """B(t)^{-1} R(t) for t in [0, 1], where R(t) blends endpoint
-        right-hand sides R_e whose coordinates V^T R_e X holds.  The
+        """B(t)^{-1} R(t) for t in [0, 1], R(t) = (1 - t) R_0 + t R_1,
+        from the eigenbasis coordinates X = (V^T R_0, V^T R_1).  The
         default X is the family's own, R_e = H_e^T, which gives
         W(t) = B(t)^{-1} H(t)^T (N x |C|); X = (X_0 Z, X_1 Z) gives W Z."""
         X = self.X if X is None else X
@@ -257,7 +256,7 @@ def upscale(gauge: GaugeDecomposition, sys: SystemPair,
     v_hat holds a few columns, so the mass solve is Jacobi-PCG.
     """
     H = cotree_operator(sys, gauge)
-    return pcg_solve(sys.B, np.asarray(H.T @ v_hat))
+    return eigen.pcg_solve(sys.B, np.asarray(H.T @ v_hat))
 
 
 class CotreeProjector:

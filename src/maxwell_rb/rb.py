@@ -34,9 +34,8 @@ attaches the endpoint space of its final basis to the basis it returns
 same psys, gauge and Z objects, so reduced tracking right after a build
 makes no mass solve unless a parameter fails the certificate.
 
-Classical gauge: everything goes through the dense cotree pencil
-A_hat = W^T (A W), B_hat = H W with W = B(t)^{-1} H(t)^T, on dense
-LAPACK throughout.  One dense eigendecomposition of the endpoint mass
+Classical gauge: the dense cotree pencil A_hat = W^T (A W),
+B_hat = H W with W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.  One dense eigendecomposition of the endpoint mass
 pencil per evaluator (gauge.CotreeFamily, built with the evaluator)
 diagonalizes B(t) at every t, so no parameter value is factored.  Only
 a snapshot forms the whole |C| x |C| pencil, because its dense

@@ -298,7 +298,7 @@ class TestReducedMatrices:
             self, desk_problem, desk_classical_basis):
         # the classical evaluator reduces on the basis, so its reduced
         # eigenvalues carry the roundoff of n lifted columns, not of the
-        # whole |C| x |C| pencil (about 5e-12 relative at 6^3)
+        # whole |C| x |C| pencil (about 6e-12 relative at 6^3)
         p = desk_problem
         Z = desk_classical_basis.basis.Z
         ev = _make_evaluator("classical", p.psys, p.gauge, p.policy, p.cfg.K)
