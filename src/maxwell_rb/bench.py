@@ -201,14 +201,14 @@ def leading_block_eigenvalues(problem: Problem, basis: ReducedBasis,
     pencil.  The classical pencil's leading block is exactly the size-n
     pencil.  The mixed one lifts each column separately within the span
     of the full basis's lifts, so its leading block agrees with a size-n
-    rebuild to the lifting tolerance (_LIFT_RTOL).  A built mixed basis
-    brings its endpoint lifts (ReducedBasis.lifted), so the sweep lifts
-    nothing unless a parameter fails the lifting certificate.
+    rebuild to the lifting tolerance (_LIFT_RTOL).  The evaluator is
+    built with the basis, so a built mixed basis brings the lifted space
+    its build ended with and the sweep lifts nothing unless a parameter
+    fails the lifting certificate.
     """
     K = problem.cfg.K
     ev = _make_evaluator(basis.gauge_mode, problem.psys, problem.gauge,
-                         problem.policy, K)
-    ev.set_basis(basis.Z, basis.lifted)
+                         problem.policy, K, basis=basis)
     out = np.empty((len(sizes), len(t_values), K))
     for row, t in enumerate(t_values):
         red = ev.reduced_system(float(t))
@@ -382,13 +382,9 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
         probes["evp-full"] = lambda: solve_sparse_gevp(
             pair.A, pair.B, cfg.K, problem.policy, salt=_salt_from_t(t_probe))
     if mixed is not None:
-        def reduced_at_probe():
-            ev = _make_evaluator("mixed", problem.psys, problem.gauge,
-                                 problem.policy, cfg.K)
-            ev.set_basis(mixed.basis.Z, mixed.basis.lifted)
-            return ev.reduced_system(t_probe)
-
-        red = _guarded(phase_errors, "evp-rb", reduced_at_probe)
+        red = _guarded(phase_errors, "evp-rb", lambda: _make_evaluator(
+            "mixed", problem.psys, problem.gauge, problem.policy, cfg.K,
+            basis=mixed.basis).reduced_system(t_probe))
         if red is not None:
             probes["evp-rb"] = lambda: solve_dense_gevp(red.A_tilde,
                                                         red.B_tilde)

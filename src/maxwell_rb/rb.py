@@ -29,10 +29,10 @@ residual fails the certificate becomes a lift point itself, so the span
 grows only where the morph needs it: the default brick stretch
 saturates at the two endpoint lifts.  The
 offline state is one immutable _LiftedSpace per basis.  greedy_enrich
-attaches the endpoint space of its final basis to the basis it returns
-(ReducedBasis.lifted), and an evaluator adopts it when it is given the
-same psys, gauge and Z objects, so reduced tracking right after a build
-makes no mass solve unless a parameter fails the certificate.
+attaches the lifted space of its last sweep to the basis it returns
+(ReducedBasis.lifted); an evaluator built with that basis adopts it for
+the same psys, gauge and Z objects, so reduced tracking right after a
+build makes no mass solve unless a parameter fails the certificate.
 
 Classical gauge: the dense cotree pencil A_hat = W^T (A W),
 B_hat = H W with W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.  One dense eigendecomposition of the endpoint mass
@@ -57,8 +57,8 @@ of fewer than K columns lacks).  The greedy loop,
 reduced tracking, the bench error studies and the tests all go through
 these two routines.  Each call evaluates its parameter afresh and keeps
 nothing of it once it returns, apart from a lift point the mixed
-evaluator may add to its own copy of the lifted space, never to the
-space a basis carries.  ``snapshot(t)`` returns the K modes at t as a
+evaluator may add to its own copy of the lifted space, never to a space
+a basis already carries.  ``snapshot(t)`` returns the K modes at t as a
 |C| x K array of unit columns.  build_basis makes one evaluator and
 hands it to collect_snapshots and then to greedy_enrich, so for the
 classical gauge one family serves the whole build.
@@ -154,8 +154,8 @@ class ReducedBasis:
     provenance: tuple
     gauge_mode: str
     flags: tuple = ()
-    # The endpoint lifts of Z from the mixed greedy sweep that returned
-    # this basis; None for any other basis.
+    # The lifted space of Z that the mixed greedy sweep returning this
+    # basis ended with, lift points included; None for any other basis.
     lifted: "_LiftedSpace | None" = field(default=None, compare=False,
                                           repr=False)
 
@@ -200,13 +200,14 @@ class _Evaluator:
     """Shared state and the public per-parameter routines.
 
     Subclasses provide set_basis, snapshot, and three hooks on the per-t
-    data: _at(t), which returns it; _reduce, the reduced pencil; and
-    _residual_norms.  reduced_system, solve and estimate each evaluate
-    _at once and keep nothing of it, so no per-t data outlives the call
-    that visits it; a lift point the mixed evaluator adds belongs to its
-    lifted space, not to t.  set_basis returns the offline state it set
-    up (None if classical).
+    data: _at(t), which returns it; _reduce, the pair Z^T A Z, Z^T B Z that
+    the base symmetrizes; and _residual_norms of the first min(K, n_red)
+    eigenpairs.  reduced_system, solve and estimate each evaluate _at once
+    and keep nothing of it; a lift point the mixed evaluator adds belongs
+    to its lifted space, ``lifted`` (None if classical), not to t.
     """
+
+    lifted = None
 
     def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
                  policy: SolverPolicy, K: int):
@@ -217,8 +218,13 @@ class _Evaluator:
         self.policy = policy
         self.K = K
 
+    def _system(self, data) -> ReducedSystem:
+        A_tilde, B_tilde = self._reduce(data)
+        return ReducedSystem(A_tilde=0.5 * (A_tilde + A_tilde.T),
+                             B_tilde=0.5 * (B_tilde + B_tilde.T))
+
     def reduced_system(self, t: float) -> ReducedSystem:
-        return self._reduce(self._at(t))
+        return self._system(self._at(t))
 
     def solve(self, t: float):
         """Reduced pencil at t and its eigenpairs, as (ReducedSystem,
@@ -231,12 +237,13 @@ class _Evaluator:
         of the first K modes; a mode the reduced pencil lacks (n_red < K)
         is not approximated at all and gets eta = inf."""
         data = self._at(t)
-        red = self._reduce(data)
+        red = self._system(data)
         sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
-        norms = self._residual_norms(data, sol.values, sol.vectors)
-        k_eff = norms.size
+        k_eff = min(self.K, sol.values.size)
+        values = sol.values[:k_eff]
+        norms = self._residual_norms(data, values, sol.vectors[:, :k_eff])
         eta = np.full(self.K, np.inf)
-        eta[:k_eff] = norms**2 / (sol.values[:k_eff] * _gaps(sol.values, self.K))
+        eta[:k_eff] = norms**2 / (values * _gaps(sol.values, self.K))
         return sol, eta
 
 
@@ -418,11 +425,11 @@ class _MixedEvaluator(_Evaluator):
 
     The exact lift Z_full(t) = B(t)^{-1} U(t), U(t) = H(t)^T Z, is
     replaced by its B(t)-Galerkin approximation Q c(t), with Q the span
-    of the exact lifts held by the evaluator's _LiftedSpace.
+    of the exact lifts held by the evaluator's _LiftedSpace, ``lifted``.
 
     Offline, set_basis adopts the space a built basis carries when it
     was lifted for this psys, gauge and Z, and otherwise lifts Z exactly
-    at t = 0 and t = 1.  Either way it returns that endpoint space.
+    at t = 0 and t = 1.
 
     Online, an evaluation at t solves (Q^T B(t) Q) c = Q^T U(t) with an
     m x m Cholesky factor and certifies c by its lifting residual,
@@ -430,40 +437,33 @@ class _MixedEvaluator(_Evaluator):
     are read off the space's frame coordinates, ||T_B(t) c - T_P(t)||
     and ||T_P(t)||, and the estimator's residual norms likewise as
     ||T_A(t) c V - T_P(t) V Lambda||, so U(t) is never formed.  If the
-    check fails, t becomes a lift point: the evaluator's space is
-    replaced by its extension by one exact lift at t and the solve is
-    repeated.  The space a basis carries is never extended, so every
-    query on it starts from the same offline state.  A certified
+    check fails, t becomes a lift point: ``lifted`` is replaced by its
+    extension by one exact lift at t and the solve is repeated.  A space
+    is never changed in place, so no query extends an adopted one, and
+    greedy attaches the one its last sweep ended with.  A certified
     evaluation interpolates no matrix and makes no mass solve;
-    ``lift_solves`` counts the exact lifts behind the evaluator's space,
-    adopted endpoint lifts included.
+    ``lift_solves`` counts the exact lifts behind ``lifted``.
 
     The per-t data is (t, c, Q^T U(t)).
     """
 
     gauge_mode = "mixed"
 
-    def __init__(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                 policy: SolverPolicy, K: int):
-        super().__init__(psys, gauge, policy, K)
-        self._space = None
-
     @property
     def lift_solves(self) -> int:
-        return self._space.lifts
+        return self.lifted.lifts
 
     def set_basis(self, Z: np.ndarray,
-                  lifted: _LiftedSpace | None = None) -> _LiftedSpace:
+                  lifted: _LiftedSpace | None = None) -> None:
         if lifted is None or not lifted.fits(self.psys, self.gauge, Z):
             lifted = _LiftedSpace.at_endpoints(self.psys, self.gauge, Z)
-        self._space = lifted
-        return lifted
+        self.lifted = lifted
 
     def _galerkin(self, t: float):
         """Coefficients c of the Galerkin lift at t and the blended
         Q^T U(t) they solve for, or None if the lift's residual fails
         the check."""
-        space = self._space
+        space = self.lifted
         try:
             factor = _cholesky(_blend(space.GB, t))
         except FactorizationError as exc:
@@ -478,7 +478,7 @@ class _MixedEvaluator(_Evaluator):
     def _at(self, t: float):
         lift = self._galerkin(t)
         if lift is None:
-            self._space = self._space.lift(t)
+            self.lifted = self.lifted.lift(t)
             lift = self._galerkin(t)
         if lift is None:
             raise NumericsError(
@@ -487,22 +487,14 @@ class _MixedEvaluator(_Evaluator):
             )
         return (t, *lift)
 
-    def _reduce(self, data) -> ReducedSystem:
+    def _reduce(self, data):
         t, c, QtU = data
-        A_tilde = c.T @ (_blend(self._space.GA, t) @ c)
-        B_tilde = c.T @ QtU
-        return ReducedSystem(
-            A_tilde=0.5 * (A_tilde + A_tilde.T),
-            B_tilde=0.5 * (B_tilde + B_tilde.T),
-        )
+        return c.T @ (_blend(self.lifted.GA, t) @ c), c.T @ QtU
 
-    def _residual_norms(self, data, values, vectors) -> np.ndarray:
+    def _residual_norms(self, data, values, V) -> np.ndarray:
         t, c, _ = data
-        k_eff = min(self.K, values.size)
-        V = vectors[:, :k_eff]
-        space = self._space
-        R = (_blend_times(space.TA, t, c @ V)
-             - _blend_times(space.TP, t, V) * values[None, :k_eff])
+        R = (_blend_times(self.lifted.TA, t, c @ V)
+             - _blend_times(self.lifted.TP, t, V) * values)
         return np.linalg.norm(R, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:
@@ -552,21 +544,13 @@ class _ClassicalEvaluator(_Evaluator):
     def _at(self, t: float):
         return reduce_cotree_system(self.family, t, self._XZ)
 
-    def _reduce(self, data) -> ReducedSystem:
+    def _reduce(self, data):
         A_hat_Z, B_hat_Z = data
-        A_tilde = self._Z.T @ A_hat_Z
-        B_tilde = self._Z.T @ B_hat_Z
-        return ReducedSystem(
-            A_tilde=0.5 * (A_tilde + A_tilde.T),
-            B_tilde=0.5 * (B_tilde + B_tilde.T),
-        )
+        return self._Z.T @ A_hat_Z, self._Z.T @ B_hat_Z
 
-    def _residual_norms(self, data, values, vectors) -> np.ndarray:
+    def _residual_norms(self, data, values, V) -> np.ndarray:
         A_hat_Z, B_hat_Z = data
-        k_eff = min(self.K, values.size)
-        V = vectors[:, :k_eff]
-        R = A_hat_Z @ V - (B_hat_Z @ V) * values[None, :k_eff]
-        return np.linalg.norm(R, axis=0)
+        return np.linalg.norm(A_hat_Z @ V - (B_hat_Z @ V) * values, axis=0)
 
     def snapshot(self, t: float) -> np.ndarray:
         cs = build_cotree_system(self.family, t)
@@ -584,18 +568,23 @@ class _ClassicalEvaluator(_Evaluator):
         return sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
 
 
-def _make_evaluator(gauge_mode, psys, gauge, policy, K):
-    """The only constructor of evaluators.
+def _make_evaluator(gauge_mode, psys, gauge, policy, K, basis=None):
+    """The only constructor of evaluators; set to basis if one is given,
+    whose lifted space a mixed evaluator adopts when it fits (set_basis).
 
     A classical evaluator builds its CotreeFamily of (psys, gauge).  One
     evaluator serves a whole basis build, snapshots and greedy alike, so
     a classical build holds one family.
     """
     if gauge_mode == "mixed":
-        return _MixedEvaluator(psys, gauge, policy, K)
-    if gauge_mode == "classical":
-        return _ClassicalEvaluator(psys, gauge, policy, K)
-    raise ConfigError("unknown gauge_mode %r" % gauge_mode)
+        ev = _MixedEvaluator(psys, gauge, policy, K)
+    elif gauge_mode == "classical":
+        ev = _ClassicalEvaluator(psys, gauge, policy, K)
+    else:
+        raise ConfigError("unknown gauge_mode %r" % gauge_mode)
+    if basis is not None:
+        ev.set_basis(basis.Z, basis.lifted)
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +707,8 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
     collected the snapshots, so its classical family serves both phases.
 
     Returns (basis, log) where log rows record iteration, selected (t*,
-    mode*), the sweep maximum of the estimator, and the basis size.
+    mode*), the sweep maximum of the estimator, and the basis size; the
+    basis carries ev.lifted, the lifted space of the last sweep.
     """
     if tol <= 0:
         raise ConfigError("greedy tolerance must be positive")
@@ -731,7 +721,7 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
     log = []
     dead = np.zeros((greedy_set.size, K), dtype=bool)
     while True:
-        lifted = ev.set_basis(basis.Z)
+        ev.set_basis(basis.Z)
         etas = np.empty((greedy_set.size, K))
         for it, t in enumerate(greedy_set):
             etas[it] = ev.estimate(float(t))[1]
@@ -742,7 +732,7 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
                 "iteration": len(log), "t": None, "mode": None,
                 "max_eta": float(etas.max()), "n_red": basis.n_red,
             })
-            return replace(basis, lifted=lifted), log
+            return replace(basis, lifted=ev.lifted), log
 
         # a stable sort keeps row-major order among ties
         order = np.argsort(-live, axis=None, kind="stable")
@@ -758,7 +748,7 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
             break
         else:
             flags = basis.flags + ("candidates-exhausted",)
-            return replace(basis, flags=flags, lifted=lifted), log
+            return replace(basis, flags=flags, lifted=ev.lifted), log
         basis = basis.extended(
             w / norm,
             {"origin": "greedy", "t": t_star, "mode": int(i_star),

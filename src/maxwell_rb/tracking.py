@@ -77,9 +77,9 @@ class TrackingRun:
         """JSON-ready counts of the pass.
 
         On the reduced path lift_solves is the number of exact lifts
-        behind the reduced values: the two endpoint lifts, whether made
-        by this pass or carried by the basis from its build, plus one
-        per online lift point.
+        behind the reduced values: those of the lifted space the basis
+        carries from its build, or the two endpoint lifts this pass
+        made, plus one per online lift point.
         """
         out = {
             "grid_points": int(self.grid.size),
@@ -152,6 +152,18 @@ def _degenerate_clusters(values: np.ndarray, rtol: float = _CLUSTER_RTOL):
     bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), values.size]
     return [np.sort(order[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo >= 2]
+
+
+def _surviving_free(free, clusters_n, perm):
+    """Each free cluster (trajectory slots) cut by the accepted solve's
+    clusters_n (candidates; slot s holds perm[s]) into parts of two or
+    more slots: those still degenerate.  A chain of near-ties whose ends
+    lie more than _CLUSTER_RTOL apart is one group of the solve, so it
+    stays one part even when it links through candidates outside the
+    free cluster."""
+    parts = [idx[(perm[idx, None] == group).any(axis=1)]
+             for idx in free for group in clusters_n]
+    return [part for part in parts if part.size >= 2]
 
 
 def _overlap_svd(M, c):
@@ -287,10 +299,7 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         values_t = values_n[perm]
         if clusters_n or free:
             degenerate_steps += 1
-        # A free cluster survives only while its members remain mutually
-        # degenerate at the accepted point.
-        free = [idx[sub] for idx in free
-                for sub in _degenerate_clusters(values_t[idx])]
+        free = _surviving_free(free, clusters_n, perm)
         vectors, inner = vectors_n[:, perm], inner_n
         grid.append(t_next)
         lambdas.append(values_t)
@@ -325,22 +334,21 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     (mixed) evaluation: a classical basis carries no lifts, so tracking
     it (track --reduced --gauge classical) lifts it at both endpoints
     and forms no dense pencil, while bench's error sweep evaluates each
-    basis in its own gauge.  The evaluator adopts the endpoint lifts the
-    basis carries (ReducedBasis.lifted) when they were made for these
-    psys, gauge and Z objects, and lifts Z at both endpoints otherwise;
-    a parameter its lifted space does not certify becomes a lift point
+    basis in its own gauge.  The evaluator is built with the basis, so
+    it starts from the lifted space a built basis carries, lift points
+    of the build included, when that space fits these psys and gauge
+    objects; a parameter its space does not certify becomes a lift point
     of this run only.
     stats also carries lift_solves, the exact lifts behind the run's
-    reduced values: the two endpoint lifts, adopted or made here, plus
-    one per online lift point.
+    reduced values: those of the space the run started from, adopted or
+    made here at both endpoints, plus one per online lift point.
     """
     _check_settings(K, threshold, initial_steps, buffer)
     if basis.n_red < K:
         raise ConfigError(
             "basis size %d smaller than tracked mode count %d" % (basis.n_red, K)
         )
-    ev = _make_evaluator("mixed", psys, gauge, policy, K)
-    ev.set_basis(basis.Z, basis.lifted)
+    ev = _make_evaluator("mixed", psys, gauge, policy, K, basis=basis)
     n_cand = min(K + buffer, basis.n_red)
 
     def solve(t):

@@ -16,7 +16,9 @@ level-synchronous array kernels replaced, and ``reference_scatter`` of
 the bincount scatter that the signed sparse scatter matrix replaced.
 ``reference_degenerate_clusters`` is the frozen loop that grouped
 tracking's equal eigenvalues before the grouping became one split, and
-``reference_split_clusters`` that split, before it became slicing.
+``reference_split_clusters`` that split, before it became slicing;
+``reference_surviving_free`` is the regrouping of each free cluster on
+its own accepted values that cutting it by the solve's groups replaced.
 ``reference_greedy_match`` is the K-pass argmax matching that one sorted
 walk replaced, and ``reference_gaps`` the per-value np.delete loop of the
 estimator's gaps.  ``reference_eigh`` and ``reference_cholesky_solve``
@@ -521,6 +523,14 @@ def reference_split_clusters(values, rtol=1e-8):
     return [np.sort(group)
             for group in np.split(order, np.flatnonzero(gaps) + 1)
             if group.size >= 2]
+
+
+def reference_surviving_free(free, values_n, perm, rtol=1e-8):
+    """Each free cluster of trajectory slots regrouped on its own values
+    at the accepted point, values_n[perm]."""
+    values_t = values_n[perm]
+    return [idx[sub] for idx in free
+            for sub in reference_split_clusters(values_t[idx], rtol)]
 
 
 def reference_greedy_match(C):

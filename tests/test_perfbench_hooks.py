@@ -121,9 +121,10 @@ def test_tracking_paths_are_traced():
     tracks = [root for root in tracer.roots if root.name == "tracking.track"]
     assert len(tracks) == 3
     # the reduced pass interpolates only where it lifts exactly, not at
-    # every grid point; a pass on the built basis adopts the build's two
-    # endpoint lifts and interpolates only at its online lift points
-    for run, track, adopted in zip(reduced, tracks, (0, 2)):
+    # every grid point; a pass on the built basis adopts the build's
+    # lifted space and interpolates only at its online lift points
+    for run, track, adopted in zip(reduced, tracks,
+                                   (0, basis.lifted.lifts)):
         lifts = run.stats["lift_solves"]
         interpolations = [span for span in module.walk(track)
                           if span.name == "assembly.interpolate"]

@@ -56,8 +56,8 @@ def _assert_coordinate_residual_matches(psys, gauge, ev, t_values):
     explicit ones, far inside the lifting check."""
     for t in t_values:
         _, c, _ = ev._at(t)
-        R, U = _explicit_residual(psys, gauge, ev._space, t, c)
-        residual, scale = ev._space.lifting_residual(t, c)
+        R, U = _explicit_residual(psys, gauge, ev.lifted, t, c)
+        residual, scale = ev.lifted.lifting_residual(t, c)
         U_norms = np.linalg.norm(U, axis=0)
         assert np.allclose(scale, U_norms, rtol=1e-14, atol=0.0), t
         assert np.all(np.abs(residual - np.linalg.norm(R, axis=0))
@@ -347,7 +347,7 @@ class TestLiftedSpace:
         assert lifts == 2 + len(lifted_at)
 
     def test_lifts_stay_orthonormal(self, sweep):
-        Q = sweep[0]._space.Q
+        Q = sweep[0].lifted.Q
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
 
     def test_matches_exact_lift(self, small_morph, sweep):
@@ -372,7 +372,7 @@ class TestLiftedSpace:
             assert np.max(np.abs(eta - want) / want) <= 1e-11, t
 
     def test_frame_is_orthonormal(self, sweep):
-        frame = sweep[0]._space.frame
+        frame = sweep[0].lifted.frame
         assert np.abs(frame.T @ frame - np.eye(frame.shape[1])).max() <= 1e-12
 
     def test_coordinate_residual_matches_oracle(self, small_morph, sweep):
@@ -394,7 +394,7 @@ class TestLiftedSpace:
         ev.set_basis(Z)
         # unlike the small morph's, this frame falls well short of N
         # directions, so a direction it missed would show
-        assert ev._space.frame.shape[1] < p.psys.n // 4
+        assert ev.lifted.frame.shape[1] < p.psys.n // 4
         return ev
 
     @pytest.mark.parametrize("basis", ["built", "random"])
@@ -413,7 +413,7 @@ class TestLiftedSpace:
         # passes or fails the check the same way in both evaluations
         p = desk_problem
         ev = self._on_the_brick(p, desk_basis, basis)
-        space = ev._space
+        space = ev.lifted
         rng = np.random.default_rng(11)
         for t in (0.0, 0.35, 0.8):
             _, c, _ = ev._at(t)
@@ -442,7 +442,7 @@ class TestLiftedSpace:
         for t in lifted_at + [0.2, 0.8]:
             ev.solve(t)
             _, c, _ = ev._at(t)
-            R, U = _explicit_residual(m["psys"], m["gauge"], ev._space, t, c)
+            R, U = _explicit_residual(m["psys"], m["gauge"], ev.lifted, t, c)
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
 
@@ -451,19 +451,19 @@ class TestLiftedSpace:
     def test_non_finite_lifted_data_typed(self, small_morph, small_basis,
                                           field, bad):
         ev = _evaluator(small_morph, small_basis.basis.Z)
-        first = getattr(ev._space, field)[0].copy()
+        first = getattr(ev.lifted, field)[0].copy()
         first[0, 0] = bad
-        ev._space = replace(ev._space,
-                            **{field: (first, getattr(ev._space, field)[1])})
+        ev.lifted = replace(ev.lifted,
+                            **{field: (first, getattr(ev.lifted, field)[1])})
         with pytest.raises(FactorizationError, match="not finite"):
             ev.solve(0.5)
 
     def test_indefinite_lifted_mass_typed(self, small_morph, small_basis):
         ev = _evaluator(small_morph, small_basis.basis.Z)
-        GB = tuple(G.copy() for G in ev._space.GB)
+        GB = tuple(G.copy() for G in ev.lifted.GB)
         for G in GB:
             G[1, 1] = -1.0
-        ev._space = replace(ev._space, GB=GB)
+        ev.lifted = replace(ev.lifted, GB=GB)
         with pytest.raises(FactorizationError, match="positive definite"):
             ev.solve(0.5)
 
@@ -481,15 +481,20 @@ def taper(desk_problem):
     return replace(p, psys=ParametrizedSystem(p.psys.endpoint0, end1))
 
 
+@pytest.fixture(scope="module")
+def taper_basis(taper):
+    return taper.build("mixed").basis
+
+
 class TestTaper:
-    def test_build_completes_with_orthonormal_lifts(self, taper):
+    def test_build_completes_with_orthonormal_lifts(self, taper,
+                                                    taper_basis):
         # the lifted spaces of this basis need interior lift points; an
         # unorthonormal Q once made them fail their own check there
-        basis = taper.build("mixed").basis
+        basis = taper_basis
         assert basis.n_red == 56
         ev = _make_evaluator("mixed", taper.psys, taper.gauge, taper.policy,
-                             taper.cfg.K)
-        ev.set_basis(basis.Z, basis.lifted)
+                             taper.cfg.K, basis=basis)
         for t in (0.05, 0.5):
             approx = ev.solve(t)[1].values[:taper.cfg.K]
             pair = taper.psys.interpolate(t)
@@ -497,8 +502,31 @@ class TestTaper:
                                      taper.policy, salt=_salt_from_t(t)).values
             assert np.max(np.abs(approx - want) / want) < 1e-8, t
         assert ev.lift_solves > 2
-        for M in (ev._space.Q, ev._space.frame):
+        for M in (ev.lifted.Q, ev.lifted.frame):
             assert np.abs(M.T @ M - np.eye(M.shape[1])).max() <= 1e-12
+
+    def test_tracking_after_the_build_lifts_nothing(self, taper, taper_basis,
+                                                    monkeypatch):
+        # the basis carries the space its last sweep grew, interior lift
+        # points included, so the reduced pass needs no mass solve
+        calls = []
+
+        def counted(B, rhs):
+            calls.append(rhs.shape)
+            return pcg_solve(B, rhs)
+
+        monkeypatch.setattr(rb, "pcg_solve", counted)
+        basis, K = taper_basis, taper.cfg.K
+        run = track_reduced(taper.psys, taper.gauge, basis, K,
+                            policy=taper.policy)
+        assert not calls
+        assert run.stats["lift_solves"] == basis.lifted.lifts > 2
+        relifted = track_reduced(taper.psys, taper.gauge,
+                                 replace(basis, lifted=None), K,
+                                 policy=taper.policy)
+        assert np.array_equal(run.grid, relifted.grid)
+        assert np.max(np.abs(run.lambdas - relifted.lambdas)
+                      / relifted.lambdas) <= 1e-12
 
 
 class TestOnlineWork:
@@ -509,8 +537,8 @@ class TestOnlineWork:
                              N_POD=2)
         p = setup_problem(cfg)
         basis = p.build("mixed").basis
-        ev = _make_evaluator("mixed", p.psys, p.gauge, p.policy, cfg.K)
-        ev.set_basis(basis.Z, basis.lifted)
+        ev = _make_evaluator("mixed", p.psys, p.gauge, p.policy, cfg.K,
+                             basis=basis)
         for call in (ev.solve, ev.estimate):
             call(0.45)
             tracemalloc.start()
@@ -727,9 +755,8 @@ class TestBuildBasis:
 
 
 class TestCarriedLifts:
-    """A built basis carries the endpoint lifts of its last greedy sweep,
-    and reduced tracking adopts them only for the objects they were
-    lifted for."""
+    """A built basis carries the lifted space of its last sweep, and
+    reduced tracking adopts it only for the objects it was lifted for."""
 
     def test_build_attaches_endpoint_lifts(self, small_morph, small_basis):
         m = small_morph
@@ -748,8 +775,9 @@ class TestCarriedLifts:
         m = small_morph
         rng = np.random.default_rng(29)
         Z = np.linalg.qr(rng.standard_normal((m["gauge"].cotree.size, 6)))[0]
-        lifted = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"],
-                                 5).set_basis(Z)
+        ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 5)
+        ev.set_basis(Z)
+        lifted = ev.lifted
         basis = ReducedBasis(Z=Z, provenance=(), gauge_mode="mixed",
                              lifted=lifted)
         runs = [track_reduced(m["psys"], m["gauge"], b, 5, policy=m["policy"])
@@ -823,8 +851,8 @@ class TestTracedMemory:
                                       gauge_mode):
         p = desk_problem
         K = p.cfg.K
-        ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, K)
-        ev.set_basis(desk_basis.basis.Z, desk_basis.basis.lifted)
+        ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, K,
+                             basis=desk_basis.basis)
         # numpy's own domain: array buffers only, not the bookkeeping
         # objects that scipy's sparse solvers keep across calls
         arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]

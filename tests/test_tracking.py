@@ -12,11 +12,12 @@ from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.rb import ReducedBasis, _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
 from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
-                                 _greedy_match, _hungarian_match, _track,
-                                 track_full, track_reduced)
+                                 _greedy_match, _hungarian_match,
+                                 _surviving_free, _track, track_full,
+                                 track_reduced)
 
 from oracles import (reference_degenerate_clusters, reference_greedy_match,
-                     reference_split_clusters)
+                     reference_split_clusters, reference_surviving_free)
 
 
 class TestMatching:
@@ -103,6 +104,44 @@ class TestDegenerateClusters:
             got = _degenerate_clusters(values)
             want = reference_split_clusters(values)
             assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+class TestSurvivingFree:
+    """Free clusters kept at acceptance are cut from the accepted solve's
+    own groups."""
+
+    def test_same_as_regrouping_each_free_cluster(self):
+        # ascending solves with exact ties and near-ties far inside the
+        # tolerance, slots matched to a random injection of candidates
+        # and cut into random free clusters
+        rng = np.random.default_rng(11)
+        rtol = tracking._CLUSTER_RTOL
+        kept = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            K = int(rng.integers(2, n + 1))
+            levels = rng.choice([1e-3, 0.4, 1.0, 1.001, 6.5, 80.0], n)
+            jitter = rng.choice([0.0, 0.0, 1e-12, 0.2 * rtol], n)
+            values_n = np.sort(levels * (1.0 + jitter))
+            perm = rng.permutation(n)[:K]
+            labels = rng.integers(0, 3, K)
+            free = [idx for idx in (np.flatnonzero(labels == k)
+                                    for k in range(3)) if idx.size >= 2]
+            got = _surviving_free(free, _degenerate_clusters(values_n), perm)
+            want = reference_surviving_free(free, values_n, perm)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            kept += len(got)
+        assert kept > 100
+
+    def test_chain_through_a_candidate_outside_stays_one_part(self):
+        # 1, 1 + 0.6 rtol, 1 + 1.2 rtol is one group of the solve; the free
+        # pair holds its ends, which regrouped alone lie too far apart
+        rtol = tracking._CLUSTER_RTOL
+        values_n = 1.0 + np.array([0.0, 0.6, 1.2]) * rtol
+        free, perm = [np.array([0, 1])], np.array([0, 2])
+        got = _surviving_free(free, _degenerate_clusters(values_n), perm)
+        assert [g.tolist() for g in got] == [[0, 1]]
+        assert reference_surviving_free(free, values_n, perm) == []
 
 
 def _crossing_solve(t):
