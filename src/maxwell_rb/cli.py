@@ -151,59 +151,34 @@ def _write_artifacts(cfg: RunConfig, writers: dict) -> list:
 
 
 def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
-    import numpy as np
-
     from .bench import setup_problem
-    from .eigen import solve_dense_gevp, solve_sparse_gevp
-    from .gauge import CotreeFamily, build_cotree_system, upscale
-    from .rb import _salt_from_t
+    from .rb import _make_evaluator
 
     problem = setup_problem(cfg)
-    pair = problem.psys.interpolate(t)
+    pair, sol = _make_evaluator(cfg.gauge_mode, problem.psys, problem.gauge,
+                                problem.policy, cfg.K).modes(t)
     log.info("assembled %s: N=%d free edges, |C|=%d cotree DoFs",
              pair.geometry_tag, problem.mesh0.n_free_edges,
              problem.gauge.cotree.size)
 
-    if cfg.gauge_mode == "mixed":
-        sol = solve_sparse_gevp(pair.A, pair.B, cfg.K, problem.policy,
-                                salt=_salt_from_t(t))
-        values = sol.values
-        vectors = sol.vectors
-        residuals = sol.residual_norms
-    else:
-        cs = build_cotree_system(CotreeFamily(problem.psys, problem.gauge), t)
-        dense = solve_dense_gevp(cs.A_hat, cs.B_hat, count=cfg.K)
-        keep = dense.values > problem.policy.lambda_cut
-        values = dense.values[keep][: cfg.K]
-        vectors_hat = dense.vectors[:, keep][:, : cfg.K]
-        vectors = upscale(problem.gauge, pair, vectors_hat)
-        R = pair.A @ vectors - (pair.B @ vectors) * values[None, :]
-        residuals = np.linalg.norm(R, axis=0)
-
-    if values.size < cfg.K:
-        raise NumericsError(
-            "found only %d physical modes above the spectral cutoff, need %d"
-            % (values.size, cfg.K)
-        )
-
     print("t = %r  gauge = %s" % (t, cfg.gauge_mode))
     print("%-6s %-22s %s" % ("mode", "eigenvalue", "residual"))
     for i in range(cfg.K):
-        print("%-6d %-22r %.3e" % (i + 1, float(values[i]), residuals[i]))
+        print("%-6d %-22r %.3e" % (i + 1, float(sol.values[i]),
+                                   sol.residual_norms[i]))
 
     if export:
         _write_artifacts(cfg, {
             "A_t.mtx": lambda p: write_matrix_market(p, pair.A, symmetric=True),
             "B_t.mtx": lambda p: write_matrix_market(p, pair.B, symmetric=True),
-            "modes.mtx": lambda p: write_matrix_market(
-                p, np.asarray(vectors[:, : cfg.K])),
+            "modes.mtx": lambda p: write_matrix_market(p, sol.vectors),
             "solve.json": lambda p: write_json(p, {
                 "schema_version": 1,
                 "config": config_to_dict(cfg),
                 "t": t,
                 "gauge_mode": cfg.gauge_mode,
-                "eigenvalues": [float(v) for v in values[: cfg.K]],
-                "residual_norms": [float(r) for r in residuals[: cfg.K]],
+                "eigenvalues": [float(v) for v in sol.values],
+                "residual_norms": [float(r) for r in sol.residual_norms],
             }),
         })
         log.info("exported matrices and modes to %s", cfg.output)

@@ -22,18 +22,20 @@ tree (Manges & Cendes, IEEE Trans. Magn. 31(3), 1995): v_hat =
 solve with the tree block above, so nothing is factored.  The full
 residual ||H^T v_hat - B v|| / ||B v|| reports whether the input was
 gradient-free: eigenvectors of the ungauged pencil with nonzero
-eigenvalue satisfy every row, gradient fields do not.
+eigenvalue satisfy every row, gradient fields do not.  H^T is applied
+one way throughout, as A times Y on the cotree rows
+(cotree_transpose_product).
 
 The classical comparison path gauges by the dense pencil
 A_hat = W^T A W, B_hat = H W with W = B(t)^{-1} H(t)^T.  Its mass
 solves come from CotreeFamily: one eigendecomposition of the endpoint
 mass pencil diagonalizes the affine B(t) for every t, so each W is a
-matrix product and no parameter value is factored.  Only a snapshot,
-whose dense eigensolve needs the whole pencil, forms it
-(build_cotree_system); an evaluation on a basis Z of n columns forms
-W Z alone and returns the pencil's action on Z, (A_hat Z, B_hat Z)
-(reduce_cotree_system), at O(N^2 n) per parameter where the pencil
-costs O(N^2 |C| + N |C|^2).
+matrix product and no parameter value is factored, not even to lift a
+mode v_hat to v = W v_hat.  Only a snapshot or a mode solve, whose dense
+eigensolve needs the whole pencil, forms it (build_cotree_system); an
+evaluation on a basis Z of n columns forms W Z alone and returns the
+pencil's action on Z, (A_hat Z, B_hat Z) (reduce_cotree_system), at
+O(N^2 n) per parameter where the pencil costs O(N^2 |C| + N |C|^2).
 """
 
 from __future__ import annotations
@@ -144,13 +146,25 @@ def build_tree(mesh: CavityMesh, G: sp.csr_matrix) -> GaugeDecomposition:
     )
 
 
-def cotree_operator(sys: SystemPair, gauge: GaugeDecomposition) -> sp.csr_matrix:
-    """H: rows of A at cotree edges, columns in global order (|C| x N)."""
+def _check_size(sys: SystemPair, gauge: GaugeDecomposition) -> None:
     if sys.n != gauge.n_free_edges:
         raise NumericsError(
             "system size %d does not match gauge size %d" % (sys.n, gauge.n_free_edges)
         )
+
+
+def cotree_operator(sys: SystemPair, gauge: GaugeDecomposition) -> sp.csr_matrix:
+    """H: rows of A at cotree edges, columns in global order (|C| x N)."""
+    _check_size(sys, gauge)
     return sys.A.tocsr()[gauge.cotree, :]
+
+
+def cotree_transpose_product(A, gauge: GaugeDecomposition, Y) -> np.ndarray:
+    """H^T Y = A Y_C for H the cotree rows of the symmetric A, with Y_C
+    holding Y on the cotree rows and zeros on the tree rows."""
+    Y_C = np.zeros((gauge.n_free_edges, Y.shape[1]))
+    Y_C[gauge.cotree] = Y
+    return A @ Y_C
 
 
 class CotreeFamily:
@@ -249,16 +263,6 @@ def reduce_cotree_system(family: CotreeFamily, t: float,
     return A_hat_Z, AWZ[family.gauge.cotree]
 
 
-def upscale(gauge: GaugeDecomposition, sys: SystemPair,
-            v_hat: np.ndarray) -> np.ndarray:
-    """Transform cotree coordinates back to the full space: v = B^{-1} H^T v_hat.
-
-    v_hat holds a few columns, so the mass solve is Jacobi-PCG.
-    """
-    H = cotree_operator(sys, gauge)
-    return eigen.pcg_solve(sys.B, np.asarray(H.T @ v_hat))
-
-
 class CotreeProjector:
     """Condensation of full vectors to cotree coordinates along the tree.
 
@@ -268,7 +272,7 @@ class CotreeProjector:
     """
 
     def __init__(self, sys: SystemPair, gauge: GaugeDecomposition):
-        self._H = cotree_operator(sys, gauge)
+        _check_size(sys, gauge)
         self._A = sys.A
         self._B = sys.B
         self._gauge = gauge
@@ -290,7 +294,8 @@ class CotreeProjector:
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.sum(V * (self._A @ V), axis=0) / np.sum(V * Bv, axis=0)
             v_hat = np.where(q > 0, (V[g.cotree] - g.G_cotree @ phi) / q, 0.0)
-            residual = np.linalg.norm(self._H.T @ v_hat - Bv, axis=0)
+            residual = np.linalg.norm(
+                cotree_transpose_product(self._A, g, v_hat) - Bv, axis=0)
             rel = np.where(rhs_norms > 0, residual / rhs_norms, 0.0)
         if check and np.any(rel > _CONSISTENCY_TOL):
             worst = int(np.argmax(rel))

@@ -35,11 +35,12 @@ the same psys, gauge and Z objects, so reduced tracking right after a
 build makes no mass solve unless a parameter fails the certificate.
 
 Classical gauge: the dense cotree pencil A_hat = W^T (A W),
-B_hat = H W with W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.  One dense eigendecomposition of the endpoint mass
-pencil per evaluator (gauge.CotreeFamily, built with the evaluator)
-diagonalizes B(t) at every t, so no parameter value is factored.  Only
-a snapshot forms the whole |C| x |C| pencil, because its dense
-eigensolve needs it, and asks that eigensolver for its K modes only.
+B_hat = H W with W = B(t)^{-1} H(t)^T, on dense LAPACK throughout.
+One dense eigendecomposition of the endpoint mass pencil per evaluator
+(gauge.CotreeFamily, built with the evaluator) diagonalizes B(t) at
+every t, so no parameter value is factored.  Only a snapshot or a mode
+solve forms the whole |C| x |C| pencil, because its dense eigensolve
+needs it, and asks that eigensolver for its K modes only.
 Every other evaluation reduces on the basis: it forms W Z from the
 basis held in the family's eigenbasis and keeps only the pencil's
 action on Z, (A_hat Z, B_hat Z), so it holds N x n and |C| x n arrays
@@ -58,10 +59,13 @@ reduced tracking, the bench error studies and the tests all go through
 these two routines.  Each call evaluates its parameter afresh and keeps
 nothing of it once it returns, apart from a lift point the mixed
 evaluator may add to its own copy of the lifted space, never to a space
-a basis already carries.  ``snapshot(t)`` returns the K modes at t as a
-|C| x K array of unit columns.  build_basis makes one evaluator and
-hands it to collect_snapshots and then to greedy_enrich, so for the
-classical gauge one family serves the whole build.
+a basis already carries.  ``modes(t)``, which the CLI ``solve`` prints,
+is each gauge's one definition of the K physical modes at t: the pair
+and an EigenSolution in full edge space with residual norms.
+``snapshot(t)`` gives the same modes as |C| x K unit columns without
+a lift.  build_basis makes one evaluator and hands it to
+collect_snapshots and then to greedy_enrich, so for the classical gauge
+one family serves the whole build.
 
 collect_snapshots visits the POD set in nested levels, coarse to fine:
 the two endpoints, then the index-midpoint of every remaining gap.
@@ -86,13 +90,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import ParametrizedSystem
-from .eigen import (_LIFT_RTOL, _PCG_RTOL, SolverPolicy, _cholesky,
-                    _cholesky_solve, pcg_solve, solve_dense_gevp,
-                    solve_sparse_gevp)
+from .eigen import (_LIFT_RTOL, _PCG_RTOL, EigenSolution, SolverPolicy,
+                    _cholesky, _cholesky_solve, _residuals, pcg_solve,
+                    solve_dense_gevp, solve_sparse_gevp)
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
 from .gauge import (CotreeFamily, CotreeProjector, GaugeDecomposition,
-                    build_cotree_system, reduce_cotree_system)
+                    build_cotree_system, cotree_transpose_product,
+                    reduce_cotree_system)
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
@@ -120,8 +125,9 @@ def _blend_times(pair, t: float, X: np.ndarray) -> np.ndarray:
 
 
 def _salt_from_t(t: float) -> int:
-    """Injective, deterministic salt for per-parameter start vectors."""
-    return int(np.abs(np.float64(t).view(np.int64)))
+    """Injective, deterministic salt for per-parameter start vectors;
+    -0.0 is taken as +0.0 (t + 0.0), every other t keeps its bits."""
+    return int(np.abs(np.float64(t + 0.0).view(np.int64)))
 
 
 @dataclass(frozen=True)
@@ -199,12 +205,13 @@ def _gaps(values: np.ndarray, K: int) -> np.ndarray:
 class _Evaluator:
     """Shared state and the public per-parameter routines.
 
-    Subclasses provide set_basis, snapshot, and three hooks on the per-t
-    data: _at(t), which returns it; _reduce, the pair Z^T A Z, Z^T B Z that
-    the base symmetrizes; and _residual_norms of the first min(K, n_red)
-    eigenpairs.  reduced_system, solve and estimate each evaluate _at once
-    and keep nothing of it; a lift point the mixed evaluator adds belongs
-    to its lifted space, ``lifted`` (None if classical), not to t.
+    Subclasses provide set_basis, modes, snapshot, and three hooks on the
+    per-t data: _at(t), which returns it; _reduce, the pair Z^T A Z,
+    Z^T B Z that the base symmetrizes; and _residual_norms of the first
+    min(K, n_red) eigenpairs.  reduced_system, solve and estimate each
+    evaluate _at once and keep nothing of it; a lift point the mixed
+    evaluator adds belongs to its lifted space, ``lifted`` (None if
+    classical), not to t.
     """
 
     lifted = None
@@ -297,11 +304,8 @@ def _extend_frame(frame: np.ndarray, X: np.ndarray, parts: int):
 def _cotree_products(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                      Z: np.ndarray) -> tuple:
     """The endpoint blocks P_e = H_e^T Z, e = 0, 1."""
-    # H_e = rows C of the symmetric A_e, so H_e^T Z = A_e Z_C with Z_C
-    # holding Z on the cotree rows and zeros on the tree rows.
-    Z_C = np.zeros((psys.n, Z.shape[1]))
-    Z_C[gauge.cotree] = Z
-    return tuple(e.A @ Z_C for e in (psys.endpoint0, psys.endpoint1))
+    return tuple(cotree_transpose_product(e.A, gauge, Z)
+                 for e in (psys.endpoint0, psys.endpoint1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,15 +501,18 @@ class _MixedEvaluator(_Evaluator):
              - _blend_times(self.lifted.TP, t, V) * values)
         return np.linalg.norm(R, axis=0)
 
-    def snapshot(self, t: float) -> np.ndarray:
-        """Sparse high-fidelity solve followed by tree-path condensation;
-        the K modes at t as unit columns in cotree coordinates."""
+    def modes(self, t: float):
+        """The pair at t and its K modes by the sparse ungauged solve."""
         pair = self.psys.interpolate(t)
-        sol = solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
-                                salt=_salt_from_t(t))
-        projector = CotreeProjector(pair, self.gauge)
+        return pair, solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
+                                       salt=_salt_from_t(t))
+
+    def snapshot(self, t: float) -> np.ndarray:
+        """modes(t) condensed along the tree; the K modes at t as unit
+        columns in cotree coordinates."""
+        pair, sol = self.modes(t)
         try:
-            Y, _ = projector.project(sol.vectors)
+            Y, _ = CotreeProjector(pair, self.gauge).project(sol.vectors)
         except ProjectionError as exc:
             raise ProjectionError(
                 "snapshot condensation failed at t=%r: %s" % (t, exc)
@@ -517,8 +524,9 @@ class _ClassicalEvaluator(_Evaluator):
     """Dense cotree pencil per snapshot; the memory-bound baseline.
 
     Built with the evaluator and living as long as it does, the
-    evaluator's CotreeFamily of (psys, gauge) serves both kinds of
-    evaluation.  A snapshot forms the whole pencil (A_hat, B_hat).
+    evaluator's CotreeFamily of (psys, gauge) serves every kind of
+    evaluation.  A snapshot or a mode solve forms the whole pencil
+    (A_hat, B_hat); only the mode solve lifts, with the family.
     Every other evaluation works on the basis: set_basis keeps Z and
     its coordinates (X_0 Z, X_1 Z) in the family's eigenbasis, and the
     per-t data is the pencil's action on Z, (A_hat Z, B_hat Z), two
@@ -552,20 +560,31 @@ class _ClassicalEvaluator(_Evaluator):
         A_hat_Z, B_hat_Z = data
         return np.linalg.norm(A_hat_Z @ V - (B_hat_Z @ V) * values, axis=0)
 
-    def snapshot(self, t: float) -> np.ndarray:
+    def _gauged_modes(self, t: float):
+        """The K modes of the gauged pencil at t, B_hat-orthonormal in
+        cotree coordinates; NumericsError unless all K lie above the
+        spectral cutoff."""
         cs = build_cotree_system(self.family, t)
         sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
-        if sol.values.size < self.K:
+        found = np.count_nonzero(sol.values > self.policy.lambda_cut)
+        if found < self.K:
             raise NumericsError(
-                "gauged pencil at t=%r has only %d modes, need %d"
-                % (t, sol.values.size, self.K)
-            )
-        if sol.values[0] <= self.policy.lambda_cut:
-            raise NumericsError(
-                "gauged pencil produced an eigenvalue %.3e below the spectral "
-                "cutoff at t=%r" % (sol.values[0], t)
-            )
-        return sol.vectors / np.linalg.norm(sol.vectors, axis=0)[None, :]
+                "gauged pencil at t=%r has %d modes above the spectral "
+                "cutoff, need %d" % (t, found, self.K))
+        return sol
+
+    def modes(self, t: float):
+        """The pair at t and the pencil's K modes lifted by the family,
+        v = W v_hat: B(t)-orthonormal, since v_hat is B_hat-orthonormal."""
+        sol = self._gauged_modes(t)
+        V = self.family.solve(t, tuple(X @ sol.vectors for X in self.family.X))
+        pair = self.psys.interpolate(t)
+        return pair, EigenSolution(sol.values, V,
+                                   _residuals(pair.A, pair.B, sol.values, V))
+
+    def snapshot(self, t: float) -> np.ndarray:
+        v_hat = self._gauged_modes(t).vectors
+        return v_hat / np.linalg.norm(v_hat, axis=0)[None, :]
 
 
 def _make_evaluator(gauge_mode, psys, gauge, policy, K, basis=None):

@@ -29,6 +29,9 @@ system pair, W = B^{-1} H^T through a dense Cholesky factor of B and one
 |C|-column potrs, from before one endpoint mass eigenbasis served every
 parameter value; ``reference_cotree_reduction`` lifts only the columns
 of a basis the same way and reduces the pencil on it.
+``reference_upscale`` lifts cotree coordinates back to the full space,
+v = B^{-1} H^T v_hat, through a sparse LU factor of B; the projection
+round trips are checked against it.
 ``reference_mgs_orthogonalize`` is the column-by-column
 modified Gram-Schmidt loop, with one extra pass, that orthogonalized
 greedy's appended columns before one block projection served greedy,
@@ -40,6 +43,7 @@ from collections import deque
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from maxwell_rb.assembly import SystemPair
@@ -626,3 +630,9 @@ def reference_mgs_orthogonalize(Z, v):
         for j in range(Z.shape[1]):
             v -= (Z[:, j] @ v) * Z[:, j]
     return v
+
+
+def reference_upscale(gauge, pair, v_hat):
+    """v = B^{-1} H^T v_hat with H = A[C, :], B factored by splu."""
+    HtV = pair.A.tocsc()[:, gauge.cotree] @ v_hat
+    return spla.splu(sp.csc_matrix(pair.B)).solve(np.asarray(HtV))

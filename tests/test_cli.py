@@ -194,6 +194,46 @@ class TestSolve:
         assert rc == 0
         assert len(built) == 1
 
+    def test_classical_modes_lifted_by_the_family(self, cfg_file, tmp_path,
+                                                  monkeypatch):
+        # the gauged pencil's modes lift through the endpoint mass
+        # eigenbasis: B-orthonormal, at roundoff residuals, and with no
+        # conjugate-gradient mass solve
+        from maxwell_rb import eigen, rb
+
+        calls = []
+        pcg = eigen.pcg_solve
+
+        def counted(B, rhs):
+            calls.append(rhs.shape)
+            return pcg(B, rhs)
+
+        monkeypatch.setattr(eigen, "pcg_solve", counted)
+        monkeypatch.setattr(rb, "pcg_solve", counted)
+        out = str(tmp_path / "out")
+        rc = main(["solve", "--config", cfg_file, "--output", out,
+                   "--t", "0.37", "--gauge", "classical", "--export"])
+        assert rc == 0
+        assert calls == []
+        A = scipy.io.mmread(os.path.join(out, "A_t.mtx")).tocsr()
+        B = scipy.io.mmread(os.path.join(out, "B_t.mtx")).tocsr()
+        V = np.asarray(scipy.io.mmread(os.path.join(out, "modes.mtx")))
+        payload = _read_json(os.path.join(out, "solve.json"))
+        values = np.asarray(payload["eigenvalues"])
+        assert np.abs(V.T @ (B @ V) - np.eye(5)).max() <= 1e-12
+        scale = values * np.linalg.norm(B @ V, axis=0)
+        recomputed = np.linalg.norm(A @ V - (B @ V) * values, axis=0)
+        assert np.all(recomputed / scale <= 1e-10)
+        assert np.all(np.asarray(payload["residual_norms"]) / scale <= 1e-10)
+
+    def test_negative_zero_t_solves_as_zero(self, cfg_file, capsys):
+        tables = []
+        for t in ("0", "-0.0"):
+            assert main(["solve", "--config", cfg_file, "--t", t]) == 0
+            out = capsys.readouterr().out
+            tables.append([ln for ln in out.splitlines() if ln[:1].isdigit()])
+        assert len(tables[0]) == 5 and tables[1] == tables[0]
+
     @pytest.mark.parametrize("bad", ["nan", "indefinite"])
     def test_classical_bad_endpoint_mass_exit_3(self, cfg_file, monkeypatch,
                                                 capsys, bad):

@@ -13,12 +13,12 @@ from maxwell_rb.errors import (ConfigError, FactorizationError, NumericsError,
                                ProjectionError)
 from maxwell_rb.gauge import (CotreeFamily, CotreeProjector,
                               build_cotree_system, build_tree,
-                              cotree_operator, upscale)
+                              cotree_operator, cotree_transpose_product)
 from maxwell_rb.mesh import build_mesh, discrete_gradient
 
 from oracles import (continuum_brick_eigenvalues, cotree_least_squares,
                      discrete_brick_eigenvalues, reference_build_tree,
-                     reference_cotree_system)
+                     reference_cotree_system, reference_upscale)
 
 FROZEN_RESOLUTIONS = [(2, 2, 2), (3, 3, 3), (2, 5, 3), (7, 11, 4), (6, 6, 6),
                       (12, 12, 12)]
@@ -101,6 +101,8 @@ class TestTree:
         wrong = build_tree(cube2, discrete_gradient(cube2))
         with pytest.raises(NumericsError):
             cotree_operator(cube3_pair, wrong)
+        with pytest.raises(NumericsError):
+            CotreeProjector(cube3_pair, wrong)
 
 
 def _pencil(pair, gauge):
@@ -116,6 +118,15 @@ class TestCotreeSystem:
         assert H.shape == (cube3_gauge.cotree.size, cube3_pair.n)
         want = cube3_pair.A.tocsr()[cube3_gauge.cotree, :]
         assert (H != want).nnz == 0
+
+    def test_transpose_product_is_operator_transpose(self, cube3_pair,
+                                                     cube3_gauge):
+        Y = np.random.default_rng(3).standard_normal(
+            (cube3_gauge.cotree.size, 4))
+        want = cotree_operator(cube3_pair, cube3_gauge).T @ Y
+        got = cotree_transpose_product(cube3_pair.A, cube3_gauge, Y)
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-14 * np.abs(want).max())
 
     def test_mass_block_read_off_stiffness_product(self, small_morph):
         # B_hat is taken as the cotree rows of A W; it must be H W exactly
@@ -252,7 +263,7 @@ class TestProjection:
             v = modes.vectors[:, j]
             v_hat, rel = CotreeProjector(cube3_pair, cube3_gauge).project(v)
             assert rel <= 1e-9
-            back = upscale(cube3_gauge, cube3_pair, v_hat)
+            back = reference_upscale(cube3_gauge, cube3_pair, v_hat)
             diff = back - v
             err = np.sqrt(diff @ (B @ diff)) / np.sqrt(v @ (B @ v))
             assert err < 1e-8

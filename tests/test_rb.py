@@ -108,6 +108,31 @@ class TestSnapshots:
                                 @ np.linalg.qr(classical)[0], compute_uv=False)
         assert cosines.min() >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_both_gauges_solve_the_same_modes(self, tiny_cfg, t):
+        # modes(t) in full edge space: equal eigenvalues and equal
+        # B-orthonormal mode spaces (every principal cosine is 1)
+        p = setup_problem(tiny_cfg)
+        (pair, mixed), (_, classical) = (
+            _make_evaluator(mode, p.psys, p.gauge, p.policy, 5).modes(t)
+            for mode in ("mixed", "classical"))
+        assert np.allclose(classical.values, mixed.values, rtol=1e-8, atol=0)
+        cosines = np.linalg.svd(mixed.vectors.T @ (pair.B @ classical.vectors),
+                                compute_uv=False)
+        assert np.abs(cosines - 1.0).max() <= 1e-8
+
+    def test_classical_cutoff_guards_modes_and_snapshots(self, small_morph):
+        # too high a cutoff, or more modes than cotree DoFs, is refused
+        # by the one check both classical queries share
+        m = small_morph
+        n_cotree = m["gauge"].cotree.size
+        for policy, K in ((replace(m["policy"], lambda_cut=1e3), 5),
+                          (m["policy"], n_cotree + 1)):
+            ev = _make_evaluator("classical", m["psys"], m["gauge"], policy, K)
+            for query in (ev.modes, ev.snapshot):
+                with pytest.raises(NumericsError, match="spectral cutoff"):
+                    query(0.5)
+
     def test_mode_count_guard(self, small_morph):
         m = small_morph
         with pytest.raises(ConfigError):
