@@ -196,9 +196,9 @@ def leading_block_eigenvalues(problem: Problem, basis: ReducedBasis,
                               t_values, sizes) -> np.ndarray:
     """Lowest K reduced eigenvalues for each leading basis size and t.
 
-    Shape (len(sizes), len(t_values), K).  Each t is evaluated once at
-    the full size and every size solves the leading n x n block of that
-    pencil.  The classical pencil's leading block is exactly the size-n
+    Shape (len(sizes), len(t_values), K).  The t values are evaluated
+    at the full size in one sweep (solve_many), and every smaller size
+    solves the leading n x n block of that pencil.  The classical pencil's leading block is exactly the size-n
     pencil.  The mixed one lifts each column separately within the span
     of the full basis's lifts, so its leading block agrees with a size-n
     rebuild to the lifting tolerance (_LIFT_RTOL).  The evaluator is
@@ -210,11 +210,11 @@ def leading_block_eigenvalues(problem: Problem, basis: ReducedBasis,
     ev = _make_evaluator(basis.gauge_mode, problem.psys, problem.gauge,
                          problem.policy, K, basis=basis)
     out = np.empty((len(sizes), len(t_values), K))
-    for row, t in enumerate(t_values):
-        red = ev.reduced_system(float(t))
+    for row, (red, full) in enumerate(ev.solve_many(t_values)):
         for i, n in enumerate(sizes):
-            out[i, row] = solve_dense_gevp(red.A_tilde[:n, :n],
-                                           red.B_tilde[:n, :n]).values[:K]
+            sol = full if n == basis.n_red else solve_dense_gevp(
+                red.A_tilde[:n, :n], red.B_tilde[:n, :n])
+            out[i, row] = sol.values[:K]
     return out
 
 

@@ -33,9 +33,9 @@ mass pencil diagonalizes the affine B(t) for every t, so each W is a
 matrix product and no parameter value is factored, not even to lift a
 mode v_hat to v = W v_hat.  Only a snapshot or a mode solve, whose dense
 eigensolve needs the whole pencil, forms it (build_cotree_system); an
-evaluation on a basis Z of n columns forms W Z alone and returns the
-pencil's action on Z, (A_hat Z, B_hat Z) (reduce_cotree_system), at
-O(N^2 n) per parameter where the pencil costs O(N^2 |C| + N |C|^2).
+evaluation on a basis Z of n columns forms W Z alone, at O(N^2 n) per
+parameter where the pencil costs O(N^2 |C| + N |C|^2)
+(rb._ClassicalEvaluator).
 """
 
 from __future__ import annotations
@@ -203,9 +203,10 @@ class CotreeFamily:
         self.V = sol.vectors
         self.X = tuple((h @ self.V).T for h in H)
 
-    def inverse_scale(self, t: float) -> np.ndarray:
-        """d_t = 1 / (1 - t + t mu), so that B(t)^{-1} = V diag(d_t) V^T."""
-        return 1.0 / ((1.0 - t) + t * self.mu)
+    def inverse_scale(self, t) -> np.ndarray:
+        """d_t = 1 / (1 - t + t mu), so that B(t)^{-1} = V diag(d_t) V^T;
+        for an array of parameters, one column d_t per t (N x len(t))."""
+        return 1.0 / ((1.0 - t) + np.multiply.outer(self.mu, t))
 
     def solve(self, t: float, X: tuple | None = None) -> np.ndarray:
         """B(t)^{-1} R(t) for t in [0, 1], R(t) = (1 - t) R_0 + t R_1,
@@ -240,27 +241,6 @@ def build_cotree_system(family: CotreeFamily, t: float) -> CotreeSystem:
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
     return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
-
-
-def reduce_cotree_system(family: CotreeFamily, t: float,
-                         XZ: tuple) -> tuple:
-    """(A_hat Z, B_hat Z) at t, both |C| x n, without forming the pencil.
-
-    XZ = (X_0 Z, X_1 Z) holds the basis Z in the family's eigenbasis, so
-    W Z = family.solve(t, XZ) costs O(N^2 n).  B_hat Z = H W Z is the
-    cotree rows of A (W Z), and since W = V diag(d_t) ((1 - t) X_0 +
-    t X_1), A_hat Z = W^T A (W Z) is (1 - t) X_0^T g + t X_1^T g with
-    g = d_t * (V^T A W Z).  Neither result is symmetrized: the reduced
-    pencils Z^T (A_hat Z) and Z^T (B_hat Z) are, by their caller.  A t
-    outside [0, 1] raises ConfigError.
-    """
-    A = family.psys.interpolate(t).A
-    AWZ = A @ family.solve(t, XZ)
-    g = family.V.T @ AWZ
-    g *= family.inverse_scale(t)[:, None]
-    A_hat_Z = (1.0 - t) * (family.X[0].T @ g)
-    A_hat_Z += t * (family.X[1].T @ g)
-    return A_hat_Z, AWZ[family.gauge.cotree]
 
 
 class CotreeProjector:

@@ -42,24 +42,32 @@ every t, so no parameter value is factored.  Only a snapshot or a mode
 solve forms the whole |C| x |C| pencil, because its dense eigensolve
 needs it, and asks that eigensolver for its K modes only.
 Every other evaluation reduces on the basis: it forms W Z from the
-basis held in the family's eigenbasis and keeps only the pencil's
-action on Z, (A_hat Z, B_hat Z), so it holds N x n and |C| x n arrays
-(gauge.reduce_cotree_system).  The family's N x N eigenbasis and a
+basis held in the family's eigenbasis, and from it the reduced pencil
+and the pencil's action A_hat Z only on the eigenvectors the estimator
+needs, so it holds N x n and |C| x n arrays per parameter
+(_ClassicalEvaluator._reduce_many).  The family's N x N eigenbasis and a
 snapshot's pencil are exactly what does not fit in memory at scale;
 this path exists as the comparison baseline and is expected slower and
 hungrier.  The family is built afresh by every evaluator, never cached
 across evaluators.
 
 Every evaluator is built by _make_evaluator and answers two shared
-questions: ``solve`` gives the reduced pencil at t and its eigenpairs,
-and ``estimate`` adds the gap-aware error estimator eta = ||r||^2 /
-(lambda_tilde * gap) of the first K modes (inf for a mode that a basis
-of fewer than K columns lacks).  The greedy loop,
-reduced tracking, the bench error studies and the tests all go through
-these two routines.  Each call evaluates its parameter afresh and keeps
-nothing of it once it returns, apart from a lift point the mixed
-evaluator may add to its own copy of the lifted space, never to a space
-a basis already carries.  ``modes(t)``, which the CLI ``solve`` prints,
+questions on a set of parameters at once: ``solve_many`` gives the
+reduced pencil at each t and its eigenpairs, and ``estimate_many`` adds
+the gap-aware error estimator eta = ||r||^2 / (lambda_tilde * gap) of
+the first K modes (inf for a mode that a basis of fewer than K columns
+lacks).  Each gauge evaluates the parameters in chunks of at most
+_BATCH_COLUMNS basis columns with one kernel: a chunk's products with
+N-row or frame-row arrays are one product per endpoint for all its
+parameters, not one per parameter, and a single-t ``solve``,
+``estimate`` or ``reduced_system`` is a chunk of one.  The mixed kernel
+lifts at exactly the parameters a one-by-one pass would lift at (its
+lift-resume rule, _MixedEvaluator).  The greedy sweep, the snapshot
+gate, reduced tracking's initial grid and the bench error studies each
+make one sweep.  A sweep keeps nothing of its parameters once it
+returns, apart from a lift point the mixed evaluator may add to its own
+copy of the lifted space, never to a space a basis already carries.
+``modes(t)``, which the CLI ``solve`` prints,
 is each gauge's one definition of the K physical modes at t: the pair
 and an EigenSolution in full edge space with residual norms.
 ``snapshot(t)`` gives the same modes as |C| x K unit columns without
@@ -68,15 +76,21 @@ collect_snapshots and then to greedy_enrich, so for the classical gauge
 one family serves the whole build.
 
 collect_snapshots visits the POD set in nested levels, coarse to fine:
-the two endpoints, then the index-midpoint of every remaining gap.
-After each complete level past the first it checks whether the level
-added rank, and stops once a whole level lies in the span of the
-earlier ones to _SATURATION_TOL (POD-greedy snapshot selection,
-Haasdonk & Ohlberger, ESAIM: M2AN 42, 2008), so N_POD is a cap, not a
-count.  The risk is a morph whose coarse levels coincide while finer
-parameters differ: the check then stops before it sees them.  Greedy
-enrichment over the training set is the backstop for anything the
-early stop misses.
+the two endpoints, then the index-midpoint of every remaining gap, and
+solves a level only when the estimator asks for it (POD-greedy snapshot
+selection, Haasdonk & Ohlberger, ESAIM: M2AN 42, 2008).  After each
+complete level it forms the POD basis of the columns so far and, once
+that basis has K columns and meets N_init, estimates eta at the next
+level's parameters; if every eta is at most tol, that level and every
+later one stay unsolved, and greedy starts from that basis and, in the
+mixed gauge, from the lifted space its estimate made.  A level that was
+solved and lies in the span of the earlier ones to _SATURATION_TOL also
+ends collection.  N_POD is a cap, not a count: the default brick solves
+its two endpoints only.  The gate trusts the same uncertified eta that
+greedy trusts (no bound backs it yet), and both rules can stop too
+early on a morph whose coarse levels coincide while finer parameters
+differ.  Greedy enrichment over the training set is the backstop for
+anything the early stop misses.
 
 greedy_enrich is a weak greedy over one table of (t, mode) candidates
 (Hesthaven, Rozza & Stamm, Certified Reduced Basis Methods, 2016).
@@ -96,8 +110,7 @@ from .eigen import (_LIFT_RTOL, _PCG_RTOL, EigenSolution, SolverPolicy,
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
 from .gauge import (CotreeFamily, CotreeProjector, GaugeDecomposition,
-                    build_cotree_system, cotree_transpose_product,
-                    reduce_cotree_system)
+                    build_cotree_system, cotree_transpose_product)
 
 _EXHAUSTION_NORM = 1e-10
 _POD_RANK_GUARD = 1e-13
@@ -112,6 +125,13 @@ _GAP_FLOOR_FRACTION = 1e-8
 # a few roundoffs, so the frame misses no part of a residual that the
 # lifting check (_LIFT_RTOL = 1e-12) could see.
 _FRAME_RTOL = 1e-15
+# A batched evaluation takes at most this many basis columns at once,
+# summed over its parameters, so a sweep's arrays do not grow with its
+# parameter count: a few N x _BATCH_COLUMNS arrays on the classical path.
+# Dense products reach full speed from about 100 columns on, and at 6^3 a
+# classical sweep then stays below the memory of one snapshot's pencil
+# (2.8 MB traced against 7.5 MB; 512 columns took 6.7 MB).
+_BATCH_COLUMNS = 128
 
 
 def _blend(pair, t: float):
@@ -119,9 +139,29 @@ def _blend(pair, t: float):
     return (1.0 - t) * pair[0] + t * pair[1]
 
 
-def _blend_times(pair, t: float, X: np.ndarray) -> np.ndarray:
-    """_blend(pair, t) @ X, without forming the blend."""
-    return pair[0] @ ((1.0 - t) * X) + pair[1] @ (t * X)
+def _blend_many(pair, ts: np.ndarray) -> np.ndarray:
+    """_blend(pair, t) for every t in ts, stacked with t on the middle
+    axis: (rows, len(ts), cols) from endpoint arrays of rows x cols."""
+    return (pair[0][:, None, :] * (1.0 - ts)[:, None]
+            + pair[1][:, None, :] * ts[:, None])
+
+
+def _times_many(pair, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """_blend(pair, t_j) @ X[:, j, :] for every t_j in ts, stacked like X:
+    one product per endpoint, with the blocks of X side by side."""
+    rows, count, cols = X.shape
+    flat = X.reshape(rows, count * cols)
+    out = (pair[0] @ flat).reshape(-1, count, cols)
+    out *= (1.0 - ts)[:, None]
+    second = (pair[1] @ flat).reshape(-1, count, cols)
+    second *= ts[:, None]
+    out += second
+    return out
+
+
+def _inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X[:, j, :]^T Y[:, j, :] for every j, stacked on the first axis."""
+    return np.matmul(X.transpose(1, 2, 0), Y.transpose(1, 0, 2))
 
 
 def _salt_from_t(t: float) -> int:
@@ -184,18 +224,20 @@ class ReducedSystem:
 def _gaps(values: np.ndarray, K: int) -> np.ndarray:
     """Distance to the nearest neighboring reduced eigenvalue, floored.
 
-    values is ascending, so a value's nearest neighbor is adjacent.
-    Neighbors are taken among the first min(K+1, available) values; the
-    floor prevents blow-up at (near-)degeneracies.
+    values is ascending along its last axis, so a value's nearest
+    neighbor is adjacent; each row of a stack of spectra is treated on its
+    own.  Neighbors are taken among the first min(K+1, available) values;
+    the floor prevents blow-up at (near-)degeneracies.
     """
-    m = min(K + 1, values.size)
-    k_eff = min(K, values.size)
-    floor = _GAP_FLOOR_FRACTION * abs(values[k_eff - 1])
-    d = np.diff(values[:m])
-    if d.size == 0:
-        return np.array([floor])
-    nearest = np.minimum(np.append(d[:1], d), np.append(d, d[-1:]))
-    return np.maximum(nearest[:k_eff], floor)
+    size = values.shape[-1]
+    m, k_eff = min(K + 1, size), min(K, size)
+    floor = _GAP_FLOOR_FRACTION * np.abs(values[..., k_eff - 1:k_eff])
+    d = np.diff(values[..., :m], axis=-1)
+    if d.shape[-1] == 0:
+        return floor
+    nearest = np.minimum(np.concatenate([d[..., :1], d], axis=-1),
+                         np.concatenate([d, d[..., -1:]], axis=-1))
+    return np.maximum(nearest[..., :k_eff], floor)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +245,23 @@ def _gaps(values: np.ndarray, K: int) -> np.ndarray:
 
 
 class _Evaluator:
-    """Shared state and the public per-parameter routines.
+    """Shared state and the public routines on parameter sets.
 
-    Subclasses provide set_basis, modes, snapshot, and three hooks on the
-    per-t data: _at(t), which returns it; _reduce, the pair Z^T A Z,
-    Z^T B Z that the base symmetrizes; and _residual_norms of the first
-    min(K, n_red) eigenpairs.  reduced_system, solve and estimate each
-    evaluate _at once and keep nothing of it; a lift point the mixed
-    evaluator adds belongs to its lifted space, ``lifted`` (None if
-    classical), not to t.
+    Subclasses provide set_basis, modes, snapshot and two hooks.
+    _chunks(ts) evaluates the parameters in order, a chunk at a time,
+    and yields (data, A, B) per chunk: the raw pencils Z^T A Z and
+    Z^T B Z of its parameters stacked on the first axis, which the base
+    symmetrizes, and whatever _residual_norms(data, values, V) needs for
+    the residual norms of the first k_eff = min(K, n_red) eigenpairs of
+    each (values stacked len(chunk) x k_eff, V len(chunk) x n_red x
+    k_eff).  A chunk holds at most _BATCH_COLUMNS basis columns summed
+    over its parameters, so no array of a sweep grows with len(ts).
+
+    solve_many and estimate_many are the only sweeps; reduced_system,
+    solve and estimate are batches of one, so each gauge has one kernel.
+    A sweep keeps nothing of its parameters once it returns; a lift
+    point the mixed evaluator adds belongs to its lifted space,
+    ``lifted`` (None if classical), not to t.
     """
 
     lifted = None
@@ -225,33 +275,76 @@ class _Evaluator:
         self.policy = policy
         self.K = K
 
-    def _system(self, data) -> ReducedSystem:
-        A_tilde, B_tilde = self._reduce(data)
-        return ReducedSystem(A_tilde=0.5 * (A_tilde + A_tilde.T),
-                             B_tilde=0.5 * (B_tilde + B_tilde.T))
+    def _pencils(self, ts):
+        """(data, reduced systems) per chunk of the parameters ts."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
+        if outside.size:
+            raise ConfigError("parameter t=%r outside [0, 1]"
+                              % float(outside[0]))
+        for data, A, B in self._chunks(ts):
+            yield data, [ReducedSystem(A_tilde=0.5 * (a + a.T),
+                                       B_tilde=0.5 * (b + b.T))
+                         for a, b in zip(A, B)]
 
     def reduced_system(self, t: float) -> ReducedSystem:
-        return self._system(self._at(t))
+        return next(self._pencils([t]))[1][0]
+
+    def solve_many(self, ts) -> list:
+        """The reduced pencil at each t in ts and its eigenpairs, as a list
+        of (ReducedSystem, EigenSolution) in ts order."""
+        return [(red, solve_dense_gevp(red.A_tilde, red.B_tilde))
+                for _, reds in self._pencils(ts) for red in reds]
 
     def solve(self, t: float):
-        """Reduced pencil at t and its eigenpairs, as (ReducedSystem,
-        EigenSolution)."""
-        red = self.reduced_system(t)
-        return red, solve_dense_gevp(red.A_tilde, red.B_tilde)
+        return self.solve_many([t])[0]
+
+    def estimate_many(self, ts) -> list:
+        """Reduced eigenpairs at each t in ts and eta = ||r||^2 /
+        (lambda_tilde * gap) of the first K modes, as a list of
+        (EigenSolution, eta) in ts order.  A mode the reduced pencil
+        lacks (n_red < K) is not approximated at all and gets eta = inf.
+
+        The parameters are evaluated in ts order, so a mixed evaluator
+        lifts at exactly the parameters a one-by-one pass would lift at
+        (_MixedEvaluator._chunks)."""
+        out = []
+        for data, reds in self._pencils(ts):
+            sols = [solve_dense_gevp(red.A_tilde, red.B_tilde)
+                    for red in reds]
+            spectra = np.array([sol.values for sol in sols])
+            k_eff = min(self.K, spectra.shape[1])
+            values = spectra[:, :k_eff]
+            norms = self._residual_norms(
+                data, values, np.array([sol.vectors[:, :k_eff]
+                                        for sol in sols]))
+            etas = np.full((len(sols), self.K), np.inf)
+            etas[:, :k_eff] = norms**2 / (values * _gaps(spectra, self.K))
+            out.extend(zip(sols, etas))
+        return out
 
     def estimate(self, t: float):
-        """Reduced eigenpairs at t and eta = ||r||^2 / (lambda_tilde * gap)
-        of the first K modes; a mode the reduced pencil lacks (n_red < K)
-        is not approximated at all and gets eta = inf."""
-        data = self._at(t)
-        red = self._system(data)
-        sol = solve_dense_gevp(red.A_tilde, red.B_tilde)
-        k_eff = min(self.K, sol.values.size)
-        values = sol.values[:k_eff]
-        norms = self._residual_norms(data, values, sol.vectors[:, :k_eff])
-        eta = np.full(self.K, np.inf)
-        eta[:k_eff] = norms**2 / (values * _gaps(sol.values, self.K))
-        return sol, eta
+        return self.estimate_many([t])[0]
+
+
+def _stacked_cholesky(G: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of the stacked lifted mass matrices
+    G[j] = Q^T B(t_j) Q.  A failure raises the FactorizationError of the
+    first t_j whose matrix _cholesky refuses, in _cholesky's words."""
+    if np.isfinite(G).all():
+        try:
+            return np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            pass
+    for t, M in zip(ts, G):
+        try:
+            _cholesky(M)
+        except FactorizationError as exc:
+            raise FactorizationError(
+                "lifted mass matrix at t=%r: %s" % (float(t), exc)) from exc
+    raise FactorizationError("lifted mass matrices at t=%r..%r are not "
+                             "positive definite" % (float(ts[0]),
+                                                    float(ts[-1])))
 
 
 def _project_out(V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -361,33 +454,36 @@ class _LiftedSpace:
         none = (np.empty((frame.shape[1], 0)),) * 2
         space = cls(psys, gauge, Z, np.empty((n, 0)), grams, grams,
                     (np.empty((0, n_red)),) * 2, frame, TP, none, none)
-        return space.lift(0.0).lift(1.0)
+        return space.lift(0.0, 1.0)
 
     def fits(self, psys: ParametrizedSystem, gauge: GaugeDecomposition,
              Z: np.ndarray) -> bool:
         """Whether the space was lifted for exactly these objects."""
         return self.psys is psys and self.gauge is gauge and self.Z is Z
 
-    def lifting_residual(self, t: float, c: np.ndarray):
+    def lifting_residual(self, ts: np.ndarray, C: np.ndarray):
         """Column norms of the lifting residual B(t) Q c - U(t) and of
-        U(t) = H(t)^T Z, read off the frame coordinates."""
-        TU = _blend(self.TP, t)
-        R = _blend_times(self.TB, t, c) - TU
+        U(t) = H(t)^T Z at each t_j in ts, c = C[:, j, :], read off the
+        frame coordinates; both len(ts) x n."""
+        TU = _blend_many(self.TP, ts)
+        R = _times_many(self.TB, ts, C) - TU
         return np.linalg.norm(R, axis=0), np.linalg.norm(TU, axis=0)
 
-    def lift(self, t: float) -> "_LiftedSpace":
-        """This space extended by an exact lift at t.
+    def lift(self, *ts: float) -> "_LiftedSpace":
+        """This space extended by an exact lift at each of the parameters
+        ts, all in one extension.
 
-        The lift's new directions outside Q are its remainder's singular
-        directions above _PCG_RTOL times its largest column norm, since
-        anything smaller is below the accuracy the lift was solved to
+        The lifts' new directions outside Q are their remainder's singular
+        directions above _PCG_RTOL times their largest column norm, since
+        anything smaller is below the accuracy the lifts were solved to
         (_new_directions, which keeps Q orthonormal).  Only the products
         of A_e and B_e with the new directions W are formed; the new Gram
         rows are Q^T (M W) and W^T (M W), M symmetric, and the same
         products extend the frame.
         """
         P = _cotree_products(self.psys, self.gauge, self.Z)
-        X = pcg_solve(self.psys.interpolate(t).B, _blend(P, t))
+        X = np.hstack([pcg_solve(self.psys.interpolate(t).B, _blend(P, t))
+                       for t in ts])
         scale = np.linalg.norm(X, axis=0).max()
         W, _ = _new_directions(self.Q, X, _PCG_RTOL * scale)
         m, p = self.Q.shape[1], W.shape[1]
@@ -421,7 +517,7 @@ class _LiftedSpace:
                      for T, new in zip(self.TB, (B0W, B1W))),
             TA=tuple(np.hstack([padded(T), new])
                      for T, new in zip(self.TA, (A0W, A1W))),
-            lifts=self.lifts + 1)
+            lifts=self.lifts + len(ts))
 
 
 class _MixedEvaluator(_Evaluator):
@@ -440,15 +536,24 @@ class _MixedEvaluator(_Evaluator):
     ||B(t) Q c - U(t)|| <= _LIFT_RTOL ||U(t)|| per column.  Both norms
     are read off the space's frame coordinates, ||T_B(t) c - T_P(t)||
     and ||T_P(t)||, and the estimator's residual norms likewise as
-    ||T_A(t) c V - T_P(t) V Lambda||, so U(t) is never formed.  If the
-    check fails, t becomes a lift point: ``lifted`` is replaced by its
-    extension by one exact lift at t and the solve is repeated.  A space
+    ||T_A(t) c V - T_P(t) V Lambda||, so U(t) is never formed.  A chunk
+    of parameters blends its Grams into one stacked Cholesky
+    factorization, and every product with the frame coordinates is one
+    product per endpoint for the whole chunk.
+
+    Lift-resume rule: the certificates of a chunk are checked together,
+    and at the first parameter t that fails, ``lifted`` is replaced by
+    its extension by one exact lift at t and evaluation resumes at t;
+    the parameters before it keep their evaluation, those after it are
+    evaluated again in the extended space.  So a sweep lifts at exactly
+    the parameters a one-by-one pass would lift at.  A parameter that
+    fails again right after its own lift raises NumericsError.  A space
     is never changed in place, so no query extends an adopted one, and
     greedy attaches the one its last sweep ended with.  A certified
     evaluation interpolates no matrix and makes no mass solve;
     ``lift_solves`` counts the exact lifts behind ``lifted``.
 
-    The per-t data is (t, c, Q^T U(t)).
+    A chunk's data is (space, ts, C) with C[:, j, :] = c(t_j).
     """
 
     gauge_mode = "mixed"
@@ -463,42 +568,48 @@ class _MixedEvaluator(_Evaluator):
             lifted = _LiftedSpace.at_endpoints(self.psys, self.gauge, Z)
         self.lifted = lifted
 
-    def _galerkin(self, t: float):
-        """Coefficients c of the Galerkin lift at t and the blended
-        Q^T U(t) they solve for, or None if the lift's residual fails
-        the check."""
-        space = self.lifted
-        try:
-            factor = _cholesky(_blend(space.GB, t))
-        except FactorizationError as exc:
-            raise FactorizationError(
-                "lifted mass matrix at t=%r: %s" % (t, exc)
-            ) from exc
-        QtU = _blend(space.QtP, t)
-        c = _cholesky_solve(factor, QtU)
-        residual, scale = space.lifting_residual(t, c)
-        return (c, QtU) if np.all(residual <= _LIFT_RTOL * scale) else None
+    @staticmethod
+    def _galerkin(space: _LiftedSpace, ts: np.ndarray):
+        """Coefficients C[:, j, :] = c(t_j) of the Galerkin lifts in
+        space, the blended Q^T U(t_j) they solve for, and whether each
+        lift passes its certificate."""
+        GB = (space.GB[0] * (1.0 - ts)[:, None, None]
+              + space.GB[1] * ts[:, None, None])
+        factors = _stacked_cholesky(GB, ts)
+        QtU = _blend_many(space.QtP, ts)
+        C = np.empty_like(QtU)
+        for j, L in enumerate(factors):
+            C[:, j, :] = _cholesky_solve(L, QtU[:, j, :])
+        residual, scale = space.lifting_residual(ts, C)
+        return C, QtU, np.all(residual <= _LIFT_RTOL * scale, axis=1)
 
-    def _at(self, t: float):
-        lift = self._galerkin(t)
-        if lift is None:
-            self.lifted = self.lifted.lift(t)
-            lift = self._galerkin(t)
-        if lift is None:
-            raise NumericsError(
-                "lifting residual at t=%r fails its check after an "
-                "exact lift there" % t
-            )
-        return (t, *lift)
-
-    def _reduce(self, data):
-        t, c, QtU = data
-        return c.T @ (_blend(self.lifted.GA, t) @ c), c.T @ QtU
+    def _chunks(self, ts):
+        step = max(1, _BATCH_COLUMNS // self.lifted.Z.shape[1])
+        i, lifted_at = 0, None
+        while i < ts.size:
+            space = self.lifted
+            chunk = ts[i:i + step]
+            C, QtU, passed = self._galerkin(space, chunk)
+            done = chunk.size if passed.all() else int(np.argmin(passed))
+            if done:
+                C, QtU, chunk = C[:, :done], QtU[:, :done], chunk[:done]
+                yield ((space, chunk, C),
+                       _inner_many(C, _times_many(space.GA, chunk, C)),
+                       _inner_many(C, QtU))
+                i += done
+            if i < ts.size and not passed.all():
+                if lifted_at == i:
+                    raise NumericsError(
+                        "lifting residual at t=%r fails its check after an "
+                        "exact lift there" % float(ts[i]))
+                self.lifted = space.lift(float(ts[i]))
+                lifted_at = i
 
     def _residual_norms(self, data, values, V) -> np.ndarray:
-        t, c, _ = data
-        R = (_blend_times(self.lifted.TA, t, c @ V)
-             - _blend_times(self.lifted.TP, t, V) * values)
+        space, ts, C = data
+        CV = np.matmul(C.transpose(1, 0, 2), V).transpose(1, 0, 2)
+        VL = (V * values[:, None, :]).transpose(1, 0, 2)
+        R = _times_many(space.TA, ts, CV) - _times_many(space.TP, ts, VL)
         return np.linalg.norm(R, axis=0)
 
     def modes(self, t: float):
@@ -528,9 +639,9 @@ class _ClassicalEvaluator(_Evaluator):
     evaluation.  A snapshot or a mode solve forms the whole pencil
     (A_hat, B_hat); only the mode solve lifts, with the family.
     Every other evaluation works on the basis: set_basis keeps Z and
-    its coordinates (X_0 Z, X_1 Z) in the family's eigenbasis, and the
-    per-t data is the pencil's action on Z, (A_hat Z, B_hat Z), two
-    |C| x n arrays (gauge.reduce_cotree_system).
+    its coordinates (X_0 Z, X_1 Z) in the family's eigenbasis, and a
+    chunk of parameters is reduced on them together (_reduce_many), so
+    no |C| x |C| or N x |C| array is formed.
     """
 
     gauge_mode = "classical"
@@ -549,16 +660,46 @@ class _ClassicalEvaluator(_Evaluator):
         self._Z = Z
         self._XZ = tuple(X @ Z for X in self.family.X)
 
-    def _at(self, t: float):
-        return reduce_cotree_system(self.family, t, self._XZ)
+    def _chunks(self, ts):
+        step = max(1, _BATCH_COLUMNS // self._Z.shape[1])
+        for i in range(0, ts.size, step):
+            yield self._reduce_many(ts[i:i + step])
 
-    def _reduce(self, data):
-        A_hat_Z, B_hat_Z = data
-        return self._Z.T @ A_hat_Z, self._Z.T @ B_hat_Z
+    def _reduce_many(self, ts: np.ndarray):
+        """Chunk data (ts, g, B_hat Z) and the raw reduced pencils at ts.
+
+        With X(t) = (1 - t) X_0 + t X_1 and d_t the family's inverse
+        scale, W Z = V (d_t * X(t) Z), and the chunk takes one product
+        with V for all its W Z, one each with A_0 and A_1 for
+        A(t) W Z, and one with V^T for g = d_t * (V^T A(t) W Z).  Then
+        B_hat Z = H W Z is the cotree rows of A(t) W Z, the pencil's
+        action A_hat Z = X(t)^T g, and Z^T A_hat Z = (X(t) Z)^T g, so
+        A_hat Z itself is formed only on the eigenvectors the residual
+        needs (_residual_norms).
+        """
+        family = self.family
+        N, n = self._XZ[0].shape
+        count = ts.size
+        XtZ = _blend_many(self._XZ, ts)
+        d = family.inverse_scale(ts)[:, :, None]
+        WZ = (family.V @ (XtZ * d).reshape(N, count * n)).reshape(N, count, n)
+        AWZ = _times_many((self.psys.endpoint0.A, self.psys.endpoint1.A), ts,
+                          WZ)
+        del WZ
+        g = (family.V.T @ AWZ.reshape(N, count * n)).reshape(N, count, n)
+        g *= d
+        BZ = AWZ[self.gauge.cotree]
+        del AWZ
+        B_tilde = (self._Z.T @ BZ.reshape(-1, count * n)).reshape(n, count, n)
+        return (ts, g, BZ), _inner_many(XtZ, g), B_tilde.transpose(1, 0, 2)
 
     def _residual_norms(self, data, values, V) -> np.ndarray:
-        A_hat_Z, B_hat_Z = data
-        return np.linalg.norm(A_hat_Z @ V - (B_hat_Z @ V) * values, axis=0)
+        ts, g, BZ = data
+        gV = np.matmul(g.transpose(1, 0, 2), V).transpose(1, 0, 2)
+        AZV = _times_many(tuple(X.T for X in self.family.X), ts, gV)
+        BZV = np.matmul(BZ.transpose(1, 0, 2),
+                        V * values[:, None, :]).transpose(1, 0, 2)
+        return np.linalg.norm(AZV - BZV, axis=0)
 
     def _gauged_modes(self, t: float):
         """The K modes of the gauged pencil at t, B_hat-orthonormal in
@@ -642,36 +783,74 @@ def _adds_no_rank(earlier: np.ndarray, new: np.ndarray) -> bool:
     return bool(np.linalg.norm(R, axis=0).max() <= _SATURATION_TOL)
 
 
-def collect_snapshots(ev: _Evaluator, pod_set, n_init="auto"):
-    """Solve ev.K physical modes at POD parameters until they stop adding
-    rank; the condensed, unit-normalized columns, K per solved parameter
-    in pod_set order, and the parameters solved.
+def collect_snapshots(ev: _Evaluator, pod_set, n_init, tol: float):
+    """Solve ev.K physical modes at POD parameters until the estimator or
+    the rank says the next level adds nothing.
+
+    Returns (Y, solved_t, basis): the condensed, unit-normalized columns,
+    K per solved parameter in pod_set order, the parameters solved, and
+    the POD basis that ended collection through the estimator (None when
+    collection ended otherwise).
 
     The parameters are visited in nested levels (_nested_levels): both
     endpoints, then the midpoints of the gaps, coarse to fine.  After
-    each complete level past the first, collection stops if every new
-    column lies in the span of the earlier levels' columns to
-    _SATURATION_TOL; with an integer n_init it goes on until at least
-    n_init columns exist.  pod_set is therefore a cap: when no level
-    saturates every parameter is solved and the columns are those of a
-    one-by-one stack.  The risk is a morph whose coarse levels coincide
-    while finer ones differ; greedy enrichment is the backstop.  A
-    repeated parameter is solved again when its level is reached, and a
-    level of repeats adds no rank.
+    each complete level there are two stop rules.  First, saturation:
+    past the first level, collection stops if every new column lies in
+    the span of the earlier levels' columns to _SATURATION_TOL.  Second,
+    the gate: if the POD basis of the columns so far (pod_init) has at
+    least K columns and meets n_init, ev estimates eta at the next
+    level's parameters (estimate_many), and if every eta is at most tol
+    that level is not solved; the basis is returned, carrying the lifted
+    space of that estimate, so greedy starts from it without a new lift
+    or SVD.  With an integer n_init neither rule stops collection before
+    n_init columns exist.  pod_set is therefore a cap: when neither rule
+    fires every parameter is solved and the columns are those of a
+    one-by-one stack.  A repeated parameter is solved again when its
+    level is reached, and a level of repeats adds no rank.
+
+    Both rules can stop too early on a morph whose coarse levels
+    coincide while finer ones differ.  The gate trusts the same
+    uncertified eta that greedy trusts, and greedy enrichment over the
+    training set is the backstop for anything either rule misses.
     """
     pod_set = np.asarray(pod_set, dtype=float)
     if pod_set.size == 0:
         raise ConfigError("POD parameter set is empty")
-    blocks = {}
-    for level, indices in enumerate(_nested_levels(pod_set.size)):
+    levels = _nested_levels(pod_set.size)
+    blocks, basis = {}, None
+    for level, indices in enumerate(levels):
+        if basis is not None:
+            ev.set_basis(basis.Z)
+            etas = ev.estimate_many(pod_set[indices])
+            if max(eta.max() for _, eta in etas) <= tol:
+                basis = replace(basis, lifted=ev.lifted)
+                break
+            basis = None
         earlier = np.hstack(list(blocks.values())) if level else None
         new = [ev.snapshot(float(pod_set[i])) for i in indices]
         blocks.update(zip(indices, new))
         enough = n_init == "auto" or ev.K * len(blocks) >= n_init
         if level and enough and _adds_no_rank(earlier, np.hstack(new)):
             break
-    solved = sorted(blocks)
-    return np.hstack([blocks[i] for i in solved]), pod_set[solved]
+        if enough and level + 1 < len(levels):
+            basis = _gate_basis(_stack(blocks), n_init, ev)
+    return _stack(blocks), pod_set[sorted(blocks)], basis
+
+
+def _stack(blocks: dict) -> np.ndarray:
+    """The snapshot blocks side by side in pod_set order."""
+    return np.hstack([blocks[i] for i in sorted(blocks)])
+
+
+def _gate_basis(Y: np.ndarray, n_init, ev: _Evaluator):
+    """The POD basis of Y, or None if it has fewer than ev.K columns or
+    Y's numerical rank falls short of an integer n_init."""
+    try:
+        basis = pod_init(Y, n_init, gauge_mode=ev.gauge_mode)
+    except NumericsError:
+        # rank below n_init: not enough for a start basis yet
+        return None
+    return basis if basis.n_red >= ev.K else None
 
 
 def pod_init(Y: np.ndarray, n_init,
@@ -724,6 +903,9 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
     Every sweep and snapshot goes through ev, which must evaluate the
     basis's gauge (ConfigError otherwise); in a build it is the one that
     collected the snapshots, so its classical family serves both phases.
+    Each sweep is one estimate_many over greedy_set; the first adopts
+    the lifted space the start basis carries (set_basis), so a basis
+    from collect_snapshots' gate is not lifted again.
 
     Returns (basis, log) where log rows record iteration, selected (t*,
     mode*), the sweep maximum of the estimator, and the basis size; the
@@ -740,10 +922,8 @@ def greedy_enrich(ev: _Evaluator, basis: ReducedBasis, greedy_set,
     log = []
     dead = np.zeros((greedy_set.size, K), dtype=bool)
     while True:
-        ev.set_basis(basis.Z)
-        etas = np.empty((greedy_set.size, K))
-        for it, t in enumerate(greedy_set):
-            etas[it] = ev.estimate(float(t))[1]
+        ev.set_basis(basis.Z, basis.lifted)
+        etas = np.array([eta for _, eta in ev.estimate_many(greedy_set)])
         live = np.where(dead, -np.inf, etas)
         max_eta = float(live.max())
         if max_eta <= tol or basis.n_red >= n_max:
@@ -796,7 +976,8 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
 
     n_init is a column count or "auto" (rank-adaptive start basis).  One
     evaluator, built in the projection phase, collects the snapshots and
-    drives greedy.
+    drives greedy.  The start basis is the one collect_snapshots' gate
+    returns, or else the POD basis of all solved snapshots.
     """
     if n_init != "auto" and n_init > n_max:
         raise ConfigError("N_init=%d exceeds N_max=%d" % (n_init, n_max))
@@ -804,11 +985,13 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
 
     t0 = time.perf_counter()
     ev = _make_evaluator(gauge_mode, psys, gauge, policy, K)
-    snaps, snapshot_t = collect_snapshots(ev, training.pod_set, n_init)
+    snaps, snapshot_t, basis = collect_snapshots(ev, training.pod_set,
+                                                 n_init, tol)
     phases["projection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    basis = pod_init(snaps, n_init, gauge_mode=gauge_mode)
+    if basis is None:
+        basis = pod_init(snaps, n_init, gauge_mode=gauge_mode)
     if basis.n_red > n_max:
         raise ConfigError(
             "POD produced %d columns but N_max=%d" % (basis.n_red, n_max)

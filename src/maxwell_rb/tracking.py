@@ -194,12 +194,21 @@ def _rotate_candidates(vectors_n, W, norms, P, cols, R):
     P[:, cols] = P[:, cols] @ R
 
 
-def _check_settings(K, threshold, initial_steps, buffer) -> None:
+_MATCHERS = {"greedy": _greedy_match, "hungarian": _hungarian_match}
+
+
+def _check_settings(K, threshold, initial_steps, buffer, max_depth,
+                    matching) -> None:
     """Reject tracking settings before any solve or lift."""
     if not (0.0 <= threshold < 1.0):
         raise ConfigError("correlation threshold must lie in [0, 1)")
     if initial_steps < 2:
         raise ConfigError("initial_steps must be >= 2")
+    if max_depth < 0:
+        raise ConfigError("max_depth must be >= 0")
+    if matching not in _MATCHERS:
+        raise ConfigError("unknown matching %r (choose from %s)"
+                          % (matching, ", ".join(sorted(_MATCHERS))))
     if K < 1:
         raise ConfigError("tracking needs K >= 1")
     if buffer < 0:
@@ -218,9 +227,11 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     Steps run from the last accepted point to the end on top of a stack
     of pending ends.  A failed step pushes its end, then its midpoint,
     both one level deeper, so the left half is tracked first and the
-    right half then starts at the midpoint.
+    right half then starts at the midpoint.  The end keeps the solution
+    its failed step got, as solve returned it, so each parameter is
+    solved once.
     """
-    match = _hungarian_match if matching == "hungarian" else _greedy_match
+    match = _MATCHERS[matching]
     t_start = time.perf_counter()
     values, vectors, inner = solve(0.0)
     # Trajectories start as the K lowest modes; buffer columns are
@@ -233,11 +244,14 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     lambdas = [values[:K].copy()]
     correlations, permutations = [], []
     bisections = degenerate_steps = 0
-    pending = [(float(t), 0)
+    # (t, bisection depth, its solution if a failed step already got it)
+    pending = [(float(t), 0, None)
                for t in np.linspace(0.0, 1.0, initial_steps + 1)[:0:-1]]
     while pending:
-        t_next, depth = pending.pop()
-        values_n, vectors_n, inner_n = solve(t_next)
+        t_next, depth, solved = pending.pop()
+        if solved is None:
+            solved = solve(t_next)
+        values_n, vectors_n, inner_n = solved
         W = inner @ vectors_n
         norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
         # Signed correlation block, trajectories by candidates.  Every
@@ -291,8 +305,8 @@ def _track(solve, K, threshold, initial_steps, max_depth,
                     % (corrs.min(), threshold, grid[-1], t_next, depth)
                 )
             bisections += 1
-            pending.append((t_next, depth + 1))
-            pending.append((0.5 * (grid[-1] + t_next), depth + 1))
+            pending.append((t_next, depth + 1, solved))
+            pending.append((0.5 * (grid[-1] + t_next), depth + 1, None))
             continue
 
         # Accept: reorder the new eigenpairs into trajectory slots.
@@ -338,21 +352,25 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     it starts from the lifted space a built basis carries, lift points
     of the build included, when that space fits these psys and gauge
     objects; a parameter its space does not certify becomes a lift point
-    of this run only.
+    of this run only.  The initial grid is evaluated in one sweep
+    (solve_many) before the first step, so its lift points, if any, come
+    before those of the bisection midpoints.
     stats also carries lift_solves, the exact lifts behind the run's
     reduced values: those of the space the run started from, adopted or
     made here at both endpoints, plus one per online lift point.
     """
-    _check_settings(K, threshold, initial_steps, buffer)
+    _check_settings(K, threshold, initial_steps, buffer, max_depth, matching)
     if basis.n_red < K:
         raise ConfigError(
             "basis size %d smaller than tracked mode count %d" % (basis.n_red, K)
         )
     ev = _make_evaluator("mixed", psys, gauge, policy, K, basis=basis)
     n_cand = min(K + buffer, basis.n_red)
+    grid = np.linspace(0.0, 1.0, initial_steps + 1)
+    coarse = dict(zip(grid.tolist(), ev.solve_many(grid)))
 
     def solve(t):
-        red, sol = ev.solve(t)
+        red, sol = coarse.pop(t) if t in coarse else ev.solve(t)
         return sol.values[:n_cand], sol.vectors[:, :n_cand], red.B_tilde
 
     run = _track(solve, K, threshold, initial_steps, max_depth, matching)
@@ -365,7 +383,7 @@ def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
                max_depth: int = 10, matching: str = "greedy",
                buffer: int = 2) -> TrackingRun:
     """Track on the full sparse system; the runtime baseline."""
-    _check_settings(K, threshold, initial_steps, buffer)
+    _check_settings(K, threshold, initial_steps, buffer, max_depth, matching)
 
     def solve(t):
         pair = psys.interpolate(t)

@@ -67,9 +67,10 @@ def test_every_count_reads_its_target():
         tracer.install()
         problem = bench.setup_problem(cfg)
         # the workloads' entry points, looked up after the hooks went in
-        for pipeline in (rb.build_basis, rb.classical_pipeline):
-            pipeline(problem.psys, problem.gauge, problem.training, cfg.K,
-                     cfg.N_init, cfg.tol, cfg.N_max, problem.policy)
+        results = [pipeline(problem.psys, problem.gauge, problem.training,
+                            cfg.K, cfg.N_init, cfg.tol, cfg.N_max,
+                            problem.policy)
+                   for pipeline in (rb.build_basis, rb.classical_pipeline)]
     finally:
         tracer.uninstall()
     assert tracer.count_errors <= _KNOWN_COUNT_ERRORS
@@ -80,9 +81,15 @@ def test_every_count_reads_its_target():
     # the classical family's endpoint mass eigensolve, all N values
     classical = [root for root in tracer.roots
                  if root.name == "rb.classical_pipeline"]
+    names = [span.name for span in module.walk(classical[0])]
     assert problem.psys.n in [span.counts.get("dim")
                               for span in module.walk(classical[0])
                               if span.name == "eigen.dense_solve"]
+    # a classical build forms the whole pencil only for its snapshots;
+    # the batched estimates still solve each reduced pencil through the
+    # hooked rb.solve_dense_gevp
+    assert names.count("gauge.cotree_system") == len(results[1].snapshot_t)
+    assert names.count("eigen.dense_solve") > problem.training.greedy_set.size
     # mesh.build_s, assembly.assemble_s and gauge.tree_s hang off
     # bench.build_mesh and bench.discrete_gradient, bench.assemble and
     # bench.build_tree; a set-up that went around them would read zero
@@ -126,7 +133,9 @@ def test_tracking_paths_are_traced():
     for run, track, adopted in zip(reduced, tracks,
                                    (0, basis.lifted.lifts)):
         lifts = run.stats["lift_solves"]
-        interpolations = [span for span in module.walk(track)
-                          if span.name == "assembly.interpolate"]
-        assert len(interpolations) == lifts - adopted
+        names = [span.name for span in module.walk(track)]
+        assert names.count("assembly.interpolate") == lifts - adopted
         assert lifts < run.grid.size
+        # the batched initial grid still solves each reduced pencil
+        # through the hooked rb.solve_dense_gevp, once per grid point
+        assert names.count("eigen.dense_solve") == run.grid.size

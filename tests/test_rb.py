@@ -37,10 +37,22 @@ def _evaluator(m, Z=None, gauge_mode="mixed"):
 
 
 def _snapshots(psys, gauge, policy, pod_set, K=5, gauge_mode="mixed",
-               n_init="auto"):
+               n_init="auto", tol=1e-6):
     """The columns collect_snapshots returns through a fresh evaluator."""
     ev = _make_evaluator(gauge_mode, psys, gauge, policy, K)
-    return collect_snapshots(ev, pod_set, n_init)[0]
+    return collect_snapshots(ev, pod_set, n_init, tol)[0]
+
+
+def _coefficients(ev, t):
+    """c(t) of the mixed evaluator's Galerkin lift at t, a batch of one."""
+    (_, _, C), _, _ = next(ev._chunks(np.array([t])))
+    return C[:, 0, :]
+
+
+def _lifting_residual(space, t, c):
+    """space.lifting_residual at the one parameter t."""
+    residual, scale = space.lifting_residual(np.array([t]), c[:, None, :])
+    return residual[0], scale[0]
 
 
 def _explicit_residual(psys, gauge, space, t, c):
@@ -55,9 +67,9 @@ def _assert_coordinate_residual_matches(psys, gauge, ev, t_values):
     """At each t, the norms read off the frame coordinates are the
     explicit ones, far inside the lifting check."""
     for t in t_values:
-        _, c, _ = ev._at(t)
+        c = _coefficients(ev, t)
         R, U = _explicit_residual(psys, gauge, ev.lifted, t, c)
-        residual, scale = ev.lifted.lifting_residual(t, c)
+        residual, scale = _lifting_residual(ev.lifted, t, c)
         U_norms = np.linalg.norm(U, axis=0)
         assert np.allclose(scale, U_norms, rtol=1e-14, atol=0.0), t
         assert np.all(np.abs(residual - np.linalg.norm(R, axis=0))
@@ -90,9 +102,11 @@ class TestTrainingSets:
 
 class TestSnapshots:
     def test_layout_and_normalization(self, small_morph):
+        # a tolerance no estimate meets keeps the gate shut, so all three
+        # parameters are solved
         m = small_morph
         snaps = _snapshots(m["psys"], m["gauge"], m["policy"],
-                           [0.0, 0.5, 1.0])
+                           [0.0, 0.5, 1.0], tol=1e-300)
         n_cotree = m["gauge"].cotree.size
         assert snaps.shape == (n_cotree, 15)
         assert np.allclose(np.linalg.norm(snaps, axis=0), 1.0, atol=1e-12)
@@ -200,20 +214,28 @@ class TestNestedCollection:
         return solved
 
     @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
-    def test_brick_stops_after_three_of_twenty(self, desk_problem,
-                                               monkeypatch, gauge_mode):
+    def test_brick_stops_after_two_of_twenty(self, desk_problem,
+                                             monkeypatch, gauge_mode):
+        # the endpoint basis's eta at t = 9/19 is far below tol, so the
+        # gate stops before the third solve
         p = desk_problem
         solved = self._counted(monkeypatch, gauge_mode)
         ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, p.cfg.K)
-        Y, solved_t = collect_snapshots(ev, p.training.pod_set)
+        Y, solved_t, basis = collect_snapshots(ev, p.training.pod_set,
+                                               p.cfg.N_init, p.cfg.tol)
         assert sorted(solved) == list(solved_t)
-        assert sorted(solved) == [0.0, p.training.pod_set[9], 1.0]
-        assert Y.shape == (p.gauge.cotree.size, 3 * p.cfg.K)
+        assert sorted(solved) == [0.0, 1.0]
+        assert Y.shape == (p.gauge.cotree.size, 2 * p.cfg.K)
+        # the gate's start basis is the POD basis of those columns and
+        # carries the lifted space its estimate made
+        assert np.array_equal(basis.Z, pod_init(Y, p.cfg.N_init).Z)
+        assert basis.lifted is ev.lifted
+        if gauge_mode == "mixed":
+            assert basis.lifted.fits(p.psys, p.gauge, basis.Z)
 
     def test_build_records_the_solved_parameters(self, desk_problem,
                                                  desk_basis):
-        pod_set = desk_problem.training.pod_set
-        assert desk_basis.snapshot_t == (0.0, float(pod_set[9]), 1.0)
+        assert desk_basis.snapshot_t == (0.0, 1.0)
 
     @pytest.mark.parametrize("n_init, solves", [(15, 3), (16, 5)])
     def test_integer_n_init_keeps_sampling(self, desk_problem, monkeypatch,
@@ -232,8 +254,9 @@ class TestNestedCollection:
         # random columns never lie in the span of earlier ones, so every
         # parameter is solved and the stack is in pod_set order
         def random_modes(self, t):
+            # |C| rows, so the gate can evaluate a basis of them
             rng = np.random.default_rng(_salt_from_t(t))
-            Y = rng.standard_normal((200, self.K))
+            Y = rng.standard_normal((self.gauge.cotree.size, self.K))
             return Y / np.linalg.norm(Y, axis=0)
 
         monkeypatch.setattr(rb._MixedEvaluator, "snapshot", random_modes)
@@ -441,7 +464,7 @@ class TestLiftedSpace:
         space = ev.lifted
         rng = np.random.default_rng(11)
         for t in (0.0, 0.35, 0.8):
-            _, c, _ = ev._at(t)
+            c = _coefficients(ev, t)
             _, U = _explicit_residual(p.psys, p.gauge, space, t, c)
             D = rng.standard_normal(c.shape)
             BD = p.psys.interpolate(t).B @ (space.Q @ D)
@@ -450,7 +473,7 @@ class TestLiftedSpace:
             R, U = _explicit_residual(p.psys, p.gauge, space, t, c + D)
             explicit = (np.linalg.norm(R, axis=0)
                         <= _LIFT_RTOL * np.linalg.norm(U, axis=0))
-            residual, scale = space.lifting_residual(t, c + D)
+            residual, scale = _lifting_residual(space, t, c + D)
             assert np.all(explicit == (factor < 1.0)), t
             assert np.array_equal(residual <= _LIFT_RTOL * scale, explicit), t
 
@@ -466,7 +489,7 @@ class TestLiftedSpace:
         ev, _, lifted_at, _ = sweep
         for t in lifted_at + [0.2, 0.8]:
             ev.solve(t)
-            _, c, _ = ev._at(t)
+            c = _coefficients(ev, t)
             R, U = _explicit_residual(m["psys"], m["gauge"], ev.lifted, t, c)
             assert np.all(np.linalg.norm(R, axis=0)
                           <= _LIFT_RTOL * np.linalg.norm(U, axis=0)), t
@@ -496,8 +519,9 @@ class TestLiftedSpace:
 @pytest.fixture(scope="module")
 def taper(desk_problem):
     """The desk problem with its t = 1 brick replaced by a taper of the
-    t = 0 brick, z scaled by 1 - x / (2 L_x): no POD level saturates, so
-    all 20 snapshots are solved and the basis keeps 56 columns."""
+    t = 0 brick, z scaled by 1 - x / (2 L_x): no POD level saturates, and
+    the estimator gate stops collection after 5 of the 20 snapshots, so
+    greedy has work to do: the basis keeps 26 columns."""
     p = desk_problem
     vertices = p.mesh0.vertices.copy()
     vertices[:, 2] *= 1.0 - 0.5 * vertices[:, 0] / p.cfg.dims0[0]
@@ -507,17 +531,33 @@ def taper(desk_problem):
 
 
 @pytest.fixture(scope="module")
-def taper_basis(taper):
-    return taper.build("mixed").basis
+def taper_build(taper):
+    return taper.build("mixed")
+
+
+@pytest.fixture(scope="module")
+def taper_basis(taper_build):
+    return taper_build.basis
 
 
 class TestTaper:
+    def test_gate_solves_levels_until_the_estimate_passes(self, taper,
+                                                          taper_build):
+        # eta at a level's parameters exceeds tol until three levels are
+        # solved; greedy then appends what the gate's basis misses
+        pod_set = taper.training.pod_set
+        assert taper_build.snapshot_t == tuple(
+            float(pod_set[i]) for i in (0, 4, 9, 14, 19))
+        appends = [row for row in taper_build.log if row["t"] is not None]
+        assert len(appends) >= 1
+        assert taper_build.log[-1]["max_eta"] <= taper.cfg.tol
+
     def test_build_completes_with_orthonormal_lifts(self, taper,
                                                     taper_basis):
         # the lifted spaces of this basis need interior lift points; an
         # unorthonormal Q once made them fail their own check there
         basis = taper_basis
-        assert basis.n_red == 56
+        assert basis.n_red == 26
         ev = _make_evaluator("mixed", taper.psys, taper.gauge, taper.policy,
                              taper.cfg.K, basis=basis)
         for t in (0.05, 0.5):
@@ -552,6 +592,95 @@ class TestTaper:
         assert np.array_equal(run.grid, relifted.grid)
         assert np.max(np.abs(run.lambdas - relifted.lambdas)
                       / relifted.lambdas) <= 1e-12
+
+
+class TestBatchedEvaluation:
+    """A sweep evaluates its parameters in chunks; it must agree with
+    evaluating them one at a time."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The parameters each lifted space is extended at, in order."""
+        lifted_at = []
+        lift = rb._LiftedSpace.lift
+
+        def recording(self, *ts):
+            lifted_at.extend(ts)
+            return lift(self, *ts)
+
+        monkeypatch.setattr(rb._LiftedSpace, "lift", recording)
+        return lifted_at
+
+    @pytest.mark.parametrize("morph", ["brick", "taper"])
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    def test_sweep_agrees_with_one_by_one(self, request, monkeypatch, morph,
+                                          gauge_mode):
+        # the taper's basis without its carried space lifts at interior
+        # parameters, and its 26 columns split 50 parameters into chunks
+        p = request.getfixturevalue(
+            "desk_problem" if morph == "brick" else "taper")
+        if morph == "brick":
+            basis = request.getfixturevalue(
+                "desk_basis" if gauge_mode == "mixed"
+                else "desk_classical_basis").basis
+        elif gauge_mode == "mixed":
+            basis = request.getfixturevalue("taper_basis")
+        else:
+            basis = p.build("classical").basis
+        basis = replace(basis, lifted=None)
+        ts = p.training.greedy_set
+        lifted_at = self._recorded(monkeypatch)
+        batch = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy,
+                                p.cfg.K, basis=basis)
+        batched = batch.estimate_many(ts)
+        batch_lifts = lifted_at[:]
+        del lifted_at[:]
+        single = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy,
+                                 p.cfg.K, basis=basis)
+        one_by_one = [single.estimate(float(t)) for t in ts]
+        assert batch_lifts == lifted_at
+        if morph == "taper" and gauge_mode == "mixed":
+            assert len(batch_lifts) > 2
+            assert basis.n_red * len(ts) > rb._BATCH_COLUMNS
+        for (sol, eta), (want, want_eta) in zip(batched, one_by_one):
+            assert np.max(np.abs(sol.values - want.values)
+                          / want.values) <= 1e-12
+            # eta far below tol is a roundoff residual
+            assert np.allclose(eta, want_eta, rtol=1e-6, atol=1e-12)
+        solved = batch.solve_many(ts[:7])
+        for (red, sol), t in zip(solved, ts[:7]):
+            want_red, want = single.solve(float(t))
+            assert np.max(np.abs(sol.values - want.values)
+                          / want.values) <= 1e-12
+            assert np.allclose(red.B_tilde, want_red.B_tilde, rtol=0,
+                               atol=1e-12 * np.abs(want_red.B_tilde).max())
+
+    def test_a_lift_resumes_at_its_parameter(self, small_morph, monkeypatch):
+        # a random basis fails the certificate inside (0, 1); the sweep
+        # lifts where a one-by-one pass lifts, and each lift point's own
+        # evaluation comes from the extended space
+        m = small_morph
+        rng = np.random.default_rng(29)
+        Z = np.linalg.qr(rng.standard_normal((m["gauge"].cotree.size, 6)))[0]
+        ts = np.sort(rng.uniform(0.0, 1.0, 20))
+        lifted_at = self._recorded(monkeypatch)
+        ev = _evaluator(m, Z)
+        batched = ev.solve_many(ts)
+        interior = lifted_at[2:]
+        assert interior and set(interior) <= set(ts.tolist())
+        del lifted_at[:]
+        single = _evaluator(m, Z)
+        for (_, sol), t in zip(batched, ts):
+            want = single.solve(float(t))[1]
+            assert np.allclose(sol.values, want.values, rtol=1e-12, atol=0)
+        assert lifted_at[2:] == interior
+
+    def test_parameters_outside_the_morph_rejected(self, small_morph,
+                                                   small_basis):
+        for gauge_mode in ("mixed", "classical"):
+            ev = _evaluator(small_morph, small_basis.basis.Z, gauge_mode)
+            with pytest.raises(ConfigError, match="outside"):
+                ev.estimate_many([0.5, 1.5])
 
 
 class TestOnlineWork:
@@ -776,7 +905,7 @@ class TestBuildBasis:
         monkeypatch.setattr(rb, "build_cotree_system", counting_form)
         result = desk_problem.build("classical")
         assert sorted(formed) == sorted(result.snapshot_t)
-        assert len(formed) == 3
+        assert len(formed) == 2
 
 
 class TestCarriedLifts:

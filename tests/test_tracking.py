@@ -184,10 +184,11 @@ class TestEngine:
         assert run.stats["min_step"] < 0.25
         assert np.min(run.correlations) >= 0.97
         # nested bisection solves the left half of a failed step before
-        # its right half, each step starting at the last accepted point
-        assert solved == [0.0, 0.25, 0.5, 0.375, 0.5, 0.4375, 0.40625,
-                          0.4375, 0.5, 0.75, 0.625, 0.5625, 0.625, 0.59375,
-                          0.625, 0.75, 1.0]
+        # its right half, each step starting at the last accepted point;
+        # a failed step's end keeps its solution for the retry, so every
+        # parameter is solved once
+        assert solved == [0.0, 0.25, 0.5, 0.375, 0.4375, 0.40625, 0.75,
+                          0.625, 0.5625, 0.59375, 1.0]
 
     def test_label_swap_is_not_a_failure(self):
         # a pure relabelling of identical vectors is resolved by the
@@ -225,9 +226,11 @@ class TestEngine:
 
     def test_parameter_validation(self):
         for kwargs in ({"threshold": 1.0}, {"threshold": -0.1},
-                       {"initial_steps": 1}, {"K": 0}, {"buffer": -1}):
+                       {"initial_steps": 1}, {"K": 0}, {"buffer": -1},
+                       {"max_depth": -1}, {"matching": "hungrian"}):
             full = {"K": 2, "threshold": 0.9, "initial_steps": 4,
-                    "buffer": 2, **kwargs}
+                    "buffer": 2, "max_depth": 4, "matching": "greedy",
+                    **kwargs}
             with pytest.raises(ConfigError):
                 _check_settings(**full)
 
@@ -364,6 +367,26 @@ class TestReducedTracking:
                           threshold=1.0)
         with pytest.raises(ConfigError):
             track_full(None, 5, m["policy"], initial_steps=1)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"matching": "hungrian"}, "unknown matching"),
+        ({"max_depth": -1}, "max_depth"),
+    ])
+    def test_bad_matching_and_depth_rejected_before_any_solve(
+            self, small_morph, small_basis, monkeypatch, setting, message):
+        # a misspelt matching once fell back to greedy silently, and a
+        # negative depth died with a TrackingError at the first failed step
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved or lifted before the settings check")
+
+        for name in ("_make_evaluator", "solve_sparse_gevp"):
+            monkeypatch.setattr(tracking, name, refuse)
+        m = small_morph
+        with pytest.raises(ConfigError, match=message):
+            track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
+                          policy=m["policy"], **setting)
+        with pytest.raises(ConfigError, match=message):
+            track_full(m["psys"], 5, m["policy"], **setting)
 
     def test_hungarian_matching_available(self, small_morph, small_basis):
         m = small_morph
