@@ -1,8 +1,11 @@
 """Command-line front end: solve, build-basis, track, bench, export-matrices.
 
-Heavy numeric imports happen inside main() so the --threads cap can be
-exported to the BLAS runtime before anything loads it.  Exit codes:
-0 success, 2 usage or configuration error, 3 numerical failure.
+Importing this module loads neither numpy nor scipy: every command
+imports them inside its cmd_* function, so main() can parse the
+arguments and export --threads to the BLAS runtime before anything
+loads it.  Exit codes: 0 success, 2 usage or configuration error
+(including an unreadable --config and an --output that names a file),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,24 +41,6 @@ def _thread_count(text: str) -> int:
     return int(text)
 
 
-def _apply_thread_cap(argv) -> None:
-    """Export --threads to the BLAS environment before numpy is imported."""
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    if threads is None:
-        return
-    try:
-        _thread_count(threads)
-    except argparse.ArgumentTypeError:
-        return   # the parser rejects it with a usage error later
-    for name in _THREAD_ENV_VARS:
-        os.environ[name] = threads
-
-
 def _configure_logging() -> None:
     level_name = os.environ.get("MAXWELL_RB_LOG", "info").lower()
     levels = {"quiet": logging.WARNING, "info": logging.INFO,
@@ -70,8 +55,8 @@ def _configure_logging() -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # No abbreviated long options: _apply_thread_cap reads --threads from
-    # argv before parsing, so an abbreviation would parse but cap nothing.
+    # No abbreviated long options: a prefix that parses today would become
+    # ambiguous, or name another flag, once a flag is added.
     parser = argparse.ArgumentParser(
         prog="maxwell-rb",
         description="Tree-cotree gauged reduced-basis solver for the "
@@ -130,6 +115,8 @@ def _load_run_config(args) -> RunConfig:
         overrides["gauge_mode"] = args.gauge
     if overrides:
         cfg = with_overrides(cfg, **overrides)
+    if os.path.exists(cfg.output) and not os.path.isdir(cfg.output):
+        raise ConfigError("output path is not a directory: %s" % cfg.output)
     return cfg
 
 
@@ -318,11 +305,11 @@ def cmd_export_matrices(cfg: RunConfig, t) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
-    _configure_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if args.threads is not None:
+        os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(args.threads)))
+    _configure_logging()
 
     try:
         cfg = _load_run_config(args)

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -70,59 +70,38 @@ def _parse_choice(options):
     return run
 
 
-# key -> (parser, default)
-_SCHEMA = {
-    "dims0": (_parse_triple(_parse_float), (1.0, 1.1, 1.2)),
-    "dims1": (_parse_triple(_parse_float), (1.0, 1.1, 0.6)),
-    "resolution": (_parse_triple(_parse_int), (6, 6, 6)),
-    "K": (_parse_int, 5),
-    # a cap: snapshot collection stops once a level adds no rank
-    "N_POD": (_parse_int, 20),
-    "N_train": (_parse_int, 50),
-    "N_init": (_parse_count_or_auto, _AUTO),
-    "N_max": (_parse_int, 60),
-    "tol": (_parse_float, 1e-6),
-    "shift_fraction": (_parse_float, 0.9),
-    "cut_fraction": (_parse_float, 0.1),
-    "gauge_mode": (_parse_choice(("classical", "mixed")), "mixed"),
-    "threshold": (_parse_float, 0.9),
-    "initial_steps": (_parse_int, 16),
-    "max_depth": (_parse_int, 10),
-    "track_buffer": (_parse_int, 2),
-    "matching": (_parse_choice(("greedy", "hungarian")), "greedy"),
-    "eval_set_size": (_parse_int, 50),
-    "seed": (_parse_int, 1234),
-    "output": (str, "out"),
-}
-
-# Fields that hold counts; each must be an integer (numpy's included).
-_COUNTS = tuple(key for key, (parse, _) in _SCHEMA.items() if parse is _parse_int)
+def _key(parse, default):
+    """A RunConfig field that is also a file key, read by parse."""
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All experiment knobs; see _SCHEMA for the file keys and defaults."""
+    """All experiment knobs.  Every field is a file key of the same name;
+    the field's default is the key's default and its metadata["parse"]
+    reads the key's value text."""
 
-    dims0: tuple = _SCHEMA["dims0"][1]
-    dims1: tuple = _SCHEMA["dims1"][1]
-    resolution: tuple = _SCHEMA["resolution"][1]
-    K: int = _SCHEMA["K"][1]
-    N_POD: int = _SCHEMA["N_POD"][1]
-    N_train: int = _SCHEMA["N_train"][1]
-    N_init: object = _SCHEMA["N_init"][1]
-    N_max: int = _SCHEMA["N_max"][1]
-    tol: float = _SCHEMA["tol"][1]
-    shift_fraction: float = _SCHEMA["shift_fraction"][1]
-    cut_fraction: float = _SCHEMA["cut_fraction"][1]
-    gauge_mode: str = _SCHEMA["gauge_mode"][1]
-    threshold: float = _SCHEMA["threshold"][1]
-    initial_steps: int = _SCHEMA["initial_steps"][1]
-    max_depth: int = _SCHEMA["max_depth"][1]
-    track_buffer: int = _SCHEMA["track_buffer"][1]
-    matching: str = _SCHEMA["matching"][1]
-    eval_set_size: int = _SCHEMA["eval_set_size"][1]
-    seed: int = _SCHEMA["seed"][1]
-    output: str = _SCHEMA["output"][1]
+    dims0: tuple = _key(_parse_triple(_parse_float), (1.0, 1.1, 1.2))
+    dims1: tuple = _key(_parse_triple(_parse_float), (1.0, 1.1, 0.6))
+    resolution: tuple = _key(_parse_triple(_parse_int), (6, 6, 6))
+    K: int = _key(_parse_int, 5)
+    # a cap: snapshot collection stops once a level adds no rank
+    N_POD: int = _key(_parse_int, 20)
+    N_train: int = _key(_parse_int, 50)
+    N_init: object = _key(_parse_count_or_auto, _AUTO)
+    N_max: int = _key(_parse_int, 60)
+    tol: float = _key(_parse_float, 1e-6)
+    shift_fraction: float = _key(_parse_float, 0.9)
+    cut_fraction: float = _key(_parse_float, 0.1)
+    gauge_mode: str = _key(_parse_choice(("classical", "mixed")), "mixed")
+    threshold: float = _key(_parse_float, 0.9)
+    initial_steps: int = _key(_parse_int, 16)
+    max_depth: int = _key(_parse_int, 10)
+    track_buffer: int = _key(_parse_int, 2)
+    matching: str = _key(_parse_choice(("greedy", "hungarian")), "greedy")
+    eval_set_size: int = _key(_parse_int, 50)
+    seed: int = _key(_parse_int, 1234)
+    output: str = _key(str, "out")
 
     def validate(self) -> "RunConfig":
         for name in _COUNTS:
@@ -185,6 +164,12 @@ class RunConfig:
         return self
 
 
+# file key -> parser, in field order
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+# Fields that hold counts; each must be an integer (numpy's included).
+_COUNTS = tuple(key for key, parse in _PARSERS.items() if parse is _parse_int)
+
+
 def default_config() -> RunConfig:
     return RunConfig().validate()
 
@@ -205,16 +190,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ConfigError("%s:%d: unknown key %r" % (source, lineno, key))
         if key in values:
             raise ConfigError(
                 "%s:%d: duplicate key %r (first set on line %d)"
                 % (source, lineno, key, seen_lines[key])
             )
-        parser = _SCHEMA[key][0]
         try:
-            values[key] = parser(value)
+            values[key] = _PARSERS[key](value)
         except ConfigError as exc:
             raise ConfigError("%s:%d: key %r: %s" % (source, lineno, key, exc)) from None
         seen_lines[key] = lineno
@@ -227,18 +211,22 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 def load_config(path) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read config file %s: %s" % (path, exc)) from None
+    return parse_config_text(text, source=str(path))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """JSON-ready echo of the configuration (schema order, plain types)."""
+    """JSON-ready echo of the configuration (field order, plain types)."""
 
     def plain(value):
         return int(value) if _is_integer(value) else value
 
     out = {}
-    for key in _SCHEMA:
+    for key in _PARSERS:
         value = getattr(cfg, key)
         out[key] = ([plain(v) for v in value] if isinstance(value, tuple)
                     else plain(value))
@@ -247,8 +235,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def with_overrides(cfg: RunConfig, **updates) -> RunConfig:
     """Replace fields (CLI flags over file values) and re-validate."""
-    known = {f.name for f in fields(RunConfig)}
     for name in updates:
-        if name not in known:
+        if name not in _PARSERS:
             raise ConfigError("unknown configuration field %r" % name)
     return replace(cfg, **updates).validate()

@@ -60,17 +60,20 @@ The small dense solves run in every online evaluation (an m x m
 Cholesky solve of the lifted mass matrix and an n x n eigensolve of the
 reduced pencil, both with m, n of order ten), where scipy.linalg's
 per-call wrappers (array validation, batching, finiteness scans) cost
-more than the LAPACK work itself.  They call LAPACK's routines through
-scipy.linalg.lapack instead: potrf/potrs for Cholesky (lower factor),
-sygvd for a full generalized spectrum and sygvx, with its queried
-workspace, for the leading count pairs, all with lower storage.  These
-are the routines, storage and workspace sizes scipy.linalg.cho_factor,
-cho_solve and eigh pick, so results are bitwise theirs.  One np.isfinite
+more than the LAPACK work itself.  They call LAPACK's routines directly
+instead: sygvd for a full generalized spectrum and sygvx, with its
+queried workspace, for the leading count pairs, and for the lifted mass
+(spd_solve_many) potrf through one np.linalg.cholesky call over the
+whole stack of matrices, then potrs per matrix, all with lower storage.
+The eigensolves and the potrs solves use the routines, storage and
+workspace sizes scipy.linalg.eigh and cho_solve pick, so they are
+bitwise theirs; numpy's potrf comes from its own OpenBLAS build and can
+differ from scipy.linalg.cho_factor's in the last bits.  One np.isfinite
 scan of the inputs replaces the wrappers' finiteness checks, and a
-non-finite input or a non-zero LAPACK info raises FactorizationError,
-never an untyped ValueError or LinAlgError.  The dense solve forms no
-residual norms: its callers do not read them, and the sparse solver
-forms its own.
+non-finite input, an indefinite mass or a non-zero LAPACK info raises
+FactorizationError, never an untyped ValueError or LinAlgError.  The
+dense solve forms no residual norms: its callers do not read them, and
+the sparse solver forms its own.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrf, dpotrs, dsygvd, dsygvx, dsygvx_lwork
+from scipy.linalg.lapack import dpotrs, dsygvd, dsygvx, dsygvx_lwork
 
 from .errors import EigensolverError, FactorizationError
 
@@ -154,32 +157,42 @@ def _symmetric_lu(M, permc_spec="MMD_AT_PLUS_A"):
         raise FactorizationError("sparse factorization failed: %s" % exc) from exc
 
 
-def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the dense SPD matrix M (LAPACK potrf).
+def spd_solve_many(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G[j] X[:, j] = rhs[:, j] for each SPD matrix of the stack G.
 
-    Only the lower triangle of M is read, and only that of the factor is
-    meaningful.  A non-finite M, or one potrf cannot factor, raises
-    FactorizationError.
+    G is (count, m, m) and rhs (m, count, r), stacked like rb's arrays;
+    only the lower triangles of G enter the factors.  The factors come
+    from one np.linalg.cholesky over the stack and each system is solved
+    by LAPACK potrs.  A FactorizationError carries the failing j as its
+    ``index``: the first j whose G[j] or rhs[:, j] is not finite, else
+    the first whose G[j] is not positive definite.
     """
-    if not np.isfinite(M).all():
-        raise FactorizationError("matrix is not finite")
-    L, info = dpotrf(M, lower=1, clean=0)
-    if info != 0:
-        raise FactorizationError(
-            "matrix is not positive definite (potrf info %d)" % info)
-    return L
+    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(0, 2))
+    if not finite.all():
+        raise _stack_error(int(np.argmin(finite)), "is not finite")
+    try:
+        factors = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        factors = []    # numpy factors a stack matrix by matrix, so
+        # the first matrix that fails alone is the one that failed it
+        for M in G:
+            try:
+                factors.append(np.linalg.cholesky(M))
+            except np.linalg.LinAlgError:
+                raise _stack_error(len(factors),
+                                   "is not positive definite") from None
+    X = np.empty_like(rhs)
+    for j, L in enumerate(factors):
+        X[:, j, :], info = dpotrs(L, rhs[:, j, :], lower=1)
+        if info != 0:
+            raise _stack_error(j, "failed its solve (potrs info %d)" % info)
+    return X
 
 
-def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs with a factor from _cholesky (LAPACK potrs);
-    rhs may carry multiple columns and must be finite."""
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.isfinite(rhs).all():
-        raise FactorizationError("right-hand side is not finite")
-    x, info = dpotrs(L, rhs, lower=1)
-    if info != 0:
-        raise FactorizationError("triangular solve failed (potrs info %d)" % info)
-    return x
+def _stack_error(j: int, problem: str) -> FactorizationError:
+    exc = FactorizationError("system %d of the stack %s" % (j, problem))
+    exc.index = j
+    return exc
 
 
 def pcg_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:

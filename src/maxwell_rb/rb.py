@@ -105,8 +105,8 @@ import numpy as np
 
 from .assembly import ParametrizedSystem
 from .eigen import (_LIFT_RTOL, _PCG_RTOL, EigenSolution, SolverPolicy,
-                    _cholesky, _cholesky_solve, _residuals, pcg_solve,
-                    solve_dense_gevp, solve_sparse_gevp)
+                    _residuals, pcg_solve, solve_dense_gevp,
+                    solve_sparse_gevp, spd_solve_many)
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
 from .gauge import (CotreeFamily, CotreeProjector, GaugeDecomposition,
@@ -327,26 +327,6 @@ class _Evaluator:
         return self.estimate_many([t])[0]
 
 
-def _stacked_cholesky(G: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of the stacked lifted mass matrices
-    G[j] = Q^T B(t_j) Q.  A failure raises the FactorizationError of the
-    first t_j whose matrix _cholesky refuses, in _cholesky's words."""
-    if np.isfinite(G).all():
-        try:
-            return np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            pass
-    for t, M in zip(ts, G):
-        try:
-            _cholesky(M)
-        except FactorizationError as exc:
-            raise FactorizationError(
-                "lifted mass matrix at t=%r: %s" % (float(t), exc)) from exc
-    raise FactorizationError("lifted mass matrices at t=%r..%r are not "
-                             "positive definite" % (float(ts[0]),
-                                                    float(ts[-1])))
-
-
 def _project_out(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project X in place out of the orthonormal columns of V, twice (a
     block classical Gram-Schmidt with one reorthogonalization); the
@@ -537,8 +517,8 @@ class _MixedEvaluator(_Evaluator):
     are read off the space's frame coordinates, ||T_B(t) c - T_P(t)||
     and ||T_P(t)||, and the estimator's residual norms likewise as
     ||T_A(t) c V - T_P(t) V Lambda||, so U(t) is never formed.  A chunk
-    of parameters blends its Grams into one stacked Cholesky
-    factorization, and every product with the frame coordinates is one
+    of parameters blends its Grams into one stacked Cholesky solve
+    (eigen.spd_solve_many), and every product with the frame coordinates is one
     product per endpoint for the whole chunk.
 
     Lift-resume rule: the certificates of a chunk are checked together,
@@ -575,11 +555,12 @@ class _MixedEvaluator(_Evaluator):
         lift passes its certificate."""
         GB = (space.GB[0] * (1.0 - ts)[:, None, None]
               + space.GB[1] * ts[:, None, None])
-        factors = _stacked_cholesky(GB, ts)
         QtU = _blend_many(space.QtP, ts)
-        C = np.empty_like(QtU)
-        for j, L in enumerate(factors):
-            C[:, j, :] = _cholesky_solve(L, QtU[:, j, :])
+        try:
+            C = spd_solve_many(GB, QtU)
+        except FactorizationError as exc:
+            raise FactorizationError("lifted mass solve at t=%r: %s"
+                                     % (float(ts[exc.index]), exc)) from exc
         residual, scale = space.lifting_residual(ts, C)
         return C, QtU, np.all(residual <= _LIFT_RTOL * scale, axis=1)
 

@@ -16,7 +16,7 @@ import scipy.io
 
 import maxwell_rb
 from maxwell_rb import cli
-from maxwell_rb.cli import _apply_thread_cap, _THREAD_ENV_VARS, main
+from maxwell_rb.cli import _THREAD_ENV_VARS, main
 
 _CFG_TEXT = """\
 resolution = 3 3 3
@@ -80,8 +80,8 @@ class TestParsing:
                                        ["--conf", "x.cfg"]])
     def test_abbreviated_option_is_usage_error(self, cfg_file, tmp_path,
                                                monkeypatch, flags):
-        # --threads is exported to BLAS from argv before parsing, so an
-        # abbreviation that parsed would set threads and cap nothing
+        # flags are spelled out in full; an abbreviation exits 2 before
+        # anything is exported or written
         for name in _THREAD_ENV_VARS:
             monkeypatch.delenv(name, raising=False)
         out = tmp_path / "out"
@@ -99,26 +99,58 @@ class TestParsing:
 
 
 class TestThreadCap:
+    """main exports the parsed --threads to every BLAS/OpenMP variable
+    before the command runs; the command here is a stub that records
+    the environment it sees."""
+
     @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
+    def seen(self, monkeypatch, tmp_path):
         for name in _THREAD_ENV_VARS:
             monkeypatch.delenv(name, raising=False)
+        monkeypatch.chdir(tmp_path)
+        seen = {}
 
-    def test_exports_all_runtime_variables(self):
-        _apply_thread_cap(["solve", "--threads", "2"])
-        assert all(os.environ[name] == "2" for name in _THREAD_ENV_VARS)
+        def command(cfg, t):
+            seen.update((name, os.environ.get(name))
+                        for name in _THREAD_ENV_VARS)
+            return 0
 
-    def test_equals_form(self):
-        _apply_thread_cap(["solve", "--threads=3"])
-        assert os.environ["OMP_NUM_THREADS"] == "3"
+        monkeypatch.setattr(cli, "cmd_export_matrices", command)
+        return seen
 
-    def test_last_occurrence_wins(self):
-        _apply_thread_cap(["solve", "--threads", "2", "--threads=4"])
-        assert os.environ["OMP_NUM_THREADS"] == "4"
+    def test_exports_all_runtime_variables(self, seen):
+        assert main(["export-matrices", "--threads", "2"]) == 0
+        assert seen == dict.fromkeys(_THREAD_ENV_VARS, "2")
 
-    def test_invalid_value_left_to_argparse(self):
-        _apply_thread_cap(["solve", "--threads", "many"])
-        assert "OMP_NUM_THREADS" not in os.environ
+    def test_equals_form(self, seen):
+        assert main(["export-matrices", "--threads=3"]) == 0
+        assert seen == dict.fromkeys(_THREAD_ENV_VARS, "3")
+
+    def test_last_occurrence_wins(self, seen):
+        assert main(["export-matrices", "--threads", "2",
+                     "--threads=4"]) == 0
+        assert seen == dict.fromkeys(_THREAD_ENV_VARS, "4")
+
+    def test_invalid_value_left_to_argparse(self, seen):
+        with pytest.raises(SystemExit) as err:
+            main(["export-matrices", "--threads", "many"])
+        assert err.value.code == 2
+        assert seen == {}
+        assert not any(name in os.environ for name in _THREAD_ENV_VARS)
+
+    def test_no_flag_exports_nothing(self, seen):
+        assert main(["export-matrices"]) == 0
+        assert seen == dict.fromkeys(_THREAD_ENV_VARS)
+
+    def test_importing_the_cli_loads_no_blas(self):
+        # the cap's premise: parsing runs before numpy or scipy loads
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, maxwell_rb.cli\n"
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConfigHandling:
@@ -126,6 +158,33 @@ class TestConfigHandling:
         rc = main(["solve", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_config_exit_2(self, tmp_path, capsys):
+        rc = main(["solve", "--config", str(tmp_path)])
+        assert rc == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("output = caf\xe9\n".encode("latin-1"))
+        rc = main(["solve", "--config", str(path)])
+        assert rc == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_file_as_output_exit_2_before_any_solve(self, cfg_file, tmp_path,
+                                                   monkeypatch, capsys):
+        from maxwell_rb import bench
+
+        def no_setup(cfg):
+            raise AssertionError("the problem was set up")
+
+        monkeypatch.setattr(bench, "setup_problem", no_setup)
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        rc = main(["build-basis", "--config", cfg_file, "--output", str(path)])
+        assert rc == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert path.read_text() == "keep\n"
 
     def test_bad_key_reports_line_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 """Configuration parsing, validation and overrides."""
 
+import dataclasses
 import json
 import math
 
@@ -61,6 +62,45 @@ class TestValues:
         assert all(not isinstance(v, tuple) for v in d.values())
 
 
+def _config_text(cfg):
+    """A config file that sets every key of config_to_dict(cfg)."""
+    lines = []
+    for key, value in config_to_dict(cfg).items():
+        items = value if isinstance(value, list) else [value]
+        lines.append("%s = %s" % (key, " ".join(
+            v if isinstance(v, str) else repr(v) for v in items)))
+    return "\n".join(lines) + "\n"
+
+
+class TestKeys:
+    # every field set away from its default, so a parser wired to the
+    # wrong field cannot round-trip
+    OTHER = dict(dims0=(2.0, 1.5, 0.25), dims1=(0.5, 3e-1, 1.0000000001),
+                 resolution=(4, 5, 3), K=3, N_POD=7, N_train=9, N_init=4,
+                 N_max=11, tol=2.5e-7, shift_fraction=0.8,
+                 cut_fraction=0.2, gauge_mode="classical", threshold=0.75,
+                 initial_steps=5, max_depth=3, track_buffer=1,
+                 matching="hungarian", eval_set_size=6, seed=17,
+                 output="runs#1")
+
+    def test_every_field_is_a_file_key(self):
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert list(config_to_dict(default_config())) == names
+        assert sorted(self.OTHER) == sorted(names)
+        for name in names:
+            cfg = parse_config_text(_config_text(
+                with_overrides(default_config(), **{name: self.OTHER[name]})))
+            assert getattr(cfg, name) == self.OTHER[name]
+
+    def test_written_config_parses_back_equal(self):
+        cfg = with_overrides(default_config(), **self.OTHER)
+        assert all(getattr(cfg, f.name) != getattr(default_config(), f.name)
+                   for f in dataclasses.fields(RunConfig))
+        assert parse_config_text(_config_text(cfg)) == cfg
+        assert parse_config_text(_config_text(default_config())) == \
+            default_config()
+
+
 class TestParseErrors:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match=r"<config>:3: unknown key 'frobnicate'"):
@@ -97,6 +137,14 @@ class TestParseErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(tmp_path)
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("output = caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(path)
 
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import (SolverPolicy, _cholesky, _cholesky_solve,
-                              pcg_solve, solve_dense_gevp, solve_sparse_gevp)
+from maxwell_rb.eigen import (SolverPolicy, pcg_solve, solve_dense_gevp,
+                              solve_sparse_gevp, spd_solve_many)
 from maxwell_rb.errors import EigensolverError, FactorizationError
 from maxwell_rb.mesh import build_mesh, dissection_order
 
@@ -117,14 +117,47 @@ class TestDenseLapackCalls:
             self._assert_same(solve_dense_gevp(A, B, count=count),
                               reference_eigh(A, B, count=count))
 
+    @staticmethod
+    def _spd_stack(count, m, n, seed):
+        """count SPD m x m matrices and right-hand sides (m, count, n)."""
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((count, m, m))
+        G = R @ R.transpose(0, 2, 1) + m * np.eye(m)
+        return G, rng.standard_normal((m, count, n))
+
     def test_cholesky_solve_bitwise(self):
-        rng = np.random.default_rng(6)
-        for m, n in ((12, 6), (1, 1), (7, 3)):
-            R = rng.standard_normal((m, m))
-            G = R @ R.T + m * np.eye(m)
-            U = rng.standard_normal((m, n))
-            got = _cholesky_solve(_cholesky(G), U)
-            assert np.array_equal(got, reference_cholesky_solve(G, U))
+        # each system of the stack is bitwise scipy's cho_solve on numpy's
+        # factor of that matrix alone.  numpy and scipy link separate
+        # OpenBLAS builds whose potrf can differ in the last bits, so
+        # against scipy's own factor the solve agrees to roundoff only.
+        for count, m, n in ((3, 12, 6), (1, 1, 1), (4, 7, 3), (5, 30, 4)):
+            G, U = self._spd_stack(count, m, n, seed=6)
+            X = spd_solve_many(G, U)
+            assert X.shape == U.shape
+            for j in range(count):
+                want = scipy.linalg.cho_solve((np.linalg.cholesky(G[j]), True),
+                                              U[:, j])
+                assert np.array_equal(X[:, j], want)
+                assert np.allclose(X[:, j],
+                                   reference_cholesky_solve(G[j], U[:, j]),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("where, index, match", [
+        ("matrix", 1, "not finite"), ("rhs", 2, "not finite"),
+        ("indefinite", 1, "not positive definite")])
+    def test_stack_failure_names_first_index(self, where, index, match):
+        G, U = self._spd_stack(4, 5, 2, seed=10)
+        if where == "matrix":
+            G[index, 3, 2] = np.nan
+        elif where == "rhs":
+            U[4, index, 1] = np.inf
+        else:
+            G[index, 2, 2] = -1.0
+        G[3, 0, 0] = -1.0     # a later failure is not the one named
+        with pytest.raises(FactorizationError, match=match) as err:
+            spd_solve_many(G, U)
+        assert err.value.index == index
+        assert "system %d " % index in str(err.value)
 
     @pytest.mark.parametrize("count", [None, 2])
     @pytest.mark.parametrize("which, bad", [("A", np.nan), ("A", np.inf),

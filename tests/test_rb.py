@@ -515,6 +515,18 @@ class TestLiftedSpace:
         with pytest.raises(FactorizationError, match="positive definite"):
             ev.solve(0.5)
 
+    def test_lifted_mass_failure_names_first_t(self, small_morph,
+                                               small_basis):
+        # (Q^T B(t) Q)[1, 1] turns negative past t = 1/2 only
+        ev = _evaluator(small_morph, small_basis.basis.Z)
+        G0, G1 = ev.lifted.GB
+        G1 = G1.copy()
+        G1[1, 1] = -G0[1, 1]
+        ev.lifted = replace(ev.lifted, GB=(G0, G1))
+        with pytest.raises(FactorizationError,
+                           match=r"at t=0\.7: .*not positive definite"):
+            ev.solve_many([0.05, 0.7, 0.9])
+
 
 @pytest.fixture(scope="module")
 def taper(desk_problem):
