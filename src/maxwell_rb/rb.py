@@ -251,11 +251,13 @@ class _Evaluator:
     _chunks(ts) evaluates the parameters in order, a chunk at a time,
     and yields (data, A, B) per chunk: the raw pencils Z^T A Z and
     Z^T B Z of its parameters stacked on the first axis, which the base
-    symmetrizes, and whatever _residual_norms(data, values, V) needs for
-    the residual norms of the first k_eff = min(K, n_red) eigenpairs of
-    each (values stacked len(chunk) x k_eff, V len(chunk) x n_red x
-    k_eff).  A chunk holds at most _BATCH_COLUMNS basis columns summed
-    over its parameters, so no array of a sweep grows with len(ts).
+    symmetrizes one stack at a time (each ReducedSystem holds views of
+    the symmetrized stacks), and whatever _residual_norms(data, values,
+    V) needs for the residual norms of the first k_eff = min(K, n_red)
+    eigenpairs of each (values stacked len(chunk) x k_eff, V len(chunk)
+    x n_red x k_eff).  A chunk holds at most _BATCH_COLUMNS basis
+    columns summed over its parameters, so no array of a sweep grows
+    with len(ts).
 
     solve_many and estimate_many are the only sweeps; reduced_system,
     solve and estimate are batches of one, so each gauge has one kernel.
@@ -283,9 +285,8 @@ class _Evaluator:
             raise ConfigError("parameter t=%r outside [0, 1]"
                               % float(outside[0]))
         for data, A, B in self._chunks(ts):
-            yield data, [ReducedSystem(A_tilde=0.5 * (a + a.T),
-                                       B_tilde=0.5 * (b + b.T))
-                         for a, b in zip(A, B)]
+            A, B = (0.5 * (X + X.transpose(0, 2, 1)) for X in (A, B))
+            yield data, [ReducedSystem(a, b) for a, b in zip(A, B)]
 
     def reduced_system(self, t: float) -> ReducedSystem:
         return next(self._pencils([t]))[1][0]

@@ -33,6 +33,20 @@ correlations are its singular values.  Every rotation fixes solver
 gauge only, never re-labels across distinct eigenvalues, and flags the
 step as degenerate.
 
+Each solution is grouped into clusters once, when it enters the loop,
+in plain Python on its K + buffer values; a failed step's end keeps its
+groups with its solution on the pending stack, so a retried step
+neither solves nor groups again.  Clusters are tuples, so free and
+aligned clusters are found by key.  One routine, _procrustes, does every
+alignment on the overlap block P: a new cluster toward the committed
+rows, the two-sided SVD of a free cluster, and (on P.T) a free
+cluster's committed rows toward the candidates.  A step costs two
+products with the candidates (their inner products and P), one SVD per
+cluster, one matching and a few dozen numpy calls on arrays of K +
+buffer columns; a cluster of consecutive indices is addressed as a view.
+On the reduced path those calls' overhead, not their arithmetic, is most
+of a step.
+
 The same loop drives the reduced system (small dense pencils) and the
 full sparse system (the runtime baseline); only the solve and the inner
 product differ.
@@ -46,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ParametrizedSystem
+from .config import _is_integer
 from .eigen import SolverPolicy, solve_sparse_gevp
 from .errors import ConfigError, TrackingError
 from .gauge import GaugeDecomposition
@@ -111,19 +126,18 @@ def _greedy_match(C: np.ndarray):
     among equal entries, the first in row-major order.
     """
     K, n = C.shape
-    perm = [-1] * K
+    perm, picked = [-1] * K, [0] * K
     used = [False] * n
     left = K
     for flat in np.argsort(-C, axis=None, kind="stable").tolist():
         i, j = divmod(flat, n)
         if perm[i] < 0 and not used[j]:
-            perm[i] = j
+            perm[i], picked[i] = j, flat
             used[j] = True
             left -= 1
             if not left:
                 break
-    perm = np.array(perm, dtype=np.int64)
-    return perm, C[np.arange(K), perm]
+    return np.array(perm, dtype=np.int64), C.take(picked)
 
 
 def _hungarian_match(C: np.ndarray):
@@ -138,20 +152,25 @@ def _hungarian_match(C: np.ndarray):
 _CLUSTER_RTOL = 1e-8
 
 
-def _degenerate_clusters(values: np.ndarray, rtol: float = _CLUSTER_RTOL):
-    """Groups of indices holding numerically equal eigenvalues.
+def _degenerate_clusters(values: np.ndarray,
+                         rtol: float = _CLUSTER_RTOL) -> list:
+    """Groups of indices holding numerically equal values, as ascending
+    index tuples.
 
-    Works on unsorted input (trajectory-slot order) by grouping along the
-    sorted sequence; each group is returned as an ascending index array.
+    Works on unsorted input (trajectory-slot order) by grouping along
+    the stably sorted sequence: a value more than
+    rtol * max(|value|, 1) above its predecessor starts a new group.  A
+    solve has K + buffer values, so the loop runs on their Python floats,
+    with the same float64 arithmetic as an array version.
     """
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    gaps = np.diff(ranked) > rtol * np.maximum(np.abs(ranked[1:]), 1.0)
-    if gaps.all():
-        return []
-    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), values.size]
-    return [np.sort(order[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo >= 2]
+    vals = values.tolist()
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    groups = [order[:1]]
+    for lo, hi in zip(order, order[1:]):
+        if vals[hi] - vals[lo] > rtol * max(abs(vals[hi]), 1.0):
+            groups.append([])
+        groups[-1].append(hi)
+    return [tuple(sorted(group)) for group in groups if len(group) >= 2]
 
 
 def _surviving_free(free, clusters_n, perm):
@@ -161,37 +180,48 @@ def _surviving_free(free, clusters_n, perm):
     lie more than _CLUSTER_RTOL apart is one group of the solve, so it
     stays one part even when it links through candidates outside the
     free cluster."""
-    parts = [idx[(perm[idx, None] == group).any(axis=1)]
+    parts = [tuple(s for s in idx if perm[s] in group)
              for idx in free for group in clusters_n]
-    return [part for part in parts if part.size >= 2]
+    return [part for part in parts if len(part) >= 2]
 
 
-def _overlap_svd(M, c):
-    """SVD of a cluster's overlap block with a reference.
+def _index(cluster):
+    """An ascending index tuple as a slice when it is a run of
+    consecutive indices, so numpy takes a view of the block instead of a
+    copy, else as a list; both select the same entries."""
+    lo, hi = cluster[0], cluster[-1] + 1
+    return slice(lo, hi) if hi - lo == len(cluster) else list(cluster)
 
-    M holds the signed overlaps, reference vectors by cluster columns;
-    the c most-overlapping reference rows form the block T = U S V^T.
-    Returns (rows, U, V), or None when the cluster subspace is invisible
-    on the other side.  V U^T is the orthogonal c-by-c rotation that
-    aligns the cluster to the reference (orthogonal Procrustes).
+
+def _procrustes(P, cluster, free=()):
+    """Rotate the c = len(cluster) columns of the overlap block P that
+    cluster lists, in place, toward the c rows they overlap most
+    (orthogonal Procrustes).
+
+    With T = U S V^T the c x c block of those rows and columns, the
+    columns are rotated by V U^T; when the rows are one of the clusters
+    in free, the rows are rotated by U^T and the columns by V instead,
+    which leaves T = diag(S).  Returns the rows as a tuple and the
+    column rotation R, or None when the cluster is invisible on the
+    other side.  P.T aligns a cluster of P's rows the same way.
     """
-    rows = np.sort(np.argsort(-np.linalg.norm(M, axis=1), kind="stable")[:c])
-    T = M[rows]
+    idx = _index(cluster)
+    M = P[:, idx]
+    reach = np.sqrt((M * M).sum(axis=1)).tolist()
+    rows = tuple(sorted(sorted(range(len(reach)), key=reach.__getitem__,
+                               reverse=True)[:len(cluster)]))
+    T = M[_index(rows)]
     if np.linalg.norm(T) < 1e-12:
         return None
     U, _, Vt = np.linalg.svd(T)
-    return rows, U, Vt.T
-
-
-def _rotate_candidates(vectors_n, W, norms, P, cols, R):
-    """Replace candidate columns cols by their combinations R, in the
-    candidates, their inner products W, their norms and the overlaps P."""
-    block = vectors_n[:, cols] @ R
-    vectors_n[:, cols] = block
-    Wb = W[:, cols] @ R
-    W[:, cols] = Wb
-    norms[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", block, Wb)))
-    P[:, cols] = P[:, cols] @ R
+    if rows in free:
+        at = _index(rows)
+        P[at, :] = U.T @ P[at, :]
+        R = Vt.T
+    else:
+        R = Vt.T @ U.T
+    P[:, idx] = P[:, idx] @ R
+    return rows, R
 
 
 _MATCHERS = {"greedy": _greedy_match, "hungarian": _hungarian_match}
@@ -202,17 +232,17 @@ def _check_settings(K, threshold, initial_steps, buffer, max_depth,
     """Reject tracking settings before any solve or lift."""
     if not (0.0 <= threshold < 1.0):
         raise ConfigError("correlation threshold must lie in [0, 1)")
-    if initial_steps < 2:
-        raise ConfigError("initial_steps must be >= 2")
-    if max_depth < 0:
-        raise ConfigError("max_depth must be >= 0")
     if matching not in _MATCHERS:
         raise ConfigError("unknown matching %r (choose from %s)"
                           % (matching, ", ".join(sorted(_MATCHERS))))
-    if K < 1:
-        raise ConfigError("tracking needs K >= 1")
-    if buffer < 0:
-        raise ConfigError("candidate buffer must be >= 0")
+    for name, value, least in (("K", K, 1),
+                               ("initial_steps", initial_steps, 2),
+                               ("buffer", buffer, 0),
+                               ("max_depth", max_depth, 0)):
+        if not _is_integer(value):
+            raise ConfigError("%s must be an integer, got %r" % (name, value))
+        if value < least:
+            raise ConfigError("%s must be >= %d" % (name, least))
 
 
 def _track(solve, K, threshold, initial_steps, max_depth,
@@ -228,8 +258,8 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     of pending ends.  A failed step pushes its end, then its midpoint,
     both one level deeper, so the left half is tracked first and the
     right half then starts at the midpoint.  The end keeps the solution
-    its failed step got, as solve returned it, so each parameter is
-    solved once.
+    its failed step got, as solve returned it, with its clusters, so
+    each parameter is solved and grouped once.
     """
     match = _MATCHERS[matching]
     t_start = time.perf_counter()
@@ -244,14 +274,16 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     lambdas = [values[:K].copy()]
     correlations, permutations = [], []
     bisections = degenerate_steps = 0
-    # (t, bisection depth, its solution if a failed step already got it)
+    # (t, bisection depth, its solution and clusters if a failed step
+    # already got them)
     pending = [(float(t), 0, None)
                for t in np.linspace(0.0, 1.0, initial_steps + 1)[:0:-1]]
     while pending:
         t_next, depth, solved = pending.pop()
         if solved is None:
             solved = solve(t_next)
-        values_n, vectors_n, inner_n = solved
+            solved += (_degenerate_clusters(solved[0]),)
+        values_n, vectors_n, inner_n, clusters_n = solved
         W = inner @ vectors_n
         norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
         # Signed correlation block, trajectories by candidates.  Every
@@ -259,45 +291,38 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         # reduce to in-place row and column updates.
         P = vectors.T @ W
 
-        clusters_n = _degenerate_clusters(values_n)
         if clusters_n:
             vectors_n = vectors_n.copy()
         # A new cluster whose best-overlap trajectories are a free cluster
-        # (below) meets a basis as arbitrary as its own: the block is
-        # aligned on both sides by its SVD, so the correlations are its
-        # singular values whatever bases the solves returned.
-        aligned = []
-        for idx in clusters_n:
-            if idx.size > K:
+        # meets a basis as arbitrary as its own: the block is aligned on
+        # both sides by its SVD, so the correlations are its singular
+        # values whatever bases the solves returned.
+        aligned = set()
+        for cols in clusters_n:
+            fit = _procrustes(P, cols, free) if len(cols) <= K else None
+            if fit is None:
                 continue
-            svd = _overlap_svd(P[:, idx], idx.size)
-            if svd is None:
-                continue
-            rows, U, V = svd
-            if any(np.array_equal(rows, f) for f in free):
-                P[rows, :] = U.T @ P[rows, :]
-                _rotate_candidates(vectors_n, W, norms, P, idx, V)
-                aligned.append(rows)
-            else:
-                _rotate_candidates(vectors_n, W, norms, P, idx, V @ U.T)
+            rows, R = fit
+            aligned.add(rows)
+            cols = _index(cols)
+            block = vectors_n[:, cols] @ R
+            vectors_n[:, cols] = block
+            norms[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", block,
+                                                   W[:, cols] @ R)))
         # Committed clusters that have stayed degenerate since the start
         # (a symmetric geometry about to split) have an equally arbitrary
         # basis; their rows of P are rotated toward the new frame.  A
         # cluster formed later at a crossing keeps its basis: it encodes
         # which branch is which.  The committed vectors are never touched.
         for idx in free:
-            if any(np.array_equal(idx, a) for a in aligned):
-                continue
-            svd = _overlap_svd(P[idx, :].T, idx.size)
-            if svd is not None:
-                _, U, V = svd
-                R = V @ U.T
-                P[idx, :] = R.T @ P[idx, :]
+            if idx not in aligned:
+                _procrustes(P.T, idx)
 
-        C = np.abs(P) / norms[None, :]
+        C = np.abs(P, out=P)
+        C /= norms
         perm, corrs = match(C)
 
-        if threshold > 0.0 and np.any(corrs < threshold):
+        if threshold > 0.0 and corrs.min() < threshold:
             if depth >= max_depth:
                 raise TrackingError(
                     "correlation %.4f below threshold %.2f on [%.6g, %.6g] "
@@ -310,13 +335,12 @@ def _track(solve, K, threshold, initial_steps, max_depth,
             continue
 
         # Accept: reorder the new eigenpairs into trajectory slots.
-        values_t = values_n[perm]
         if clusters_n or free:
             degenerate_steps += 1
-        free = _surviving_free(free, clusters_n, perm)
+        free = _surviving_free(free, clusters_n, perm.tolist())
         vectors, inner = vectors_n[:, perm], inner_n
         grid.append(t_next)
-        lambdas.append(values_t)
+        lambdas.append(values_n[perm])
         correlations.append(corrs)
         permutations.append(perm)
 

@@ -19,6 +19,12 @@ tracking's equal eigenvalues before the grouping became one split, and
 ``reference_split_clusters`` that split, before it became slicing;
 ``reference_surviving_free`` is the regrouping of each free cluster on
 its own accepted values that cutting it by the solve's groups replaced.
+``reference_sliced_clusters`` is that slicing itself, before each
+solution was grouped once in plain Python, and ``reference_track`` the
+tracking loop that grouped every step's solution with it (a retried
+step's again), scanned for free and aligned clusters with
+``np.array_equal`` and aligned through separate SVD and rotation
+helpers, before one Procrustes routine did all three alignments.
 ``reference_greedy_match`` is the K-pass argmax matching that one sorted
 walk replaced, and ``reference_gaps`` the per-value np.delete loop of the
 estimator's gaps.  ``reference_eigh`` and ``reference_cholesky_solve``
@@ -45,12 +51,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize import linear_sum_assignment
 
 from maxwell_rb.assembly import SystemPair
 from maxwell_rb.errors import (ConfigError, DegenerateCellError,
-                               FactorizationError, NumericsError)
+                               FactorizationError, NumericsError,
+                               TrackingError)
 from maxwell_rb.gauge import CotreeSystem
 from maxwell_rb.mesh import CavityMesh
+from maxwell_rb.tracking import TrackingRun
 
 # Local edge order of the frozen mesh: four x-directed edges at the (y,z)
 # corner offsets below, then four y-directed at (x,z), then four
@@ -551,6 +560,137 @@ def reference_greedy_match(C):
         work[i, :] = -1.0
         work[:, j] = -1.0
     return perm, corrs
+
+
+def reference_sliced_clusters(values, rtol=1e-8):
+    """Index groups of numerically equal values, as ascending index
+    arrays, by slicing the stably sorted order at its gaps (numpy)."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    gaps = np.diff(ranked) > rtol * np.maximum(np.abs(ranked[1:]), 1.0)
+    if gaps.all():
+        return []
+    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), values.size]
+    return [np.sort(order[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo >= 2]
+
+
+def _reference_cut_free(free, clusters_n, perm):
+    """Each free cluster cut by the accepted solve's groups, by scans."""
+    parts = [idx[(perm[idx, None] == group).any(axis=1)]
+             for idx in free for group in clusters_n]
+    return [part for part in parts if part.size >= 2]
+
+
+def _reference_overlap_svd(M, c):
+    """(rows, U, V) of the c most-overlapping rows' block T = U S V^T of
+    M, or None when that block is invisible."""
+    rows = np.sort(np.argsort(-np.linalg.norm(M, axis=1), kind="stable")[:c])
+    T = M[rows]
+    if np.linalg.norm(T) < 1e-12:
+        return None
+    U, _, Vt = np.linalg.svd(T)
+    return rows, U, Vt.T
+
+
+def _reference_rotate_candidates(vectors_n, W, norms, P, cols, R):
+    """Candidate columns cols replaced by their combinations R, in the
+    candidates, their inner products, their norms and the overlaps."""
+    block = vectors_n[:, cols] @ R
+    vectors_n[:, cols] = block
+    Wb = W[:, cols] @ R
+    W[:, cols] = Wb
+    norms[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", block, Wb)))
+    P[:, cols] = P[:, cols] @ R
+
+
+def _reference_hungarian_match(C):
+    rows, cols = linear_sum_assignment(-C)
+    perm = np.empty(C.shape[0], dtype=np.int64)
+    perm[rows] = cols
+    return perm, C[rows, cols][np.argsort(rows)]
+
+
+def reference_track(solve, K, threshold, initial_steps, max_depth,
+                    matching="greedy"):
+    """Bisection tracking over [0, 1], one numpy grouping per step.
+
+    Groups a retried step's solution again, scans for free and aligned
+    clusters with np.array_equal, and aligns through a separate SVD
+    helper and candidate rotation."""
+    match = {"greedy": reference_greedy_match,
+             "hungarian": _reference_hungarian_match}[matching]
+    values, vectors, inner = solve(0.0)
+    vectors = vectors[:, :K]
+    free = reference_sliced_clusters(values[:K])
+    grid = [0.0]
+    lambdas = [values[:K].copy()]
+    correlations, permutations = [], []
+    bisections = degenerate_steps = 0
+    pending = [(float(t), 0, None)
+               for t in np.linspace(0.0, 1.0, initial_steps + 1)[:0:-1]]
+    while pending:
+        t_next, depth, solved = pending.pop()
+        if solved is None:
+            solved = solve(t_next)
+        values_n, vectors_n, inner_n = solved
+        W = inner @ vectors_n
+        norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
+        P = vectors.T @ W
+        clusters_n = reference_sliced_clusters(values_n)
+        if clusters_n:
+            vectors_n = vectors_n.copy()
+        aligned = []
+        for idx in clusters_n:
+            if idx.size > K:
+                continue
+            svd = _reference_overlap_svd(P[:, idx], idx.size)
+            if svd is None:
+                continue
+            rows, U, V = svd
+            if any(np.array_equal(rows, f) for f in free):
+                P[rows, :] = U.T @ P[rows, :]
+                _reference_rotate_candidates(vectors_n, W, norms, P, idx, V)
+                aligned.append(rows)
+            else:
+                _reference_rotate_candidates(vectors_n, W, norms, P, idx,
+                                             V @ U.T)
+        for idx in free:
+            if any(np.array_equal(idx, a) for a in aligned):
+                continue
+            svd = _reference_overlap_svd(P[idx, :].T, idx.size)
+            if svd is not None:
+                _, U, V = svd
+                R = V @ U.T
+                P[idx, :] = R.T @ P[idx, :]
+        C = np.abs(P) / norms[None, :]
+        perm, corrs = match(C)
+        if threshold > 0.0 and np.any(corrs < threshold):
+            if depth >= max_depth:
+                raise TrackingError(
+                    "correlation %.4f below threshold %.2f on [%.6g, %.6g] "
+                    "after %d bisection levels"
+                    % (corrs.min(), threshold, grid[-1], t_next, depth))
+            bisections += 1
+            pending.append((t_next, depth + 1, solved))
+            pending.append((0.5 * (grid[-1] + t_next), depth + 1, None))
+            continue
+        values_t = values_n[perm]
+        if clusters_n or free:
+            degenerate_steps += 1
+        free = _reference_cut_free(free, clusters_n, perm)
+        vectors, inner = vectors_n[:, perm], inner_n
+        grid.append(t_next)
+        lambdas.append(values_t)
+        correlations.append(corrs)
+        permutations.append(perm)
+    grid = np.array(grid)
+    stats = {"bisection_count": bisections,
+             "degenerate_steps": degenerate_steps,
+             "min_step": float(np.diff(grid).min())}
+    return TrackingRun(grid=grid, lambdas=np.column_stack(lambdas),
+                       correlations=np.column_stack(correlations),
+                       permutations=permutations, stats=stats)
 
 
 def reference_gaps(values, K, floor_fraction=1e-8):

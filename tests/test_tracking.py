@@ -4,12 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxwell_rb import tracking
+from maxwell_rb import rb, tracking
+from maxwell_rb.assembly import ParametrizedSystem, assemble
 from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.errors import ConfigError, TrackingError
-from maxwell_rb.rb import ReducedBasis, _salt_from_t
+from maxwell_rb.mesh import build_mesh
+from maxwell_rb.rb import ReducedBasis, _make_evaluator, _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
 from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
                                  _greedy_match, _hungarian_match,
@@ -17,7 +21,8 @@ from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
                                  track_reduced)
 
 from oracles import (reference_degenerate_clusters, reference_greedy_match,
-                     reference_split_clusters, reference_surviving_free)
+                     reference_sliced_clusters, reference_split_clusters,
+                     reference_surviving_free, reference_track)
 
 
 class TestMatching:
@@ -64,7 +69,7 @@ class TestMatching:
 class TestDegenerateClusters:
     @staticmethod
     def _groups(values):
-        return [c.tolist() for c in _degenerate_clusters(np.array(values))]
+        return [list(c) for c in _degenerate_clusters(np.array(values))]
 
     def test_detection(self):
         assert self._groups([1.0, 2.0, 3.0]) == []
@@ -88,7 +93,7 @@ class TestDegenerateClusters:
                 values = levels * (1.0 + jitter)
                 got = _degenerate_clusters(values)
                 want = reference_degenerate_clusters(values)
-                assert [g.tolist() for g in got] == [w.tolist() for w in want]
+                assert [list(g) for g in got] == [w.tolist() for w in want]
 
     def test_same_groups_as_the_split_at_the_tolerance(self):
         # neighbours a few ulps either side of the relative tolerance, in
@@ -103,7 +108,83 @@ class TestDegenerateClusters:
             values = rng.permutation(values)
             got = _degenerate_clusters(values)
             want = reference_split_clusters(values)
-            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            assert [list(g) for g in got] == [w.tolist() for w in want]
+
+
+def _ulps(x, k):
+    """x moved k floating-point steps (k < 0 toward -inf)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def _spectra(draw):
+    """Unsorted spectra built as chains of exact ties, signed zeros,
+    steps a few ulps either side of the cluster tolerance, near-ties
+    inside it and clear gaps."""
+    rtol = tracking._CLUSTER_RTOL
+    start = draw(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1e-9, 0.5, 1.0,
+                                  26.13, 1e3])
+                 | st.floats(-1e4, 1e4, allow_nan=False))
+    values = [start]
+    for kind in draw(st.lists(st.sampled_from(
+            ["tie", "tie", "boundary", "near", "gap", "zero"]), max_size=11)):
+        last = values[-1]
+        if kind == "tie":
+            values.append(last)
+        elif kind == "boundary":
+            step = rtol * max(abs(last), 1.0)
+            k = draw(st.sampled_from([0, 0, 1, -1]) | st.integers(-64, 64))
+            values.append(_ulps(last + step, k))
+        elif kind == "near":
+            values.append(last + draw(st.floats(0.0, 1.0)) * rtol
+                          * max(abs(last), 1.0))
+        elif kind == "gap":
+            values.append(last + draw(st.floats(1e-6, 10.0)))
+        else:
+            values.append(draw(st.sampled_from([0.0, -0.0])))
+    return np.array(draw(st.permutations(values)))
+
+
+class TestPerSolutionGrouping:
+    """The plain-Python grouping of one solution gives the groups the
+    numpy slicing gave."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_spectra())
+    def test_same_groups_as_the_numpy_slicing(self, values):
+        got = _degenerate_clusters(values)
+        assert all(isinstance(group, tuple) for group in got)
+        assert ([list(g) for g in got]
+                == [w.tolist() for w in reference_sliced_clusters(values)])
+
+    def test_exactly_at_the_tolerance(self):
+        # neighbours whose computed gap equals rtol * max(|hi|, 1) to the
+        # last bit stay in one group; one ulp more splits them.  Near zero
+        # the gap rtol is exact, elsewhere the ulps around it are tried
+        rtol = tracking._CLUSTER_RTOL
+        found = 0
+        for lo in (0.0, -0.0, 2.0 ** -40, -2.0 ** -40, 3 * 2.0 ** -45,
+                   -0.75, 0.5, 1.0, 3.0, 26.13, 1e3):
+            for k in range(-16, 17):
+                hi = _ulps(lo + rtol * max(abs(lo), 1.0), k)
+                values = np.array([hi, lo])
+                at = hi - lo == rtol * max(abs(hi), 1.0)
+                found += at
+                got = [list(g) for g in _degenerate_clusters(values)]
+                assert got == [w.tolist()
+                               for w in reference_sliced_clusters(values)]
+                if at:
+                    assert got == [[0, 1]]
+        assert found >= 3
+
+    @pytest.mark.parametrize("values", [[], [2.0], [0.0, -0.0, 0.0],
+                                        [4.0] * 7, [-1.0] * 3 + [5.0]])
+    def test_ties_zeros_and_short_inputs(self, values):
+        values = np.array(values)
+        assert ([list(g) for g in _degenerate_clusters(values)]
+                == [w.tolist() for w in reference_sliced_clusters(values)])
 
 
 class TestSurvivingFree:
@@ -127,9 +208,11 @@ class TestSurvivingFree:
             labels = rng.integers(0, 3, K)
             free = [idx for idx in (np.flatnonzero(labels == k)
                                     for k in range(3)) if idx.size >= 2]
-            got = _surviving_free(free, _degenerate_clusters(values_n), perm)
+            got = _surviving_free([tuple(idx.tolist()) for idx in free],
+                                  _degenerate_clusters(values_n),
+                                  perm.tolist())
             want = reference_surviving_free(free, values_n, perm)
-            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            assert [list(g) for g in got] == [w.tolist() for w in want]
             kept += len(got)
         assert kept > 100
 
@@ -139,8 +222,8 @@ class TestSurvivingFree:
         rtol = tracking._CLUSTER_RTOL
         values_n = 1.0 + np.array([0.0, 0.6, 1.2]) * rtol
         free, perm = [np.array([0, 1])], np.array([0, 2])
-        got = _surviving_free(free, _degenerate_clusters(values_n), perm)
-        assert [g.tolist() for g in got] == [[0, 1]]
+        got = _surviving_free([(0, 1)], _degenerate_clusters(values_n), [0, 2])
+        assert got == [(0, 1)]
         assert reference_surviving_free(free, values_n, perm) == []
 
 
@@ -152,6 +235,14 @@ def _crossing_solve(t):
         values = values[::-1]
         vectors = vectors[:, ::-1]
     return values, vectors, np.eye(2)
+
+
+def _spinning_solve(t):
+    """A distinct pair whose frame spins fast around t = 0.5."""
+    theta = 1.4 * np.arctan(40.0 * (t - 0.5))
+    R = np.array([[np.cos(theta), -np.sin(theta)],
+                  [np.sin(theta), np.cos(theta)]])
+    return np.array([1.0, 2.0]), R, np.eye(2)
 
 
 class TestEngine:
@@ -173,10 +264,7 @@ class TestEngine:
             # eigenvector frame spins fast around t = 0.5; coarse steps see
             # low correlations there and must refine
             solved.append(t)
-            theta = 1.4 * np.arctan(40.0 * (t - 0.5))
-            R = np.array([[np.cos(theta), -np.sin(theta)],
-                          [np.sin(theta), np.cos(theta)]])
-            return np.array([1.0, 2.0]), R, np.eye(2)
+            return _spinning_solve(t)
 
         run = _track(solve, K=2, threshold=0.97, initial_steps=4,
                      max_depth=12)
@@ -227,7 +315,9 @@ class TestEngine:
     def test_parameter_validation(self):
         for kwargs in ({"threshold": 1.0}, {"threshold": -0.1},
                        {"initial_steps": 1}, {"K": 0}, {"buffer": -1},
-                       {"max_depth": -1}, {"matching": "hungrian"}):
+                       {"max_depth": -1}, {"matching": "hungrian"},
+                       {"K": 2.0}, {"initial_steps": 4.0}, {"buffer": 0.5},
+                       {"max_depth": 3.5}, {"buffer": True}):
             full = {"K": 2, "threshold": 0.9, "initial_steps": 4,
                     "buffer": 2, "max_depth": 4, "matching": "greedy",
                     **kwargs}
@@ -293,6 +383,138 @@ class TestEngine:
         assert len(rows) == run.grid.size
         assert all(len(r) == 1 + 2 * run.n_modes for r in rows)
         assert rows[0][3:] == [1.0, 1.0]
+
+
+def _jumping_solve(t):
+    """A tracked subspace that jumps at t = 0.5: no step restores it."""
+    cols = np.eye(4)[:, :2] if t < 0.5 else np.eye(4)[:, 2:]
+    return np.array([1.0, 2.0]), cols.copy(), np.eye(4)
+
+
+def _assert_same_run(run, want):
+    """Every TrackingRun field bitwise equal, wall_seconds aside."""
+    for name in ("grid", "lambdas", "correlations"):
+        got, ref = getattr(run, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert len(run.permutations) == len(want.permutations)
+    for got, ref in zip(run.permutations, want.permutations):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert {k: run.stats[k] for k in want.stats} == want.stats
+
+
+def _recorded(monkeypatch):
+    """Make tracking._track remember the solutions it asks for, in order
+    (rec["asked"], each solved once into rec["seen"]), and its settings,
+    so that the frozen loop can run on the same solutions."""
+    rec = {"seen": {}, "asked": []}
+    real = tracking._track
+
+    def recording(solve, *settings):
+        def remembered(t):
+            rec["asked"].append(t)
+            if t not in rec["seen"]:
+                rec["seen"][t] = solve(t)
+            return rec["seen"][t]
+        rec["settings"] = settings
+        return real(remembered, *settings)
+
+    monkeypatch.setattr(tracking, "_track", recording)
+    return rec
+
+
+def _reference(rec):
+    return reference_track(rec["seen"].__getitem__, *rec["settings"])
+
+
+@pytest.fixture(scope="module")
+def online10():
+    """online-10's 10^3 brick and basis: the TE/TM pair is degenerate at
+    every grid point."""
+    p = setup_problem(with_overrides(default_config(),
+                                     resolution=(10, 10, 10), N_POD=2))
+    return p, p.build("mixed").basis
+
+
+@pytest.fixture(scope="module")
+def taper3():
+    """3^3 brick-to-taper morph (t = 1 scales z by 1 - 0.5 x / L_x), whose
+    reduced pass bisects; the 3^3 brick-to-brick morph bisects nowhere."""
+    cfg = with_overrides(default_config(), resolution=(3, 3, 3), N_POD=6,
+                         N_train=10, N_max=40, eval_set_size=5)
+    p = setup_problem(cfg)
+    mesh = build_mesh(cfg.dims0, cfg.resolution)
+    tapered = mesh.vertices.copy()
+    tapered[:, 2] *= 1.0 - 0.5 * tapered[:, 0] / cfg.dims0[0]
+    p.psys = ParametrizedSystem(p.psys.endpoint0, assemble(
+        dataclasses.replace(mesh, vertices=tapered), "taper"))
+    return p, p.build("mixed").basis
+
+
+class TestFrozenLoop:
+    """Each run is bitwise the frozen loop's (oracles.reference_track) on
+    the same solutions, every TrackingRun field but wall_seconds."""
+
+    @pytest.mark.parametrize("solve, settings", [
+        (_crossing_solve, (2, 0.9, 8, 4)),
+        (_spinning_solve, (2, 0.97, 4, 12)),
+    ])
+    def test_analytic_sequences(self, solve, settings):
+        _assert_same_run(_track(solve, *settings),
+                         reference_track(solve, *settings))
+
+    @pytest.mark.parametrize("matching", ["greedy", "hungarian"])
+    def test_persistent_degenerate_pair(self, online10, monkeypatch,
+                                        matching):
+        p, basis = online10
+        rec = _recorded(monkeypatch)
+        run = track_reduced(p.psys, p.gauge, basis, p.cfg.K,
+                            matching=matching, policy=p.policy)
+        assert run.stats["degenerate_steps"] == run.grid.size - 1 == 16
+        _assert_same_run(run, _reference(rec))
+
+    @pytest.mark.parametrize("matching", ["greedy", "hungarian"])
+    def test_bisections_reuse_the_retried_solution(self, taper3, monkeypatch,
+                                                   matching):
+        p, basis = taper3
+        rec = _recorded(monkeypatch)
+        run = track_reduced(p.psys, p.gauge, basis, p.cfg.K, threshold=0.99,
+                            initial_steps=4, matching=matching,
+                            policy=p.policy)
+        assert run.stats["bisection_count"] > 0
+        # each failed step's end is asked for once and then reused
+        assert len(rec["asked"]) == len(rec["seen"]) == run.grid.size
+        _assert_same_run(run, _reference(rec))
+
+    def test_max_depth_error(self, taper3, monkeypatch):
+        with pytest.raises(TrackingError) as got:
+            _track(_jumping_solve, 2, 0.9, 2, 6)
+        with pytest.raises(TrackingError) as want:
+            reference_track(_jumping_solve, 2, 0.9, 2, 6)
+        assert str(got.value) == str(want.value)
+        p, basis = taper3
+        rec = _recorded(monkeypatch)
+        with pytest.raises(TrackingError,
+                           match="after 1 bisection levels") as got:
+            track_reduced(p.psys, p.gauge, basis, p.cfg.K, threshold=0.999,
+                          max_depth=1, policy=p.policy)
+        with pytest.raises(TrackingError) as want:
+            _reference(rec)
+        assert str(got.value) == str(want.value)
+
+    def test_each_solution_grouped_once(self, taper3, monkeypatch):
+        # a retried step reuses its solution's groups, and the reduced
+        # pass still makes one dense solve per grid point
+        p, basis = taper3
+        grouped, solved = [], []
+        group, dense = tracking._degenerate_clusters, rb.solve_dense_gevp
+        monkeypatch.setattr(tracking, "_degenerate_clusters",
+                            lambda values: grouped.append(1) or group(values))
+        monkeypatch.setattr(rb, "solve_dense_gevp",
+                            lambda *a, **k: solved.append(1) or dense(*a, **k))
+        run = track_reduced(p.psys, p.gauge, basis, p.cfg.K, threshold=0.99,
+                            initial_steps=4, policy=p.policy)
+        assert run.stats["bisection_count"] > 0
+        assert len(grouped) == len(solved) == run.grid.size
 
 
 class TestReducedTracking:
@@ -387,6 +609,29 @@ class TestReducedTracking:
                           policy=m["policy"], **setting)
         with pytest.raises(ConfigError, match=message):
             track_full(m["psys"], 5, m["policy"], **setting)
+
+    @pytest.mark.parametrize("name, value", [
+        ("K", 5.0), ("initial_steps", 2.5), ("buffer", 1.5),
+        ("max_depth", 1.5), ("buffer", True),
+    ])
+    def test_non_integral_counts_rejected_before_any_solve(
+            self, small_morph, small_basis, monkeypatch, name, value):
+        # initial_steps=2.5 died in numpy and buffer=1.5 inside ARPACK on
+        # the full path, and the reduced path took buffer=1.5 and
+        # max_depth=1.5 silently
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved or lifted before the settings check")
+
+        for attr in ("_make_evaluator", "solve_sparse_gevp"):
+            monkeypatch.setattr(tracking, attr, refuse)
+        m = small_morph
+        settings = {name: value}
+        K = settings.pop("K", 5)
+        with pytest.raises(ConfigError, match="%s must be an integer" % name):
+            track_reduced(m["psys"], m["gauge"], small_basis.basis, K,
+                          policy=m["policy"], **settings)
+        with pytest.raises(ConfigError, match="%s must be an integer" % name):
+            track_full(m["psys"], K, m["policy"], **settings)
 
     def test_hungarian_matching_available(self, small_morph, small_basis):
         m = small_morph
