@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import jsonschema
-
 from .assembly import ParametrizedSystem, assemble, scatter_map
 from .config import RunConfig, config_to_dict
 from .eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
@@ -121,6 +119,10 @@ REPORT_SCHEMA = {
 
 
 def validate_report(report: dict) -> None:
+    # imported here: only a report needs it, and it costs every process
+    # that imports bench (the CLI, the benchmark) about 4 MB of memory
+    import jsonschema
+
     jsonschema.validate(report, REPORT_SCHEMA)
 
 

@@ -72,8 +72,14 @@ differ from scipy.linalg.cho_factor's in the last bits.  One np.isfinite
 scan of the inputs replaces the wrappers' finiteness checks, and a
 non-finite input, an indefinite mass or a non-zero LAPACK info raises
 FactorizationError, never an untyped ValueError or LinAlgError.  The
-dense solve forms no residual norms: its callers do not read them, and
-the sparse solver forms its own.
+scan is per chunk for rb's sweeps (solve_many, estimate_many): the
+evaluator scans a chunk's stacked reduced pencils once, names the first
+non-finite t, and its dense solves skip their own scan
+(check_finite=False).  Every other caller is scanned per call: the
+classical gauged solve, gauge.CotreeFamily's endpoint eigensolve,
+bench.leading_block_eigenvalues' sub-blocks and the sparse solver's
+dense fallback.  The dense solve forms no residual norms: its callers
+do not read them, and the sparse solver forms its own.
 """
 
 from __future__ import annotations
@@ -287,7 +293,8 @@ def _shift_invert(M, ordering):
 
 def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
                      count: int | None = None,
-                     overwrite: bool = False) -> EigenSolution:
+                     overwrite: bool = False,
+                     check_finite: bool = True) -> EigenSolution:
     """Leading eigenpairs of the dense symmetric pencil (A_d, B_d), B_d SPD.
 
     count=None returns the full spectrum; otherwise the min(count, n)
@@ -299,7 +306,10 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
     meaningful data; for F-ordered float arrays it saves their copies,
     and the full-spectrum vectors come back in A_d's storage.  A
     non-square or non-finite pencil, an indefinite B_d or a failed solve
-    raises FactorizationError.
+    raises FactorizationError.  check_finite=False skips the finiteness
+    scan for a caller that has scanned the pencil itself (rb's sweeps
+    scan each chunk's stacked pencils once); LAPACK's result on a
+    non-finite pencil is undefined.
     """
     A_d = np.asarray(A_d, dtype=float)
     B_d = np.asarray(B_d, dtype=float)
@@ -310,7 +320,8 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
     m = n if count is None else min(count, n)
     if m <= 0:
         return EigenSolution(np.zeros(0), np.zeros((n, 0)))
-    if not (np.isfinite(A_d).all() and np.isfinite(B_d).all()):
+    if check_finite and not (np.isfinite(A_d).all()
+                             and np.isfinite(B_d).all()):
         raise FactorizationError("dense pencil is not finite")
     if m == n:
         values, vectors, info = dsygvd(A_d, B_d, jobz="V", uplo="L",

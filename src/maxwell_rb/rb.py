@@ -251,13 +251,13 @@ class _Evaluator:
     _chunks(ts) evaluates the parameters in order, a chunk at a time,
     and yields (data, A, B) per chunk: the raw pencils Z^T A Z and
     Z^T B Z of its parameters stacked on the first axis, which the base
-    symmetrizes one stack at a time (each ReducedSystem holds views of
-    the symmetrized stacks), and whatever _residual_norms(data, values,
-    V) needs for the residual norms of the first k_eff = min(K, n_red)
-    eigenpairs of each (values stacked len(chunk) x k_eff, V len(chunk)
-    x n_red x k_eff).  A chunk holds at most _BATCH_COLUMNS basis
-    columns summed over its parameters, so no array of a sweep grows
-    with len(ts).
+    symmetrizes and scans for non-finite entries one stack at a time
+    (each ReducedSystem holds views of the symmetrized stacks), and
+    whatever _residual_norms(data, values, V) needs for the residual
+    norms of the first k_eff = min(K, n_red) eigenpairs of each (values
+    stacked len(chunk) x k_eff, V len(chunk) x n_red x k_eff).  A chunk
+    holds at most _BATCH_COLUMNS basis columns summed over its
+    parameters, so no array of a sweep grows with len(ts).
 
     solve_many and estimate_many are the only sweeps; reduced_system,
     solve and estimate are batches of one, so each gauge has one kernel.
@@ -278,14 +278,27 @@ class _Evaluator:
         self.K = K
 
     def _pencils(self, ts):
-        """(data, reduced systems) per chunk of the parameters ts."""
+        """(data, reduced systems) per chunk of the parameters ts.
+
+        Each chunk's symmetrized stacks are scanned for non-finite
+        entries once, before any of its pencils is solved, so the dense
+        solves skip their own scan; a non-finite pencil raises
+        FactorizationError naming its t."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
         if outside.size:
             raise ConfigError("parameter t=%r outside [0, 1]"
                               % float(outside[0]))
+        first = 0   # the chunks cover ts in order
         for data, A, B in self._chunks(ts):
             A, B = (0.5 * (X + X.transpose(0, 2, 1)) for X in (A, B))
+            finite = (np.isfinite(A).all(axis=(1, 2))
+                      & np.isfinite(B).all(axis=(1, 2)))
+            if not finite.all():
+                raise FactorizationError(
+                    "reduced pencil at t=%r is not finite"
+                    % float(ts[first + int(np.argmin(finite))]))
+            first += len(A)
             yield data, [ReducedSystem(a, b) for a, b in zip(A, B)]
 
     def reduced_system(self, t: float) -> ReducedSystem:
@@ -294,7 +307,8 @@ class _Evaluator:
     def solve_many(self, ts) -> list:
         """The reduced pencil at each t in ts and its eigenpairs, as a list
         of (ReducedSystem, EigenSolution) in ts order."""
-        return [(red, solve_dense_gevp(red.A_tilde, red.B_tilde))
+        return [(red, solve_dense_gevp(red.A_tilde, red.B_tilde,
+                                       check_finite=False))
                 for _, reds in self._pencils(ts) for red in reds]
 
     def solve(self, t: float):
@@ -311,7 +325,8 @@ class _Evaluator:
         (_MixedEvaluator._chunks)."""
         out = []
         for data, reds in self._pencils(ts):
-            sols = [solve_dense_gevp(red.A_tilde, red.B_tilde)
+            sols = [solve_dense_gevp(red.A_tilde, red.B_tilde,
+                                     check_finite=False)
                     for red in reds]
             spectra = np.array([sol.values for sol in sols])
             k_eff = min(self.K, spectra.shape[1])

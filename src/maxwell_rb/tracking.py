@@ -40,12 +40,17 @@ neither solves nor groups again.  Clusters are tuples, so free and
 aligned clusters are found by key.  One routine, _procrustes, does every
 alignment on the overlap block P: a new cluster toward the committed
 rows, the two-sided SVD of a free cluster, and (on P.T) a free
-cluster's committed rows toward the candidates.  A step costs two
-products with the candidates (their inner products and P), one SVD per
-cluster, one matching and a few dozen numpy calls on arrays of K +
-buffer columns; a cluster of consecutive indices is addressed as a view.
-On the reduced path those calls' overhead, not their arithmetic, is most
-of a step.
+cluster's committed rows toward the candidates.  It turns a new
+cluster's candidates and their inner products with its columns of P,
+so the candidates' norms are formed once per step, after every
+rotation.  A step costs two products with the candidates (their inner
+products and P), one norm pass, one matching (a stable sort of the
+correlations as Python floats) and, per cluster, one SVD by LAPACK's
+gesdd, called directly (bitwise np.linalg.svd, at a third of its
+cost), and four small products.  That is about three dozen numpy calls
+on arrays of K + buffer columns, a cluster of consecutive indices
+addressed as a view; on the reduced path their overhead, not their
+arithmetic, is still most of a step.
 
 The same loop drives the reduced system (small dense pencils) and the
 full sparse system (the runtime baseline); only the solve and the inner
@@ -54,10 +59,12 @@ product differ.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from .assembly import ParametrizedSystem
 from .config import _is_integer
@@ -121,15 +128,17 @@ def _greedy_match(C: np.ndarray):
     """Pair rows to columns by descending correlation without reuse.
 
     C may be rectangular (K trajectories, >= K candidates); every row is
-    assigned a distinct column.  One stable descending sort of C, walked
-    past used rows and columns, pairs the largest free entry first and,
-    among equal entries, the first in row-major order.
+    assigned a distinct column.  One stable descending sort of C's
+    entries as Python floats (the order np.argsort(-C, kind="stable")
+    gives), walked past used rows and columns, pairs the largest free
+    entry first and, among equal entries, the first in row-major order.
     """
     K, n = C.shape
     perm, picked = [-1] * K, [0] * K
     used = [False] * n
     left = K
-    for flat in np.argsort(-C, axis=None, kind="stable").tolist():
+    entries = C.ravel().tolist()
+    for flat in sorted(range(K * n), key=entries.__getitem__, reverse=True):
         i, j = divmod(flat, n)
         if perm[i] < 0 and not used[j]:
             perm[i], picked[i] = j, flat
@@ -193,7 +202,7 @@ def _index(cluster):
     return slice(lo, hi) if hi - lo == len(cluster) else list(cluster)
 
 
-def _procrustes(P, cluster, free=()):
+def _procrustes(P, cluster, free=(), also=()):
     """Rotate the c = len(cluster) columns of the overlap block P that
     cluster lists, in place, toward the c rows they overlap most
     (orthogonal Procrustes).
@@ -201,27 +210,32 @@ def _procrustes(P, cluster, free=()):
     With T = U S V^T the c x c block of those rows and columns, the
     columns are rotated by V U^T; when the rows are one of the clusters
     in free, the rows are rotated by U^T and the columns by V instead,
-    which leaves T = diag(S).  Returns the rows as a tuple and the
-    column rotation R, or None when the cluster is invisible on the
-    other side.  P.T aligns a cluster of P's rows the same way.
+    which leaves T = diag(S).  The same columns of each array in also
+    get the same rotation.  Returns the rows as a tuple, or None when
+    the cluster is invisible on the other side (||T|| < 1e-12, summed
+    from the rows' squared norms).  P.T aligns a cluster of P's rows
+    the same way.
     """
     idx = _index(cluster)
     M = P[:, idx]
-    reach = np.sqrt((M * M).sum(axis=1)).tolist()
+    squares = (M * M).sum(axis=1).tolist()
+    reach = [math.sqrt(x) for x in squares]     # bitwise np.sqrt
     rows = tuple(sorted(sorted(range(len(reach)), key=reach.__getitem__,
                                reverse=True)[:len(cluster)]))
-    T = M[_index(rows)]
-    if np.linalg.norm(T) < 1e-12:
+    if sum([squares[r] for r in rows]) < 1e-24:
         return None
-    U, _, Vt = np.linalg.svd(T)
+    at = _index(rows)
+    U, _, Vt, info = dgesdd(M[at])
+    if info != 0:
+        raise TrackingError("overlap block SVD failed (gesdd info %d)" % info)
     if rows in free:
-        at = _index(rows)
         P[at, :] = U.T @ P[at, :]
         R = Vt.T
     else:
         R = Vt.T @ U.T
-    P[:, idx] = P[:, idx] @ R
-    return rows, R
+    for X in (P, *also):
+        X[:, idx] = X[:, idx] @ R
+    return rows
 
 
 _MATCHERS = {"greedy": _greedy_match, "hungarian": _hungarian_match}
@@ -285,7 +299,6 @@ def _track(solve, K, threshold, initial_steps, max_depth,
             solved += (_degenerate_clusters(solved[0]),)
         values_n, vectors_n, inner_n, clusters_n = solved
         W = inner @ vectors_n
-        norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
         # Signed correlation block, trajectories by candidates.  Every
         # Procrustes target below is a sub-block of P, so the gauge fixes
         # reduce to in-place row and column updates.
@@ -296,19 +309,12 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         # A new cluster whose best-overlap trajectories are a free cluster
         # meets a basis as arbitrary as its own: the block is aligned on
         # both sides by its SVD, so the correlations are its singular
-        # values whatever bases the solves returned.
+        # values whatever bases the solves returned.  The candidates and
+        # their inner products turn with their columns of P.
         aligned = set()
         for cols in clusters_n:
-            fit = _procrustes(P, cols, free) if len(cols) <= K else None
-            if fit is None:
-                continue
-            rows, R = fit
-            aligned.add(rows)
-            cols = _index(cols)
-            block = vectors_n[:, cols] @ R
-            vectors_n[:, cols] = block
-            norms[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", block,
-                                                   W[:, cols] @ R)))
+            if len(cols) <= K:
+                aligned.add(_procrustes(P, cols, free, (vectors_n, W)))
         # Committed clusters that have stayed degenerate since the start
         # (a symmetric geometry about to split) have an equally arbitrary
         # basis; their rows of P are rotated toward the new frame.  A
@@ -318,11 +324,15 @@ def _track(solve, K, threshold, initial_steps, max_depth,
             if idx not in aligned:
                 _procrustes(P.T, idx)
 
+        # The candidates' norms, once all are rotated: a column's norm
+        # sums the same in a block of two or more columns (a cluster)
+        # as among all of them.
+        norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
         C = np.abs(P, out=P)
         C /= norms
         perm, corrs = match(C)
 
-        if threshold > 0.0 and corrs.min() < threshold:
+        if threshold > 0.0 and min(corrs.tolist()) < threshold:
             if depth >= max_depth:
                 raise TrackingError(
                     "correlation %.4f below threshold %.2f on [%.6g, %.6g] "
@@ -351,10 +361,11 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         "min_step": float(np.diff(grid).min()),
         "wall_seconds": time.perf_counter() - t_start,
     }
+    # one row per step, transposed into C-ordered columns
     return TrackingRun(
         grid=grid,
-        lambdas=np.column_stack(lambdas),
-        correlations=np.column_stack(correlations),
+        lambdas=np.array(lambdas).T.copy(),
+        correlations=np.array(correlations).T.copy(),
         permutations=permutations,
         stats=stats,
     )

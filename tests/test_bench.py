@@ -7,12 +7,15 @@ acceptance tests at the default problem size.
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import maxwell_rb
 from maxwell_rb import bench
 from maxwell_rb.bench import (
     PHASE_EVP_FULL,
@@ -105,6 +108,30 @@ class TestReport:
         assert "EVP speedup (full/RB)" in text
         assert "mixed gauge error plateau" in text
         assert "Phase failures" not in text
+
+
+class TestSchemaImport:
+    def test_importing_bench_leaves_jsonschema_unloaded(self):
+        # only validate_report needs it; a fresh interpreter shows what
+        # importing bench loads
+        src = os.path.dirname(os.path.dirname(maxwell_rb.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, maxwell_rb.bench\n"
+             "print('jsonschema' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_validate_report_still_rejects(self, report):
+        import jsonschema
+
+        broken = dict(report, phase_errors=None)
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(broken)
 
 
 class TestLeadingBlocks:

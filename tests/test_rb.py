@@ -687,6 +687,32 @@ class TestBatchedEvaluation:
             assert np.allclose(sol.values, want.values, rtol=1e-12, atol=0)
         assert lifted_at[2:] == interior
 
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    @pytest.mark.parametrize("sweep", ["solve_many", "estimate_many"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pencil_names_its_t(self, small_morph, small_basis,
+                                           monkeypatch, gauge_mode, sweep,
+                                           bad):
+        # the chunk's one scan stands in for the dense solves' own: it
+        # names the first non-finite t and runs before any solve
+        ev = _evaluator(small_morph, small_basis.basis.Z, gauge_mode)
+        chunks = ev._chunks
+
+        def poisoned(ts):
+            for data, A, B in chunks(ts):
+                A = A.copy()
+                A[[2, 4], 0, 1] = bad
+                yield data, A, B
+
+        solves = []
+        monkeypatch.setattr(ev, "_chunks", poisoned)
+        monkeypatch.setattr(rb, "solve_dense_gevp",
+                            lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(FactorizationError,
+                           match=r"pencil at t=0\.3 is not finite"):
+            getattr(ev, sweep)([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert solves == []
+
     def test_parameters_outside_the_morph_rejected(self, small_morph,
                                                    small_basis):
         for gauge_mode in ("mixed", "classical"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgesdd
 
 from maxwell_rb import rb, tracking
 from maxwell_rb.assembly import ParametrizedSystem, assemble
@@ -145,6 +146,61 @@ def _spectra(draw):
         else:
             values.append(draw(st.sampled_from([0.0, -0.0])))
     return np.array(draw(st.permutations(values)))
+
+
+@st.composite
+def _overlap_blocks(draw):
+    """A c x c block of an overlap matrix P (c = 1..8) as _procrustes
+    takes it: P[:, _index(cols)][_index(rows)], a strided view for runs
+    of indices and a copy otherwise, from P or from P.T.  P is random,
+    built from a few levels (exact ties), of low rank, zero, or holds a
+    scaled signed permutation in the block (equal singular values)."""
+    c = draw(st.integers(1, 8))
+    m, n = draw(st.integers(c, c + 3)), draw(st.integers(c, c + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "levels", "low rank", "zero",
+                                 "equal"]))
+    if kind == "levels":
+        P = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (m, n))
+    elif kind == "low rank":
+        r = draw(st.integers(0, c - 1))
+        P = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    elif kind == "zero":
+        P = np.zeros((m, n))
+    else:
+        P = rng.standard_normal((m, n))
+    picks = []
+    for size in (m, n):
+        if draw(st.booleans()):
+            start = draw(st.integers(0, size - c))
+            picks.append(tuple(range(start, start + c)))
+        else:
+            picks.append(tuple(sorted(draw(st.permutations(range(size)))[:c])))
+    rows, cols = picks
+    if kind == "equal":
+        signs = rng.choice([-1.0, 1.0], c)
+        P[np.ix_(rows, cols)] = 0.7 * np.eye(c)[rng.permutation(c)] * signs
+    if draw(st.booleans()):
+        P = np.asfortranarray(P)    # the layout of P.T in the free loop
+    return P[:, tracking._index(cols)][tracking._index(rows)]
+
+
+class TestLapackSvd:
+    """tracking._procrustes calls LAPACK's gesdd through scipy, and the
+    frozen loop (oracles.reference_track) calls np.linalg.svd; both run
+    gesdd, and this oracle checks that U, s and V^T agree bit for bit on
+    the blocks tracking passes.  It documents an assumption about the
+    installed numpy and scipy builds that an upgrade could break;
+    TestFrozenLoop is the end-to-end guard on whole tracking runs."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_overlap_blocks())
+    def test_gesdd_bitwise_numpy_svd(self, T):
+        U, s, Vt, info = dgesdd(T)
+        assert info == 0
+        want = np.linalg.svd(T)
+        for got, ref in zip((U, s, Vt), want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 class TestPerSolutionGrouping:
