@@ -212,10 +212,10 @@ def leading_block_eigenvalues(problem: Problem, basis: ReducedBasis,
     ev = _make_evaluator(basis.gauge_mode, problem.psys, problem.gauge,
                          problem.policy, K, basis=basis)
     out = np.empty((len(sizes), len(t_values), K))
-    for row, (red, full) in enumerate(ev.solve_many(t_values)):
+    for row, ((A, B), full) in enumerate(ev.solve_many(t_values)):
         for i, n in enumerate(sizes):
             sol = full if n == basis.n_red else solve_dense_gevp(
-                red.A_tilde[:n, :n], red.B_tilde[:n, :n])
+                A[:n, :n], B[:n, :n])
             out[i, row] = sol.values[:K]
     return out
 
@@ -384,12 +384,11 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
         probes["evp-full"] = lambda: solve_sparse_gevp(
             pair.A, pair.B, cfg.K, problem.policy, salt=_salt_from_t(t_probe))
     if mixed is not None:
-        red = _guarded(phase_errors, "evp-rb", lambda: _make_evaluator(
+        pencil = _guarded(phase_errors, "evp-rb", lambda: _make_evaluator(
             "mixed", problem.psys, problem.gauge, problem.policy, cfg.K,
-            basis=mixed.basis).reduced_system(t_probe))
-        if red is not None:
-            probes["evp-rb"] = lambda: solve_dense_gevp(red.A_tilde,
-                                                        red.B_tilde)
+            basis=mixed.basis).solve_many([t_probe])[0][0])
+        if pencil is not None:
+            probes["evp-rb"] = lambda: solve_dense_gevp(*pencil)
     timed = _interleaved(probes, reps, phase_errors, warm_each=True)
     for key, label in (("evp-full", PHASE_EVP_FULL), ("evp-rb", PHASE_EVP_RB)):
         if key in timed:

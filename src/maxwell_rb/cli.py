@@ -16,8 +16,8 @@ import logging
 import os
 import sys
 
-from .config import (RunConfig, config_to_dict, default_config, load_config,
-                     with_overrides)
+from .config import (GAUGE_MODES, RunConfig, config_to_dict, default_config,
+                     load_config, with_overrides)
 from .errors import ConfigError, NumericsError
 from .io_utils import (remove_if_exists, write_csv, write_json,
                        write_matrix_market)
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="DIR",
                        help="override the output directory")
         if gauge:
-            p.add_argument("--gauge", choices=("classical", "mixed"),
+            p.add_argument("--gauge", choices=GAUGE_MODES,
                            help="override the gauge pipeline")
         return p
 

@@ -70,6 +70,9 @@ def _parse_choice(options):
     return run
 
 
+GAUGE_MODES = ("classical", "mixed")
+
+
 def _key(parse, default):
     """A RunConfig field that is also a file key, read by parse."""
     return field(default=default, metadata={"parse": parse})
@@ -93,7 +96,7 @@ class RunConfig:
     tol: float = _key(_parse_float, 1e-6)
     shift_fraction: float = _key(_parse_float, 0.9)
     cut_fraction: float = _key(_parse_float, 0.1)
-    gauge_mode: str = _key(_parse_choice(("classical", "mixed")), "mixed")
+    gauge_mode: str = _key(_parse_choice(GAUGE_MODES), "mixed")
     threshold: float = _key(_parse_float, 0.9)
     initial_steps: int = _key(_parse_int, 16)
     max_depth: int = _key(_parse_int, 10)
@@ -104,6 +107,8 @@ class RunConfig:
     output: str = _key(str, "out")
 
     def validate(self) -> "RunConfig":
+        """Reject any field its key's text could not give, as the parser
+        would, then any value out of range; ConfigError names the key."""
         for name in _COUNTS:
             if not _is_integer(getattr(self, name)):
                 raise ConfigError("%s must be an integer, got %r"
@@ -111,9 +116,19 @@ class RunConfig:
         if self.N_init != _AUTO and not _is_integer(self.N_init):
             raise ConfigError("N_init must be an integer or auto, got %r"
                               % (self.N_init,))
-        if not all(_is_integer(r) for r in self.resolution):
+        if not (isinstance(self.resolution, tuple)
+                and all(_is_integer(r) for r in self.resolution)):
             raise ConfigError("resolution must hold integer cell counts, got %r"
                               % (self.resolution,))
+        for name, parse in _PARSERS.items():
+            value = getattr(self, name)
+            text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            try:
+                if parse(text) != value:
+                    raise ConfigError("%r is not what its text %r reads as"
+                                      % (value, text))
+            except ConfigError as exc:
+                raise ConfigError("key %r: %s" % (name, exc)) from None
         for name in ("dims0", "dims1"):
             if not all(0.0 < d < math.inf for d in getattr(self, name)):
                 raise ConfigError("%s must be positive finite lengths" % name)

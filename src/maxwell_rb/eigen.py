@@ -16,7 +16,10 @@ pair in the window, so a wide window drives the wanted pairs to
 roundoff as a side effect and a tight one delivers them at the
 requested tolerance only.  The tolerance is therefore machine
 precision, which keeps the eigen-residuals at roundoff and the roundoff
-tail of the snapshot singular values below the POD rank guard.
+tail of the snapshot singular values below the POD rank guard.  A
+system too small for the window (n < K + 7) is solved densely instead.
+Both paths share one cut: the ascending pairs above lambda_cut, one
+count check, the first K of them B-normalized, and their residual norms.
 
 The solver factors A - sigma B itself, once per call, and hands the
 triangular solve to Lanczos as the shift-invert operator (the spectral
@@ -95,9 +98,6 @@ from scipy.linalg.lapack import dpotrs, dsygvd, dsygvx, dsygvx_lwork
 from .errors import EigensolverError, FactorizationError
 
 _PCG_RTOL = 1e-14
-# Relative lifting residual that certifies a Galerkin lift in
-# rb._MixedEvaluator; well above _PCG_RTOL, so an exact lift passes it.
-_LIFT_RTOL = 1e-12
 _PCG_MAXITER = 500
 _ARPACK_TOL = 0.0       # ARPACK's machine precision
 _ARPACK_MAXITER = 500
@@ -202,7 +202,8 @@ def _stack_error(j: int, problem: str) -> FactorizationError:
 
 
 def pcg_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve B x = rhs for SPD B by Jacobi-preconditioned CG.
+    """Solve B X = rhs for SPD B and an N x r block rhs by
+    Jacobi-preconditioned CG.
 
     All columns iterate together, each with its own step lengths; a
     column leaves the block once its residual falls below
@@ -210,9 +211,6 @@ def pcg_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """
     rhs = np.asarray(rhs, dtype=float)
     X = np.zeros_like(rhs)
-    if rhs.ndim == 1:
-        X[:, None] = pcg_solve(B, rhs[:, None])
-        return X
     diag = B.diagonal()
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
         raise FactorizationError(
@@ -367,50 +365,34 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
     window = K + policy.window_pad
     if n < window + 5:
         # Krylov window would not fit; the dense path is cheap here.
-        sol = solve_dense_gevp(
-            A.toarray() if sp.issparse(A) else A,
-            B.toarray() if sp.issparse(B) else B,
-        )
-        keep = sol.values > policy.lambda_cut
-        values = sol.values[keep][:K]
-        vectors = sol.vectors[:, keep][:, :K]
-        if values.size < K:
-            raise EigensolverError(
-                "only %d eigenvalues above lambda_cut=%.3e in a %d-DoF system"
-                % (values.size, policy.lambda_cut, n)
+        sol = solve_dense_gevp(A.toarray() if sp.issparse(A) else A,
+                               B.toarray() if sp.issparse(B) else B)
+        values, vectors = sol.values, sol.vectors
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([policy.seed, salt]))
+        op_inv = spla.LinearOperator(
+            (n, n), matvec=_shift_invert(A - policy.sigma * B, policy.ordering),
+            dtype=float)
+        try:
+            values, vectors = spla.eigsh(
+                A, k=window, M=B, sigma=policy.sigma, which="LA",
+                OPinv=op_inv, v0=rng.standard_normal(n), tol=_ARPACK_TOL,
+                maxiter=_ARPACK_MAXITER,
             )
-        res = _residuals(A, B, values, vectors)
-        return EigenSolution(values=values, vectors=vectors, residual_norms=res)
+        except spla.ArpackNoConvergence as exc:
+            raise EigensolverError(
+                "sparse eigensolver did not converge within %d iterations: %s"
+                % (_ARPACK_MAXITER, exc)
+            ) from exc
+        order = np.argsort(values)
+        values, vectors = values[order], vectors[:, order]
 
-    rng = np.random.default_rng(np.random.SeedSequence([policy.seed, salt]))
-    v0 = rng.standard_normal(n)
-
-    op_inv = spla.LinearOperator(
-        (n, n), matvec=_shift_invert(A - policy.sigma * B, policy.ordering),
-        dtype=float)
-    try:
-        values, vectors = spla.eigsh(
-            A, k=window, M=B, sigma=policy.sigma, which="LA", OPinv=op_inv,
-            v0=v0, tol=_ARPACK_TOL, maxiter=_ARPACK_MAXITER,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(
-            "sparse eigensolver did not converge within %d iterations: %s"
-            % (_ARPACK_MAXITER, exc)
-        ) from exc
-
-    order = np.argsort(values)
-    values = values[order]
-    vectors = vectors[:, order]
     keep = values > policy.lambda_cut
-    values = values[keep]
-    vectors = vectors[:, keep]
-    if values.size < K:
+    if np.count_nonzero(keep) < K:
         raise EigensolverError(
-            "found %d of %d requested eigenpairs above lambda_cut=%.3e, "
-            "need %d" % (values.size, window, policy.lambda_cut, K)
-        )
-    values = values[:K]
-    vectors = _b_normalize(B, vectors[:, :K])
+            "found %d of %d requested eigenpairs above lambda_cut=%.3e, need %d"
+            % (np.count_nonzero(keep), values.size, policy.lambda_cut, K))
+    values = values[keep][:K]
+    vectors = _b_normalize(B, vectors[:, keep][:, :K])
     res = _residuals(A, B, values, vectors)
     return EigenSolution(values=values, vectors=vectors, residual_norms=res)

@@ -72,14 +72,6 @@ class GaugeDecomposition:
     G_cotree: sp.csr_matrix
 
 
-@dataclass(frozen=True)
-class CotreeSystem:
-    """Dense gauged pencil; exists only on the classical comparison path."""
-
-    A_hat: np.ndarray
-    B_hat: np.ndarray
-
-
 def build_tree(mesh: CavityMesh, G: sp.csr_matrix) -> GaugeDecomposition:
     """Spanning tree of the free-edge graph rooted in the boundary.
 
@@ -221,8 +213,9 @@ class CotreeFamily:
         return self.V @ Y
 
 
-def build_cotree_system(family: CotreeFamily, t: float) -> CotreeSystem:
-    """Dense gauged pencil (A_hat, B_hat) at t via W = B(t)^{-1} H(t)^T.
+def build_cotree_system(family: CotreeFamily, t: float) -> tuple:
+    """Dense gauged pencil (A_hat, B_hat) at t via W = B(t)^{-1} H(t)^T;
+    it exists only on the classical comparison path.
 
     A_hat = W^T (A W) and B_hat = H W.  H is the cotree rows of A, so
     B_hat is read off the rows C of the product A W that A_hat needs
@@ -238,9 +231,10 @@ def build_cotree_system(family: CotreeFamily, t: float) -> CotreeSystem:
     del W
     B_hat = AW[family.gauge.cotree]
     del AW
+    # rebinding frees each raw product before the next one is symmetrized
     A_hat = 0.5 * (A_hat + A_hat.T)
     B_hat = 0.5 * (B_hat + B_hat.T)
-    return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
+    return A_hat, B_hat
 
 
 class CotreeProjector:

@@ -56,13 +56,13 @@ questions on a set of parameters at once: ``solve_many`` gives the
 reduced pencil at each t and its eigenpairs, and ``estimate_many`` adds
 the gap-aware error estimator eta = ||r||^2 / (lambda_tilde * gap) of
 the first K modes (inf for a mode that a basis of fewer than K columns
-lacks).  Each gauge evaluates the parameters in chunks of at most
-_BATCH_COLUMNS basis columns with one kernel: a chunk's products with
-N-row or frame-row arrays are one product per endpoint for all its
-parameters, not one per parameter, and a single-t ``solve``,
-``estimate`` or ``reduced_system`` is a chunk of one.  The mixed kernel
-lifts at exactly the parameters a one-by-one pass would lift at (its
-lift-resume rule, _MixedEvaluator).  The greedy sweep, the snapshot
+lacks).  A pencil is a plain (A, B) pair of arrays.  Each gauge
+evaluates the parameters in chunks of at most _BATCH_COLUMNS basis
+columns with one kernel: a chunk's products with N-row or frame-row
+arrays are one product per endpoint for all its parameters, not one per
+parameter.  A single parameter is a sweep over a list of one.  The
+mixed kernel lifts at exactly the parameters a one-by-one pass would
+lift at (its lift-resume rule, _MixedEvaluator).  The greedy sweep, the snapshot
 gate, reduced tracking's initial grid and the bench error studies each
 make one sweep.  A sweep keeps nothing of its parameters once it
 returns, apart from a lift point the mixed evaluator may add to its own
@@ -104,9 +104,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import ParametrizedSystem
-from .eigen import (_LIFT_RTOL, _PCG_RTOL, EigenSolution, SolverPolicy,
-                    _residuals, pcg_solve, solve_dense_gevp,
-                    solve_sparse_gevp, spd_solve_many)
+from .eigen import (_PCG_RTOL, EigenSolution, SolverPolicy, _residuals,
+                    pcg_solve, solve_dense_gevp, solve_sparse_gevp,
+                    spd_solve_many)
 from .errors import (ConfigError, FactorizationError, NumericsError,
                      ProjectionError)
 from .gauge import (CotreeFamily, CotreeProjector, GaugeDecomposition,
@@ -120,6 +120,9 @@ _POD_RANK_GUARD = 1e-13
 # rank guard keeps as columns.
 _SATURATION_TOL = 1e-12
 _GAP_FLOOR_FRACTION = 1e-8
+# Relative lifting residual that certifies a Galerkin lift
+# (_MixedEvaluator); well above _PCG_RTOL, so an exact lift passes it.
+_LIFT_RTOL = 1e-12
 # A lifted space's residual frame keeps each direction in which some unit
 # block column reaches beyond the earlier directions by more than this:
 # a few roundoffs, so the frame misses no part of a residual that the
@@ -215,12 +218,6 @@ class ReducedBasis:
                        lifted=None)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    A_tilde: np.ndarray
-    B_tilde: np.ndarray
-
-
 def _gaps(values: np.ndarray, K: int) -> np.ndarray:
     """Distance to the nearest neighboring reduced eigenvalue, floored.
 
@@ -252,15 +249,15 @@ class _Evaluator:
     and yields (data, A, B) per chunk: the raw pencils Z^T A Z and
     Z^T B Z of its parameters stacked on the first axis, which the base
     symmetrizes and scans for non-finite entries one stack at a time
-    (each ReducedSystem holds views of the symmetrized stacks), and
-    whatever _residual_norms(data, values, V) needs for the residual
+    (each pencil is an (A, B) pair of views of the symmetrized stacks),
+    and whatever _residual_norms(data, values, V) needs for the residual
     norms of the first k_eff = min(K, n_red) eigenpairs of each (values
     stacked len(chunk) x k_eff, V len(chunk) x n_red x k_eff).  A chunk
     holds at most _BATCH_COLUMNS basis columns summed over its
     parameters, so no array of a sweep grows with len(ts).
 
-    solve_many and estimate_many are the only sweeps; reduced_system,
-    solve and estimate are batches of one, so each gauge has one kernel.
+    solve_many and estimate_many are the only evaluations on
+    parameters, so each gauge has one kernel.
     A sweep keeps nothing of its parameters once it returns; a lift
     point the mixed evaluator adds belongs to its lifted space,
     ``lifted`` (None if classical), not to t.
@@ -278,7 +275,7 @@ class _Evaluator:
         self.K = K
 
     def _pencils(self, ts):
-        """(data, reduced systems) per chunk of the parameters ts.
+        """(data, (A, B) pencils) per chunk of the parameters ts.
 
         Each chunk's symmetrized stacks are scanned for non-finite
         entries once, before any of its pencils is solved, so the dense
@@ -299,20 +296,13 @@ class _Evaluator:
                     "reduced pencil at t=%r is not finite"
                     % float(ts[first + int(np.argmin(finite))]))
             first += len(A)
-            yield data, [ReducedSystem(a, b) for a, b in zip(A, B)]
-
-    def reduced_system(self, t: float) -> ReducedSystem:
-        return next(self._pencils([t]))[1][0]
+            yield data, list(zip(A, B))
 
     def solve_many(self, ts) -> list:
         """The reduced pencil at each t in ts and its eigenpairs, as a list
-        of (ReducedSystem, EigenSolution) in ts order."""
-        return [(red, solve_dense_gevp(red.A_tilde, red.B_tilde,
-                                       check_finite=False))
-                for _, reds in self._pencils(ts) for red in reds]
-
-    def solve(self, t: float):
-        return self.solve_many([t])[0]
+        of ((A, B), EigenSolution) in ts order."""
+        return [((A, B), solve_dense_gevp(A, B, check_finite=False))
+                for _, pencils in self._pencils(ts) for A, B in pencils]
 
     def estimate_many(self, ts) -> list:
         """Reduced eigenpairs at each t in ts and eta = ||r||^2 /
@@ -324,10 +314,9 @@ class _Evaluator:
         lifts at exactly the parameters a one-by-one pass would lift at
         (_MixedEvaluator._chunks)."""
         out = []
-        for data, reds in self._pencils(ts):
-            sols = [solve_dense_gevp(red.A_tilde, red.B_tilde,
-                                     check_finite=False)
-                    for red in reds]
+        for data, pencils in self._pencils(ts):
+            sols = [solve_dense_gevp(A, B, check_finite=False)
+                    for A, B in pencils]
             spectra = np.array([sol.values for sol in sols])
             k_eff = min(self.K, spectra.shape[1])
             values = spectra[:, :k_eff]
@@ -338,9 +327,6 @@ class _Evaluator:
             etas[:, :k_eff] = norms**2 / (values * _gaps(spectra, self.K))
             out.extend(zip(sols, etas))
         return out
-
-    def estimate(self, t: float):
-        return self.estimate_many([t])[0]
 
 
 def _project_out(V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -547,16 +533,12 @@ class _MixedEvaluator(_Evaluator):
     is never changed in place, so no query extends an adopted one, and
     greedy attaches the one its last sweep ended with.  A certified
     evaluation interpolates no matrix and makes no mass solve;
-    ``lift_solves`` counts the exact lifts behind ``lifted``.
+    ``lifted.lifts`` counts the exact lifts behind it.
 
     A chunk's data is (space, ts, C) with C[:, j, :] = c(t_j).
     """
 
     gauge_mode = "mixed"
-
-    @property
-    def lift_solves(self) -> int:
-        return self.lifted.lifts
 
     def set_basis(self, Z: np.ndarray,
                   lifted: _LiftedSpace | None = None) -> None:
@@ -702,8 +684,8 @@ class _ClassicalEvaluator(_Evaluator):
         """The K modes of the gauged pencil at t, B_hat-orthonormal in
         cotree coordinates; NumericsError unless all K lie above the
         spectral cutoff."""
-        cs = build_cotree_system(self.family, t)
-        sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=self.K)
+        A_hat, B_hat = build_cotree_system(self.family, t)
+        sol = solve_dense_gevp(A_hat, B_hat, count=self.K)
         found = np.count_nonzero(sol.values > self.policy.lambda_cut)
         if found < self.K:
             raise NumericsError(

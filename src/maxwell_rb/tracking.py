@@ -161,22 +161,21 @@ def _hungarian_match(C: np.ndarray):
 _CLUSTER_RTOL = 1e-8
 
 
-def _degenerate_clusters(values: np.ndarray,
-                         rtol: float = _CLUSTER_RTOL) -> list:
+def _degenerate_clusters(values: np.ndarray) -> list:
     """Groups of indices holding numerically equal values, as ascending
     index tuples.
 
     Works on unsorted input (trajectory-slot order) by grouping along
     the stably sorted sequence: a value more than
-    rtol * max(|value|, 1) above its predecessor starts a new group.  A
-    solve has K + buffer values, so the loop runs on their Python floats,
-    with the same float64 arithmetic as an array version.
+    _CLUSTER_RTOL * max(|value|, 1) above its predecessor starts a new
+    group.  A solve has K + buffer values, so the loop runs on their
+    Python floats, with the same float64 arithmetic as an array version.
     """
     vals = values.tolist()
     order = sorted(range(len(vals)), key=vals.__getitem__)
     groups = [order[:1]]
     for lo, hi in zip(order, order[1:]):
-        if vals[hi] - vals[lo] > rtol * max(abs(vals[hi]), 1.0):
+        if vals[hi] - vals[lo] > _CLUSTER_RTOL * max(abs(vals[hi]), 1.0):
             groups.append([])
         groups[-1].append(hi)
     return [tuple(sorted(group)) for group in groups if len(group) >= 2]
@@ -405,11 +404,12 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     coarse = dict(zip(grid.tolist(), ev.solve_many(grid)))
 
     def solve(t):
-        red, sol = coarse.pop(t) if t in coarse else ev.solve(t)
-        return sol.values[:n_cand], sol.vectors[:, :n_cand], red.B_tilde
+        (_, B_tilde), sol = (coarse.pop(t) if t in coarse
+                             else ev.solve_many([t])[0])
+        return sol.values[:n_cand], sol.vectors[:, :n_cand], B_tilde
 
     run = _track(solve, K, threshold, initial_steps, max_depth, matching)
-    run.stats["lift_solves"] = ev.lift_solves
+    run.stats["lift_solves"] = ev.lifted.lifts
     return run
 
 

@@ -57,7 +57,6 @@ from maxwell_rb.assembly import SystemPair
 from maxwell_rb.errors import (ConfigError, DegenerateCellError,
                                FactorizationError, NumericsError,
                                TrackingError)
-from maxwell_rb.gauge import CotreeSystem
 from maxwell_rb.mesh import CavityMesh
 from maxwell_rb.tracking import TrackingRun
 
@@ -746,9 +745,7 @@ def reference_cotree_system(pair, gauge):
     AW = pair.A @ W
     A_hat = W.T @ AW
     B_hat = AW[gauge.cotree]
-    A_hat = 0.5 * (A_hat + A_hat.T)
-    B_hat = 0.5 * (B_hat + B_hat.T)
-    return CotreeSystem(A_hat=A_hat, B_hat=B_hat)
+    return 0.5 * (A_hat + A_hat.T), 0.5 * (B_hat + B_hat.T)
 
 
 def reference_cotree_reduction(pair, gauge, Z):

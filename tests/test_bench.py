@@ -152,7 +152,7 @@ class TestLeadingBlocks:
             ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, K)
             ev.set_basis(np.ascontiguousarray(Z[:, :n]))
             for row, t in enumerate(t_values):
-                want = ev.solve(float(t))[1].values[:K]
+                want = ev.solve_many([float(t)])[0][1].values[:K]
                 rel = np.abs(sliced[i, row] - want) / want
                 assert rel.max() <= 1e-12, (n, t)
 

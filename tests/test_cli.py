@@ -67,6 +67,16 @@ class TestParsing:
             main(["solve", "--config", cfg_file, "--gauge", "coulomb"])
         assert err.value.code == 2
 
+    def test_gauge_choices_are_the_config_choices(self):
+        from maxwell_rb.config import GAUGE_MODES
+
+        commands = next(action for action in cli._build_parser()._actions
+                        if action.dest == "command").choices
+        for name in ("solve", "build-basis", "track", "bench"):
+            gauge = next(action for action in commands[name]._actions
+                         if action.dest == "gauge")
+            assert gauge.choices is GAUGE_MODES, name
+
     @pytest.mark.parametrize("flag", ["--threads=0", "--threads=-2"])
     def test_threads_below_one_is_usage_error(self, cfg_file, tmp_path, flag):
         out = tmp_path / "out"

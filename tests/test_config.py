@@ -235,3 +235,26 @@ class TestOverrides:
         base = default_config()
         with_overrides(base, seed=5)
         assert base.seed == RunConfig().seed
+
+    @pytest.mark.parametrize("field,value", [
+        ("gauge_mode", "classic"),
+        ("matching", "hungrian"),
+        ("dims0", (1.0, 1.0)),
+        ("resolution", (3, 3)),
+        ("output", 3),
+        ("tol", "abc"),
+        ("threshold", None),
+        ("shift_fraction", "0.5"),
+        ("resolution", 5),
+        ("dims1", ("a", 1.0, 1.0)),
+    ])
+    def test_override_held_to_the_key_parser(self, field, value):
+        # a field takes only what its key's text could give
+        with pytest.raises(ConfigError, match=r"\b%s\b" % field):
+            with_overrides(default_config(), **{field: value})
+
+    def test_override_numbers_read_like_their_text(self):
+        cfg = with_overrides(default_config(), tol=1, dims0=(1, 2, 3),
+                             shift_fraction=np.float64(0.5), output="a b#1")
+        assert cfg.tol == 1.0 and cfg.dims0 == (1.0, 2.0, 3.0)
+        assert cfg.shift_fraction == 0.5 and cfg.output == "a b#1"

@@ -100,12 +100,12 @@ class TestDenseLapackCalls:
 
     def test_cotree_pencil_count_bitwise(self, desk_problem):
         # the 6^3 classical cotree pencil, its leading K pairs by sygvx
-        cs = reference_cotree_system(desk_problem.psys.interpolate(0.5),
-                                     desk_problem.gauge)
+        A_hat, B_hat = reference_cotree_system(
+            desk_problem.psys.interpolate(0.5), desk_problem.gauge)
         K = desk_problem.cfg.K
-        sol = solve_dense_gevp(cs.A_hat, cs.B_hat, count=K)
+        sol = solve_dense_gevp(A_hat, B_hat, count=K)
         assert sol.count == K
-        self._assert_same(sol, reference_eigh(cs.A_hat, cs.B_hat, count=K))
+        self._assert_same(sol, reference_eigh(A_hat, B_hat, count=K))
 
     def test_repeated_eigenvalues_bitwise(self):
         # ties in the spectrum: a double and a triple eigenvalue
@@ -192,7 +192,7 @@ class TestPCG:
         block = np.random.default_rng(11).standard_normal((n, 4))
         block[:, 2] = 0.0
         dense = B.toarray()
-        for rhs in (block[:, 0], np.zeros(n), block):
+        for rhs in (block[:, :1], np.zeros((n, 1)), block):
             x = pcg_solve(B, rhs)
             want = reference_cholesky_solve(dense, rhs)
             assert x.shape == rhs.shape
@@ -218,17 +218,17 @@ class TestPCG:
     def test_indefinite_rejected(self):
         M = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
         with pytest.raises(FactorizationError):
-            pcg_solve(M, np.ones(3))
+            pcg_solve(M, np.ones((3, 1)))
 
     def test_negative_curvature_rejected(self):
         # positive diagonal, indefinite: the first step has p^T M p < 0
         M = sp.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
         with pytest.raises(FactorizationError):
-            pcg_solve(M, np.array([1.0, -1.0]))
+            pcg_solve(M, np.array([[1.0], [-1.0]]))
 
     def test_iteration_cap(self, small_morph, monkeypatch):
         B = small_morph["psys"].interpolate(0.5).B
-        rhs = np.random.default_rng(5).standard_normal(B.shape[0])
+        rhs = np.random.default_rng(5).standard_normal((B.shape[0], 1))
         monkeypatch.setattr("maxwell_rb.eigen._PCG_MAXITER", 2)
         with pytest.raises(FactorizationError):
             pcg_solve(B, rhs)
@@ -289,6 +289,9 @@ class TestSparse:
         sol = solve_sparse_gevp(pair.A, pair.B, 5, policy)
         oracle = discrete_brick_eigenvalues((1.0, 1.0, 1.0), (2, 2, 2), count=5)
         assert np.max(np.abs(sol.values - oracle) / oracle) < 1e-10
+        # the fallback's vectors come B-orthonormal, as Lanczos's do
+        gram = sol.vectors.T @ (pair.B @ sol.vectors)
+        assert np.abs(gram - np.eye(5)).max() <= 1e-14
         # 6 DoFs carry only 5 physical modes
         with pytest.raises(EigensolverError):
             solve_sparse_gevp(pair.A, pair.B, 6, policy)

@@ -12,14 +12,14 @@ from maxwell_rb import rb
 from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.bench import peak_traced_bytes, setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import _LIFT_RTOL, pcg_solve, solve_sparse_gevp
+from maxwell_rb.eigen import pcg_solve, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, FactorizationError, NumericsError
 from maxwell_rb.gauge import CotreeFamily, CotreeProjector
 from maxwell_rb.rb import (ReducedBasis, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
-                           _POD_RANK_GUARD, _gaps, _make_evaluator,
-                           _salt_from_t)
+                           _LIFT_RTOL, _POD_RANK_GUARD, _gaps,
+                           _make_evaluator, _salt_from_t)
 from maxwell_rb.tracking import track_reduced
 
 from oracles import (reference_cotree_reduction, reference_cotree_system,
@@ -332,15 +332,15 @@ class TestReducedMatrices:
             Z = np.linalg.qr(rng.standard_normal((n_cotree, 6)))[0]
             ev = _evaluator(m, Z)
             for t in (0.0, 0.4, 1.0):
-                red = ev.reduced_system(t)
-                cs = reference_cotree_system(m["psys"].interpolate(t),
-                                             m["gauge"])
-                A_want = Z.T @ cs.A_hat @ Z
-                B_want = Z.T @ cs.B_hat @ Z
+                (A_tilde, B_tilde), _ = ev.solve_many([t])[0]
+                A_hat, B_hat = reference_cotree_system(
+                    m["psys"].interpolate(t), m["gauge"])
+                A_want = Z.T @ A_hat @ Z
+                B_want = Z.T @ B_hat @ Z
                 scale_a = np.linalg.norm(A_want)
                 scale_b = np.linalg.norm(B_want)
-                assert np.linalg.norm(red.A_tilde - A_want) < 1e-10 * scale_a
-                assert np.linalg.norm(red.B_tilde - B_want) < 1e-10 * scale_b
+                assert np.linalg.norm(A_tilde - A_want) < 1e-10 * scale_a
+                assert np.linalg.norm(B_tilde - B_want) < 1e-10 * scale_b
 
     def test_classical_eigenvalues_match_lifted_columns(
             self, desk_problem, desk_classical_basis):
@@ -353,7 +353,7 @@ class TestReducedMatrices:
         ev.set_basis(Z)
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 21):
-            got = ev.solve(float(t))[1].values
+            got = ev.solve_many([float(t)])[0][1].values
             want = reference_eigh(*reference_cotree_reduction(
                 p.psys.interpolate(t), p.gauge, Z))[0]
             worst = max(worst, np.max(np.abs(got - want) / want))
@@ -374,11 +374,11 @@ class TestLiftedSpace:
         ev = _evaluator(m, Z)
         lifted_at = []
         for t in rng.uniform(0.0, 1.0, 20):
-            before = ev.lift_solves
-            ev.reduced_system(float(t))
-            if ev.lift_solves > before:
+            before = ev.lifted.lifts
+            ev.solve_many([float(t)])
+            if ev.lifted.lifts > before:
                 lifted_at.append(float(t))
-        return ev, Z, lifted_at, ev.lift_solves
+        return ev, Z, lifted_at, ev.lifted.lifts
 
     @staticmethod
     def _exact(m, Z, t):
@@ -404,14 +404,14 @@ class TestLiftedSpace:
         for t in [0.0, 1.0] + lifted_at + [0.05, 0.35, 0.65, 0.95]:
             A, U, X = self._exact(m, Z, t)
             A_want, B_want = X.T @ (A @ X), X.T @ U
-            red = ev.reduced_system(t)
-            for got, want in ((red.A_tilde, A_want), (red.B_tilde, B_want)):
+            (A_tilde, B_tilde), _ = ev.solve_many([t])[0]
+            for got, want in ((A_tilde, A_want), (B_tilde, B_want)):
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel <= 1e-11, t
             values = scipy.linalg.eigh(0.5 * (A_want + A_want.T),
                                        0.5 * (B_want + B_want.T),
                                        eigvals_only=True)
-            sol, eta = ev.estimate(t)
+            sol, eta = ev.estimate_many([t])[0]
             assert np.allclose(sol.values, values, rtol=1e-11, atol=0.0)
             V = sol.vectors[:, :5]
             R = A @ (X @ V) - (U @ V) * sol.values[None, :5]
@@ -479,16 +479,16 @@ class TestLiftedSpace:
 
     def test_revisit_does_not_lift(self, sweep):
         ev, _, lifted_at, _ = sweep
-        before = ev.lift_solves
+        before = ev.lifted.lifts
         for t in lifted_at:
-            ev.estimate(t)
-        assert ev.lift_solves == before
+            ev.estimate_many([t])
+        assert ev.lifted.lifts == before
 
     def test_residual_within_tolerance(self, small_morph, sweep):
         m = small_morph
         ev, _, lifted_at, _ = sweep
         for t in lifted_at + [0.2, 0.8]:
-            ev.solve(t)
+            ev.solve_many([t])
             c = _coefficients(ev, t)
             R, U = _explicit_residual(m["psys"], m["gauge"], ev.lifted, t, c)
             assert np.all(np.linalg.norm(R, axis=0)
@@ -504,7 +504,7 @@ class TestLiftedSpace:
         ev.lifted = replace(ev.lifted,
                             **{field: (first, getattr(ev.lifted, field)[1])})
         with pytest.raises(FactorizationError, match="not finite"):
-            ev.solve(0.5)
+            ev.solve_many([0.5])
 
     def test_indefinite_lifted_mass_typed(self, small_morph, small_basis):
         ev = _evaluator(small_morph, small_basis.basis.Z)
@@ -513,7 +513,7 @@ class TestLiftedSpace:
             G[1, 1] = -1.0
         ev.lifted = replace(ev.lifted, GB=GB)
         with pytest.raises(FactorizationError, match="positive definite"):
-            ev.solve(0.5)
+            ev.solve_many([0.5])
 
     def test_lifted_mass_failure_names_first_t(self, small_morph,
                                                small_basis):
@@ -573,12 +573,12 @@ class TestTaper:
         ev = _make_evaluator("mixed", taper.psys, taper.gauge, taper.policy,
                              taper.cfg.K, basis=basis)
         for t in (0.05, 0.5):
-            approx = ev.solve(t)[1].values[:taper.cfg.K]
+            approx = ev.solve_many([t])[0][1].values[:taper.cfg.K]
             pair = taper.psys.interpolate(t)
             want = solve_sparse_gevp(pair.A, pair.B, taper.cfg.K,
                                      taper.policy, salt=_salt_from_t(t)).values
             assert np.max(np.abs(approx - want) / want) < 1e-8, t
-        assert ev.lift_solves > 2
+        assert ev.lifted.lifts > 2
         for M in (ev.lifted.Q, ev.lifted.frame):
             assert np.abs(M.T @ M - np.eye(M.shape[1])).max() <= 1e-12
 
@@ -649,7 +649,7 @@ class TestBatchedEvaluation:
         del lifted_at[:]
         single = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy,
                                  p.cfg.K, basis=basis)
-        one_by_one = [single.estimate(float(t)) for t in ts]
+        one_by_one = [single.estimate_many([float(t)])[0] for t in ts]
         assert batch_lifts == lifted_at
         if morph == "taper" and gauge_mode == "mixed":
             assert len(batch_lifts) > 2
@@ -660,12 +660,12 @@ class TestBatchedEvaluation:
             # eta far below tol is a roundoff residual
             assert np.allclose(eta, want_eta, rtol=1e-6, atol=1e-12)
         solved = batch.solve_many(ts[:7])
-        for (red, sol), t in zip(solved, ts[:7]):
-            want_red, want = single.solve(float(t))
+        for ((_, B_tilde), sol), t in zip(solved, ts[:7]):
+            (_, want_B), want = single.solve_many([float(t)])[0]
             assert np.max(np.abs(sol.values - want.values)
                           / want.values) <= 1e-12
-            assert np.allclose(red.B_tilde, want_red.B_tilde, rtol=0,
-                               atol=1e-12 * np.abs(want_red.B_tilde).max())
+            assert np.allclose(B_tilde, want_B, rtol=0,
+                               atol=1e-12 * np.abs(want_B).max())
 
     def test_a_lift_resumes_at_its_parameter(self, small_morph, monkeypatch):
         # a random basis fails the certificate inside (0, 1); the sweep
@@ -683,7 +683,7 @@ class TestBatchedEvaluation:
         del lifted_at[:]
         single = _evaluator(m, Z)
         for (_, sol), t in zip(batched, ts):
-            want = single.solve(float(t))[1]
+            want = single.solve_many([float(t)])[0][1]
             assert np.allclose(sol.values, want.values, rtol=1e-12, atol=0)
         assert lifted_at[2:] == interior
 
@@ -731,23 +731,23 @@ class TestOnlineWork:
         basis = p.build("mixed").basis
         ev = _make_evaluator("mixed", p.psys, p.gauge, p.policy, cfg.K,
                              basis=basis)
-        for call in (ev.solve, ev.estimate):
-            call(0.45)
+        for call in (ev.solve_many, ev.estimate_many):
+            call([0.45])
             tracemalloc.start()
             try:
-                call(0.55)
+                call([0.55])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             # below one column of N doubles
             assert peak < 8 * p.psys.n, call.__name__
-        assert ev.lift_solves == 2
+        assert ev.lifted.lifts == 2
 
 
 class TestEstimator:
     def test_exact_basis_has_tiny_eta(self, small_morph, small_basis):
         m = small_morph
-        sol, eta = _evaluator(m, small_basis.basis.Z).estimate(0.5)
+        sol, eta = _evaluator(m, small_basis.basis.Z).estimate_many([0.5])[0]
         assert eta.shape == (5,)
         assert np.all(eta >= 0)
         assert eta.max() < 1e-12
@@ -767,7 +767,7 @@ class TestEstimator:
 
     def test_missing_modes_get_infinite_eta(self, small_morph, small_basis):
         m = small_morph
-        _, eta = _evaluator(m, small_basis.basis.Z[:, :3]).estimate(0.5)
+        _, eta = _evaluator(m, small_basis.basis.Z[:, :3]).estimate_many([0.5])[0]
         assert eta.shape == (5,)
         assert np.all(np.isfinite(eta[:3])) and np.all(eta[3:] == np.inf)
 
@@ -776,7 +776,7 @@ class TestEstimator:
         n_cotree = m["gauge"].cotree.size
         rng = np.random.default_rng(3)
         Z = np.linalg.qr(rng.standard_normal((n_cotree, 6)))[0]
-        _, eta = _evaluator(m, Z).estimate(0.5)
+        _, eta = _evaluator(m, Z).estimate_many([0.5])[0]
         assert eta.max() > 1e-2
 
     def test_greedy_sweep_uses_the_estimator(self, small_morph):
@@ -786,7 +786,7 @@ class TestEstimator:
         _, log = greedy_enrich(_evaluator(m), start, m["training"].greedy_set,
                                1e-6, 12)
         ev = _evaluator(m, start.Z)
-        want = max(ev.estimate(float(t))[1].max()
+        want = max(ev.estimate_many([float(t)])[0][1].max()
                    for t in m["training"].greedy_set)
         assert log[0]["max_eta"] == pytest.approx(want, rel=1e-12)
 
@@ -880,7 +880,7 @@ class TestBuildBasis:
         m = small_morph
         ev = _evaluator(m, small_basis.basis.Z)
         for t in (0.1, 0.7):
-            approx = ev.solve(t)[1].values[:5]
+            approx = ev.solve_many([t])[0][1].values[:5]
             pair = m["psys"].interpolate(t)
             want = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"],
                                      salt=_salt_from_t(t)).values
@@ -907,7 +907,7 @@ class TestBuildBasis:
         assert classical.basis.lifted is None
         ev = _evaluator(m, classical.basis.Z)
         for t in (0.25,):
-            approx = ev.solve(t)[1].values[:5]
+            approx = ev.solve_many([t])[0][1].values[:5]
             pair = m["psys"].interpolate(t)
             want = solve_sparse_gevp(pair.A, pair.B, 5, m["policy"],
                                      salt=_salt_from_t(t)).values
@@ -1034,8 +1034,8 @@ class TestTracedMemory:
         p = desk_problem
         ev = _make_evaluator("classical", p.psys, p.gauge, p.policy, p.cfg.K)
         ev.set_basis(desk_classical_basis.basis.Z)
-        ev.estimate(0.3)
-        peak = peak_traced_bytes(lambda: ev.estimate(0.3))
+        ev.estimate_many([0.3])
+        peak = peak_traced_bytes(lambda: ev.estimate_many([0.3]))
         assert peak < 8 * p.psys.n * p.gauge.cotree.size
 
     @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
@@ -1048,11 +1048,12 @@ class TestTracedMemory:
         # numpy's own domain: array buffers only, not the bookkeeping
         # objects that scipy's sparse solvers keep across calls
         arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-        for call in (ev.reduced_system, ev.solve, ev.estimate, ev.snapshot):
-            call(0.3)
+        for call, t in ((ev.solve_many, [0.3]), (ev.estimate_many, [0.3]),
+                        (ev.snapshot, 0.3)):
+            call(t)
             tracemalloc.start()
             try:
-                call(0.3)
+                call(t)
                 kept = tracemalloc.take_snapshot().filter_traces(arrays)
             finally:
                 tracemalloc.stop()
