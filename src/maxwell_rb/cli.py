@@ -1,9 +1,11 @@
 """Command-line front end: solve, build-basis, track, bench, export-matrices.
 
-Importing this module loads neither numpy nor scipy: every command
-imports them inside its cmd_* function, so main() can parse the
-arguments and export --threads to the BLAS runtime before anything
-loads it.  Exit codes: 0 success, 2 usage or configuration error
+Each subparser binds its command's cmd_* function where it is declared,
+and every cmd_* takes (cfg, args), so main() calls what the parsed
+command names.  Importing this module loads neither numpy nor scipy:
+every command imports them inside its cmd_* function, so main() can
+parse the arguments and export --threads to the BLAS runtime before
+anything loads it.  Exit codes: 0 success, 2 usage or configuration error
 (including an unreadable --config and an --output that names a file),
 3 numerical failure.
 """
@@ -65,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, gauge=True):
+    def command(name, run, help, gauge=True):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
         p.add_argument("--config", metavar="PATH",
                        help="configuration file (flat key = value lines)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -79,25 +82,26 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the gauge pipeline")
         return p
 
-    p_solve = command("solve", "solve the K physical modes at one t")
+    p_solve = command("solve", cmd_solve, "solve the K physical modes at one t")
     p_solve.add_argument("--t", type=float, default=0.0,
                          help="deformation parameter in [0, 1] (default 0)")
     p_solve.add_argument("--export", action="store_true",
                          help="write matrices, modes, and results to --output")
 
-    command("build-basis", "snapshots, POD, and greedy enrichment")
+    command("build-basis", cmd_build_basis,
+            "snapshots, POD, and greedy enrichment")
 
-    p_track = command("track", "track eigenvalues over t in [0, 1]")
+    p_track = command("track", cmd_track, "track eigenvalues over t in [0, 1]")
     path = p_track.add_mutually_exclusive_group()
     path.add_argument("--reduced", dest="reduced", action="store_true",
                       default=True, help="track on the reduced system (default)")
     path.add_argument("--full", dest="reduced", action="store_false",
                       help="track on the full sparse system")
 
-    command("bench", "phase-timed comparison of both pipelines")
+    command("bench", cmd_bench, "phase-timed comparison of both pipelines")
 
-    p_export = command("export-matrices", "write assembled endpoint systems",
-                       gauge=False)
+    p_export = command("export-matrices", cmd_export_matrices,
+                       "write assembled endpoint systems", gauge=False)
     p_export.add_argument("--t", type=float, default=None,
                           help="also export the interpolated pair at this t")
 
@@ -137,24 +141,24 @@ def _write_artifacts(cfg: RunConfig, writers: dict) -> list:
     return paths
 
 
-def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
+def cmd_solve(cfg: RunConfig, args) -> int:
     from .bench import setup_problem
     from .rb import _make_evaluator
 
     problem = setup_problem(cfg)
     pair, sol = _make_evaluator(cfg.gauge_mode, problem.psys, problem.gauge,
-                                problem.policy, cfg.K).modes(t)
+                                problem.policy, cfg.K).modes(args.t)
     log.info("assembled %s: N=%d free edges, |C|=%d cotree DoFs",
              pair.geometry_tag, problem.mesh0.n_free_edges,
              problem.gauge.cotree.size)
 
-    print("t = %r  gauge = %s" % (t, cfg.gauge_mode))
+    print("t = %r  gauge = %s" % (args.t, cfg.gauge_mode))
     print("%-6s %-22s %s" % ("mode", "eigenvalue", "residual"))
     for i in range(cfg.K):
         print("%-6d %-22r %.3e" % (i + 1, float(sol.values[i]),
                                    sol.residual_norms[i]))
 
-    if export:
+    if args.export:
         _write_artifacts(cfg, {
             "A_t.mtx": lambda p: write_matrix_market(p, pair.A, symmetric=True),
             "B_t.mtx": lambda p: write_matrix_market(p, pair.B, symmetric=True),
@@ -162,7 +166,7 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
             "solve.json": lambda p: write_json(p, {
                 "schema_version": 1,
                 "config": config_to_dict(cfg),
-                "t": t,
+                "t": args.t,
                 "gauge_mode": cfg.gauge_mode,
                 "eigenvalues": [float(v) for v in sol.values],
                 "residual_norms": [float(r) for r in sol.residual_norms],
@@ -172,7 +176,7 @@ def cmd_solve(cfg: RunConfig, t: float, export: bool) -> int:
     return 0
 
 
-def cmd_build_basis(cfg: RunConfig) -> int:
+def cmd_build_basis(cfg: RunConfig, args) -> int:
     from .bench import setup_problem
 
     problem = setup_problem(cfg)
@@ -209,12 +213,12 @@ def cmd_build_basis(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_track(cfg: RunConfig, reduced: bool) -> int:
+def cmd_track(cfg: RunConfig, args) -> int:
     from .bench import setup_problem
 
     problem = setup_problem(cfg)
-    stem = "reduced" if reduced else "full"
-    run = problem.track(problem.build(cfg.gauge_mode).basis if reduced
+    stem = "reduced" if args.reduced else "full"
+    run = problem.track(problem.build(cfg.gauge_mode).basis if args.reduced
                         else None)
 
     header = (["t"]
@@ -240,7 +244,7 @@ def cmd_track(cfg: RunConfig, reduced: bool) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: RunConfig, args) -> int:
     from .bench import run_bench, render_report_table
 
     report = run_bench(cfg)
@@ -275,13 +279,13 @@ def _write_sweep_csv(path: str, sweep: dict) -> None:
     write_csv(path, header, rows)
 
 
-def cmd_export_matrices(cfg: RunConfig, t) -> int:
+def cmd_export_matrices(cfg: RunConfig, args) -> int:
     from .bench import setup_problem
 
     problem = setup_problem(cfg)
     systems = {"0": problem.psys.endpoint0, "1": problem.psys.endpoint1}
-    if t is not None:
-        systems["_t"] = problem.psys.interpolate(t)
+    if args.t is not None:
+        systems["_t"] = problem.psys.interpolate(args.t)
     writers = {}
     for suffix, pair in systems.items():
         writers["A%s.mtx" % suffix] = functools.partial(
@@ -296,7 +300,7 @@ def cmd_export_matrices(cfg: RunConfig, t) -> int:
         "n_interior_vertices": int(problem.mesh0.n_interior_vertices),
         "nnz_A0": int(problem.psys.endpoint0.A.nnz),
         "nnz_B0": int(problem.psys.endpoint0.B.nnz),
-        "t": t,
+        "t": args.t,
     })
     paths = _write_artifacts(cfg, writers)
     log.info("wrote endpoint systems and %s", paths[-1])
@@ -305,32 +309,19 @@ def cmd_export_matrices(cfg: RunConfig, t) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     if args.threads is not None:
         os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(args.threads)))
     _configure_logging()
 
     try:
-        cfg = _load_run_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.t, args.export)
-        if args.command == "build-basis":
-            return cmd_build_basis(cfg)
-        if args.command == "track":
-            return cmd_track(cfg, args.reduced)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        if args.command == "export-matrices":
-            return cmd_export_matrices(cfg, args.t)
-        parser.error("unknown command %r" % args.command)
+        return args.run(_load_run_config(args), args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NumericsError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -8,24 +8,24 @@ A '#' starts a comment at the start of a line or after whitespace, so
 ``K = 5  # modes`` sets K = 5 while ``output = runs#1`` names the
 directory ``runs#1``.  A value cannot hold a '#' that follows a blank,
 and the blanks around a value are dropped.
+
+A validated config holds its keys' parsed values: ``validate`` sets each
+field to what its text reads as and rejects a field its text cannot
+give, so a config built by ``with_overrides`` from ints or numpy scalars
+equals, and echoes the same bytes as, the one read from the same text.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
 
 _AUTO = "auto"
 _COMMENT = re.compile(r"(?:^|\s)#")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _parse_float(text: str) -> float:
@@ -45,13 +45,14 @@ def _parse_int(text: str) -> int:
         raise ConfigError("expected an integer, got %r" % text) from None
 
 
-def _parse_triple(parse_one):
+def _parse_triple(parse_one, must):
     def run(text: str):
         parts = text.split()
         if len(parts) != 3:
             raise ConfigError("expected three whitespace-separated values, got %r" % text)
         return tuple(parse_one(p) for p in parts)
 
+    run.must = must
     return run
 
 
@@ -67,10 +68,24 @@ def _parse_choice(options):
             raise ConfigError("expected one of %s, got %r" % ("|".join(options), text))
         return text
 
+    run.must = "be one of " + "|".join(options)
     return run
 
 
+def _parse_text(text: str) -> str:
+    return text
+
+
+# Each parser's `must` completes "<key> must ..." for a field that its
+# key's text could not give.
+_parse_float.must = "be a number"
+_parse_int.must = "be an integer"
+_parse_count_or_auto.must = "be an integer or auto"
+_parse_text.must = "be text"
+
+
 GAUGE_MODES = ("classical", "mixed")
+_LENGTHS = _parse_triple(_parse_float, "hold three numbers")
 
 
 def _key(parse, default):
@@ -84,9 +99,10 @@ class RunConfig:
     the field's default is the key's default and its metadata["parse"]
     reads the key's value text."""
 
-    dims0: tuple = _key(_parse_triple(_parse_float), (1.0, 1.1, 1.2))
-    dims1: tuple = _key(_parse_triple(_parse_float), (1.0, 1.1, 0.6))
-    resolution: tuple = _key(_parse_triple(_parse_int), (6, 6, 6))
+    dims0: tuple = _key(_LENGTHS, (1.0, 1.1, 1.2))
+    dims1: tuple = _key(_LENGTHS, (1.0, 1.1, 0.6))
+    resolution: tuple = _key(
+        _parse_triple(_parse_int, "hold integer cell counts"), (6, 6, 6))
     K: int = _key(_parse_int, 5)
     # a cap: snapshot collection stops once a level adds no rank
     N_POD: int = _key(_parse_int, 20)
@@ -104,31 +120,24 @@ class RunConfig:
     matching: str = _key(_parse_choice(("greedy", "hungarian")), "greedy")
     eval_set_size: int = _key(_parse_int, 50)
     seed: int = _key(_parse_int, 1234)
-    output: str = _key(str, "out")
+    output: str = _key(_parse_text, "out")
 
     def validate(self) -> "RunConfig":
-        """Reject any field its key's text could not give, as the parser
-        would, then any value out of range; ConfigError names the key."""
-        for name in _COUNTS:
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError("%s must be an integer, got %r"
-                                  % (name, getattr(self, name)))
-        if self.N_init != _AUTO and not _is_integer(self.N_init):
-            raise ConfigError("N_init must be an integer or auto, got %r"
-                              % (self.N_init,))
-        if not (isinstance(self.resolution, tuple)
-                and all(_is_integer(r) for r in self.resolution)):
-            raise ConfigError("resolution must hold integer cell counts, got %r"
-                              % (self.resolution,))
+        """Return this config with each field set to what its text reads
+        as (a numpy integer becomes an int, an int given for a number a
+        float), or raise ConfigError naming the key of a field its text
+        could not give or of a value out of range."""
+        parsed = {}
         for name, parse in _PARSERS.items():
             value = getattr(self, name)
             text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
             try:
-                if parse(text) != value:
-                    raise ConfigError("%r is not what its text %r reads as"
-                                      % (value, text))
-            except ConfigError as exc:
-                raise ConfigError("key %r: %s" % (name, exc)) from None
+                parsed[name] = parse(text)
+                reads_back = parsed[name] == value
+            except ConfigError:
+                reads_back = False
+            if not reads_back:
+                raise ConfigError("%s must %s, got %r" % (name, parse.must, value))
         for name in ("dims0", "dims1"):
             if not all(0.0 < d < math.inf for d in getattr(self, name)):
                 raise ConfigError("%s must be positive finite lengths" % name)
@@ -176,13 +185,11 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if not self.output:
             raise ConfigError("output directory must be non-empty")
-        return self
+        return replace(self, **parsed)
 
 
 # file key -> parser, in field order
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
-# Fields that hold counts; each must be an integer (numpy's included).
-_COUNTS = tuple(key for key, parse in _PARSERS.items() if parse is _parse_int)
 
 
 def default_config() -> RunConfig:
@@ -235,17 +242,9 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """JSON-ready echo of the configuration (field order, plain types)."""
-
-    def plain(value):
-        return int(value) if _is_integer(value) else value
-
-    out = {}
-    for key in _PARSERS:
-        value = getattr(cfg, key)
-        out[key] = ([plain(v) for v in value] if isinstance(value, tuple)
-                    else plain(value))
-    return out
+    """JSON-ready echo of the configuration (field order, tuples as lists)."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(cfg).items()}
 
 
 def with_overrides(cfg: RunConfig, **updates) -> RunConfig:

@@ -391,7 +391,7 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
     if np.count_nonzero(keep) < K:
         raise EigensolverError(
             "found %d of %d requested eigenpairs above lambda_cut=%.3e, need %d"
-            % (np.count_nonzero(keep), values.size, policy.lambda_cut, K))
+            % (np.count_nonzero(keep), window, policy.lambda_cut, K))
     values = values[keep][:K]
     vectors = _b_normalize(B, vectors[:, keep][:, :K])
     res = _residuals(A, B, values, vectors)

@@ -60,6 +60,7 @@ product differ.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -67,7 +68,6 @@ import numpy as np
 from scipy.linalg.lapack import dgesdd
 
 from .assembly import ParametrizedSystem
-from .config import _is_integer
 from .eigen import SolverPolicy, solve_sparse_gevp
 from .errors import ConfigError, TrackingError
 from .gauge import GaugeDecomposition
@@ -238,6 +238,10 @@ def _procrustes(P, cluster, free=(), also=()):
 
 
 _MATCHERS = {"greedy": _greedy_match, "hungarian": _hungarian_match}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_settings(K, threshold, initial_steps, buffer, max_depth,

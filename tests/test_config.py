@@ -258,3 +258,25 @@ class TestOverrides:
                              shift_fraction=np.float64(0.5), output="a b#1")
         assert cfg.tol == 1.0 and cfg.dims0 == (1.0, 2.0, 3.0)
         assert cfg.shift_fraction == 0.5 and cfg.output == "a b#1"
+
+    def test_override_holds_what_its_text_reads_as(self):
+        # ints and numpy scalars, for number keys and count keys: the
+        # config equals the one read from the same text and echoes its bytes
+        cfg = with_overrides(
+            default_config(), tol=1, dims0=(1, 2, 3),
+            dims1=(np.int64(1), 1.5, np.float32(0.5)),
+            shift_fraction=np.float64(0.5), K=np.int64(4),
+            resolution=(np.int32(3), 4, np.uint8(5)), N_init=np.int16(3),
+            seed=np.uint32(7))
+        read = parse_config_text(
+            "tol = 1\ndims0 = 1 2 3\ndims1 = 1 1.5 0.5\nshift_fraction = 0.5\n"
+            "K = 4\nresolution = 3 4 5\nN_init = 3\nseed = 7\n")
+        assert cfg == read
+        assert json.dumps(config_to_dict(cfg)) == json.dumps(config_to_dict(read))
+        for name, kind in [("tol", float), ("dims0", float), ("dims1", float),
+                           ("shift_fraction", float), ("K", int),
+                           ("resolution", int), ("N_init", int),
+                           ("seed", int)]:
+            value = getattr(cfg, name)
+            for item in value if isinstance(value, tuple) else (value,):
+                assert type(item) is kind, name

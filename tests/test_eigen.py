@@ -292,8 +292,10 @@ class TestSparse:
         # the fallback's vectors come B-orthonormal, as Lanczos's do
         gram = sol.vectors.T @ (pair.B @ sol.vectors)
         assert np.abs(gram - np.eye(5)).max() <= 1e-14
-        # 6 DoFs carry only 5 physical modes
-        with pytest.raises(EigensolverError):
+        # 6 DoFs carry only 5 physical modes; the count requested is the
+        # window, K + 2, as on the Lanczos path
+        with pytest.raises(EigensolverError,
+                           match=r"found 5 of 8 requested .*, need 6$"):
             solve_sparse_gevp(pair.A, pair.B, 6, policy)
 
 
