@@ -13,7 +13,9 @@ monotonic clock, and the median is reported.  The memory peak of each
 gauge's build comes from one more build under tracemalloc, outside
 every timed repetition; it moves by a few hundred bytes between runs,
 so it sits under ``timing``.  Per-phase failures are recorded in the report and
-the remaining phases still run.
+the remaining phases still run: when the mixed build fails, the reduced
+tracking and EVP phases are recorded as skipped, and the classical
+error sweep still runs.
 """
 
 from __future__ import annotations
@@ -359,12 +361,13 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
         peak_traced[mode] = peak_traced_bytes(
             functools.partial(problem.build, mode))
     mixed = built.get("mixed")
+    if mixed is None:
+        for key in ("tracking-reduced", "evp-rb"):
+            phase_errors[key] = "skipped: mixed build failed"
 
     # -- tracking, both paths --------------------------------------------
     paths = {}
-    if mixed is None:
-        phase_errors["tracking-reduced"] = "skipped: mixed build failed"
-    else:
+    if mixed is not None:
         paths["tracking-reduced"] = lambda: problem.track(mixed.basis)
     paths["tracking-full"] = problem.track
     timed = _interleaved(paths, reps, phase_errors, warm_each=True)
@@ -377,12 +380,9 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
 
     # -- single-solve EVP timings ----------------------------------------
     t_probe = 0.5
-    probes = {}
-    pair = _guarded(phase_errors, "evp-full",
-                    lambda: problem.psys.interpolate(t_probe))
-    if pair is not None:
-        probes["evp-full"] = lambda: solve_sparse_gevp(
-            pair.A, pair.B, cfg.K, problem.policy, salt=_salt_from_t(t_probe))
+    pair = problem.psys.interpolate(t_probe)
+    probes = {"evp-full": lambda: solve_sparse_gevp(
+        pair.A, pair.B, cfg.K, problem.policy, salt=_salt_from_t(t_probe))}
     if mixed is not None:
         pencil = _guarded(phase_errors, "evp-rb", lambda: _make_evaluator(
             "mixed", problem.psys, problem.gauge, problem.policy, cfg.K,
@@ -398,7 +398,7 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
     eval_t = problem.training.eval_set
     reference = _guarded(phase_errors, "reference-solves",
                          lambda: reference_eigenvalues(problem, eval_t))
-    if reference is not None and mixed is not None:
+    if reference is not None:
         for mode, res in built.items():
             out = _guarded(phase_errors, "error-sweep-" + mode,
                            lambda: error_sweep(problem, res.basis, eval_t,

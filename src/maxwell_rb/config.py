@@ -133,8 +133,9 @@ class RunConfig:
             text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
             try:
                 parsed[name] = parse(text)
-                reads_back = parsed[name] == value
-            except ConfigError:
+                # an == that gives no one bool (an array's) raises here
+                reads_back = bool(parsed[name] == value)
+            except (ConfigError, ValueError):
                 reads_back = False
             if not reads_back:
                 raise ConfigError("%s must %s, got %r" % (name, parse.must, value))

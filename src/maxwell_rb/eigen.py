@@ -7,19 +7,20 @@ to negative values, so requesting the largest algebraic transformed
 eigenvalues returns exactly the physical modes nearest the shift and the
 nullspace never enters the Krylov window.
 
-Lanczos is asked for the K wanted pairs plus a fixed pad of two
-(SolverPolicy.window_pad, a constant): every further pair costs Lanczos
-vectors and shift-invert applications and is thrown away, while with no
-pad at all the run can return one copy of a double eigenvalue at the
-window edge and miss the other.  ARPACK's tolerance applies to every
-pair in the window, so a wide window drives the wanted pairs to
-roundoff as a side effect and a tight one delivers them at the
-requested tolerance only.  The tolerance is therefore machine
-precision, which keeps the eigen-residuals at roundoff and the roundoff
-tail of the snapshot singular values below the POD rank guard.  A
-system too small for the window (n < K + 7) is solved densely instead.
-Both paths share one cut: the ascending pairs above lambda_cut, one
-count check, the first K of them B-normalized, and their residual norms.
+Every sparse solve asks for K >= 1 modes; a smaller count raises
+EigensolverError.  Lanczos is asked for the K wanted pairs plus a fixed
+pad of two (SolverPolicy.window_pad, a constant): every further pair
+costs Lanczos vectors and shift-invert applications and is thrown away,
+while with no pad at all the run can return one copy of a double
+eigenvalue at the window edge and miss the other.  ARPACK's tolerance
+applies to every pair in the window, so a wide window drives the wanted
+pairs to roundoff as a side effect and a tight one delivers them at the
+requested tolerance only.  The tolerance is therefore machine precision,
+which keeps the eigen-residuals at roundoff and the roundoff tail of the
+snapshot singular values below the POD rank guard.  A system too small
+for the window (n < K + 7) is solved densely instead.  Both paths share
+one cut: the ascending pairs above lambda_cut, one count check, the
+first K of them B-normalized, and their residual norms.
 
 The solver factors A - sigma B itself, once per call, and hands the
 triangular solve to Lanczos as the shift-invert operator (the spectral
@@ -255,8 +256,6 @@ def pcg_solve(B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def _residuals(A, B, values, vectors):
-    if values.size == 0:
-        return np.zeros(0)
     AV = A @ vectors
     BV = B @ vectors
     return np.linalg.norm(AV - BV * values[None, :], axis=0)
@@ -341,7 +340,7 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
 
 def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
                       salt: int = 0) -> EigenSolution:
-    """K smallest physical eigenpairs of the sparse pencil (A, B).
+    """K >= 1 smallest physical eigenpairs of the sparse pencil (A, B).
 
     Only eigenvalues strictly above policy.lambda_cut are returned;
     gradient modes are excluded by construction of the shift-invert
@@ -351,16 +350,14 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
     the deterministic start vector so sweeps over many parameter values
     stay reproducible yet independent.
     """
-    if K < 0:
-        raise EigensolverError("mode count must be >= 0, got %d" % K)
+    if K < 1:
+        raise EigensolverError("mode count must be >= 1, got %d" % K)
     n = A.shape[0]
     if policy.ordering is not None and len(policy.ordering) != n:
         raise EigensolverError(
             "solver ordering covers %d unknowns, the system has %d"
             % (len(policy.ordering), n)
         )
-    if K == 0:
-        return EigenSolution(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
 
     window = K + policy.window_pad
     if n < window + 5:

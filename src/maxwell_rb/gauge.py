@@ -15,12 +15,13 @@ edges, kept in global column order: every formula downstream uses H only
 in products that are invariant under a consistent column permutation, so
 nothing is gained by reordering columns.
 
-Projection onto cotree coordinates solves H^T v_hat = B v.  For an
-eigenpair (lambda > 0, v), A G = 0 gives it in closed form along the
-tree (Manges & Cendes, IEEE Trans. Magn. 31(3), 1995): v_hat =
+Projection onto cotree coordinates solves H^T v_hat = B v for a block
+of columns v at once (CotreeProjector; a block in, a block out).  For
+an eigenpair (lambda > 0, v), A G = 0 gives it in closed form along
+the tree (Manges & Cendes, IEEE Trans. Magn. 31(3), 1995): v_hat =
 (v_C - G_C phi) / lambda with G_T phi = v_T, one sparse triangular
 solve with the tree block above, so nothing is factored.  The full
-residual ||H^T v_hat - B v|| / ||B v|| reports whether the input was
+residual ||H^T v_hat - B v|| / ||B v|| reports whether each column was
 gradient-free: eigenvectors of the ungauged pencil with nonzero
 eigenvalue satisfy every row, gradient fields do not.  H^T is applied
 one way throughout, as A times Y on the cotree rows
@@ -238,7 +239,8 @@ def build_cotree_system(family: CotreeFamily, t: float) -> tuple:
 
 
 class CotreeProjector:
-    """Condensation of full vectors to cotree coordinates along the tree.
+    """Condensation of blocks of full vectors to cotree coordinates
+    along the tree.
 
     The eigenvalue of the closed form is each column's Rayleigh quotient
     q = v^T A v / v^T B v; a column with q <= 0 (a gradient or zero
@@ -252,14 +254,14 @@ class CotreeProjector:
         self._gauge = gauge
 
     def project(self, v: np.ndarray, check: bool = True):
-        """Condense v (one column or a block); returns (v_hat, rel_residual).
+        """Condense the block v (N x r; a 1-D v is one column); returns
+        (v_hat, rel_residual), of shapes |C| x r and (r,).
 
         rel_residual is the consistency residual
         ||H^T v_hat - B v|| / ||B v|| per column; values above 1e-6 mean
         the input carried gradient components and raise ProjectionError
         when ``check`` is set.
         """
-        single = v.ndim == 1
         g = self._gauge
         V = np.asarray(v, dtype=float).reshape(self._B.shape[0], -1)
         Bv = np.asarray(self._B @ V)
@@ -277,6 +279,4 @@ class CotreeProjector:
                 "cotree projection inconsistent (relative residual %.3e in "
                 "column %d): input is not gradient-free" % (rel[worst], worst)
             )
-        if single:
-            return v_hat[:, 0], float(rel[0])
         return v_hat, rel

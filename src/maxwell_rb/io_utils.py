@@ -17,8 +17,6 @@ def fmt_value(value) -> str:
     """Deterministic scalar formatting for CSV cells."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -32,7 +32,7 @@ from maxwell_rb.bench import (
 )
 from maxwell_rb.cli import _write_sweep_csv, main
 from maxwell_rb.config import parse_config_text
-from maxwell_rb.errors import ConfigError, TrackingError
+from maxwell_rb.errors import ConfigError, NumericsError, TrackingError
 from maxwell_rb import rb
 from maxwell_rb.eigen import pcg_solve
 from maxwell_rb.rb import ReducedBasis, _make_evaluator
@@ -195,6 +195,32 @@ class TestFailureCapture:
         assert "build-classical" in report["phase_errors"]
         assert report["timing"]["ratios"]["evp_full_over_rb"] is None
         assert "Phase failures" in render_report_table(report)
+
+
+class TestMixedBuildFailure:
+    def test_mixed_phases_skipped_and_classical_sweep_kept(self, monkeypatch):
+        # every phase that needs the mixed basis is recorded as skipped,
+        # and the classical error sweep, which needs only the classical
+        # build and the reference solves, still runs
+        build = bench.Problem.build
+
+        def no_mixed(problem, gauge_mode):
+            if gauge_mode == "mixed":
+                raise NumericsError("injected mixed failure")
+            return build(problem, gauge_mode)
+
+        monkeypatch.setattr(bench.Problem, "build", no_mixed)
+        report = run_bench(parse_config_text(_TINY), reps=1)
+        validate_report(report)
+        skipped = "skipped: mixed build failed"
+        assert report["phase_errors"] == {
+            "build-mixed": "injected mixed failure",
+            "tracking-reduced": skipped, "evp-rb": skipped}
+        assert report["dof_counts"]["n_red_classical"] is not None
+        assert list(report["error_sweep"]) == ["classical"]
+        sweep = report["error_sweep"]["classical"]
+        assert sweep["sizes"][-1] == report["dof_counts"]["n_red_classical"]
+        assert report["error_table"] == []
 
 
 class TestMidRunFailure:

@@ -247,6 +247,7 @@ class TestOverrides:
         ("shift_fraction", "0.5"),
         ("resolution", 5),
         ("dims1", ("a", 1.0, 1.0)),
+        ("output", np.array([3, 3, 3])),
     ])
     def test_override_held_to_the_key_parser(self, field, value):
         # a field takes only what its key's text could give

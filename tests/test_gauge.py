@@ -260,10 +260,12 @@ class TestProjection:
         B = cube3_pair.B
         for j in range(modes.count):
             v = modes.vectors[:, j]
-            v_hat, rel = CotreeProjector(cube3_pair, cube3_gauge).project(v)
-            assert rel <= 1e-9
+            v_hat, rel = CotreeProjector(cube3_pair, cube3_gauge).project(
+                v[:, None])
+            assert v_hat.shape == (cube3_gauge.cotree.size, 1)
+            assert rel.shape == (1,) and rel[0] <= 1e-9
             back = reference_upscale(cube3_gauge, cube3_pair, v_hat)
-            diff = back - v
+            diff = back[:, 0] - v
             err = np.sqrt(diff @ (B @ diff)) / np.sqrt(v @ (B @ v))
             assert err < 1e-8
 
@@ -273,9 +275,14 @@ class TestProjection:
         block, rels = proj.project(modes.vectors)
         assert block.shape == (cube3_gauge.cotree.size, modes.count)
         for j in range(modes.count):
-            single, rel = proj.project(modes.vectors[:, j])
-            assert np.allclose(block[:, j], single, atol=1e-12)
-            assert rels[j] == pytest.approx(rel, abs=1e-14)
+            column, rel = proj.project(modes.vectors[:, [j]])
+            assert column.shape == (cube3_gauge.cotree.size, 1)
+            assert np.allclose(block[:, [j]], column, atol=1e-12)
+            assert rels[j] == pytest.approx(rel[0], abs=1e-14)
+            # a 1-D input is condensed as the one-column block
+            flat, flat_rel = proj.project(modes.vectors[:, j])
+            assert np.array_equal(flat, column)
+            assert np.array_equal(flat_rel, rel)
 
     def test_matches_dense_least_squares(self, gauged):
         name, pair, gauge, modes = gauged
@@ -321,18 +328,18 @@ class TestProjection:
     def test_gradient_input_rejected(self, cube3_pair, cube3_gauge,
                                      cube3_grad):
         rng = np.random.default_rng(0)
-        v = cube3_grad @ rng.standard_normal(cube3_grad.shape[1])
+        v = cube3_grad @ rng.standard_normal((cube3_grad.shape[1], 1))
         projector = CotreeProjector(cube3_pair, cube3_gauge)
         with pytest.raises(ProjectionError):
             projector.project(v)
         _, rel = projector.project(v, check=False)
-        assert rel > 1e-6
+        assert rel.shape == (1,) and rel[0] > 1e-6
 
     def test_mixed_input_flagged(self, cube3_pair, cube3_gauge, cube3_grad,
                                  modes):
         # a physical mode polluted by a large gradient component must not
         # slip through the consistency check
-        pollution = cube3_grad @ np.ones(cube3_grad.shape[1])
-        v = modes.vectors[:, 0] + pollution
+        pollution = cube3_grad @ np.ones((cube3_grad.shape[1], 1))
+        v = modes.vectors[:, [0]] + pollution
         with pytest.raises(ProjectionError):
             CotreeProjector(cube3_pair, cube3_gauge).project(v)

