@@ -135,7 +135,6 @@ class SystemPair:
     A: sp.csr_matrix
     B: sp.csr_matrix
     n: int
-    geometry_tag: str = ""
 
 
 def _cross(u, v):
@@ -254,7 +253,7 @@ def scatter_map(mesh: CavityMesh) -> ScatterMap:
 
 # Overflow on extreme geometry is reported by DegenerateCellError below.
 @np.errstate(over="ignore", invalid="ignore")
-def assemble(mesh: CavityMesh, geometry_tag: str = "",
+def assemble(mesh: CavityMesh,
              pattern: ScatterMap | None = None) -> SystemPair:
     """Assemble stiffness and mass on the free edges of ``mesh``.
 
@@ -310,7 +309,7 @@ def assemble(mesh: CavityMesh, geometry_tag: str = "",
             )
         out[name] = sp.csr_matrix((data, pattern.indices, pattern.indptr),
                                   shape=(n, n))
-    return SystemPair(A=out["A"], B=out["B"], n=n, geometry_tag=geometry_tag)
+    return SystemPair(A=out["A"], B=out["B"], n=n)
 
 
 def _same(a, b):
@@ -367,11 +366,4 @@ class ParametrizedSystem:
                 data = s * M0.data + t * getattr(self.endpoint1, name).data
             return sp.csr_matrix((data, M0.indices, M0.indptr), shape=(n, n))
 
-        A = blend("A")
-        B = blend("B")
-        tag = "interp(t=%r; %s -> %s)" % (
-            t,
-            self.endpoint0.geometry_tag,
-            self.endpoint1.geometry_tag,
-        )
-        return SystemPair(A=A, B=B, n=n, geometry_tag=tag)
+        return SystemPair(A=blend("A"), B=blend("B"), n=n)

@@ -6,8 +6,8 @@ command names.  Importing this module loads neither numpy nor scipy:
 every command imports them inside its cmd_* function, so main() can
 parse the arguments and export --threads to the BLAS runtime before
 anything loads it.  Exit codes: 0 success, 2 usage or configuration error
-(including an unreadable --config and an --output that names a file),
-3 numerical failure.
+(including an unreadable --config and an --output that is, or lies
+under, a file), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -119,8 +119,15 @@ def _load_run_config(args) -> RunConfig:
         overrides["gauge_mode"] = args.gauge
     if overrides:
         cfg = with_overrides(cfg, **overrides)
-    if os.path.exists(cfg.output) and not os.path.isdir(cfg.output):
-        raise ConfigError("output path is not a directory: %s" % cfg.output)
+    # the artifacts are written under the output's nearest ancestor that
+    # exists (the output itself included, a dangling symlink counted), so
+    # it must be a directory
+    existing = os.path.abspath(cfg.output)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError("cannot write under %s: %s is not a directory"
+                          % (cfg.output, existing))
     return cfg
 
 
@@ -132,7 +139,6 @@ def _write_artifacts(cfg: RunConfig, writers: dict) -> list:
     """
     paths = [os.path.join(cfg.output, name) for name in writers]
     try:
-        os.makedirs(cfg.output, exist_ok=True)
         for path, write in zip(paths, writers.values()):
             write(path)
     except BaseException:
@@ -148,9 +154,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     problem = setup_problem(cfg)
     pair, sol = _make_evaluator(cfg.gauge_mode, problem.psys, problem.gauge,
                                 problem.policy, cfg.K).modes(args.t)
-    log.info("assembled %s: N=%d free edges, |C|=%d cotree DoFs",
-             pair.geometry_tag, problem.mesh0.n_free_edges,
-             problem.gauge.cotree.size)
+    log.info("solved at t=%r: N=%d free edges, |C|=%d cotree DoFs",
+             args.t, problem.mesh0.n_free_edges, problem.gauge.cotree.size)
 
     print("t = %r  gauge = %s" % (args.t, cfg.gauge_mode))
     print("%-6s %-22s %s" % ("mode", "eigenvalue", "residual"))

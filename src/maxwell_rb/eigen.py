@@ -74,9 +74,10 @@ workspace sizes scipy.linalg.eigh and cho_solve pick, so they are
 bitwise theirs; numpy's potrf comes from its own OpenBLAS build and can
 differ from scipy.linalg.cho_factor's in the last bits.  One np.isfinite
 scan of the inputs replaces the wrappers' finiteness checks, and a
-non-finite input, an indefinite mass or a non-zero LAPACK info raises
-FactorizationError, never an untyped ValueError or LinAlgError.  The
-scan is per chunk for rb's sweeps (solve_many, estimate_many): the
+non-finite input, an indefinite mass, a non-zero LAPACK info or a dense
+solve for fewer than one pair raises FactorizationError, never an
+untyped ValueError or LinAlgError, and never an empty result.  The scan
+is per chunk for rb's sweeps (solve_many, estimate_many): the
 evaluator scans a chunk's stacked reduced pencils once, names the first
 non-finite t, and its dense solves skip their own scan
 (check_finite=False).  Every other caller is scanned per call: the
@@ -295,7 +296,8 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
     """Leading eigenpairs of the dense symmetric pencil (A_d, B_d), B_d SPD.
 
     count=None returns the full spectrum; otherwise the min(count, n)
-    smallest pairs, which LAPACK computes without the rest.  Vectors
+    smallest pairs, which LAPACK computes without the rest, and at least
+    one: a count < 1 or an empty pencil raises FactorizationError.  Vectors
     come back B_d-orthonormal; no residual norms are formed.  Used for
     reduced and cotree systems, for the classical gauge's endpoint mass
     pencil and as the brute-force oracle in tests.  overwrite lets
@@ -315,8 +317,10 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
         raise FactorizationError("dense pencil is not square: %r and %r"
                                  % (A_d.shape, B_d.shape))
     m = n if count is None else min(count, n)
-    if m <= 0:
-        return EigenSolution(np.zeros(0), np.zeros((n, 0)))
+    if m < 1:
+        raise FactorizationError(
+            "dense eigenpair count must be >= 1, got %d (pencil order %d)"
+            % (m, n))
     if check_finite and not (np.isfinite(A_d).all()
                              and np.isfinite(B_d).all()):
         raise FactorizationError("dense pencil is not finite")

@@ -155,7 +155,7 @@ def cotree_least_squares(A, B, cotree, v):
     return v_hat, rel
 
 
-def reference_assemble(mesh, geometry_tag=""):
+def reference_assemble(mesh):
     """Stiffness and mass on the free edges of ``mesh``, by batched
     ``np.linalg.inv``/``det``, ``einsum`` contractions and COO-to-CSR
     scatter (the package's assembly before the reference-tensor kernel).
@@ -217,7 +217,7 @@ def reference_assemble(mesh, geometry_tag=""):
         M.sort_indices()
         M.indices = M.indices.copy()
         M.data = (M.data + M.T.tocsr().data) * 0.5
-    return SystemPair(A=A, B=B, n=n, geometry_tag=geometry_tag)
+    return SystemPair(A=A, B=B, n=n)
 
 
 def reference_build_mesh(dims, resolution):

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -23,12 +24,12 @@ from maxwell_rb.bench import (
     PHASE_LABELS,
     PHASE_TRACK_FULL,
     PHASE_TRACK_RB,
+    SCHEMA_VERSION,
     leading_block_eigenvalues,
     peak_traced_bytes,
     render_report_table,
     run_bench,
     trailing_average,
-    validate_report,
 )
 from maxwell_rb.cli import _write_sweep_csv, main
 from maxwell_rb.config import parse_config_text
@@ -36,6 +37,65 @@ from maxwell_rb.errors import ConfigError, NumericsError, TrackingError
 from maxwell_rb import rb
 from maxwell_rb.eigen import pcg_solve
 from maxwell_rb.rb import ReducedBasis, _make_evaluator
+
+# The report's schema.  run_bench does not check its own report, so the
+# package needs no jsonschema; these tests check every report they build.
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": [
+        "schema_version", "config", "dof_counts", "error_table",
+        "error_sweep", "tracking", "timing", "phase_errors",
+    ],
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "config": {"type": "object"},
+        "dof_counts": {
+            "type": "object",
+            "required": ["N", "n_cotree"],
+            "properties": {
+                "N": {"type": "integer", "minimum": 0},
+                "n_cotree": {"type": "integer", "minimum": 0},
+                "n_red_mixed": {"type": ["integer", "null"], "minimum": 0},
+                "n_red_classical": {"type": ["integer", "null"], "minimum": 0},
+            },
+        },
+        "error_table": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["mode", "error_av"],
+                "properties": {
+                    "mode": {"type": "integer", "minimum": 1},
+                    "error_av": {"type": "number", "minimum": 0},
+                },
+            },
+        },
+        "error_sweep": {"type": "object"},
+        "tracking": {"type": "object"},
+        "timing": {
+            "type": "object",
+            "required": ["repetitions", "phase_seconds", "peak_traced_bytes"],
+            "properties": {
+                "repetitions": {"type": "integer", "minimum": 1},
+                "phase_seconds": {
+                    "type": "object",
+                    "additionalProperties": {"type": ["number", "null"], "minimum": 0},
+                },
+                "peak_traced_bytes": {
+                    "type": "object",
+                    "additionalProperties": {"type": ["integer", "null"], "minimum": 0},
+                },
+            },
+        },
+        "phase_errors": {"type": "object"},
+    },
+}
+
+
+def validate_report(report: dict) -> None:
+    jsonschema.validate(report, REPORT_SCHEMA)
+
 
 _TINY = """\
 resolution = 3 3 3
@@ -112,8 +172,8 @@ class TestReport:
 
 class TestSchemaImport:
     def test_importing_bench_leaves_jsonschema_unloaded(self):
-        # only validate_report needs it; a fresh interpreter shows what
-        # importing bench loads
+        # jsonschema is a test dependency only: the package never needs
+        # it, and a fresh interpreter shows what importing bench loads
         src = os.path.dirname(os.path.dirname(maxwell_rb.__file__))
         path = os.pathsep.join(filter(None, [src,
                                              os.environ.get("PYTHONPATH")]))
@@ -127,8 +187,6 @@ class TestSchemaImport:
         assert proc.stdout.strip() == "False"
 
     def test_validate_report_still_rejects(self, report):
-        import jsonschema
-
         broken = dict(report, phase_errors=None)
         with pytest.raises(jsonschema.ValidationError):
             validate_report(broken)

@@ -196,6 +196,31 @@ class TestConfigHandling:
         assert "not a directory" in capsys.readouterr().err
         assert path.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--export"], ["build-basis"], ["track"], ["track", "--full"],
+        ["bench"], ["export-matrices", "--t", "0.3"]])
+    @pytest.mark.parametrize("output", ["taken/sub/dir", "dangling"])
+    def test_output_under_a_file_exit_2_before_any_solve(
+            self, command, output, cfg_file, tmp_path, monkeypatch, capsys):
+        from maxwell_rb import bench
+
+        def no_setup(cfg):
+            raise AssertionError("the problem was set up")
+
+        monkeypatch.setattr(bench, "setup_problem", no_setup)
+        monkeypatch.setattr(bench, "run_bench", no_setup)
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        before = sorted(os.listdir(tmp_path))
+        rc = main(command + ["--config", cfg_file,
+                             "--output", str(tmp_path / output)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "is not a directory" in err and "Traceback" not in err
+        assert path.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_bad_key_reports_line_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("volume = 3\n")

@@ -177,6 +177,12 @@ class TestDenseLapackCalls:
         with pytest.raises(FactorizationError, match="not square"):
             solve_dense_gevp(A[:3], B, count=count)
 
+    @pytest.mark.parametrize("n, count", [(4, 0), (4, -1), (0, None), (0, 3)])
+    def test_fewer_than_one_pair_rejected(self, n, count):
+        A, B = _random_spd_pencil(n, seed=11) if n else (np.zeros((0, 0)),) * 2
+        with pytest.raises(FactorizationError, match="must be >= 1, got"):
+            solve_dense_gevp(A, B, count=count)
+
     def test_indefinite_mass_rejected_by_sygvx(self):
         A, B = _random_spd_pencil(6, seed=8)
         B[4, 4] = -1.0

@@ -171,7 +171,7 @@ class TestCotreeSystem:
 
 
 def _with_mass(pair, B):
-    return SystemPair(A=pair.A, B=B, n=pair.n, geometry_tag=pair.geometry_tag)
+    return SystemPair(A=pair.A, B=B, n=pair.n)
 
 
 class TestCotreeFamily:

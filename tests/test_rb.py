@@ -538,7 +538,7 @@ def taper(desk_problem):
     vertices = p.mesh0.vertices.copy()
     vertices[:, 2] *= 1.0 - 0.5 * vertices[:, 0] / p.cfg.dims0[0]
     mesh1 = replace(p.mesh0, vertices=vertices)
-    end1 = assemble(mesh1, "taper", scatter_map(p.mesh0))
+    end1 = assemble(mesh1, scatter_map(p.mesh0))
     return replace(p, psys=ParametrizedSystem(p.psys.endpoint0, end1))
 
 

@@ -502,7 +502,7 @@ def taper3():
     tapered = mesh.vertices.copy()
     tapered[:, 2] *= 1.0 - 0.5 * tapered[:, 0] / cfg.dims0[0]
     p.psys = ParametrizedSystem(p.psys.endpoint0, assemble(
-        dataclasses.replace(mesh, vertices=tapered), "taper"))
+        dataclasses.replace(mesh, vertices=tapered)))
     return p, p.build("mixed").basis
 
 
