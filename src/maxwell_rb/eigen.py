@@ -175,8 +175,9 @@ def spd_solve_many(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``index``: the first j whose G[j] or rhs[:, j] is not finite, else
     the first whose G[j] is not positive definite.
     """
-    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(0, 2))
-    if not finite.all():
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        finite = (np.isfinite(G).all(axis=(1, 2))
+                  & np.isfinite(rhs).all(axis=(0, 2)))
         raise _stack_error(int(np.argmin(finite)), "is not finite")
     try:
         factors = np.linalg.cholesky(G)
@@ -191,7 +192,7 @@ def spd_solve_many(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                                    "is not positive definite") from None
     X = np.empty_like(rhs)
     for j, L in enumerate(factors):
-        X[:, j, :], info = dpotrs(L, rhs[:, j, :], lower=1)
+        X[:, j, :], info = dpotrs(L, rhs[:, j, :], 1)    # lower, by position
         if info != 0:
             raise _stack_error(j, "failed its solve (potrs info %d)" % info)
     return X
@@ -325,9 +326,11 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
                              and np.isfinite(B_d).all()):
         raise FactorizationError("dense pencil is not finite")
     if m == n:
-        values, vectors, info = dsygvd(A_d, B_d, jobz="V", uplo="L",
-                                       overwrite_a=overwrite,
-                                       overwrite_b=overwrite)
+        # itype, jobz and uplo by position: the wrapper parses keywords
+        # more slowly than LAPACK solves a reduced pencil
+        overwrites = (dict(overwrite_a=True, overwrite_b=True) if overwrite
+                      else {})
+        values, vectors, info = dsygvd(A_d, B_d, 1, "V", "L", **overwrites)
     else:
         lwork, _ = dsygvx_lwork(n, uplo="L")
         values, vectors, m, _, info = dsygvx(

@@ -56,7 +56,12 @@ questions on a set of parameters at once: ``solve_many`` gives the
 reduced pencil at each t and its eigenpairs, and ``estimate_many`` adds
 the gap-aware error estimator eta = ||r||^2 / (lambda_tilde * gap) of
 the first K modes (inf for a mode that a basis of fewer than K columns
-lacks).  A pencil is a plain (A, B) pair of arrays.  Each gauge
+lacks).  Both hold each reduced pencil to the spectral cutoff: a value
+at or below policy.lambda_cut among the first min(K, n_red) is a
+spurious (gradient) mode, which the gauges exist to remove, and raises
+NumericsError naming its t, as a classical gauged solve with fewer than
+K modes above the cutoff does (_check_cutoff, one routine for both).
+A pencil is a plain (A, B) pair of arrays.  Each gauge
 evaluates the parameters in chunks of at most _BATCH_COLUMNS basis
 columns with one kernel: a chunk's products with N-row or frame-row
 arrays are one product per endpoint for all its parameters, not one per
@@ -151,20 +156,39 @@ def _blend_many(pair, ts: np.ndarray) -> np.ndarray:
 
 def _times_many(pair, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
     """_blend(pair, t_j) @ X[:, j, :] for every t_j in ts, stacked like X:
-    one product per endpoint, with the blocks of X side by side."""
+    one product per endpoint, with the blocks of X side by side, each
+    scaled by its t_j repeated over its columns."""
     rows, count, cols = X.shape
     flat = X.reshape(rows, count * cols)
-    out = (pair[0] @ flat).reshape(-1, count, cols)
-    out *= (1.0 - ts)[:, None]
-    second = (pair[1] @ flat).reshape(-1, count, cols)
-    second *= ts[:, None]
+    weight = np.repeat(ts, cols)
+    out = pair[0] @ flat
+    out *= 1.0 - weight
+    second = pair[1] @ flat
+    second *= weight
     out += second
-    return out
+    return out.reshape(-1, count, cols)
 
 
 def _inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X[:, j, :]^T Y[:, j, :] for every j, stacked on the first axis."""
     return np.matmul(X.transpose(1, 2, 0), Y.transpose(1, 0, 2))
+
+
+def _check_cutoff(what: str, ts, spectra, need: int, cut: float) -> None:
+    """NumericsError (exit 3) naming the first t in ts whose spectrum, one
+    ascending array per t, has fewer than need values above the spectral
+    cutoff cut.  A value at or below it is a spurious (gradient) mode,
+    the failure both gauges exist to remove, so a pencil that shows one
+    is not tracked or estimated like a physical mode.  Every sweep checks
+    the first min(K, n_red) values of each reduced pencil, and the
+    classical gauged solve its K modes; ascending, a spectrum passes when
+    it holds need values and its first lies above cut."""
+    for t, values in zip(ts, spectra):
+        if len(values) < need or values[0] <= cut:
+            raise NumericsError(
+                "%s at t=%r has %d modes above the spectral cutoff, need %d"
+                % (what, float(t), np.count_nonzero(values[:need] > cut),
+                   need))
 
 
 def _salt_from_t(t: float) -> int:
@@ -274,13 +298,16 @@ class _Evaluator:
         self.policy = policy
         self.K = K
 
-    def _pencils(self, ts):
-        """(data, (A, B) pencils) per chunk of the parameters ts.
+    def _solved(self, ts):
+        """(data, pencils, solutions) per chunk of the parameters ts, each
+        pencil (A, B) with its full eigensolution.
 
         Each chunk's symmetrized stacks are scanned for non-finite
         entries once, before any of its pencils is solved, so the dense
         solves skip their own scan; a non-finite pencil raises
-        FactorizationError naming its t."""
+        FactorizationError naming its t.  A solution with a value at or
+        below policy.lambda_cut among its first min(K, n_red) raises
+        NumericsError naming its t (_check_cutoff)."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
         if outside.size:
@@ -289,20 +316,27 @@ class _Evaluator:
         first = 0   # the chunks cover ts in order
         for data, A, B in self._chunks(ts):
             A, B = (0.5 * (X + X.transpose(0, 2, 1)) for X in (A, B))
-            finite = (np.isfinite(A).all(axis=(1, 2))
-                      & np.isfinite(B).all(axis=(1, 2)))
-            if not finite.all():
+            if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                finite = (np.isfinite(A).all(axis=(1, 2))
+                          & np.isfinite(B).all(axis=(1, 2)))
                 raise FactorizationError(
                     "reduced pencil at t=%r is not finite"
                     % float(ts[first + int(np.argmin(finite))]))
-            first += len(A)
-            yield data, list(zip(A, B))
+            count, n_red = A.shape[:2]
+            pencils = list(zip(A, B))
+            sols = [solve_dense_gevp(*pencil, check_finite=False)
+                    for pencil in pencils]
+            _check_cutoff("reduced pencil", ts[first:first + count],
+                          [sol.values for sol in sols], min(self.K, n_red),
+                          self.policy.lambda_cut)
+            first += count
+            yield data, pencils, sols
 
     def solve_many(self, ts) -> list:
         """The reduced pencil at each t in ts and its eigenpairs, as a list
         of ((A, B), EigenSolution) in ts order."""
-        return [((A, B), solve_dense_gevp(A, B, check_finite=False))
-                for _, pencils in self._pencils(ts) for A, B in pencils]
+        return [pair for _, pencils, sols in self._solved(ts)
+                for pair in zip(pencils, sols)]
 
     def estimate_many(self, ts) -> list:
         """Reduced eigenpairs at each t in ts and eta = ||r||^2 /
@@ -314,9 +348,7 @@ class _Evaluator:
         lifts at exactly the parameters a one-by-one pass would lift at
         (_MixedEvaluator._chunks)."""
         out = []
-        for data, pencils in self._pencils(ts):
-            sols = [solve_dense_gevp(A, B, check_finite=False)
-                    for A, B in pencils]
+        for data, _, sols in self._solved(ts):
             spectra = np.array([sol.values for sol in sols])
             k_eff = min(self.K, spectra.shape[1])
             values = spectra[:, :k_eff]
@@ -446,10 +478,20 @@ class _LiftedSpace:
     def lifting_residual(self, ts: np.ndarray, C: np.ndarray):
         """Column norms of the lifting residual B(t) Q c - U(t) and of
         U(t) = H(t)^T Z at each t_j in ts, c = C[:, j, :], read off the
-        frame coordinates; both len(ts) x n."""
-        TU = _blend_many(self.TP, ts)
-        R = _times_many(self.TB, ts, C) - TU
-        return np.linalg.norm(R, axis=0), np.linalg.norm(TU, axis=0)
+        frame coordinates; both len(ts) x n.
+
+        U(t)'s coordinates are blended in (frame row, column, t) order,
+        so the products run along ts rather than along the n columns, and
+        the squares are summed over the frame rows in place, in the order
+        np.linalg.norm(axis=0) sums them: both norms are bitwise those of
+        the (frame row, t, column) blocks _blend_many would give."""
+        TU = np.multiply.outer(self.TP[0], 1.0 - ts)
+        TU += np.multiply.outer(self.TP[1], ts)
+        R = _times_many(self.TB, ts, C).transpose(0, 2, 1) - TU
+        R *= R
+        TU *= TU
+        return (np.sqrt(np.add.reduce(R, axis=0)).T,
+                np.sqrt(np.add.reduce(TU, axis=0)).T)
 
     def lift(self, *ts: float) -> "_LiftedSpace":
         """This space extended by an exact lift at each of the parameters
@@ -686,11 +728,8 @@ class _ClassicalEvaluator(_Evaluator):
         spectral cutoff."""
         A_hat, B_hat = build_cotree_system(self.family, t)
         sol = solve_dense_gevp(A_hat, B_hat, count=self.K)
-        found = np.count_nonzero(sol.values > self.policy.lambda_cut)
-        if found < self.K:
-            raise NumericsError(
-                "gauged pencil at t=%r has %d modes above the spectral "
-                "cutoff, need %d" % (t, found, self.K))
+        _check_cutoff("gauged pencil", [t], [sol.values], self.K,
+                      self.policy.lambda_cut)
         return sol
 
     def modes(self, t: float):

@@ -33,24 +33,31 @@ correlations are its singular values.  Every rotation fixes solver
 gauge only, never re-labels across distinct eigenvalues, and flags the
 step as degenerate.
 
-Each solution is grouped into clusters once, when it enters the loop,
-in plain Python on its K + buffer values; a failed step's end keeps its
-groups with its solution on the pending stack, so a retried step
-neither solves nor groups again.  Clusters are tuples, so free and
-aligned clusters are found by key.  One routine, _procrustes, does every
-alignment on the overlap block P: a new cluster toward the committed
-rows, the two-sided SVD of a free cluster, and (on P.T) a free
-cluster's committed rows toward the candidates.  It turns a new
-cluster's candidates and their inner products with its columns of P,
-so the candidates' norms are formed once per step, after every
-rotation.  A step costs two products with the candidates (their inner
-products and P), one norm pass, one matching (a stable sort of the
-correlations as Python floats) and, per cluster, one SVD by LAPACK's
-gesdd, called directly (bitwise np.linalg.svd, at a third of its
-cost), and four small products.  That is about three dozen numpy calls
-on arrays of K + buffer columns, a cluster of consecutive indices
-addressed as a view; on the reduced path their overhead, not their
-arithmetic, is still most of a step.
+Each solution is grouped into clusters once, before it enters the
+loop: reduced tracking groups its initial grid's solutions in one
+vectorized pass over their stacked values, and a bisection midpoint or
+a full-order solve is grouped as a stack of one.  A failed step's end
+keeps its groups with its solution on the pending stack, so a retried
+step neither solves nor groups again.  Clusters are tuples, so free
+and aligned clusters are found by key.  One routine, _procrustes, does
+every alignment on the overlap block P: a new cluster toward the
+committed rows, the two-sided SVD of a free cluster, and (on P.T) a
+free cluster's committed rows toward the candidates.  At a step with
+clusters, P, the candidates and their inner products are stacked as
+one block, so a new cluster's columns turn in all three with one
+product and one store, and the candidates' norms are formed once per
+step, after every rotation.  A step costs two products with the
+candidates (their inner products and P), one norm pass, one matching
+and, per cluster, one SVD by LAPACK's gesdd, called directly (bitwise
+np.linalg.svd, at a third of its cost), and two small products.  The
+greedy matching takes each trajectory's largest correlation directly
+when those lie in distinct candidates, which is what its sorted walk
+would pick; only a contested candidate sends it to the walk.  That is
+about thirty numpy calls on arrays of K + buffer columns, a cluster of
+consecutive indices addressed as a view; on the reduced path their
+overhead, not their arithmetic, is most of a step: on online-10's 10^3
+brick the 16 steps of a pass take about 0.5 ms of its 1.0 ms
+(BENCH_36.json).
 
 The same loop drives the reduced system (small dense pencils) and the
 full sparse system (the runtime baseline); only the solve and the inner
@@ -128,11 +135,29 @@ def _greedy_match(C: np.ndarray):
     """Pair rows to columns by descending correlation without reuse.
 
     C may be rectangular (K trajectories, >= K candidates); every row is
-    assigned a distinct column.  One stable descending sort of C's
-    entries as Python floats (the order np.argsort(-C, kind="stable")
-    gives), walked past used rows and columns, pairs the largest free
-    entry first and, among equal entries, the first in row-major order.
+    assigned a distinct column: the pairs _walk_match gives.  When C is
+    finite and the rows' first maxima (np.argmax) lie in distinct
+    columns, the walk pairs each row with its first maximum, so those
+    are returned without it: an entry ahead of (i, argmax_i) in the walk
+    is larger than row i's maximum, which none is, or equal to it and
+    earlier in row-major order, which in row i it is not; so no row
+    takes another row's column before that row reaches its own.  A
+    finite sum of C's entries stands for a finite C (a sum that
+    overflows only sends C to the walk).
     """
+    K, n = C.shape
+    perm = C.argmax(axis=1)
+    cols = perm.tolist()
+    if len(set(cols)) == K and math.isfinite(C.sum()):
+        return perm, C.take([i * n + j for i, j in enumerate(cols)])
+    return _walk_match(C)
+
+
+def _walk_match(C: np.ndarray):
+    """The greedy pairs by one stable descending sort of C's entries as
+    Python floats (the order np.argsort(-C, kind="stable") gives),
+    walked past used rows and columns: the largest free entry is paired
+    first and, among equal entries, the first in row-major order."""
     K, n = C.shape
     perm, picked = [-1] * K, [0] * K
     used = [False] * n
@@ -162,23 +187,38 @@ _CLUSTER_RTOL = 1e-8
 
 
 def _degenerate_clusters(values: np.ndarray) -> list:
-    """Groups of indices holding numerically equal values, as ascending
-    index tuples.
+    """Per row of the stack values (count x m), the groups of indices
+    holding numerically equal values, as ascending index tuples.
 
-    Works on unsorted input (trajectory-slot order) by grouping along
-    the stably sorted sequence: a value more than
+    A row is grouped along its stably sorted order, so it may come in any
+    order (trajectory slots): a value more than
     _CLUSTER_RTOL * max(|value|, 1) above its predecessor starts a new
-    group.  A solve has K + buffer values, so the loop runs on their
-    Python floats, with the same float64 arithmetic as an array version.
+    group.  A solve's values come ascending, where that order is the
+    identity and no sort is made.  One vectorized pass over the stack
+    finds every tie, and only the ties are walked in Python, so a
+    sweep's solutions are grouped at once and a single solution is a
+    stack of one.
     """
-    vals = values.tolist()
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    groups = [order[:1]]
-    for lo, hi in zip(order, order[1:]):
-        if vals[hi] - vals[lo] > _CLUSTER_RTOL * max(abs(vals[hi]), 1.0):
-            groups.append([])
-        groups[-1].append(hi)
-    return [tuple(sorted(group)) for group in groups if len(group) >= 2]
+    if (values[:, 1:] >= values[:, :-1]).all():
+        order = None
+    else:
+        order = np.argsort(values, axis=1, kind="stable").tolist()
+        values = np.sort(values, axis=1, kind="stable")    # values[order]
+    hi = values[:, 1:]
+    tied = ~(hi - values[:, :-1]
+             > _CLUSTER_RTOL * np.maximum(np.abs(hi), 1.0))
+    # (row, j): ranks j and j + 1 of the row tie; runs of j join a group
+    ties = list(zip(*(a.tolist() for a in np.nonzero(tied))))
+    groups = [[] for _ in range(len(values))]
+    for (r, j), prev in zip(ties, [None, *ties]):
+        if prev == (r, j - 1):
+            groups[r][-1].append(j + 1)
+        else:
+            groups[r].append([j, j + 1])
+    if order is None:
+        return [[tuple(group) for group in row] for row in groups]
+    return [[tuple(sorted(order[r][j] for j in group)) for group in row]
+            for r, row in enumerate(groups)]
 
 
 def _surviving_free(free, clusters_n, perm):
@@ -201,7 +241,7 @@ def _index(cluster):
     return slice(lo, hi) if hi - lo == len(cluster) else list(cluster)
 
 
-def _procrustes(P, cluster, free=(), also=()):
+def _procrustes(P, cluster, free=(), block=None):
     """Rotate the c = len(cluster) columns of the overlap block P that
     cluster lists, in place, toward the c rows they overlap most
     (orthogonal Procrustes).
@@ -209,15 +249,16 @@ def _procrustes(P, cluster, free=(), also=()):
     With T = U S V^T the c x c block of those rows and columns, the
     columns are rotated by V U^T; when the rows are one of the clusters
     in free, the rows are rotated by U^T and the columns by V instead,
-    which leaves T = diag(S).  The same columns of each array in also
-    get the same rotation.  Returns the rows as a tuple, or None when
-    the cluster is invisible on the other side (||T|| < 1e-12, summed
-    from the rows' squared norms).  P.T aligns a cluster of P's rows
-    the same way.
+    which leaves T = diag(S).  block, when given, is an array whose
+    leading rows are P: its columns turn instead of P's, so P and the
+    rows stacked under it take one product and one store.  Returns the
+    rows as a tuple, or None when the cluster is invisible on the other
+    side (||T|| < 1e-12, summed from the rows' squared norms).  P.T
+    aligns a cluster of P's rows the same way.
     """
     idx = _index(cluster)
     M = P[:, idx]
-    squares = (M * M).sum(axis=1).tolist()
+    squares = np.add.reduce(M * M, axis=1).tolist()
     reach = [math.sqrt(x) for x in squares]     # bitwise np.sqrt
     rows = tuple(sorted(sorted(range(len(reach)), key=reach.__getitem__,
                                reverse=True)[:len(cluster)]))
@@ -232,8 +273,8 @@ def _procrustes(P, cluster, free=(), also=()):
         R = Vt.T
     else:
         R = Vt.T @ U.T
-    for X in (P, *also):
-        X[:, idx] = X[:, idx] @ R
+    X = P if block is None else block
+    X[:, idx] = X[:, idx] @ R
     return rows
 
 
@@ -266,10 +307,11 @@ def _track(solve, K, threshold, initial_steps, max_depth,
            matching="greedy") -> TrackingRun:
     """Bisection tracking over [0, 1].
 
-    solve(t) must return (values, vectors, inner) with at least K
-    eigenpairs ascending (ideally K plus a small buffer of candidates),
-    vectors inner-orthonormal, and inner the mass operator at t (applied
-    as inner @ block).
+    solve(t) must return (values, vectors, inner, clusters) with at
+    least K eigenpairs ascending (ideally K plus a small buffer of
+    candidates), vectors inner-orthonormal, inner the mass operator at t
+    (applied as inner @ block) and clusters the groups of values, as
+    _degenerate_clusters gives them.
 
     Steps run from the last accepted point to the end on top of a stack
     of pending ends.  A failed step pushes its end, then its midpoint,
@@ -280,13 +322,16 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     """
     match = _MATCHERS[matching]
     t_start = time.perf_counter()
-    values, vectors, inner = solve(0.0)
+    values, vectors, inner, clusters = solve(0.0)
     # Trajectories start as the K lowest modes; buffer columns are
     # candidates for later steps only.
     vectors = vectors[:, :K]
     # Clusters degenerate since t = 0 carry no branch identity in their
-    # basis; only these may be re-gauged on the committed side.
-    free = _degenerate_clusters(values[:K])
+    # basis; only these may be re-gauged on the committed side.  The
+    # values ascend, so the groups of the first K are those parts of the
+    # solution's groups.
+    free = [part for part in (tuple(i for i in group if i < K)
+                              for group in clusters) if len(part) >= 2]
     grid = [0.0]
     lambdas = [values[:K].copy()]
     correlations, permutations = [], []
@@ -299,7 +344,6 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         t_next, depth, solved = pending.pop()
         if solved is None:
             solved = solve(t_next)
-            solved += (_degenerate_clusters(solved[0]),)
         values_n, vectors_n, inner_n, clusters_n = solved
         W = inner @ vectors_n
         # Signed correlation block, trajectories by candidates.  Every
@@ -308,7 +352,15 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         P = vectors.T @ W
 
         if clusters_n:
-            vectors_n = vectors_n.copy()
+            # P over the candidates over their inner products, one block,
+            # so a cluster's columns turn in all three with one product.
+            # A cluster that turns has two or more columns, and K is at
+            # least its size, so every part has two or more rows and gets
+            # the rows its own product would give (a one-row product is
+            # BLAS's vector kernel, which rounds differently).
+            PVW = np.concatenate((P, vectors_n, W))
+            n = len(W)
+            P, vectors_n, W = PVW[:K], PVW[K:K + n], PVW[K + n:]
         # A new cluster whose best-overlap trajectories are a free cluster
         # meets a basis as arbitrary as its own: the block is aligned on
         # both sides by its SVD, so the correlations are its singular
@@ -317,7 +369,7 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         aligned = set()
         for cols in clusters_n:
             if len(cols) <= K:
-                aligned.add(_procrustes(P, cols, free, (vectors_n, W)))
+                aligned.add(_procrustes(P, cols, free, PVW))
         # Committed clusters that have stayed degenerate since the start
         # (a symmetric geometry about to split) have an equally arbitrary
         # basis; their rows of P are rotated toward the new frame.  A
@@ -330,7 +382,8 @@ def _track(solve, K, threshold, initial_steps, max_depth,
         # The candidates' norms, once all are rotated: a column's norm
         # sums the same in a block of two or more columns (a cluster)
         # as among all of them.
-        norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
+        norms = np.einsum("ij,ij->j", vectors_n, W)
+        np.sqrt(np.abs(norms, out=norms), out=norms)
         C = np.abs(P, out=P)
         C /= norms
         perm, corrs = match(C)
@@ -375,24 +428,27 @@ def _track(solve, K, threshold, initial_steps, max_depth,
 
 
 def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
-                  basis: ReducedBasis, K: int, threshold: float = 0.9,
-                  initial_steps: int = 16, max_depth: int = 10,
-                  matching: str = "greedy", buffer: int = 2,
-                  policy: SolverPolicy | None = None) -> TrackingRun:
+                  basis: ReducedBasis, K: int, policy: SolverPolicy,
+                  threshold: float = 0.9, initial_steps: int = 16,
+                  max_depth: int = 10, matching: str = "greedy",
+                  buffer: int = 2) -> TrackingRun:
     """Track the K lowest reduced eigenvalues over [0, 1].
 
-    Reduced tracking takes no snapshot, so policy goes to the evaluator
-    as given.  A basis of either gauge is tracked through the lifted
-    (mixed) evaluation: a classical basis carries no lifts, so tracking
-    it (track --reduced --gauge classical) lifts it at both endpoints
-    and forms no dense pencil, while bench's error sweep evaluates each
-    basis in its own gauge.  The evaluator is built with the basis, so
-    it starts from the lifted space a built basis carries, lift points
-    of the build included, when that space fits these psys and gauge
-    objects; a parameter its space does not certify becomes a lift point
-    of this run only.  The initial grid is evaluated in one sweep
-    (solve_many) before the first step, so its lift points, if any, come
-    before those of the bisection midpoints.
+    Reduced tracking takes no snapshot; the evaluator holds every
+    reduced pencil to policy.lambda_cut, so a spurious mode among the
+    first min(K, n_red) values at any t raises NumericsError.  A basis
+    of either gauge is tracked through the lifted (mixed) evaluation: a
+    classical basis carries no lifts, so tracking it (track --reduced
+    --gauge classical) lifts it at both endpoints and forms no dense
+    pencil, while bench's error sweep evaluates each basis in its own
+    gauge.  The evaluator is built with the basis, so it starts from the
+    lifted space a built basis carries, lift points of the build
+    included, when that space fits these psys and gauge objects; a
+    parameter its space does not certify becomes a lift point of this
+    run only.  The initial grid is evaluated in one sweep (solve_many)
+    and its solutions grouped in one pass (_degenerate_clusters) before
+    the first step, so its lift points, if any, come before those of the
+    bisection midpoints; a midpoint is solved and grouped alone.
     stats also carries lift_solves, the exact lifts behind the run's
     reduced values: those of the space the run started from, adopted or
     made here at both endpoints, plus one per online lift point.
@@ -405,12 +461,19 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     ev = _make_evaluator("mixed", psys, gauge, policy, K, basis=basis)
     n_cand = min(K + buffer, basis.n_red)
     grid = np.linspace(0.0, 1.0, initial_steps + 1)
-    coarse = dict(zip(grid.tolist(), ev.solve_many(grid)))
+    solved = ev.solve_many(grid)
+    groups = _degenerate_clusters(
+        np.array([sol.values[:n_cand] for _, sol in solved]))
+    coarse = dict(zip(grid.tolist(), zip(solved, groups)))
 
     def solve(t):
-        (_, B_tilde), sol = (coarse.pop(t) if t in coarse
-                             else ev.solve_many([t])[0])
-        return sol.values[:n_cand], sol.vectors[:, :n_cand], B_tilde
+        if t in coarse:
+            ((_, B_tilde), sol), clusters = coarse.pop(t)
+        else:
+            (_, B_tilde), sol = ev.solve_many([t])[0]
+            clusters = _degenerate_clusters(sol.values[None, :n_cand])[0]
+        return (sol.values[:n_cand], sol.vectors[:, :n_cand], B_tilde,
+                clusters)
 
     run = _track(solve, K, threshold, initial_steps, max_depth, matching)
     run.stats["lift_solves"] = ev.lifted.lifts
@@ -428,6 +491,7 @@ def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
         pair = psys.interpolate(t)
         sol = solve_sparse_gevp(pair.A, pair.B, K + buffer, policy,
                                 salt=_salt_from_t(t))
-        return sol.values, sol.vectors, pair.B
+        return (sol.values, sol.vectors, pair.B,
+                _degenerate_clusters(sol.values[None])[0])
 
     return _track(solve, K, threshold, initial_steps, max_depth, matching)

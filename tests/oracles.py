@@ -42,6 +42,11 @@ round trips are checked against it.
 modified Gram-Schmidt loop, with one extra pass, that orthogonalized
 greedy's appended columns before one block projection served greedy,
 POD saturation and the lifted spaces.
+``reference_ungauged_basis`` and ``reference_ungauged_pencil`` are the
+reduction that neither gauge makes: the sparse modes at the snapshot
+parameters, orthonormalized in full edge space, and A(t), B(t) reduced
+on them.  It is frozen here, not in the package, as the input on which
+the spurious modes that the gauges remove show.
 """
 
 from collections import deque
@@ -616,10 +621,12 @@ def reference_track(solve, K, threshold, initial_steps, max_depth,
 
     Groups a retried step's solution again, scans for free and aligned
     clusters with np.array_equal, and aligns through a separate SVD
-    helper and candidate rotation."""
+    helper and candidate rotation.  solve(t) returns (values, vectors,
+    inner) and may append the groups of values, which this loop ignores:
+    it groups every solution itself."""
     match = {"greedy": reference_greedy_match,
              "hungarian": _reference_hungarian_match}[matching]
-    values, vectors, inner = solve(0.0)
+    values, vectors, inner = solve(0.0)[:3]
     vectors = vectors[:, :K]
     free = reference_sliced_clusters(values[:K])
     grid = [0.0]
@@ -632,7 +639,7 @@ def reference_track(solve, K, threshold, initial_steps, max_depth,
         t_next, depth, solved = pending.pop()
         if solved is None:
             solved = solve(t_next)
-        values_n, vectors_n, inner_n = solved
+        values_n, vectors_n, inner_n = solved[:3]
         W = inner @ vectors_n
         norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors_n, W)))
         P = vectors.T @ W
@@ -767,6 +774,27 @@ def reference_mgs_orthogonalize(Z, v):
         for j in range(Z.shape[1]):
             v -= (Z[:, j] @ v) * Z[:, j]
     return v
+
+
+# Singular values of the stacked snapshot modes below this fraction of
+# the largest are cut when the ungauged basis is orthonormalized.
+UNGAUGED_CUT = 1e-13
+
+
+def reference_ungauged_basis(modes):
+    """An orthonormal basis of the span of the modes (a list of N x K
+    blocks, one per snapshot parameter), in full edge space: the left
+    singular vectors of the stacked blocks whose singular values exceed
+    UNGAUGED_CUT times the largest."""
+    U, s, _ = np.linalg.svd(np.hstack(modes), full_matrices=False)
+    return U[:, s > UNGAUGED_CUT * s[0]]
+
+
+def reference_ungauged_pencil(pair, Z):
+    """The pair reduced on Z without a gauge: (Z^T A Z, Z^T B Z),
+    symmetrized."""
+    A_r, B_r = Z.T @ (pair.A @ Z), Z.T @ (pair.B @ Z)
+    return 0.5 * (A_r + A_r.T), 0.5 * (B_r + B_r.T)
 
 
 def reference_upscale(gauge, pair, v_hat):

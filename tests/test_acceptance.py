@@ -8,12 +8,13 @@ default configuration; its wall time is charged to each of them.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from maxwell_rb.assembly import ParametrizedSystem, assemble
+from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.bench import run_bench
 from maxwell_rb.cli import main
 from maxwell_rb.config import default_config
@@ -26,7 +27,8 @@ from maxwell_rb.rb import _make_evaluator, _salt_from_t, classical_pipeline
 from maxwell_rb.reference import first_eigenvalue
 from maxwell_rb.tracking import track_reduced
 
-from oracles import reference_cotree_system, reference_upscale
+from oracles import (reference_cotree_system, reference_ungauged_basis,
+                     reference_ungauged_pencil, reference_upscale)
 
 _ZERO_SPLIT = 1e-6   # separates the gradient nullspace from physical modes
 
@@ -61,6 +63,35 @@ def _pencil(pair, gauge):
         CotreeFamily(ParametrizedSystem(pair, pair), gauge), 0.0)
 
 
+def _taper(p):
+    """The problem's morph with its t = 1 brick replaced by a taper of
+    the t = 0 brick, z scaled by 1 - x / (2 L_x), as tests/test_rb.py's
+    taper fixture builds it."""
+    vertices = p.mesh0.vertices.copy()
+    vertices[:, 2] *= 1.0 - 0.5 * vertices[:, 0] / p.cfg.dims0[0]
+    end1 = assemble(replace(p.mesh0, vertices=vertices), scatter_map(p.mesh0))
+    return ParametrizedSystem(p.psys.endpoint0, end1)
+
+
+def _ungauged_spurious_counts(psys, policy, K, snapshot_t, ts):
+    """The order of the ungauged reduction on the K sparse modes at each
+    snapshot t, and how many eigenvalues its pencil has at or below
+    lambda_cut at each t in ts."""
+    modes = []
+    for t in snapshot_t:
+        pair = psys.interpolate(t)
+        modes.append(solve_sparse_gevp(pair.A, pair.B, K, policy,
+                                       salt=_salt_from_t(t)).vectors)
+    Z = reference_ungauged_basis(modes)
+    counts = []
+    for t in ts:
+        values = scipy.linalg.eigh(
+            *reference_ungauged_pencil(psys.interpolate(t), Z),
+            eigvals_only=True)
+        counts.append(int(np.count_nonzero(values <= policy.lambda_cut)))
+    return Z.shape[1], counts
+
+
 @pytest.fixture(scope="module")
 def bench_study():
     tic = time.perf_counter()
@@ -68,7 +99,8 @@ def bench_study():
     return report, time.perf_counter() - tic
 
 
-def test_criterion_1_spurious_mode_removal(small_morph, small_basis, capsys):
+def test_criterion_1_spurious_mode_removal(small_morph, small_basis,
+                                           desk_problem, desk_basis, capsys):
     tic = time.perf_counter()
     failures = []
     m = small_morph
@@ -103,6 +135,29 @@ def test_criterion_1_spurious_mode_removal(small_morph, small_basis, capsys):
             _check(failures, values.min() > m["policy"].lambda_cut,
                    "%s reduced pencil at t=%g: eigenvalue %.3e below cutoff"
                    % (mode, t, values.min()))
+
+    # the failure the gauges remove: the sparse modes at the snapshot
+    # parameters, reduced without a gauge, give a pencil with at least
+    # one eigenvalue at or below the cutoff at every t, on the default
+    # brick (2 snapshots) and on the taper (the 5 its build solves);
+    # each t's count is printed as a record
+    p = desk_problem
+    ts = np.linspace(0.0, 1.0, 21)
+    taper_snapshots = tuple(float(p.training.pod_set[i])
+                            for i in (0, 4, 9, 14, 19))
+    for name, psys, snapshot_t in (
+            ("brick", p.psys, desk_basis.snapshot_t),
+            ("taper", _taper(p), taper_snapshots)):
+        n, counts = _ungauged_spurious_counts(psys, p.policy, p.cfg.K,
+                                              snapshot_t, ts)
+        with capsys.disabled():
+            print("[record] criterion 1: ungauged %s pencil (n=%d), "
+                  "eigenvalues <= lambda_cut at %d t: %s"
+                  % (name, n, ts.size, " ".join(map(str, counts))),
+                  flush=True)
+        _check(failures, min(counts) >= 1,
+               "ungauged %s pencil: no eigenvalue at or below the cutoff "
+               "at t=%g" % (name, ts[int(np.argmin(counts))]))
 
     _finish(1, "spurious-mode removal", tic, 10.0, failures, capsys)
 

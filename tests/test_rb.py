@@ -12,19 +12,21 @@ from maxwell_rb import rb
 from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.bench import peak_traced_bytes, setup_problem
 from maxwell_rb.config import default_config, with_overrides
-from maxwell_rb.eigen import pcg_solve, solve_sparse_gevp
+from maxwell_rb.eigen import pcg_solve, solve_dense_gevp, solve_sparse_gevp
 from maxwell_rb.errors import ConfigError, FactorizationError, NumericsError
-from maxwell_rb.gauge import CotreeFamily, CotreeProjector
+from maxwell_rb.gauge import (CotreeFamily, CotreeProjector,
+                              build_cotree_system)
 from maxwell_rb.rb import (ReducedBasis, build_basis,
                            classical_pipeline, collect_snapshots,
                            greedy_enrich, make_training_sets, pod_init,
-                           _LIFT_RTOL, _POD_RANK_GUARD, _gaps,
-                           _make_evaluator, _salt_from_t)
+                           _LIFT_RTOL, _POD_RANK_GUARD, _check_cutoff,
+                           _gaps, _make_evaluator, _salt_from_t)
 from maxwell_rb.tracking import track_reduced
 
 from oracles import (reference_cotree_reduction, reference_cotree_system,
                      reference_eigh, reference_gaps,
-                     reference_mgs_orthogonalize)
+                     reference_mgs_orthogonalize, reference_ungauged_basis,
+                     reference_ungauged_pencil)
 
 
 def _evaluator(m, Z=None, gauge_mode="mixed"):
@@ -789,6 +791,68 @@ class TestEstimator:
         want = max(ev.estimate_many([float(t)])[0][1].max()
                    for t in m["training"].greedy_set)
         assert log[0]["max_eta"] == pytest.approx(want, rel=1e-12)
+
+
+class TestCutoffCheck:
+    """_check_cutoff, which every sweep and the classical gauged solve
+    call: it raises on the pencil that no gauge reduced, and on no
+    pencil of either gauge."""
+
+    def test_raises_on_the_ungauged_pencil_only(self, desk_problem,
+                                                desk_basis,
+                                                desk_classical_basis):
+        p = desk_problem
+        K, cut = p.cfg.K, p.policy.lambda_cut
+        modes = []
+        for t in desk_basis.snapshot_t:
+            pair = p.psys.interpolate(t)
+            modes.append(solve_sparse_gevp(pair.A, pair.B, K, p.policy,
+                                           salt=_salt_from_t(t)).vectors)
+        Z = reference_ungauged_basis(modes)
+        ts = [0.0, 0.3, 0.75, 1.0]
+        for t in ts:
+            values = solve_dense_gevp(*reference_ungauged_pencil(
+                p.psys.interpolate(t), Z)).values
+            with pytest.raises(NumericsError,
+                               match=r"reduced pencil at t=%r has \d modes "
+                                     r"above the spectral cutoff, need %d"
+                                     % (t, K)):
+                _check_cutoff("reduced pencil", [t], [values], K, cut)
+        for built in (desk_basis, desk_classical_basis):
+            for gauge_mode in ("mixed", "classical"):
+                ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy,
+                                     K, basis=built.basis)
+                sols = [sol for _, sol in ev.solve_many(ts)]
+                _check_cutoff("reduced pencil", ts,
+                              [sol.values for sol in sols], K, cut)
+        gauged = _make_evaluator("classical", p.psys, p.gauge, p.policy, K)
+        for t in ts:
+            A_hat, B_hat = build_cotree_system(gauged.family, t)
+            _check_cutoff("gauged pencil", [t],
+                          [solve_dense_gevp(A_hat, B_hat).values], K, cut)
+
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    def test_sweeps_and_tracking_raise_naming_t(self, small_morph,
+                                                small_basis, gauge_mode):
+        # a cutoff between the lowest reduced eigenvalues at t = 0 and
+        # t = 1 passes the first and fails the second
+        m = small_morph
+        Z = small_basis.basis.Z
+        ev = _evaluator(m, Z, gauge_mode)
+        lowest = [sol.values[0] for _, sol in ev.solve_many([0.0, 1.0])]
+        assert lowest[1] < lowest[0]
+        policy = replace(m["policy"], lambda_cut=0.5 * sum(lowest))
+        ev = _make_evaluator(gauge_mode, m["psys"], m["gauge"], policy, 5)
+        ev.set_basis(Z)
+        for sweep in (ev.solve_many, ev.estimate_many):
+            with pytest.raises(NumericsError,
+                               match=r"reduced pencil at t=1\.0 has \d modes"):
+                sweep([0.0, 1.0])
+        assert len(ev.solve_many([0.0])) == 1
+        if gauge_mode == "mixed":
+            with pytest.raises(NumericsError, match="spectral cutoff"):
+                track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
+                              policy=policy)
 
 
 class TestProjectOut:

@@ -17,13 +17,27 @@ from maxwell_rb.mesh import build_mesh
 from maxwell_rb.rb import ReducedBasis, _make_evaluator, _salt_from_t
 from maxwell_rb.eigen import solve_sparse_gevp
 from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
-                                 _greedy_match, _hungarian_match,
+                                 _greedy_match, _hungarian_match, _walk_match,
                                  _surviving_free, _track, track_full,
                                  track_reduced)
 
 from oracles import (reference_degenerate_clusters, reference_greedy_match,
                      reference_sliced_clusters, reference_split_clusters,
                      reference_surviving_free, reference_track)
+
+
+def _groups(values):
+    """The groups of one spectrum: a stack of one."""
+    return _degenerate_clusters(values[None])[0]
+
+
+def _grouped(solve):
+    """solve's (values, vectors, inner) with the groups of values, the
+    solution _track takes."""
+    def grouped(t):
+        values, vectors, inner = solve(t)
+        return values, vectors, inner, _groups(values)
+    return grouped
 
 
 class TestMatching:
@@ -70,7 +84,7 @@ class TestMatching:
 class TestDegenerateClusters:
     @staticmethod
     def _groups(values):
-        return [list(c) for c in _degenerate_clusters(np.array(values))]
+        return [list(c) for c in _groups(np.array(values))]
 
     def test_detection(self):
         assert self._groups([1.0, 2.0, 3.0]) == []
@@ -92,7 +106,7 @@ class TestDegenerateClusters:
                 levels = rng.choice([0.2, 0.7, 1.0, 3.0], size) * scale
                 jitter = rng.choice([0.0, 1e-12, 2e-8, 1e-3], size)
                 values = levels * (1.0 + jitter)
-                got = _degenerate_clusters(values)
+                got = _groups(values)
                 want = reference_degenerate_clusters(values)
                 assert [list(g) for g in got] == [w.tolist() for w in want]
 
@@ -107,7 +121,7 @@ class TestDegenerateClusters:
             values = base * np.cumprod(1.0 + steps)
             values *= 1.0 + rng.choice([-4, -1, 0, 1, 4], 8) * 2.0 ** -52
             values = rng.permutation(values)
-            got = _degenerate_clusters(values)
+            got = _groups(values)
             want = reference_split_clusters(values)
             assert [list(g) for g in got] == [w.tolist() for w in want]
 
@@ -203,6 +217,129 @@ class TestLapackSvd:
             assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+@st.composite
+def _correlation_blocks(draw):
+    """A K x n block as _greedy_match takes it (K <= n <= K + 3): random
+    or from a few levels (ties within and across rows), with row maxima
+    sometimes forced into one column, and sometimes a NaN or an infinity
+    at a drawn entry."""
+    K = draw(st.integers(1, 6))
+    n = draw(st.integers(K, K + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        C = rng.choice([0.0, 0.25, 0.5, 0.9, 1.0], (K, n))
+    else:
+        C = rng.uniform(0.0, 1.0, (K, n))
+    if K >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        rows = draw(st.lists(st.integers(0, K - 1), min_size=2, max_size=K,
+                             unique=True))
+        C[rows, j] = C.max() + draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.integers(0, 4)) == 0:
+        C[draw(st.integers(0, K - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return C
+
+
+class TestDirectMatch:
+    """_greedy_match returns the rows' first maxima when they lie in
+    distinct columns of a finite block, and otherwise walks; either way
+    its pairs are the sorted walk's, bit for bit, ties included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_correlation_blocks())
+    def test_same_pairs_as_the_sorted_walk(self, C):
+        walked = []
+
+        def walk(C):
+            walked.append(1)
+            return _walk_match(C)
+
+        distinct = len(set(C.argmax(axis=1).tolist())) == C.shape[0]
+        direct = distinct and bool(np.isfinite(C).all())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracking, "_walk_match", walk)
+            perm, corrs = _greedy_match(C)
+        assert walked == ([] if direct else [1])
+        want_perm, want_corrs = _walk_match(C)
+        assert perm.dtype == want_perm.dtype
+        assert np.array_equal(perm, want_perm)
+        assert np.array_equal(corrs, want_corrs, equal_nan=True)
+        if np.isfinite(C).all():
+            ref_perm, ref_corrs = reference_greedy_match(C)
+            assert np.array_equal(perm, ref_perm)
+            assert np.array_equal(corrs, ref_corrs)
+
+    def test_colliding_maxima_and_non_finite_entries_walk(self,
+                                                          monkeypatch):
+        # rows 0 and 1 share their maximum's column; a NaN or an infinity
+        # anywhere sends the block to the walk as well, though the row
+        # maxima lie in distinct columns
+        walked = []
+        monkeypatch.setattr(tracking, "_walk_match",
+                            lambda C: walked.append(1) or _walk_match(C))
+        assert _greedy_match(np.array([[0.9, 0.2], [0.8, 0.3]]))[0].tolist() \
+            == [0, 1]
+        for bad in (np.nan, np.inf, -np.inf):
+            C = np.array([[0.9, 0.1, bad], [0.2, 0.8, 0.3]])
+            perm, corrs = _greedy_match(C)
+            want_perm, want_corrs = _walk_match(C)
+            assert np.array_equal(perm, want_perm)
+            assert np.array_equal(corrs, want_corrs, equal_nan=True)
+        assert len(walked) == 4
+
+
+@st.composite
+def _stacked_rotations(draw):
+    """A cluster's rotation as _track applies it: P (K x m, from a
+    product) over the candidates (n x m, a copy of the solver's
+    F-ordered vectors) over their inner products (n x m), every part
+    of two or more rows, with the cluster's c columns (c = 2..8) a run
+    of indices (a strided view) or scattered (a copy), and R the V or
+    V U^T of a c x c block's gesdd.  n reaches the 12^3 brick's 4356
+    rows."""
+    c = draw(st.integers(2, 8))
+    m = draw(st.integers(c, c + 3))
+    K = draw(st.integers(c, m))
+    n = draw(st.sampled_from([m, m + 1, m + 5, 40, 4356]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors_n = np.asfortranarray(rng.standard_normal((n, m)))
+    # a diagonal mass: inner @ vectors_n, C-ordered as a product comes
+    W = np.ascontiguousarray(rng.uniform(0.5, 2.0, (n, 1)) * vectors_n)
+    P = rng.standard_normal((K, n)) @ W
+    if draw(st.booleans()):
+        start = draw(st.integers(0, m - c))
+        cols = tuple(range(start, start + c))
+    else:
+        cols = tuple(sorted(draw(st.permutations(range(m)))[:c]))
+    U, _, Vt, info = dgesdd(P[:c, list(cols)])
+    R = Vt.T if draw(st.booleans()) else Vt.T @ U.T
+    return P, vectors_n.copy(), W, cols, R
+
+
+class TestStackedRotation:
+    """_track turns a cluster's columns of P, the candidates and their
+    inner products as one stacked block (one product and one store);
+    this oracle checks that each part's rows come out bit for bit as
+    its own product would give them.  It documents an assumption about
+    the installed numpy and BLAS (a one-row part, which _track never
+    stacks, goes through the vector kernel and can round differently);
+    TestFrozenLoop is the end-to-end guard."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacked_rotations())
+    def test_stacked_product_bitwise_the_separate_ones(self, case):
+        P, vectors_n, W, cols, R = case
+        idx = tracking._index(cols)
+        block = np.concatenate((P, vectors_n, W))
+        block[:, idx] = block[:, idx] @ R
+        rows = np.cumsum([0, len(P), len(vectors_n), len(W)])
+        for part, lo, hi in zip((P, vectors_n, W), rows, rows[1:]):
+            part = part.copy()
+            part[:, idx] = part[:, idx] @ R
+            assert np.array_equal(block[lo:hi], part)
+
+
 class TestPerSolutionGrouping:
     """The plain-Python grouping of one solution gives the groups the
     numpy slicing gave."""
@@ -210,7 +347,7 @@ class TestPerSolutionGrouping:
     @settings(max_examples=400, deadline=None)
     @given(_spectra())
     def test_same_groups_as_the_numpy_slicing(self, values):
-        got = _degenerate_clusters(values)
+        got = _groups(values)
         assert all(isinstance(group, tuple) for group in got)
         assert ([list(g) for g in got]
                 == [w.tolist() for w in reference_sliced_clusters(values)])
@@ -228,7 +365,7 @@ class TestPerSolutionGrouping:
                 values = np.array([hi, lo])
                 at = hi - lo == rtol * max(abs(hi), 1.0)
                 found += at
-                got = [list(g) for g in _degenerate_clusters(values)]
+                got = [list(g) for g in _groups(values)]
                 assert got == [w.tolist()
                                for w in reference_sliced_clusters(values)]
                 if at:
@@ -239,7 +376,7 @@ class TestPerSolutionGrouping:
                                         [4.0] * 7, [-1.0] * 3 + [5.0]])
     def test_ties_zeros_and_short_inputs(self, values):
         values = np.array(values)
-        assert ([list(g) for g in _degenerate_clusters(values)]
+        assert ([list(g) for g in _groups(values)]
                 == [w.tolist() for w in reference_sliced_clusters(values)])
 
 
@@ -265,7 +402,7 @@ class TestSurvivingFree:
             free = [idx for idx in (np.flatnonzero(labels == k)
                                     for k in range(3)) if idx.size >= 2]
             got = _surviving_free([tuple(idx.tolist()) for idx in free],
-                                  _degenerate_clusters(values_n),
+                                  _groups(values_n),
                                   perm.tolist())
             want = reference_surviving_free(free, values_n, perm)
             assert [list(g) for g in got] == [w.tolist() for w in want]
@@ -278,7 +415,7 @@ class TestSurvivingFree:
         rtol = tracking._CLUSTER_RTOL
         values_n = 1.0 + np.array([0.0, 0.6, 1.2]) * rtol
         free, perm = [np.array([0, 1])], np.array([0, 2])
-        got = _surviving_free([(0, 1)], _degenerate_clusters(values_n), [0, 2])
+        got = _surviving_free([(0, 1)], _groups(values_n), [0, 2])
         assert got == [(0, 1)]
         assert reference_surviving_free(free, values_n, perm) == []
 
@@ -303,8 +440,8 @@ def _spinning_solve(t):
 
 class TestEngine:
     def test_follows_modes_through_crossing(self):
-        run = _track(_crossing_solve, K=2, threshold=0.9, initial_steps=8,
-                     max_depth=4)
+        run = _track(_grouped(_crossing_solve), K=2, threshold=0.9,
+                     initial_steps=8, max_depth=4)
         # trajectory identity: slot 0 stays on the rising 1 + t branch even
         # after it stops being the smallest eigenvalue
         assert np.allclose(run.lambdas[0], 1.0 + run.grid, atol=1e-12)
@@ -322,7 +459,7 @@ class TestEngine:
             solved.append(t)
             return _spinning_solve(t)
 
-        run = _track(solve, K=2, threshold=0.97, initial_steps=4,
+        run = _track(_grouped(solve), K=2, threshold=0.97, initial_steps=4,
                      max_depth=12)
         assert run.stats["bisection_count"] == 6
         assert run.stats["min_step"] < 0.25
@@ -341,7 +478,7 @@ class TestEngine:
             vecs = np.eye(2) if t < 0.5 else np.eye(2)[:, ::-1].copy()
             return np.array([1.0, 2.0]), vecs, np.eye(2)
 
-        run = _track(solve, K=2, threshold=0.9, initial_steps=2,
+        run = _track(_grouped(solve), K=2, threshold=0.9, initial_steps=2,
                      max_depth=6)
         assert run.stats["bisection_count"] == 0
         assert np.min(run.correlations) == pytest.approx(1.0)
@@ -356,14 +493,15 @@ class TestEngine:
             return np.array([1.0, 2.0]), cols.copy(), np.eye(4)
 
         with pytest.raises(TrackingError, match=r"0\.49\d*, 0\.5\]"):
-            _track(solve, K=2, threshold=0.9, initial_steps=2, max_depth=6)
+            _track(_grouped(solve), K=2, threshold=0.9, initial_steps=2,
+                   max_depth=6)
 
     def test_threshold_zero_never_bisects(self):
         def solve(t):
             vecs = np.eye(2) if t < 0.5 else np.eye(2)[:, ::-1].copy()
             return np.array([1.0, 2.0]), vecs, np.eye(2)
 
-        run = _track(solve, K=2, threshold=0.0, initial_steps=4,
+        run = _track(_grouped(solve), K=2, threshold=0.0, initial_steps=4,
                      max_depth=6)
         assert run.stats["bisection_count"] == 0
         assert run.grid.size == 5
@@ -398,7 +536,7 @@ class TestEngine:
                 return np.array([3.9, 4.0, 9.0]), prev, np.eye(n)
             return np.array([4.0, 4.0, 9.0]), rotated, np.eye(n)
 
-        run = _track(solve, K=3, threshold=0.9, initial_steps=4,
+        run = _track(_grouped(solve), K=3, threshold=0.9, initial_steps=4,
                      max_depth=6)
         assert run.stats["bisection_count"] == 0
         assert np.min(run.correlations) >= 1.0 - 1e-12
@@ -424,7 +562,7 @@ class TestEngine:
             vectors = np.column_stack([pair @ R, np.eye(n)[:, 4]])
             return np.array([2.0, 2.0, 3.0]), vectors, np.eye(n)
 
-        run = _track(solve, K=3, threshold=0.9, initial_steps=4,
+        run = _track(_grouped(solve), K=3, threshold=0.9, initial_steps=4,
                      max_depth=6)
         assert run.stats["bisection_count"] == 0
         for k, step in enumerate(np.diff(run.grid)):
@@ -433,8 +571,8 @@ class TestEngine:
             assert np.abs(got - want).max() <= 1e-12, k
 
     def test_to_rows_layout(self):
-        run = _track(_crossing_solve, K=2, threshold=0.9, initial_steps=4,
-                     max_depth=3)
+        run = _track(_grouped(_crossing_solve), K=2, threshold=0.9,
+                     initial_steps=4, max_depth=3)
         rows = run.to_rows()
         assert len(rows) == run.grid.size
         assert all(len(r) == 1 + 2 * run.n_modes for r in rows)
@@ -515,7 +653,7 @@ class TestFrozenLoop:
         (_spinning_solve, (2, 0.97, 4, 12)),
     ])
     def test_analytic_sequences(self, solve, settings):
-        _assert_same_run(_track(solve, *settings),
+        _assert_same_run(_track(_grouped(solve), *settings),
                          reference_track(solve, *settings))
 
     @pytest.mark.parametrize("matching", ["greedy", "hungarian"])
@@ -543,7 +681,7 @@ class TestFrozenLoop:
 
     def test_max_depth_error(self, taper3, monkeypatch):
         with pytest.raises(TrackingError) as got:
-            _track(_jumping_solve, 2, 0.9, 2, 6)
+            _track(_grouped(_jumping_solve), 2, 0.9, 2, 6)
         with pytest.raises(TrackingError) as want:
             reference_track(_jumping_solve, 2, 0.9, 2, 6)
         assert str(got.value) == str(want.value)
@@ -557,14 +695,27 @@ class TestFrozenLoop:
             _reference(rec)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("matching", ["greedy", "hungarian"])
+    def test_full_path_on_a_small_brick(self, small_morph, monkeypatch,
+                                        matching):
+        # the cube end is degenerate, so clusters of N-row candidates turn
+        # in blocks stacked over 2N + K rows
+        m = small_morph
+        rec = _recorded(monkeypatch)
+        run = track_full(m["psys"], 5, m["policy"], matching=matching)
+        assert run.stats["degenerate_steps"] > 0
+        _assert_same_run(run, _reference(rec))
+
     def test_each_solution_grouped_once(self, taper3, monkeypatch):
         # a retried step reuses its solution's groups, and the reduced
-        # pass still makes one dense solve per grid point
+        # pass still makes one dense solve per grid point; the coarse
+        # grid's solutions are grouped in one stack, each midpoint's alone
         p, basis = taper3
         grouped, solved = [], []
         group, dense = tracking._degenerate_clusters, rb.solve_dense_gevp
-        monkeypatch.setattr(tracking, "_degenerate_clusters",
-                            lambda values: grouped.append(1) or group(values))
+        monkeypatch.setattr(
+            tracking, "_degenerate_clusters",
+            lambda values: grouped.extend([1] * len(values)) or group(values))
         monkeypatch.setattr(rb, "solve_dense_gevp",
                             lambda *a, **k: solved.append(1) or dense(*a, **k))
         run = track_reduced(p.psys, p.gauge, basis, p.cfg.K, threshold=0.99,
@@ -642,7 +793,7 @@ class TestReducedTracking:
         m = small_morph
         with pytest.raises(ConfigError):
             track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
-                          threshold=1.0)
+                          threshold=1.0, policy=m["policy"])
         with pytest.raises(ConfigError):
             track_full(None, 5, m["policy"], initial_steps=1)
 
@@ -720,7 +871,7 @@ class TestDeskMorph:
         rotated = ReducedBasis(Z=basis.Z @ Q, provenance=basis.provenance,
                                gauge_mode=basis.gauge_mode)
         run, run_q = p.track(basis), p.track(rotated)
-        assert _degenerate_clusters(run.lambdas[:, 0])
+        assert _groups(run.lambdas[:, 0])
         assert np.array_equal(run.grid, run_q.grid)
         assert np.abs(run.correlations - run_q.correlations).max() <= 1e-12
 
