@@ -35,7 +35,7 @@ from .errors import ConfigError, NumericsError
 from .gauge import GaugeDecomposition, build_tree
 from .mesh import CavityMesh, build_mesh, discrete_gradient, dissection_order
 from .rb import (BasisBuildResult, ReducedBasis, TrainingSets, _make_evaluator,
-                 _salt_from_t, build_basis, make_training_sets)
+                 build_basis, make_training_sets)
 from .reference import first_eigenvalue
 from .tracking import TrackingRun, track_full, track_reduced
 
@@ -130,8 +130,7 @@ def reference_eigenvalues(problem: Problem, t_values) -> np.ndarray:
     out = np.empty((len(t_values), K))
     for row, t in enumerate(t_values):
         pair = problem.psys.interpolate(float(t))
-        sol = solve_sparse_gevp(pair.A, pair.B, K, problem.policy,
-                                salt=_salt_from_t(float(t)))
+        sol = solve_sparse_gevp(pair.A, pair.B, K, problem.policy, t=float(t))
         out[row] = sol.values[:K]
     return out
 
@@ -322,7 +321,7 @@ def run_bench(cfg: RunConfig, reps: int = DEFAULT_REPETITIONS) -> dict:
     t_probe = 0.5
     pair = problem.psys.interpolate(t_probe)
     probes = {"evp-full": lambda: solve_sparse_gevp(
-        pair.A, pair.B, cfg.K, problem.policy, salt=_salt_from_t(t_probe))}
+        pair.A, pair.B, cfg.K, problem.policy, t=t_probe)}
     if mixed is not None:
         pencil = _guarded(phase_errors, "evp-rb", lambda: _make_evaluator(
             "mixed", problem.psys, problem.gauge, problem.policy, cfg.K,

@@ -85,6 +85,7 @@ _parse_text.must = "be text"
 
 
 GAUGE_MODES = ("classical", "mixed")
+MATCHERS = ("greedy", "hungarian")
 _LENGTHS = _parse_triple(_parse_float, "hold three numbers")
 
 
@@ -117,7 +118,7 @@ class RunConfig:
     initial_steps: int = _key(_parse_int, 16)
     max_depth: int = _key(_parse_int, 10)
     track_buffer: int = _key(_parse_int, 2)
-    matching: str = _key(_parse_choice(("greedy", "hungarian")), "greedy")
+    matching: str = _key(_parse_choice(MATCHERS), "greedy")
     eval_set_size: int = _key(_parse_int, 50)
     seed: int = _key(_parse_int, 1234)
     output: str = _key(_parse_text, "out")
@@ -127,25 +128,15 @@ class RunConfig:
         as (a numpy integer becomes an int, an int given for a number a
         float), or raise ConfigError naming the key of a field its text
         could not give or of a value out of range."""
-        parsed = {}
-        for name, parse in _PARSERS.items():
-            value = getattr(self, name)
-            text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            try:
-                parsed[name] = parse(text)
-                # an == that gives no one bool (an array's) raises here
-                reads_back = bool(parsed[name] == value)
-            except (ConfigError, ValueError):
-                reads_back = False
-            if not reads_back:
-                raise ConfigError("%s must %s, got %r" % (name, parse.must, value))
+        parsed = {name: _read_back(name, getattr(self, name))
+                  for name in _PARSERS}
         for name in ("dims0", "dims1"):
             if not all(0.0 < d < math.inf for d in getattr(self, name)):
                 raise ConfigError("%s must be positive finite lengths" % name)
         if any(r < 2 for r in self.resolution):
             raise ConfigError("resolution must be at least 2 cells per axis")
-        if self.K < 1:
-            raise ConfigError("K must be >= 1")
+        check_tracking(self.K, self.threshold, self.initial_steps,
+                       self.track_buffer, self.max_depth, self.matching)
         for name in ("N_POD", "N_train", "N_max"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)
@@ -172,14 +163,6 @@ class RunConfig:
             raise ConfigError("shift_fraction must lie in (0, 1)")
         if not (0.0 < self.cut_fraction < 1.0):
             raise ConfigError("cut_fraction must lie in (0, 1)")
-        if not (0.0 <= self.threshold < 1.0):
-            raise ConfigError("threshold must lie in [0, 1)")
-        if self.initial_steps < 2:
-            raise ConfigError("initial_steps must be >= 2")
-        if self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0")
-        if self.track_buffer < 0:
-            raise ConfigError("track_buffer must be >= 0")
         if self.eval_set_size < 1:
             raise ConfigError("eval_set_size must be >= 1")
         if self.seed < 0:
@@ -191,6 +174,41 @@ class RunConfig:
 
 # file key -> parser, in field order
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+
+
+def _read_back(name: str, value):
+    """value as the text of key name reads it, or ConfigError when that
+    text could not give value."""
+    parse = _PARSERS[name]
+    text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    try:
+        parsed = parse(text)
+        # an == that gives no one bool (an array's) raises here
+        if bool(parsed == value):
+            return parsed
+    except (ConfigError, ValueError):
+        pass
+    raise ConfigError("%s must %s, got %r" % (name, parse.must, value))
+
+
+def check_tracking(K, threshold, initial_steps, track_buffer, max_depth,
+                   matching) -> None:
+    """Raise ConfigError, naming the key, for a tracking setting that its
+    key's text could not give or that lies out of range.
+
+    The one check of these keys: RunConfig.validate makes it, and so do
+    tracking.track_reduced and track_full before any solve or lift.
+    """
+    _read_back("threshold", threshold)
+    _read_back("matching", matching)
+    for name, value, least in (("K", K, 1), ("initial_steps", initial_steps, 2),
+                               ("track_buffer", track_buffer, 0),
+                               ("max_depth", max_depth, 0)):
+        _read_back(name, value)
+        if value < least:
+            raise ConfigError("%s must be >= %d" % (name, least))
+    if not (0.0 <= threshold < 1.0):
+        raise ConfigError("threshold must lie in [0, 1)")
 
 
 def default_config() -> RunConfig:

@@ -8,14 +8,17 @@ eigenvalues returns exactly the physical modes nearest the shift and the
 nullspace never enters the Krylov window.
 
 Every sparse solve asks for K >= 1 modes; a smaller count raises
-EigensolverError.  Lanczos is asked for the K wanted pairs plus a fixed
-pad of two (SolverPolicy.window_pad, a constant): every further pair
-costs Lanczos vectors and shift-invert applications and is thrown away,
-while with no pad at all the run can return one copy of a double
-eigenvalue at the window edge and miss the other.  ARPACK's tolerance
-applies to every pair in the window, so a wide window drives the wanted
-pairs to roundoff as a side effect and a tight one delivers them at the
-requested tolerance only.  The tolerance is therefore machine precision,
+EigensolverError.  Its pairs come back ascending, as every solver's
+here do (tracking groups each spectrum in that order), and its Lanczos
+start vector is seeded by policy.seed and the parameter value t the
+pencil belongs to, so equal inputs give equal bits.  Lanczos is asked
+for the K wanted pairs plus a fixed pad of two (SolverPolicy.window_pad,
+a constant): every further pair costs Lanczos vectors and shift-invert
+applications and is thrown away, while with no pad at all the run can
+return one copy of a double eigenvalue at the window edge and miss the
+other.  ARPACK's tolerance applies to every pair in the window, so a
+wide window drives the wanted pairs to roundoff as a side effect and a
+tight one delivers them at the requested tolerance only.  The tolerance is therefore machine precision,
 which keeps the eigen-residuals at roundoff and the roundoff tail of the
 snapshot singular values below the POD rank guard.  A system too small
 for the window (n < K + 7) is solved densely instead.  Both paths share
@@ -346,16 +349,19 @@ def solve_dense_gevp(A_d: np.ndarray, B_d: np.ndarray,
 
 
 def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
-                      salt: int = 0) -> EigenSolution:
-    """K >= 1 smallest physical eigenpairs of the sparse pencil (A, B).
+                      t: float = 0.0) -> EigenSolution:
+    """K >= 1 smallest physical eigenpairs of the sparse pencil (A, B),
+    ascending.
 
     Only eigenvalues strictly above policy.lambda_cut are returned;
     gradient modes are excluded by construction of the shift-invert
     window.  Lanczos is asked for K + policy.window_pad pairs at
     machine-precision tolerance, because the tolerance covers the whole
-    window and a tight window needs a tight tolerance.  ``salt`` perturbs
-    the deterministic start vector so sweeps over many parameter values
-    stay reproducible yet independent.
+    window and a tight window needs a tight tolerance.  t, the parameter
+    value the pencil belongs to, seeds the start vector with
+    policy.seed, so sweeps over many parameter values stay reproducible
+    yet independent: the seed's salt is t's bit pattern read as an
+    integer, with -0.0 taken as 0.0, so t = 0.0 gives salt 0.
     """
     if K < 1:
         raise EigensolverError("mode count must be >= 1, got %d" % K)
@@ -373,6 +379,7 @@ def solve_sparse_gevp(A, B, K: int, policy: SolverPolicy,
                                B.toarray() if sp.issparse(B) else B)
         values, vectors = sol.values, sol.vectors
     else:
+        salt = int(np.abs(np.float64(t + 0.0).view(np.int64)))
         rng = np.random.default_rng(np.random.SeedSequence([policy.seed, salt]))
         op_inv = spla.LinearOperator(
             (n, n), matvec=_shift_invert(A - policy.sigma * B, policy.ordering),

@@ -23,9 +23,10 @@ the tree (Manges & Cendes, IEEE Trans. Magn. 31(3), 1995): v_hat =
 solve with the tree block above, so nothing is factored.  The full
 residual ||H^T v_hat - B v|| / ||B v|| reports whether each column was
 gradient-free: eigenvectors of the ungauged pencil with nonzero
-eigenvalue satisfy every row, gradient fields do not.  H^T is applied
-one way throughout, as A times Y on the cotree rows
-(cotree_transpose_product).
+eigenvalue satisfy every row, gradient fields do not.  Every projection
+checks it and raises ProjectionError for a block with a column that
+was not.  H^T is applied one way throughout, as A times Y on the
+cotree rows (cotree_transpose_product).
 
 The classical comparison path gauges by the dense pencil
 A_hat = W^T A W, B_hat = H W with W = B(t)^{-1} H(t)^T.  Its mass
@@ -253,14 +254,14 @@ class CotreeProjector:
         self._B = sys.B
         self._gauge = gauge
 
-    def project(self, v: np.ndarray, check: bool = True):
+    def project(self, v: np.ndarray):
         """Condense the block v (N x r; a 1-D v is one column); returns
         (v_hat, rel_residual), of shapes |C| x r and (r,).
 
         rel_residual is the consistency residual
-        ||H^T v_hat - B v|| / ||B v|| per column; values above 1e-6 mean
-        the input carried gradient components and raise ProjectionError
-        when ``check`` is set.
+        ||H^T v_hat - B v|| / ||B v|| per column.  Every call checks it: a
+        column above _CONSISTENCY_TOL (1e-6) carried gradient components,
+        and the call raises ProjectionError naming the worst one.
         """
         g = self._gauge
         V = np.asarray(v, dtype=float).reshape(self._B.shape[0], -1)
@@ -273,7 +274,7 @@ class CotreeProjector:
             residual = np.linalg.norm(
                 cotree_transpose_product(self._A, g, v_hat) - Bv, axis=0)
             rel = np.where(rhs_norms > 0, residual / rhs_norms, 0.0)
-        if check and np.any(rel > _CONSISTENCY_TOL):
+        if np.any(rel > _CONSISTENCY_TOL):
             worst = int(np.argmax(rel))
             raise ProjectionError(
                 "cotree projection inconsistent (relative residual %.3e in "

@@ -191,12 +191,6 @@ def _check_cutoff(what: str, ts, spectra, need: int, cut: float) -> None:
                    need))
 
 
-def _salt_from_t(t: float) -> int:
-    """Injective, deterministic salt for per-parameter start vectors;
-    -0.0 is taken as +0.0 (t + 0.0), every other t keeps its bits."""
-    return int(np.abs(np.float64(t + 0.0).view(np.int64)))
-
-
 @dataclass(frozen=True)
 class TrainingSets:
     """Parameter samples for POD, greedy enrichment and error evaluation."""
@@ -637,7 +631,7 @@ class _MixedEvaluator(_Evaluator):
         """The pair at t and its K modes by the sparse ungauged solve."""
         pair = self.psys.interpolate(t)
         return pair, solve_sparse_gevp(pair.A, pair.B, self.K, self.policy,
-                                       salt=_salt_from_t(t))
+                                       t=t)
 
     def snapshot(self, t: float) -> np.ndarray:
         """modes(t) condensed along the tree; the K modes at t as unit

@@ -34,11 +34,12 @@ gauge only, never re-labels across distinct eigenvalues, and flags the
 step as degenerate.
 
 Each solution is grouped into clusters once, before it enters the
-loop: reduced tracking groups its initial grid's solutions in one
-vectorized pass over their stacked values, and a bisection midpoint or
-a full-order solve is grouped as a stack of one.  A failed step's end
-keeps its groups with its solution on the pending stack, so a retried
-step neither solves nor groups again.  Clusters are tuples, so free
+loop, from its values as the solver returns them, ascending: reduced
+tracking groups its initial grid's solutions in one vectorized pass
+over their stacked values, and a bisection midpoint or a full-order
+solve is grouped as a stack of one.  A failed step's end keeps its
+groups with its solution on the pending stack, so a retried step
+neither solves nor groups again.  Clusters are tuples, so free
 and aligned clusters are found by key.  One routine, _procrustes, does
 every alignment on the overlap block P: a new cluster toward the
 committed rows, the two-sided SVD of a free cluster, and (on P.T) a
@@ -55,9 +56,7 @@ when those lie in distinct candidates, which is what its sorted walk
 would pick; only a contested candidate sends it to the walk.  That is
 about thirty numpy calls on arrays of K + buffer columns, a cluster of
 consecutive indices addressed as a view; on the reduced path their
-overhead, not their arithmetic, is most of a step: on online-10's 10^3
-brick the 16 steps of a pass take about 0.5 ms of its 1.0 ms
-(BENCH_36.json).
+overhead, not their arithmetic, is most of a step.
 
 The same loop drives the reduced system (small dense pencils) and the
 full sparse system (the runtime baseline); only the solve and the inner
@@ -67,7 +66,6 @@ product differ.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -75,10 +73,11 @@ import numpy as np
 from scipy.linalg.lapack import dgesdd
 
 from .assembly import ParametrizedSystem
+from .config import MATCHERS, RunConfig, check_tracking
 from .eigen import SolverPolicy, solve_sparse_gevp
 from .errors import ConfigError, TrackingError
 from .gauge import GaugeDecomposition
-from .rb import ReducedBasis, _make_evaluator, _salt_from_t
+from .rb import ReducedBasis, _make_evaluator
 
 
 @dataclass
@@ -190,20 +189,12 @@ def _degenerate_clusters(values: np.ndarray) -> list:
     """Per row of the stack values (count x m), the groups of indices
     holding numerically equal values, as ascending index tuples.
 
-    A row is grouped along its stably sorted order, so it may come in any
-    order (trajectory slots): a value more than
-    _CLUSTER_RTOL * max(|value|, 1) above its predecessor starts a new
-    group.  A solve's values come ascending, where that order is the
-    identity and no sort is made.  One vectorized pass over the stack
-    finds every tie, and only the ties are walked in Python, so a
-    sweep's solutions are grouped at once and a single solution is a
-    stack of one.
+    Each row must ascend, as every solver returns its spectrum: a value
+    more than _CLUSTER_RTOL * max(|value|, 1) above its predecessor
+    starts a new group.  One vectorized pass over the stack finds every
+    tie, and only the ties are walked in Python, so a sweep's solutions
+    are grouped at once and a single solution is a stack of one.
     """
-    if (values[:, 1:] >= values[:, :-1]).all():
-        order = None
-    else:
-        order = np.argsort(values, axis=1, kind="stable").tolist()
-        values = np.sort(values, axis=1, kind="stable")    # values[order]
     hi = values[:, 1:]
     tied = ~(hi - values[:, :-1]
              > _CLUSTER_RTOL * np.maximum(np.abs(hi), 1.0))
@@ -215,10 +206,7 @@ def _degenerate_clusters(values: np.ndarray) -> list:
             groups[r][-1].append(j + 1)
         else:
             groups[r].append([j, j + 1])
-    if order is None:
-        return [[tuple(group) for group in row] for row in groups]
-    return [[tuple(sorted(order[r][j] for j in group)) for group in row]
-            for r, row in enumerate(groups)]
+    return [[tuple(group) for group in row] for row in groups]
 
 
 def _surviving_free(free, clusters_n, perm):
@@ -278,33 +266,11 @@ def _procrustes(P, cluster, free=(), block=None):
     return rows
 
 
-_MATCHERS = {"greedy": _greedy_match, "hungarian": _hungarian_match}
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_settings(K, threshold, initial_steps, buffer, max_depth,
-                    matching) -> None:
-    """Reject tracking settings before any solve or lift."""
-    if not (0.0 <= threshold < 1.0):
-        raise ConfigError("correlation threshold must lie in [0, 1)")
-    if matching not in _MATCHERS:
-        raise ConfigError("unknown matching %r (choose from %s)"
-                          % (matching, ", ".join(sorted(_MATCHERS))))
-    for name, value, least in (("K", K, 1),
-                               ("initial_steps", initial_steps, 2),
-                               ("buffer", buffer, 0),
-                               ("max_depth", max_depth, 0)):
-        if not _is_integer(value):
-            raise ConfigError("%s must be an integer, got %r" % (name, value))
-        if value < least:
-            raise ConfigError("%s must be >= %d" % (name, least))
+_MATCHERS = dict(zip(MATCHERS, (_greedy_match, _hungarian_match)))
 
 
 def _track(solve, K, threshold, initial_steps, max_depth,
-           matching="greedy") -> TrackingRun:
+           matching=RunConfig.matching) -> TrackingRun:
     """Bisection tracking over [0, 1].
 
     solve(t) must return (values, vectors, inner, clusters) with at
@@ -429,14 +395,19 @@ def _track(solve, K, threshold, initial_steps, max_depth,
 
 def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
                   basis: ReducedBasis, K: int, policy: SolverPolicy,
-                  threshold: float = 0.9, initial_steps: int = 16,
-                  max_depth: int = 10, matching: str = "greedy",
-                  buffer: int = 2) -> TrackingRun:
+                  threshold: float = RunConfig.threshold,
+                  initial_steps: int = RunConfig.initial_steps,
+                  max_depth: int = RunConfig.max_depth,
+                  matching: str = RunConfig.matching,
+                  buffer: int = RunConfig.track_buffer) -> TrackingRun:
     """Track the K lowest reduced eigenvalues over [0, 1].
 
-    Reduced tracking takes no snapshot; the evaluator holds every
-    reduced pencil to policy.lambda_cut, so a spurious mode among the
-    first min(K, n_red) values at any t raises NumericsError.  A basis
+    The settings default to RunConfig's and are held, before any solve
+    or lift, to config.check_tracking, the rule a config file's keys
+    meet (buffer is the key track_buffer).  Reduced tracking takes no
+    snapshot; the evaluator holds every reduced pencil to
+    policy.lambda_cut, so a spurious mode among the first min(K, n_red)
+    values at any t raises NumericsError.  A basis
     of either gauge is tracked through the lifted (mixed) evaluation: a
     classical basis carries no lifts, so tracking it (track --reduced
     --gauge classical) lifts it at both endpoints and forms no dense
@@ -453,7 +424,7 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     reduced values: those of the space the run started from, adopted or
     made here at both endpoints, plus one per online lift point.
     """
-    _check_settings(K, threshold, initial_steps, buffer, max_depth, matching)
+    check_tracking(K, threshold, initial_steps, buffer, max_depth, matching)
     if basis.n_red < K:
         raise ConfigError(
             "basis size %d smaller than tracked mode count %d" % (basis.n_red, K)
@@ -481,16 +452,18 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
 
 
 def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
-               threshold: float = 0.9, initial_steps: int = 16,
-               max_depth: int = 10, matching: str = "greedy",
-               buffer: int = 2) -> TrackingRun:
-    """Track on the full sparse system; the runtime baseline."""
-    _check_settings(K, threshold, initial_steps, buffer, max_depth, matching)
+               threshold: float = RunConfig.threshold,
+               initial_steps: int = RunConfig.initial_steps,
+               max_depth: int = RunConfig.max_depth,
+               matching: str = RunConfig.matching,
+               buffer: int = RunConfig.track_buffer) -> TrackingRun:
+    """Track on the full sparse system; the runtime baseline.  The
+    settings are checked as track_reduced's are."""
+    check_tracking(K, threshold, initial_steps, buffer, max_depth, matching)
 
     def solve(t):
         pair = psys.interpolate(t)
-        sol = solve_sparse_gevp(pair.A, pair.B, K + buffer, policy,
-                                salt=_salt_from_t(t))
+        sol = solve_sparse_gevp(pair.A, pair.B, K + buffer, policy, t=t)
         return (sol.values, sol.vectors, pair.B,
                 _degenerate_clusters(sol.values[None])[0])
 

@@ -2,11 +2,15 @@
 
 Each criterion prints a single summary line to the real stdout so the
 verdicts stay visible under pytest's capture, then asserts every
-collected check.  The benchmark-based criteria share one study of the
-default configuration; its wall time is charged to each of them.
+collected check.  Criterion 6 reads an in-process study of the default
+configuration, whose wall time is charged to it; criterion 7 reads the
+report of a child ``maxwell-rb bench --threads 1`` run.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import maxwell_rb
 from maxwell_rb.assembly import ParametrizedSystem, assemble, scatter_map
 from maxwell_rb.bench import run_bench
 from maxwell_rb.cli import main
@@ -23,7 +28,7 @@ from maxwell_rb.errors import ProjectionError
 from maxwell_rb.gauge import (CotreeFamily, CotreeProjector,
                               build_cotree_system, build_tree)
 from maxwell_rb.mesh import build_mesh, discrete_gradient
-from maxwell_rb.rb import _make_evaluator, _salt_from_t, classical_pipeline
+from maxwell_rb.rb import _make_evaluator, classical_pipeline
 from maxwell_rb.reference import first_eigenvalue
 from maxwell_rb.tracking import track_reduced
 
@@ -81,7 +86,7 @@ def _ungauged_spurious_counts(psys, policy, K, snapshot_t, ts):
     for t in snapshot_t:
         pair = psys.interpolate(t)
         modes.append(solve_sparse_gevp(pair.A, pair.B, K, policy,
-                                       salt=_salt_from_t(t)).vectors)
+                                       t=t).vectors)
     Z = reference_ungauged_basis(modes)
     counts = []
     for t in ts:
@@ -291,15 +296,28 @@ def test_criterion_6_reduced_basis_convergence(bench_study, capsys):
     _finish(6, "reduced basis convergence", tic, 600.0, failures, capsys)
 
 
-def test_criterion_7_runtime_ratios(bench_study, capsys):
-    report, study_seconds = bench_study
-    tic = time.perf_counter() - study_seconds
+def test_criterion_7_runtime_ratios(tmp_path, capsys):
+    # timed with BLAS on one thread in a fresh process: unpinned, the
+    # ratios depend on whether machine load leaves BLAS its second thread
+    tic = time.perf_counter()
     failures = []
-    _check(failures, report["phase_errors"] == {},
-           "phases failed: %s" % sorted(report["phase_errors"]))
-    _check(failures, report["timing"]["repetitions"] == 5,
-           "timings must be medians over 5 repetitions")
-    ratios = report["timing"]["ratios"]
+    src = os.path.dirname(os.path.dirname(maxwell_rb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxwell_rb.cli", "bench", "--threads", "1",
+         "--output", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    # bench exits 3 when a phase failed
+    _check(failures, proc.returncode == 0,
+           "bench exited with %d: %s" % (proc.returncode, proc.stderr[-400:]))
+    ratios = {}
+    if proc.returncode == 0:
+        with open(tmp_path / "bench_report.json", encoding="utf-8") as handle:
+            timing = json.load(handle)["timing"]
+        _check(failures, timing["repetitions"] == 5,
+               "timings must be medians over 5 repetitions")
+        ratios = timing["ratios"]
     shown = []
     for key, bound in (("evp_full_over_rb", 20.0),
                        ("tracking_full_over_rb", 5.0),
@@ -335,7 +353,7 @@ def test_criterion_8_tracking_integrity(desk_cfg, desk_problem, desk_basis,
     for t, column in ((0.0, run.lambdas[:, 0]), (1.0, run.lambdas[:, -1])):
         pair = p.psys.interpolate(t)
         direct = solve_sparse_gevp(pair.A, pair.B, cfg.K + cfg.track_buffer,
-                                   p.policy, salt=_salt_from_t(t)).values
+                                   p.policy, t=t).values
         if t == 0.0:
             rel = np.max(np.abs(np.sort(column) - direct[: cfg.K])
                          / direct[: cfg.K])

@@ -254,14 +254,21 @@ class TestSparse:
         assert sol.residual_norms.max() < 1e-7
 
     def test_deterministic_given_seed_and_salt(self, cube3_pair, policy):
-        a = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, salt=11)
-        b = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, salt=11)
+        # the salt is t's: equal t give equal bits, -0.0 seeds as 0.0,
+        # and t = 0.0 is the default
+        a = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, t=0.25)
+        b = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, t=0.25)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+        zero = [solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, **t)
+                for t in ({}, {"t": 0.0}, {"t": -0.0})]
+        for sol in zero[1:]:
+            assert np.array_equal(sol.vectors, zero[0].vectors)
 
     def test_salt_changes_start_not_spectrum(self, cube3_pair, policy):
-        a = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, salt=1)
-        b = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, salt=2)
+        a = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, t=0.25)
+        b = solve_sparse_gevp(cube3_pair.A, cube3_pair.B, 5, policy, t=0.5)
+        assert not np.array_equal(a.vectors, b.vectors)
         assert np.allclose(a.values, b.values, rtol=1e-9)
 
     def test_zero_and_negative_counts(self, cube3_pair, policy):

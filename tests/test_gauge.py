@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from maxwell_rb import gauge as gauge_module
 from maxwell_rb.assembly import ParametrizedSystem, SystemPair, assemble
 from maxwell_rb.eigen import SolverPolicy, solve_dense_gevp, solve_sparse_gevp
 from maxwell_rb.errors import (ConfigError, FactorizationError, NumericsError,
@@ -300,26 +301,29 @@ class TestProjection:
         assert rels.max() <= 1e-12
 
     def test_gradient_residual_not_below_least_squares(self, cube3_pair,
-                                                       cube3_gauge, cube3_grad):
+                                                       cube3_gauge, cube3_grad,
+                                                       monkeypatch):
+        # the residuals the check reads, with its tolerance lifted
+        monkeypatch.setattr(gauge_module, "_CONSISTENCY_TOL", np.inf)
         rng = np.random.default_rng(1)
         v = cube3_grad @ rng.standard_normal((cube3_grad.shape[1], 3))
-        _, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
-            v, check=False)
+        _, rels = CotreeProjector(cube3_pair, cube3_gauge).project(v)
         _, floor = cotree_least_squares(cube3_pair.A, cube3_pair.B,
                                         cube3_gauge.cotree, v)
         assert np.all(rels > 1e-6)
         assert np.all(rels >= floor * (1.0 - 1e-12))
 
     def test_zero_and_gradient_columns_finite(self, cube3_pair, cube3_gauge,
-                                              cube3_grad, modes):
+                                              cube3_grad, modes, monkeypatch):
         # zero and gradient columns have no positive Rayleigh quotient:
-        # they condense to zero without warnings or NaNs
+        # they condense to zero without warnings or NaNs (the check's
+        # tolerance lifted, so the gradient column is returned)
+        monkeypatch.setattr(gauge_module, "_CONSISTENCY_TOL", np.inf)
         v = np.column_stack([modes.vectors[:, 0], np.zeros(cube3_pair.n),
                              cube3_grad @ np.ones(cube3_grad.shape[1])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v_hat, rels = CotreeProjector(cube3_pair, cube3_gauge).project(
-                v, check=False)
+            v_hat, rels = CotreeProjector(cube3_pair, cube3_gauge).project(v)
         assert np.all(np.isfinite(v_hat)) and np.all(np.isfinite(rels))
         assert rels[0] <= 1e-12
         assert not v_hat[:, 1].any() and rels[1] == 0.0
@@ -329,11 +333,9 @@ class TestProjection:
                                      cube3_grad):
         rng = np.random.default_rng(0)
         v = cube3_grad @ rng.standard_normal((cube3_grad.shape[1], 1))
-        projector = CotreeProjector(cube3_pair, cube3_gauge)
-        with pytest.raises(ProjectionError):
-            projector.project(v)
-        _, rel = projector.project(v, check=False)
-        assert rel.shape == (1,) and rel[0] > 1e-6
+        with pytest.raises(ProjectionError,
+                           match=r"relative residual \S+ in column 0"):
+            CotreeProjector(cube3_pair, cube3_gauge).project(v)
 
     def test_mixed_input_flagged(self, cube3_pair, cube3_gauge, cube3_grad,
                                  modes):

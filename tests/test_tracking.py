@@ -14,9 +14,9 @@ from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.mesh import build_mesh
-from maxwell_rb.rb import ReducedBasis, _make_evaluator, _salt_from_t
+from maxwell_rb.rb import ReducedBasis, _make_evaluator
 from maxwell_rb.eigen import solve_sparse_gevp
-from maxwell_rb.tracking import (_check_settings, _degenerate_clusters,
+from maxwell_rb.tracking import (_degenerate_clusters,
                                  _greedy_match, _hungarian_match, _walk_match,
                                  _surviving_free, _track, track_full,
                                  track_reduced)
@@ -91,12 +91,6 @@ class TestDegenerateClusters:
         assert self._groups([1.0, 1.0 + 1e-12, 2.0]) == [[0, 1]]
         assert self._groups([5.0, 5.0, 5.0, 9.0, 9.0]) == [[0, 1, 2], [3, 4]]
 
-    def test_detection_in_slot_order(self):
-        # trajectory slots need not be ascending; equal values must still
-        # group and unequal neighbours must not
-        assert self._groups([9.0, 5.0, 9.0]) == [[0, 2]]
-        assert self._groups([5.0, 3.0, 4.0]) == []
-
     def test_same_groups_as_the_loop(self):
         # values drawn from a few levels with offsets on both sides of
         # the relative tolerance, around and below magnitude one
@@ -105,14 +99,14 @@ class TestDegenerateClusters:
             for scale in (1e-3, 1.0, 50.0):
                 levels = rng.choice([0.2, 0.7, 1.0, 3.0], size) * scale
                 jitter = rng.choice([0.0, 1e-12, 2e-8, 1e-3], size)
-                values = levels * (1.0 + jitter)
+                values = np.sort(levels * (1.0 + jitter))
                 got = _groups(values)
                 want = reference_degenerate_clusters(values)
                 assert [list(g) for g in got] == [w.tolist() for w in want]
 
     def test_same_groups_as_the_split_at_the_tolerance(self):
-        # neighbours a few ulps either side of the relative tolerance, in
-        # shuffled slot order, with exact ties
+        # neighbours a few ulps either side of the relative tolerance,
+        # with exact ties, ascending as a solver returns them
         rng = np.random.default_rng(5)
         rtol = tracking._CLUSTER_RTOL
         for _ in range(50):
@@ -120,7 +114,7 @@ class TestDegenerateClusters:
             steps = rng.choice([0.0, rtol, 1.0], 8)
             values = base * np.cumprod(1.0 + steps)
             values *= 1.0 + rng.choice([-4, -1, 0, 1, 4], 8) * 2.0 ** -52
-            values = rng.permutation(values)
+            values = np.sort(values)
             got = _groups(values)
             want = reference_split_clusters(values)
             assert [list(g) for g in got] == [w.tolist() for w in want]
@@ -135,9 +129,9 @@ def _ulps(x, k):
 
 @st.composite
 def _spectra(draw):
-    """Unsorted spectra built as chains of exact ties, signed zeros,
-    steps a few ulps either side of the cluster tolerance, near-ties
-    inside it and clear gaps."""
+    """Ascending spectra, as solvers return them, built as chains of
+    exact ties, signed zeros, steps a few ulps either side of the cluster
+    tolerance, near-ties inside it and clear gaps."""
     rtol = tracking._CLUSTER_RTOL
     start = draw(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1e-9, 0.5, 1.0,
                                   26.13, 1e3])
@@ -159,7 +153,7 @@ def _spectra(draw):
             values.append(last + draw(st.floats(1e-6, 10.0)))
         else:
             values.append(draw(st.sampled_from([0.0, -0.0])))
-    return np.array(draw(st.permutations(values)))
+    return np.sort(values)
 
 
 @st.composite
@@ -362,7 +356,7 @@ class TestPerSolutionGrouping:
                    -0.75, 0.5, 1.0, 3.0, 26.13, 1e3):
             for k in range(-16, 17):
                 hi = _ulps(lo + rtol * max(abs(lo), 1.0), k)
-                values = np.array([hi, lo])
+                values = np.array([lo, hi])
                 at = hi - lo == rtol * max(abs(hi), 1.0)
                 found += at
                 got = [list(g) for g in _groups(values)]
@@ -438,6 +432,18 @@ def _spinning_solve(t):
     return np.array([1.0, 2.0]), R, np.eye(2)
 
 
+# Tracking settings every entrance refuses, by config key: out of range,
+# not an integer where a count is (2.0, 2.5, True) and a misspelt matcher.
+_REJECTED_SETTINGS = [
+    ("threshold", 1.0), ("threshold", -0.1), ("threshold", float("nan")),
+    ("initial_steps", 1), ("initial_steps", 4.0), ("initial_steps", 2.5),
+    ("K", 0), ("K", 2.0), ("K", 2.5), ("K", True),
+    ("track_buffer", -1), ("track_buffer", 0.5), ("track_buffer", True),
+    ("max_depth", -1), ("max_depth", 3.5), ("max_depth", 2.0),
+    ("matching", "hungrian"),
+]
+
+
 class TestEngine:
     def test_follows_modes_through_crossing(self):
         run = _track(_grouped(_crossing_solve), K=2, threshold=0.9,
@@ -506,17 +512,29 @@ class TestEngine:
         assert run.stats["bisection_count"] == 0
         assert run.grid.size == 5
 
-    def test_parameter_validation(self):
-        for kwargs in ({"threshold": 1.0}, {"threshold": -0.1},
-                       {"initial_steps": 1}, {"K": 0}, {"buffer": -1},
-                       {"max_depth": -1}, {"matching": "hungrian"},
-                       {"K": 2.0}, {"initial_steps": 4.0}, {"buffer": 0.5},
-                       {"max_depth": 3.5}, {"buffer": True}):
-            full = {"K": 2, "threshold": 0.9, "initial_steps": 4,
-                    "buffer": 2, "max_depth": 4, "matching": "greedy",
-                    **kwargs}
-            with pytest.raises(ConfigError):
-                _check_settings(**full)
+    def test_parameter_validation(self, small_morph, small_basis,
+                                  monkeypatch):
+        # one table through both entrances, a config override and each
+        # tracking path, which must refuse it with the config's message
+        # before any solve or lift
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved or lifted before the settings check")
+
+        for name in ("_make_evaluator", "solve_sparse_gevp"):
+            monkeypatch.setattr(tracking, name, refuse)
+        m = small_morph
+        for key, value in _REJECTED_SETTINGS:
+            with pytest.raises(ConfigError) as want:
+                with_overrides(default_config(), **{key: value})
+            settings = {"buffer" if key == "track_buffer" else key: value}
+            K = settings.pop("K", 5)
+            with pytest.raises(ConfigError) as full:
+                track_full(m["psys"], K, m["policy"], **settings)
+            with pytest.raises(ConfigError) as reduced:
+                track_reduced(m["psys"], m["gauge"], small_basis.basis, K,
+                              m["policy"], **settings)
+            assert (str(full.value) == str(reduced.value)
+                    == str(want.value)), (key, value)
 
     def test_rotation_inside_degenerate_pair_is_undone(self):
         # the pair is distinct at t = 0 and degenerate afterwards, where the
@@ -706,6 +724,25 @@ class TestFrozenLoop:
         assert run.stats["degenerate_steps"] > 0
         _assert_same_run(run, _reference(rec))
 
+    @pytest.mark.parametrize("path", ["reduced", "full"])
+    def test_every_spectrum_handed_over_ascends(self, taper3, monkeypatch,
+                                                path):
+        # _degenerate_clusters groups each spectrum in the order a solver
+        # returns it, ascending: the coarse grid's, each bisection
+        # midpoint's and each full-order step's
+        p, basis = taper3
+        rec = _recorded(monkeypatch)
+        settings = dict(threshold=0.99, initial_steps=4)
+        if path == "reduced":
+            run = track_reduced(p.psys, p.gauge, basis, p.cfg.K,
+                                policy=p.policy, **settings)
+            assert run.stats["bisection_count"] > 0
+        else:
+            run = track_full(p.psys, p.cfg.K, p.policy, **settings)
+        assert len(rec["seen"]) == run.grid.size
+        for t, (values, *_) in rec["seen"].items():
+            assert np.all(values[1:] >= values[:-1]), t
+
     def test_each_solution_grouped_once(self, taper3, monkeypatch):
         # a retried step reuses its solution's groups, and the reduced
         # pass still makes one dense solve per grid point; the coarse
@@ -743,7 +780,7 @@ class TestReducedTracking:
         for t, col in ((0.0, 0), (1.0, -1)):
             pair = m["psys"].interpolate(t)
             direct = solve_sparse_gevp(pair.A, pair.B, 7, m["policy"],
-                                       salt=_salt_from_t(t)).values
+                                       t=t).values
             for lam in run.lambdas[:, col]:
                 assert np.min(np.abs(direct - lam) / lam) < 1e-6
 
@@ -798,7 +835,7 @@ class TestReducedTracking:
             track_full(None, 5, m["policy"], initial_steps=1)
 
     @pytest.mark.parametrize("setting, message", [
-        ({"matching": "hungrian"}, "unknown matching"),
+        ({"matching": "hungrian"}, "matching must be one of"),
         ({"max_depth": -1}, "max_depth"),
     ])
     def test_bad_matching_and_depth_rejected_before_any_solve(
@@ -902,7 +939,7 @@ class TestDeskMorph:
                             policy=p.policy)
         pair = p.psys.interpolate(1.0)
         direct = solve_sparse_gevp(pair.A, pair.B, p.cfg.K + 2, p.policy,
-                                   salt=_salt_from_t(1.0)).values
+                                   t=1.0).values
         for lam in run.lambdas[:, -1]:
             assert np.min(np.abs(direct - lam) / lam) < 1e-6
         # the morph ends in an exact double eigenvalue; both trajectories
