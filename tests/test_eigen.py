@@ -1,18 +1,22 @@
 """Eigen- and linear-solver contracts against dense oracles."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from maxwell_rb.bench import setup_problem
-from maxwell_rb.config import default_config, with_overrides
+from maxwell_rb import eigen
+from maxwell_rb.bench import run_bench, setup_problem
+from maxwell_rb.config import default_config, parse_config_text, with_overrides
 from maxwell_rb.eigen import (SolverPolicy, pcg_solve, solve_dense_gevp,
                               solve_sparse_gevp, spd_solve_many)
 from maxwell_rb.errors import EigensolverError, FactorizationError
 from maxwell_rb.mesh import build_mesh, dissection_order
+from maxwell_rb.rb import _make_evaluator
 
 from oracles import (discrete_brick_eigenvalues, reference_cholesky_solve,
                      reference_cotree_system, reference_eigh)
@@ -375,6 +379,49 @@ class TestFactorOrdering:
             ordering=dissection_order(build_mesh((1.0, 1.0, 1.0), (8, 8, 8))))
         with pytest.raises(EigensolverError, match="1176 unknowns.* has 36"):
             solve_sparse_gevp(pair.A, pair.B, 5, policy)
+
+
+class TestToleranceSplit:
+    """Only full-order tracking asks ARPACK for sqrt(eps); every sparse
+    solve whose vectors or values are read at roundoff keeps machine
+    precision (tol 0.0)."""
+
+    @pytest.fixture
+    def tols(self, monkeypatch):
+        """The tol of each spla.eigsh call, by the name of the function
+        that called solve_sparse_gevp."""
+        seen = {}
+        eigsh = spla.eigsh
+
+        def recording(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code is not eigen.solve_sparse_gevp.__code__:
+                frame = frame.f_back
+            seen.setdefault(frame.f_back.f_code.co_name, set()).add(
+                kwargs["tol"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", recording)
+        return seen
+
+    def test_only_full_tracking_passes_sqrt_eps(self, tols):
+        # a bench run solves snapshots (modes), full-order tracking
+        # (track_full's solve), the evp-full probe (a lambda) and the
+        # error study's references
+        run_bench(parse_config_text("resolution = 3 3 3\nN_POD = 6\n"
+                                    "N_train = 10\nN_max = 12\n"
+                                    "eval_set_size = 5\n"), reps=1)
+        assert tols == {"solve": {np.sqrt(np.finfo(float).eps)},
+                        "modes": {0.0}, "<lambda>": {0.0},
+                        "reference_eigenvalues": {0.0}}
+
+    def test_default_solve_residuals_at_roundoff(self, tols, small_morph):
+        # at sqrt(eps) these read about 1e-10
+        m = small_morph
+        ev = _make_evaluator("mixed", m["psys"], m["gauge"], m["policy"], 5)
+        _, sol = ev.modes(0.5)
+        assert tols == {"modes": {0.0}}
+        assert np.max(sol.residual_norms / sol.values) <= 1e-12
 
 
 class TestPolicy:

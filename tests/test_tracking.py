@@ -14,7 +14,7 @@ from maxwell_rb.bench import setup_problem
 from maxwell_rb.config import default_config, with_overrides
 from maxwell_rb.errors import ConfigError, TrackingError
 from maxwell_rb.mesh import build_mesh
-from maxwell_rb.rb import ReducedBasis, _make_evaluator
+from maxwell_rb.rb import ReducedBasis
 from maxwell_rb.eigen import solve_sparse_gevp
 from maxwell_rb.tracking import (_degenerate_clusters,
                                  _greedy_match, _hungarian_match, _walk_match,
@@ -810,72 +810,11 @@ class TestReducedTracking:
         assert spread.max() < 1e-10
 
     def test_validation(self, small_morph, small_basis):
+        # the settings themselves are TestEngine.test_parameter_validation's
         m = small_morph
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tracked mode count 99"):
             track_reduced(m["psys"], m["gauge"], small_basis.basis, 99,
                           policy=m["policy"])
-        with pytest.raises(ConfigError):
-            track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
-                          buffer=-1, policy=m["policy"])
-        with pytest.raises(ConfigError):
-            track_full(m["psys"], 5, m["policy"], buffer=-1)
-
-    def test_settings_checked_before_any_solve_or_lift(self, small_morph,
-                                                      small_basis,
-                                                      monkeypatch):
-        def no_evaluator(*args):
-            raise AssertionError("evaluator built before the settings check")
-
-        monkeypatch.setattr(tracking, "_make_evaluator", no_evaluator)
-        m = small_morph
-        with pytest.raises(ConfigError):
-            track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
-                          threshold=1.0, policy=m["policy"])
-        with pytest.raises(ConfigError):
-            track_full(None, 5, m["policy"], initial_steps=1)
-
-    @pytest.mark.parametrize("setting, message", [
-        ({"matching": "hungrian"}, "matching must be one of"),
-        ({"max_depth": -1}, "max_depth"),
-    ])
-    def test_bad_matching_and_depth_rejected_before_any_solve(
-            self, small_morph, small_basis, monkeypatch, setting, message):
-        # a misspelt matching once fell back to greedy silently, and a
-        # negative depth died with a TrackingError at the first failed step
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved or lifted before the settings check")
-
-        for name in ("_make_evaluator", "solve_sparse_gevp"):
-            monkeypatch.setattr(tracking, name, refuse)
-        m = small_morph
-        with pytest.raises(ConfigError, match=message):
-            track_reduced(m["psys"], m["gauge"], small_basis.basis, 5,
-                          policy=m["policy"], **setting)
-        with pytest.raises(ConfigError, match=message):
-            track_full(m["psys"], 5, m["policy"], **setting)
-
-    @pytest.mark.parametrize("name, value", [
-        ("K", 5.0), ("initial_steps", 2.5), ("buffer", 1.5),
-        ("max_depth", 1.5), ("buffer", True),
-    ])
-    def test_non_integral_counts_rejected_before_any_solve(
-            self, small_morph, small_basis, monkeypatch, name, value):
-        # initial_steps=2.5 died in numpy and buffer=1.5 inside ARPACK on
-        # the full path, and the reduced path took buffer=1.5 and
-        # max_depth=1.5 silently
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved or lifted before the settings check")
-
-        for attr in ("_make_evaluator", "solve_sparse_gevp"):
-            monkeypatch.setattr(tracking, attr, refuse)
-        m = small_morph
-        settings = {name: value}
-        K = settings.pop("K", 5)
-        with pytest.raises(ConfigError, match="%s must be an integer" % name):
-            track_reduced(m["psys"], m["gauge"], small_basis.basis, K,
-                          policy=m["policy"], **settings)
-        with pytest.raises(ConfigError, match="%s must be an integer" % name):
-            track_full(m["psys"], K, m["policy"], **settings)
 
     def test_hungarian_matching_available(self, small_morph, small_basis):
         m = small_morph
@@ -948,16 +887,64 @@ class TestDeskMorph:
         assert end[-1] == pytest.approx(end[-2], rel=1e-10)
 
 
-def test_full_tracking_same_on_both_factor_orderings():
+@pytest.fixture(scope="module")
+def brick8():
+    """The default morph at 8^3."""
+    return setup_problem(with_overrides(default_config(), resolution=(8, 8, 8)))
+
+
+def _config_settings(cfg):
+    return dict(threshold=cfg.threshold, initial_steps=cfg.initial_steps,
+                max_depth=cfg.max_depth, matching=cfg.matching,
+                buffer=cfg.track_buffer)
+
+
+def test_full_tracking_same_on_both_factor_orderings(brick8):
     # 8^3 default morph: the mesh's nested-dissection factor and the
     # minimum-degree one trace the same grid and eigenvalues
-    p = setup_problem(with_overrides(default_config(), resolution=(8, 8, 8)))
-    kwargs = dict(threshold=p.cfg.threshold, initial_steps=p.cfg.initial_steps,
-                  max_depth=p.cfg.max_depth, matching=p.cfg.matching,
-                  buffer=p.cfg.track_buffer)
+    p = brick8
+    kwargs = _config_settings(p.cfg)
     assert p.policy.ordering is not None
     nd = track_full(p.psys, p.cfg.K, p.policy, **kwargs)
     mmd = track_full(p.psys, p.cfg.K,
                      dataclasses.replace(p.policy, ordering=None), **kwargs)
     assert np.array_equal(nd.grid, mmd.grid)
     assert np.max(np.abs(nd.lambdas - mmd.lambdas) / mmd.lambdas) <= 1e-13
+
+
+class TestFullTolerance:
+    """track_full solves at ARPACK tolerance sqrt(eps).  With the
+    constant at 0.0, machine precision, it traces the same run: the
+    same grid, bisections and permutations, eigenvalues within 1e-12
+    relative and correlations within 1e-12."""
+
+    @pytest.mark.parametrize("fixture, settings", [
+        ("brick8", None),       # the config's settings
+        ("taper3", dict(threshold=0.99, initial_steps=4)),  # bisects
+        ("small_morph", dict(matching="greedy")),   # degenerate cube end
+        ("small_morph", dict(matching="hungarian")),
+    ])
+    def test_same_run_as_machine_precision(self, request, monkeypatch,
+                                           fixture, settings):
+        value = request.getfixturevalue(fixture)
+        if fixture == "small_morph":
+            args = value["psys"], 5, value["policy"]
+        else:
+            p = value[0] if fixture == "taper3" else value
+            args = p.psys, p.cfg.K, p.policy
+            settings = settings or _config_settings(p.cfg)
+        assert tracking._FULL_TOL == np.sqrt(np.finfo(float).eps)
+        run = track_full(*args, **settings)
+        monkeypatch.setattr(tracking, "_FULL_TOL", 0.0)
+        want = track_full(*args, **settings)
+        if fixture == "taper3":
+            assert want.stats["bisection_count"] > 0
+        assert np.array_equal(run.grid, want.grid)
+        stats = {k: v for k, v in run.stats.items() if k != "wall_seconds"}
+        assert stats == {k: want.stats[k] for k in stats}
+        assert len(run.permutations) == len(want.permutations)
+        for got, ref in zip(run.permutations, want.permutations):
+            assert np.array_equal(got, ref)
+        assert np.max(np.abs(run.lambdas - want.lambdas)
+                      / np.abs(want.lambdas)) <= 1e-12
+        assert np.max(np.abs(run.correlations - want.correlations)) <= 1e-12
