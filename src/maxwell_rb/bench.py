@@ -125,14 +125,11 @@ def setup_problem(cfg: RunConfig) -> Problem:
 
 
 def reference_eigenvalues(problem: Problem, t_values) -> np.ndarray:
-    """Full-order sparse solves; rows follow t_values, columns the K modes."""
-    K = problem.cfg.K
-    out = np.empty((len(t_values), K))
-    for row, t in enumerate(t_values):
-        pair = problem.psys.interpolate(float(t))
-        sol = solve_sparse_gevp(pair.A, pair.B, K, problem.policy, t=float(t))
-        out[row] = sol.values[:K]
-    return out
+    """Full-order eigenvalues of the K physical modes, the mixed
+    evaluator's modes(t); rows follow t_values, columns the K modes."""
+    ev = _make_evaluator("mixed", problem.psys, problem.gauge,
+                         problem.policy, problem.cfg.K)
+    return np.array([ev.modes(float(t))[1].values for t in t_values])
 
 
 def leading_block_eigenvalues(problem: Problem, basis: ReducedBasis,

@@ -23,9 +23,9 @@ tolerance is therefore machine precision, which keeps the
 eigen-residuals at roundoff and the roundoff tail of the snapshot
 singular values below the POD rank guard.  Every solve that reads its
 vectors or values at roundoff keeps it: the snapshots, rb's modes (and
-so the CLI's solve, which prints residuals), bench's reference
-eigenvalues, on which acceptance criterion 6's plateau rests, and its
-evp-full probe.  Full-order tracking alone passes sqrt(eps)
+so the CLI's solve, which prints residuals, and bench's reference
+eigenvalues, on which acceptance criterion 6's plateau rests) and
+bench's evp-full probe.  Full-order tracking alone passes sqrt(eps)
 (tracking.track_full, whose docstring derives it): it reads the values,
 which come back at roundoff all the same, and the vectors only through
 correlations.  A system too small for the window (n < K + 7) is solved
@@ -108,6 +108,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrs, dsygvd, dsygvx, dsygvx_lwork
 
+from .config import RunConfig
 from .errors import EigensolverError, FactorizationError
 
 _PCG_RTOL = 1e-14
@@ -150,30 +151,16 @@ class SolverPolicy:
     ordering: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_reference(cls, lambda_hat1: float, shift_fraction: float = 0.9,
-                       cut_fraction: float = 0.1, **kwargs) -> "SolverPolicy":
+    def from_reference(cls, lambda_hat1: float,
+                       shift_fraction: float = RunConfig.shift_fraction,
+                       cut_fraction: float = RunConfig.cut_fraction,
+                       **kwargs) -> "SolverPolicy":
         """Policy derived from the analytic first eigenvalue of the geometry."""
         return cls(
             sigma=shift_fraction * lambda_hat1,
             lambda_cut=cut_fraction * lambda_hat1,
             **kwargs,
         )
-
-
-def _symmetric_lu(M, permc_spec="MMD_AT_PLUS_A"):
-    """SuperLU factorization of the square matrix M in symmetric mode,
-    with the library's threshold pivoting.
-
-    permc_spec="NATURAL" factors M in the order it comes in.
-    """
-    M = sp.csc_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise FactorizationError("matrix is not square: %r" % (M.shape,))
-    try:
-        return spla.splu(M, permc_spec=permc_spec,
-                         options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise FactorizationError("sparse factorization failed: %s" % exc) from exc
 
 
 def spd_solve_many(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -281,16 +268,27 @@ def _b_normalize(B, vectors):
 
 
 def _shift_invert(M, ordering):
-    """Solve with the shifted pencil M, factored once.
+    """Solve with the shifted pencil M, factored once by SuperLU in
+    symmetric mode, with the library's threshold pivoting.
 
     Without an ordering SuperLU picks its minimum-degree one.  With one,
     p, the factor is of M[p][:, p] taken as it comes, and the solve
-    permutes in and out, so the caller sees M^{-1} either way.
+    permutes in and out, so the caller sees M^{-1} either way.  A
+    non-square M or a failed factorization raises FactorizationError.
     """
+    if M.shape[0] != M.shape[1]:
+        raise FactorizationError("matrix is not square: %r" % (M.shape,))
+    if ordering is not None:
+        M = sp.csr_matrix(M)[ordering][:, ordering]
+    try:
+        lu = spla.splu(sp.csc_matrix(M),
+                       permc_spec="MMD_AT_PLUS_A" if ordering is None
+                       else "NATURAL",
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise FactorizationError("sparse factorization failed: %s" % exc) from exc
     if ordering is None:
-        return _symmetric_lu(M).solve
-    lu = _symmetric_lu(sp.csr_matrix(M)[ordering][:, ordering],
-                       permc_spec="NATURAL")
+        return lu.solve
 
     def solve(rhs):
         y = lu.solve(rhs[ordering])

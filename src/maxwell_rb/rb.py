@@ -799,10 +799,11 @@ def collect_snapshots(ev: _Evaluator, pod_set, n_init, tol: float):
     """Solve ev.K physical modes at POD parameters until the estimator or
     the rank says the next level adds nothing.
 
-    Returns (Y, solved_t, basis): the condensed, unit-normalized columns,
-    K per solved parameter in pod_set order, the parameters solved, and
-    the POD basis that ended collection through the estimator (None when
-    collection ended otherwise).
+    Returns (Y, solved_t, basis, pod_seconds): the condensed,
+    unit-normalized columns, K per solved parameter in pod_set order,
+    the parameters solved, the POD basis that ended collection through
+    the estimator (None when collection ended otherwise) and the gate's
+    seconds in pod_init.
 
     The parameters are visited in nested levels (_nested_levels): both
     endpoints, then the midpoints of the gaps, coarse to fine.  After
@@ -829,7 +830,7 @@ def collect_snapshots(ev: _Evaluator, pod_set, n_init, tol: float):
     if pod_set.size == 0:
         raise ConfigError("POD parameter set is empty")
     levels = _nested_levels(pod_set.size)
-    blocks, basis = {}, None
+    blocks, basis, pod_seconds = {}, None, 0.0
     for level, indices in enumerate(levels):
         if basis is not None:
             ev.set_basis(basis.Z)
@@ -845,8 +846,10 @@ def collect_snapshots(ev: _Evaluator, pod_set, n_init, tol: float):
         if level and enough and _adds_no_rank(earlier, np.hstack(new)):
             break
         if enough and level + 1 < len(levels):
+            t0 = time.perf_counter()
             basis = _gate_basis(_stack(blocks), n_init, ev)
-    return _stack(blocks), pod_set[sorted(blocks)], basis
+            pod_seconds += time.perf_counter() - t0
+    return _stack(blocks), pod_set[sorted(blocks)], basis, pod_seconds
 
 
 def _stack(blocks: dict) -> np.ndarray:
@@ -989,32 +992,29 @@ def build_basis(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     n_init is a column count or "auto" (rank-adaptive start basis).  One
     evaluator, built in the projection phase, collects the snapshots and
     drives greedy.  The start basis is the one collect_snapshots' gate
-    returns, or else the POD basis of all solved snapshots.
+    returns, or else the POD basis of all solved snapshots.  The pod
+    phase times every pod_init, the gate's included; the three phases
+    sum to the build's time.
     """
     if n_init != "auto" and n_init > n_max:
         raise ConfigError("N_init=%d exceeds N_max=%d" % (n_init, n_max))
-    phases = {}
-
     t0 = time.perf_counter()
     ev = _make_evaluator(gauge_mode, psys, gauge, policy, K)
-    snaps, snapshot_t, basis = collect_snapshots(ev, training.pod_set,
-                                                 n_init, tol)
-    phases["projection"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    snaps, snapshot_t, basis, pod_seconds = collect_snapshots(
+        ev, training.pod_set, n_init, tol)
+    t1 = time.perf_counter()
     if basis is None:
         basis = pod_init(snaps, n_init, gauge_mode=gauge_mode)
     if basis.n_red > n_max:
         raise ConfigError(
             "POD produced %d columns but N_max=%d" % (basis.n_red, n_max)
         )
-    phases["pod"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    t2 = time.perf_counter()
     del snaps   # snapshots are not needed past the SVD
     basis, log = greedy_enrich(ev, basis, training.greedy_set, tol, n_max)
-    phases["greedy"] = time.perf_counter() - t0
-
+    phases = {"projection": t1 - t0 - pod_seconds,
+              "pod": pod_seconds + t2 - t1,
+              "greedy": time.perf_counter() - t2}
     return BasisBuildResult(basis=basis, log=log, phase_seconds=phases,
                             snapshot_t=tuple(float(t) for t in snapshot_t))
 

@@ -33,13 +33,13 @@ correlations are its singular values.  Every rotation fixes solver
 gauge only, never re-labels across distinct eigenvalues, and flags the
 step as degenerate.
 
-Each solution is grouped into clusters once, before it enters the
-loop, from its values as the solver returns them, ascending: reduced
-tracking groups its initial grid's solutions in one vectorized pass
-over their stacked values, and a bisection midpoint or a full-order
-solve is grouped as a stack of one.  A failed step's end keeps its
-groups with its solution on the pending stack, so a retried step
-neither solves nor groups again.  Clusters are tuples, so free
+The loop asks its solver for the coarse grid in one call and for each
+bisection midpoint in one call of its own.  The solver groups each
+solution into clusters once, from its values, ascending: reduced
+tracking sweeps a call's parameters and groups their stacked values in
+one vectorized pass; full-order tracking solves a point only as the
+loop reads it.  A failed step's end keeps its groups with its solution
+on the pending stack, so a retried step neither solves nor groups again.  Clusters are tuples, so free
 and aligned clusters are found by key.  One routine, _procrustes, does
 every alignment on the overlap block P: a new cluster toward the
 committed rows, the two-sided SVD of a free cluster, and (on P.T) a
@@ -273,11 +273,13 @@ def _track(solve, K, threshold, initial_steps, max_depth,
            matching=RunConfig.matching) -> TrackingRun:
     """Bisection tracking over [0, 1].
 
-    solve(t) must return (values, vectors, inner, clusters) with at
-    least K eigenpairs ascending (ideally K plus a small buffer of
-    candidates), vectors inner-orthonormal, inner the mass operator at t
-    (applied as inner @ block) and clusters the groups of values, as
-    _degenerate_clusters gives them.
+    solve(ts) must return an iterable of one solution per t of the list
+    ts, in order: (values, vectors, inner, clusters) with at least K
+    eigenpairs ascending (ideally K plus a small buffer of candidates),
+    vectors inner-orthonormal, inner the mass operator at t (applied as
+    inner @ block) and clusters the groups of values, as
+    _degenerate_clusters gives them.  It is called once with the coarse
+    grid, read as the steps reach it, and once with [t] per midpoint.
 
     Steps run from the last accepted point to the end on top of a stack
     of pending ends.  A failed step pushes its end, then its midpoint,
@@ -288,7 +290,9 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     """
     match = _MATCHERS[matching]
     t_start = time.perf_counter()
-    values, vectors, inner, clusters = solve(0.0)
+    coarse = np.linspace(0.0, 1.0, initial_steps + 1).tolist()
+    solutions = iter(solve(coarse))
+    values, vectors, inner, clusters = next(solutions)
     # Trajectories start as the K lowest modes; buffer columns are
     # candidates for later steps only.
     vectors = vectors[:, :K]
@@ -303,13 +307,13 @@ def _track(solve, K, threshold, initial_steps, max_depth,
     correlations, permutations = [], []
     bisections = degenerate_steps = 0
     # (t, bisection depth, its solution and clusters if a failed step
-    # already got them)
-    pending = [(float(t), 0, None)
-               for t in np.linspace(0.0, 1.0, initial_steps + 1)[:0:-1]]
+    # already got them); the coarse points, the only ones at depth 0,
+    # come off the stack in ascending order
+    pending = [(t, 0, None) for t in coarse[:0:-1]]
     while pending:
         t_next, depth, solved = pending.pop()
         if solved is None:
-            solved = solve(t_next)
+            solved = next(solutions if depth == 0 else iter(solve([t_next])))
         values_n, vectors_n, inner_n, clusters_n = solved
         W = inner @ vectors_n
         # Signed correlation block, trajectories by candidates.  Every
@@ -407,22 +411,22 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
     meet (buffer is the key track_buffer).  Reduced tracking takes no
     snapshot; the evaluator holds every reduced pencil to
     policy.lambda_cut, so a spurious mode among the first min(K, n_red)
-    values at any t raises NumericsError.  A basis
-    of either gauge is tracked through the lifted (mixed) evaluation: a
-    classical basis carries no lifts, so tracking it (track --reduced
-    --gauge classical) lifts it at both endpoints and forms no dense
-    pencil, while bench's error sweep evaluates each basis in its own
-    gauge.  The evaluator is built with the basis, so it starts from the
-    lifted space a built basis carries, lift points of the build
-    included, when that space fits these psys and gauge objects; a
-    parameter its space does not certify becomes a lift point of this
-    run only.  The initial grid is evaluated in one sweep (solve_many)
-    and its solutions grouped in one pass (_degenerate_clusters) before
-    the first step, so its lift points, if any, come before those of the
-    bisection midpoints; a midpoint is solved and grouped alone.
-    stats also carries lift_solves, the exact lifts behind the run's
-    reduced values: those of the space the run started from, adopted or
-    made here at both endpoints, plus one per online lift point.
+    values at any t raises NumericsError.  A basis of either gauge is
+    tracked through the lifted (mixed) evaluation: a classical basis
+    carries no lifts, so tracking it (track --reduced --gauge classical)
+    lifts it at both endpoints and forms no dense pencil, while bench's
+    error sweep evaluates each basis in its own gauge.  The evaluator is
+    built with the basis, so it starts from the lifted space a built
+    basis carries, lift points of the build included, when that space
+    fits these psys and gauge objects; a parameter its space does not
+    certify becomes a lift point of this run only.  Each call of
+    _track's solver is one sweep (solve_many) grouped in one pass
+    (_degenerate_clusters): the initial grid's, which
+    stats["wall_seconds"] includes, comes first, so its lift points
+    precede any midpoint's.  stats also carries lift_solves, the exact
+    lifts behind the run's reduced values: those of the space the run
+    started from, adopted or made here at both endpoints, plus one per
+    online lift point.
     """
     check_tracking(K, threshold, initial_steps, buffer, max_depth, matching)
     if basis.n_red < K:
@@ -431,20 +435,14 @@ def track_reduced(psys: ParametrizedSystem, gauge: GaugeDecomposition,
         )
     ev = _make_evaluator("mixed", psys, gauge, policy, K, basis=basis)
     n_cand = min(K + buffer, basis.n_red)
-    grid = np.linspace(0.0, 1.0, initial_steps + 1)
-    solved = ev.solve_many(grid)
-    groups = _degenerate_clusters(
-        np.array([sol.values[:n_cand] for _, sol in solved]))
-    coarse = dict(zip(grid.tolist(), zip(solved, groups)))
 
-    def solve(t):
-        if t in coarse:
-            ((_, B_tilde), sol), clusters = coarse.pop(t)
-        else:
-            (_, B_tilde), sol = ev.solve_many([t])[0]
-            clusters = _degenerate_clusters(sol.values[None, :n_cand])[0]
-        return (sol.values[:n_cand], sol.vectors[:, :n_cand], B_tilde,
-                clusters)
+    def solve(ts):
+        solved = ev.solve_many(ts)
+        groups = _degenerate_clusters(
+            np.array([sol.values[:n_cand] for _, sol in solved]))
+        return [(sol.values[:n_cand], sol.vectors[:, :n_cand], B_tilde,
+                 clusters)
+                for ((_, B_tilde), sol), clusters in zip(solved, groups)]
 
     run = _track(solve, K, threshold, initial_steps, max_depth, matching)
     run.stats["lift_solves"] = ev.lifted.lifts
@@ -461,7 +459,8 @@ def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
                matching: str = RunConfig.matching,
                buffer: int = RunConfig.track_buffer) -> TrackingRun:
     """Track on the full sparse system; the runtime baseline.  The
-    settings are checked as track_reduced's are.
+    settings are checked as track_reduced's are, and a point is solved
+    only when _track reads it, so no solution waits ahead of the step.
 
     Each point is solved only as accurately as tracking reads it: at
     ARPACK tolerance _FULL_TOL = sqrt(eps), where every other sparse
@@ -484,11 +483,12 @@ def track_full(psys: ParametrizedSystem, K: int, policy: SolverPolicy,
     """
     check_tracking(K, threshold, initial_steps, buffer, max_depth, matching)
 
-    def solve(t):
-        pair = psys.interpolate(t)
-        sol = solve_sparse_gevp(pair.A, pair.B, K + buffer, policy, t=t,
-                                tol=_FULL_TOL)
-        return (sol.values, sol.vectors, pair.B,
-                _degenerate_clusters(sol.values[None])[0])
+    def solve(ts):
+        for t in ts:
+            pair = psys.interpolate(t)
+            sol = solve_sparse_gevp(pair.A, pair.B, K + buffer, policy, t=t,
+                                    tol=_FULL_TOL)
+            yield (sol.values, sol.vectors, pair.B,
+                   _degenerate_clusters(sol.values[None])[0])
 
     return _track(solve, K, threshold, initial_steps, max_depth, matching)

@@ -405,15 +405,14 @@ class TestToleranceSplit:
         return seen
 
     def test_only_full_tracking_passes_sqrt_eps(self, tols):
-        # a bench run solves snapshots (modes), full-order tracking
-        # (track_full's solve), the evp-full probe (a lambda) and the
-        # error study's references
+        # a bench run solves snapshots and the error study's references
+        # (both modes), full-order tracking (track_full's solve) and the
+        # evp-full probe (a lambda)
         run_bench(parse_config_text("resolution = 3 3 3\nN_POD = 6\n"
                                     "N_train = 10\nN_max = 12\n"
                                     "eval_set_size = 5\n"), reps=1)
         assert tols == {"solve": {np.sqrt(np.finfo(float).eps)},
-                        "modes": {0.0}, "<lambda>": {0.0},
-                        "reference_eigenvalues": {0.0}}
+                        "modes": {0.0}, "<lambda>": {0.0}}
 
     def test_default_solve_residuals_at_roundoff(self, tols, small_morph):
         # at sqrt(eps) these read about 1e-10

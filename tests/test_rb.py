@@ -1,5 +1,6 @@
 """Reduced-basis pipeline: snapshots, POD, estimator, greedy, storage."""
 
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -223,8 +224,8 @@ class TestNestedCollection:
         p = desk_problem
         solved = self._counted(monkeypatch, gauge_mode)
         ev = _make_evaluator(gauge_mode, p.psys, p.gauge, p.policy, p.cfg.K)
-        Y, solved_t, basis = collect_snapshots(ev, p.training.pod_set,
-                                               p.cfg.N_init, p.cfg.tol)
+        Y, solved_t, basis, _ = collect_snapshots(ev, p.training.pod_set,
+                                                  p.cfg.N_init, p.cfg.tol)
         assert sorted(solved) == list(solved_t)
         assert sorted(solved) == [0.0, 1.0]
         assert Y.shape == (p.gauge.cotree.size, 2 * p.cfg.K)
@@ -956,6 +957,32 @@ class TestBuildBasis:
         assert len(res.basis.provenance) == res.basis.n_red
         assert set(res.phase_seconds) == {"projection", "pod", "greedy"}
         assert res.log[-1]["n_red"] == res.basis.n_red
+
+    @pytest.mark.parametrize("gauge_mode", ["mixed", "classical"])
+    def test_pod_phase_times_every_pod_init(self, small_morph, monkeypatch,
+                                            gauge_mode):
+        # the snapshot gate's SVD is POD, not projection: a delay in each
+        # pod_init shows up in the pod phase alone, and the three phases
+        # still sum to no more than the build's time
+        m = small_morph
+        delay, calls = 0.5, []
+        pod = rb.pod_init
+
+        def slow(*args, **kwargs):
+            calls.append(1)
+            time.sleep(delay)
+            return pod(*args, **kwargs)
+
+        monkeypatch.setattr(rb, "pod_init", slow)
+        tic = time.perf_counter()
+        res = build_basis(m["psys"], m["gauge"], m["training"], 5, "auto",
+                          1e-6, 12, m["policy"], gauge_mode=gauge_mode)
+        wall = time.perf_counter() - tic
+        phases = res.phase_seconds
+        assert calls
+        assert phases["pod"] >= delay * len(calls)
+        assert phases["projection"] < delay
+        assert sum(phases.values()) <= wall
 
     def test_n_init_exceeding_n_max_rejected(self, small_morph):
         m = small_morph

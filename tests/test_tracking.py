@@ -32,11 +32,13 @@ def _groups(values):
 
 
 def _grouped(solve):
-    """solve's (values, vectors, inner) with the groups of values, the
-    solution _track takes."""
-    def grouped(t):
-        values, vectors, inner = solve(t)
-        return values, vectors, inner, _groups(values)
+    """The batch solver _track takes, from solve(t) -> (values, vectors,
+    inner): each t's solution with the groups of its values, solved
+    lazily, as _track reads it."""
+    def grouped(ts):
+        for t in ts:
+            values, vectors, inner = solve(t)
+            yield values, vectors, inner, _groups(values)
     return grouped
 
 
@@ -615,18 +617,21 @@ def _assert_same_run(run, want):
 
 
 def _recorded(monkeypatch):
-    """Make tracking._track remember the solutions it asks for, in order
-    (rec["asked"], each solved once into rec["seen"]), and its settings,
-    so that the frozen loop can run on the same solutions."""
-    rec = {"seen": {}, "asked": []}
+    """Make tracking._track remember the batches it asks its solver for
+    (rec["batches"]), the parameters in them, in order (rec["asked"]),
+    the solutions it reads (rec["seen"], by t) and its settings, so that
+    the frozen loop can run on the same solutions.  The recorder reads
+    each batch as lazily as _track does."""
+    rec = {"seen": {}, "asked": [], "batches": []}
     real = tracking._track
 
     def recording(solve, *settings):
-        def remembered(t):
-            rec["asked"].append(t)
-            if t not in rec["seen"]:
-                rec["seen"][t] = solve(t)
-            return rec["seen"][t]
+        def remembered(ts):
+            rec["batches"].append(list(ts))
+            rec["asked"].extend(ts)
+            for t, solved in zip(ts, solve(ts)):
+                rec["seen"][t] = solved
+                yield solved
         rec["settings"] = settings
         return real(remembered, *settings)
 
@@ -696,6 +701,30 @@ class TestFrozenLoop:
         # each failed step's end is asked for once and then reused
         assert len(rec["asked"]) == len(rec["seen"]) == run.grid.size
         _assert_same_run(run, _reference(rec))
+
+    @pytest.mark.parametrize("path", ["reduced", "full"])
+    def test_one_call_for_the_grid_one_per_midpoint(self, taper3,
+                                                    monkeypatch, path):
+        # the coarse grid is one batch, read in order as the steps reach
+        # it, and each bisection midpoint a batch of its own; the full
+        # path solves a point only when the loop reads it
+        p, basis = taper3
+        rec = _recorded(monkeypatch)
+        sparse, solve = [], tracking.solve_sparse_gevp
+        monkeypatch.setattr(
+            tracking, "solve_sparse_gevp",
+            lambda *a, **k: sparse.append(k["t"]) or solve(*a, **k))
+        settings = dict(threshold=0.99, initial_steps=4)
+        if path == "reduced":
+            run = track_reduced(p.psys, p.gauge, basis, p.cfg.K,
+                                policy=p.policy, **settings)
+        else:
+            run = track_full(p.psys, p.cfg.K, p.policy, **settings)
+            assert sparse == list(rec["seen"])
+        assert run.stats["bisection_count"] > 0
+        assert len(rec["batches"]) == 1 + run.stats["bisection_count"]
+        assert rec["batches"][0] == np.linspace(0.0, 1.0, 5).tolist()
+        assert all(len(batch) == 1 for batch in rec["batches"][1:])
 
     def test_max_depth_error(self, taper3, monkeypatch):
         with pytest.raises(TrackingError) as got:
@@ -858,6 +887,26 @@ class TestDeskMorph:
         run = track_reduced(p.psys, p.gauge, desk_basis.basis, p.cfg.K,
                             policy=p.policy)
         assert run.stats["lift_solves"] == 2
+
+    def test_classical_basis_lifted_at_both_endpoints(
+            self, desk_problem, desk_basis, desk_classical_basis,
+            monkeypatch):
+        # a classical basis carries no lifted space: tracking lifts it at
+        # t = 0 and 1, forms no dense cotree pencil, and its values are
+        # the mixed basis's to roundoff (4.4e-15 relative at 6^3)
+        p = desk_problem
+        pencils = []
+        build = rb.build_cotree_system
+        monkeypatch.setattr(rb, "build_cotree_system",
+                            lambda *a: pencils.append(a) or build(*a))
+        run = p.track(desk_classical_basis.basis)
+        mixed = p.track(desk_basis.basis)
+        assert desk_classical_basis.basis.gauge_mode == "classical"
+        assert run.stats["lift_solves"] == 2
+        assert not pencils
+        assert np.array_equal(run.grid, mixed.grid)
+        assert (np.abs(run.lambdas - mixed.lambdas) / mixed.lambdas).max() \
+            <= 1e-12
 
     def test_buffer_needed_at_window_boundary(self, desk_problem, desk_basis):
         """A trajectory crosses the K-th eigenvalue late in the morph; with
